@@ -20,10 +20,10 @@ from .errors import (DimensionMismatchError, GermsumError,
                      InsufficientTruncationError, SectorError,
                      SingularRayError, ZeroGermError, ZeroSeriesError)
 from .scalars import DEFAULT_PREC_BITS, QQi
-from .series import (MonomialOrder, TruncatedSeries, add, majorant_norm, mul,
+from .series import (MonomialOrder, TruncatedSeries, majorant_norm,
                      series_from_json, series_to_json, substitute, v_ell)
 from .weierstrass import (DivisionResult, Germ, PExpansion, delta_member,
-                          p_expand, t_map, t_substitute, wdivide)
+                          p_expand, t_substitute, wdivide)
 from .transforms import (INFINITY, BlowupChart, DominantData, blowup,
                          chart_shift, dominant_data, ramify, rotation_average)
 from .gevrey import (GevreyEstimate, NormSequence, check_gevrey_bound,

@@ -21,20 +21,21 @@ import mpmath
 from mpmath import mp
 
 from .errors import ContinuationError, SectorError, SingularRayError
-from .scalars import DEFAULT_PREC_BITS, to_mpc
+from .scalars import to_mpc, working_prec
 from .transforms import _poly_roots
 
 TWO_PI = 2 * math.pi
 
 
-def _resolve_prec(prec):
-    return int(prec) if prec else DEFAULT_PREC_BITS
-
-
 def _angdiff(a, b):
-    """Signed angular difference a - b wrapped to (-pi, pi]."""
+    """Signed angular difference a - b wrapped to (-pi, pi].
+
+    The wrap uses pi at the working precision: a float 2*pi would shift
+    the result by ~2e-16 whenever a and b straddle the cut at +-pi.
+    """
     d = mpmath.mpf(a) - mpmath.mpf(b)
-    return d - TWO_PI * mpmath.floor((d + mpmath.pi) / TWO_PI)
+    two_pi = 2 * mpmath.pi
+    return d - two_pi * mpmath.floor((d + mpmath.pi) / two_pi)
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,6 @@ class OneVarSeries:
 
     def __len__(self):
         return len(self.coeffs)
-
-    @classmethod
-    def from_expansion(cls, expansion, point):
-        """Specialize a germ-power expansion at a point: a_n = g_n(point)."""
-        return cls(expansion.specialize(point))
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ def borel_transform(series, k, prec=None):
     if not k > 0:
         raise ValueError("summability index k must be positive")
     coeffs = series.coeffs if isinstance(series, OneVarSeries) else tuple(series)
-    prec = _resolve_prec(prec)
+    prec = working_prec(prec)
     with mp.workprec(prec):
         kk = mpmath.mpf(k)
         out = tuple(to_mpc(a) / mpmath.gamma(1 + mpmath.mpf(n) / kk)
@@ -176,7 +172,7 @@ def build_approximant(coeffs, m=None, prec=None):
     Degenerate Toeplitz systems (exactly rational inputs of lower true
     degree) reduce the requested degree until the solve succeeds.
     """
-    prec = _resolve_prec(prec)
+    prec = working_prec(prec)
     if m is None:
         m = (len(coeffs) - 1) // 2
     m = max(0, min(m, (len(coeffs) - 1) // 2))
@@ -194,7 +190,6 @@ class RayContinuation:
     radii: tuple
     values: tuple
     errors: tuple
-    method: str
     poles: tuple
     prec: int
     _hi: object
@@ -205,18 +200,6 @@ class RayContinuation:
 
     def evaluate_low(self, tau):
         return self._lo(tau) if self._lo is not None else self._hi(tau)
-
-    def to_json(self):
-        return {
-            "direction": self.direction,
-            "method": self.method,
-            "samples": [{"radius": float(r),
-                         "value": {"re": float(v.real), "im": float(v.imag)},
-                         "error": float(e)}
-                        for r, v, e in zip(self.radii, self.values, self.errors)],
-            "poles": [{"re": float(to_mpc(p).real), "im": float(to_mpc(p).imag)}
-                      for p in self.poles],
-        }
 
 
 def _matched_poles(hi, lo, rel_tol=0.2):
@@ -234,22 +217,21 @@ def _matched_poles(hi, lo, rel_tol=0.2):
 def continue_on_ray(b, theta, radii, method="pade", delta_min=0.15, prec=None):
     """Continue the Borel series along arg tau = theta, sampling at the radii.
 
-    The default method evaluates the diagonal rational approximant; the
-    per-sample error estimate is the difference against the approximant of
-    one lower order.  A cross-order-stable pole within angular distance
-    ``delta_min`` of the ray raises :class:`SingularRayError`.
-
-    The alternative ``method="taylor"`` re-expands the truncated series
-    stepwise along the ray, with steps at most 1/3 of the distance to the
-    nearest detected pole.
+    Samples the diagonal rational approximant; the per-sample error
+    estimate is the difference against the approximant of one lower order.
+    A cross-order-stable pole within angular distance ``delta_min`` of the
+    ray raises :class:`SingularRayError`.  ``"pade"`` is the only
+    continuation ``method``; any other value raises ``ValueError``.
     """
+    if method != "pade":
+        raise ValueError(f"unknown continuation method {method!r}")
     coeffs = b.coeffs
     if len(coeffs) < 8:
         raise ValueError("need at least 8 Borel coefficients to continue")
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii) or any(b2 <= a2 for a2, b2 in zip(radii, radii[1:])):
         raise ValueError("radii must be positive and strictly increasing")
-    prec = _resolve_prec(prec)
+    prec = working_prec(prec)
     with mp.workprec(prec):
         theta = float(theta)
         m_star = (len(coeffs) - 1) // 2
@@ -264,57 +246,14 @@ def continue_on_ray(b, theta, radii, method="pade", delta_min=0.15, prec=None):
                     pole=to_mpc(p))
         phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
         values, errors = [], []
-        if method == "pade":
-            for r in radii:
-                tau = r * phase
-                v = hi(tau)
-                values.append(v)
-                errors.append(float(abs(v - lo(tau))) if lo is not None else 0.0)
-        elif method == "taylor":
-            for r in radii:
-                v, e = _taylor_continue(coeffs, theta, r, poles, prec)
-                values.append(v)
-                errors.append(e)
-        else:
-            raise ValueError(f"unknown continuation method {method!r}")
+        for r in radii:
+            tau = r * phase
+            v = hi(tau)
+            values.append(v)
+            errors.append(float(abs(v - lo(tau))) if lo is not None else 0.0)
     return RayContinuation(direction=theta, radii=radii, values=tuple(values),
-                           errors=tuple(errors), method=method, poles=poles,
+                           errors=tuple(errors), poles=poles,
                            prec=prec, _hi=hi, _lo=lo)
-
-
-def _taylor_continue(coeffs, theta, r, poles, prec):
-    """Stepwise re-expansion of the truncated Taylor series along the ray."""
-    with mp.workprec(prec):
-        cur = [to_mpc(c) for c in coeffs]
-        M = len(cur)
-        phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
-        center = mpmath.mpc(0)
-        target = r * phase
-        while True:
-            remaining = abs(target - center)
-            dist = min((abs(p - center) for p in poles), default=mpmath.inf)
-            step = min(remaining, dist / 3)
-            if step >= remaining:
-                break
-            center2 = center + step * phase
-            delta = center2 - center
-            new = [mpmath.mpc(0)] * M
-            # binomial re-centering of the truncated polynomial
-            for j in range(M):
-                acc = mpmath.mpc(0)
-                binom = mpmath.mpf(1)
-                dpow = mpmath.mpc(1)
-                for i in range(j, M):
-                    acc += cur[i] * binom * dpow
-                    dpow *= delta
-                    binom = binom * (i + 1) / (i + 1 - j)
-                new[j] = acc
-            cur = new
-            center = center2
-        z = target - center
-        v = _horner(cur, z)
-        v_short = _horner(cur[:-2], z) if M > 2 else v
-        return v, float(abs(v - v_short))
 
 
 # -- Laplace integral ---------------------------------------------------------
@@ -411,7 +350,7 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     With ``derivative=True`` returns d/dt of the sum (differentiation under
     the integral: one extra ``(tau/t)^k - 1`` factor and prefactor
     ``k^2 t^{-k-1}``).  Evaluation uses the rational approximants carried
-    by the continuation (for either construction method).
+    by the continuation.
 
     Panels are split until the local Gauss-Legendre refinement estimate
     drops below the (length-prorated) share of ``eps``; the value is
@@ -421,7 +360,7 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     and the estimate exceeds it, a :class:`ContinuationError` is raised
     instead of returning a silently degraded value.
     """
-    prec = _resolve_prec(max(prec or 0, rc.prec))
+    prec = max(prec or 0, rc.prec)
     with mp.workprec(prec):
         t = to_mpc(t)
         if t == 0:
@@ -495,13 +434,13 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
                          continuation_error=cont, tail_cut=float(S))
 
 
-def p_k_sum(expansion, point, k, theta, delta=0.35, prec=None, method="pade"):
+def p_k_sum(expansion, point, k, theta, delta=0.35, prec=None):
     """Germ-k-sum of an expansion at a point: specialize, transform, continue, integrate.
 
     ``t = P(point)`` must lie within ``pi/(2k) + delta`` of the requested
     direction; the Laplace step additionally requires actual kernel decay.
     """
-    prec = _resolve_prec(prec)
+    prec = working_prec(prec)
     with mp.workprec(prec):
         t = to_mpc(expansion.germ.p.eval_at(point))
         if t == 0:
@@ -511,11 +450,11 @@ def p_k_sum(expansion, point, k, theta, delta=0.35, prec=None, method="pade"):
             raise SectorError(
                 f"point outside the germ sector: |arg P(x) - theta| = {float(off):.3f} "
                 f"> pi/(2k) + {delta}")
-        spec = OneVarSeries.from_expansion(expansion, point)
+        spec = OneVarSeries(expansion.specialize(point))
         b = borel_transform(spec, k, prec=prec)
         tmod = abs(t)
         radii = [float(tmod * 2 ** j) for j in range(-1, 4)]
-        rc = continue_on_ray(b, theta, radii, method=method, prec=prec)
+        rc = continue_on_ray(b, theta, radii, prec=prec)
         return laplace_sum(rc, k, t, prec=prec)
 
 
@@ -562,7 +501,7 @@ def singular_directions(b, k=None, n_orders=3, match_rel=0.1, prec=None):
     if len(coeffs) < 16:
         raise ValueError("need at least 16 Borel coefficients")
     k = float(k if k is not None else getattr(b, "k", 1.0))
-    prec = _resolve_prec(prec)
+    prec = working_prec(prec)
     with mp.workprec(prec):
         m0 = (len(coeffs) - 1) // 2
         orders = [max(1, m0 - i) for i in range(n_orders)]

@@ -12,16 +12,19 @@ import math
 import sys
 from fractions import Fraction
 
+from mpmath import mp
+
 from .borel import (OneVarSeries, borel_transform, continue_on_ray,
                     laplace_sum, p_k_sum, singular_directions)
 from .errors import GermsumError
 from .gevrey import fit_gevrey, norm_sequence
-from .harness import (EXAMPLE_NAMES, gen_example, verify_ode_formal,
-                      verify_ode_numeric, verify_pde_formal)
-from .scalars import DEFAULT_PREC_BITS, parse_scalar, scalar_from_json
+from .harness import (EXAMPLE_NAMES, euler_borel_series, gen_example,
+                      verify_ode_formal, verify_ode_numeric, verify_pde_formal)
+from .scalars import (DEFAULT_PREC_BITS, parse_scalar, scalar_from_json,
+                      working_prec)
 from .series import MonomialOrder, series_from_json, series_to_json
 from .transforms import INFINITY, blowup, dominant_data, ramify
-from .weierstrass import Germ, p_expand, t_map, wdivide
+from .weierstrass import Germ, p_expand, wdivide
 
 
 class _UsageError(Exception):
@@ -100,9 +103,6 @@ def _build_parser():
     p = sub.add_parser("expand", help="expand a series in powers of the germ")
     common(p)
     p.add_argument("--depth", type=int, required=True)
-    p = sub.add_parser("tmap", help="same data as expand, read as a series in t")
-    common(p)
-    p.add_argument("--depth", type=int, required=True)
 
     p = sub.add_parser("blowup", help="compose with a blow-up chart")
     common(p)
@@ -129,7 +129,6 @@ def _build_parser():
     p.add_argument("--t", help="evaluation point t (scalar)")
     p.add_argument("--point", help="evaluation point x0 as 'c1,c2,...' (germ sum)")
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--method", choices=("pade", "taylor"), default="pade")
 
     p = sub.add_parser("directions", help="singular directions of a Borel transform")
     common(p, input_help="one-variable {'coeffs': [...]} JSON")
@@ -147,9 +146,10 @@ def cli_main(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    prec = args.prec or DEFAULT_PREC_BITS
+    prec = working_prec(args.prec)
     try:
-        return _dispatch(args, prec)
+        with mp.workprec(prec):
+            return _dispatch(args, prec)
     except _UsageError as exc:
         print(f"germsum: {exc}", file=sys.stderr)
         return 2
@@ -164,10 +164,9 @@ def _dispatch(args, prec):
         germ = _germ_from_args(args)
         division = wdivide(_load_series(args.input), germ)
         _emit({"q": series_to_json(division.q), "r": series_to_json(division.r)})
-    elif cmd in ("expand", "tmap"):
+    elif cmd == "expand":
         germ = _germ_from_args(args)
-        fn = p_expand if cmd == "expand" else t_map
-        _emit(fn(_load_series(args.input), germ, args.depth).to_json())
+        _emit(p_expand(_load_series(args.input), germ, args.depth).to_json())
     elif cmd == "blowup":
         xi = INFINITY if args.xi.lower() in ("inf", "infinity") else parse_scalar(args.xi)
         _emit(series_to_json(blowup(_load_series(args.input), xi)))
@@ -189,16 +188,14 @@ def _dispatch(args, prec):
                 raise _UsageError("germ summation requires --depth")
             point = [parse_scalar(c) for c in args.point.split(",")]
             expansion = p_expand(_load_series(args.input), germ, args.depth)
-            result = p_k_sum(expansion, point, args.k, args.theta,
-                             prec=prec, method=args.method)
+            result = p_k_sum(expansion, point, args.k, args.theta, prec=prec)
         else:
             if args.t is None:
                 raise _UsageError("need --t (or --point with --germ)")
             series = _load_coeffs(args.input)
             b = borel_transform(series, args.k, prec=prec)
             t = parse_scalar(args.t)
-            rc = continue_on_ray(b, args.theta, [0.5, 1.0, 2.0, 4.0],
-                                 method=args.method, prec=prec)
+            rc = continue_on_ray(b, args.theta, [0.5, 1.0, 2.0, 4.0], prec=prec)
             result = laplace_sum(rc, args.k, t, prec=prec)
         _emit(result.to_json())
     elif cmd == "directions":
@@ -237,8 +234,7 @@ def _verify(name, trunc, prec):
         formal = verify_ode_formal(ex.f, ex.p)
         numeric = verify_ode_numeric(1, math.pi, [0.02, 0.05, 0.1, 0.2, 0.3],
                                      prec=prec)
-        b = borel_transform(
-            OneVarSeries([0] + [math.factorial(m) for m in range(31)]), 1, prec=prec)
+        b = borel_transform(euler_borel_series(32), 1, prec=prec)
         report = singular_directions(b, 1, prec=prec)
         out["formal"] = formal.to_json()
         out["numeric"] = numeric.to_json()

@@ -34,7 +34,7 @@ from mpmath import mp
 
 from .borel import OneVarSeries, borel_transform, continue_on_ray, laplace_sum
 from .errors import GermsumError
-from .scalars import DEFAULT_PREC_BITS, to_mpc
+from .scalars import to_mpc, working_prec
 from .series import MonomialOrder, TruncatedSeries
 from .weierstrass import Germ, wdivide
 
@@ -192,7 +192,7 @@ def verify_ode_numeric(k, theta, t_samples, n_coeffs=48, prec=None, eps=1e-18):
     sample moduli |t| is reported.  A direction congruent to 0 mod 2*pi
     fails with a singular-ray error (branch point of the Borel transform).
     """
-    prec = prec or DEFAULT_PREC_BITS
+    prec = working_prec(prec)
     with mp.workprec(prec):
         b = borel_transform(euler_borel_series(n_coeffs), k, prec=prec)
         radii = [0.25, 0.5, 1.0, 2.0]

@@ -22,9 +22,15 @@ from mpmath import mp
 DEFAULT_PREC_BITS = int(os.environ.get("GERMSUM_PREC_BITS", "128"))
 
 
+def working_prec(prec=None):
+    """The precision in bits to compute at: ``prec`` when given, else the
+    ambient ``mp.prec`` floored at :data:`DEFAULT_PREC_BITS`."""
+    return int(prec) if prec else max(mp.prec, DEFAULT_PREC_BITS)
+
+
 def _wp():
-    """Float scalar ops run at the ambient precision, floored at the default."""
-    return mp.workprec(max(mp.prec, DEFAULT_PREC_BITS))
+    """Float scalar ops run at :func:`working_prec`."""
+    return mp.workprec(working_prec())
 
 _EXACT_REAL = (int, Fraction)
 _MP_TYPES = (mpmath.mpf, mpmath.mpc)

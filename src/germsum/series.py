@@ -5,7 +5,7 @@ with a total-degree truncation order ``trunc``: terms of total degree
 greater than ``trunc`` are unrepresented (unknown, not zero).  Arithmetic
 never claims accuracy beyond what the operands certify:
 
-* ``add``/``mul`` keep ``min`` of the operand truncations,
+* ``+``/``*`` keep ``min`` of the operand truncations,
 * ``substitute`` derives the output truncation from the valuations of the
   substituted images (a term of the unknown tail of ``f``, of degree
   ``trunc+1`` or more, contributes only at degree
@@ -25,12 +25,8 @@ from mpmath import mp
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
 from . import scalars
-from .scalars import (DEFAULT_PREC_BITS, is_zero, sabs, sabs_float, sadd,
-                      scalar_eq, scalar_from_json, scalar_to_json, smul, sneg)
-
-ExponentVec = tuple
-#: Radius used by the majorant norm; any positive rational or float.
-PolyRadius = object
+from .scalars import (is_zero, sabs, sabs_float, sadd, scalar_eq,
+                      scalar_from_json, scalar_to_json, smul, sneg)
 
 
 class MonomialOrder:
@@ -100,7 +96,7 @@ def _prune_terms(terms, trunc):
     for e in kill:
         del terms[e]
     if any(not scalars.is_exact(c) for c in terms.values()):
-        prec = max(mp.prec, DEFAULT_PREC_BITS)
+        prec = scalars.working_prec()
         eps = mp.mpf(2) ** (-(prec // 2))
         by_deg = {}
         for e, c in terms.items():
@@ -322,10 +318,6 @@ class TruncatedSeries:
             total = sadd(total, piece)
         return total
 
-    def map_coefficients(self, fn):
-        return TruncatedSeries(self.dim, self.trunc,
-                               {e: fn(c) for e, c in self.terms.items()})
-
 
 def _fmt_term(e, c):
     mono = "*".join(f"x{i + 1}" + (f"^{k}" if k > 1 else "")
@@ -346,18 +338,6 @@ def _mul_raw(ta, tb, trunc):
             c = smul(ca, cb)
             out[e] = sadd(out[e], c) if e in out else c
     return out
-
-
-# -- spec operation surface -------------------------------------------------
-
-def add(a, b):
-    """Coefficientwise sum; result truncation is min(a.trunc, b.trunc)."""
-    return a + b
-
-
-def mul(a, b):
-    """Cauchy product truncated at min(a.trunc, b.trunc)."""
-    return a * b
 
 
 def substitute(f, images, out_trunc=None):
@@ -429,10 +409,6 @@ def majorant_norm(f, rho):
     for e, c in f.terms.items():
         total += sabs_float(c) * r ** sum(e)
     return total
-
-
-def differentiate(f, i):
-    return f.differentiate(i)
 
 
 # -- JSON interchange --------------------------------------------------------

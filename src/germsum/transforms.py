@@ -24,7 +24,7 @@ from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
 from . import scalars
-from .scalars import DEFAULT_PREC_BITS, is_zero, sadd, scalar_to_json, to_mpc
+from .scalars import is_zero, sadd, scalar_to_json, to_mpc, working_prec
 from .series import MonomialOrder, TruncatedSeries, substitute
 
 
@@ -52,10 +52,6 @@ class BlowupChart:
     @classmethod
     def at_infinity(cls):
         return cls(INFINITY)
-
-    @property
-    def is_infinite(self):
-        return self.xi is INFINITY
 
 
 def _resolve_chart(chart):
@@ -168,9 +164,6 @@ class DominantData:
     a: tuple
     roots: tuple
 
-    def root_values(self):
-        return [v for v, _ in self.roots]
-
     def to_json(self):
         return {
             "h": self.h,
@@ -254,7 +247,7 @@ def dominant_data(germ, base, prec=None):
     p = germ.p if hasattr(germ, "p") else germ
     if p.is_zero:
         raise ZeroGermError("dominant data needs a nonzero germ")
-    prec = prec or max(mp.prec, DEFAULT_PREC_BITS)
+    prec = working_prec(prec)
     d = p.dim
     if d == 2:
         if base is not None:

@@ -193,16 +193,11 @@ def p_expand(f, germ, depth):
     return PExpansion(germ, coeffs, f.trunc)
 
 
-def t_map(f, germ, depth):
-    """Same coefficient data as :func:`p_expand`, read as a series in t."""
-    return p_expand(f, germ, depth)
-
-
 def t_substitute(expansion):
     """Replace t by P: evaluate sum g_n * P^n modulo the expansion's truncation.
 
     All products are formed at the expansion's stated truncation, so this
-    is the exact left-inverse of :func:`t_map` there (provided the depth
+    is the exact left-inverse of :func:`p_expand` there (provided the depth
     exhausted the quotient).
     """
     germ = expansion.germ

@@ -11,6 +11,7 @@ from germsum.borel import (BorelSeries, OneVarSeries, borel_transform,
                            p_k_sum, singular_directions)
 from germsum.errors import ContinuationError, SectorError, SingularRayError
 from germsum.harness import euler_borel_series, gen_example
+from germsum.scalars import QQi
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, PExpansion, p_expand
 
@@ -80,13 +81,8 @@ class TestContinuation:
             continue_on_ray(b, 0.0, [2.0, 1.0])
         with pytest.raises(ValueError):
             continue_on_ray(BorelSeries(1.0, (mpmath.mpc(1),) * 4), 0.0, [1.0])
-
-    def test_taylor_method_agrees(self):
-        b = borel_transform(euler_series(48), 1)
-        rc_p = continue_on_ray(b, math.pi / 2, [0.5, 1.0])
-        rc_t = continue_on_ray(b, math.pi / 2, [0.5, 1.0], method="taylor")
-        assert abs(rc_p.values[0] - rc_t.values[0]) < 1e-12
-        assert rc_t.method == "taylor"
+        with pytest.raises(ValueError):
+            continue_on_ray(b, 0.0, [1.0, 2.0], method="taylor")
 
     def test_degenerate_pade_reduces(self):
         # exactly geometric coefficients make the full Toeplitz system
@@ -128,6 +124,26 @@ class TestLaplace:
         assert res.continuation_error > 1e-3
         with pytest.raises(ContinuationError):
             laplace_sum(rc, 1, big_t, max_continuation_error=1e-6)
+
+    def test_ray_straddling_pi_against_closed_form(self):
+        # a_n = n!/p^n has Borel transform p/(p - tau) and 1-sum
+        # -(p/t) e^(-p/t) E1(-p/t); with arg t = -3.10 and the ray at 3.10
+        # the kernel phase is wrapped across +-pi
+        p = QQi(0, Fraction(3, 2))
+        coeffs, power = [], QQi(1)
+        for n in range(32):
+            coeffs.append(power * factorial(n))
+            power = power / p
+        theta = 3.10
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), theta,
+                             [0.5, 1.0, 2.0])
+        with mp.workprec(128):
+            t = mpmath.mpf("0.2") * mpmath.expj(-mpmath.mpf(theta))
+        res = laplace_sum(rc, 1, t)
+        with mp.workprec(256):
+            z = mpmath.mpc(0, 1.5) / t
+            exact = -z * mpmath.exp(-z) * mpmath.e1(-z)
+            assert abs(res.value - exact) < 1e-18
 
     def test_incompatible_direction(self):
         rc = continue_on_ray(borel_transform(euler_series(), 1), 0.0, [1.0])

@@ -7,6 +7,7 @@ import pytest
 
 from germsum.cli import cli_main
 from germsum.series import TruncatedSeries, series_from_json, series_to_json
+from germsum.weierstrass import p_expand
 
 TS = TruncatedSeries
 
@@ -130,6 +131,28 @@ def test_usage_errors(files, capsys, tmp_path):
     assert code == 2
     code = cli_main(["blowup"])  # missing required --xi
     assert code == 2
+    assert cli_main(["tmap", "--germ", p, "--order", "1,1", "--depth", "3", p]) == 2
+    c = files("c.json", {"coeffs": [str(factorial(n)) for n in range(16)]})
+    assert cli_main(["borel-sum", c, "--theta", "3.1", "--t=-0.2",
+                     "--method", "pade"]) == 2
+
+
+def test_prec_reaches_series_arithmetic(files, capsys, monkeypatch):
+    import germsum.cli
+    from mpmath import mp
+
+    seen = []
+
+    def recording_p_expand(*args):
+        seen.append(mp.prec)
+        return p_expand(*args)
+
+    monkeypatch.setattr(germsum.cli, "p_expand", recording_p_expand)
+    p = files("p.json", series_to_json(TS(2, 10, {(1, 1): 1})))
+    f = files("f.json", series_to_json(TS(2, 10, {(2, 2): 1, (1, 0): 1})))
+    code, _ = run(capsys, ["--prec", "256", "expand", "--germ", p, "--order", "1,1",
+                           "--depth", "3", f])
+    assert code == 0 and seen == [256]
 
 
 def test_env_precision_honored():
