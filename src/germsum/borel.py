@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fzero, mpc_div, mpc_mul, mpf_add, mpf_mul, round_nearest
 
 from .errors import ContinuationError, SectorError, SingularRayError
 from .scalars import to_mpc, working_prec
@@ -198,14 +200,9 @@ class RayContinuation:
     def evaluate(self, tau):
         return self._hi(tau)
 
-    def evaluate_low(self, tau):
-        return self._lo(tau) if self._lo is not None else self._hi(tau)
-
 
 def _matched_poles(hi, lo, rel_tol=0.2):
     """Poles of hi confirmed by a nearby pole of lo (cross-order stability)."""
-    if lo is None:
-        return tuple(p for p, _ in hi.filtered_poles())
     lo_poles = [p for p, _ in lo.filtered_poles()]
     out = []
     for p, _ in hi.filtered_poles():
@@ -236,7 +233,7 @@ def continue_on_ray(b, theta, radii, method="pade", delta_min=0.15, prec=None):
         theta = float(theta)
         m_star = (len(coeffs) - 1) // 2
         hi = build_approximant(coeffs, m_star, prec)
-        lo = build_approximant(coeffs, m_star - 1, prec) if m_star >= 1 else None
+        lo = build_approximant(coeffs, m_star - 1, prec)
         poles = _matched_poles(hi, lo)
         for p in poles:
             if abs(_angdiff(mpmath.arg(p), theta)) < delta_min:
@@ -250,7 +247,7 @@ def continue_on_ray(b, theta, radii, method="pade", delta_min=0.15, prec=None):
             tau = r * phase
             v = hi(tau)
             values.append(v)
-            errors.append(float(abs(v - lo(tau))) if lo is not None else 0.0)
+            errors.append(float(abs(v - lo(tau))))
     return RayContinuation(direction=theta, radii=radii, values=tuple(values),
                            errors=tuple(errors), poles=poles,
                            prec=prec, _hi=hi, _lo=lo)
@@ -317,24 +314,60 @@ def _gl_nodes(prec):
 
 
 def _gl_panel(f, a, b, nodes):
+    """Gauss-Legendre rule on [a, b] for an integrand returning (hi, lo) pairs."""
     half = (b - a) / 2
     mid = (a + b) / 2
-    acc = mpmath.mpc(0)
+    hi = lo = mpmath.mpc(0)
     for x, w in nodes:
-        acc += w * f(mid + half * x)
-    return acc * half
+        f_hi, f_lo = f(mid + half * x)
+        hi += w * f_hi
+        lo += w * f_lo
+    return hi * half, lo * half
 
 
-def _adaptive(f, a, b, tol, nodes, depth=0):
-    whole = _gl_panel(f, a, b, nodes)
+def _adaptive(f, a, b, whole, tol, nodes, depth=0):
+    """Refine [a, b], whose rule value ``whole`` is known, on the high order.
+
+    Returns the (hi, lo) pair summed over the accepted panels and the
+    accumulated refinement estimate of hi.  Each half's rule value is
+    handed down as that half's ``whole``, so no panel is integrated twice.
+    """
     mid = (a + b) / 2
-    split = _gl_panel(f, a, mid, nodes) + _gl_panel(f, mid, b, nodes)
-    est = abs(whole - split)
+    left = _gl_panel(f, a, mid, nodes)
+    right = _gl_panel(f, mid, b, nodes)
+    split = (left[0] + right[0], left[1] + right[1])
+    est = abs(whole[0] - split[0])
     if est <= tol or depth >= 24:
         return split, est
-    left, el = _adaptive(f, a, mid, tol / 2, nodes, depth + 1)
-    right, er = _adaptive(f, mid, b, tol / 2, nodes, depth + 1)
-    return left + right, el + er
+    v_left, e_left = _adaptive(f, a, mid, left, tol / 2, nodes, depth + 1)
+    v_right, e_right = _adaptive(f, mid, b, right, tol / 2, nodes, depth + 1)
+    return (v_left[0] + v_right[0], v_left[1] + v_right[1]), e_left + e_right
+
+
+def _ray_rows(appr, phase):
+    """Coefficients of an approximant rotated onto the ray, highest degree first.
+
+    With c_j -> c_j e^(i j theta) the approximant at tau = s e^(i theta) is
+    N(s)/D(s) in the real s.  Each row holds the raw real and imaginary
+    parts of one rotated numerator and denominator coefficient.
+    """
+    rows = []
+    rot = mpmath.mpc(1)
+    for n, d in zip_longest(appr.num, appr.den, fillvalue=0):
+        rows.append((to_mpc(n) * rot)._mpc_ + (to_mpc(d) * rot)._mpc_)
+        rot *= phase
+    return rows[::-1]
+
+
+def _ray_value(rows, s, prec):
+    """Raw (re, im) of N(s)/D(s) at the raw real s: Horner in s, one division."""
+    nr = ni = dr = di = fzero
+    for cnr, cni, cdr, cdi in rows:
+        nr = mpf_add(mpf_mul(nr, s), cnr, prec, round_nearest)
+        ni = mpf_add(mpf_mul(ni, s), cni, prec, round_nearest)
+        dr = mpf_add(mpf_mul(dr, s), cdr, prec, round_nearest)
+        di = mpf_add(mpf_mul(di, s), cdi, prec, round_nearest)
+    return mpc_div((nr, ni), (dr, di), prec, round_nearest)
 
 
 _KERNEL_FLOOR = mpmath.mpf("1e-20")
@@ -350,15 +383,18 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     With ``derivative=True`` returns d/dt of the sum (differentiation under
     the integral: one extra ``(tau/t)^k - 1`` factor and prefactor
     ``k^2 t^{-k-1}``).  Evaluation uses the rational approximants carried
-    by the continuation.
+    by the continuation, with their coefficients rotated onto the ray.
 
     Panels are split until the local Gauss-Legendre refinement estimate
-    drops below the (length-prorated) share of ``eps``; the value is
-    computed with the high-order continuation and the reported
-    continuation error is the difference against the low-order one pushed
-    through the same integral.  When ``max_continuation_error`` is given
-    and the estimate exceeds it, a :class:`ContinuationError` is raised
-    instead of returning a silently degraded value.
+    of the high-order continuation drops below the (length-prorated) share
+    of ``eps``; the low-order continuation is integrated in the same pass
+    on the high order's nodes, and the reported continuation error is the
+    difference of the two integrals.  The discarded tail beyond the cutoff
+    is bounded with the larger of ``|g|`` at the cutoff and at twice it,
+    so a transform still growing there (a log branch) stays covered.
+    When ``max_continuation_error`` is given and the estimate exceeds it,
+    a :class:`ContinuationError` is raised instead of returning a silently
+    degraded value.
     """
     prec = max(prec or 0, rc.prec)
     with mp.workprec(prec):
@@ -379,17 +415,20 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         # tau^(k-1) dtau contributes e^(i k theta) s^(k-1) ds along the ray
         full_phase = mpmath.expjpi(kk * theta / mpmath.pi)
         kern_phase = mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
+        rows_hi = _ray_rows(rc._hi, ray_phase)
+        rows_lo = _ray_rows(rc._lo, ray_phase)
 
-        def integrand(g):
-            def f(s):
-                if s <= 0:
-                    return mpmath.mpc(0)
-                tau = s * ray_phase
-                z = (s / tmod) ** kk * kern_phase
-                w = mpmath.exp(-z)
-                extra = (z - 1) if derivative else 1
-                return w * extra * g(tau) * s ** (kk - 1)
-            return f
+        def f(s):
+            # one kernel value serves both approximant orders
+            z = (s / tmod) ** kk * kern_phase
+            w = mpmath.exp(-z) * s ** (kk - 1)
+            if derivative:
+                w *= z - 1
+            w, s = w._mpc_, s._mpf_
+            g_hi = _ray_value(rows_hi, s, prec)
+            g_lo = _ray_value(rows_lo, s, prec)
+            return (mp.make_mpc(mpc_mul(w, g_hi, prec, round_nearest)),
+                    mp.make_mpc(mpc_mul(w, g_lo, prec, round_nearest)))
 
         # geometric panels clustered at the kernel scale
         breaks = [mpmath.mpf(0)]
@@ -399,20 +438,16 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
             step *= 2
         nodes = _gl_nodes(prec)
         eps = mpmath.mpf(eps)
-
-        def run(g):
-            total = mpmath.mpc(0)
-            err = mpmath.mpf(0)
-            f = integrand(g)
-            for a, b2 in zip(breaks, breaks[1:]):
-                tol = eps * (b2 - a) / S / 4
-                v, e = _adaptive(f, a, b2, tol, nodes)
-                total += v
-                err += e
-            return total * full_phase, err
-
-        i_hi, qerr = run(rc.evaluate)
-        i_lo, _ = run(rc.evaluate_low)
+        i_hi = i_lo = mpmath.mpc(0)
+        qerr = mpmath.mpf(0)
+        for a, b in zip(breaks, breaks[1:]):
+            tol = eps * (b - a) / S / 4
+            (v_hi, v_lo), e = _adaptive(f, a, b, _gl_panel(f, a, b, nodes), tol, nodes)
+            i_hi += v_hi
+            i_lo += v_lo
+            qerr += e
+        i_hi *= full_phase
+        i_lo *= full_phase
         tpk = tmod ** kk * mpmath.mpc(mpmath.cos(kk * mpmath.arg(t)),
                                       mpmath.sin(kk * mpmath.arg(t)))
         if derivative:
@@ -422,7 +457,8 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         value = pref * i_hi
         cont = float(abs(pref) * abs(i_hi - i_lo))
         # discarded tail beyond the kernel cutoff, included in the budget
-        tail_err = abs(rc.evaluate(S * ray_phase)) * _KERNEL_FLOOR / decay
+        g_tail = max(abs(rc.evaluate(S * ray_phase)), abs(rc.evaluate(2 * S * ray_phase)))
+        tail_err = g_tail * _KERNEL_FLOOR / decay
         if derivative:
             tail_err *= (mpmath.log(1 / _KERNEL_FLOOR) / decay + 1) / tmod
         if max_continuation_error is not None and cont > max_continuation_error:

@@ -89,8 +89,8 @@ def _build_parser():
         description="Series division, germ-power expansion, blow-ups, Gevrey "
                     "estimation and Borel-Laplace summation.")
     ap.add_argument("--prec", type=int, default=None,
-                    help=f"working precision in bits (default env "
-                         f"GERMSUM_PREC_BITS or {DEFAULT_PREC_BITS})")
+                    help=f"working precision in bits, at least the default "
+                         f"(env GERMSUM_PREC_BITS or {DEFAULT_PREC_BITS})")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, input_help="input series JSON file ('-' = stdin)"):
@@ -146,8 +146,13 @@ def cli_main(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    prec = working_prec(args.prec)
     try:
+        if args.prec is not None and args.prec < DEFAULT_PREC_BITS:
+            # series arithmetic never runs below the floor, so a lower
+            # --prec could not be honoured throughout
+            raise _UsageError(f"--prec {args.prec} is below the precision floor of "
+                              f"{DEFAULT_PREC_BITS} bits (GERMSUM_PREC_BITS sets it)")
+        prec = working_prec(args.prec)
         with mp.workprec(prec):
             return _dispatch(args, prec)
     except _UsageError as exc:

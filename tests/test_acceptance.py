@@ -225,6 +225,10 @@ def test_criterion_09_exponential_smallness():
                 dn = laplace_sum(rc_dn, 1, t)
                 scaled.append(float(abs(up.value - dn.value)
                                     * mpmath.exp(mpmath.mpf("0.5") / abs(t))))
+                # exact Stokes jump: the transform 1/(1 + tau) has residue 1
+                # at tau = -1, between the two rays
+                jump = 2j * mpmath.pi * mpmath.exp(1 / t) / t
+                assert abs(up.value - dn.value - jump) <= up.total_error + dn.total_error
         # bounded, no growth trend as |t| decreases over the decade
         assert max(scaled) <= scaled[0] * 1.5
         assert scaled[-1] <= scaled[0]

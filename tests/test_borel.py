@@ -145,6 +145,52 @@ class TestLaplace:
             exact = -z * mpmath.exp(-z) * mpmath.e1(-z)
             assert abs(res.value - exact) < 1e-18
 
+    def test_panel_subdivision_integrates_each_interval_once(self, monkeypatch):
+        # a pole 0.35 rad off the ray forces panels near it to be split;
+        # the halves handed down are reused, never integrated again
+        from germsum import borel
+        theta = 0.3
+        with mp.workprec(128):
+            p = mpmath.mpf("0.8") * mpmath.expj(mpmath.mpf(theta) + mpmath.mpf("0.35"))
+            coeffs = [factorial(n) / p ** n for n in range(32)]
+            t = mpmath.mpf("0.3") * mpmath.expj(mpmath.mpf(theta))
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), theta,
+                             [0.5, 1.0, 2.0])
+        panels = []
+        gl_panel = borel._gl_panel
+
+        def recording_gl_panel(f, a, b, nodes):
+            panels.append((a, b))
+            return gl_panel(f, a, b, nodes)
+
+        monkeypatch.setattr(borel, "_gl_panel", recording_gl_panel)
+        res = laplace_sum(rc, 1, t)
+        assert len(panels) == len(set(panels))
+
+        def enclosing(a, b):
+            return sum(1 for c, d in panels if c <= a and b <= d and (c, d) != (a, b))
+
+        # some panel was split twice: a quarter lies inside a half and a whole
+        assert any(enclosing(a, b) >= 2 for a, b in panels)
+        with mp.workprec(256):
+            z = p / t
+            exact = -z * mpmath.exp(-z) * mpmath.e1(-z)
+            assert abs(res.value - exact) <= res.total_error
+
+    def test_tail_covers_growing_transform(self):
+        # the Borel transform -log(1 + s) of sum m! t^(m+1) still grows past
+        # the kernel cutoff on the ray arg tau = pi; the reported error must
+        # cover the discarded tail (closed form -e^(1/r) E1(1/r) at t = -r)
+        b = borel_transform(euler_borel_series(48), 1)
+        rc = continue_on_ray(b, math.pi, [0.25, 0.5, 1.0, 2.0])
+        for r in ("0.02", "0.1", "0.3"):
+            with mp.workprec(128):
+                r = mpmath.mpf(r)
+                res = laplace_sum(rc, 1, -r)
+            with mp.workprec(256):
+                exact = -mpmath.exp(1 / r) * mpmath.e1(1 / r)
+                assert abs(res.value - exact) <= res.total_error
+
     def test_incompatible_direction(self):
         rc = continue_on_ray(borel_transform(euler_series(), 1), 0.0, [1.0])
         with pytest.raises(SectorError):

@@ -135,6 +135,12 @@ def test_usage_errors(files, capsys, tmp_path):
     c = files("c.json", {"coeffs": [str(factorial(n)) for n in range(16)]})
     assert cli_main(["borel-sum", c, "--theta", "3.1", "--t=-0.2",
                      "--method", "pade"]) == 2
+    capsys.readouterr()
+    # series arithmetic is floored at DEFAULT_PREC_BITS: a lower --prec is refused
+    from germsum.scalars import DEFAULT_PREC_BITS
+    assert cli_main(["--prec", "64", "blowup", "--xi", "0", p]) == 2
+    assert f"{DEFAULT_PREC_BITS} bits" in capsys.readouterr().err
+    assert cli_main(["--prec", "256", "blowup", "--xi", "0", p]) == 0
 
 
 def test_prec_reaches_series_arithmetic(files, capsys, monkeypatch):
