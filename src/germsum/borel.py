@@ -28,6 +28,19 @@ from .transforms import _poly_roots
 
 TWO_PI = 2 * math.pi
 
+# A zero this close (relative) to a pole cancels it: a Froissart doublet.
+FROISSART_REL = 1e-6
+# Cross-order match on a ray, loose: refusing a ray near a doubtful pole is safe.
+RAY_MATCH_REL = 0.2
+# Angle (rad) from a stable pole within which the continuation is unreliable.
+RAY_POLE_MARGIN = 0.15
+# A direction report asserts an obstruction: the pole must recur at 3 orders ...
+DIRECTION_ORDERS = 3
+# ... each within this relative distance, tighter than on a ray.
+DIRECTION_MATCH_REL = 0.1
+# Slack (rad) beyond the sector half-opening pi/(2k); the Laplace step checks decay.
+SECTOR_SLACK = 0.35
+
 
 def _angdiff(a, b):
     """Signed angular difference a - b wrapped to (-pi, pi].
@@ -94,7 +107,10 @@ class RationalApproximant:
 
     def __call__(self, tau):
         tau = to_mpc(tau)
-        return _horner(self.num, tau) / _horner(self.den, tau)
+        # Horner from a zero leading term, so the top coefficient (held at
+        # twice the precision) enters rounded to working precision
+        return (mpmath.polyval((0,) + self.num[::-1], tau)
+                / mpmath.polyval((0,) + self.den[::-1], tau))
 
     def raw_poles(self):
         return _clustered_roots(self.den, self.prec)
@@ -102,24 +118,17 @@ class RationalApproximant:
     def zeros(self):
         return _clustered_roots(self.num, self.prec)
 
-    def filtered_poles(self, rel_tol=1e-6):
-        """Poles with Froissart doublets (pole ~ nearby zero) removed."""
+    def filtered_poles(self):
+        """Poles with Froissart doublets (a zero within FROISSART_REL) removed."""
         if self._pole_cache is None:
             zeros = [z for z, _ in self.zeros()]
             kept = []
             for p, mult in self.raw_poles():
-                close = any(abs(p - z) < rel_tol * max(1, abs(p)) for z in zeros)
+                close = any(abs(p - z) < FROISSART_REL * max(1, abs(p)) for z in zeros)
                 if not close:
                     kept.append((p, mult))
             self._pole_cache = tuple(kept)
         return self._pole_cache
-
-
-def _horner(coeffs, x):
-    acc = mpmath.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _clustered_roots(coeffs, prec):
@@ -136,58 +145,33 @@ def _clustered_roots(coeffs, prec):
         return _poly_roots(list(coeffs[:hi + 1]), prec)
 
 
-def _pade(coeffs, m, prec):
-    """Diagonal-type approximant of denominator degree m; None if degenerate."""
-    n = m
-    if n + m + 1 > len(coeffs):
-        return None
-    if m == 0:
-        return RationalApproximant([to_mpc(coeffs[0])], [mpmath.mpc(1)], prec)
-    with mp.workprec(2 * prec):
-        c = [to_mpc(x) for x in coeffs]
-        A = mpmath.zeros(m)
-        rhs = mpmath.matrix(m, 1)
-        for i in range(m):
-            for j in range(m):
-                idx = n + i - j
-                A[i, j] = c[idx] if idx >= 0 else 0
-            rhs[i] = -c[n + 1 + i]
-        try:
-            sol = mpmath.lu_solve(A, rhs)
-        except ZeroDivisionError:
-            return None
-        den = [mpmath.mpc(1)] + [sol[j] for j in range(m)]
-        if any(mpmath.isnan(abs(x)) or mpmath.isinf(abs(x)) for x in den):
-            return None
-        num = []
-        for i in range(n + 1):
-            acc = mpmath.mpc(0)
-            for j in range(0, min(i, m) + 1):
-                acc += den[j] * c[i - j]
-            num.append(acc)
-    return RationalApproximant(num, den, prec)
-
-
 def build_approximant(coeffs, m=None, prec=None):
-    """Best feasible rational approximant with denominator degree <= m.
+    """Diagonal Pade approximant [m/m] (default: the largest the coefficients allow).
 
-    Degenerate Toeplitz systems (exactly rational inputs of lower true
-    degree) reduce the requested degree until the solve succeeds.
+    A degenerate Toeplitz system (exactly rational input of lower true
+    degree) or a non-finite denominator moves on to the next lower degree;
+    when no degree >= 1 works the approximant is the constant term.
     """
     prec = working_prec(prec)
-    if m is None:
-        m = (len(coeffs) - 1) // 2
-    m = max(0, min(m, (len(coeffs) - 1) // 2))
-    for mm in range(m, -1, -1):
-        appr = _pade(coeffs, mm, prec)
-        if appr is not None:
-            return appr
-    raise RuntimeError("unreachable: degree-0 approximant always exists")
+    top = (len(coeffs) - 1) // 2
+    m = top if m is None else max(0, min(m, top))
+    with mp.workprec(2 * prec):
+        c = [to_mpc(x) for x in coeffs]
+        for mm in range(m, 0, -1):
+            try:
+                num, den = mpmath.pade(c, mm, mm)
+            except ZeroDivisionError:
+                continue
+            if all(mpmath.isfinite(x) for x in den):
+                return RationalApproximant(num, den, prec)
+    # explicit, because mpmath.pade(c, 0, 0) returns [1]/[1]
+    return RationalApproximant([to_mpc(coeffs[0])], [mpmath.mpc(1)], prec)
 
 
 @dataclass(frozen=True)
 class RayContinuation:
-    """Samples of the continued Borel transform along a ray, plus evaluators."""
+    """Samples of the continued Borel transform along a ray, plus the two
+    approximants (orders m and m - 1) that ``laplace_sum`` integrates."""
     direction: float
     radii: tuple
     values: tuple
@@ -197,28 +181,40 @@ class RayContinuation:
     _hi: object
     _lo: object
 
-    def evaluate(self, tau):
-        return self._hi(tau)
+
+def _stable_poles(approximants, rel):
+    """Filtered poles of the first approximant reproduced by every other one.
+
+    A pole p is reproduced when the nearest filtered pole of an approximant
+    lies within ``rel * max(1, |p|)`` of it.  Returns, for each stable pole,
+    the tuple of p and its nearest match at each further approximant.
+    """
+    pole_sets = [[p for p, _ in appr.filtered_poles()] for appr in approximants]
+    stable = []
+    for p in pole_sets[0]:
+        matched = [p]
+        for ps in pole_sets[1:]:
+            if not ps:
+                break
+            q = min(ps, key=lambda x: abs(x - p))
+            if abs(q - p) > rel * max(1, abs(p)):
+                break
+            matched.append(q)
+        if len(matched) == len(pole_sets):
+            stable.append(tuple(matched))
+    return stable
 
 
-def _matched_poles(hi, lo, rel_tol=0.2):
-    """Poles of hi confirmed by a nearby pole of lo (cross-order stability)."""
-    lo_poles = [p for p, _ in lo.filtered_poles()]
-    out = []
-    for p, _ in hi.filtered_poles():
-        if lo_poles and min(abs(p - q) for q in lo_poles) <= rel_tol * max(1, abs(p)):
-            out.append(p)
-    return tuple(out)
-
-
-def continue_on_ray(b, theta, radii, method="pade", delta_min=0.15, prec=None):
+def continue_on_ray(b, theta, radii, method="pade", prec=None):
     """Continue the Borel series along arg tau = theta, sampling at the radii.
 
     Samples the diagonal rational approximant; the per-sample error
     estimate is the difference against the approximant of one lower order.
-    A cross-order-stable pole within angular distance ``delta_min`` of the
-    ray raises :class:`SingularRayError`.  ``"pade"`` is the only
-    continuation ``method``; any other value raises ``ValueError``.
+    A pole stable across the two orders (within ``RAY_MATCH_REL``) and
+    within angular distance ``RAY_POLE_MARGIN`` of the ray raises
+    :class:`SingularRayError`.  ``"pade"`` is the only continuation
+    ``method``; any other value raises ``ValueError``.  Runs at
+    ``working_prec(prec)``.
     """
     if method != "pade":
         raise ValueError(f"unknown continuation method {method!r}")
@@ -234,12 +230,12 @@ def continue_on_ray(b, theta, radii, method="pade", delta_min=0.15, prec=None):
         m_star = (len(coeffs) - 1) // 2
         hi = build_approximant(coeffs, m_star, prec)
         lo = build_approximant(coeffs, m_star - 1, prec)
-        poles = _matched_poles(hi, lo)
+        poles = tuple(p for p, _ in _stable_poles((hi, lo), RAY_MATCH_REL))
         for p in poles:
-            if abs(_angdiff(mpmath.arg(p), theta)) < delta_min:
+            if abs(_angdiff(mpmath.arg(p), theta)) < RAY_POLE_MARGIN:
                 raise SingularRayError(
                     f"stable pole at {complex(to_mpc(p))} within "
-                    f"{delta_min} rad of the ray arg tau = {theta:.6g}",
+                    f"{RAY_POLE_MARGIN} rad of the ray arg tau = {theta:.6g}",
                     pole=to_mpc(p))
         phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
         values, errors = [], []
@@ -384,19 +380,22 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     the integral: one extra ``(tau/t)^k - 1`` factor and prefactor
     ``k^2 t^{-k-1}``).  Evaluation uses the rational approximants carried
     by the continuation, with their coefficients rotated onto the ray.
+    Runs at ``working_prec(prec)``, like every other entry point: an explicit
+    ``prec``, else the ambient ``mp.prec`` floored at the default.
 
     Panels are split until the local Gauss-Legendre refinement estimate
     of the high-order continuation drops below the (length-prorated) share
     of ``eps``; the low-order continuation is integrated in the same pass
     on the high order's nodes, and the reported continuation error is the
     difference of the two integrals.  The discarded tail beyond the cutoff
-    is bounded with the larger of ``|g|`` at the cutoff and at twice it,
-    so a transform still growing there (a log branch) stays covered.
+    is bounded with the larger of ``|g|`` at the cutoff and at twice it
+    (the same on-ray evaluator as the integrand), so a transform still
+    growing there (a log branch) stays covered.
     When ``max_continuation_error`` is given and the estimate exceeds it,
     a :class:`ContinuationError` is raised instead of returning a silently
     degraded value.
     """
-    prec = max(prec or 0, rc.prec)
+    prec = working_prec(prec)
     with mp.workprec(prec):
         t = to_mpc(t)
         if t == 0:
@@ -457,7 +456,8 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         value = pref * i_hi
         cont = float(abs(pref) * abs(i_hi - i_lo))
         # discarded tail beyond the kernel cutoff, included in the budget
-        g_tail = max(abs(rc.evaluate(S * ray_phase)), abs(rc.evaluate(2 * S * ray_phase)))
+        g_tail = max(abs(mp.make_mpc(_ray_value(rows_hi, s._mpf_, prec)))
+                     for s in (S, 2 * S))
         tail_err = g_tail * _KERNEL_FLOOR / decay
         if derivative:
             tail_err *= (mpmath.log(1 / _KERNEL_FLOOR) / decay + 1) / tmod
@@ -470,11 +470,12 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
                          continuation_error=cont, tail_cut=float(S))
 
 
-def p_k_sum(expansion, point, k, theta, delta=0.35, prec=None):
+def p_k_sum(expansion, point, k, theta, prec=None):
     """Germ-k-sum of an expansion at a point: specialize, transform, continue, integrate.
 
-    ``t = P(point)`` must lie within ``pi/(2k) + delta`` of the requested
-    direction; the Laplace step additionally requires actual kernel decay.
+    ``t = P(point)`` must lie within ``pi/(2k) + SECTOR_SLACK`` of the
+    requested direction; the Laplace step additionally requires actual
+    kernel decay.  Every step runs at ``working_prec(prec)``.
     """
     prec = working_prec(prec)
     with mp.workprec(prec):
@@ -482,10 +483,10 @@ def p_k_sum(expansion, point, k, theta, delta=0.35, prec=None):
         if t == 0:
             raise SectorError("the germ vanishes at the evaluation point")
         off = abs(_angdiff(mpmath.arg(t), theta))
-        if off > mpmath.pi / (2 * mpmath.mpf(k)) + delta:
+        if off > mpmath.pi / (2 * mpmath.mpf(k)) + SECTOR_SLACK:
             raise SectorError(
                 f"point outside the germ sector: |arg P(x) - theta| = {float(off):.3f} "
-                f"> pi/(2k) + {delta}")
+                f"> pi/(2k) + {SECTOR_SLACK}")
         spec = OneVarSeries(expansion.specialize(point))
         b = borel_transform(spec, k, prec=prec)
         tmod = abs(t)
@@ -524,14 +525,15 @@ class SingularDirectionReport:
         }
 
 
-def singular_directions(b, k=None, n_orders=3, match_rel=0.1, prec=None):
+def singular_directions(b, k=None, prec=None):
     """Directions obstructed by cross-order-stable poles of the continuation.
 
-    Builds rational approximants at ``n_orders`` consecutive denominator
-    degrees, keeps only poles reproduced (within ``match_rel`` relative
-    distance) at every order, and reports the arguments of the cluster
-    centers, deduplicated within 0.05 rad.  An empty report means no
-    obstruction was detected (entire Borel transform).
+    Builds rational approximants at ``DIRECTION_ORDERS`` consecutive
+    denominator degrees, keeps only poles reproduced (within
+    ``DIRECTION_MATCH_REL`` relative distance) at every order, and reports
+    the arguments of the cluster centers, deduplicated within 0.05 rad.  An
+    empty report means no obstruction was detected (entire Borel
+    transform).  Runs at ``working_prec(prec)``.
     """
     coeffs = b.coeffs
     if len(coeffs) < 16:
@@ -540,28 +542,16 @@ def singular_directions(b, k=None, n_orders=3, match_rel=0.1, prec=None):
     prec = working_prec(prec)
     with mp.workprec(prec):
         m0 = (len(coeffs) - 1) // 2
-        orders = [max(1, m0 - i) for i in range(n_orders)]
-        pole_sets = []
-        for m in dict.fromkeys(orders):
-            appr = build_approximant(coeffs, m, prec)
-            pole_sets.append([p for p, _ in appr.filtered_poles()])
+        approximants = [build_approximant(coeffs, m0 - i, prec)
+                        for i in range(DIRECTION_ORDERS)]
         clusters = []
-        for p in pole_sets[0]:
-            matched = [p]
-            for ps in pole_sets[1:]:
-                if not ps:
-                    break
-                q = min(ps, key=lambda x: abs(x - p))
-                if abs(q - p) > match_rel * max(1, abs(p)):
-                    break
-                matched.append(q)
-            if len(matched) == len(pole_sets):
-                center = sum(matched) / len(matched)
-                spread = max(abs(x - center) for x in matched)
-                clusters.append(PoleCluster(
-                    center=center, modulus=float(abs(center)),
-                    argument=float(mpmath.arg(center)),
-                    stability=float(spread), hits=len(matched)))
+        for matched in _stable_poles(approximants, DIRECTION_MATCH_REL):
+            center = sum(matched) / len(matched)
+            spread = max(abs(x - center) for x in matched)
+            clusters.append(PoleCluster(
+                center=center, modulus=float(abs(center)),
+                argument=float(mpmath.arg(center)),
+                stability=float(spread), hits=len(matched)))
         clusters.sort(key=lambda c: c.modulus)
         directions = []
         for c in clusters:

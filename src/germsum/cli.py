@@ -152,9 +152,8 @@ def cli_main(argv):
             # --prec could not be honoured throughout
             raise _UsageError(f"--prec {args.prec} is below the precision floor of "
                               f"{DEFAULT_PREC_BITS} bits (GERMSUM_PREC_BITS sets it)")
-        prec = working_prec(args.prec)
-        with mp.workprec(prec):
-            return _dispatch(args, prec)
+        with mp.workprec(working_prec(args.prec)):
+            return _dispatch(args)
     except _UsageError as exc:
         print(f"germsum: {exc}", file=sys.stderr)
         return 2
@@ -163,7 +162,9 @@ def cli_main(argv):
         return 3
 
 
-def _dispatch(args, prec):
+def _dispatch(args):
+    # runs inside mp.workprec(--prec): every library call below takes its
+    # working precision from that context (scalars.working_prec)
     cmd = args.command
     if cmd == "divide":
         germ = _germ_from_args(args)
@@ -180,7 +181,7 @@ def _dispatch(args, prec):
     elif cmd == "dominant":
         p = _load_series(args.germ or args.input)
         base = _parse_order(args.base_order) if args.base_order else None
-        _emit(dominant_data(p, base, prec=prec).to_json())
+        _emit(dominant_data(p, base).to_json())
     elif cmd == "gevrey":
         germ = _germ_from_args(args)
         expansion = p_expand(_load_series(args.input), germ, args.depth)
@@ -193,26 +194,26 @@ def _dispatch(args, prec):
                 raise _UsageError("germ summation requires --depth")
             point = [parse_scalar(c) for c in args.point.split(",")]
             expansion = p_expand(_load_series(args.input), germ, args.depth)
-            result = p_k_sum(expansion, point, args.k, args.theta, prec=prec)
+            result = p_k_sum(expansion, point, args.k, args.theta)
         else:
             if args.t is None:
                 raise _UsageError("need --t (or --point with --germ)")
             series = _load_coeffs(args.input)
-            b = borel_transform(series, args.k, prec=prec)
+            b = borel_transform(series, args.k)
             t = parse_scalar(args.t)
-            rc = continue_on_ray(b, args.theta, [0.5, 1.0, 2.0, 4.0], prec=prec)
-            result = laplace_sum(rc, args.k, t, prec=prec)
+            rc = continue_on_ray(b, args.theta, [0.5, 1.0, 2.0, 4.0])
+            result = laplace_sum(rc, args.k, t)
         _emit(result.to_json())
     elif cmd == "directions":
         series = _load_coeffs(args.input)
-        b = borel_transform(series, args.k, prec=prec)
-        _emit(singular_directions(b, args.k, prec=prec).to_json())
+        b = borel_transform(series, args.k)
+        _emit(singular_directions(b, args.k).to_json())
     elif cmd == "verify":
-        return _verify(args.name, args.trunc, prec)
+        return _verify(args.name, args.trunc)
     return 0
 
 
-def _verify(name, trunc, prec):
+def _verify(name, trunc):
     out = {"name": name}
     ok = True
     if name == "remark79":
@@ -237,10 +238,9 @@ def _verify(name, trunc, prec):
         trunc = trunc or 24
         ex = gen_example(name, trunc)
         formal = verify_ode_formal(ex.f, ex.p)
-        numeric = verify_ode_numeric(1, math.pi, [0.02, 0.05, 0.1, 0.2, 0.3],
-                                     prec=prec)
-        b = borel_transform(euler_borel_series(32), 1, prec=prec)
-        report = singular_directions(b, 1, prec=prec)
+        numeric = verify_ode_numeric(1, math.pi, [0.02, 0.05, 0.1, 0.2, 0.3])
+        b = borel_transform(euler_borel_series(32), 1)
+        report = singular_directions(b, 1)
         out["formal"] = formal.to_json()
         out["numeric"] = numeric.to_json()
         out["singular_directions"] = report.to_json()

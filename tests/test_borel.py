@@ -177,6 +177,27 @@ class TestLaplace:
             exact = -z * mpmath.exp(-z) * mpmath.e1(-z)
             assert abs(res.value - exact) <= res.total_error
 
+    def test_runs_at_working_precision(self, monkeypatch):
+        # laplace_sum takes working_prec(prec) like every other entry point:
+        # the ambient precision, or an explicit prec, not the continuation's
+        from germsum import borel
+        rc = continue_on_ray(borel_transform(euler_series(), 1), 0.0, [1.0, 2.0])
+        seen = set()
+        gl_panel = borel._gl_panel
+
+        def recording_gl_panel(f, a, b, nodes):
+            seen.add(mp.prec)
+            return gl_panel(f, a, b, nodes)
+
+        monkeypatch.setattr(borel, "_gl_panel", recording_gl_panel)
+        with mp.workprec(256):
+            laplace_sum(rc, 1, mpmath.mpf("0.1"))
+        assert seen == {256}
+        seen.clear()
+        with mp.workprec(256):
+            laplace_sum(rc, 1, mpmath.mpf("0.1"), prec=160)
+        assert seen == {160}
+
     def test_tail_covers_growing_transform(self):
         # the Borel transform -log(1 + s) of sum m! t^(m+1) still grows past
         # the kernel cutoff on the ray arg tau = pi; the reported error must

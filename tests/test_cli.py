@@ -115,6 +115,13 @@ def test_verify_remark79(capsys):
     assert abs(out["fits"]["binf"]["s"] - 1.0) <= 0.1
 
 
+def test_verify_ode_euler(capsys):
+    code, out = run(capsys, ["verify", "ode-euler"])
+    assert code == 0 and out["pass"]
+    assert any(abs(d) < 0.05 for d in out["singular_directions"]["directions"])
+    assert out["numeric"]["numeric_max_residual"] < 1e-8
+
+
 def test_verify_pde(capsys):
     code, out = run(capsys, ["verify", "pde-quasihom"])
     assert code == 0 and out["pass"]

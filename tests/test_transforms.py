@@ -165,6 +165,23 @@ class TestDominantData:
         v, m = dd.roots[0]
         assert m == 2 and abs(mpmath.mpc(v) - 1) < 1e-25
 
+    def test_triple_root_uses_eigenvalue_fallback(self, monkeypatch):
+        # (x1 + x2)^3: polyroots does not converge on the triple root at -1,
+        # so the roots come from the eigenvalues of the companion matrix
+        calls = []
+        eig = mpmath.eig
+
+        def recording_eig(*args, **kwargs):
+            calls.append(args)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "eig", recording_eig)
+        dd = dominant_data(TS(2, 6, {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}), None)
+        assert len(calls) == 1
+        assert len(dd.roots) == 1
+        v, m = dd.roots[0]
+        assert m == 3 and abs(mpmath.mpc(v) + 1) < 1e-20
+
     def test_multiplicity_sum_is_h(self):
         rng = random.Random(47)
         for _ in range(20):
