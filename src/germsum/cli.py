@@ -1,8 +1,9 @@
 """Command-line front end: JSON in, JSON out.
 
 Exit codes: 0 success, 1 a verification ran and failed, 2 usage error
-(including malformed JSON, with the offending path named), 3 domain error
-(zero germ, singular ray, incompatible direction, ...).
+(including malformed JSON, with the offending path named, and argument
+values the library refuses with ``ValueError``), 3 domain error (zero
+germ, singular ray, incompatible direction, ...).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .transforms import INFINITY, blowup, dominant_data, ramify
 from .weierstrass import Germ, p_expand, wdivide
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -154,7 +155,7 @@ def cli_main(argv):
                               f"{DEFAULT_PREC_BITS} bits (GERMSUM_PREC_BITS sets it)")
         with mp.workprec(working_prec(args.prec)):
             return _dispatch(args)
-    except _UsageError as exc:
+    except ValueError as exc:  # _UsageError and the library's argument checks
         print(f"germsum: {exc}", file=sys.stderr)
         return 2
     except GermsumError as exc:

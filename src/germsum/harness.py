@@ -35,10 +35,14 @@ from mpmath import mp
 from .borel import OneVarSeries, borel_transform, continue_on_ray, laplace_sum
 from .errors import GermsumError
 from .scalars import to_mpc, working_prec
-from .series import MonomialOrder, TruncatedSeries
+from .series import MonomialOrder, TruncatedSeries, v_ell
 from .weierstrass import Germ, wdivide
 
 EXAMPLE_NAMES = ("remark79", "ode-euler", "pde-quasihom")
+# Quadrature tolerance of each ray sum in the numeric ODE check.
+ODE_NUMERIC_EPS = 1e-18
+# Monomial order dividing the PDE left-hand side by x2 * dP/dx2 * P.
+PDE_ORDER = MonomialOrder((2, 3))
 
 
 @dataclass(frozen=True)
@@ -125,16 +129,17 @@ def verify_ode_formal(y, p):
                  "residual_terms": len(residual.terms)})
 
 
-def verify_pde_formal(f, p, alpha, beta, k, A=None, B=None, order=None):
+def verify_pde_formal(f, p, alpha, beta, k):
     """Compute the PDE left-hand side exactly and factor the stated right side.
 
     Returns ``(report, h)`` where h is the computed left-hand side
-    ``(x2 P_2 + alpha P^(k+1) + P A) x1 f_1 - (x1 P_1 + beta P^(k+1) + P B) x2 f_2``
+    ``(x2 P_2 + alpha P^(k+1)) x1 f_1 - (x1 P_1 + beta P^(k+1)) x2 f_2``
     (subscripts = partial derivatives).  The report records whether h is
-    exactly divisible by ``x2 * dP/dx2 * P``, the cofactor series of that
-    division, and whether the cofactor is the constant 1 (the form the
-    equation is usually quoted with); a leading cofactor x1 is flagged as
-    a discrepancy rather than silently absorbed.
+    exactly divisible by ``x2 * dP/dx2 * P`` (Weierstrass division under
+    :data:`PDE_ORDER`), the cofactor series of that division, and whether
+    the cofactor is the constant 1 (the form the equation is usually
+    quoted with); a leading cofactor x1 is flagged as a discrepancy rather
+    than silently absorbed.
     """
     deg_p = p.degree() or 1
     work = f.trunc + (int(k) + 2) * deg_p + 4
@@ -142,18 +147,15 @@ def verify_pde_formal(f, p, alpha, beta, k, A=None, B=None, order=None):
     pl = p.with_trunc(work)
     x1 = TruncatedSeries.variable(0, f.dim, work)
     x2 = TruncatedSeries.variable(1, f.dim, work)
-    a_series = A.with_trunc(work) if A is not None else TruncatedSeries.zero(f.dim, work)
-    b_series = B.with_trunc(work) if B is not None else TruncatedSeries.zero(f.dim, work)
     p_pow = pl ** (int(k) + 1)
-    coeff1 = x2 * pl.differentiate(1) + p_pow * Fraction(alpha) + pl * a_series
-    coeff2 = x1 * pl.differentiate(0) + p_pow * Fraction(beta) + pl * b_series
+    coeff1 = x2 * pl.differentiate(1) + p_pow * Fraction(alpha)
+    coeff2 = x1 * pl.differentiate(0) + p_pow * Fraction(beta)
     h = coeff1 * (x1 * fl.differentiate(0)) - coeff2 * (x2 * fl.differentiate(1))
 
     stated = x2 * pl.differentiate(1) * pl
-    report_details = {"stated_rhs": stated, "computed_h": h}
     if stated.is_zero:
         raise GermsumError("stated right-hand side x2*dP/dx2*P vanishes")
-    divisor = Germ(stated, order or MonomialOrder((2, 3)))
+    divisor = Germ(stated, PDE_ORDER)
     division = wdivide(h, divisor)
     divisible = division.r.is_zero
     cofactor = division.q
@@ -162,7 +164,6 @@ def verify_pde_formal(f, p, alpha, beta, k, A=None, B=None, order=None):
                       )
     lead = None
     if not cofactor.is_zero:
-        from .series import v_ell
         le = v_ell(cofactor, divisor.order)
         lead = {"exp": list(le), "coeff": str(cofactor.terms[le])}
     report = ResidualReport(
@@ -184,26 +185,25 @@ def euler_borel_series(n_coeffs):
     return OneVarSeries([0] + [factorial(m) for m in range(n_coeffs - 1)])
 
 
-def verify_ode_numeric(k, theta, t_samples, n_coeffs=48, prec=None, eps=1e-18):
+def verify_ode_numeric(k, theta, t_samples, n_coeffs=48):
     """Check t^2 F' = F - t for the ray sum of the factorial series.
 
     F and F' are produced by the Borel-ray-Laplace pipeline (F' by
-    differentiation under the integral), and the maximal residual over the
-    sample moduli |t| is reported.  A direction congruent to 0 mod 2*pi
-    fails with a singular-ray error (branch point of the Borel transform).
+    differentiation under the integral) at ``working_prec()``, each sum
+    to :data:`ODE_NUMERIC_EPS`, and the maximal residual over the sample
+    moduli |t| is reported.  A direction congruent to 0 mod 2*pi fails
+    with a singular-ray error (branch point of the Borel transform).
     """
-    prec = working_prec(prec)
-    with mp.workprec(prec):
-        b = borel_transform(euler_borel_series(n_coeffs), k, prec=prec)
-        radii = [0.25, 0.5, 1.0, 2.0]
-        rc = continue_on_ray(b, theta, radii, prec=prec)
+    with mp.workprec(working_prec()):
+        b = borel_transform(euler_borel_series(n_coeffs), k)
+        rc = continue_on_ray(b, theta, [0.25, 0.5, 1.0, 2.0])
         phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
         worst = 0.0
         samples = []
         for r in t_samples:
             t = mpmath.mpf(r) * phase
-            fs = laplace_sum(rc, k, t, eps=eps, prec=prec)
-            fps = laplace_sum(rc, k, t, derivative=True, eps=eps, prec=prec)
+            fs = laplace_sum(rc, k, t, eps=ODE_NUMERIC_EPS)
+            fps = laplace_sum(rc, k, t, derivative=True, eps=ODE_NUMERIC_EPS)
             res = abs(t * t * fps.value - fs.value + t)
             samples.append({"t_mod": float(r), "residual": float(res),
                             "quad_err": fs.quadrature_error,

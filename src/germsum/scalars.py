@@ -33,7 +33,6 @@ def _wp():
     return mp.workprec(working_prec())
 
 _EXACT_REAL = (int, Fraction)
-_MP_TYPES = (mpmath.mpf, mpmath.mpc)
 
 
 class QQi:
@@ -50,9 +49,6 @@ class QQi:
 
     def is_zero(self):
         return self.re == 0 and self.im == 0
-
-    def conjugate(self):
-        return QQi(self.re, -self.im)
 
     def __add__(self, other):
         if isinstance(other, QQi):
@@ -119,10 +115,6 @@ class QQi:
 
 def is_exact(x):
     return isinstance(x, (int, Fraction, QQi))
-
-
-def is_float_scalar(x):
-    return isinstance(x, _MP_TYPES)
 
 
 def to_mpf(x):

@@ -6,9 +6,9 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from germsum.borel import (BorelSeries, OneVarSeries, borel_transform,
-                           build_approximant, continue_on_ray, laplace_sum,
-                           p_k_sum, singular_directions)
+from germsum.borel import (FROISSART_REL, BorelSeries, OneVarSeries,
+                           borel_transform, build_approximant, continue_on_ray,
+                           laplace_sum, p_k_sum, singular_directions)
 from germsum.errors import ContinuationError, SectorError, SingularRayError
 from germsum.harness import euler_borel_series, gen_example
 from germsum.scalars import QQi
@@ -90,6 +90,57 @@ class TestContinuation:
         appr = build_approximant([mpmath.mpc((-1) ** n) for n in range(20)])
         assert appr.order[1] < 9
         assert abs(appr(mpmath.mpc(2)) - Fraction(1, 3)) < 1e-30
+
+
+class TestFroissartFilter:
+    # g(tau) = sum r p / (p - tau): a [1/2] rational Borel transform whose
+    # [15/15] approximant carries 13 pole-zero doublets besides the true poles
+    POLES = ((mpmath.mpc(1.5, 1.0), 2), (mpmath.mpc(-2, 0.5), -1))
+
+    def top_approximant(self):
+        with mp.workprec(128):
+            coeffs = [sum(r * p ** (-n) for p, r in self.POLES) for n in range(32)]
+        return build_approximant(coeffs)
+
+    def test_keeps_exactly_the_true_poles(self):
+        appr = self.top_approximant()
+        assert appr.order == (15, 15)
+        kept = [p for p, _ in appr.filtered_poles()]
+        assert len(kept) == 2
+        with mp.workprec(128):
+            for p, _ in self.POLES:
+                assert min(abs(q - p) for q in kept) < 1e-20
+
+    def test_decisions_match_numerator_roots(self):
+        # the oracle roots the numerator and drops a pole with a zero
+        # within FROISSART_REL of it
+        appr = self.top_approximant()
+        kept = [p for p, _ in appr.filtered_poles()]
+        raw = [p for p, _ in appr.raw_poles()]
+        assert len(raw) == 15
+        with mp.workprec(appr.prec):
+            zeros = mpmath.polyroots(appr.num[::-1], maxsteps=200, extraprec=appr.prec)
+            for p in raw:
+                near = min(abs(p - z) for z in zeros) < FROISSART_REL * max(1, abs(p))
+                assert near == (p not in kept)
+
+    def test_roots_only_denominators(self, monkeypatch):
+        import germsum.borel
+
+        calls = []
+        real = germsum.borel._poly_roots
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(germsum.borel, "_poly_roots", counting)
+        b = borel_transform(euler_series(32), 1)
+        continue_on_ray(b, 0.0, [1.0, 2.0])
+        assert len(calls) == 2
+        calls.clear()
+        singular_directions(b, 1)
+        assert len(calls) == 3
 
 
 class TestLaplace:

@@ -143,6 +143,16 @@ def test_usage_errors(files, capsys, tmp_path):
     assert cli_main(["borel-sum", c, "--theta", "3.1", "--t=-0.2",
                      "--method", "pade"]) == 2
     capsys.readouterr()
+    # the library's argument checks are usage errors, not failed verifications
+    f = files("f.json", series_to_json(TS(2, 10, {(2, 2): 1, (1, 0): 1})))
+    assert cli_main(["borel-sum", f, "--germ", p, "--order", "1,1", "--depth", "6",
+                     "--point", "0.1,0.1", "--theta", "0"]) == 2
+    assert "at least 8 Borel coefficients" in capsys.readouterr().err
+    short = files("short.json", {"coeffs": [str(factorial(n)) for n in range(10)]})
+    assert cli_main(["directions", short]) == 2
+    assert "at least 16 Borel coefficients" in capsys.readouterr().err
+    assert cli_main(["borel-sum", c, "--k", "-1", "--theta", "3.1", "--t=-0.2"]) == 2
+    assert capsys.readouterr().err.startswith("germsum: summability index k")
     # series arithmetic is floored at DEFAULT_PREC_BITS: a lower --prec is refused
     from germsum.scalars import DEFAULT_PREC_BITS
     assert cli_main(["--prec", "64", "blowup", "--xi", "0", p]) == 2
