@@ -20,7 +20,7 @@ from itertools import zip_longest
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpc_div, mpc_mul, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, mpc_div, mpc_mul, round_nearest
 
 from .errors import ContinuationError, SectorError, SingularRayError
 from .scalars import to_mpc, working_prec
@@ -340,28 +340,74 @@ def _adaptive(f, a, b, whole, tol, nodes, depth=0):
 
 
 def _ray_rows(appr, phase):
-    """Coefficients of an approximant rotated onto the ray, highest degree first.
+    """Coefficients of an approximant rotated onto the ray, as four Horner chains.
 
     With c_j -> c_j e^(i j theta) the approximant at tau = s e^(i theta) is
-    N(s)/D(s) in the real s.  Each row holds the raw real and imaginary
-    parts of one rotated numerator and denominator coefficient.
+    N(s)/D(s) in the real s.  The chains hold the real and imaginary parts
+    of the rotated numerator and denominator coefficients (Re N, Im N, Re D,
+    Im D), highest degree first, each as a signed integer mantissa and a
+    binary exponent.
     """
-    rows = []
+    parts = []
     rot = mpmath.mpc(1)
     for n, d in zip_longest(appr.num, appr.den, fillvalue=0):
-        rows.append((to_mpc(n) * rot)._mpc_ + (to_mpc(d) * rot)._mpc_)
+        part = []
+        for sign, man, exp, bc in (to_mpc(n) * rot)._mpc_ + (to_mpc(d) * rot)._mpc_:
+            if bc < 0:
+                raise ValueError("non-finite approximant coefficient")
+            part.append((-man if sign else man, exp))
+        parts.append(part)
         rot *= phase
-    return rows[::-1]
+    return tuple(tuple(chain[::-1]) for chain in zip(*parts))
 
 
-def _ray_value(rows, s, prec):
-    """Raw (re, im) of N(s)/D(s) at the raw real s: Horner in s, one division."""
-    nr = ni = dr = di = fzero
-    for cnr, cni, cdr, cdi in rows:
-        nr = mpf_add(mpf_mul(nr, s), cnr, prec, round_nearest)
-        ni = mpf_add(mpf_mul(ni, s), cni, prec, round_nearest)
-        dr = mpf_add(mpf_mul(dr, s), cdr, prec, round_nearest)
-        di = mpf_add(mpf_mul(di, s), cdi, prec, round_nearest)
+def _ray_value(chains, s, prec):
+    """Raw (re, im) of N(s)/D(s) at the raw real s: Horner in s, one division.
+
+    The four real Horner chains of ``_ray_rows`` run on Python ints: each
+    step multiplies the accumulator by the mantissa of s exactly, adds the
+    coefficient with aligned exponents and truncates the sum to
+    ``prec + 12`` bits, so the Horner error bound holds with unit roundoff
+    2^-(prec+11).  The alignment shift is capped at ``prec + 12`` bits: the
+    term with the lower exponent is truncated there, which errs by at most
+    2^-(prec+12) of the other term, so a coefficient far below the
+    accumulator (or the other way round) never builds a huge int.  Each
+    chain becomes one mpf, and ``mpc_div`` divides at ``prec``.
+    """
+    sign, sm, se, _ = s
+    if sign:
+        sm = -sm
+    w = prec + 12
+    parts = []
+    for chain in chains:
+        m = e = 0
+        for cm, ce in chain:
+            m *= sm
+            e += se
+            if cm:
+                if not m:
+                    m, e = cm, ce
+                elif e >= ce:
+                    d = e - ce
+                    if d > w:
+                        m = (m << w) + (cm >> (d - w))
+                        e -= w
+                    else:
+                        m = (m << d) + cm
+                        e = ce
+                else:
+                    d = ce - e
+                    if d > w:
+                        m = (cm << w) + (m >> (d - w))
+                        e = ce - w
+                    else:
+                        m += cm << d
+            n = m.bit_length() - w
+            if n > 0:
+                m >>= n
+                e += n
+        parts.append(from_man_exp(m, e))
+    nr, ni, dr, di = parts
     return mpc_div((nr, ni), (dr, di), prec, round_nearest)
 
 
@@ -392,9 +438,14 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     growing there (a log branch) stays covered.
     When ``max_continuation_error`` is given and the estimate exceeds it,
     a :class:`ContinuationError` is raised instead of returning a silently
-    degraded value.
+    degraded value.  An ``eps`` below ``2^(8 - prec)``, which rounding at
+    the working precision cannot resolve, raises ``ValueError`` before any
+    panel is integrated.
     """
     prec = working_prec(prec)
+    if not mpmath.mpf(eps) >= mpmath.ldexp(1, 8 - prec):
+        raise ValueError(f"eps = {float(eps):.3g} is below 2^(8 - prec), "
+                         f"which {prec}-bit arithmetic cannot resolve")
     with mp.workprec(prec):
         t = to_mpc(t)
         if t == 0:
@@ -413,8 +464,8 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         # tau^(k-1) dtau contributes e^(i k theta) s^(k-1) ds along the ray
         full_phase = mpmath.expjpi(kk * theta / mpmath.pi)
         kern_phase = mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-        rows_hi = _ray_rows(rc._hi, ray_phase)
-        rows_lo = _ray_rows(rc._lo, ray_phase)
+        chains_hi = _ray_rows(rc._hi, ray_phase)
+        chains_lo = _ray_rows(rc._lo, ray_phase)
 
         def f(s):
             # one kernel value serves both approximant orders
@@ -423,8 +474,8 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
             if derivative:
                 w *= z - 1
             w, s = w._mpc_, s._mpf_
-            g_hi = _ray_value(rows_hi, s, prec)
-            g_lo = _ray_value(rows_lo, s, prec)
+            g_hi = _ray_value(chains_hi, s, prec)
+            g_lo = _ray_value(chains_lo, s, prec)
             return (mp.make_mpc(mpc_mul(w, g_hi, prec, round_nearest)),
                     mp.make_mpc(mpc_mul(w, g_lo, prec, round_nearest)))
 
@@ -455,7 +506,7 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         value = pref * i_hi
         cont = float(abs(pref) * abs(i_hi - i_lo))
         # discarded tail beyond the kernel cutoff, included in the budget
-        g_tail = max(abs(mp.make_mpc(_ray_value(rows_hi, s._mpf_, prec)))
+        g_tail = max(abs(mp.make_mpc(_ray_value(chains_hi, s._mpf_, prec)))
                      for s in (S, 2 * S))
         tail_err = g_tail * _KERNEL_FLOOR / decay
         if derivative:

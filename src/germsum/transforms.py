@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy
 from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
@@ -202,8 +203,34 @@ def _cluster_roots(values, radius):
     return [(c[0] / c[1], c[1]) for c in clusters]
 
 
+def _float_seeds(poly):
+    """float64 companion-matrix eigenvalues of a polynomial (highest degree
+    first) as mpc seeds, or None when a coefficient or an eigenvalue is not
+    a finite float64 or numpy fails."""
+    try:
+        coeffs = numpy.array([complex(c) for c in poly])
+        if not numpy.isfinite(coeffs).all():
+            return None
+        with numpy.errstate(all="ignore"):
+            seeds = numpy.roots(coeffs)
+    except (ValueError, OverflowError):
+        return None
+    if not numpy.isfinite(seeds).all():
+        return None
+    return [mpmath.mpc(z) for z in seeds.tolist()]
+
+
 def _poly_roots(coeffs_low_to_high, prec):
-    """Roots of a univariate polynomial with exact zero-root deflation."""
+    """Roots of a univariate polynomial with exact zero-root deflation.
+
+    ``mpmath.polyroots`` (Durand-Kerner at ``2 * prec``) starts from the
+    float64 companion-matrix eigenvalues of ``numpy.roots`` (Edelman and
+    Murakami, Math. Comp. 64, 1995), or from its default seeds when the
+    polynomial does not fit float64.  When it does not converge (a multiple
+    root), the roots are the eigenvalues of the companion matrix at
+    ``prec``.  Roots within 2^-(prec/4) (relative) of each other are merged
+    into one with its multiplicity.
+    """
     roots = []
     cs = list(coeffs_low_to_high)
     while cs and is_zero(cs[-1]):
@@ -221,7 +248,8 @@ def _poly_roots(coeffs_low_to_high, prec):
     with mp.workprec(prec):
         poly = [to_mpc(c) for c in reversed(cs)]
         try:
-            found = mpmath.polyroots(poly, maxsteps=200, extraprec=prec)
+            found = mpmath.polyroots(poly, maxsteps=200, extraprec=prec,
+                                     roots_init=_float_seeds(poly))
         except mpmath.libmp.libhyper.NoConvergence:
             comp = mpmath.zeros(len(poly) - 1)
             lead = poly[0]

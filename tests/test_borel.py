@@ -1,17 +1,21 @@
 import math
+import time
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial
 
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import fzero, mpc_div, mpf_add, mpf_mul, round_nearest
 
 from germsum.borel import (FROISSART_REL, BorelSeries, OneVarSeries,
+                           RationalApproximant, _ray_rows, _ray_value,
                            borel_transform, build_approximant, continue_on_ray,
                            laplace_sum, p_k_sum, singular_directions)
 from germsum.errors import ContinuationError, SectorError, SingularRayError
 from germsum.harness import euler_borel_series, gen_example
-from germsum.scalars import QQi
+from germsum.scalars import QQi, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, PExpansion, p_expand
 
@@ -143,7 +147,119 @@ class TestFroissartFilter:
         assert len(calls) == 3
 
 
+def three_pole_coeffs(n):
+    """Taylor coefficients of sum r p / (p - tau) for three off-axis poles."""
+    poles = ((mpmath.mpc(1.5, 1.0), 2), (mpmath.mpc(-2, 0.5), -1),
+             (mpmath.mpc(0.3, -0.9), 0.5))
+    with mp.workprec(128):
+        return [sum(r * p ** (-j) for p, r in poles) for j in range(n)]
+
+
+class TestRayEvaluator:
+    # the on-ray evaluator against a 512-bit direct evaluation of N/D from
+    # the same rotated coefficients, and against the mpf Horner it replaced
+    PREC = 128
+
+    @staticmethod
+    def mpf_rows(appr, phase):
+        rows, rot = [], mpmath.mpc(1)
+        for n, d in zip_longest(appr.num, appr.den, fillvalue=0):
+            rows.append((to_mpc(n) * rot)._mpc_ + (to_mpc(d) * rot)._mpc_)
+            rot *= phase
+        return rows[::-1]
+
+    @staticmethod
+    def mpf_horner(rows, s, prec):
+        nr = ni = dr = di = fzero
+        for cnr, cni, cdr, cdi in rows:
+            nr = mpf_add(mpf_mul(nr, s), cnr, prec, round_nearest)
+            ni = mpf_add(mpf_mul(ni, s), cni, prec, round_nearest)
+            dr = mpf_add(mpf_mul(dr, s), cdr, prec, round_nearest)
+            di = mpf_add(mpf_mul(di, s), cdi, prec, round_nearest)
+        return mpc_div((nr, ni), (dr, di), prec, round_nearest)
+
+    def check(self, appr, theta, points):
+        prec = self.PREC
+        with mp.workprec(prec):
+            phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
+            rows = _ray_rows(appr, phase)
+            old_rows = self.mpf_rows(appr, phase)
+            points = [mpmath.mpf(s) for s in points]
+        for s in points:
+            new = mp.make_mpc(_ray_value(rows, s._mpf_, prec))
+            old = mp.make_mpc(self.mpf_horner(old_rows, s._mpf_, prec))
+            with mp.workprec(512):
+                coeffs = old_rows[::-1]
+                num = sum(mp.make_mpc(c[:2]) * s ** j for j, c in enumerate(coeffs))
+                den = sum(mp.make_mpc(c[2:]) * s ** j for j, c in enumerate(coeffs))
+                exact = num / den
+                assert abs(new - exact) <= abs(old - exact)
+                # the Horner chains are exact to 2^-(prec+11): what is left
+                # is the rounding of the quotient to prec bits
+                assert abs(new - exact) <= 2 ** (1 - prec) * abs(exact)
+
+    def check_continuation(self, rc, t):
+        # Gauss-Legendre-like spread of s, plus the tail cut S and 2S where
+        # laplace_sum bounds the discarded tail
+        S = laplace_sum(rc, 1, t).tail_cut
+        points = [mpmath.mpf(j) / 16 for j in range(1, 64)] + [S, 2 * S]
+        self.check(rc._hi, rc.direction, points)
+        self.check(rc._lo, rc.direction, points)
+
+    def test_euler48_approximant(self):
+        rc = continue_on_ray(borel_transform(euler_borel_series(48), 1), 2.5, [1.0])
+        assert rc._hi.order == (23, 23)
+        self.check_continuation(rc, mpmath.mpf("0.3") * mpmath.expj(2.5))
+
+    def test_three_pole_approximant(self):
+        rc = continue_on_ray(BorelSeries(1.0, three_pole_coeffs(40)), -0.4, [1.0])
+        assert len(rc.poles) == 3
+        self.check_continuation(rc, mpmath.mpf("0.2") * mpmath.expj(-0.4))
+
+    def test_zero_and_mixed_sign_coefficients(self):
+        with mp.workprec(2 * self.PREC):
+            num = [mpmath.mpc(c) for c in (1, 0, -3, 0, 0, 2.5, 0, -0.75)]
+            den = [mpmath.mpc(c) for c in (1, -2, 0, 0.5, 0, 0, -1, 0, 0, 0.125)]
+        appr = RationalApproximant(num, den, self.PREC)
+        pts = [mpmath.mpf(2) ** -30, mpmath.mpf("0.3"), 1, mpmath.mpf("1.7"), 5, 40]
+        self.check(appr, 0.0, pts)
+        self.check(appr, 2.2, pts)
+
+    def test_coefficient_far_below_neighbours(self):
+        # the 2^-700 coefficient meets an accumulator 2^700 above it (and,
+        # at the tiny s, the accumulator lies far below the coefficients):
+        # the capped alignment shift keeps both sides exact enough
+        with mp.workprec(2 * self.PREC):
+            tiny = mpmath.mpf(2) ** -700
+            num = [mpmath.mpc(c) for c in (1, -2, tiny, 3, -1)]
+            den = [mpmath.mpc(c) for c in (2, 1, -tiny, 0.5, 1)]
+        appr = RationalApproximant(num, den, self.PREC)
+        pts = [mpmath.mpf(2) ** -400, mpmath.mpf(2) ** -700, mpmath.mpf("0.01"),
+               mpmath.mpf("0.9"), 3, 300]
+        self.check(appr, 0.0, pts)
+        self.check(appr, -1.1, pts)
+
+    def test_non_finite_coefficient_refused(self):
+        # an inf or nan has no integer mantissa; it must not read as zero
+        for bad in (mpmath.inf, mpmath.nan):
+            appr = RationalApproximant([mpmath.mpc(1), mpmath.mpc(bad)],
+                                       [mpmath.mpc(1), mpmath.mpc(2)], self.PREC)
+            with pytest.raises(ValueError):
+                _ray_rows(appr, mpmath.mpc(1))
+
+
 class TestLaplace:
+    def test_unresolvable_eps_refused(self):
+        # 64 bits cannot resolve eps = 1e-25: refused before integrating
+        # (it used to split every panel to the depth cap for minutes)
+        rc = continue_on_ray(borel_transform(euler_series(), 1), 0.0, [1.0, 2.0])
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            laplace_sum(rc, 1, 0.1, prec=64, eps=1e-25)
+        assert time.perf_counter() - start < 1
+        res = laplace_sum(rc, 1, 0.1, prec=128, eps=1e-25)
+        assert abs(res.value - euler_oracle("0.1")) < 1e-9
+
     def test_constant_is_one(self):
         rc = continue_on_ray(borel_transform(OneVarSeries([1] + [0] * 9), 1),
                              0.3, [1.0, 2.0])

@@ -4,8 +4,12 @@ from math import factorial
 
 import mpmath
 import pytest
+from mpmath import mp
 
+from germsum import transforms
+from germsum.borel import borel_transform, build_approximant
 from germsum.errors import DimensionMismatchError
+from germsum.harness import euler_borel_series
 from germsum.series import MonomialOrder, TruncatedSeries, v_ell
 from germsum.transforms import (INFINITY, BlowupChart, blowup, chart_shift,
                                 dominant_data, ramify, rotation_average)
@@ -223,3 +227,54 @@ class TestDominantData:
             dominant_data(TS(2, 6, {(1, 1): 1}), MonomialOrder((1,)))
         with pytest.raises(DimensionMismatchError):
             dominant_data(TS(3, 6, {(1, 1, 1): 1}), None)
+
+
+class TestSeededRoots:
+    # _poly_roots seeds Durand-Kerner with float64 companion eigenvalues;
+    # on Pade denominators it returns the unseeded polyroots roots exactly
+    PREC = 128
+
+    @staticmethod
+    def denominators():
+        euler = borel_transform(euler_borel_series(48), 1).coeffs
+        with mp.workprec(128):
+            poles = ((mpmath.mpc(1.5, 1.0), 2), (mpmath.mpc(-2, 0.5), -1),
+                     (mpmath.mpc(0.3, -0.9), 0.5))
+            rational = [sum(r * p ** (-n) for p, r in poles) for n in range(32)]
+        return [list(build_approximant(c).den) for c in (euler, rational)]
+
+    @staticmethod
+    def spy(monkeypatch):
+        seeds = []
+        polyroots = mpmath.polyroots
+
+        def recording(*args, **kwargs):
+            seeds.append(kwargs.get("roots_init"))
+            return polyroots(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", recording)
+        return seeds
+
+    def unseeded(self, den):
+        with mp.workprec(self.PREC):
+            found = mpmath.polyroots(den[::-1], maxsteps=200, extraprec=self.PREC)
+        return sorted(found, key=lambda z: (abs(z), mpmath.arg(z)))
+
+    def test_seeded_equals_unseeded(self, monkeypatch):
+        dens = self.denominators()
+        expected = [self.unseeded(den) for den in dens]
+        seeds = self.spy(monkeypatch)
+        for den, want in zip(dens, expected):
+            roots = transforms._poly_roots(den, self.PREC)
+            assert all(m == 1 for _, m in roots)
+            assert [v for v, _ in roots] == want
+        assert [len(s) for s in seeds] == [len(den) - 1 for den in dens]
+
+    def test_beyond_float64_is_unseeded(self, monkeypatch):
+        den = self.denominators()[1]
+        with mp.workprec(2 * self.PREC):
+            scaled = [c * mpmath.mpf(2) ** 1100 for c in den]
+        seeds = self.spy(monkeypatch)
+        roots = transforms._poly_roots(scaled, self.PREC)
+        assert seeds == [None]
+        assert roots == transforms._poly_roots(den, self.PREC)
