@@ -24,8 +24,8 @@ from .series import (MonomialOrder, TruncatedSeries, majorant_norm,
                      series_from_json, series_to_json, substitute, v_ell)
 from .weierstrass import (DivisionResult, Germ, PExpansion, delta_member,
                           p_expand, t_substitute, wdivide)
-from .transforms import (INFINITY, BlowupChart, DominantData, blowup,
-                         chart_shift, dominant_data, ramify, rotation_average)
+from .transforms import (INFINITY, DominantData, blowup, chart_shift,
+                         dominant_data, ramify, rotation_average)
 from .gevrey import (GevreyEstimate, NormSequence, check_gevrey_bound,
                      fit_gevrey, norm_sequence)
 from .borel import (BorelSeries, OneVarSeries, RayContinuation,

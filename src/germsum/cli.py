@@ -247,6 +247,7 @@ def _verify(name, trunc):
         out["singular_directions"] = report.to_json()
         ok = (formal.exact_to_truncation
               and numeric.numeric_max_residual < 1e-8
+              and all(s["residual"] <= s["bound"] for s in numeric.details["samples"])
               and any(abs(d) < 0.05 for d in report.directions))
     elif name == "pde-quasihom":
         trunc = trunc or 25

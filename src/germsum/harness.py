@@ -191,8 +191,10 @@ def verify_ode_numeric(k, theta, t_samples, n_coeffs=48):
     F and F' are produced by the Borel-ray-Laplace pipeline (F' by
     differentiation under the integral) at ``working_prec()``, each sum
     to :data:`ODE_NUMERIC_EPS`, and the maximal residual over the sample
-    moduli |t| is reported.  A direction congruent to 0 mod 2*pi fails
-    with a singular-ray error (branch point of the Borel transform).
+    moduli |t| is reported.  Each sample records both sums' errors and the
+    residual ``bound = |t|^2 * total_error(F') + total_error(F)`` they
+    imply.  A direction congruent to 0 mod 2*pi fails with a singular-ray
+    error (branch point of the Borel transform).
     """
     with mp.workprec(working_prec()):
         b = borel_transform(euler_borel_series(n_coeffs), k)
@@ -207,7 +209,10 @@ def verify_ode_numeric(k, theta, t_samples, n_coeffs=48):
             res = abs(t * t * fps.value - fs.value + t)
             samples.append({"t_mod": float(r), "residual": float(res),
                             "quad_err": fs.quadrature_error,
-                            "cont_err": fs.continuation_error})
+                            "cont_err": fs.continuation_error,
+                            "deriv_quad_err": fps.quadrature_error,
+                            "deriv_cont_err": fps.continuation_error,
+                            "bound": r * r * fps.total_error + fs.total_error})
             worst = max(worst, float(res))
     return ResidualReport(
         numeric_max_residual=worst,

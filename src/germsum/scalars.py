@@ -7,9 +7,12 @@ Three kinds of scalars circulate in this package:
 * arbitrary-precision complex floats (``mpmath.mpf`` / ``mpmath.mpc``).
 
 Exact scalars support equality tests; floats carry their precision in the
-mpmath representation.  Mixed arithmetic promotes exact to float, never the
-other way around.  All series code funnels coefficient arithmetic through
-the ``s*`` helpers below so that the promotion rules live in one place.
+mpmath representation.  One promotion rule: exact stays exact, and anything
+touching a float becomes an ``mpc`` at :func:`working_prec`.  The exact half
+is carried by :class:`QQi`'s operators, which promote ``int`` and
+``Fraction`` operands to ``QQi``; the float half is the float branch of the
+``s*`` helpers below, through which all series code funnels coefficient
+arithmetic.
 """
 from __future__ import annotations
 
@@ -46,9 +49,6 @@ class QQi:
 
     def __setattr__(self, *a):
         raise AttributeError("QQi is immutable")
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
 
     def __add__(self, other):
         if isinstance(other, QQi):
@@ -117,33 +117,26 @@ def is_exact(x):
     return isinstance(x, (int, Fraction, QQi))
 
 
-def to_mpf(x):
-    """Real exact scalar -> mpf at the working precision."""
-    with _wp():
-        if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
-        return mpmath.mpf(x)
-
-
 def to_mpc(x):
-    """Any supported scalar -> mpc; existing float values pass through unrounded."""
+    """Any supported scalar -> mpc; float values pass through unrounded, an
+    exact rational part is rounded to the working precision."""
     if isinstance(x, mpmath.mpc):
         return x
     if isinstance(x, mpmath.mpf):
         return mp.make_mpc((x._mpf_, mpmath.libmp.fzero))
-    if isinstance(x, QQi):
-        return mpmath.mpc(to_mpf(x.re), to_mpf(x.im))
-    if isinstance(x, Fraction):
-        return mpmath.mpc(to_mpf(x))
-    if isinstance(x, (int, float, complex)):
-        return mpmath.mpc(x)
+    with _wp():
+        if isinstance(x, QQi):
+            return mpmath.mpc(mpmath.mpf(x.re.numerator) / x.re.denominator,
+                              mpmath.mpf(x.im.numerator) / x.im.denominator)
+        if isinstance(x, Fraction):
+            return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
+        if isinstance(x, (int, float, complex)):
+            return mpmath.mpc(x)
     raise TypeError(f"cannot convert {x!r} to a complex float")
 
 
 def sadd(a, b):
     if is_exact(a) and is_exact(b):
-        if isinstance(a, QQi) or isinstance(b, QQi):
-            return (a if isinstance(a, QQi) else QQi(a)) + b
         return a + b
     with _wp():
         return to_mpc(a) + to_mpc(b)
@@ -151,8 +144,6 @@ def sadd(a, b):
 
 def smul(a, b):
     if is_exact(a) and is_exact(b):
-        if isinstance(a, QQi) or isinstance(b, QQi):
-            return (a if isinstance(a, QQi) else QQi(a)) * b
         return a * b
     with _wp():
         return to_mpc(a) * to_mpc(b)
@@ -160,9 +151,8 @@ def smul(a, b):
 
 def sdiv(a, b):
     if is_exact(a) and is_exact(b):
-        if isinstance(a, QQi) or isinstance(b, QQi):
-            return (a if isinstance(a, QQi) else QQi(a)) / b
-        return Fraction(a) / Fraction(b)
+        # int / int would give a float: start from Fraction
+        return (Fraction(a) if isinstance(a, int) else a) / b
     with _wp():
         return to_mpc(a) / to_mpc(b)
 
@@ -175,19 +165,14 @@ def sneg(a):
 
 
 def is_zero(x):
-    if isinstance(x, QQi):
-        return x.is_zero()
     return x == 0
 
 
 def scalar_eq(a, b):
     """Equality across scalar kinds; float scalars compare exactly."""
     if is_exact(a) and is_exact(b):
-        qa = a if isinstance(a, QQi) else QQi(a)
-        qb = b if isinstance(b, QQi) else QQi(b)
-        return qa == qb
-    with _wp():
-        return to_mpc(a) == to_mpc(b)
+        return a == b
+    return to_mpc(a) == to_mpc(b)
 
 
 def sabs(x):
@@ -210,6 +195,8 @@ def scalar_to_json(c):
         f = Fraction(c)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
     if isinstance(c, QQi):
+        if c.im == 0:
+            return scalar_to_json(c.re)
         return {"re": scalar_to_json(c.re), "im": scalar_to_json(c.im)}
     z = to_mpc(c)
     return {"re": float(z.real), "im": float(z.imag)}

@@ -98,14 +98,14 @@ def _prune_terms(terms, trunc):
     if any(not scalars.is_exact(c) for c in terms.values()):
         prec = scalars.working_prec()
         eps = mp.mpf(2) ** (-(prec // 2))
+        size = {e: sabs(c) for e, c in terms.items()}
         by_deg = {}
-        for e, c in terms.items():
+        for e, a in size.items():
             d = sum(e)
-            a = sabs(c)
             if d not in by_deg or a > by_deg[d]:
                 by_deg[d] = a
         kill = [e for e, c in terms.items()
-                if not scalars.is_exact(c) and sabs(c) < by_deg[sum(e)] * eps]
+                if not scalars.is_exact(c) and size[e] < by_deg[sum(e)] * eps]
         for e in kill:
             del terms[e]
     return terms
@@ -282,10 +282,6 @@ class TruncatedSeries:
                 e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
                 terms[e2] = smul(c, e[i])
         return TruncatedSeries(self.dim, max(self.trunc - 1, -1), terms)
-
-    def truncated(self, new_trunc):
-        """Restrict to a smaller truncation order."""
-        return TruncatedSeries(self.dim, min(self.trunc, new_trunc), self.terms)
 
     def with_trunc(self, new_trunc):
         """Reinterpret the stored terms with a caller-asserted truncation.

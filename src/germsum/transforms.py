@@ -45,27 +45,9 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True)
-class BlowupChart:
-    """A chart of the blow-up: a finite center xi or INFINITY."""
-    xi: object
-
-    @classmethod
-    def at_infinity(cls):
-        return cls(INFINITY)
-
-
 def _resolve_chart(chart):
-    if isinstance(chart, BlowupChart):
-        chart = chart.xi
-    if chart is INFINITY or (isinstance(chart, str) and chart.lower() in ("inf", "infinity")):
+    if isinstance(chart, str) and chart.lower() in ("inf", "infinity"):
         return INFINITY
-    if isinstance(chart, float):
-        if chart == float("inf"):
-            return INFINITY
-        return mpmath.mpf(chart)
-    if isinstance(chart, complex):
-        return mpmath.mpc(chart)
     return chart
 
 

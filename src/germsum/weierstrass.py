@@ -96,7 +96,10 @@ def wdivide(g, germ):
     def in_cone(e):
         return all(ei >= li for ei, li in zip(e, lead))
 
-    tail = {e: c for e, c in germ.p.terms.items() if e != lead}
+    # the non-leading terms of -P, negated once per call.  A step adds only
+    # terms larger than the one it cancels, so each quotient exponent is set
+    # once; rem never holds a zero, as cancelled entries are deleted.
+    neg_tail = {e: sneg(c) for e, c in germ.p.terms.items() if e != lead}
     rem = dict(g.terms)
     quot = {}
     heap = [(key(e), e) for e in rem if in_cone(e)]
@@ -104,16 +107,15 @@ def wdivide(g, germ):
     while heap:
         _, e = heapq.heappop(heap)
         c = rem.pop(e, None)
-        if c is None or is_zero(c):
+        if c is None:
             continue
         m = tuple(ei - li for ei, li in zip(e, lead))
-        factor = sdiv(c, lc)
-        quot[m] = sadd(quot[m], factor) if m in quot else factor
-        for be, bc in tail.items():
+        factor = quot[m] = sdiv(c, lc)
+        for be, bc in neg_tail.items():
             e2 = tuple(mi + bi for mi, bi in zip(m, be))
             if sum(e2) > trunc:
                 continue
-            delta = sneg(smul(factor, bc))
+            delta = smul(factor, bc)
             if e2 in rem:
                 c2 = sadd(rem[e2], delta)
                 if is_zero(c2):

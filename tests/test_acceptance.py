@@ -206,6 +206,8 @@ def test_criterion_08_ode_verification():
         for theta in (math.pi / 2, math.pi):
             rep = verify_ode_numeric(1, theta, [0.02, 0.05, 0.1, 0.2, 0.3])
             assert rep.numeric_max_residual < 1e-8, theta
+            for s in rep.details["samples"]:
+                assert s["residual"] <= s["bound"], (theta, s)
         report = singular_directions(borel_transform(euler_borel_series(40), 1), 1)
         assert any(abs(d) < 0.05 for d in report.directions)
         assert c.elapsed < 30.0

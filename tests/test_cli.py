@@ -63,6 +63,15 @@ def test_blowup_and_ramify(files, capsys):
     assert code == 0 and series_from_json(out).terms == {(3, 1): 1}
 
 
+def test_blowup_output_independent_of_center_spelling(files, capsys):
+    f = files("f.json", series_to_json(TS(2, 4, {(1, 0): Fraction(1, 3),
+                                                 (0, 1): Fraction(1, 4), (1, 1): 1})))
+    cli_main(["blowup", "--xi", "1/2", f])
+    plain = capsys.readouterr().out
+    cli_main(["blowup", "--xi", "1/2+0j", f])
+    assert capsys.readouterr().out == plain
+
+
 def test_dominant(files, capsys):
     p = files("p.json", series_to_json(TS(2, 10, {(1, 1): 1})))
     code, out = run(capsys, ["dominant", p])
@@ -120,6 +129,8 @@ def test_verify_ode_euler(capsys):
     assert code == 0 and out["pass"]
     assert any(abs(d) < 0.05 for d in out["singular_directions"]["directions"])
     assert out["numeric"]["numeric_max_residual"] < 1e-8
+    samples = out["numeric"]["details"]["samples"]
+    assert samples and all(s["residual"] <= s["bound"] for s in samples)
 
 
 def test_verify_pde(capsys):

@@ -1,0 +1,128 @@
+"""The promotion rule of germsum.scalars against a reference on (re, im) pairs.
+
+Exact operands (int, Fraction, QQi) must give the exact result, and a QQi
+whenever an operand is one; an mpc operand must give the result of mpmath
+at working precision on the other operand rounded once to that precision.
+"""
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, strategies as st
+from mpmath import mp
+
+from germsum.scalars import (QQi, is_exact, is_zero, sadd, scalar_eq, sdiv,
+                             smul, sneg, to_mpc, working_prec)
+
+ints = st.integers(-60, 60)
+fractions = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+qqis = st.builds(QQi, fractions, st.one_of(st.just(Fraction(0)), fractions))
+exact = st.one_of(ints, fractions, qqis)
+
+
+def pair(x):
+    if isinstance(x, QQi):
+        return (x.re, x.im)
+    return (Fraction(x), Fraction(0))
+
+
+def ref_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def ref_div(a, b):
+    n2 = b[0] * b[0] + b[1] * b[1]
+    return ref_mul(a, (b[0] / n2, -b[1] / n2))
+
+
+def wp_mpc(x):
+    """x rounded once per part to the working precision."""
+    re, im = pair(x)
+    with mp.workprec(working_prec()):
+        return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                          mpmath.mpf(im.numerator) / im.denominator)
+
+
+def check_exact(result, ref, *operands):
+    assert is_exact(result)
+    assert isinstance(result, QQi) == any(isinstance(x, QQi) for x in operands)
+    assert pair(result) == ref
+
+
+class TestExactOperands:
+    @given(exact, exact)
+    def test_add_mul(self, a, b):
+        check_exact(sadd(a, b), ref_add(pair(a), pair(b)), a, b)
+        check_exact(smul(a, b), ref_mul(pair(a), pair(b)), a, b)
+
+    @given(exact, exact)
+    def test_div(self, a, b):
+        if pair(b) == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                sdiv(a, b)
+        else:
+            check_exact(sdiv(a, b), ref_div(pair(a), pair(b)), a, b)
+
+    @given(exact)
+    def test_neg(self, a):
+        check_exact(sneg(a), (-pair(a)[0], -pair(a)[1]), a)
+
+    @given(exact, exact)
+    def test_eq_and_zero(self, a, b):
+        assert scalar_eq(a, b) == (pair(a) == pair(b))
+        assert is_zero(a) == (pair(a) == (0, 0))
+
+    @given(qqis, st.one_of(ints, fractions))
+    def test_sub_both_ways(self, q, x):
+        check_exact(q - x, (q.re - x, q.im), q, x)
+        check_exact(x - q, (x - q.re, -q.im), q, x)
+
+    @given(st.one_of(ints, fractions))
+    def test_hash_matches_real_part(self, x):
+        assert hash(QQi(x)) == hash(x)
+
+    @pytest.mark.parametrize("num", [QQi(1, 2), 3, Fraction(1, 3)])
+    def test_division_by_zero_qqi(self, num):
+        with pytest.raises(ZeroDivisionError):
+            num / QQi(0)
+
+
+def long_mpc(re, im):
+    """An mpc with mantissas longer than the working precision."""
+    with mp.workprec(2 * working_prec()):
+        return mpmath.mpc(re.numerator, im.numerator) / (3 * re.denominator * im.denominator)
+
+
+mpcs = st.builds(long_mpc, fractions, fractions)
+
+
+class TestFloatOperand:
+    @given(mpcs, exact)
+    def test_ops_round_at_working_precision(self, z, x):
+        zx = wp_mpc(x)
+        with mp.workprec(working_prec()):
+            want_add, want_mul, want_neg = z + zx, z * zx, -z
+            want_div = z / zx if zx != 0 else None
+            want_rdiv = zx / z if z != 0 else None
+        for got, want in ((sadd(z, x), want_add), (sadd(x, z), want_add),
+                          (smul(z, x), want_mul), (smul(x, z), want_mul),
+                          (sneg(z), want_neg)):
+            assert isinstance(got, mpmath.mpc) and got._mpc_ == want._mpc_
+        if want_div is not None:
+            assert sdiv(z, x)._mpc_ == want_div._mpc_
+        if want_rdiv is not None:
+            assert sdiv(x, z)._mpc_ == want_rdiv._mpc_
+        assert scalar_eq(z, x) == (z == zx)
+        assert scalar_eq(zx, x)
+        assert is_zero(z) == (z == 0)
+
+    def test_exact_converts_at_working_precision_under_low_ambient(self):
+        with mp.workprec(53):
+            for x in (Fraction(1, 3), QQi(Fraction(1, 3), Fraction(1, 7))):
+                z = to_mpc(x)
+                assert z._mpc_ == wp_mpc(x)._mpc_
+                assert z.real._mpf_[3] > 53

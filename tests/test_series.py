@@ -270,6 +270,11 @@ class TestJson:
         g = TS(2, 6, dict(reversed(list(f.terms.items()))))
         assert json.dumps(series_to_json(g)) == blob1
 
+    def test_equal_series_serialize_equally(self):
+        f = S(2, 6, {(1, 0): QQi(1, 1)}) + S(2, 6, {(1, 0): QQi(0, -1)})
+        assert f == S(2, 6, {(1, 0): 1})
+        assert series_to_json(f) == series_to_json(S(2, 6, {(1, 0): 1}))
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             series_from_json({"dim": 2, "terms": []})

@@ -11,7 +11,7 @@ from germsum.borel import borel_transform, build_approximant
 from germsum.errors import DimensionMismatchError
 from germsum.harness import euler_borel_series
 from germsum.series import MonomialOrder, TruncatedSeries, v_ell
-from germsum.transforms import (INFINITY, BlowupChart, blowup, chart_shift,
+from germsum.transforms import (INFINITY, blowup, chart_shift,
                                 dominant_data, ramify, rotation_average)
 
 from helpers import random_series
@@ -37,7 +37,7 @@ class TestBlowup:
 
     def test_monomial_germ(self):
         assert blowup(TS(2, 6, {(1, 1): 1}), 0).terms == {(1, 2): 1}
-        assert blowup(TS(2, 6, {(1, 1): 1}), BlowupChart.at_infinity()).terms == {(1, 2): 1}
+        assert blowup(TS(2, 6, {(1, 1): 1}), INFINITY).terms == {(1, 2): 1}
 
     def test_finite_nonzero_chart(self):
         # x1*x2 at xi=1: v2*(1+v1)*v2
