@@ -202,24 +202,33 @@ def scalar_to_json(c):
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _finite(x, source):
+    """x itself, or ValueError when the float scalar x is a NaN or an infinity."""
+    if not mpmath.isfinite(x):
+        raise ValueError(f"non-finite scalar {source!r}")
+    return x
+
+
 def scalar_from_json(obj):
     if isinstance(obj, str):
         return Fraction(obj)
     if isinstance(obj, (int, float)):
         if isinstance(obj, int):
             return Fraction(obj)
-        return mpmath.mpf(obj)
+        return _finite(mpmath.mpf(obj), obj)
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
         re, im = obj.get("re", 0), obj.get("im", 0)
         if isinstance(re, str) or isinstance(im, str):
             q = QQi(Fraction(str(re)), Fraction(str(im)))
             return q.re if q.im == 0 else q
-        return mpmath.mpc(re, im)
+        return _finite(mpmath.mpc(re, im), obj)
     raise ValueError(f"unrecognized coefficient encoding: {obj!r}")
 
 
 def parse_scalar(text):
-    """Parse a user-facing scalar: '3/4', '-2', '0.5', '1/2+1/3j', '0.1-0.2j'."""
+    """Parse a user-facing scalar: '3/4', '-2', '0.5', '1/2+1/3j', '0.1-0.2j'.
+
+    A NaN or an infinity raises ``ValueError``."""
     s = text.strip().replace(" ", "")
     try:
         return Fraction(s)
@@ -239,8 +248,9 @@ def parse_scalar(text):
         try:
             return QQi(Fraction(re_part), Fraction(im_part))
         except ValueError:
-            return mpmath.mpc(mpmath.mpf(re_part), mpmath.mpf(im_part))
+            return _finite(mpmath.mpc(mpmath.mpf(re_part), mpmath.mpf(im_part)), text)
     try:
-        return mpmath.mpf(s)
+        value = mpmath.mpf(s)
     except ValueError:
         raise ValueError(f"cannot parse scalar {text!r}") from None
+    return _finite(value, text)

@@ -14,18 +14,24 @@ never claims accuracy beyond what the operands certify:
   (a "representative") may override via ``out_trunc`` / ``with_trunc``.
 
 Coefficients are exact rationals, exact complex rationals or mpmath
-complex floats; see :mod:`germsum.scalars`.
+complex floats; see :mod:`germsum.scalars`.  The coefficient domain picks the
+arithmetic: when every coefficient of the operands is an ``int`` or a
+``Fraction``, products and substitutions run on integer numerators over one
+denominator per operand (the integer kernel below); exact complex and float
+data go through the ``s*`` funnel of :mod:`germsum.scalars`.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 from mpmath import mp
 
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
 from . import scalars
-from .scalars import (is_zero, sabs, sabs_float, sadd, scalar_eq,
+from .scalars import (_EXACT_REAL, is_zero, sabs, sabs_float, sadd, scalar_eq,
                       scalar_from_json, scalar_to_json, smul, sneg)
 
 
@@ -36,10 +42,11 @@ class MonomialOrder:
     total degree second, and finally a lexicographic rule: ``"lex"`` makes
     x1 the smallest variable (larger x1-exponent wins a tie), ``"revlex"``
     makes xd the smallest.  The result is a total order on N^d compatible
-    with addition, refining the weight comparison.
+    with addition, refining the weight comparison.  Keys compare the weights
+    scaled to integers (``int_weights``), which induces the same order.
     """
 
-    __slots__ = ("weights", "tiebreak")
+    __slots__ = ("weights", "tiebreak", "int_weights")
 
     def __init__(self, weights, tiebreak="lex"):
         ws = tuple(Fraction(w) for w in weights)
@@ -49,6 +56,9 @@ class MonomialOrder:
             raise ValueError(f"unknown tiebreak {tiebreak!r}")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "tiebreak", tiebreak)
+        scale = lcm(*(w.denominator for w in ws))
+        object.__setattr__(self, "int_weights",
+                           tuple(w.numerator * (scale // w.denominator) for w in ws))
 
     def __setattr__(self, *a):
         raise AttributeError("MonomialOrder is immutable")
@@ -66,7 +76,7 @@ class MonomialOrder:
             tie = tuple(-k for k in e)
         else:
             tie = tuple(-k for k in reversed(e))
-        return (self.weight(e), sum(e), tie)
+        return (sum(w * k for w, k in zip(self.int_weights, e)), sum(e), tie)
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
@@ -137,6 +147,16 @@ class TruncatedSeries:
 
     def __setattr__(self, *a):
         raise AttributeError("TruncatedSeries is immutable")
+
+    @classmethod
+    def _clean(cls, dim, trunc, terms):
+        """Wrap terms the integer kernel produced: int exponent tuples of degree
+        <= trunc and nonzero Fraction coefficients, so nothing is left to check."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "dim", dim)
+        object.__setattr__(f, "trunc", trunc)
+        object.__setattr__(f, "terms", terms)
+        return f
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -248,8 +268,10 @@ class TruncatedSeries:
             return self.scale(other)
         self._check_dim(other)
         trunc = min(self.trunc, other.trunc)
-        terms = _mul_raw(self.terms, other.terms, trunc)
-        return TruncatedSeries(self.dim, trunc, terms)
+        if _exact_real(self.terms) and _exact_real(other.terms):
+            return TruncatedSeries._clean(self.dim, trunc,
+                                          _mul_exact(self.terms, other.terms, trunc))
+        return TruncatedSeries(self.dim, trunc, _mul_raw(self.terms, other.terms, trunc))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -336,6 +358,146 @@ def _mul_raw(ta, tb, trunc):
     return out
 
 
+# -- integer kernel for exact real coefficients ---------------------------------
+#
+# An operand whose coefficients are all int or Fraction is lifted once to integer
+# numerators over the lcm of its denominators, and its exponents are packed into
+# ints; the products below then add packed keys and multiply Python ints, and
+# each output coefficient becomes a normalised Fraction once.
+
+def _exact_real(terms):
+    """True when every coefficient is an int or a Fraction (the integer kernel's domain)."""
+    return all(isinstance(c, _EXACT_REAL) for c in terms.values())
+
+
+def _lift(terms):
+    """Exact real terms as integer numerators over the lcm of their denominators."""
+    den = lcm(*{c.denominator for c in terms.values()})
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+class _Packing:
+    """Exponents of total degree <= trunc packed into ints.
+
+    Each variable gets a bit field, with one spare bit so that the sum of two
+    in-window exponents never carries into the next field, and the total
+    degree sits in the top field: adding keys multiplies monomials, and
+    sorting keys sorts by total degree first.
+    """
+
+    __slots__ = ("width", "shifts", "top", "mask")
+
+    def __init__(self, dim, trunc):
+        self.width = width = max(trunc, 1).bit_length() + 1
+        self.shifts = tuple(range(0, dim * width, width))
+        self.top = dim * width
+        self.mask = (1 << width) - 1
+
+    def pack(self, e):
+        key = sum(e) << self.top
+        for k, shift in zip(e, self.shifts):
+            key |= k << shift
+        return key
+
+    def unpack(self, key):
+        mask = self.mask
+        return tuple((key >> shift) & mask for shift in self.shifts)
+
+    def fractions(self, numerators, den):
+        """Packed numerators over den -> exponent tuple -> normalised Fraction."""
+        unpack = self.unpack
+        return {unpack(k): Fraction(n, den) for k, n in numerators.items() if n}
+
+
+def _operand(pairs, trunc, top):
+    """(key, numerator) pairs sorted by key, and for each degree r <= trunc the
+    number of pairs of degree <= r: the right operand of :func:`_imul`."""
+    pairs = sorted(pairs)
+    keys = [k for k, _ in pairs]
+    return pairs, [bisect_left(keys, (r + 1) << top) for r in range(trunc + 1)]
+
+
+def _pack_terms(terms, packing, trunc):
+    """Lift exact real terms: an :func:`_operand` of the terms of degree <= trunc,
+    and their denominator."""
+    num, den = _lift(terms)
+    pack = packing.pack
+    return _operand([(pack(e), n) for e, n in num.items() if sum(e) <= trunc],
+                    trunc, packing.top), den
+
+
+def _imul(a, b, trunc, top):
+    """Product of packed integer polynomials without terms of degree > trunc.
+
+    ``a`` is any iterable of (key, numerator) pairs of degree <= trunc and
+    ``b`` an :func:`_operand`: the partners of a term of degree k are a prefix
+    of its pairs.
+    """
+    pairs, upto = b
+    out = {}
+    get = out.get
+    for ka, na in a:
+        for kb, nb in pairs[:upto[trunc - (ka >> top)]]:
+            k = ka + kb
+            out[k] = get(k, 0) + na * nb
+    return out
+
+
+def _mul_exact(ta, tb, trunc):
+    """:func:`_mul_raw` for exact real terms, on the integer kernel."""
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    if not ta or trunc < 0:
+        return {}
+    packing = _Packing(len(next(iter(ta))), trunc)
+    (a, _), da = _pack_terms(ta, packing, trunc)
+    b, db = _pack_terms(tb, packing, trunc)
+    return packing.fractions(_imul(a, b, trunc, packing.top), da * db)
+
+
+def _substitute_exact(f, images, out_trunc):
+    """:func:`substitute` on int numerators, every piece brought to one denominator.
+
+    With ``den_i`` the denominator of image i and ``top_i`` the largest
+    exponent of x_i in f, a term of f with exponent e is scaled by
+    ``prod_i den_i**(top_i - e_i)``, so that all pieces share the denominator
+    ``den_f * prod_i den_i**top_i``.
+    """
+    if not f.terms or out_trunc < 0:
+        return {}
+    packing = _Packing(images[0].dim, out_trunc)
+    top = packing.top
+    lifted = [_pack_terms(g.terms, packing, out_trunc) for g in images]
+    tops = [max(e[i] for e in f.terms) for i in range(f.dim)]
+    scales = [[den ** (t - k) for k in range(t + 1)]
+              for (_, den), t in zip(lifted, tops)]
+    one = _operand([(0, 1)], out_trunc, top)
+    powers = [[one] for _ in images]  # powers[i][n]: image_i^n over den_i^n
+
+    def power(i, n):
+        cache = powers[i]
+        while len(cache) <= n:
+            product = _imul(cache[-1][0], lifted[i][0], out_trunc, top)
+            cache.append(_operand([kv for kv in product.items() if kv[1]], out_trunc, top))
+        return cache[n]
+
+    num, den = _lift(f.terms)
+    acc = {}
+    get = acc.get
+    for e, n in num.items():
+        for i, k in enumerate(e):
+            n *= scales[i][k]
+        piece = ((0, n),)
+        for i, k in enumerate(e):
+            if k:
+                piece = _imul(piece, power(i, k), out_trunc, top).items()
+        for key, c in piece:
+            acc[key] = get(key, 0) + c
+    for (_, d), t in zip(lifted, tops):
+        den *= d ** t
+    return packing.fractions(acc, den)
+
+
 def substitute(f, images, out_trunc=None):
     """Compose f with the given image series, one per variable of f.
 
@@ -362,6 +524,8 @@ def substitute(f, images, out_trunc=None):
                 "substitution with unit images cannot certify any output "
                 "coefficient; pass out_trunc to assert polynomial inputs")
 
+    if _exact_real(f.terms) and all(_exact_real(g.terms) for g in images):
+        return TruncatedSeries._clean(d2, out_trunc, _substitute_exact(f, images, out_trunc))
     one = {(0,) * d2: 1}
     caches = [{0: one} for _ in range(f.dim)]
 

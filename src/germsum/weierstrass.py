@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DimensionMismatchError, ZeroGermError
 from .scalars import is_zero, sadd, sdiv, smul, sneg
-from .series import MonomialOrder, TruncatedSeries, series_from_json, series_to_json, v_ell
+from .series import (MonomialOrder, TruncatedSeries, _exact_real, _lift, _Packing,
+                     series_from_json, series_to_json, v_ell)
 
 
 class Germ:
@@ -88,10 +90,22 @@ def wdivide(g, germ):
     if g.dim != germ.dim:
         raise DimensionMismatchError(
             f"series has {g.dim} variables, germ has {germ.dim}")
+    trunc = g.trunc
+    q_trunc = max(trunc - germ.lead_degree, -1)
+    if _exact_real(g.terms) and _exact_real(germ.p.terms):
+        quot, rem = _wdivide_exact(g.terms, germ, trunc)
+        return DivisionResult(TruncatedSeries._clean(g.dim, q_trunc, quot),
+                              TruncatedSeries._clean(g.dim, trunc, rem))
+    quot, rem = _wdivide_funnel(g.terms, germ, trunc)
+    return DivisionResult(TruncatedSeries(g.dim, q_trunc, quot),
+                          TruncatedSeries(g.dim, trunc, rem))
+
+
+def _wdivide_funnel(terms, germ, trunc):
+    """The elimination on QQi or float coefficients, through the s* funnel."""
     lead = germ.lead_exp
     lc = germ.lead_coeff
     key = germ.order.key
-    trunc = g.trunc
 
     def in_cone(e):
         return all(ei >= li for ei, li in zip(e, lead))
@@ -100,7 +114,7 @@ def wdivide(g, germ):
     # terms larger than the one it cancels, so each quotient exponent is set
     # once; rem never holds a zero, as cancelled entries are deleted.
     neg_tail = {e: sneg(c) for e, c in germ.p.terms.items() if e != lead}
-    rem = dict(g.terms)
+    rem = dict(terms)
     quot = {}
     heap = [(key(e), e) for e in rem if in_cone(e)]
     heapq.heapify(heap)
@@ -126,9 +140,99 @@ def wdivide(g, germ):
                 rem[e2] = delta
                 if in_cone(e2):
                     heapq.heappush(heap, (key(e2), e2))
-    q = TruncatedSeries(g.dim, max(trunc - germ.lead_degree, -1), quot)
-    r = TruncatedSeries(g.dim, trunc, rem)
-    return DivisionResult(q, r)
+    return quot, rem
+
+
+def _wdivide_exact(terms, germ, trunc):
+    """The same elimination on int numerators (sparse division with a heap).
+
+    P is scaled to integer coefficients with lead L.  A remainder term is a
+    pair ``(n, j)`` standing for ``n / (den_g * L**j)``: cancelling it against
+    ``(term / lead monomial) * P`` adds terms of generation ``j + 1``, and two
+    generations meeting on one exponent are aligned by a power of L.  Heap
+    entries are ints: the order key (linear in the exponent, valid up to
+    degree trunc) above the packed exponent.
+    """
+    lead = germ.lead_exp
+    d = len(lead)
+    if sum(lead) > trunc:
+        return {}, dict(terms)
+    packing = _Packing(d, trunc)
+    pack = packing.pack
+    # the top bit of each exponent field: (p | guard) - plead keeps it in every
+    # field where p's exponent is >= lead's, i.e. p lies in the cone
+    guard = sum(1 << (shift + packing.width - 1) for shift in packing.shifts)
+    # key = weight * R**(d+1) + degree * R**d + tiebreak digits in base R = trunc + 1,
+    # the tiebreak digit of x_i being -e_i; this orders in-window exponents as
+    # MonomialOrder.key does
+    radix = trunc + 1
+    order = germ.order
+    place = range(d - 1, -1, -1) if order.tiebreak == "lex" else range(d)
+    alpha = [w * radix ** (d + 1) + radix ** d - radix ** pos
+             for w, pos in zip(order.int_weights, place)]
+
+    def okey(e):
+        return sum(a * k for a, k in zip(alpha, e))
+
+    key_bits = packing.top + packing.width
+    key_mask = (1 << key_bits) - 1
+    p_num, p_den = _lift(germ.p.terms)
+    big_l = p_num[lead]
+    plead, klead = pack(lead), okey(lead)
+    tail = [(pack(e), okey(e) - klead, -c) for e, c in p_num.items()
+            if e != lead and sum(e) <= trunc]
+    top = packing.top
+    g_num, g_den = _lift(terms)
+    rem = {}
+    heap = []
+    for e, n in g_num.items():
+        p = pack(e)
+        rem[p] = (n, 0)
+        if ((p | guard) - plead) & guard == guard:
+            heap.append((okey(e) << key_bits) | p)
+    heapq.heapify(heap)
+    quot = []
+    while heap:
+        entry = heapq.heappop(heap)
+        p = entry & key_mask
+        t = rem.pop(p, None)
+        if t is None:
+            continue
+        n, j = t
+        m = p - plead
+        quot.append((m, n, j))
+        k = entry >> key_bits
+        j1 = j + 1
+        for pt, dk, b in tail:
+            p2 = m + pt
+            if p2 >> top > trunc:
+                continue
+            delta = n * b
+            t2 = rem.get(p2)
+            if t2 is None:
+                rem[p2] = (delta, j1)
+                if ((p2 | guard) - plead) & guard == guard:
+                    heapq.heappush(heap, ((k + dk) << key_bits) | p2)
+                continue
+            n2, j2 = t2
+            if j2 < j1:
+                n2 = n2 * big_l ** (j1 - j2) + delta
+                j2 = j1
+            elif j2 > j1:
+                n2 += delta * big_l ** (j2 - j1)
+            else:
+                n2 += delta
+            if n2:
+                rem[p2] = (n2, j2)
+            else:
+                del rem[p2]
+    unpack = packing.unpack
+    dens = [g_den]  # dens[j]: den_g * L**j
+    for j in range(1 + max((j for _, _, j in quot), default=0)):
+        dens.append(dens[-1] * big_l)
+    quot = {unpack(m): Fraction(n * p_den, dens[j + 1]) for m, n, j in quot}
+    rem = {unpack(p): Fraction(n, dens[j]) for p, (n, j) in rem.items()}
+    return quot, rem
 
 
 class PExpansion:

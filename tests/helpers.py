@@ -1,9 +1,13 @@
-"""Shared test utilities: random instances and the independent expansion oracle."""
+"""Shared test utilities: random instances, term-by-term reference arithmetic
+and the independent expansion oracle."""
+import operator
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from germsum.scalars import QQi
 from germsum.series import MonomialOrder, TruncatedSeries
-from germsum.weierstrass import delta_member
+from germsum.weierstrass import Germ, delta_member
 
 
 def random_series(rng, dim, trunc, max_terms=10, complex_coeffs=False,
@@ -127,3 +131,148 @@ def expansion_oracle(f, germ, depth):
         if n < depth and c != 0:
             out[n][mexp] = c
     return out
+
+
+# -- term-by-term reference arithmetic ------------------------------------------------
+#
+# Plain dict-of-coefficients algorithms with the scalar operations passed in.
+# With the default operators they are an exact reference for any int, Fraction
+# or QQi data; passed the sadd/smul/sdiv/sneg funnel they perform the float
+# operations in the order the library's funnel path performs them.
+
+def exact_div(a, b):
+    return (a * Fraction(1)) / b  # int / int would give a float
+
+
+def nonzero(terms):
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def ref_mul(ta, tb, trunc, add=operator.add, mul=operator.mul):
+    """Truncated product: the smaller operand outer, both in dict order."""
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(map(operator.add, ea, eb))
+            if sum(e) <= trunc:
+                c = mul(ca, cb)
+                out[e] = add(out[e], c) if e in out else c
+    return out
+
+
+def ref_substitute(f_terms, image_terms, out_trunc, add=operator.add, mul=operator.mul):
+    """sum over the terms of f (sorted) of c * prod_i image_i^k_i, powers by repeated products."""
+    one = (0,) * len(next(iter(image_terms[0])))
+    acc = {}
+    for e in sorted(f_terms):
+        piece = {one: f_terms[e]}
+        for img, k in zip(image_terms, e):
+            if k:
+                power = {one: 1}
+                for _ in range(k):
+                    power = ref_mul(power, img, out_trunc, add, mul)
+                piece = ref_mul(piece, power, out_trunc, add, mul)
+        for e2, c in piece.items():
+            acc[e2] = add(acc[e2], c) if e2 in acc else c
+    return acc
+
+
+def ref_order_key(weights, tiebreak):
+    """(weighted degree with Fraction weights, degree, tiebreak) written out afresh."""
+    ws = [Fraction(w) for w in weights]
+
+    def key(e):
+        tie = tuple(-k for k in (e if tiebreak == "lex" else reversed(e)))
+        return (sum(w * k for w, k in zip(ws, e)), sum(e), tie)
+    return key
+
+
+def ref_wdivide(g_terms, p_terms, key, trunc, add=operator.add, mul=operator.mul,
+                div=exact_div, neg=operator.neg):
+    """Cancel the key-minimal in-cone term (found by a scan) until none is left."""
+    lead = min(p_terms, key=key)
+    lc = p_terms[lead]
+    rem, quot = dict(g_terms), {}
+    while True:
+        cone = [e for e in rem if all(a >= b for a, b in zip(e, lead))]
+        if not cone:
+            return quot, rem
+        e = min(cone, key=key)
+        m = tuple(a - b for a, b in zip(e, lead))
+        factor = quot[m] = div(rem.pop(e), lc)
+        for be, bc in p_terms.items():
+            e2 = tuple(map(operator.add, m, be))
+            if be == lead or sum(e2) > trunc:
+                continue
+            delta = mul(factor, neg(bc))
+            c = add(rem[e2], delta) if e2 in rem else delta
+            if c == 0:
+                rem.pop(e2, None)
+            else:
+                rem[e2] = c
+
+
+def ref_p_expand(f_terms, p_terms, key, trunc, depth):
+    """Remainders of ``depth`` reference divisions, each of the previous quotient."""
+    lead_degree = sum(min(p_terms, key=key))
+    coeffs, cur = [], f_terms
+    for _ in range(depth):
+        cur, rem = ref_wdivide(cur, p_terms, key, trunc)
+        coeffs.append(rem)
+        trunc = max(trunc - lead_degree, -1)
+    return coeffs
+
+
+# -- hypothesis strategies for the integer kernel -------------------------------------
+
+COPRIME_DENS = (1, 7, 11, 13, 17, 19)
+LEAD_COEFFS = (Fraction(9, 4), Fraction(-7, 3), 1, -5)
+WEIGHTS = (1, 2, Fraction(3, 2), Fraction(2, 3), Fraction(5, 4))
+# (dimension, truncation) pairs the properties draw from
+SHAPES = ((2, 8), (3, 5))
+
+
+@st.composite
+def exact_coeffs(draw, qqi=False):
+    """A nonzero int or Fraction over one of COPRIME_DENS; with qqi, sometimes a QQi."""
+    num = draw(st.integers(-40, 40).filter(bool))
+    den = draw(st.sampled_from(COPRIME_DENS))
+    c = num if den == 1 else Fraction(num, den)
+    if qqi and draw(st.booleans()):
+        c = QQi(c, Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(COPRIME_DENS))))
+    return c
+
+
+@st.composite
+def exponents(draw, dim, top, min_degree=0):
+    e, left = [], top
+    for _ in range(dim):
+        k = draw(st.integers(0, left))
+        e.append(k)
+        left -= k
+    if sum(e) < min_degree:
+        e[0] += min_degree - sum(e)
+    return tuple(draw(st.permutations(e)))
+
+
+@st.composite
+def exact_series(draw, dim, trunc, top=None, qqi=False, min_degree=0, min_terms=0,
+                 max_terms=12):
+    """A series with terms of degree min_degree..top (default trunc) at truncation trunc."""
+    exps = draw(st.lists(exponents(dim, trunc if top is None else top, min_degree),
+                         min_size=min_terms, max_size=max_terms, unique=True))
+    return TruncatedSeries(dim, trunc, {e: draw(exact_coeffs(qqi)) for e in exps})
+
+
+@st.composite
+def exact_germs(draw, dim, trunc, qqi=False):
+    """A germ of degree <= 3 with a non-unit lead coefficient and non-integer weights."""
+    weights = [draw(st.sampled_from(WEIGHTS)) for _ in range(dim)]
+    tiebreak = draw(st.sampled_from(("lex", "revlex")))
+    p = draw(exact_series(dim, trunc, top=3, qqi=qqi, min_degree=1, min_terms=1,
+                          max_terms=5))
+    terms = dict(p.terms)
+    terms[min(terms, key=ref_order_key(weights, tiebreak))] = draw(st.sampled_from(LEAD_COEFFS))
+    return Germ(TruncatedSeries(dim, trunc, terms), MonomialOrder(weights, tiebreak))

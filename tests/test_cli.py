@@ -72,6 +72,28 @@ def test_blowup_output_independent_of_center_spelling(files, capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_non_finite_center_refused(files, capsys):
+    f = files("f.json", series_to_json(TS(2, 4, {(1, 1): 1, (1, 0): Fraction(1, 3)})))
+    for xi in ("nan", "-inf", "nan+1j"):
+        assert cli_main(["blowup", f"--xi={xi}", f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite scalar" in captured.err
+    # the chart at infinity is spelled "inf" and is resolved before any parsing
+    code, out = run(capsys, ["blowup", "--xi", "inf", f])
+    assert code == 0 and series_from_json(out).terms == {(1, 2): 1, (1, 1): Fraction(1, 3)}
+
+
+def test_non_finite_json_coefficient_refused(tmp_path, capsys):
+    for coeff in (float("nan"), {"re": 1.0, "im": float("inf")}):
+        path = tmp_path / "f.json"
+        # json.dumps writes the non-standard NaN / Infinity tokens json.load accepts
+        path.write_text(json.dumps({"dim": 2, "trunc": 4, "terms": [
+            {"exp": [1, 1], "coeff": "1"}, {"exp": [1, 0], "coeff": coeff}]}))
+        assert cli_main(["ramify", "--k", "2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite scalar" in captured.err
+
+
 def test_dominant(files, capsys):
     p = files("p.json", series_to_json(TS(2, 10, {(1, 1): 1})))
     code, out = run(capsys, ["dominant", p])

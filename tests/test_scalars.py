@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from germsum.scalars import (QQi, is_exact, is_zero, sadd, scalar_eq, sdiv,
-                             smul, sneg, to_mpc, working_prec)
+from germsum.scalars import (QQi, is_exact, is_zero, parse_scalar, sadd, scalar_eq,
+                             scalar_from_json, sdiv, smul, sneg, to_mpc, working_prec)
 
 ints = st.integers(-60, 60)
 fractions = st.fractions(min_value=-60, max_value=60, max_denominator=40)
@@ -126,3 +126,16 @@ class TestFloatOperand:
                 z = to_mpc(x)
                 assert z._mpc_ == wp_mpc(x)._mpc_
                 assert z.real._mpf_[3] > 53
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "+inf", "nan+1j", "1-infj"])
+def test_parse_scalar_refuses_non_finite(text):
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("obj", [float("nan"), float("inf"), -float("inf"),
+                                 {"re": float("nan"), "im": 0.0}, {"re": 1.0, "im": float("-inf")}])
+def test_scalar_from_json_refuses_non_finite(obj):
+    with pytest.raises(ValueError, match="non-finite"):
+        scalar_from_json(obj)

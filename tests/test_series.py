@@ -12,7 +12,8 @@ from germsum.scalars import QQi, parse_scalar
 from germsum.series import (MonomialOrder, TruncatedSeries, majorant_norm,
                             series_from_json, series_to_json, substitute, v_ell)
 
-from helpers import random_series
+from helpers import (SHAPES, exact_series, nonzero, random_series, ref_mul,
+                     ref_substitute)
 
 TS = TruncatedSeries
 
@@ -116,6 +117,42 @@ class TestSubstitute:
             sf, sg = substitute(f, images), substitute(g, images)
             assert substitute(f * g, images).agrees_with(sf * sg)
             assert substitute(f + g, images).agrees_with(sf + sg)
+
+
+class TestIntegerKernel:
+    """int/Fraction data (the integer kernel) and QQi data (the s* funnel)
+    against the term-by-term reference of tests/helpers.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mul_matches_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        qqi = data.draw(st.booleans())
+        a = data.draw(exact_series(dim, trunc, qqi=qqi))
+        b = data.draw(exact_series(dim, data.draw(st.integers(trunc - 2, trunc)), qqi=qqi))
+        prod = a * b
+        assert prod.trunc == min(a.trunc, b.trunc)
+        assert prod.terms == nonzero(ref_mul(a.terms, b.terms, prod.trunc))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_substitute_matches_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        dim2, trunc2 = data.draw(st.sampled_from(SHAPES))
+        qqi = data.draw(st.booleans())
+        f = data.draw(exact_series(dim, trunc, qqi=qqi))
+        images = [data.draw(exact_series(dim2, trunc2, top=3, qqi=qqi, min_degree=1,
+                                         min_terms=1, max_terms=4)) for _ in range(dim)]
+        if data.draw(st.booleans()):
+            # an affine image: the output truncation must be asserted
+            shifted = dict(images[0].terms)
+            shifted[(0,) * dim2] = data.draw(st.sampled_from((Fraction(2, 3), -3)))
+            images[0] = TS(dim2, trunc2, shifted)
+            out = substitute(f, images, out_trunc=trunc2)
+        else:
+            out = substitute(f, images)
+        ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc) if f.terms else {}
+        assert out.terms == nonzero(ref)
 
 
 class TestVEll:

@@ -3,14 +3,19 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germsum.errors import DimensionMismatchError, ZeroGermError
-from germsum.series import MonomialOrder, TruncatedSeries, series_to_json
+from germsum.scalars import sadd, sdiv, smul, sneg
+from germsum.series import MonomialOrder, TruncatedSeries, series_to_json, substitute
 from germsum.weierstrass import (Germ, PExpansion, delta_member, p_expand,
                                  t_substitute, wdivide)
 
-from helpers import expansion_oracle, fixed_germs, random_series
+from helpers import (SHAPES, exact_germs, exact_series, expansion_oracle, fixed_germs,
+                     random_series, ref_mul, ref_order_key, ref_p_expand, ref_substitute,
+                     ref_wdivide)
 
 TS = TruncatedSeries
 
@@ -115,6 +120,71 @@ class TestWdivide:
                 g = random_series(rng, 2, 12)
                 res = wdivide(g, germ)
                 assert all(delta_member(e, germ) for e in res.r.terms)
+
+
+class TestIntegerKernel:
+    """int/Fraction data (the integer kernel) and QQi data (the s* funnel)
+    against the term-by-term reference of tests/helpers.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wdivide_matches_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        qqi = data.draw(st.booleans())
+        germ = data.draw(exact_germs(dim, trunc, qqi=qqi))
+        g = data.draw(exact_series(dim, trunc, qqi=qqi, max_terms=30))
+        key = ref_order_key(germ.order.weights, germ.order.tiebreak)
+        assert germ.lead_exp == min(germ.p.terms, key=key)
+        quot, rem = ref_wdivide(g.terms, germ.p.terms, key, trunc)
+        res = wdivide(g, germ)
+        assert res.q.terms == quot
+        assert res.r.terms == rem
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_p_expand_matches_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        qqi = data.draw(st.booleans())
+        germ = data.draw(exact_germs(dim, trunc, qqi=qqi))
+        f = data.draw(exact_series(dim, trunc, qqi=qqi, max_terms=30))
+        key = ref_order_key(germ.order.weights, germ.order.tiebreak)
+        expansion = p_expand(f, germ, 4)
+        ref = ref_p_expand(f.terms, germ.p.terms, key, trunc, 4)
+        assert [g.terms for g in expansion.coeffs] == ref
+
+
+def test_float_path_matches_funnel_reference():
+    """mpc data keeps the s* funnel: *, substitute and wdivide give the bits of
+    the reference run on sadd/smul/sdiv/sneg (a germ-sum style scaled input)."""
+    depth, a = 8, Fraction(-1, 2)
+    trunc = 2 * (depth - 1)
+    p = TS(2, trunc, {(2, 0): 1, (1, 1): Fraction(3, 4), (0, 2): Fraction(-3, 4)})
+    f = TS.zero(2, trunc)
+    for m in range(depth - 1):
+        f = f + p ** (m + 1) * (factorial(m) * a ** m)
+    with mpmath.mp.workprec(128):
+        lam = mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(-1) / 7)
+    images = [TS(2, trunc, {(1, 0): lam}), TS(2, trunc, {(0, 1): lam})]
+
+    def bits(s):
+        assert all(isinstance(c, mpmath.mpc) for c in s.terms.values())
+        return {e: c._mpc_ for e, c in s.terms.items()}
+
+    def ref_sub(g):
+        out = substitute(g, images)
+        ref = ref_substitute(g.terms, [im.terms for im in images], out.trunc, sadd, smul)
+        assert bits(out) == bits(TS(2, out.trunc, ref))
+        return out
+
+    fs, ps = ref_sub(f), ref_sub(p)
+    assert bits(fs * ps) == bits(TS(2, trunc, ref_mul(fs.terms, ps.terms, trunc, sadd, smul)))
+    germ = Germ(ps, MonomialOrder((1, 1)))
+    res = wdivide(fs, germ)
+    quot, rem = ref_wdivide(fs.terms, ps.terms, ref_order_key((1, 1), "lex"), trunc,
+                            sadd, smul, sdiv, sneg)
+    assert bits(res.q) == bits(TS(2, res.q.trunc, quot))
+    assert bits(res.r) == bits(TS(2, trunc, rem))
+    assert len(res.q.terms) > 20 and len(res.r.terms) > 5
 
 
 class TestPExpand:
