@@ -256,7 +256,7 @@ def _verify(name, trunc):
                                       ex.notes["beta"], ex.notes["k"])
         out["formal"] = report.to_json()
         ok = (report.details["divisible_by_stated_rhs"]
-              and report.details["stated_form_discrepancy"])
+              and report.details["cofactor_is_x1"])
     out["pass"] = ok
     _emit(out)
     return 0 if ok else 1

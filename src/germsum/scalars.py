@@ -8,11 +8,13 @@ Three kinds of scalars circulate in this package:
 
 Exact scalars support equality tests; floats carry their precision in the
 mpmath representation.  One promotion rule: exact stays exact, and anything
-touching a float becomes an ``mpc`` at :func:`working_prec`.  The exact half
-is carried by :class:`QQi`'s operators, which promote ``int`` and
-``Fraction`` operands to ``QQi``; the float half is the float branch of the
-``s*`` helpers below, through which all series code funnels coefficient
-arithmetic.
+touching a float becomes an ``mpc`` at :func:`working_prec`.  :class:`QQi`'s
+operators carry it: they promote ``int`` and ``Fraction`` operands to
+``QQi`` and an mpmath operand the other way, so plain ``+`` and ``*`` follow
+the rule on every pair the series kernel meets (``int`` and ``Fraction``
+meet mpmath through mpmath itself, which the kernel runs at the working
+precision).  The ``s*`` helpers below apply the rule to any two scalars,
+each call at the working precision.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ def _wp():
     return mp.workprec(working_prec())
 
 _EXACT_REAL = (int, Fraction)
+_FLOAT = (mpmath.mpf, mpmath.mpc)
 
 
 class QQi:
@@ -55,6 +58,9 @@ class QQi:
             return QQi(self.re + other.re, self.im + other.im)
         if isinstance(other, _EXACT_REAL):
             return QQi(self.re + other, self.im)
+        if isinstance(other, _FLOAT):
+            with _wp():
+                return to_mpc(self) + other
         return NotImplemented
 
     __radd__ = __add__
@@ -62,9 +68,14 @@ class QQi:
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
+    def __bool__(self):
+        return bool(self.re or self.im)
+
     def __sub__(self, other):
-        o = other if isinstance(other, QQi) else QQi(other)
-        return QQi(self.re - o.re, self.im - o.im)
+        if isinstance(other, _FLOAT):
+            with _wp():
+                return to_mpc(self) - other
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -75,6 +86,9 @@ class QQi:
                        self.re * other.im + self.im * other.re)
         if isinstance(other, _EXACT_REAL):
             return QQi(self.re * other, self.im * other)
+        if isinstance(other, _FLOAT):
+            with _wp():
+                return to_mpc(self) * other
         return NotImplemented
 
     __rmul__ = __mul__

@@ -14,15 +14,16 @@ never claims accuracy beyond what the operands certify:
   (a "representative") may override via ``out_trunc`` / ``with_trunc``.
 
 Coefficients are exact rationals, exact complex rationals or mpmath
-complex floats; see :mod:`germsum.scalars`.  The coefficient domain picks the
-arithmetic: when every coefficient of the operands is an ``int`` or a
-``Fraction``, products and substitutions run on integer numerators over one
-denominator per operand (the integer kernel below); exact complex and float
-data go through the ``s*`` funnel of :mod:`germsum.scalars`.
+complex floats; see :mod:`germsum.scalars`.  Products and substitutions
+run on one series kernel (below) for every coefficient domain; the domain
+picks only how coefficients enter it and leave it: integer numerators over
+one denominator per operand when every coefficient is an ``int`` or a
+``Fraction``, the coefficients themselves at the working precision otherwise.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import nullcontext
 from fractions import Fraction
 from math import lcm
 
@@ -31,8 +32,8 @@ from mpmath import mp
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
 from . import scalars
-from .scalars import (_EXACT_REAL, is_zero, sabs, sabs_float, sadd, scalar_eq,
-                      scalar_from_json, scalar_to_json, smul, sneg)
+from .scalars import (_EXACT_REAL, _wp, is_zero, sabs, sabs_float, sadd, scalar_eq,
+                      scalar_from_json, scalar_to_json, smul, sneg, to_mpc)
 
 
 class MonomialOrder:
@@ -150,8 +151,8 @@ class TruncatedSeries:
 
     @classmethod
     def _clean(cls, dim, trunc, terms):
-        """Wrap terms the integer kernel produced: int exponent tuples of degree
-        <= trunc and nonzero Fraction coefficients, so nothing is left to check."""
+        """Wrap terms the kernel's exact finish produced: int exponent tuples of
+        degree <= trunc and nonzero Fraction coefficients, so nothing is left to check."""
         f = object.__new__(cls)
         object.__setattr__(f, "dim", dim)
         object.__setattr__(f, "trunc", trunc)
@@ -267,11 +268,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_dim(other)
-        trunc = min(self.trunc, other.trunc)
-        if _exact_real(self.terms) and _exact_real(other.terms):
-            return TruncatedSeries._clean(self.dim, trunc,
-                                          _mul_exact(self.terms, other.terms, trunc))
-        return TruncatedSeries(self.dim, trunc, _mul_raw(self.terms, other.terms, trunc))
+        return _mul(self.terms, other.terms, self.dim, min(self.trunc, other.trunc))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -343,37 +340,35 @@ def _fmt_term(e, c):
     return f"({c})" + (f"*{mono}" if mono else "")
 
 
-def _mul_raw(ta, tb, trunc):
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    out = {}
-    for ea, ca in ta.items():
-        da = sum(ea)
-        for eb, cb in tb.items():
-            if da + sum(eb) > trunc:
-                continue
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = smul(ca, cb)
-            out[e] = sadd(out[e], c) if e in out else c
-    return out
-
-
-# -- integer kernel for exact real coefficients ---------------------------------
+# -- the series kernel -------------------------------------------------------------
 #
-# An operand whose coefficients are all int or Fraction is lifted once to integer
-# numerators over the lcm of its denominators, and its exponents are packed into
-# ints; the products below then add packed keys and multiply Python ints, and
-# each output coefficient becomes a normalised Fraction once.
+# Products, substitutions and divisions run on the loops below for every
+# coefficient domain, with exponents packed into ints.  The domain picks only the
+# lift and the finish.  When every coefficient is an int or a Fraction, an operand
+# is lifted once to integer numerators over the lcm of its denominators and each
+# output coefficient becomes a normalised Fraction once.  Other data keep their
+# coefficients (floats as mpc), the loops run at the working precision, and the
+# output goes through the TruncatedSeries constructor, which prunes relatively
+# negligible float terms.
 
 def _exact_real(terms):
-    """True when every coefficient is an int or a Fraction (the integer kernel's domain)."""
+    """True when every coefficient is an int or a Fraction (the integer lift's domain)."""
     return all(isinstance(c, _EXACT_REAL) for c in terms.values())
 
 
-def _lift(terms):
-    """Exact real terms as integer numerators over the lcm of their denominators."""
+def _lift(terms, exact):
+    """The kernel's coefficients of ``terms`` and their common denominator: integer
+    numerators over the lcm of the denominators for exact real data, else the
+    coefficients themselves (floats as mpc) over 1."""
+    if not exact:
+        return {e: c if scalars.is_exact(c) else to_mpc(c) for e, c in terms.items()}, 1
     den = lcm(*{c.denominator for c in terms.values()})
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _kernel_prec(exact):
+    """Float data runs at the working precision; exact data needs no context."""
+    return nullcontext() if exact else _wp()
 
 
 class _Packing:
@@ -403,10 +398,15 @@ class _Packing:
         mask = self.mask
         return tuple((key >> shift) & mask for shift in self.shifts)
 
-    def fractions(self, numerators, den):
-        """Packed numerators over den -> exponent tuple -> normalised Fraction."""
+    def finish(self, trunc, numerators, den, exact):
+        """The series of packed numerators over den: each coefficient a normalised
+        Fraction for exact real data, else through the constructor."""
         unpack = self.unpack
-        return {unpack(k): Fraction(n, den) for k, n in numerators.items() if n}
+        if exact:
+            return TruncatedSeries._clean(len(self.shifts), trunc, {
+                unpack(k): Fraction(n, den) for k, n in numerators.items() if n})
+        return TruncatedSeries(len(self.shifts), trunc,
+                               {unpack(k): n for k, n in numerators.items()})
 
 
 def _operand(pairs, trunc, top):
@@ -417,17 +417,17 @@ def _operand(pairs, trunc, top):
     return pairs, [bisect_left(keys, (r + 1) << top) for r in range(trunc + 1)]
 
 
-def _pack_terms(terms, packing, trunc):
-    """Lift exact real terms: an :func:`_operand` of the terms of degree <= trunc,
-    and their denominator."""
-    num, den = _lift(terms)
+def _pack_terms(terms, packing, trunc, exact):
+    """Lift terms: an :func:`_operand` of the terms of degree <= trunc, and their
+    denominator."""
+    num, den = _lift(terms, exact)
     pack = packing.pack
     return _operand([(pack(e), n) for e, n in num.items() if sum(e) <= trunc],
                     trunc, packing.top), den
 
 
 def _imul(a, b, trunc, top):
-    """Product of packed integer polynomials without terms of degree > trunc.
+    """Product of packed polynomials without terms of degree > trunc.
 
     ``a`` is any iterable of (key, numerator) pairs of degree <= trunc and
     ``b`` an :func:`_operand`: the partners of a term of degree k are a prefix
@@ -443,31 +443,31 @@ def _imul(a, b, trunc, top):
     return out
 
 
-def _mul_exact(ta, tb, trunc):
-    """:func:`_mul_raw` for exact real terms, on the integer kernel."""
+def _mul(ta, tb, dim, trunc):
+    """The product of two term dicts without terms of degree > trunc, as a series."""
     if len(ta) > len(tb):
         ta, tb = tb, ta
+    exact = _exact_real(ta) and _exact_real(tb)
     if not ta or trunc < 0:
-        return {}
-    packing = _Packing(len(next(iter(ta))), trunc)
-    (a, _), da = _pack_terms(ta, packing, trunc)
-    b, db = _pack_terms(tb, packing, trunc)
-    return packing.fractions(_imul(a, b, trunc, packing.top), da * db)
+        return TruncatedSeries._clean(dim, trunc, {})
+    packing = _Packing(dim, trunc)
+    with _kernel_prec(exact):
+        (a, _), da = _pack_terms(ta, packing, trunc, exact)
+        b, db = _pack_terms(tb, packing, trunc, exact)
+        return packing.finish(trunc, _imul(a, b, trunc, packing.top), da * db, exact)
 
 
-def _substitute_exact(f, images, out_trunc):
-    """:func:`substitute` on int numerators, every piece brought to one denominator.
+def _substitute(f, images, out_trunc, exact):
+    """:func:`substitute` on packed numerators, every piece brought to one denominator.
 
     With ``den_i`` the denominator of image i and ``top_i`` the largest
     exponent of x_i in f, a term of f with exponent e is scaled by
     ``prod_i den_i**(top_i - e_i)``, so that all pieces share the denominator
-    ``den_f * prod_i den_i**top_i``.
+    ``den_f * prod_i den_i**top_i`` (1 for data that is not exact real).
     """
-    if not f.terms or out_trunc < 0:
-        return {}
     packing = _Packing(images[0].dim, out_trunc)
     top = packing.top
-    lifted = [_pack_terms(g.terms, packing, out_trunc) for g in images]
+    lifted = [_pack_terms(g.terms, packing, out_trunc, exact) for g in images]
     tops = [max(e[i] for e in f.terms) for i in range(f.dim)]
     scales = [[den ** (t - k) for k in range(t + 1)]
               for (_, den), t in zip(lifted, tops)]
@@ -478,16 +478,17 @@ def _substitute_exact(f, images, out_trunc):
         cache = powers[i]
         while len(cache) <= n:
             product = _imul(cache[-1][0], lifted[i][0], out_trunc, top)
-            cache.append(_operand([kv for kv in product.items() if kv[1]], out_trunc, top))
+            cache.append(_operand(product.items(), out_trunc, top))
         return cache[n]
 
-    num, den = _lift(f.terms)
+    num, den = _lift(f.terms, exact)
     acc = {}
     get = acc.get
     for e, n in num.items():
+        scale = 1
         for i, k in enumerate(e):
-            n *= scales[i][k]
-        piece = ((0, n),)
+            scale *= scales[i][k]
+        piece = ((0, n * scale if scale != 1 else n),)
         for i, k in enumerate(e):
             if k:
                 piece = _imul(piece, power(i, k), out_trunc, top).items()
@@ -495,7 +496,7 @@ def _substitute_exact(f, images, out_trunc):
             acc[key] = get(key, 0) + c
     for (_, d), t in zip(lifted, tops):
         den *= d ** t
-    return packing.fractions(acc, den)
+    return packing.finish(out_trunc, acc, den, exact)
 
 
 def substitute(f, images, out_trunc=None):
@@ -524,26 +525,11 @@ def substitute(f, images, out_trunc=None):
                 "substitution with unit images cannot certify any output "
                 "coefficient; pass out_trunc to assert polynomial inputs")
 
-    if _exact_real(f.terms) and all(_exact_real(g.terms) for g in images):
-        return TruncatedSeries._clean(d2, out_trunc, _substitute_exact(f, images, out_trunc))
-    one = {(0,) * d2: 1}
-    caches = [{0: one} for _ in range(f.dim)]
-
-    def power(i, n):
-        cache = caches[i]
-        if n not in cache:
-            cache[n] = _mul_raw(power(i, n - 1), images[i].terms, out_trunc)
-        return cache[n]
-
-    acc = {}
-    for e, c in f.sorted_terms():
-        piece = {(0,) * d2: c}
-        for i, k in enumerate(e):
-            if k:
-                piece = _mul_raw(piece, power(i, k), out_trunc)
-        for e2, c2 in piece.items():
-            acc[e2] = sadd(acc[e2], c2) if e2 in acc else c2
-    return TruncatedSeries(d2, out_trunc, acc)
+    if not f.terms or out_trunc < 0:
+        return TruncatedSeries._clean(d2, out_trunc, {})
+    exact = _exact_real(f.terms) and all(_exact_real(g.terms) for g in images)
+    with _kernel_prec(exact):
+        return _substitute(f, images, out_trunc, exact)
 
 
 def v_ell(f, order):
@@ -583,17 +569,24 @@ def series_to_json(f):
     }
 
 
+def _json_int(v):
+    """A JSON integer as an int; any other value (a float, a string, a bool) is refused."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
 def series_from_json(obj):
     try:
-        dim = int(obj["dim"])
-        trunc = int(obj["trunc"])
+        dim = _json_int(obj["dim"])
+        trunc = _json_int(obj["trunc"])
         raw = obj["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"series JSON missing/invalid field: {exc}") from exc
     terms = {}
     for i, item in enumerate(raw):
         try:
-            e = tuple(int(k) for k in item["exp"])
+            e = tuple(_json_int(k) for k in item["exp"])
             c = scalar_from_json(item["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"series JSON terms[{i}]: {exc}") from exc

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, ZeroGermError
-from .scalars import is_zero, sadd, sdiv, smul, sneg
-from .series import (MonomialOrder, TruncatedSeries, _exact_real, _lift, _Packing,
-                     series_from_json, series_to_json, v_ell)
+from .scalars import is_zero, sdiv
+from .series import (MonomialOrder, TruncatedSeries, _exact_real, _kernel_prec, _lift,
+                     _Packing, series_from_json, series_to_json, v_ell)
 
 
 class Germ:
@@ -90,73 +90,29 @@ def wdivide(g, germ):
     if g.dim != germ.dim:
         raise DimensionMismatchError(
             f"series has {g.dim} variables, germ has {germ.dim}")
-    trunc = g.trunc
-    q_trunc = max(trunc - germ.lead_degree, -1)
-    if _exact_real(g.terms) and _exact_real(germ.p.terms):
-        quot, rem = _wdivide_exact(g.terms, germ, trunc)
-        return DivisionResult(TruncatedSeries._clean(g.dim, q_trunc, quot),
-                              TruncatedSeries._clean(g.dim, trunc, rem))
-    quot, rem = _wdivide_funnel(g.terms, germ, trunc)
-    return DivisionResult(TruncatedSeries(g.dim, q_trunc, quot),
-                          TruncatedSeries(g.dim, trunc, rem))
+    if germ.lead_degree > g.trunc:
+        return DivisionResult(TruncatedSeries.zero(g.dim, -1), g)
+    exact = _exact_real(g.terms) and _exact_real(germ.p.terms)
+    with _kernel_prec(exact):
+        return _wdivide(g.terms, germ, g.trunc, exact)
 
 
-def _wdivide_funnel(terms, germ, trunc):
-    """The elimination on QQi or float coefficients, through the s* funnel."""
-    lead = germ.lead_exp
-    lc = germ.lead_coeff
-    key = germ.order.key
+def _wdivide(terms, germ, trunc, exact):
+    """The elimination on packed numerators (sparse division with a heap).
 
-    def in_cone(e):
-        return all(ei >= li for ei, li in zip(e, lead))
-
-    # the non-leading terms of -P, negated once per call.  A step adds only
-    # terms larger than the one it cancels, so each quotient exponent is set
-    # once; rem never holds a zero, as cancelled entries are deleted.
-    neg_tail = {e: sneg(c) for e, c in germ.p.terms.items() if e != lead}
-    rem = dict(terms)
-    quot = {}
-    heap = [(key(e), e) for e in rem if in_cone(e)]
-    heapq.heapify(heap)
-    while heap:
-        _, e = heapq.heappop(heap)
-        c = rem.pop(e, None)
-        if c is None:
-            continue
-        m = tuple(ei - li for ei, li in zip(e, lead))
-        factor = quot[m] = sdiv(c, lc)
-        for be, bc in neg_tail.items():
-            e2 = tuple(mi + bi for mi, bi in zip(m, be))
-            if sum(e2) > trunc:
-                continue
-            delta = smul(factor, bc)
-            if e2 in rem:
-                c2 = sadd(rem[e2], delta)
-                if is_zero(c2):
-                    del rem[e2]
-                else:
-                    rem[e2] = c2
-            else:
-                rem[e2] = delta
-                if in_cone(e2):
-                    heapq.heappush(heap, (key(e2), e2))
-    return quot, rem
-
-
-def _wdivide_exact(terms, germ, trunc):
-    """The same elimination on int numerators (sparse division with a heap).
-
-    P is scaled to integer coefficients with lead L.  A remainder term is a
-    pair ``(n, j)`` standing for ``n / (den_g * L**j)``: cancelling it against
-    ``(term / lead monomial) * P`` adds terms of generation ``j + 1``, and two
-    generations meeting on one exponent are aligned by a power of L.  Heap
-    entries are ints: the order key (linear in the exponent, valid up to
+    For exact real data P is scaled to integer coefficients with lead L.  A
+    remainder term is a pair ``(n, j)`` standing for ``n / (den_g * L**j)``:
+    cancelling it against ``(term / lead monomial) * P`` adds terms of
+    generation ``j + 1``, and two generations meeting on one exponent are
+    aligned by a power of L.  Other data divide P's tail by its lead
+    coefficient once, so L = 1 and ``n`` is the coefficient itself.  A step
+    adds only terms larger than the one it cancels, so each quotient exponent
+    is set once; rem never holds a zero, as cancelled entries are deleted.
+    Heap entries are ints: the order key (linear in the exponent, valid up to
     degree trunc) above the packed exponent.
     """
     lead = germ.lead_exp
     d = len(lead)
-    if sum(lead) > trunc:
-        return {}, dict(terms)
     packing = _Packing(d, trunc)
     pack = packing.pack
     # the top bit of each exponent field: (p | guard) - plead keeps it in every
@@ -176,13 +132,21 @@ def _wdivide_exact(terms, germ, trunc):
 
     key_bits = packing.top + packing.width
     key_mask = (1 << key_bits) - 1
-    p_num, p_den = _lift(germ.p.terms)
-    big_l = p_num[lead]
+    lc = germ.lead_coeff
+    if exact:
+        p_num, p_den = _lift(germ.p.terms, exact)
+        big_l = p_num[lead]
+        tail = {e: -c for e, c in p_num.items()}
+    else:
+        big_l = 1
+        tail = {e: -sdiv(c, lc) for e, c in germ.p.terms.items()}
     plead, klead = pack(lead), okey(lead)
-    tail = [(pack(e), okey(e) - klead, -c) for e, c in p_num.items()
+    tail = [(pack(e), okey(e) - klead, b) for e, b in tail.items()
             if e != lead and sum(e) <= trunc]
+    # with L = 1 every generation has the same denominator: all terms stay at j = 0
+    step = int(big_l != 1)
     top = packing.top
-    g_num, g_den = _lift(terms)
+    g_num, g_den = _lift(terms, exact)
     rem = {}
     heap = []
     for e, n in g_num.items():
@@ -202,7 +166,7 @@ def _wdivide_exact(terms, germ, trunc):
         m = p - plead
         quot.append((m, n, j))
         k = entry >> key_bits
-        j1 = j + 1
+        j1 = j + step
         for pt, dk, b in tail:
             p2 = m + pt
             if p2 >> top > trunc:
@@ -227,12 +191,19 @@ def _wdivide_exact(terms, germ, trunc):
             else:
                 del rem[p2]
     unpack = packing.unpack
+    q_trunc = trunc - germ.lead_degree
+    if not exact:
+        return DivisionResult(
+            TruncatedSeries(d, q_trunc, {unpack(m): sdiv(n, lc) for m, n, _ in quot}),
+            TruncatedSeries(d, trunc, {unpack(p): n for p, (n, _) in rem.items()}))
     dens = [g_den]  # dens[j]: den_g * L**j
     for j in range(1 + max((j for _, _, j in quot), default=0)):
         dens.append(dens[-1] * big_l)
-    quot = {unpack(m): Fraction(n * p_den, dens[j + 1]) for m, n, j in quot}
-    rem = {unpack(p): Fraction(n, dens[j]) for p, (n, j) in rem.items()}
-    return quot, rem
+    return DivisionResult(
+        TruncatedSeries._clean(d, q_trunc, {unpack(m): Fraction(n * p_den, dens[j + 1])
+                                            for m, n, j in quot}),
+        TruncatedSeries._clean(d, trunc, {unpack(p): Fraction(n, dens[j])
+                                          for p, (n, j) in rem.items()}))
 
 
 class PExpansion:

@@ -3,9 +3,10 @@ and the independent expansion oracle."""
 import operator
 from fractions import Fraction
 
+import mpmath
 from hypothesis import strategies as st
 
-from germsum.scalars import QQi
+from germsum.scalars import QQi, is_exact, sabs, sadd, smul, sneg, working_prec
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, delta_member
 
@@ -179,6 +180,29 @@ def ref_substitute(f_terms, image_terms, out_trunc, add=operator.add, mul=operat
     return acc
 
 
+def assert_near_reference(results, refs):
+    """Each result series agrees with its reference series (the reference terms
+    wrapped by the TruncatedSeries constructor).
+
+    Every coefficient, a missing term read as 0, is within
+    ``2^(16 - prec) * max|c|`` of the reference, the maximum taken over all
+    reference coefficients and prec being the working precision; a coefficient
+    is exact exactly where the reference's is, and then equal to it.
+    """
+    scale = max((sabs(c) for ref in refs for c in ref.terms.values()), default=0)
+    tol = scale * mpmath.mpf(2) ** (16 - working_prec())
+    for out, ref in zip(results, refs, strict=True):
+        assert (out.dim, out.trunc) == (ref.dim, ref.trunc)
+        for e in set(out.terms) | set(ref.terms):
+            a, b = out.terms.get(e), ref.terms.get(e)
+            if a is not None and b is not None and is_exact(b):
+                assert is_exact(a) and a == b, (e, a, b)
+                continue
+            assert not any(is_exact(c) for c in (a, b) if c is not None), (e, a, b)
+            diff = sadd(0 if a is None else a, sneg(0 if b is None else b))
+            assert sabs(diff) <= tol, (e, a, b)
+
+
 def ref_order_key(weights, tiebreak):
     """(weighted degree with Fraction weights, degree, tiebreak) written out afresh."""
     ws = [Fraction(w) for w in weights]
@@ -225,7 +249,7 @@ def ref_p_expand(f_terms, p_terms, key, trunc, depth):
     return coeffs
 
 
-# -- hypothesis strategies for the integer kernel -------------------------------------
+# -- hypothesis strategies for the series kernel --------------------------------------
 
 COPRIME_DENS = (1, 7, 11, 13, 17, 19)
 LEAD_COEFFS = (Fraction(9, 4), Fraction(-7, 3), 1, -5)
@@ -243,6 +267,20 @@ def exact_coeffs(draw, qqi=False):
     if qqi and draw(st.booleans()):
         c = QQi(c, Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(COPRIME_DENS))))
     return c
+
+
+# a complex float with full mantissas, by which exact coefficients are turned into mpc
+with mpmath.mp.workprec(working_prec()):
+    LAM = mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(-1) / 7)
+
+
+@st.composite
+def mixed(draw, series):
+    """``series`` with each coefficient kept exact (int, Fraction or QQi) or turned
+    into an mpc, at random."""
+    return TruncatedSeries(series.dim, series.trunc,
+                           {e: smul(c, LAM) if draw(st.booleans()) else c
+                            for e, c in series.terms.items()})
 
 
 @st.composite
@@ -276,3 +314,10 @@ def exact_germs(draw, dim, trunc, qqi=False):
     terms = dict(p.terms)
     terms[min(terms, key=ref_order_key(weights, tiebreak))] = draw(st.sampled_from(LEAD_COEFFS))
     return Germ(TruncatedSeries(dim, trunc, terms), MonomialOrder(weights, tiebreak))
+
+
+@st.composite
+def mixed_germs(draw, dim, trunc):
+    """An :func:`exact_germs` germ with QQi terms and some terms, the lead too, as mpc."""
+    germ = draw(exact_germs(dim, trunc, qqi=True))
+    return Germ(draw(mixed(germ.p)), germ.order)

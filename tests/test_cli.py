@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -94,6 +95,14 @@ def test_non_finite_json_coefficient_refused(tmp_path, capsys):
         assert captured.out == "" and "non-finite scalar" in captured.err
 
 
+def test_non_integer_json_field_refused(files, capsys):
+    f = files("f.json", {"dim": 2.9, "trunc": 4.7,
+                         "terms": [{"exp": [1.5, 0], "coeff": "1"}]})
+    assert cli_main(["ramify", "--k", "2", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected an integer" in captured.err
+
+
 def test_dominant(files, capsys):
     p = files("p.json", series_to_json(TS(2, 10, {(1, 1): 1})))
     code, out = run(capsys, ["dominant", p])
@@ -158,6 +167,23 @@ def test_verify_ode_euler(capsys):
 def test_verify_pde(capsys):
     code, out = run(capsys, ["verify", "pde-quasihom"])
     assert code == 0 and out["pass"]
+    assert out["formal"]["details"]["cofactor_is_x1"]
+
+
+def test_verify_pde_fails_on_scaled_solution(capsys, monkeypatch):
+    # 2f is divisible by the stated right side, but with cofactor 2*x1
+    import germsum.cli
+    real = germsum.cli.gen_example
+
+    def scaled(name, trunc):
+        ex = real(name, trunc)
+        return dataclasses.replace(ex, f=ex.f * 2)
+
+    monkeypatch.setattr(germsum.cli, "gen_example", scaled)
+    code, out = run(capsys, ["verify", "pde-quasihom"])
+    assert code == 1 and not out["pass"]
+    assert out["formal"]["details"]["divisible_by_stated_rhs"]
+    assert not out["formal"]["details"]["cofactor_is_x1"]
 
 
 def test_usage_errors(files, capsys, tmp_path):

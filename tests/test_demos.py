@@ -1,8 +1,4 @@
-"""Each quick demo script runs to completion against the imported package.
-
-Demo 04 is left out: it takes about 11 s and calls the same
-``verify_ode_*`` functions as acceptance criterion 08.
-"""
+"""Each demo script runs to completion against the imported package."""
 import os
 import subprocess
 import sys
@@ -19,6 +15,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     "01_truncated_series_and_division.py",
     "02_blowups_and_gevrey_orders.py",
     "03_borel_laplace_summation.py",
+    "04_differential_equation_checks.py",
 ])
 def test_demo_runs(name):
     # the child imports the same germsum as this process, installed or from src/

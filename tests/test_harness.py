@@ -69,6 +69,29 @@ class TestPdeFormal:
         assert d["cofactor_leading_term"] == {"exp": [1, 0], "coeff": "1"}
         assert not d["stated_form_matches"]
         assert d["stated_form_discrepancy"]
+        assert d["cofactor_is_x1"]
+
+    @pytest.mark.parametrize("trunc", [13, 25, 26, 27, 28, 34])
+    def test_cofactor_is_x1_where_certified(self, trunc):
+        # the whole-summand representative has cofactor x1*(1 - N!*P^N), whose
+        # second part lies at weights the truncation of f does not determine
+        ex = gen_example("pde-quasihom", trunc)
+        rep, _ = verify_pde_formal(ex.f, ex.p, 0, 1, 1)
+        cofactor, n = rep.details["cofactor"], ex.notes["depth"]
+        t = cofactor.trunc
+        x1 = TS.variable(0, 2, t)
+        assert cofactor == x1 - x1 * ex.p.with_trunc(t) ** n * factorial(n)
+        assert rep.details["divisible_by_stated_rhs"] and rep.details["cofactor_is_x1"]
+
+    def test_scaled_solution_fails_the_equation(self):
+        # 2f is divisible with cofactor 2*x1: it does not satisfy h = x1*x2*P_2*P
+        ex = gen_example("pde-quasihom", 25)
+        rep, _ = verify_pde_formal(ex.f * 2, ex.p, 0, 1, 1)
+        d = rep.details
+        assert d["divisible_by_stated_rhs"]
+        assert d["cofactor_leading_term"] == {"exp": [1, 0], "coeff": "2"}
+        assert d["stated_form_discrepancy"]
+        assert not d["cofactor_is_x1"]
 
     def test_zero_solution(self):
         ex = gen_example("pde-quasihom", 13)

@@ -75,6 +75,7 @@ class TestExactOperands:
     def test_eq_and_zero(self, a, b):
         assert scalar_eq(a, b) == (pair(a) == pair(b))
         assert is_zero(a) == (pair(a) == (0, 0))
+        assert bool(a) == (pair(a) != (0, 0))
 
     @given(qqis, st.one_of(ints, fractions))
     def test_sub_both_ways(self, q, x):
@@ -119,6 +120,18 @@ class TestFloatOperand:
         assert scalar_eq(z, x) == (z == zx)
         assert scalar_eq(zx, x)
         assert is_zero(z) == (z == 0)
+
+    @given(mpcs, qqis)
+    def test_qqi_operators_promote_floats(self, z, q):
+        # plain +, - and * on a QQi and an mpc follow the promotion rule, also
+        # under a lower ambient precision
+        qz = wp_mpc(q)
+        with mp.workprec(working_prec()):
+            wants = (qz + z, qz * z, qz - z, z - qz)
+        with mp.workprec(53):
+            for got, want in ((q + z, wants[0]), (z + q, wants[0]), (q * z, wants[1]),
+                              (z * q, wants[1]), (q - z, wants[2]), (z - q, wants[3])):
+                assert isinstance(got, mpmath.mpc) and got._mpc_ == want._mpc_
 
     def test_exact_converts_at_working_precision_under_low_ambient(self):
         with mp.workprec(53):

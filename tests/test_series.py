@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from germsum.errors import (DimensionMismatchError, InsufficientTruncationError,
                             ZeroSeriesError)
-from germsum.scalars import QQi, parse_scalar
+from germsum.scalars import QQi, parse_scalar, sadd, smul
 from germsum.series import (MonomialOrder, TruncatedSeries, majorant_norm,
                             series_from_json, series_to_json, substitute, v_ell)
 
-from helpers import (SHAPES, exact_series, nonzero, random_series, ref_mul,
-                     ref_substitute)
+from helpers import (SHAPES, assert_near_reference, exact_series, mixed, nonzero,
+                     random_series, ref_mul, ref_substitute)
 
 TS = TruncatedSeries
 
@@ -120,8 +120,8 @@ class TestSubstitute:
 
 
 class TestIntegerKernel:
-    """int/Fraction data (the integer kernel) and QQi data (the s* funnel)
-    against the term-by-term reference of tests/helpers.py."""
+    """int/Fraction data (the integer lift) and QQi data against the exact
+    term-by-term reference of tests/helpers.py."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -153,6 +153,36 @@ class TestIntegerKernel:
             out = substitute(f, images)
         ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc) if f.terms else {}
         assert out.terms == nonzero(ref)
+
+
+class TestMixedDomains:
+    """Fraction, QQi and mpc coefficients mixed in one operand: * and substitute
+    against the reference run on the s* funnel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mul_matches_funnel_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        trunc_b = data.draw(st.integers(trunc - 2, trunc))
+        a = data.draw(mixed(data.draw(exact_series(dim, trunc, qqi=True))))
+        b = data.draw(mixed(data.draw(exact_series(dim, trunc_b, qqi=True))))
+        prod = a * b
+        ref = ref_mul(a.terms, b.terms, prod.trunc, sadd, smul)
+        assert_near_reference([prod], [TS(dim, prod.trunc, ref)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_substitute_matches_funnel_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        dim2, trunc2 = data.draw(st.sampled_from(SHAPES))
+        f = data.draw(mixed(data.draw(exact_series(dim, trunc, qqi=True))))
+        images = [data.draw(mixed(data.draw(exact_series(dim2, trunc2, top=3, qqi=True,
+                                                         min_degree=1, min_terms=1,
+                                                         max_terms=4))))
+                  for _ in range(dim)]
+        out = substitute(f, images)
+        ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc, sadd, smul)
+        assert_near_reference([out], [TS(dim2, out.trunc, ref)])
 
 
 class TestVEll:
@@ -317,6 +347,18 @@ class TestJson:
             series_from_json({"dim": 2, "terms": []})
         with pytest.raises(ValueError):
             series_from_json({"dim": 2, "trunc": 4, "terms": [{"exp": [1], "coeff": "?"}]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 2.9), ("trunc", 4.7), ("trunc", "4"), ("dim", True), ("exp", [1.5, 0]),
+        ("exp", [1.0, 0]), ("exp", ["1", 0])])
+    def test_non_integer_fields_refused(self, field, value):
+        obj = {"dim": 2, "trunc": 4, "terms": [{"exp": [1, 0], "coeff": "1"}]}
+        if field == "exp":
+            obj["terms"][0]["exp"] = value
+        else:
+            obj[field] = value
+        with pytest.raises(ValueError, match="expected an integer"):
+            series_from_json(obj)
 
     def test_no_information_trunc_round_trips(self):
         f = S(2, -1, {})

@@ -13,9 +13,9 @@ from germsum.series import MonomialOrder, TruncatedSeries, series_to_json, subst
 from germsum.weierstrass import (Germ, PExpansion, delta_member, p_expand,
                                  t_substitute, wdivide)
 
-from helpers import (SHAPES, exact_germs, exact_series, expansion_oracle, fixed_germs,
-                     random_series, ref_mul, ref_order_key, ref_p_expand, ref_substitute,
-                     ref_wdivide)
+from helpers import (SHAPES, assert_near_reference, exact_germs, exact_series,
+                     expansion_oracle, fixed_germs, mixed, mixed_germs, random_series,
+                     ref_mul, ref_order_key, ref_p_expand, ref_substitute, ref_wdivide)
 
 TS = TruncatedSeries
 
@@ -123,8 +123,8 @@ class TestWdivide:
 
 
 class TestIntegerKernel:
-    """int/Fraction data (the integer kernel) and QQi data (the s* funnel)
-    against the term-by-term reference of tests/helpers.py."""
+    """int/Fraction data (the integer lift) and QQi data against the exact
+    term-by-term reference of tests/helpers.py."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -154,8 +154,9 @@ class TestIntegerKernel:
 
 
 def test_float_path_matches_funnel_reference():
-    """mpc data keeps the s* funnel: *, substitute and wdivide give the bits of
-    the reference run on sadd/smul/sdiv/sneg (a germ-sum style scaled input)."""
+    """mpc data on the series kernel: *, substitute and wdivide agree with the
+    reference run on sadd/smul/sdiv/sneg (a germ-sum style scaled input) within
+    the tolerance of ``assert_near_reference``."""
     depth, a = 8, Fraction(-1, 2)
     trunc = 2 * (depth - 1)
     p = TS(2, trunc, {(2, 0): 1, (1, 1): Fraction(3, 4), (0, 2): Fraction(-3, 4)})
@@ -166,25 +167,39 @@ def test_float_path_matches_funnel_reference():
         lam = mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(-1) / 7)
     images = [TS(2, trunc, {(1, 0): lam}), TS(2, trunc, {(0, 1): lam})]
 
-    def bits(s):
-        assert all(isinstance(c, mpmath.mpc) for c in s.terms.values())
-        return {e: c._mpc_ for e, c in s.terms.items()}
-
     def ref_sub(g):
         out = substitute(g, images)
         ref = ref_substitute(g.terms, [im.terms for im in images], out.trunc, sadd, smul)
-        assert bits(out) == bits(TS(2, out.trunc, ref))
+        assert_near_reference([out], [TS(2, out.trunc, ref)])
         return out
 
     fs, ps = ref_sub(f), ref_sub(p)
-    assert bits(fs * ps) == bits(TS(2, trunc, ref_mul(fs.terms, ps.terms, trunc, sadd, smul)))
+    assert all(isinstance(c, mpmath.mpc) for c in fs.terms.values())
+    assert_near_reference([fs * ps],
+                          [TS(2, trunc, ref_mul(fs.terms, ps.terms, trunc, sadd, smul))])
     germ = Germ(ps, MonomialOrder((1, 1)))
     res = wdivide(fs, germ)
     quot, rem = ref_wdivide(fs.terms, ps.terms, ref_order_key((1, 1), "lex"), trunc,
                             sadd, smul, sdiv, sneg)
-    assert bits(res.q) == bits(TS(2, res.q.trunc, quot))
-    assert bits(res.r) == bits(TS(2, trunc, rem))
+    assert_near_reference([res.q, res.r], [TS(2, res.q.trunc, quot), TS(2, trunc, rem)])
     assert len(res.q.terms) > 20 and len(res.r.terms) > 5
+
+
+class TestMixedDomains:
+    """Fraction, QQi and mpc coefficients mixed in one operand: wdivide against
+    the reference run on the s* funnel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wdivide_matches_funnel_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        germ = data.draw(mixed_germs(dim, trunc))
+        g = data.draw(mixed(data.draw(exact_series(dim, trunc, qqi=True, max_terms=30))))
+        key = ref_order_key(germ.order.weights, germ.order.tiebreak)
+        quot, rem = ref_wdivide(g.terms, germ.p.terms, key, trunc, sadd, smul, sdiv, sneg)
+        res = wdivide(g, germ)
+        assert_near_reference([res.q, res.r],
+                              [TS(dim, res.q.trunc, quot), TS(dim, trunc, rem)])
 
 
 class TestPExpand:
