@@ -4,8 +4,9 @@ The alternating factorial series sum (-1)^n n! t^n diverges for every
 t != 0, yet it determines a unique analytic function away from its one
 singular direction.  The pipeline: divide coefficients by n! (Borel
 transform), continue the resulting geometric series along a ray with a
-rational approximant, integrate back against the exponential kernel, and
-read off split error estimates.  Crossing the singular direction changes
+rational approximant, Laplace-transform it back (for k = 1 in closed form,
+from the approximant's partial fractions and the exponential integral E1),
+and read off split error estimates.  Crossing the singular direction changes
 the answer by an exponentially small jump -- which we measure.
 """
 import math
@@ -30,16 +31,21 @@ print("singular directions:", [round(d, 6) for d in report.directions])
 
 # Summation along the positive axis, compared with brute-force quadrature
 # of the exact Borel transform 1/(1+tau).
+# t = 0.1 at the 128-bit working precision, the same number for both
 rc = continue_on_ray(borel, 0.0, [1.0, 2.0, 4.0])
-result = laplace_sum(rc, 1, mpmath.mpf("0.1"))
+with mp.workprec(128):
+    t = mpmath.mpf("0.1")
+result = laplace_sum(rc, 1, t)
 with mp.workprec(250):
-    oracle = mpmath.quad(lambda u: mpmath.exp(-u) / (1 + mpmath.mpf("0.1") * u),
-                         [0, mpmath.inf])
-print("\nsum at t=0.1:      ", complex(result.value))
-print("quadrature oracle: ", complex(oracle))
-print("difference %.2e, reported errors: quad %.1e, continuation %.1e"
+    oracle = mpmath.quad(lambda u: mpmath.exp(-u) / (1 + t * u), [0, mpmath.inf])
+print("\nsum at t=0.1:      ", mpmath.nstr(result.value, 30))
+print("quadrature oracle: ", mpmath.nstr(oracle, 30))
+# k = 1 sums in closed form: its quadrature_error field is the rounding
+# bound of that evaluation, and nothing is cut off (tail_cut is None)
+print("difference %.2e, reported errors: closed-form evaluation bound %.1e, "
+      "continuation %.1e, tail cut %s"
       % (abs(result.value - oracle), result.quadrature_error,
-         result.continuation_error))
+         result.continuation_error, result.tail_cut))
 
 # Asking for the singular direction itself is refused.
 try:

@@ -2,15 +2,22 @@
 
 The pipeline: divide the coefficients a_n by Gamma(1 + n/k) (Borel
 transform of order k), continue the resulting convergent series along a
-ray by diagonal rational approximants, and integrate it back with the
-kernel ``k t^{-k} exp(-(tau/t)^k) tau^{k-1}``.  Specializing the
+ray by diagonal rational approximants, and Laplace-transform it back with
+the kernel ``k t^{-k} exp(-(tau/t)^k) tau^{k-1}``.  Specializing the
 coefficients of a germ-power expansion at a point and evaluating the germ
 there reduces germ-relative summation to this one-variable machinery.
 
-Error reporting is split and mandatory: the quadrature error is the
-accumulated panel-refinement estimate, the continuation error is the
+For k = 1 the Laplace step is closed-form: each approximant splits into
+partial fractions Q(tau) + sum r/(tau - p), whose transform is
+sum q_j j! t^j + sum r e^(-p/t) E1(-p/t)/t plus a 2 pi i residue term for
+each pole between arg t and the ray.  For other k, or an approximant with
+a multiple root, adaptive Gauss-Legendre integrates the approximant.
+
+Error reporting is split and mandatory: the continuation error is the
 difference between two consecutive approximant orders propagated through
-the same integral.
+the same Laplace step.  The quadrature error is, for the closed form, the
+bound on rounding in evaluating it; for the quadrature, the accumulated
+panel-refinement estimate plus the discarded tail.
 """
 from __future__ import annotations
 
@@ -20,7 +27,8 @@ from itertools import zip_longest
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpc_div, mpc_mul, round_nearest
+from mpmath.libmp import (from_man_exp, mpc_div, mpc_mul, repr_dps, round_nearest,
+                          to_str)
 
 from .errors import ContinuationError, SectorError, SingularRayError
 from .scalars import to_mpc, working_prec
@@ -76,12 +84,18 @@ class BorelSeries:
 
 
 def borel_transform(series, k, prec=None):
-    """Divide the n-th coefficient by Gamma(1 + n/k), in working precision."""
+    """Divide the n-th coefficient by Gamma(1 + n/k), at twice the working precision.
+
+    Twice, because the rational continuation solves at that precision:
+    coefficients rounded to the working precision would hand the fit a
+    noise of 2^-prec, which a badly conditioned fit (poles close together)
+    amplifies past every error the sum reports.
+    """
     if not k > 0:
         raise ValueError("summability index k must be positive")
     coeffs = series.coeffs if isinstance(series, OneVarSeries) else tuple(series)
     prec = working_prec(prec)
-    with mp.workprec(prec):
+    with mp.workprec(2 * prec):
         kk = mpmath.mpf(k)
         out = tuple(to_mpc(a) / mpmath.gamma(1 + mpmath.mpf(n) / kk)
                     for n, a in enumerate(coeffs))
@@ -91,14 +105,19 @@ def borel_transform(series, k, prec=None):
 # -- rational (Pade-type) continuation ---------------------------------------
 
 class RationalApproximant:
-    """Ratio of two polynomials matching a Taylor series to order n+m."""
+    """Ratio of two polynomials matching a Taylor series to order n+m.
 
-    __slots__ = ("num", "den", "prec")
+    The denominator is rooted once: ``raw_poles`` caches its roots, and
+    ``filtered_poles`` and ``partial_fractions`` reuse them.
+    """
+
+    __slots__ = ("num", "den", "prec", "_roots", "_fractions")
 
     def __init__(self, num, den, prec):
         self.num = tuple(num)
         self.den = tuple(den)
         self.prec = prec
+        self._roots = self._fractions = None
 
     @property
     def order(self):
@@ -111,19 +130,25 @@ class RationalApproximant:
         return (mpmath.polyval((0,) + self.num[::-1], tau)
                 / mpmath.polyval((0,) + self.den[::-1], tau))
 
-    def raw_poles(self):
-        """Denominator roots with multiplicities, negligible top coefficients dropped."""
-        prec = self.prec
-        with mp.workprec(prec):
+    def _trimmed_den(self):
+        """Denominator coefficients, low to high, without negligible top ones."""
+        with mp.workprec(self.prec):
             mags = [abs(to_mpc(c)) for c in self.den]
             top = max(mags)
             if top == 0:
-                return []
-            cut = top * mpmath.mpf(2) ** (-(prec // 2))
+                return ()
+            cut = top * mpmath.mpf(2) ** (-(self.prec // 2))
             hi = len(mags) - 1
             while hi > 0 and mags[hi] < cut:
                 hi -= 1
-            return _poly_roots(list(self.den[:hi + 1]), prec)
+            return self.den[:hi + 1]
+
+    def raw_poles(self):
+        """Denominator roots with multiplicities, negligible top coefficients dropped."""
+        if self._roots is None:
+            den = self._trimmed_den()
+            self._roots = tuple(_poly_roots(list(den), self.prec)) if den else ()
+        return self._roots
 
     def filtered_poles(self):
         """Poles with Froissart doublets (a numerator zero within FROISSART_REL) removed.
@@ -142,6 +167,52 @@ class RationalApproximant:
                 if abs(n) > FROISSART_REL * max(1, abs(p)) * abs(dn):
                     kept.append((p, mult))
         return tuple(kept)
+
+    def partial_fractions(self):
+        """``(poly, fractions)`` with N/D = Q(tau) + sum r/(tau - p), or None.
+
+        ``poly`` holds the coefficients of Q, low to high, and ``fractions``
+        the pairs (p, r), all at twice the working precision: each cached
+        root is Newton-polished on the trimmed denominator D, Q and the
+        remainder R come from dividing N by D, and r = R(p)/D'(p), which
+        equals N(p)/D'(p).  None when D has a multiple root or a root at 0:
+        those have no simple-pole closed form.
+        """
+        if self._fractions is None:
+            self._fractions = self._split() or False
+        return self._fractions or None
+
+    def _split(self):
+        roots = self.raw_poles()
+        den = self._trimmed_den()
+        if not den or any(mult > 1 or p == 0 for p, mult in roots):
+            return None
+        if not all(mpmath.isfinite(c) for c in self.num + den):
+            raise ValueError("non-finite approximant coefficient")
+        wp = 2 * self.prec
+        with mp.workprec(wp):
+            den = [to_mpc(c) for c in den]
+            rem = [to_mpc(c) for c in self.num]
+            d = len(den) - 1
+            poly = [mpmath.mpc(0)] * max(0, len(rem) - d)
+            for i in range(len(poly) - 1, -1, -1):
+                c = poly[i] = rem[i + d] / den[d]
+                for j, dj in enumerate(den):
+                    rem[i + j] -= c * dj
+            den_hl, rem_hl = den[::-1], rem[:d][::-1]
+            tiny = mpmath.mpf(2) ** -wp
+            fractions = []
+            for p, _ in roots:
+                p = to_mpc(p)
+                for _ in range(4):
+                    v, dv = mpmath.polyval(den_hl, p, derivative=True)
+                    step = v / dv
+                    p -= step
+                    if abs(step) <= tiny * abs(p):
+                        break
+                # D' taken before a step of 2^-wp |p| is D'(p) to 2^-wp
+                fractions.append((p, mpmath.polyval(rem_hl, p) / dv))
+        return tuple(poly), tuple(fractions)
 
 
 def build_approximant(coeffs, m=None, prec=None):
@@ -170,7 +241,7 @@ def build_approximant(coeffs, m=None, prec=None):
 @dataclass(frozen=True)
 class RayContinuation:
     """Samples of the continued Borel transform along a ray, plus the two
-    approximants (orders m and m - 1) that ``laplace_sum`` integrates."""
+    approximants (orders m and m - 1) that ``laplace_sum`` transforms."""
     direction: float
     radii: tuple
     values: tuple
@@ -252,27 +323,35 @@ def continue_on_ray(b, theta, radii, method="pade", prec=None):
 
 @dataclass(frozen=True)
 class SumResult:
-    """A numeric germ-k-sum (or plain k-sum) evaluation with split errors."""
+    """A numeric germ-k-sum (or plain k-sum) evaluation with split errors.
+
+    ``tail_cut`` is where the quadrature cut the Laplace integral off, and
+    None for a closed-form sum, which cuts nothing.  ``prec`` is the
+    working precision of ``value``.
+    """
     t: object
     k: float
     theta: float
     value: object
     quadrature_error: float
     continuation_error: float
-    tail_cut: float
+    tail_cut: object
+    prec: int
 
     @property
     def total_error(self):
         return self.quadrature_error + self.continuation_error
 
     def to_json(self):
+        """JSON record; ``value`` as decimal strings that round-trip at ``prec``."""
         t = to_mpc(self.t)
         v = to_mpc(self.value)
+        dps = repr_dps(self.prec)
         return {
             "t": {"re": float(t.real), "im": float(t.imag)},
             "k": self.k,
             "theta": self.theta,
-            "value": {"re": float(v.real), "im": float(v.imag)},
+            "value": {"re": to_str(v.real._mpf_, dps), "im": to_str(v.imag._mpf_, dps)},
             "quadrature_error": self.quadrature_error,
             "continuation_error": self.continuation_error,
             "tail_cut": self.tail_cut,
@@ -411,7 +490,130 @@ def _ray_value(chains, s, prec):
     return mpc_div((nr, ni), (dr, di), prec, round_nearest)
 
 
+# Guard bits over the working precision at which the closed-form terms are
+# summed, and the constant C of their evaluation bound mass * 2^(C - prec):
+# one bit for rounding the sum to prec, one for everything carried at the
+# guard precision (the terms, their sum and the partial fractions).
+_CLOSED_FORM_GUARD = 16
+_CLOSED_FORM_C = 2
+
+
+def _closed_form_sum(appr, t, phi, derivative, prec):
+    """k = 1 Laplace sum of one approximant from its partial fractions.
+
+    Returns ``(value, mass)``, both at ``prec + _CLOSED_FORM_GUARD`` bits.
+    Along arg tau = arg t + phi the sum of Q(tau) + sum r/(tau - p) is
+    ``sum_j q_j j! t^j + sum r K(q)/t`` with q = p/t and
+    K(q) = J(q) = e^(-q) E1(-q), the principal branch, whose cut (q > 0)
+    takes its value from arg q < 0.  A pole that the ray has turned past,
+    0 < arg q < phi (or phi < arg q <= 0, which puts a pole on arg t on
+    the ray's side of the cut), adds -2 pi i e^(-q) (or +2 pi i e^(-q)) to
+    K.  The derivative in t uses K'(q) = -K(q) - 1/q.  ``mass`` is
+    |Q part| + sum |terms|, with the pieces of a term that can cancel
+    counted separately: the size the rounding error is relative to.
+    """
+    poly, fractions = appr.partial_fractions()
+    wp = prec + _CLOSED_FORM_GUARD
+    with mp.workprec(wp):
+        total = mpmath.mpc(0)
+        mass = mpmath.mpf(0)
+        for j, c in enumerate(poly):
+            if derivative:
+                term = c * math.factorial(j) * j * t ** (j - 1) if j else 0
+            else:
+                term = c * math.factorial(j) * t ** j
+            total += term
+            mass += abs(term)
+        two_pi_i = mpmath.mpc(0, 2 * mpmath.pi)
+        for p, r in fractions:
+            with mp.workprec(2 * prec):
+                q = p / t
+            # e^(-q) has condition number |q|: carry its magnitude in bits
+            with mp.workprec(wp + max(0, mpmath.mag(q))):
+                e = mpmath.exp(-q)
+                jq = e * mpmath.e1(-q)
+                a = mpmath.arg(q)
+                if 0 < a < phi:
+                    rot = -two_pi_i * e
+                elif phi < a <= 0:
+                    rot = two_pi_i * e
+                else:
+                    rot = 0
+                size = abs(jq) + abs(rot)
+                if derivative:
+                    term = r * ((q - 1) * (jq + rot) + 1) / (t * t)
+                    size = abs(r) * (abs(q - 1) * size + 1) / abs(t * t)
+                else:
+                    term = r * (jq + rot) / t
+                    size = abs(r) * size / abs(t)
+            total += term
+            mass += size
+    return total, mass
+
+
 _KERNEL_FLOOR = mpmath.mpf("1e-20")
+
+
+def _quadrature_sum(rc, kk, t, ang, decay, derivative, eps, prec):
+    """Adaptive Gauss-Legendre Laplace integral of both approximants.
+
+    Returns ``(value, continuation error, quadrature error, tail cut)``.
+    """
+    theta = mpmath.mpf(rc.direction)
+    tmod = abs(t)
+    S = tmod * (mpmath.log(1 / _KERNEL_FLOOR) / decay) ** (1 / kk)
+    scale = tmod * (1 / decay) ** (1 / kk)
+    ray_phase = mpmath.expjpi(theta / mpmath.pi)
+    # tau^(k-1) dtau contributes e^(i k theta) s^(k-1) ds along the ray
+    full_phase = mpmath.expjpi(kk * theta / mpmath.pi)
+    kern_phase = mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
+    chains_hi = _ray_rows(rc._hi, ray_phase)
+    chains_lo = _ray_rows(rc._lo, ray_phase)
+
+    def f(s):
+        # one kernel value serves both approximant orders
+        z = (s / tmod) ** kk * kern_phase
+        w = mpmath.exp(-z) * s ** (kk - 1)
+        if derivative:
+            w *= z - 1
+        w, s = w._mpc_, s._mpf_
+        g_hi = _ray_value(chains_hi, s, prec)
+        g_lo = _ray_value(chains_lo, s, prec)
+        return (mp.make_mpc(mpc_mul(w, g_hi, prec, round_nearest)),
+                mp.make_mpc(mpc_mul(w, g_lo, prec, round_nearest)))
+
+    # geometric panels clustered at the kernel scale
+    breaks = [mpmath.mpf(0)]
+    step = scale / 8
+    while breaks[-1] < S:
+        breaks.append(min(breaks[-1] + step, S))
+        step *= 2
+    nodes = _gl_nodes(prec)
+    eps = mpmath.mpf(eps)
+    i_hi = i_lo = mpmath.mpc(0)
+    qerr = mpmath.mpf(0)
+    for a, b in zip(breaks, breaks[1:]):
+        tol = eps * (b - a) / S / 4
+        (v_hi, v_lo), e = _adaptive(f, a, b, _gl_panel(f, a, b, nodes), tol, nodes)
+        i_hi += v_hi
+        i_lo += v_lo
+        qerr += e
+    i_hi *= full_phase
+    i_lo *= full_phase
+    tpk = tmod ** kk * mpmath.mpc(mpmath.cos(kk * mpmath.arg(t)),
+                                  mpmath.sin(kk * mpmath.arg(t)))
+    if derivative:
+        pref = kk ** 2 / (tpk * t)
+    else:
+        pref = kk / tpk
+    # discarded tail beyond the kernel cutoff, included in the budget
+    g_tail = max(abs(mp.make_mpc(_ray_value(chains_hi, s._mpf_, prec)))
+                 for s in (S, 2 * S))
+    tail_err = g_tail * _KERNEL_FLOOR / decay
+    if derivative:
+        tail_err *= (mpmath.log(1 / _KERNEL_FLOOR) / decay + 1) / tmod
+    return (pref * i_hi, float(abs(pref) * abs(i_hi - i_lo)),
+            float(abs(pref) * qerr + tail_err), float(S))
 
 
 def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
@@ -419,33 +621,42 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     """Laplace integral of the continued Borel transform along its ray.
 
     Computes ``k t^{-k} \\int exp(-(tau/t)^k) g(tau) tau^{k-1} dtau`` over
-    ``arg tau = rc.direction``, cut off where the kernel drops below 1e-20.
-    Requires ``cos(k*(theta - arg t)) > 0`` (kernel decay along the ray).
-    With ``derivative=True`` returns d/dt of the sum (differentiation under
-    the integral: one extra ``(tau/t)^k - 1`` factor and prefactor
-    ``k^2 t^{-k-1}``).  Evaluation uses the rational approximants carried
-    by the continuation, with their coefficients rotated onto the ray.
-    Runs at ``working_prec(prec)``, like every other entry point: an explicit
-    ``prec``, else the ambient ``mp.prec`` floored at the default.
+    ``arg tau = rc.direction`` for both approximants carried by the
+    continuation.  Requires ``cos(k*(theta - arg t)) > 0`` (kernel decay
+    along the ray).  With ``derivative=True`` returns d/dt of the sum.
+    Runs at ``working_prec(prec)``, like every other entry point: an
+    explicit ``prec``, else the ambient ``mp.prec`` floored at the default.
+    The reported continuation error is the difference of the two
+    approximants' sums.  When ``max_continuation_error`` is given and that
+    exceeds it, a :class:`ContinuationError` is raised instead of returning
+    a silently degraded value.
 
-    Panels are split until the local Gauss-Legendre refinement estimate
-    of the high-order continuation drops below the (length-prorated) share
-    of ``eps``; the low-order continuation is integrated in the same pass
-    on the high order's nodes, and the reported continuation error is the
-    difference of the two integrals.  The discarded tail beyond the cutoff
-    is bounded with the larger of ``|g|`` at the cutoff and at twice it
-    (the same on-ray evaluator as the integrand), so a transform still
-    growing there (a log branch) stays covered.
-    When ``max_continuation_error`` is given and the estimate exceeds it,
-    a :class:`ContinuationError` is raised instead of returning a silently
-    degraded value.  An ``eps`` below ``2^(8 - prec)``, which rounding at
+    For k = 1, when both approximants have only simple nonzero poles, the
+    sum is closed-form: each approximant is split into partial fractions
+    Q(tau) + sum r/(tau - p) (see ``_closed_form_sum``), Q sums as
+    sum q_j j! t^j and each pole as r e^(-q) E1(-q)/t with q = p/t, plus
+    -+2 pi i r e^(-q)/t for a pole between arg t and the ray.  Nothing is
+    cut off (``tail_cut`` is None), and ``quadrature_error`` is the
+    evaluation bound (|Q part| + sum |terms|) 2^(2 - prec), which covers
+    rounding to ``prec`` bits.  An ``eps`` below that bound raises
+    ``ValueError``.
+
+    Otherwise (k != 1, or a multiple root) adaptive Gauss-Legendre
+    integrates the approximants, evaluated on the ray with their
+    coefficients rotated onto it, up to where the kernel drops below
+    1e-20 (``tail_cut``).  Panels are split until the local refinement
+    estimate of the high-order continuation drops below the (length-
+    prorated) share of ``eps``; the low order is integrated in the same
+    pass on the same nodes.  ``quadrature_error`` is the accumulated
+    refinement estimate plus a bound on the discarded tail, taken with the
+    larger of ``|g|`` at the cutoff and at twice it, so a transform still
+    growing there (a log branch) stays covered.  Differentiation is under
+    the integral: one extra ``(tau/t)^k - 1`` factor and prefactor
+    ``k^2 t^{-k-1}``.  An ``eps`` below ``2^(8 - prec)``, which rounding at
     the working precision cannot resolve, raises ``ValueError`` before any
     panel is integrated.
     """
     prec = working_prec(prec)
-    if not mpmath.mpf(eps) >= mpmath.ldexp(1, 8 - prec):
-        raise ValueError(f"eps = {float(eps):.3g} is below 2^(8 - prec), "
-                         f"which {prec}-bit arithmetic cannot resolve")
     with mp.workprec(prec):
         t = to_mpc(t)
         if t == 0:
@@ -457,67 +668,29 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         if not decay > 0.05:
             raise SectorError(
                 f"direction/point incompatible: cos(k*(theta-arg t)) = {float(decay):.3f}")
-        tmod = abs(t)
-        S = tmod * (mpmath.log(1 / _KERNEL_FLOOR) / decay) ** (1 / kk)
-        scale = tmod * (1 / decay) ** (1 / kk)
-        ray_phase = mpmath.expjpi(theta / mpmath.pi)
-        # tau^(k-1) dtau contributes e^(i k theta) s^(k-1) ds along the ray
-        full_phase = mpmath.expjpi(kk * theta / mpmath.pi)
-        kern_phase = mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-        chains_hi = _ray_rows(rc._hi, ray_phase)
-        chains_lo = _ray_rows(rc._lo, ray_phase)
-
-        def f(s):
-            # one kernel value serves both approximant orders
-            z = (s / tmod) ** kk * kern_phase
-            w = mpmath.exp(-z) * s ** (kk - 1)
-            if derivative:
-                w *= z - 1
-            w, s = w._mpc_, s._mpf_
-            g_hi = _ray_value(chains_hi, s, prec)
-            g_lo = _ray_value(chains_lo, s, prec)
-            return (mp.make_mpc(mpc_mul(w, g_hi, prec, round_nearest)),
-                    mp.make_mpc(mpc_mul(w, g_lo, prec, round_nearest)))
-
-        # geometric panels clustered at the kernel scale
-        breaks = [mpmath.mpf(0)]
-        step = scale / 8
-        while breaks[-1] < S:
-            breaks.append(min(breaks[-1] + step, S))
-            step *= 2
-        nodes = _gl_nodes(prec)
-        eps = mpmath.mpf(eps)
-        i_hi = i_lo = mpmath.mpc(0)
-        qerr = mpmath.mpf(0)
-        for a, b in zip(breaks, breaks[1:]):
-            tol = eps * (b - a) / S / 4
-            (v_hi, v_lo), e = _adaptive(f, a, b, _gl_panel(f, a, b, nodes), tol, nodes)
-            i_hi += v_hi
-            i_lo += v_lo
-            qerr += e
-        i_hi *= full_phase
-        i_lo *= full_phase
-        tpk = tmod ** kk * mpmath.mpc(mpmath.cos(kk * mpmath.arg(t)),
-                                      mpmath.sin(kk * mpmath.arg(t)))
-        if derivative:
-            pref = kk ** 2 / (tpk * t)
+        if kk == 1 and rc._hi.partial_fractions() and rc._lo.partial_fractions():
+            v_hi, mass = _closed_form_sum(rc._hi, t, ang, derivative, prec)
+            v_lo, _ = _closed_form_sum(rc._lo, t, ang, derivative, prec)
+            value = +v_hi
+            cont = float(abs(v_hi - v_lo))
+            qerr = float(mpmath.ldexp(mass, _CLOSED_FORM_C - prec))
+            tail = None
+            if not qerr <= eps:
+                raise ValueError(f"eps = {float(eps):.3g} is below {qerr:.3g}, the "
+                                 f"evaluation bound of the {prec}-bit closed-form sum")
         else:
-            pref = kk / tpk
-        value = pref * i_hi
-        cont = float(abs(pref) * abs(i_hi - i_lo))
-        # discarded tail beyond the kernel cutoff, included in the budget
-        g_tail = max(abs(mp.make_mpc(_ray_value(chains_hi, s._mpf_, prec)))
-                     for s in (S, 2 * S))
-        tail_err = g_tail * _KERNEL_FLOOR / decay
-        if derivative:
-            tail_err *= (mpmath.log(1 / _KERNEL_FLOOR) / decay + 1) / tmod
+            if not mpmath.mpf(eps) >= mpmath.ldexp(1, 8 - prec):
+                raise ValueError(f"eps = {float(eps):.3g} is below 2^(8 - prec), "
+                                 f"which {prec}-bit arithmetic cannot resolve")
+            value, cont, qerr, tail = _quadrature_sum(rc, kk, t, ang, decay,
+                                                      derivative, eps, prec)
         if max_continuation_error is not None and cont > max_continuation_error:
             raise ContinuationError(
                 f"continuation error {cont:.3e} exceeds the tolerance "
                 f"{max_continuation_error:.3e}")
         return SumResult(t=t, k=float(k), theta=float(theta), value=value,
-                         quadrature_error=float(abs(pref) * qerr + tail_err),
-                         continuation_error=cont, tail_cut=float(S))
+                         quadrature_error=qerr, continuation_error=cont,
+                         tail_cut=tail, prec=prec)
 
 
 def p_k_sum(expansion, point, k, theta, prec=None):
@@ -525,7 +698,9 @@ def p_k_sum(expansion, point, k, theta, prec=None):
 
     ``t = P(point)`` must lie within ``pi/(2k) + SECTOR_SLACK`` of the
     requested direction; the Laplace step additionally requires actual
-    kernel decay.  Every step runs at ``working_prec(prec)``.
+    kernel decay, and takes ``laplace_sum``'s default ``eps``, so a k = 1
+    sum whose evaluation bound exceeds 1e-16 is refused with ``ValueError``.
+    Every step runs at ``working_prec(prec)``.
     """
     prec = working_prec(prec)
     with mp.workprec(prec):

@@ -6,6 +6,7 @@ from math import factorial
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import fzero, mpc_div, mpf_add, mpf_mul, round_nearest
 
@@ -155,6 +156,48 @@ def three_pole_coeffs(n):
         return [sum(r * p ** (-j) for p, r in poles) for j in range(n)]
 
 
+def rational_pole_coeffs(poles, n):
+    """Exact a_0..a_{n-1}, a_m = m! sum r p^-m, of the 1-sum with Borel
+    transform sum r p / (p - tau) over the (p, r) pairs (QQi p, rational r)."""
+    coeffs = []
+    powers = [QQi(1)] * len(poles)
+    for m in range(n):
+        coeffs.append(sum((QQi(r) * w for (_, r), w in zip(poles, powers)), QQi(0))
+                      * factorial(m))
+        powers = [w / p for (p, _), w in zip(poles, powers)]
+    return coeffs
+
+
+def rational_pole_sum(poles, t, theta, derivative=False, prec=512):
+    """Closed-form 1-sum (or its t-derivative) of sum r p / (p - tau) along theta.
+
+    Each pole adds -r p J(q)/t, q = p/t, J(q) = e^-q E1(-q) from the ray
+    arg t: plus -+2 pi i e^-q for a pole strictly between arg t and theta.
+    A pole on arg t (q > 0 exactly) takes E1 from the side of the ray:
+    E1(-q +- i0) = -Ei(q) -+ i pi, the upper sign for a ray above arg t.
+    The derivative is -r p ((q - 1) J(q) + 1)/t^2.
+    """
+    with mp.workprec(prec):
+        t = mpmath.mpc(t)
+        phi = float(math.remainder(theta - float(mpmath.arg(t)), 2 * math.pi))
+        total = mpmath.mpc(0)
+        for p, r in poles:
+            p = to_mpc(p)
+            q = p / t
+            if q.imag == 0 and q.real > 0:
+                jq = mpmath.exp(-q) * (-mpmath.ei(q.real) - math.copysign(1, phi) * mpmath.pi * 1j)
+            else:
+                jq = mpmath.exp(-q) * mpmath.e1(-q)
+                a = float(mpmath.arg(q))
+                if min(0, phi) < a < max(0, phi):
+                    jq -= math.copysign(2, phi) * mpmath.pi * 1j * mpmath.exp(-q)
+            if derivative:
+                total += -r * p * ((q - 1) * jq + 1) / (t * t)
+            else:
+                total += -r * p * jq / t
+        return total
+
+
 class TestRayEvaluator:
     # the on-ray evaluator against a 512-bit direct evaluation of N/D from
     # the same rotated coefficients, and against the mpf Horner it replaced
@@ -200,8 +243,9 @@ class TestRayEvaluator:
 
     def check_continuation(self, rc, t):
         # Gauss-Legendre-like spread of s, plus the tail cut S and 2S where
-        # laplace_sum bounds the discarded tail
-        S = laplace_sum(rc, 1, t).tail_cut
+        # the quadrature bounds the discarded tail (k = 3/2: k = 1 sums in
+        # closed form and cuts nothing)
+        S = laplace_sum(rc, 1.5, t).tail_cut
         points = [mpmath.mpf(j) / 16 for j in range(1, 64)] + [S, 2 * S]
         self.check(rc._hi, rc.direction, points)
         self.check(rc._lo, rc.direction, points)
@@ -314,14 +358,16 @@ class TestLaplace:
 
     def test_panel_subdivision_integrates_each_interval_once(self, monkeypatch):
         # a pole 0.35 rad off the ray forces panels near it to be split;
-        # the halves handed down are reused, never integrated again
+        # the halves handed down are reused, never integrated again.  k = 3/2
+        # runs the quadrature (k = 1 sums in closed form): a_n =
+        # Gamma(1 + n/k) / p^n has the order-k Borel transform p/(p - tau)
         from germsum import borel
-        theta = 0.3
+        theta, k = 0.3, mpmath.mpf(3) / 2
         with mp.workprec(128):
             p = mpmath.mpf("0.8") * mpmath.expj(mpmath.mpf(theta) + mpmath.mpf("0.35"))
-            coeffs = [factorial(n) / p ** n for n in range(32)]
+            coeffs = [mpmath.gamma(1 + n / k) / p ** n for n in range(32)]
             t = mpmath.mpf("0.3") * mpmath.expj(mpmath.mpf(theta))
-        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), theta,
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), k), theta,
                              [0.5, 1.0, 2.0])
         panels = []
         gl_panel = borel._gl_panel
@@ -331,7 +377,8 @@ class TestLaplace:
             return gl_panel(f, a, b, nodes)
 
         monkeypatch.setattr(borel, "_gl_panel", recording_gl_panel)
-        res = laplace_sum(rc, 1, t)
+        res = laplace_sum(rc, k, t)
+        assert res.tail_cut is not None
         assert len(panels) == len(set(panels))
 
         def enclosing(a, b):
@@ -340,13 +387,17 @@ class TestLaplace:
         # some panel was split twice: a quarter lies inside a half and a whole
         assert any(enclosing(a, b) >= 2 for a, b in panels)
         with mp.workprec(256):
-            z = p / t
-            exact = -z * mpmath.exp(-z) * mpmath.e1(-z)
+            # k t^-k int exp(-(s/|t|)^k) p/(p - s e^(i theta)) s^(k-1) e^(i k theta) ds
+            ray, tm = mpmath.expj(mpmath.mpf(theta)), abs(t)
+            exact = mpmath.quad(
+                lambda s: mpmath.exp(-(s / tm) ** k) * p / (p - s * ray) * s ** (k - 1),
+                [0, abs(p), mpmath.inf]) * k * mpmath.expj(k * theta) / t ** k
             assert abs(res.value - exact) <= res.total_error
 
     def test_runs_at_working_precision(self, monkeypatch):
         # laplace_sum takes working_prec(prec) like every other entry point:
-        # the ambient precision, or an explicit prec, not the continuation's
+        # the ambient precision, or an explicit prec, not the continuation's.
+        # k = 3/2 runs the quadrature, whose panels record the precision
         from germsum import borel
         rc = continue_on_ray(borel_transform(euler_series(), 1), 0.0, [1.0, 2.0])
         seen = set()
@@ -358,12 +409,91 @@ class TestLaplace:
 
         monkeypatch.setattr(borel, "_gl_panel", recording_gl_panel)
         with mp.workprec(256):
-            laplace_sum(rc, 1, mpmath.mpf("0.1"))
+            laplace_sum(rc, 1.5, mpmath.mpf("0.1"))
         assert seen == {256}
         seen.clear()
         with mp.workprec(256):
-            laplace_sum(rc, 1, mpmath.mpf("0.1"), prec=160)
+            laplace_sum(rc, 1.5, mpmath.mpf("0.1"), prec=160)
         assert seen == {160}
+
+    def test_closed_form_runs_at_working_precision(self):
+        # k = 1 sums in closed form at working_prec(prec): 32 more bits make
+        # the bound 2^32 smaller, and the value stays within it.  The input
+        # is exact: a_n = n! sum r p^-n with rational r and p
+        poles = ((QQi(Fraction(3, 2), 1), 2), (QQi(-2, Fraction(1, 2)), -1))
+        coeffs = rational_pole_coeffs(poles, 32)
+        theta = 0.2
+        with mp.workprec(512):
+            t = mpmath.mpf("0.25") * mpmath.expj(mpmath.mpf("0.1"))
+            exact = rational_pole_sum(poles, t, theta)
+        res = {}
+        for prec in (None, 160):
+            rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1, prec=prec),
+                                 theta, [1.0], prec=prec)
+            res[prec] = laplace_sum(rc, 1, t, prec=prec)
+            assert res[prec].tail_cut is None
+            with mp.workprec(512):
+                assert abs(res[prec].value - exact) <= res[prec].total_error
+        assert res[None].quadrature_error < 1e-36
+        ratio = res[160].quadrature_error / res[None].quadrature_error
+        assert 2.0 ** -33 <= ratio <= 2.0 ** -31
+        with mp.workprec(512):
+            assert abs(res[160].value - exact) <= 2.0 ** -30 * res[None].quadrature_error
+
+    def test_scaled_euler_refuses_unreachable_eps(self):
+        # the Euler series times 1e30 sums to about 1e30: at 128 bits its
+        # evaluation bound is near 1e-8, so the default eps = 1e-16 is
+        # refused (the quadrature split every panel to depth 24 for 40 s
+        # and reported 1.8e9), and an eps above the bound is honoured
+        a = OneVarSeries([10 ** 30 * (-1) ** n * factorial(n) for n in range(40)])
+        rc = continue_on_ray(borel_transform(a, 1), 0.0, [1.0, 2.0])
+        t = mpmath.mpf("0.1")
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            laplace_sum(rc, 1, t)
+        res = laplace_sum(rc, 1, t, eps=1e-6)
+        assert time.perf_counter() - start < 5
+        assert 1e-12 < res.quadrature_error <= 1e-6
+        with mp.workprec(256):
+            exact = 10 ** 30 * rational_pole_sum(((QQi(-1), 1),), t, 0.0, prec=256)
+            assert abs(res.value - exact) <= res.total_error
+
+    @pytest.mark.parametrize("theta", [0.0, 2.0])
+    def test_euler_bound_at_64_bits(self, theta):
+        # at 64 bits the reported error covers the rounding of the sum (on
+        # the ray 0 the quadrature was off by 3.95e-18 and reported 2.86e-21)
+        rc = continue_on_ray(borel_transform(euler_series(), 1, prec=64), theta, [1.0],
+                             prec=64)
+        with mp.workprec(64):
+            t = mpmath.mpf("0.1") * mpmath.expj(theta)
+        res = laplace_sum(rc, 1, t, prec=64)
+        with mp.workprec(256):
+            exact = rational_pole_sum(((QQi(-1), 1),), t, theta, prec=256)
+            assert abs(res.value - exact) <= res.total_error
+        assert res.total_error < 1e-17
+
+    def test_multiple_root_falls_back_to_quadrature(self):
+        # (n + 1)! (-1)^n has the Borel transform 1/(1 + tau)^2: a double
+        # pole has no simple-fraction closed form, so k = 1 integrates
+        a = OneVarSeries([(-1) ** n * (n + 1) * factorial(n) for n in range(32)])
+        rc = continue_on_ray(borel_transform(a, 1), 0.0, [1.0, 2.0])
+        assert [mult for _, mult in rc._hi.raw_poles()] == [2]
+        assert rc._hi.partial_fractions() is None
+        with mp.workprec(128):
+            t = mpmath.mpf("0.1")
+        res = laplace_sum(rc, 1, t)
+        assert res.tail_cut is not None
+        with mp.workprec(256):
+            exact = mpmath.quad(lambda u: mpmath.exp(-u) / (1 + t * u) ** 2, [0, mpmath.inf])
+            assert abs(res.value - exact) <= res.total_error
+
+    def test_non_finite_numerator_refused(self):
+        # the closed form, like the quadrature, refuses an inf or nan
+        # coefficient instead of summing it into the value
+        appr = RationalApproximant([mpmath.mpc(1), mpmath.mpc(mpmath.nan)],
+                                   [mpmath.mpc(1), mpmath.mpc(2)], 128)
+        with pytest.raises(ValueError):
+            appr.partial_fractions()
 
     def test_tail_covers_growing_transform(self):
         # the Borel transform -log(1 + s) of sum m! t^(m+1) still grows past
@@ -416,6 +546,66 @@ class TestLaplace:
             f1 = laplace_sum(rc, 1, t + h, prec=200)
             f2 = laplace_sum(rc, 1, t - h, prec=200)
             assert abs(fp.value - (f1.value - f2.value) / (2 * h)) < 1e-6
+
+
+@st.composite
+def rational_borel_problems(draw):
+    """1-4 simple rational poles, a ray beside the first and a point t.
+
+    The ray turns 0.2-0.6 rad to either side of the first pole's direction;
+    the others stay at least 0.3 rad off the ray.  Half the draws put t on
+    the first pole's direction, a quarter of those with the pole on the
+    negative axis, so that q = p/t is exactly real.
+    """
+    def rational(lo, hi):
+        return Fraction(draw(st.integers(round(lo * 16), round(hi * 16))), 16)
+
+    on_axis = draw(st.booleans())
+    mod, ang = rational(0.6, 2.0), rational(-3.1, 3.1)
+    if on_axis and draw(st.booleans()):
+        ang = None
+        first = QQi(-mod)
+    else:
+        first = QQi(mod * Fraction(math.cos(ang)), mod * Fraction(math.sin(ang)))
+    alpha = math.pi if ang is None else math.atan2(first.im, first.re)
+    side = draw(st.sampled_from((-1, 1)))
+    theta = alpha + side * float(rational(0.2, 0.6))
+    poles = [first]
+    for _ in range(draw(st.integers(0, 3))):
+        m, a = rational(0.6, 2.0), theta + float(rational(0.3, 2 * math.pi - 0.3))
+        poles.append(QQi(m * Fraction(math.cos(a)), m * Fraction(math.sin(a))))
+    residues = [rational(-4, 4) or Fraction(1) for _ in poles]
+    modulus = rational(0.05, 0.4)
+    if on_axis:
+        direction = alpha
+    else:
+        direction = theta + float(rational(-0.5, 0.5))
+    return list(zip(poles, residues)), theta, modulus, direction, on_axis
+
+
+class TestClosedFormBound:
+    # total_error bounds the error against the closed form at 512 bits
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @settings(max_examples=8, deadline=None)
+    @given(problem=rational_borel_problems())
+    def test_total_error_covers_oracle(self, prec, problem):
+        poles, theta, modulus, direction, on_axis = problem
+        coeffs = rational_pole_coeffs(poles, 32)
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1, prec=prec),
+                             theta, [1.0], prec=prec)
+        with mp.workprec(prec):
+            if on_axis:
+                # on the first pole's direction, rounded like any input
+                p0 = to_mpc(poles[0][0])
+                t = p0 / abs(p0) * to_mpc(modulus)
+            else:
+                t = to_mpc(modulus) * mpmath.expj(direction)
+        for derivative in (False, True):
+            res = laplace_sum(rc, 1, t, derivative=derivative, prec=prec, eps=1)
+            assert res.tail_cut is None
+            exact = rational_pole_sum(poles, t, theta, derivative)
+            with mp.workprec(512):
+                assert abs(res.value - exact) <= res.total_error
 
 
 class TestPKSum:

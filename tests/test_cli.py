@@ -4,7 +4,9 @@ import math
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
+from mpmath import mp
 
 from germsum.cli import cli_main
 from germsum.series import TruncatedSeries, series_from_json, series_to_json
@@ -127,8 +129,15 @@ def test_borel_sum_and_directions(files, capsys):
     code, out = run(capsys, ["borel-sum", "--k", "1", "--theta", "0",
                              "--t", "0.1", coeffs])
     assert code == 0
-    assert abs(out["value"]["re"] - 0.9156333393978808) < 1e-9
-    assert out["quadrature_error"] < 1e-10
+    # the value is emitted as decimal strings at the working precision, so
+    # it carries the accuracy the errors report: e^(1/t) E1(1/t) / t
+    with mp.workprec(256):
+        value = mpmath.mpc(out["value"]["re"], out["value"]["im"])
+        exact = 10 * mpmath.exp(10) * mpmath.e1(10)
+        err = abs(value - exact)
+    assert err <= out["quadrature_error"] + out["continuation_error"]
+    assert out["quadrature_error"] < 1e-30
+    assert out["tail_cut"] is None
     code, out = run(capsys, ["directions", "--k", "1", coeffs])
     assert code == 0
     assert any(abs(d - math.pi) < 0.05 for d in out["directions"])
