@@ -7,6 +7,14 @@ the kernel ``k t^{-k} exp(-(tau/t)^k) tau^{k-1}``.  Specializing the
 coefficients of a germ-power expansion at a point and evaluating the germ
 there reduces germ-relative summation to this one-variable machinery.
 
+The rational continuation runs on the Gaussian-integer kernel of
+:mod:`germsum.scalars` at ``2 * prec + 10`` bits: the Toeplitz solve of
+each approximant (a system whose pivot is at most ||A||_1 2^-(2 prec + 9)
+is singular, and the build moves one degree down), the Durand-Kerner
+rooting of its denominator (stopped when every correction is below
+2^(1 - prec), roots kept at the kernel width) and its partial fractions.
+A :class:`BorelSeries` keeps the approximants it has built.
+
 For k = 1 the Laplace step is closed-form: each approximant splits into
 partial fractions Q(tau) + sum r/(tau - p), whose transform is
 sum q_j j! t^j + sum r e^(-p/t) E1(-p/t)/t plus a 2 pi i residue term for
@@ -22,7 +30,7 @@ panel-refinement estimate plus the discarded tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import mpmath
@@ -31,7 +39,8 @@ from mpmath.libmp import (from_man_exp, mpc_div, mpc_mul, repr_dps, round_neares
                           to_str)
 
 from .errors import ContinuationError, SectorError, SingularRayError
-from .scalars import to_mpc, working_prec
+from .scalars import (gi_abs, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_submul,
+                      gi_to_mpc, gi_width, to_mpc, working_prec)
 from .transforms import _poly_roots
 
 TWO_PI = 2 * math.pi
@@ -75,12 +84,25 @@ class OneVarSeries:
 
 @dataclass(frozen=True)
 class BorelSeries:
-    """Coefficients b_n = a_n / Gamma(1 + n/k)."""
+    """Coefficients b_n = a_n / Gamma(1 + n/k).
+
+    ``approximant`` builds each diagonal approximant once per series: the
+    rays of a Stokes pair and ``singular_directions`` share them.
+    """
     k: float
     coeffs: tuple
+    _approximants: dict = field(default_factory=dict, init=False, compare=False,
+                                repr=False)
 
     def __len__(self):
         return len(self.coeffs)
+
+    def approximant(self, m, prec):
+        """``build_approximant(self.coeffs, m, prec)``, built on first use."""
+        key = (m, prec)
+        if key not in self._approximants:
+            self._approximants[key] = build_approximant(self.coeffs, m, prec)
+        return self._approximants[key]
 
 
 def borel_transform(series, k, prec=None):
@@ -153,30 +175,39 @@ class RationalApproximant:
     def filtered_poles(self):
         """Poles with Froissart doublets (a numerator zero within FROISSART_REL) removed.
 
-        The Newton step ``|N(p)/N'(p)|`` estimates the distance from p to the
-        nearest zero of N without rooting N.  On the benchmark's ray-sum
+        The Newton step ``|N(p)/N'(p)|``, by kernel Horner at the kernel
+        width, estimates the distance from p to the nearest zero of N
+        without rooting N.  On the benchmark's ray-sum
         inputs it is <= 1e-35 max(1, |p|) at every doublet and >= 1e-3
         max(1, |p|) at every kept pole, so it keeps exactly the poles that
         rooting N would keep.
         """
+        w = gi_width(self.prec)
+        num = [gi_from_mpc(c, w) for c in self.num]
+        num_hl, dnum_hl = num[::-1], _derivative_hl(num, w)
         kept = []
-        with mp.workprec(self.prec):
-            num = self.num[::-1]
-            for p, mult in self.raw_poles():
-                n, dn = mpmath.polyval(num, to_mpc(p), derivative=True)
-                if abs(n) > FROISSART_REL * max(1, abs(p)) * abs(dn):
-                    kept.append((p, mult))
+        for p, mult in self.raw_poles():
+            z = gi_from_mpc(p, w)
+            n = gi_horner(num_hl, z, w)
+            if not (n[0] or n[1]):
+                continue
+            dn = gi_horner(dnum_hl, z, w) if dnum_hl else (0, 0, 0)
+            e = gi_mag(n)
+            if gi_abs(n, e) > FROISSART_REL * max(1, gi_abs(z)) * gi_abs(dn, e):
+                kept.append((p, mult))
         return tuple(kept)
 
     def partial_fractions(self):
         """``(poly, fractions)`` with N/D = Q(tau) + sum r/(tau - p), or None.
 
         ``poly`` holds the coefficients of Q, low to high, and ``fractions``
-        the pairs (p, r), all at twice the working precision: each cached
-        root is Newton-polished on the trimmed denominator D, Q and the
-        remainder R come from dividing N by D, and r = R(p)/D'(p), which
-        equals N(p)/D'(p).  None when D has a multiple root or a root at 0:
-        those have no simple-pole closed form.
+        the pairs (p, r), all at the kernel width ``2 * prec + 10``: the
+        poles are the cached roots of the trimmed denominator D, which
+        ``raw_poles`` keeps at that width, Q and the remainder R come from
+        dividing N by D on the Gaussian-integer kernel, and r = R(p)/D'(p),
+        which equals N(p)/D'(p), by kernel Horner.  None when D has a
+        multiple root or a root at 0: those have no simple-pole closed
+        form.  A non-finite coefficient raises ``ValueError``.
         """
         if self._fractions is None:
             self._fractions = self._split() or False
@@ -187,55 +218,112 @@ class RationalApproximant:
         den = self._trimmed_den()
         if not den or any(mult > 1 or p == 0 for p, mult in roots):
             return None
-        if not all(mpmath.isfinite(c) for c in self.num + den):
-            raise ValueError("non-finite approximant coefficient")
-        wp = 2 * self.prec
-        with mp.workprec(wp):
-            den = [to_mpc(c) for c in den]
-            rem = [to_mpc(c) for c in self.num]
-            d = len(den) - 1
-            poly = [mpmath.mpc(0)] * max(0, len(rem) - d)
-            for i in range(len(poly) - 1, -1, -1):
-                c = poly[i] = rem[i + d] / den[d]
-                for j, dj in enumerate(den):
-                    rem[i + j] -= c * dj
-            den_hl, rem_hl = den[::-1], rem[:d][::-1]
-            tiny = mpmath.mpf(2) ** -wp
-            fractions = []
-            for p, _ in roots:
-                p = to_mpc(p)
-                for _ in range(4):
-                    v, dv = mpmath.polyval(den_hl, p, derivative=True)
-                    step = v / dv
-                    p -= step
-                    if abs(step) <= tiny * abs(p):
-                        break
-                # D' taken before a step of 2^-wp |p| is D'(p) to 2^-wp
-                fractions.append((p, mpmath.polyval(rem_hl, p) / dv))
-        return tuple(poly), tuple(fractions)
+        w = gi_width(self.prec)
+        den = [gi_from_mpc(c, w) for c in den]
+        rem = [gi_from_mpc(c, w) for c in self.num]
+        d = len(den) - 1
+        poly = [None] * max(0, len(rem) - d)
+        for i in range(len(poly) - 1, -1, -1):
+            c = poly[i] = gi_div(rem[i + d], den[d], w)
+            for j, dj in enumerate(den):
+                rem[i + j] = gi_submul(rem[i + j], c, dj, w)
+        rem_hl = rem[:d][::-1]
+        dden_hl = _derivative_hl(den, w)
+        fractions = []
+        for p, _ in roots:
+            z = gi_from_mpc(p, w)
+            r = gi_div(gi_horner(rem_hl, z, w), gi_horner(dden_hl, z, w), w)
+            fractions.append((gi_to_mpc(z), gi_to_mpc(r)))
+        return tuple(gi_to_mpc(c) for c in poly), tuple(fractions)
+
+
+def _derivative_hl(coeffs, w):
+    """Kernel coefficients of the derivative, highest degree first, of the
+    polynomial with kernel coefficients ``coeffs`` (lowest first)."""
+    return [gi_mul(c, (j, 0, 0), w) for j, c in enumerate(coeffs)][:0:-1]
+
+
+def _toeplitz_solve(a, m, w):
+    """Minus the denominator, -q_1..-q_m, of the [m/m] Pade approximant, or
+    None when the system is singular.
+
+    Solves sum_i a[m + j + 1 - i] x_i = a[m + 1 + j] (j = 0..m-1, i = 1..m)
+    for kernel coefficients ``a`` by Gaussian elimination at w bits, with
+    the decisions of ``mpmath.lu_solve``: the pivot of a column is the
+    entry largest relative to the sum of its row, and the system is
+    numerically singular (None) when such a row sum or the pivot is at most
+    ||A||_1 2^(1 - w).  Magnitudes are floats relative to the largest
+    coefficient (``gi_abs``).
+    """
+    rows = [[a[m + j - i] for i in range(m)] + [a[m + 1 + j]] for j in range(m)]
+    top = max(gi_mag(x) for x in a[1:2 * m])
+    if top == -math.inf:
+        return None
+    mags = [[gi_abs(x, top) for x in row[:m]] for row in rows]
+    tol = math.ldexp(max(sum(col) for col in zip(*mags)), 1 - w)
+    for j in range(m):
+        best, piv = 0.0, None
+        for k in range(j, m):
+            s = math.fsum(mags[k][j:])
+            if s <= tol:
+                return None
+            if mags[k][j] / s > best:
+                best, piv = mags[k][j] / s, k
+        if piv is None or mags[piv][j] <= tol:
+            return None
+        rows[j], rows[piv] = rows[piv], rows[j]
+        mags[j], mags[piv] = mags[piv], mags[j]
+        head = rows[j]
+        for row, mag in zip(rows[j + 1:], mags[j + 1:]):
+            f = gi_div(row[j], head[j], w)
+            for k in range(j + 1, m + 1):
+                row[k] = gi_submul(row[k], f, head[k], w)
+            mag[j + 1:] = [gi_abs(x, top) for x in row[j + 1:m]]
+    q = [None] * m
+    for j in range(m - 1, -1, -1):
+        row = rows[j]
+        acc = row[m]
+        for k in range(j + 1, m):
+            acc = gi_submul(acc, row[k], q[k], w)
+        q[j] = gi_div(acc, row[j], w)
+    return q
 
 
 def build_approximant(coeffs, m=None, prec=None):
     """Diagonal Pade approximant [m/m] (default: the largest the coefficients allow).
 
-    A degenerate Toeplitz system (exactly rational input of lower true
-    degree) or a non-finite denominator moves on to the next lower degree;
-    when no degree >= 1 works the approximant is the constant term.
+    The coefficients are rounded to twice the working precision, and the
+    Toeplitz system of the denominator is solved on the Gaussian-integer
+    kernel of :mod:`germsum.scalars` at ``2 * prec + 10`` bits
+    (:func:`_toeplitz_solve`), by elimination with partial pivoting.  A
+    numerically singular system (a pivot, or a row sum of the remaining
+    matrix, at most ||A||_1 2^-(2 prec + 9): exactly rational input of
+    lower true degree) moves on to the next lower degree; when no
+    degree >= 1 works the approximant is the constant term (at twice the
+    working precision, like every coefficient).  A non-finite coefficient
+    raises ``ValueError``.
     """
     prec = working_prec(prec)
     top = (len(coeffs) - 1) // 2
     m = top if m is None else max(0, min(m, top))
+    w = gi_width(prec)
     with mp.workprec(2 * prec):
         c = [to_mpc(x) for x in coeffs]
-        for mm in range(m, 0, -1):
-            try:
-                num, den = mpmath.pade(c, mm, mm)
-            except ZeroDivisionError:
-                continue
-            if all(mpmath.isfinite(x) for x in den):
-                return RationalApproximant(num, den, prec)
-    # explicit, because mpmath.pade(c, 0, 0) returns [1]/[1]
-    return RationalApproximant([to_mpc(coeffs[0])], [mpmath.mpc(1)], prec)
+    a = [gi_from_mpc(x, w) for x in c]
+    for mm in range(m, 0, -1):
+        x = _toeplitz_solve(a, mm, w)
+        if x is None:
+            continue
+        # p_i = a_i + sum_j q_j a_(i-j) with q_j = -x_j
+        num = []
+        for i in range(mm + 1):
+            acc = a[i]
+            for j in range(1, i + 1):
+                acc = gi_submul(acc, x[j - 1], a[i - j], w)
+            num.append(acc)
+        den = [mpmath.mpc(1)] + [gi_to_mpc((-re, -im, e)) for re, im, e in x]
+        return RationalApproximant([gi_to_mpc(c) for c in num], den, prec)
+    return RationalApproximant([c[0]], [mpmath.mpc(1)], prec)
 
 
 @dataclass(frozen=True)
@@ -298,8 +386,8 @@ def continue_on_ray(b, theta, radii, method="pade", prec=None):
     with mp.workprec(prec):
         theta = float(theta)
         m_star = (len(coeffs) - 1) // 2
-        hi = build_approximant(coeffs, m_star, prec)
-        lo = build_approximant(coeffs, m_star - 1, prec)
+        hi = b.approximant(m_star, prec)
+        lo = b.approximant(m_star - 1, prec)
         poles = tuple(p for p, _ in _stable_poles((hi, lo), RAY_MATCH_REL))
         for p in poles:
             if abs(_angdiff(mpmath.arg(p), theta)) < RAY_POLE_MARGIN:
@@ -767,8 +855,7 @@ def singular_directions(b, k=None, prec=None):
     prec = working_prec(prec)
     with mp.workprec(prec):
         m0 = (len(coeffs) - 1) // 2
-        approximants = [build_approximant(coeffs, m0 - i, prec)
-                        for i in range(DIRECTION_ORDERS)]
+        approximants = [b.approximant(m0 - i, prec) for i in range(DIRECTION_ORDERS)]
         clusters = []
         for matched in _stable_poles(approximants, DIRECTION_MATCH_REL):
             center = sum(matched) / len(matched)

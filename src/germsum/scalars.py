@@ -15,14 +15,22 @@ the rule on every pair the series kernel meets (``int`` and ``Fraction``
 meet mpmath through mpmath itself, which the kernel runs at the working
 precision).  The ``s*`` helpers below apply the rule to any two scalars,
 each call at the working precision.
+
+The ``gi_*`` helpers at the end are a small Gaussian-integer kernel for
+numerical loops: a complex number ``(re, im, exp)`` is two int mantissas
+with a shared binary exponent, and every operation truncates the result to
+a width of ``w`` bits, so the loops run on Python ints and not on mpmath
+objects.
 """
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 DEFAULT_PREC_BITS = int(os.environ.get("GERMSUM_PREC_BITS", "128"))
 
@@ -268,3 +276,146 @@ def parse_scalar(text):
     except ValueError:
         raise ValueError(f"cannot parse scalar {text!r}") from None
     return _finite(value, text)
+
+
+# -- Gaussian-integer kernel -------------------------------------------------
+#
+# A kernel number (re, im, exp) is (re + i im) 2^exp with int mantissas of at
+# most w bits.  Each helper truncates its result to w bits: its error is
+# below 2^(2 - w) of the result's larger component plus, for a sum,
+# 2^-(w + 1) of the larger operand.  Zero is (0, 0, e) for any e.
+
+GI_ONE = (1, 0, 0)
+
+
+def gi_width(prec):
+    """The kernel width of the Pade layer: twice the working precision plus
+    10 guard bits, the width ``mpmath.lu_solve`` ran its 2*prec solve at."""
+    return 2 * prec + 10
+
+
+def _gi_norm(re, im, e, w):
+    n = re.bit_length()
+    k = im.bit_length()
+    if k > n:
+        n = k
+    n -= w
+    if n > 0:
+        return re >> n, im >> n, e + n
+    return re, im, e
+
+
+def _gi_add(ar, ai, ae, br, bi, be, w):
+    """a + b for mantissas of any width, truncated to w bits."""
+    # exponents at most w apart: align exactly on the lower one
+    d = ae - be
+    if 0 <= d <= w:
+        return _gi_norm((ar << d) + br, (ai << d) + bi, be, w)
+    if -w <= d < 0:
+        return _gi_norm(ar + (br << -d), ai + (bi << -d), ae, w)
+    if not (br or bi):
+        return _gi_norm(ar, ai, ae, w)
+    if not (ar or ai):
+        return _gi_norm(br, bi, be, w)
+    # else align on the lower exponent, but no lower than w + 3 bits below
+    # the top bit of the larger operand: what is cut off there is below
+    # 2^-(w + 1) of that operand
+    ta = ar.bit_length()
+    k = ai.bit_length()
+    if k > ta:
+        ta = k
+    tb = br.bit_length()
+    k = bi.bit_length()
+    if k > tb:
+        tb = k
+    top = ta + ae if ta + ae > tb + be else tb + be
+    e = ae if ae < be else be
+    if e < top - w - 3:
+        e = top - w - 3
+    if ae >= e:
+        ar, ai = ar << (ae - e), ai << (ae - e)
+    else:
+        ar, ai = ar >> (e - ae), ai >> (e - ae)
+    if be >= e:
+        br, bi = br << (be - e), bi << (be - e)
+    else:
+        br, bi = br >> (e - be), bi >> (e - be)
+    return _gi_norm(ar + br, ai + bi, e, w)
+
+
+def gi_round(a, w):
+    """The kernel number a truncated to w bits."""
+    return _gi_norm(*a, w)
+
+
+def gi_from_mpc(z, w):
+    """An mpmath number (or any scalar :func:`to_mpc` takes) as a kernel
+    number of at most w bits; ``ValueError`` on an inf or a nan."""
+    (rs, rm, re_, rbc), (is_, im, ie, ibc) = to_mpc(z)._mpc_
+    if rbc < 0 or ibc < 0:
+        raise ValueError(f"non-finite scalar {z!r} has no integer mantissa")
+    return _gi_add(-rm if rs else rm, 0, re_, 0, -im if is_ else im, ie, w)
+
+
+def gi_to_mpc(a):
+    """A kernel number as an mpc, exactly (no rounding)."""
+    re, im, e = a
+    return mp.make_mpc((from_man_exp(re, e), from_man_exp(im, e)))
+
+
+def gi_mag(a):
+    """Bit-length magnitude m: the larger component of a lies in
+    [2^(m-1), 2^m), so 2^(m-1) <= |a| < 2^(m+1/2); -inf for zero."""
+    re, im, e = a
+    n = max(re.bit_length(), im.bit_length())
+    return n + e if n else -math.inf
+
+
+def gi_abs(a, e=0):
+    """|a| 2^-e as a float (0.0 below the float range)."""
+    re, im, ae = _gi_norm(*a, 53)
+    return math.hypot(math.ldexp(re, ae - e), math.ldexp(im, ae - e))
+
+
+def gi_sub(a, b, w):
+    """a - b, truncated to w bits."""
+    br, bi, be = b
+    return _gi_add(*a, -br, -bi, be, w)
+
+
+def gi_mul(a, b, w):
+    """a * b, truncated to w bits."""
+    ar, ai, ae = a
+    br, bi, be = b
+    return _gi_norm(ar * br - ai * bi, ar * bi + ai * br, ae + be, w)
+
+
+def gi_submul(c, a, b, w):
+    """c - a * b, truncated to w bits once (the product is exact)."""
+    ar, ai, ae = a
+    br, bi, be = b
+    return _gi_add(*c, ai * bi - ar * br, -(ar * bi + ai * br), ae + be, w)
+
+
+def gi_div(a, b, w):
+    """a / b, truncated to w bits; ``ZeroDivisionError`` when b is zero."""
+    ar, ai, ae = a
+    br, bi, be = b
+    d = br * br + bi * bi
+    if not d:
+        raise ZeroDivisionError("division by a zero kernel number")
+    nr = ar * br + ai * bi
+    ni = ai * br - ar * bi
+    # shift the numerator so that the quotient keeps w + 2 bits
+    s = max(0, w + 2 + d.bit_length() - max(nr.bit_length(), ni.bit_length()))
+    return _gi_norm((nr << s) // d, (ni << s) // d, ae - be - s, w)
+
+
+def gi_horner(coeffs, z, w):
+    """The polynomial with kernel coefficients ``coeffs`` (highest degree
+    first) at the kernel number z, by Horner's rule at w bits."""
+    zr, zi, ze = z
+    ar, ai, ae = coeffs[0]
+    for cr, ci, ce in coeffs[1:]:
+        ar, ai, ae = _gi_add(ar * zr - ai * zi, ar * zi + ai * zr, ae + ze, cr, ci, ce, w)
+    return ar, ai, ae

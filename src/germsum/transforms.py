@@ -16,6 +16,8 @@ the blown-up germ.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +27,9 @@ from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
 from . import scalars
-from .scalars import is_zero, sadd, scalar_to_json, to_mpc, working_prec
+from .scalars import (GI_ONE, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_round,
+                      gi_sub, gi_to_mpc, gi_width, is_zero, sadd, scalar_to_json, to_mpc,
+                      working_prec)
 from .series import MonomialOrder, TruncatedSeries, substitute
 
 
@@ -171,47 +175,119 @@ def _root_str(v):
 
 
 def _cluster_roots(values, radius):
-    """Greedy clustering of approximate roots; multiplicity = cluster size."""
-    clusters = []
+    """Greedy clustering of approximate roots; multiplicity = cluster size.
+
+    A cluster's center is the mean of its members; a single root is its own
+    center, unrounded.
+    """
+    clusters = []  # [sum, size, center, max(1, |center|)]
     for z in sorted(values, key=lambda w: (abs(w), mpmath.arg(w) if w != 0 else 0)):
         for c in clusters:
-            center = c[0] / c[1]
-            if abs(z - center) <= radius * max(1, abs(center)):
+            if abs(z - c[2]) <= radius * c[3]:
                 c[0] += z
                 c[1] += 1
+                c[2] = c[0] / c[1]
+                c[3] = max(1, abs(c[2]))
                 break
         else:
-            clusters.append([z, 1])
-    return [(c[0] / c[1], c[1]) for c in clusters]
+            clusters.append([z, 1, z, max(1, abs(z))])
+    return [(c[2], c[1]) for c in clusters]
 
 
 def _float_seeds(poly):
-    """float64 companion-matrix eigenvalues of a polynomial (highest degree
-    first) as mpc seeds, or None when a coefficient or an eigenvalue is not
-    a finite float64 or numpy fails."""
+    """float64 companion-matrix eigenvalues of a kernel polynomial (highest
+    degree first) as kernel seeds, one per root.
+
+    The coefficients are scaled by one power of two, which changes no root,
+    so that the largest has magnitude about 1: every coefficient then fits
+    float64 (one far below the largest underflows to 0).  When numpy
+    returns fewer finite eigenvalues than the degree (a leading coefficient
+    underflowed) or fails, the rest are Durand-Kerner's usual (0.4 + 0.9i)^n.
+    """
+    top = max(gi_mag(c) for c in poly)
+    coeffs = []
+    for c in poly:
+        re, im, e = gi_round(c, 53)
+        coeffs.append(complex(math.ldexp(re, e - top), math.ldexp(im, e - top)))
     try:
-        coeffs = numpy.array([complex(c) for c in poly])
-        if not numpy.isfinite(coeffs).all():
-            return None
         with numpy.errstate(all="ignore"):
-            seeds = numpy.roots(coeffs)
-    except (ValueError, OverflowError):
+            found = numpy.roots(numpy.array(coeffs)).tolist()
+    except numpy.linalg.LinAlgError:
+        found = []
+    found = [z for z in found if cmath.isfinite(z)]
+    found += [(0.4 + 0.9j) ** n for n in range(len(found), len(poly) - 1)]
+    return [gi_from_mpc(mpmath.mpc(z), 60) for z in found]
+
+
+# Durand-Kerner sweeps before a polynomial counts as having a multiple root.
+_DK_SWEEPS = 200
+
+
+def _below(z, k):
+    """|z| < 2^k for a kernel number z, decided exactly on its mantissas."""
+    re, im, e = z
+    n = 2 * (k - e)
+    return re * re + im * im < (1 << n) if n >= 0 else not (re or im)
+
+
+def _durand_kerner(poly, prec):
+    """All roots of a kernel polynomial (highest degree first), or None.
+
+    Runs on the monic polynomial at ``gi_width(prec)`` bits from
+    :func:`_float_seeds`.  A sweep updates each root in turn by
+    f(p) / prod(p - q) over the other roots q, one division per root; a
+    zero difference is left out of the product.  The iteration stops when
+    every correction of a sweep is below 2^(1 - prec) (absolute), and gives
+    up (None) after ``_DK_SWEEPS`` sweeps.  Components below 2^(1 - prec)
+    are then set to zero, as ``mpmath.polyroots`` does, so that roots on an
+    axis land on it.
+    """
+    w = gi_width(prec)
+    monic = [GI_ONE] + [gi_div(c, poly[0], w) for c in poly[1:]]
+    roots = _float_seeds(poly)
+    tol = 1 - prec
+    for _ in range(_DK_SWEEPS):
+        converged = True
+        for i, p in enumerate(roots):
+            prod = GI_ONE
+            for j, q in enumerate(roots):
+                if j != i:
+                    diff = gi_sub(p, q, w)
+                    if diff[0] or diff[1]:
+                        prod = gi_mul(prod, diff, w)
+            step = gi_div(gi_horner(monic, p, w), prod, w)
+            roots[i] = gi_sub(p, step, w)
+            converged = converged and _below(step, tol)
+        if converged:
+            break
+    else:
         return None
-    if not numpy.isfinite(seeds).all():
-        return None
-    return [mpmath.mpc(z) for z in seeds.tolist()]
+    out = []
+    for re, im, e in roots:
+        if _below((re, im, e), tol):
+            re = im = 0
+        elif im.bit_length() + e <= tol:
+            im = 0
+        elif re.bit_length() + e <= tol:
+            re = 0
+        out.append((re, im, e))
+    return out
 
 
 def _poly_roots(coeffs_low_to_high, prec):
     """Roots of a univariate polynomial with exact zero-root deflation.
 
-    ``mpmath.polyroots`` (Durand-Kerner at ``2 * prec``) starts from the
-    float64 companion-matrix eigenvalues of ``numpy.roots`` (Edelman and
-    Murakami, Math. Comp. 64, 1995), or from its default seeds when the
-    polynomial does not fit float64.  When it does not converge (a multiple
-    root), the roots are the eigenvalues of the companion matrix at
-    ``prec``.  Roots within 2^-(prec/4) (relative) of each other are merged
-    into one with its multiplicity.
+    Durand-Kerner (:func:`_durand_kerner`) on the Gaussian-integer kernel
+    of :mod:`germsum.scalars` at ``2 * prec + 10`` bits, seeded by the float64
+    companion-matrix eigenvalues of ``numpy.roots`` (Edelman and Murakami,
+    Math. Comp. 64, 1995) on the coefficients scaled by a power of two.  It
+    stops when every correction of a sweep is below 2^(1 - prec), and the
+    roots are kept at the kernel width: twice the working precision, which
+    quadratic convergence reaches one sweep after that stop.  When it does
+    not converge within 200 sweeps (a multiple root), the roots are the
+    eigenvalues of the companion matrix (``mpmath.eig``) at ``prec``.
+    Roots within 2^-(prec/4) (relative) of each other are merged into one
+    with its multiplicity.
     """
     roots = []
     cs = list(coeffs_low_to_high)
@@ -227,21 +303,23 @@ def _poly_roots(coeffs_low_to_high, prec):
         roots.append((Fraction(0), zero_mult))
     if len(cs) <= 1:
         return roots
-    with mp.workprec(prec):
-        poly = [to_mpc(c) for c in reversed(cs)]
-        try:
-            found = mpmath.polyroots(poly, maxsteps=200, extraprec=prec,
-                                     roots_init=_float_seeds(poly))
-        except mpmath.libmp.libhyper.NoConvergence:
+    w = gi_width(prec)
+    with mp.workprec(w):
+        poly = [gi_from_mpc(c, w) for c in reversed(cs)]
+    found = _durand_kerner(poly, prec)
+    if found is None:
+        with mp.workprec(prec):
             comp = mpmath.zeros(len(poly) - 1)
-            lead = poly[0]
+            lead = to_mpc(cs[-1])
             for i in range(len(poly) - 1):
-                comp[i, len(poly) - 2] = -poly[len(poly) - 1 - i] / lead
+                comp[i, len(poly) - 2] = -to_mpc(cs[i]) / lead
                 if i > 0:
                     comp[i, i - 1] = 1
             found, _ = mpmath.eig(comp)
-        radius = mpmath.mpf(2) ** (-(prec // 4))
-        roots.extend(_cluster_roots(found, radius))
+    else:
+        found = [gi_to_mpc(z) for z in found]
+    with mp.workprec(prec):
+        roots.extend(_cluster_roots(found, mpmath.mpf(2) ** (-(prec // 4))))
     return roots
 
 

@@ -96,16 +96,33 @@ class TestContinuation:
         assert appr.order[1] < 9
         assert abs(appr(mpmath.mpc(2)) - Fraction(1, 3)) < 1e-30
 
+    def test_constant_fallback_keeps_twice_the_precision(self):
+        # no degree >= 1 solves, so the approximant is the constant term,
+        # rounded to 2 prec bits like every coefficient
+        appr = build_approximant([Fraction(1, 3)] + [0] * 9, prec=256)
+        assert appr.order == (0, 0)
+        with mp.workprec(1024):
+            assert abs(appr.num[0] - mpmath.mpf(1) / 3) <= mpmath.ldexp(1, -512)
+
+    def test_build_refuses_non_finite_coefficient(self):
+        # an inf or nan has no integer mantissa: refused before any solve
+        for bad in (mpmath.inf, mpmath.nan):
+            with pytest.raises(ValueError):
+                build_approximant([mpmath.mpc(1)] * 5 + [mpmath.mpc(bad)] + [mpmath.mpc(1)] * 4)
+
 
 class TestFroissartFilter:
     # g(tau) = sum r p / (p - tau): a [1/2] rational Borel transform whose
     # [15/15] approximant carries 13 pole-zero doublets besides the true poles
     POLES = ((mpmath.mpc(1.5, 1.0), 2), (mpmath.mpc(-2, 0.5), -1))
 
-    def top_approximant(self):
+    @classmethod
+    def coeffs(cls):
         with mp.workprec(128):
-            coeffs = [sum(r * p ** (-n) for p, r in self.POLES) for n in range(32)]
-        return build_approximant(coeffs)
+            return [sum(r * p ** (-n) for p, r in cls.POLES) for n in range(32)]
+
+    def top_approximant(self):
+        return build_approximant(self.coeffs())
 
     def test_keeps_exactly_the_true_poles(self):
         appr = self.top_approximant()
@@ -144,8 +161,9 @@ class TestFroissartFilter:
         continue_on_ray(b, 0.0, [1.0, 2.0])
         assert len(calls) == 2
         calls.clear()
+        # the series keeps the two approximants the ray built: one new order
         singular_directions(b, 1)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
 
 def three_pole_coeffs(n):
@@ -606,6 +624,96 @@ class TestClosedFormBound:
             exact = rational_pole_sum(poles, t, theta, derivative)
             with mp.workprec(512):
                 assert abs(res.value - exact) <= res.total_error
+
+
+def pade_step_down(coeffs, m, prec):
+    """(order, num, den) that a step-down loop over mpmath.pade settles on
+    at 2 prec bits: the reference of the kernel's Toeplitz solve."""
+    with mp.workprec(2 * prec):
+        c = [to_mpc(x) for x in coeffs]
+        for mm in range(m, 0, -1):
+            try:
+                num, den = mpmath.pade(c, mm, mm)
+            except ZeroDivisionError:
+                continue
+            if all(mpmath.isfinite(x) for x in den):
+                return mm, num, den
+    return 0, c[:1], [mpmath.mpc(1)]
+
+
+@st.composite
+def exact_lower_degree_coeffs(draw):
+    """16-32 Taylor coefficients of sum r/(1 - tau/p) over 1-4 poles.
+
+    1/p is a nonzero Gaussian integer of modulus <= 5 and r a dyadic
+    rational, so every coefficient is held exactly at 2 prec >= 128 bits and
+    the Toeplitz system of each order above the number of distinct poles
+    is exactly singular.  (On rounded inputs neither the kernel nor
+    ``mpmath.lu_solve`` can tell a lower true degree from rounding noise.)
+    """
+    invs = [QQi(draw(st.integers(-4, 4)), draw(st.integers(-3, 3)))
+            for _ in range(draw(st.integers(1, 4)))]
+    invs = [v for v in invs if v] or [QQi(1)]
+    residues = [Fraction(draw(st.integers(1, 5)) * draw(st.sampled_from((-1, 1))),
+                         draw(st.sampled_from((1, 2, 4)))) for _ in invs]
+    coeffs, powers = [], [QQi(1)] * len(invs)
+    for _ in range(draw(st.integers(16, 32))):
+        coeffs.append(sum((w * r for w, r in zip(powers, residues)), QQi(0)))
+        powers = [w * v for w, v in zip(powers, invs)]
+    return coeffs
+
+
+class TestToeplitzSolve:
+    # the kernel's Toeplitz solve against mpmath.pade at 2 prec bits
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @settings(max_examples=10, deadline=None)
+    @given(coeffs=st.one_of(
+        st.just([(-1) ** n for n in range(20)]),
+        st.just(TestFroissartFilter.coeffs()),
+        exact_lower_degree_coeffs()))
+    def test_degenerate_input_settles_like_pade(self, prec, coeffs):
+        m = (len(coeffs) - 1) // 2
+        assert build_approximant(coeffs, m, prec).order[1] == pade_step_down(coeffs, m, prec)[0]
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @settings(max_examples=8, deadline=None)
+    @given(problem=rational_borel_problems())
+    def test_values_on_the_ray_match_pade(self, prec, problem):
+        poles, theta = problem[:2]
+        b = borel_transform(OneVarSeries(rational_pole_coeffs(poles, 32)), 1, prec=prec)
+        appr = build_approximant(b.coeffs, 15, prec)
+        _, num, den = pade_step_down(b.coeffs, 15, prec)
+        with mp.workprec(2 * prec):
+            for r in (0.25, 0.5, 1, 2):
+                tau = r * mpmath.expj(theta)
+                got = mpmath.polyval(appr.num[::-1], tau) / mpmath.polyval(appr.den[::-1], tau)
+                want = mpmath.polyval(num[::-1], tau) / mpmath.polyval(den[::-1], tau)
+                assert abs(got - want) <= abs(want) * mpmath.ldexp(1, 8 - prec)
+
+
+class TestKernelGuard:
+    # the Pade layer runs on the Gaussian-integer kernel: no mpmath Pade
+    # solve, LU solve or polynomial rooting anywhere in the ray-sum chain
+    @pytest.mark.parametrize("family", ["euler48", "three_pole"])
+    def test_chain_calls_no_mpmath_solver(self, monkeypatch, family):
+        if family == "euler48":
+            series, theta, t = euler_borel_series(48), math.pi, mpmath.mpf("-0.1")
+        else:
+            series = OneVarSeries([factorial(n) * c for n, c in enumerate(three_pole_coeffs(32))])
+            theta, t = -0.3, mpmath.mpf("0.1") * mpmath.expj(-0.3)
+        calls = []
+        for name in ("pade", "lu_solve", "polyroots"):
+            def spy(*args, _name=name, _real=getattr(mpmath, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mpmath, name, spy)
+            monkeypatch.setattr(mp, name, spy)
+        b = borel_transform(series, 1)
+        rc = continue_on_ray(b, theta, [0.5, 1.0])
+        res = laplace_sum(rc, 1, t)
+        assert res.tail_cut is None
+        singular_directions(b, 1)
+        assert calls == []
 
 
 class TestPKSum:

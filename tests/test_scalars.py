@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from germsum.scalars import (QQi, is_exact, is_zero, parse_scalar, sadd, scalar_eq,
+from germsum.scalars import (QQi, gi_div, gi_from_mpc, gi_horner, gi_mul, gi_sub, gi_submul,
+                             gi_to_mpc, is_exact, is_zero, parse_scalar, sadd, scalar_eq,
                              scalar_from_json, sdiv, smul, sneg, to_mpc, working_prec)
 
 ints = st.integers(-60, 60)
@@ -152,3 +153,52 @@ def test_parse_scalar_refuses_non_finite(text):
 def test_scalar_from_json_refuses_non_finite(obj):
     with pytest.raises(ValueError, match="non-finite"):
         scalar_from_json(obj)
+
+
+# Gaussian-integer kernel: each helper against mpmath at 600 bits, within
+# 2^(4 - w) of the result (of the larger operand for a difference)
+KERNEL_W = 138
+mantissas = st.integers(-(2 ** 80), 2 ** 80)
+kernel_values = st.builds(lambda re, im, e: mpmath.mpc(mpmath.ldexp(re, e), mpmath.ldexp(im, e)),
+                          mantissas, mantissas, st.integers(-700, 700))
+
+
+def kernel(z):
+    with mp.workprec(600):
+        return gi_from_mpc(z, KERNEL_W)
+
+
+def close(got, want, size):
+    with mp.workprec(600):
+        return abs(gi_to_mpc(got) - want) <= size * mpmath.ldexp(1, 4 - KERNEL_W)
+
+
+@given(a=kernel_values, b=kernel_values, c=kernel_values)
+def test_kernel_ops_match_mpmath(a, b, c):
+    ka, kb, kc = kernel(a), kernel(b), kernel(c)
+    with mp.workprec(600):
+        assert close(gi_mul(ka, kb, KERNEL_W), a * b, abs(a * b))
+        assert close(gi_sub(ka, kb, KERNEL_W), a - b, max(abs(a), abs(b)))
+        # a - a (1 + 2^-40): the cancellation is exact up to the inputs
+        near = a * (1 + mpmath.ldexp(1, -40))
+        assert close(gi_sub(ka, kernel(near), KERNEL_W), a - near, abs(a))
+        assert close(gi_submul(kc, ka, kb, KERNEL_W), c - a * b, max(abs(c), abs(a * b)))
+        assert close(gi_horner([ka, kb, kc], kc, KERNEL_W), (a * c + b) * c + c,
+                     (abs(a * c) + abs(b)) * abs(c) + abs(c))
+        if b:
+            assert close(gi_div(ka, kb, KERNEL_W), a / b, abs(a / b))
+
+
+def test_kernel_conversion():
+    # exact both ways when both parts fit the width under one exponent; a
+    # part far below the other is cut; inf and nan have no mantissa
+    z = mpmath.mpc(mpmath.ldexp(3, -100), -5)
+    assert gi_to_mpc(gi_from_mpc(z, KERNEL_W)) == z
+    far = mpmath.mpc(mpmath.ldexp(3, -900), -5)
+    assert gi_to_mpc(gi_from_mpc(far, KERNEL_W)) == -5j
+    assert gi_from_mpc(Fraction(-3, 4), KERNEL_W) == (-3, 0, -2)
+    for bad in (mpmath.inf, mpmath.nan):
+        with pytest.raises(ValueError):
+            gi_from_mpc(mpmath.mpc(1, bad), KERNEL_W)
+    with pytest.raises(ZeroDivisionError):
+        gi_div((1, 0, 0), (0, 0, 5), KERNEL_W)
