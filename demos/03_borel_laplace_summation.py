@@ -40,12 +40,12 @@ with mp.workprec(250):
     oracle = mpmath.quad(lambda u: mpmath.exp(-u) / (1 + t * u), [0, mpmath.inf])
 print("\nsum at t=0.1:      ", mpmath.nstr(result.value, 30))
 print("quadrature oracle: ", mpmath.nstr(oracle, 30))
-# k = 1 sums in closed form: its quadrature_error field is the rounding
-# bound of that evaluation, and nothing is cut off (tail_cut is None)
+# the sum is closed-form: its quadrature_error field is the rounding bound
+# of that evaluation
 print("difference %.2e, reported errors: closed-form evaluation bound %.1e, "
-      "continuation %.1e, tail cut %s"
+      "continuation %.1e"
       % (abs(result.value - oracle), result.quadrature_error,
-         result.continuation_error, result.tail_cut))
+         result.continuation_error))
 
 # Asking for the singular direction itself is refused.
 try:

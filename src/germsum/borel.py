@@ -15,31 +15,31 @@ rooting of its denominator (stopped when every correction is below
 2^(1 - prec), roots kept at the kernel width) and its partial fractions.
 A :class:`BorelSeries` keeps the approximants it has built.
 
-For k = 1 the Laplace step is closed-form: each approximant splits into
-partial fractions Q(tau) + sum r/(tau - p), whose transform is
-sum q_j j! t^j + sum r e^(-p/t) E1(-p/t)/t plus a 2 pi i residue term for
-each pole between arg t and the ray.  For other k, or an approximant with
-a multiple root, adaptive Gauss-Legendre integrates the approximant.
+The Laplace step is closed-form for every k = a/b: tau = s^b turns it
+into the order-a step, and each approximant splits into partial fractions
+Q(s) + sum r/(s - c)^j (confluent at a multiple root).  For k = 1 the
+transform is sum q_j j! t^j + sum r e^(-p/t) E1(-p/t)/t plus a 2 pi i
+residue term for each pole between arg t and the ray; for integer a > 1
+the E1 becomes a sum of upper incomplete gammas, and a multiple pole
+sums through their Taylor coefficients.
 
 Error reporting is split and mandatory: the continuation error is the
 difference between two consecutive approximant orders propagated through
-the same Laplace step.  The quadrature error is, for the closed form, the
-bound on rounding in evaluating it; for the quadrature, the accumulated
-panel-refinement estimate plus the discarded tail.
+the same Laplace step.  The quadrature error is the bound on rounding in
+evaluating the closed form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, mpc_div, mpc_mul, repr_dps, round_nearest,
-                          to_str)
+from mpmath.libmp import repr_dps, to_str
 
 from .errors import ContinuationError, SectorError, SingularRayError
-from .scalars import (gi_abs, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_submul,
+from .scalars import (gi_abs, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_sub, gi_submul,
                       gi_to_mpc, gi_width, to_mpc, working_prec)
 from .transforms import _poly_roots
 
@@ -139,7 +139,8 @@ class RationalApproximant:
         self.num = tuple(num)
         self.den = tuple(den)
         self.prec = prec
-        self._roots = self._fractions = None
+        self._roots = None
+        self._fractions = {}
 
     @property
     def order(self):
@@ -184,63 +185,100 @@ class RationalApproximant:
         """
         w = gi_width(self.prec)
         num = [gi_from_mpc(c, w) for c in self.num]
-        num_hl, dnum_hl = num[::-1], _derivative_hl(num, w)
+        num_hl, dnum_hl = num[::-1], _taylor_hl(num, 1, w)
         kept = []
         for p, mult in self.raw_poles():
             z = gi_from_mpc(p, w)
             n = gi_horner(num_hl, z, w)
             if not (n[0] or n[1]):
                 continue
-            dn = gi_horner(dnum_hl, z, w) if dnum_hl else (0, 0, 0)
+            dn = _horner(dnum_hl, z, w)
             e = gi_mag(n)
             if gi_abs(n, e) > FROISSART_REL * max(1, gi_abs(z)) * gi_abs(dn, e):
                 kept.append((p, mult))
         return tuple(kept)
 
     def partial_fractions(self):
-        """``(poly, fractions)`` with N/D = Q(tau) + sum r/(tau - p), or None.
+        """``(poly, fractions)`` with N/D = Q(tau) + sum r_j/(tau - p)^j: the
+        case b = 1 of :meth:`_split`."""
+        return self._split(1)
+
+    def _split(self, b):
+        """``(poly, fractions)`` with N(s^b)/D(s^b) = Q(s) + sum r_j/(s - c)^j,
+        built once per b.
 
         ``poly`` holds the coefficients of Q, low to high, and ``fractions``
-        the pairs (p, r), all at the kernel width ``2 * prec + 10``: the
+        one pair (c, (r_1, ..., r_m)) for each b-th root c of each pole p
+        of multiplicity m, all at the kernel width ``2 * prec + 10``.  The
         poles are the cached roots of the trimmed denominator D, which
-        ``raw_poles`` keeps at that width, Q and the remainder R come from
-        dividing N by D on the Gaussian-integer kernel, and r = R(p)/D'(p),
-        which equals N(p)/D'(p), by kernel Horner.  None when D has a
-        multiple root or a root at 0: those have no simple-pole closed
-        form.  A non-finite coefficient raises ``ValueError``.
+        ``raw_poles`` keeps at that width, so nothing is rooted again; Q and
+        the remainder R come from dividing N(s^b) by D(s^b) on the
+        Gaussian-integer kernel.  With E = D(s^b)/(s - c)^m, whose Taylor
+        coefficients at c are those of D(s^b) from order m on, r_m, ...,
+        r_1 are the first m Taylor coefficients of R/E at c, by kernel
+        Horner: a simple pole has r_1 = R(c)/D'(c).  The center of a
+        multiple root (roots merged by ``_poly_roots``) is first refined by a
+        Newton step on the (m - 1)-th derivative, where it is simple.  A
+        non-finite coefficient, or a pole at 0, raises ``ValueError``.
         """
-        if self._fractions is None:
-            self._fractions = self._split() or False
-        return self._fractions or None
-
-    def _split(self):
-        roots = self.raw_poles()
-        den = self._trimmed_den()
-        if not den or any(mult > 1 or p == 0 for p, mult in roots):
-            return None
+        if b in self._fractions:
+            return self._fractions[b]
         w = gi_width(self.prec)
-        den = [gi_from_mpc(c, w) for c in den]
-        rem = [gi_from_mpc(c, w) for c in self.num]
+        den = _spread([gi_from_mpc(c, w) for c in self._trimmed_den()], b)
+        rem = _spread([gi_from_mpc(c, w) for c in self.num], b)
         d = len(den) - 1
         poly = [None] * max(0, len(rem) - d)
         for i in range(len(poly) - 1, -1, -1):
             c = poly[i] = gi_div(rem[i + d], den[d], w)
             for j, dj in enumerate(den):
                 rem[i + j] = gi_submul(rem[i + j], c, dj, w)
-        rem_hl = rem[:d][::-1]
-        dden_hl = _derivative_hl(den, w)
+        roots = self.raw_poles()
+        top = max((mult for _, mult in roots), default=0)
+        den_hl = {j: _taylor_hl(den, j, w) for j in range(1, 2 * top)}
+        rem_hl = [_taylor_hl(rem[:d], j, w) for j in range(top)]
         fractions = []
-        for p, _ in roots:
-            z = gi_from_mpc(p, w)
-            r = gi_div(gi_horner(rem_hl, z, w), gi_horner(dden_hl, z, w), w)
-            fractions.append((gi_to_mpc(z), gi_to_mpc(r)))
-        return tuple(gi_to_mpc(c) for c in poly), tuple(fractions)
+        for p, m in roots:
+            if p == 0:
+                raise ValueError("a pole at tau = 0 has no Laplace transform")
+            with mp.workprec(w):
+                cs = [mpmath.root(p, b, l) for l in range(b)]
+            for c in cs:
+                z = gi_from_mpc(c, w)
+                if m > 1:
+                    # one Newton step on D^(m-1), where c is simple: quadratic
+                    # convergence from the cluster mean to the kernel width
+                    step = gi_div(_horner(den_hl[m - 1], z, w),
+                                  gi_mul(_horner(den_hl[m], z, w), (m, 0, 0), w), w)
+                    z = gi_sub(z, step, w)
+                e = [_horner(den_hl[j], z, w) for j in range(m, 2 * m)]
+                r = []
+                for n in range(m):
+                    acc = _horner(rem_hl[n], z, w)
+                    for i in range(1, n + 1):
+                        acc = gi_submul(acc, e[i], r[n - i], w)
+                    r.append(gi_div(acc, e[0], w))
+                fractions.append((gi_to_mpc(z), tuple(gi_to_mpc(x) for x in r[::-1])))
+        self._fractions[b] = tuple(gi_to_mpc(c) for c in poly), tuple(fractions)
+        return self._fractions[b]
 
 
-def _derivative_hl(coeffs, w):
-    """Kernel coefficients of the derivative, highest degree first, of the
-    polynomial with kernel coefficients ``coeffs`` (lowest first)."""
-    return [gi_mul(c, (j, 0, 0), w) for j, c in enumerate(coeffs)][:0:-1]
+def _spread(coeffs, b):
+    """Kernel coefficients (lowest first) of P(s^b) from those of P(tau)."""
+    out = [(0, 0, 0)] * ((len(coeffs) - 1) * b + 1)
+    out[::b] = coeffs
+    return out
+
+
+def _taylor_hl(coeffs, j, w):
+    """Kernel coefficients, highest degree first, of P^(j)/j! for the
+    polynomial P with kernel coefficients ``coeffs`` (lowest first): its
+    value at z is the j-th Taylor coefficient of P at z."""
+    return [gi_mul(c, (math.comb(i, j), 0, 0), w) for i, c in enumerate(coeffs)][j:][::-1]
+
+
+def _horner(coeffs_hl, z, w):
+    """``gi_horner``, with zero for the empty polynomial."""
+    return gi_horner(coeffs_hl, z, w) if coeffs_hl else (0, 0, 0)
 
 
 def _toeplitz_solve(a, m, w):
@@ -413,9 +451,7 @@ def continue_on_ray(b, theta, radii, method="pade", prec=None):
 class SumResult:
     """A numeric germ-k-sum (or plain k-sum) evaluation with split errors.
 
-    ``tail_cut`` is where the quadrature cut the Laplace integral off, and
-    None for a closed-form sum, which cuts nothing.  ``prec`` is the
-    working precision of ``value``.
+    ``prec`` is the working precision of ``value``.
     """
     t: object
     k: float
@@ -423,7 +459,6 @@ class SumResult:
     value: object
     quadrature_error: float
     continuation_error: float
-    tail_cut: object
     prec: int
 
     @property
@@ -442,140 +477,23 @@ class SumResult:
             "value": {"re": to_str(v.real._mpf_, dps), "im": to_str(v.imag._mpf_, dps)},
             "quadrature_error": self.quadrature_error,
             "continuation_error": self.continuation_error,
-            "tail_cut": self.tail_cut,
         }
 
 
-_GL_CACHE = {}
-_GL_POINTS = 20
+def _rational_k(k):
+    """The summability index k as (a, b), k = a/b in lowest terms with b <= 12.
 
-
-def _gl_nodes(prec):
-    """Gauss-Legendre nodes/weights on [-1, 1] at the given precision."""
-    key = (_GL_POINTS, prec)
-    if key not in _GL_CACHE:
-        n = _GL_POINTS
-        with mp.workprec(prec + 16):
-            nodes = []
-            for i in range(1, n // 2 + 1):
-                x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
-                for _ in range(60):
-                    p0, p1 = mpmath.mpf(1), x
-                    for j in range(2, n + 1):
-                        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                    dp = n * (x * p1 - p0) / (x * x - 1)
-                    dx = p1 / dp
-                    x -= dx
-                    if abs(dx) < mpmath.mpf(2) ** (-prec - 8):
-                        break
-                w = 2 / ((1 - x * x) * dp * dp)
-                nodes.append((x, w))
-                nodes.append((-x, w))
-        _GL_CACHE[key] = tuple(nodes)
-    return _GL_CACHE[key]
-
-
-def _gl_panel(f, a, b, nodes):
-    """Gauss-Legendre rule on [a, b] for an integrand returning (hi, lo) pairs."""
-    half = (b - a) / 2
-    mid = (a + b) / 2
-    hi = lo = mpmath.mpc(0)
-    for x, w in nodes:
-        f_hi, f_lo = f(mid + half * x)
-        hi += w * f_hi
-        lo += w * f_lo
-    return hi * half, lo * half
-
-
-def _adaptive(f, a, b, whole, tol, nodes, depth=0):
-    """Refine [a, b], whose rule value ``whole`` is known, on the high order.
-
-    Returns the (hi, lo) pair summed over the accepted panels and the
-    accumulated refinement estimate of hi.  Each half's rule value is
-    handed down as that half's ``whole``, so no panel is integrated twice.
+    ``ValueError``, naming k, unless k is positive and such a fraction
+    round-trips to ``float(k)``: the Laplace step sums order a/b as the
+    integer order a after the substitution tau = s^b.
     """
-    mid = (a + b) / 2
-    left = _gl_panel(f, a, mid, nodes)
-    right = _gl_panel(f, mid, b, nodes)
-    split = (left[0] + right[0], left[1] + right[1])
-    est = abs(whole[0] - split[0])
-    if est <= tol or depth >= 24:
-        return split, est
-    v_left, e_left = _adaptive(f, a, mid, left, tol / 2, nodes, depth + 1)
-    v_right, e_right = _adaptive(f, mid, b, right, tol / 2, nodes, depth + 1)
-    return (v_left[0] + v_right[0], v_left[1] + v_right[1]), e_left + e_right
-
-
-def _ray_rows(appr, phase):
-    """Coefficients of an approximant rotated onto the ray, as four Horner chains.
-
-    With c_j -> c_j e^(i j theta) the approximant at tau = s e^(i theta) is
-    N(s)/D(s) in the real s.  The chains hold the real and imaginary parts
-    of the rotated numerator and denominator coefficients (Re N, Im N, Re D,
-    Im D), highest degree first, each as a signed integer mantissa and a
-    binary exponent.
-    """
-    parts = []
-    rot = mpmath.mpc(1)
-    for n, d in zip_longest(appr.num, appr.den, fillvalue=0):
-        part = []
-        for sign, man, exp, bc in (to_mpc(n) * rot)._mpc_ + (to_mpc(d) * rot)._mpc_:
-            if bc < 0:
-                raise ValueError("non-finite approximant coefficient")
-            part.append((-man if sign else man, exp))
-        parts.append(part)
-        rot *= phase
-    return tuple(tuple(chain[::-1]) for chain in zip(*parts))
-
-
-def _ray_value(chains, s, prec):
-    """Raw (re, im) of N(s)/D(s) at the raw real s: Horner in s, one division.
-
-    The four real Horner chains of ``_ray_rows`` run on Python ints: each
-    step multiplies the accumulator by the mantissa of s exactly, adds the
-    coefficient with aligned exponents and truncates the sum to
-    ``prec + 12`` bits, so the Horner error bound holds with unit roundoff
-    2^-(prec+11).  The alignment shift is capped at ``prec + 12`` bits: the
-    term with the lower exponent is truncated there, which errs by at most
-    2^-(prec+12) of the other term, so a coefficient far below the
-    accumulator (or the other way round) never builds a huge int.  Each
-    chain becomes one mpf, and ``mpc_div`` divides at ``prec``.
-    """
-    sign, sm, se, _ = s
-    if sign:
-        sm = -sm
-    w = prec + 12
-    parts = []
-    for chain in chains:
-        m = e = 0
-        for cm, ce in chain:
-            m *= sm
-            e += se
-            if cm:
-                if not m:
-                    m, e = cm, ce
-                elif e >= ce:
-                    d = e - ce
-                    if d > w:
-                        m = (m << w) + (cm >> (d - w))
-                        e -= w
-                    else:
-                        m = (m << d) + cm
-                        e = ce
-                else:
-                    d = ce - e
-                    if d > w:
-                        m = (cm << w) + (m >> (d - w))
-                        e = ce - w
-                    else:
-                        m += cm << d
-            n = m.bit_length() - w
-            if n > 0:
-                m >>= n
-                e += n
-        parts.append(from_man_exp(m, e))
-    nr, ni, dr, di = parts
-    return mpc_div((nr, ni), (dr, di), prec, round_nearest)
+    x = float(k)
+    if x > 0 and math.isfinite(x):
+        f = Fraction(x).limit_denominator(12)
+        if float(f) == x:
+            return f.numerator, f.denominator
+    raise ValueError(f"summability index k = {k} is not a positive fraction a/b "
+                     f"with b <= 12")
 
 
 # Guard bits over the working precision at which the closed-form terms are
@@ -586,122 +504,111 @@ _CLOSED_FORM_GUARD = 16
 _CLOSED_FORM_C = 2
 
 
-def _closed_form_sum(appr, t, phi, derivative, prec):
-    """k = 1 Laplace sum of one approximant from its partial fractions.
+def _laplace_moment(n, a):
+    """Gamma(1 + n/a), the order-a sum of s^n at 1: exactly (n/a)! when a
+    divides n."""
+    return math.factorial(n // a) if n % a == 0 else mpmath.gamma(1 + mpmath.mpf(n) / a)
+
+
+def _pole_jet(x, a, n, phi, two_pi_i):
+    """Taylor coefficients psi_0..psi_(n-1) at x of the order-a sum at 1 of
+    1/(s - x) along arg s = phi, each with the size it is relative to
+    (``two_pi_i`` is 2 pi i at the caller's precision).
+
+    The sum is Psi(x) = sum_(i<a) Gamma(1 + i/a) x^(a-1-i) G_(i/a)(-x^a)
+    with G_alpha(z) = z^alpha e^z Gamma(-alpha, z) (G_0(z) = e^z E1(z)),
+    the principal branch, whose cut (x^a > 0) takes its value from
+    arg x < 0.  A pole that the ray has turned past, 0 < arg x < phi (or
+    phi < arg x <= 0, which puts a pole on arg s = 0 on the ray's side of
+    the cut), adds -2 pi i a x^(a-1) e^(-x^a) (or +2 pi i ...).  From
+    z G_alpha'(z) = (z + alpha) G_alpha(z) - 1, Psi solves
+    y Psi' = (a - 1 - a y^a) Psi - a Pi(y) with
+    Pi(y) = sum_(i<a) Gamma(1 + i/a) y^(a-1-i), and the Taylor coefficients
+    follow from it.  The size of a coefficient is what its recurrence
+    gives on magnitudes: the pieces that can cancel, counted separately.
+    """
+    z = -x ** a
+    e = mpmath.exp(z)
+    lead = x ** (a - 1)
+    psi = lead * (e * mpmath.e1(z))
+    size = abs(psi)
+    for i in range(1, a):
+        al = mpmath.mpf(i) / a
+        g = _laplace_moment(i, a) * x ** (a - 1 - i) * z ** al * e * mpmath.gammainc(-al, z)
+        psi += g
+        size += abs(g)
+    arg = mpmath.arg(x)
+    if 0 < arg < phi:
+        rot = -two_pi_i * e * (a * lead)
+    elif phi < arg <= 0:
+        rot = two_pi_i * e * (a * lead)
+    else:
+        rot = 0
+    psi = [psi + rot]
+    size = [size + abs(rot)]
+    if n > 1:
+        xp = [x ** j for j in range(a + 1)]
+        axp = [abs(y) for y in xp]
+    for m in range(n - 1):
+        pi_m = sum(_laplace_moment(i, a) * math.comb(a - 1 - i, m) * xp[a - 1 - i - m]
+                   for i in range(a - m))
+        acc = (a - 1 - m) * psi[m] - a * pi_m
+        sz = abs(a - 1 - m) * size[m] + a * abs(pi_m)
+        for l in range(min(m, a) + 1):
+            acc -= a * math.comb(a, l) * xp[a - l] * psi[m - l]
+            sz += a * math.comb(a, l) * axp[a - l] * size[m - l]
+        psi.append(acc / (x * (m + 1)))
+        size.append(sz / (axp[1] * (m + 1)))
+    return psi, size
+
+
+def _times_derivative(poly, fractions):
+    """Partial fractions of s h'(s) from those of h(s), at the ambient precision.
+
+    s d/ds r/(s - c)^j = -j r/(s - c)^j - j c r/(s - c)^(j+1).
+    """
+    poly = tuple(j * q for j, q in enumerate(poly))
+    out = []
+    for c, rs in fractions:
+        rs = (0,) + rs + (0,)
+        out.append((c, tuple(-j * rs[j] - (j - 1) * c * rs[j - 1]
+                             for j in range(1, len(rs)))))
+    return poly, tuple(out)
+
+
+def _closed_form_sum(poly, fractions, a, u, phi, prec):
+    """Order-a Laplace sum at u of Q(s) + sum r_j/(s - c)^j along
+    arg s = arg u + phi, from its partial fractions.
 
     Returns ``(value, mass)``, both at ``prec + _CLOSED_FORM_GUARD`` bits.
-    Along arg tau = arg t + phi the sum of Q(tau) + sum r/(tau - p) is
-    ``sum_j q_j j! t^j + sum r K(q)/t`` with q = p/t and
-    K(q) = J(q) = e^(-q) E1(-q), the principal branch, whose cut (q > 0)
-    takes its value from arg q < 0.  A pole that the ray has turned past,
-    0 < arg q < phi (or phi < arg q <= 0, which puts a pole on arg t on
-    the ray's side of the cut), adds -2 pi i e^(-q) (or +2 pi i e^(-q)) to
-    K.  The derivative in t uses K'(q) = -K(q) - 1/q.  ``mass`` is
+    Q sums as sum q_n Gamma(1 + n/a) u^n, and r/(s - c)^j as
+    r psi_(j-1)(c/u)/u^j (:func:`_pole_jet`).  ``mass`` is
     |Q part| + sum |terms|, with the pieces of a term that can cancel
     counted separately: the size the rounding error is relative to.
     """
-    poly, fractions = appr.partial_fractions()
     wp = prec + _CLOSED_FORM_GUARD
     with mp.workprec(wp):
         total = mpmath.mpc(0)
         mass = mpmath.mpf(0)
-        for j, c in enumerate(poly):
-            if derivative:
-                term = c * math.factorial(j) * j * t ** (j - 1) if j else 0
-            else:
-                term = c * math.factorial(j) * t ** j
+        for n, c in enumerate(poly):
+            term = c * _laplace_moment(n, a) * u ** n
             total += term
             mass += abs(term)
         two_pi_i = mpmath.mpc(0, 2 * mpmath.pi)
-        for p, r in fractions:
+        for c, rs in fractions:
             with mp.workprec(2 * prec):
-                q = p / t
-            # e^(-q) has condition number |q|: carry its magnitude in bits
-            with mp.workprec(wp + max(0, mpmath.mag(q))):
-                e = mpmath.exp(-q)
-                jq = e * mpmath.e1(-q)
-                a = mpmath.arg(q)
-                if 0 < a < phi:
-                    rot = -two_pi_i * e
-                elif phi < a <= 0:
-                    rot = two_pi_i * e
-                else:
-                    rot = 0
-                size = abs(jq) + abs(rot)
-                if derivative:
-                    term = r * ((q - 1) * (jq + rot) + 1) / (t * t)
-                    size = abs(r) * (abs(q - 1) * size + 1) / abs(t * t)
-                else:
-                    term = r * (jq + rot) / t
-                    size = abs(r) * size / abs(t)
-            total += term
-            mass += size
+                x = c / u
+            # e^(-x^a) has condition number |x^a|: carry its magnitude in bits
+            with mp.workprec(wp + max(0, a * mpmath.mag(x))):
+                psi, size = _pole_jet(x, a, len(rs), phi, two_pi_i)
+                terms = []
+                for j, (r, y, s) in enumerate(zip(rs, psi, size), 1):
+                    uj = u ** j
+                    terms.append((r * y / uj, abs(r) * s / abs(uj)))
+            for term, s in terms:
+                total += term
+                mass += s
     return total, mass
-
-
-_KERNEL_FLOOR = mpmath.mpf("1e-20")
-
-
-def _quadrature_sum(rc, kk, t, ang, decay, derivative, eps, prec):
-    """Adaptive Gauss-Legendre Laplace integral of both approximants.
-
-    Returns ``(value, continuation error, quadrature error, tail cut)``.
-    """
-    theta = mpmath.mpf(rc.direction)
-    tmod = abs(t)
-    S = tmod * (mpmath.log(1 / _KERNEL_FLOOR) / decay) ** (1 / kk)
-    scale = tmod * (1 / decay) ** (1 / kk)
-    ray_phase = mpmath.expjpi(theta / mpmath.pi)
-    # tau^(k-1) dtau contributes e^(i k theta) s^(k-1) ds along the ray
-    full_phase = mpmath.expjpi(kk * theta / mpmath.pi)
-    kern_phase = mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-    chains_hi = _ray_rows(rc._hi, ray_phase)
-    chains_lo = _ray_rows(rc._lo, ray_phase)
-
-    def f(s):
-        # one kernel value serves both approximant orders
-        z = (s / tmod) ** kk * kern_phase
-        w = mpmath.exp(-z) * s ** (kk - 1)
-        if derivative:
-            w *= z - 1
-        w, s = w._mpc_, s._mpf_
-        g_hi = _ray_value(chains_hi, s, prec)
-        g_lo = _ray_value(chains_lo, s, prec)
-        return (mp.make_mpc(mpc_mul(w, g_hi, prec, round_nearest)),
-                mp.make_mpc(mpc_mul(w, g_lo, prec, round_nearest)))
-
-    # geometric panels clustered at the kernel scale
-    breaks = [mpmath.mpf(0)]
-    step = scale / 8
-    while breaks[-1] < S:
-        breaks.append(min(breaks[-1] + step, S))
-        step *= 2
-    nodes = _gl_nodes(prec)
-    eps = mpmath.mpf(eps)
-    i_hi = i_lo = mpmath.mpc(0)
-    qerr = mpmath.mpf(0)
-    for a, b in zip(breaks, breaks[1:]):
-        tol = eps * (b - a) / S / 4
-        (v_hi, v_lo), e = _adaptive(f, a, b, _gl_panel(f, a, b, nodes), tol, nodes)
-        i_hi += v_hi
-        i_lo += v_lo
-        qerr += e
-    i_hi *= full_phase
-    i_lo *= full_phase
-    tpk = tmod ** kk * mpmath.mpc(mpmath.cos(kk * mpmath.arg(t)),
-                                  mpmath.sin(kk * mpmath.arg(t)))
-    if derivative:
-        pref = kk ** 2 / (tpk * t)
-    else:
-        pref = kk / tpk
-    # discarded tail beyond the kernel cutoff, included in the budget
-    g_tail = max(abs(mp.make_mpc(_ray_value(chains_hi, s._mpf_, prec)))
-                 for s in (S, 2 * S))
-    tail_err = g_tail * _KERNEL_FLOOR / decay
-    if derivative:
-        tail_err *= (mpmath.log(1 / _KERNEL_FLOOR) / decay + 1) / tmod
-    return (pref * i_hi, float(abs(pref) * abs(i_hi - i_lo)),
-            float(abs(pref) * qerr + tail_err), float(S))
 
 
 def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
@@ -710,75 +617,70 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
 
     Computes ``k t^{-k} \\int exp(-(tau/t)^k) g(tau) tau^{k-1} dtau`` over
     ``arg tau = rc.direction`` for both approximants carried by the
-    continuation.  Requires ``cos(k*(theta - arg t)) > 0`` (kernel decay
-    along the ray).  With ``derivative=True`` returns d/dt of the sum.
+    continuation, with d = theta - arg t wrapped to (-pi, pi] and t^(-k)
+    taken on the lift arg t = theta - d.  Requires ``cos(k d) > 0`` (kernel
+    decay along the ray).  With ``derivative=True`` returns d/dt of the sum.
     Runs at ``working_prec(prec)``, like every other entry point: an
     explicit ``prec``, else the ambient ``mp.prec`` floored at the default.
     The reported continuation error is the difference of the two
     approximants' sums.  When ``max_continuation_error`` is given and that
     exceeds it, a :class:`ContinuationError` is raised instead of returning
-    a silently degraded value.
+    a silently degraded value.  A k that is not a fraction a/b with
+    b <= 12 raises ``ValueError`` before anything else.
 
-    For k = 1, when both approximants have only simple nonzero poles, the
-    sum is closed-form: each approximant is split into partial fractions
-    Q(tau) + sum r/(tau - p) (see ``_closed_form_sum``), Q sums as
-    sum q_j j! t^j and each pole as r e^(-q) E1(-q)/t with q = p/t, plus
-    -+2 pi i r e^(-q)/t for a pole between arg t and the ray.  Nothing is
-    cut off (``tail_cut`` is None), and ``quadrature_error`` is the
-    evaluation bound (|Q part| + sum |terms|) 2^(2 - prec), which covers
-    rounding to ``prec`` bits.  An ``eps`` below that bound raises
-    ``ValueError``.
-
-    Otherwise (k != 1, or a multiple root) adaptive Gauss-Legendre
-    integrates the approximants, evaluated on the ray with their
-    coefficients rotated onto it, up to where the kernel drops below
-    1e-20 (``tail_cut``).  Panels are split until the local refinement
-    estimate of the high-order continuation drops below the (length-
-    prorated) share of ``eps``; the low order is integrated in the same
-    pass on the same nodes.  ``quadrature_error`` is the accumulated
-    refinement estimate plus a bound on the discarded tail, taken with the
-    larger of ``|g|`` at the cutoff and at twice it, so a transform still
-    growing there (a log branch) stays covered.  Differentiation is under
-    the integral: one extra ``(tau/t)^k - 1`` factor and prefactor
-    ``k^2 t^{-k-1}``.  An ``eps`` below ``2^(8 - prec)``, which rounding at
-    the working precision cannot resolve, raises ``ValueError`` before any
-    panel is integrated.
+    The sum is closed-form for every such k.  With tau = s^b and
+    u = |t|^(1/b) e^(i (theta - d)/b), the order-k sum of g at t is the
+    order-a sum of g(s^b) at u along arg s = theta/b.  Each approximant's
+    partial fractions in s (``RationalApproximant._split``)
+    sum term by term (``_closed_form_sum``): for k = 1 the polynomial part
+    as sum q_j j! t^j and a simple pole as r e^(-q) E1(-q)/t with q = p/t,
+    plus -+2 pi i r e^(-q)/t for a pole between arg t and the ray; for
+    integer a through upper incomplete gammas and, for a multiple pole,
+    their Taylor coefficients.  The derivative is (1/t) times the sum of
+    tau g'(tau), whose partial fractions follow from g's.  Nothing is cut
+    off, and ``quadrature_error`` is the evaluation bound
+    (|Q part| + sum |terms|) 2^(2 - prec), which covers rounding to
+    ``prec`` bits.  An ``eps`` below that bound raises ``ValueError``.
     """
+    a, b = _rational_k(k)
     prec = working_prec(prec)
     with mp.workprec(prec):
         t = to_mpc(t)
         if t == 0:
             raise SectorError("cannot sum at t = 0")
-        kk = mpmath.mpf(k)
         theta = mpmath.mpf(rc.direction)
-        ang = _angdiff(kk * theta, kk * mpmath.arg(t))
-        decay = mpmath.cos(ang)
+        d = _angdiff(theta, mpmath.arg(t))
+        decay = mpmath.cos(a * d / b)
         if not decay > 0.05:
             raise SectorError(
                 f"direction/point incompatible: cos(k*(theta-arg t)) = {float(decay):.3f}")
-        if kk == 1 and rc._hi.partial_fractions() and rc._lo.partial_fractions():
-            v_hi, mass = _closed_form_sum(rc._hi, t, ang, derivative, prec)
-            v_lo, _ = _closed_form_sum(rc._lo, t, ang, derivative, prec)
-            value = +v_hi
-            cont = float(abs(v_hi - v_lo))
-            qerr = float(mpmath.ldexp(mass, _CLOSED_FORM_C - prec))
-            tail = None
-            if not qerr <= eps:
-                raise ValueError(f"eps = {float(eps):.3g} is below {qerr:.3g}, the "
-                                 f"evaluation bound of the {prec}-bit closed-form sum")
-        else:
-            if not mpmath.mpf(eps) >= mpmath.ldexp(1, 8 - prec):
-                raise ValueError(f"eps = {float(eps):.3g} is below 2^(8 - prec), "
-                                 f"which {prec}-bit arithmetic cannot resolve")
-            value, cont, qerr, tail = _quadrature_sum(rc, kk, t, ang, decay,
-                                                      derivative, eps, prec)
+        with mp.workprec(2 * prec):
+            turns = mpmath.nint((theta - d - mpmath.arg(t)) / (2 * mpmath.pi))
+            u = mpmath.root(t, b, int(turns) % b)
+        sums = []
+        for appr in (rc._hi, rc._lo):
+            poly, fractions = appr._split(b)
+            if derivative:
+                with mp.workprec(gi_width(prec)):
+                    poly, fractions = _times_derivative(poly, fractions)
+            value, mass = _closed_form_sum(poly, fractions, a, u, d / b, prec)
+            if derivative:
+                with mp.workprec(prec + _CLOSED_FORM_GUARD):
+                    value, mass = value / (b * t), mass / abs(b * t)
+            sums.append((value, mass))
+        (v_hi, mass), (v_lo, _) = sums
+        value = +v_hi
+        cont = float(abs(v_hi - v_lo))
+        qerr = float(mpmath.ldexp(mass, _CLOSED_FORM_C - prec))
+        if not qerr <= eps:
+            raise ValueError(f"eps = {float(eps):.3g} is below {qerr:.3g}, the "
+                             f"evaluation bound of the {prec}-bit closed-form sum")
         if max_continuation_error is not None and cont > max_continuation_error:
             raise ContinuationError(
                 f"continuation error {cont:.3e} exceeds the tolerance "
                 f"{max_continuation_error:.3e}")
         return SumResult(t=t, k=float(k), theta=float(theta), value=value,
-                         quadrature_error=qerr, continuation_error=cont,
-                         tail_cut=tail, prec=prec)
+                         quadrature_error=qerr, continuation_error=cont, prec=prec)
 
 
 def p_k_sum(expansion, point, k, theta, prec=None):
@@ -786,10 +688,12 @@ def p_k_sum(expansion, point, k, theta, prec=None):
 
     ``t = P(point)`` must lie within ``pi/(2k) + SECTOR_SLACK`` of the
     requested direction; the Laplace step additionally requires actual
-    kernel decay, and takes ``laplace_sum``'s default ``eps``, so a k = 1
-    sum whose evaluation bound exceeds 1e-16 is refused with ``ValueError``.
-    Every step runs at ``working_prec(prec)``.
+    kernel decay, and takes ``laplace_sum``'s default ``eps``, so a sum
+    whose evaluation bound exceeds 1e-16 is refused with ``ValueError``, as
+    is, before anything else, a k that ``laplace_sum`` cannot sum.  Every
+    step runs at ``working_prec(prec)``.
     """
+    _rational_k(k)
     prec = working_prec(prec)
     with mp.workprec(prec):
         t = to_mpc(expansion.germ.p.eval_at(point))

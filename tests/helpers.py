@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import mpmath
 from hypothesis import strategies as st
+from mpmath import mp
 
-from germsum.scalars import QQi, is_exact, sabs, sadd, smul, sneg, working_prec
+from germsum.borel import _angdiff
+from germsum.scalars import QQi, is_exact, sabs, sadd, smul, sneg, to_mpc, working_prec
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, delta_member
 
@@ -321,3 +323,47 @@ def mixed_germs(draw, dim, trunc):
     """An :func:`exact_germs` germ with QQi terms and some terms, the lead too, as mpc."""
     germ = draw(exact_germs(dim, trunc, qqi=True))
     return Germ(draw(mixed(germ.p)), germ.order)
+
+
+def pole_transform_coeffs(poles, k, n, prec, double=()):
+    """a_0..a_{n-1} at ``prec`` bits of the k-sum whose order-k Borel
+    transform is sum r p/(p - tau) over ``poles`` plus sum r p^2/(p - tau)^2
+    over ``double``: a_m = Gamma(1 + m/k) (sum r p^-m + sum r (m + 1) p^-m)."""
+    with mp.workprec(prec):
+        kk = mpmath.mpf(k)
+        poles = [(to_mpc(p), to_mpc(r)) for p, r in poles]
+        double = [(to_mpc(p), to_mpc(r)) for p, r in double]
+        return [mpmath.gamma(1 + m / kk)
+                * (sum(r * p ** -m for p, r in poles)
+                   + sum(r * (m + 1) * p ** -m for p, r in double)) for m in range(n)]
+
+
+def pole_transform_quad(poles, k, t, theta, derivative=False, double=(), prec=256):
+    """The k-sum (or its t-derivative) of ``pole_transform_coeffs``'s series
+    by mpmath.quad at ``prec`` bits, with breakpoints at each (|p|/|t|)^k and
+    quad's own error estimate below 2^(10 - prec).
+
+    Along tau = |t| v^(1/k) e^(i theta), with d = theta - arg t wrapped to
+    (-pi, pi] and w = v e^(i k d), the sum is e^(i k d) int_0^inf e^-w g(tau) dv;
+    the derivative takes the factor (k/t)(w - 1) under the integral.
+    """
+    with mp.workprec(prec):
+        kk, t = mpmath.mpf(k), to_mpc(t)
+        poles = [(to_mpc(p), to_mpc(r)) for p, r in poles]
+        double = [(to_mpc(p), to_mpc(r)) for p, r in double]
+        phase = mpmath.expj(kk * _angdiff(theta, mpmath.arg(t)))
+        ray, tm = mpmath.expj(mpmath.mpf(theta)), abs(t)
+
+        def f(v):
+            tau = tm * v ** (1 / kk) * ray
+            g = (sum(r * p / (p - tau) for p, r in poles)
+                 + sum(r * p ** 2 / (p - tau) ** 2 for p, r in double))
+            w = v * phase
+            return mpmath.exp(-w) * g * ((w - 1) if derivative else 1)
+
+        cuts = sorted({(abs(p) / tm) ** kk for p, _ in poles + double})
+        value, err = mpmath.quad(f, [0] + cuts + [mpmath.inf], maxdegree=10, error=True)
+        # the default maxdegree can stop short, near 1e-68, with no error raised
+        assert err < mpmath.ldexp(1, 10 - prec)
+        value *= phase
+        return value * kk / t if derivative else value

@@ -11,6 +11,7 @@ from mpmath import mp
 from germsum.cli import cli_main
 from germsum.series import TruncatedSeries, series_from_json, series_to_json
 from germsum.weierstrass import p_expand
+from helpers import pole_transform_quad
 
 TS = TruncatedSeries
 
@@ -137,10 +138,28 @@ def test_borel_sum_and_directions(files, capsys):
         err = abs(value - exact)
     assert err <= out["quadrature_error"] + out["continuation_error"]
     assert out["quadrature_error"] < 1e-30
-    assert out["tail_cut"] is None
     code, out = run(capsys, ["directions", "--k", "1", coeffs])
     assert code == 0
     assert any(abs(d - math.pi) < 0.05 for d in out["directions"])
+
+
+def test_borel_sum_rational_k(files, capsys):
+    # k = 3/2 sums in closed form; the coefficients Gamma(1 + 2n/3) (-4/5)^n,
+    # whose order-3/2 Borel transform is 1/(1 + 4 tau/5), as 90-digit decimals
+    k, p = 1.5, mpmath.mpf(-1.25)
+    with mp.workprec(320):
+        coeffs = [mpmath.nstr(mpmath.gamma(1 + mpmath.mpf(2 * n) / 3) / p ** n, 90)
+                  for n in range(32)]
+    c = files("c.json", {"coeffs": coeffs})
+    code, out = run(capsys, ["borel-sum", "--k", "1.5", "--theta", "0.2", "--t", "0.1", c])
+    assert code == 0
+    with mp.workprec(256):
+        value = mpmath.mpc(out["value"]["re"], out["value"]["im"])
+        exact = pole_transform_quad([(p, 1)], k, mpmath.mpf("0.1"), 0.2)
+        assert abs(value - exact) <= out["quadrature_error"] + out["continuation_error"]
+    # a k that is no fraction a/b with b <= 12 is refused before any sum
+    assert cli_main(["borel-sum", "--k", "3.14159", "--theta", "0", "--t", "0.1", c]) == 2
+    assert "k = 3.14159" in capsys.readouterr().err
 
 
 def test_p_k_sum_via_cli(files, capsys):
