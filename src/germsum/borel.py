@@ -17,11 +17,12 @@ A :class:`BorelSeries` keeps the approximants it has built.
 
 The Laplace step is closed-form for every k = a/b: tau = s^b turns it
 into the order-a step, and each approximant splits into partial fractions
-Q(s) + sum r/(s - c)^j (confluent at a multiple root).  For k = 1 the
-transform is sum q_j j! t^j + sum r e^(-p/t) E1(-p/t)/t plus a 2 pi i
-residue term for each pole between arg t and the ray; for integer a > 1
-the E1 becomes a sum of upper incomplete gammas, and a multiple pole
-sums through their Taylor coefficients.
+Q(s) + sum r/(s - c)^j (confluent about a multiple root, or a cluster of
+roots that the root finder merged).  For k = 1 the transform is
+sum q_j j! t^j + sum r e^(-p/t) E1(-p/t)/t plus a 2 pi i residue term
+for each pole between arg t and the ray; for integer a > 1 the E1 becomes
+a sum of upper incomplete gammas, and a multiple pole sums through their
+Taylor coefficients.
 
 Error reporting is split and mandatory: the continuation error is the
 difference between two consecutive approximant orders propagated through
@@ -198,28 +199,23 @@ class RationalApproximant:
                 kept.append((p, mult))
         return tuple(kept)
 
-    def partial_fractions(self):
-        """``(poly, fractions)`` with N/D = Q(tau) + sum r_j/(tau - p)^j: the
-        case b = 1 of :meth:`_split`."""
-        return self._split(1)
-
-    def _split(self, b):
+    def partial_fractions(self, b=1):
         """``(poly, fractions)`` with N(s^b)/D(s^b) = Q(s) + sum r_j/(s - c)^j,
         built once per b.
 
         ``poly`` holds the coefficients of Q, low to high, and ``fractions``
-        one pair (c, (r_1, ..., r_m)) for each b-th root c of each pole p
-        of multiplicity m, all at the kernel width ``2 * prec + 10``.  The
-        poles are the cached roots of the trimmed denominator D, which
-        ``raw_poles`` keeps at that width, so nothing is rooted again; Q and
-        the remainder R come from dividing N(s^b) by D(s^b) on the
-        Gaussian-integer kernel.  With E = D(s^b)/(s - c)^m, whose Taylor
-        coefficients at c are those of D(s^b) from order m on, r_m, ...,
-        r_1 are the first m Taylor coefficients of R/E at c, by kernel
-        Horner: a simple pole has r_1 = R(c)/D'(c).  The center of a
-        multiple root (roots merged by ``_poly_roots``) is first refined by a
-        Newton step on the (m - 1)-th derivative, where it is simple.  A
-        non-finite coefficient, or a pole at 0, raises ``ValueError``.
+        one pair (c, (r_1, r_2, ...)) for each b-th root c of each pole p,
+        all at the kernel width ``2 * prec + 10``.  The poles are the cached
+        roots of the trimmed denominator D, which ``raw_poles`` keeps at
+        that width, so nothing is rooted again; Q and the remainder R come
+        from dividing N(s^b) by D(s^b) on the Gaussian-integer kernel.  A
+        simple pole has r_1 = R(c)/D'(c), by kernel Horner.  A pole of
+        multiplicity m stands for m roots of D(s^b) that ``_poly_roots``
+        merged: its center is refined by a Newton step on the (m - 1)-th
+        derivative, where it is simple, and :func:`_cluster_fractions`
+        expands the m roots about it, exactly coincident or not.  A
+        non-finite coefficient, a pole at 0, or a cluster that does not
+        stand apart from the other poles raises ``ValueError``.
         """
         if b in self._fractions:
             return self._fractions[b]
@@ -233,33 +229,96 @@ class RationalApproximant:
             for j, dj in enumerate(den):
                 rem[i + j] = gi_submul(rem[i + j], c, dj, w)
         roots = self.raw_poles()
-        top = max((mult for _, mult in roots), default=0)
-        den_hl = {j: _taylor_hl(den, j, w) for j in range(1, 2 * top)}
-        rem_hl = [_taylor_hl(rem[:d], j, w) for j in range(top)]
+        if any(p == 0 for p, _ in roots):
+            raise ValueError("a pole at tau = 0 has no Laplace transform")
+        with mp.workprec(w):
+            centers = [(mpmath.root(p, b, l), m) for p, m in roots for l in range(b)]
+        # a cluster needs every Taylor coefficient of D(s^b) and R; a simple pole D' and R
+        multiple = any(m > 1 for _, m in roots)
+        den_hl = [den[::-1]] + [_taylor_hl(den, j, w) for j in range(1, d + 1 if multiple else 2)]
+        rem_hl = [_taylor_hl(rem[:d], j, w) for j in range(d if multiple else 1)]
         fractions = []
-        for p, m in roots:
-            if p == 0:
-                raise ValueError("a pole at tau = 0 has no Laplace transform")
+        for c, m in centers:
+            z = gi_from_mpc(c, w)
+            if m == 1:
+                r = gi_div(_horner(rem_hl[0], z, w), _horner(den_hl[1], z, w), w)
+                fractions.append((gi_to_mpc(z), (gi_to_mpc(r),)))
+                continue
+            # one Newton step on D^(m-1), where c is simple: quadratic
+            # convergence from the cluster mean to the kernel width
+            step = gi_div(_horner(den_hl[m - 1], z, w),
+                          gi_mul(_horner(den_hl[m], z, w), (m, 0, 0), w), w)
+            z = gi_sub(z, step, w)
+            dd = [gi_to_mpc(_horner(hl, z, w)) for hl in den_hl]
+            rr = [gi_to_mpc(_horner(hl, z, w)) for hl in rem_hl]
             with mp.workprec(w):
-                cs = [mpmath.root(p, b, l) for l in range(b)]
-            for c in cs:
-                z = gi_from_mpc(c, w)
-                if m > 1:
-                    # one Newton step on D^(m-1), where c is simple: quadratic
-                    # convergence from the cluster mean to the kernel width
-                    step = gi_div(_horner(den_hl[m - 1], z, w),
-                                  gi_mul(_horner(den_hl[m], z, w), (m, 0, 0), w), w)
-                    z = gi_sub(z, step, w)
-                e = [_horner(den_hl[j], z, w) for j in range(m, 2 * m)]
-                r = []
-                for n in range(m):
-                    acc = _horner(rem_hl[n], z, w)
-                    for i in range(1, n + 1):
-                        acc = gi_submul(acc, e[i], r[n - i], w)
-                    r.append(gi_div(acc, e[0], w))
-                fractions.append((gi_to_mpc(z), tuple(gi_to_mpc(x) for x in r[::-1])))
+                # an eighth of the distance to the nearest other pole, or to 0,
+                # where the ray starts
+                reach = min([abs(c)] + [abs(c - o) for o, _ in centers if o is not c]) / 8
+            fractions.append((gi_to_mpc(z), _cluster_fractions(dd, rr, m, reach, w)))
         self._fractions[b] = tuple(gi_to_mpc(c) for c in poly), tuple(fractions)
         return self._fractions[b]
+
+
+def _cluster_fractions(dd, rr, m, reach, w):
+    """(r_1, r_2, ...) with sum_j r_j/(s - c)^j the principal part of R/D at
+    m roots z_i of D within ``reach`` / 2 of c, from the Taylor coefficients
+    ``dd`` of D and ``rr`` of R at c, at w bits.
+
+    In v = s - c, D = F E with F(v) = v^m + f_(m-1) v^(m-1) + ... + f_0
+    the monic factor of the m roots: the fixed point of E = D/F (exact
+    division from the top) and f = the first m Taylor coefficients of D/E,
+    from f = 0, where E is D's Taylor series from order m on.  Each step
+    gains the factor rho/|other roots| on f, where rho bounds the
+    |z_i - c|.  With phi = R/E and 1/F = v^-m sum_i h_i v^-i (h_i the
+    complete symmetric polynomials of the z_i - c, from
+    sum_i h_i x^i = 1/(1 + f_(m-1) x + ... + f_0 x^m)), the principal part
+    of R/D = phi/F is r_j = sum_i phi_(i+m-j) h_i.  |h_i| is at most
+    binom(i + m - 1, m - 1) rho^i, and the terms stop where that bound,
+    relative to ``reach``^i, falls below 2^-w.  ``reach`` is below the
+    distance to every other pole, which bounds the growth of phi's Taylor
+    coefficients; those of the Laplace sum of 1/(s - c) grow with the
+    inverse distance to the ray, and 2^-w, prec + 10 bits below the sum's
+    accuracy, covers a ray up to sqrt(reach/rho) times nearer than
+    ``reach``.  An exactly multiple root has f = 0 and r_j = phi_(m-j).
+    A cluster with rho above ``reach`` / 2, or whose f does not settle,
+    raises ``ValueError``.
+    """
+    with mp.workprec(w):
+        top = len(dd) - 1 - m
+        f = [mpmath.mpc(0)] * m
+        for _ in range(w):
+            e = [None] * (top + 1)
+            for i in range(top, -1, -1):
+                e[i] = dd[i + m] - mpmath.fsum(f[j] * e[i + m - j]
+                                               for j in range(max(0, i + m - top), m))
+            g = []
+            for n in range(m):
+                g.append((dd[n] - mpmath.fsum(g[j] * e[n - j]
+                                              for j in range(max(0, n - top), n))) / e[0])
+            rho = 2 * max(abs(x) ** (mpmath.mpf(1) / (m - j)) for j, x in enumerate(g))
+            moved = max(abs(x - y) / rho ** (m - j)
+                        for j, (x, y) in enumerate(zip(g, f))) if rho else 0
+            f = g
+            if moved <= mpmath.ldexp(1, 8 - w):
+                break
+        q = rho / reach
+        if moved > mpmath.ldexp(1, 8 - w) or q > 0.5:
+            raise ValueError(f"a cluster of {m} poles of radius {float(rho):.3g} does not "
+                             f"stand apart from the other poles and the ray")
+        extra = 0
+        while q and math.comb(extra + m, m - 1) * q ** (extra + 1) > mpmath.ldexp(1, -w):
+            extra += 1
+        phi = []
+        for n in range(m + extra):
+            r = rr[n] if n < len(rr) else 0
+            phi.append((r - mpmath.fsum(e[l] * phi[n - l]
+                                        for l in range(1, min(n, top) + 1))) / e[0])
+        h = [mpmath.mpc(1)]
+        for i in range(1, extra + 1):
+            h.append(-mpmath.fsum(f[m - l] * h[i - l] for l in range(1, min(i, m) + 1)))
+        return tuple(mpmath.fsum(phi[i + m - j] * h[i] for i in range(max(0, j - m), extra + 1))
+                     for j in range(1, m + extra + 1))
 
 
 def _spread(coeffs, b):
@@ -485,7 +544,10 @@ def _rational_k(k):
 
     ``ValueError``, naming k, unless k is positive and such a fraction
     round-trips to ``float(k)``: the Laplace step sums order a/b as the
-    integer order a after the substitution tau = s^b.
+    integer order a after the substitution tau = s^b.  That costs b (a - 1)
+    incomplete gamma values (and b values of E1) per pole of each
+    approximant, so a large a b is slow: a 10-pole approximant pair takes
+    roughly 20 times as long at k = 11/12 as at k = 3.
     """
     x = float(k)
     if x > 0 and math.isfinite(x):
@@ -510,10 +572,11 @@ def _laplace_moment(n, a):
     return math.factorial(n // a) if n % a == 0 else mpmath.gamma(1 + mpmath.mpf(n) / a)
 
 
-def _pole_jet(x, a, n, phi, two_pi_i):
+def _pole_jet(x, a, n, phi, two_pi_i, extra):
     """Taylor coefficients psi_0..psi_(n-1) at x of the order-a sum at 1 of
     1/(s - x) along arg s = phi, each with the size it is relative to
-    (``two_pi_i`` is 2 pi i at the caller's precision).
+    (``two_pi_i`` is 2 pi i at the caller's precision, which is ``extra``
+    bits above ``prec + _CLOSED_FORM_GUARD``).
 
     The sum is Psi(x) = sum_(i<a) Gamma(1 + i/a) x^(a-1-i) G_(i/a)(-x^a)
     with G_alpha(z) = z^alpha e^z Gamma(-alpha, z) (G_0(z) = e^z E1(z)),
@@ -524,8 +587,13 @@ def _pole_jet(x, a, n, phi, two_pi_i):
     z G_alpha'(z) = (z + alpha) G_alpha(z) - 1, Psi solves
     y Psi' = (a - 1 - a y^a) Psi - a Pi(y) with
     Pi(y) = sum_(i<a) Gamma(1 + i/a) y^(a-1-i), and the Taylor coefficients
-    follow from it.  The size of a coefficient is what its recurrence
-    gives on magnitudes: the pieces that can cancel, counted separately.
+    follow from it.  The size of psi_0 is the sum of the magnitudes of its
+    pieces.  That of psi_m is |psi_m| plus 2^-_CLOSED_FORM_GUARD times
+    err_m, the bound on its error in units of 2^-(prec + guard): G is
+    well conditioned in z, so err_0 is 2^-extra |G part| plus |residue
+    term| (whose e^(-x^a) uses the ``extra`` bits), and each step of the
+    recurrence carries the err of the coefficients it combines and adds
+    2^-extra times the magnitudes of its pieces, its own rounding.
     """
     z = -x ** a
     e = mpmath.exp(z)
@@ -545,20 +613,34 @@ def _pole_jet(x, a, n, phi, two_pi_i):
     else:
         rot = 0
     psi = [psi + rot]
+    if n == 1:
+        return psi, [size + abs(rot)]
+    cut = mpmath.ldexp(1, -extra)
+    err = [cut * size + abs(rot)]
     size = [size + abs(rot)]
-    if n > 1:
-        xp = [x ** j for j in range(a + 1)]
-        axp = [abs(y) for y in xp]
+    apsi = [abs(psi[0])]
+    xp = [1] + [x ** j for j in range(1, a)] + [-z]
+    ax = abs(x)
+    axp = [ax ** j for j in range(a + 1)]
     for m in range(n - 1):
         pi_m = sum(_laplace_moment(i, a) * math.comb(a - 1 - i, m) * xp[a - 1 - i - m]
                    for i in range(a - m))
-        acc = (a - 1 - m) * psi[m] - a * pi_m
-        sz = abs(a - 1 - m) * size[m] + a * abs(pi_m)
+        acc = -a * pi_m
+        pieces = a * abs(pi_m)
+        carried = 0
+        if m != a - 1:
+            acc += (a - 1 - m) * psi[m]
+            pieces += abs(a - 1 - m) * apsi[m]
+            carried = abs(a - 1 - m) * err[m]
         for l in range(min(m, a) + 1):
-            acc -= a * math.comb(a, l) * xp[a - l] * psi[m - l]
-            sz += a * math.comb(a, l) * axp[a - l] * size[m - l]
+            cf = a * math.comb(a, l)
+            acc -= cf * xp[a - l] * psi[m - l]
+            pieces += cf * axp[a - l] * apsi[m - l]
+            carried += cf * axp[a - l] * err[m - l]
         psi.append(acc / (x * (m + 1)))
-        size.append(sz / (axp[1] * (m + 1)))
+        apsi.append(abs(psi[-1]))
+        err.append((carried + cut * pieces) / (axp[1] * (m + 1)))
+        size.append(apsi[-1] + mpmath.ldexp(err[-1], -_CLOSED_FORM_GUARD))
     return psi, size
 
 
@@ -570,9 +652,9 @@ def _times_derivative(poly, fractions):
     poly = tuple(j * q for j, q in enumerate(poly))
     out = []
     for c, rs in fractions:
-        rs = (0,) + rs + (0,)
-        out.append((c, tuple(-j * rs[j] - (j - 1) * c * rs[j - 1]
-                             for j in range(1, len(rs)))))
+        crs = [c * r for r in rs]
+        out.append((c, (-rs[0],) + tuple(-(j + 1) * rs[j] - j * crs[j - 1]
+                                         for j in range(1, len(rs))) + (-len(rs) * crs[-1],)))
     return poly, tuple(out)
 
 
@@ -583,8 +665,8 @@ def _closed_form_sum(poly, fractions, a, u, phi, prec):
     Returns ``(value, mass)``, both at ``prec + _CLOSED_FORM_GUARD`` bits.
     Q sums as sum q_n Gamma(1 + n/a) u^n, and r/(s - c)^j as
     r psi_(j-1)(c/u)/u^j (:func:`_pole_jet`).  ``mass`` is
-    |Q part| + sum |terms|, with the pieces of a term that can cancel
-    counted separately: the size the rounding error is relative to.
+    |Q part| + sum |r| size_(j-1)/|u|^j: the size the rounding error is
+    relative to.
     """
     wp = prec + _CLOSED_FORM_GUARD
     with mp.workprec(wp):
@@ -599,15 +681,19 @@ def _closed_form_sum(poly, fractions, a, u, phi, prec):
             with mp.workprec(2 * prec):
                 x = c / u
             # e^(-x^a) has condition number |x^a|: carry its magnitude in bits
-            with mp.workprec(wp + max(0, a * mpmath.mag(x))):
-                psi, size = _pole_jet(x, a, len(rs), phi, two_pi_i)
-                terms = []
-                for j, (r, y, s) in enumerate(zip(rs, psi, size), 1):
-                    uj = u ** j
-                    terms.append((r * y / uj, abs(r) * s / abs(uj)))
-            for term, s in terms:
-                total += term
-                mass += s
+            extra = max(0, a * mpmath.mag(x))
+            with mp.workprec(wp + extra):
+                psi, size = _pole_jet(x, a, len(rs), phi, two_pi_i, extra)
+                # sum_j r_j psi_(j-1)/u^j by Horner's rule in 1/u
+                v = +u
+                av = abs(v)
+                term = rs[-1] * psi[-1] / v
+                part = abs(rs[-1]) * size[-1] / av
+                for j in range(len(rs) - 2, -1, -1):
+                    term = (term + rs[j] * psi[j]) / v
+                    part = (part + abs(rs[j]) * size[j]) / av
+            total += term
+            mass += part
     return total, mass
 
 
@@ -631,16 +717,18 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     The sum is closed-form for every such k.  With tau = s^b and
     u = |t|^(1/b) e^(i (theta - d)/b), the order-k sum of g at t is the
     order-a sum of g(s^b) at u along arg s = theta/b.  Each approximant's
-    partial fractions in s (``RationalApproximant._split``)
+    partial fractions in s (``RationalApproximant.partial_fractions``)
     sum term by term (``_closed_form_sum``): for k = 1 the polynomial part
     as sum q_j j! t^j and a simple pole as r e^(-q) E1(-q)/t with q = p/t,
     plus -+2 pi i r e^(-q)/t for a pole between arg t and the ray; for
-    integer a through upper incomplete gammas and, for a multiple pole,
-    their Taylor coefficients.  The derivative is (1/t) times the sum of
-    tau g'(tau), whose partial fractions follow from g's.  Nothing is cut
-    off, and ``quadrature_error`` is the evaluation bound
-    (|Q part| + sum |terms|) 2^(2 - prec), which covers rounding to
-    ``prec`` bits.  An ``eps`` below that bound raises ``ValueError``.
+    integer a through upper incomplete gammas and, for a multiple pole or
+    a cluster, their Taylor coefficients.  The derivative is (1/t) times
+    the sum of tau g'(tau), whose partial fractions follow from g's.
+    Nothing is cut off, and ``quadrature_error`` is the evaluation bound
+    (|Q part| + sum of the term sizes) 2^(2 - prec), which covers rounding
+    to ``prec`` bits; a term's size is its magnitude plus the carried
+    error of the Taylor coefficients it takes.  An ``eps`` below that
+    bound raises ``ValueError``.
     """
     a, b = _rational_k(k)
     prec = working_prec(prec)
@@ -659,7 +747,7 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
             u = mpmath.root(t, b, int(turns) % b)
         sums = []
         for appr in (rc._hi, rc._lo):
-            poly, fractions = appr._split(b)
+            poly, fractions = appr.partial_fractions(b)
             if derivative:
                 with mp.workprec(gi_width(prec)):
                     poly, fractions = _times_derivative(poly, fractions)

@@ -386,16 +386,72 @@ class TestLaplace:
         # pole splits into confluent fractions 0/(tau + 1) + 1/(tau + 1)^2
         a = OneVarSeries([(-1) ** n * (n + 1) * factorial(n) for n in range(32)])
         rc = continue_on_ray(borel_transform(a, 1), 0.0, [1.0, 2.0])
+        # (the terms past r2 expand the two roots of the fit about their
+        # center, which coincide to the fit's noise)
         assert [mult for _, mult in rc._hi.raw_poles()] == [2]
-        (p, (r1, r2)), = rc._hi.partial_fractions()[1]
+        (p, (r1, r2, *rest)), = rc._hi.partial_fractions()[1]
         with mp.workprec(128):
             assert abs(p + 1) < 1e-30 and abs(r1) < 1e-30 and abs(r2 - 1) < 1e-30
+            assert all(abs(r) < 1e-60 for r in rest)
             t = mpmath.mpf("0.1")
         for derivative in (False, True):
             res = laplace_sum(rc, 1, t, derivative=derivative)
             exact = pole_transform_quad([], 1, t, 0.0, derivative, double=[(-1, 1)])
             with mp.workprec(256):
                 assert abs(res.value - exact) <= res.total_error
+
+    @pytest.mark.parametrize("k", [1, 1.5])
+    def test_close_poles_sum_as_a_cluster(self, k):
+        # 1/(1 + tau) + 1/(1 + 1e-10 + tau): the fit resolves both poles,
+        # and the root finder merges them (within 2^-32) into one of
+        # multiplicity 2.  Summed as an exact double pole, the dropped
+        # separation erred by 1e-19 against 4e-20 reported
+        with mp.workprec(512):
+            p2 = -1 - mpmath.mpf("1e-10")
+            poles = [(-1, 1), (p2, -1 / p2)]
+        coeffs = pole_transform_coeffs(poles, k, 32, 512)
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), k), 0.0, [1.0])
+        assert sorted(mult for _, mult in rc._hi.raw_poles())[-1] == 2
+        with mp.workprec(128):
+            t = mpmath.mpf("0.1")
+        for derivative in (False, True):
+            res = laplace_sum(rc, k, t, derivative=derivative)
+            exact = pole_transform_quad(poles, k, t, 0.0, derivative)
+            with mp.workprec(256):
+                assert abs(res.value - exact) <= res.total_error
+
+    def test_crowded_cluster_refused(self):
+        # roots 2e-10 apart, merged (within 2^-32 of their mean), and a third
+        # 2.5e-10 from that mean, not merged: the pair does not stand apart
+        # from it, and the split refuses to expand it
+        with mp.workprec(512):
+            den = [mpmath.mpc(1)]
+            for z in (-1, -1 - mpmath.mpf("2e-10"), -1 - mpmath.mpf("3.5e-10")):
+                # times (tau - z) / (-z)
+                den = [(y - z * x) / -z for x, y in zip(den + [0], [0] + den)]
+        appr = RationalApproximant([mpmath.mpc(1)], den, 128)
+        assert sorted(mult for _, mult in appr.raw_poles()) == [1, 2]
+        with pytest.raises(ValueError):
+            appr.partial_fractions()
+
+    @pytest.mark.parametrize("prec", [64, 128])
+    def test_jet_bound_tracks_its_error(self, prec):
+        # k = 3, the order-3 Borel transform 1/(1 + tau)^2, t = 0.1: the
+        # derivative takes three Taylor coefficients of the pole's sum, whose
+        # recurrence cancels pieces near |x|^3 = 1000.  The bound stays within
+        # 2^10 ulps of the value (it was 2^36 ulps: refused at the default eps
+        # at 64 bits), and covers the error against the oracle
+        coeffs = pole_transform_coeffs([], 3, 32, 4 * prec, double=[(-1, 1)])
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 3, prec=prec), 0.0,
+                             [1.0], prec=prec)
+        with mp.workprec(prec):
+            t = mpmath.mpf("0.1")
+        for derivative in (False, True):
+            res = laplace_sum(rc, 3, t, derivative=derivative, prec=prec)
+            exact = pole_transform_quad([], 3, t, 0.0, derivative, double=[(-1, 1)])
+            with mp.workprec(256):
+                assert abs(res.value - exact) <= res.total_error
+                assert res.quadrature_error <= 2.0 ** (10 - prec) * abs(res.value)
 
     def test_non_finite_numerator_refused(self):
         # the closed form, like the quadrature, refuses an inf or nan
