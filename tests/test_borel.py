@@ -439,7 +439,7 @@ class TestLaplace:
         # k = 3, the order-3 Borel transform 1/(1 + tau)^2, t = 0.1: the
         # derivative takes three Taylor coefficients of the pole's sum, whose
         # recurrence cancels pieces near |x|^3 = 1000.  The bound stays within
-        # 2^10 ulps of the value (it was 2^36 ulps: refused at the default eps
+        # 2^10 ulps of the value (it was 2^29 ulps: refused at the default eps
         # at 64 bits), and covers the error against the oracle
         coeffs = pole_transform_coeffs([], 3, 32, 4 * prec, double=[(-1, 1)])
         rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 3, prec=prec), 0.0,
