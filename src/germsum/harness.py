@@ -35,7 +35,7 @@ from mpmath import mp
 from .borel import OneVarSeries, borel_transform, continue_on_ray, laplace_sum
 from .errors import GermsumError
 from .scalars import to_mpc, working_prec
-from .series import MonomialOrder, TruncatedSeries, v_ell
+from .series import MonomialOrder, TruncatedSeries, substitute, v_ell
 from .weierstrass import Germ, wdivide
 
 EXAMPLE_NAMES = ("remark79", "ode-euler", "pde-quasihom")
@@ -69,25 +69,20 @@ def gen_example(name, trunc):
                            {"expected_order": 1.0})
     if name == "ode-euler":
         p = TruncatedSeries(2, n, {(2, 0): 1, (0, 2): -1})
-        f = TruncatedSeries.zero(2, n)
-        m = 0
-        while 2 * (m + 1) <= n:
-            f = f + p ** (m + 1) * Fraction(factorial(m))
-            m += 1
+        # y(P) for y = sum_{m < n//2} m! t^(m+1): the summands of degree <= n
+        y = TruncatedSeries(1, n // 2, {(m + 1,): factorial(m) for m in range(n // 2)})
+        f = substitute(y, [p], out_trunc=p.trunc)
         return ExampleData(name, f, p, MonomialOrder((1, 1)),
                            {"k": 1, "singular_direction": 0.0})
     if name == "pde-quasihom":
         p = TruncatedSeries(2, n, {(0, 2): 1, (3, 0): -1})
-        x1 = TruncatedSeries.variable(0, 2, n)
-        f = TruncatedSeries.zero(2, n)
-        m = 0
-        # include whole summands only: x1 * P^(m+1) has top degree 1 + 3(m+1),
-        # so no power of the (inhomogeneous) germ gets sliced by the truncation
-        while 1 + 3 * (m + 1) <= n:
-            f = f + x1 * p ** (m + 1) * Fraction(factorial(m))
-            m += 1
+        # x1 * y(P) for y = sum_{m < depth} m! t^(m+1), whole summands only: x1 * P^(m+1)
+        # has top degree 1 + 3(m+1), so no power of the (inhomogeneous) germ gets sliced
+        depth = max((n - 1) // 3, 0)
+        y = TruncatedSeries(2, depth + 1, {(1, m + 1): factorial(m) for m in range(depth)})
+        f = substitute(y, [TruncatedSeries.variable(0, 2, n), p], out_trunc=p.trunc)
         return ExampleData(name, f, p, MonomialOrder((2, 3)),
-                           {"alpha": 0, "beta": 1, "k": 1, "depth": m})
+                           {"alpha": 0, "beta": 1, "k": 1, "depth": depth})
     raise ValueError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
 
 

@@ -151,8 +151,8 @@ class TruncatedSeries:
 
     @classmethod
     def _clean(cls, dim, trunc, terms):
-        """Wrap terms the kernel's exact finish produced: int exponent tuples of
-        degree <= trunc and nonzero Fraction coefficients, so nothing is left to check."""
+        """Wrap terms that already hold the invariants (int exponent tuples of degree
+        <= trunc, nonzero pruned coefficients), so nothing is left to check."""
         f = object.__new__(cls)
         object.__setattr__(f, "dim", dim)
         object.__setattr__(f, "trunc", trunc)

@@ -285,7 +285,8 @@ def _poly_roots(coeffs_low_to_high, prec):
     roots are kept at the kernel width: twice the working precision, which
     quadratic convergence reaches one sweep after that stop.  When it does
     not converge within 200 sweeps (a multiple root), the roots are the
-    eigenvalues of the companion matrix (``mpmath.eig``) at ``prec``.
+    eigenvalues of the companion matrix (``mpmath.eig``) at the kernel width,
+    where an m-fold root (m <= 8) spreads less than the merge radius below.
     Roots within 2^-(prec/4) (relative) of each other are merged into one
     with its multiplicity.
     """
@@ -308,7 +309,7 @@ def _poly_roots(coeffs_low_to_high, prec):
         poly = [gi_from_mpc(c, w) for c in reversed(cs)]
     found = _durand_kerner(poly, prec)
     if found is None:
-        with mp.workprec(prec):
+        with mp.workprec(w):
             comp = mpmath.zeros(len(poly) - 1)
             lead = to_mpc(cs[-1])
             for i in range(len(poly) - 1):

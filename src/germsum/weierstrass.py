@@ -2,17 +2,17 @@
 
 Given a germ P (vanishing at the origin, nonzero) and a monomial order,
 every series g splits uniquely as ``g = q*P + r`` where no exponent of r
-lies in the cone ``lead_exp(P) + N^d``.  Iterating on the quotient writes
-any series as ``sum_n g_n * P^n`` with cone-avoiding coefficients; read as
-a one-variable series in a new variable t, that coefficient list is the
-germ-relative transform of the series, inverted by re-substituting P for t.
+lies in the cone ``lead_exp(P) + N^d``.  The expansion ``g = sum_n g_n * P^n``
+with every g_n off the cone is the same split by ``P - t``, for a new
+variable t: one elimination gives ``sum_n g_n(x) t^n``, its level n being
+the coefficient of t^n, and a depth-1 elimination gives r (level 0) and q
+(level 1).  Substituting P for t inverts the expansion.
 
 Division is performed by deterministic term elimination in increasing
 monomial order, with all products truncated at the input's order.  The
 output is exact for the stored polynomial representative on every exponent
 of weight below ``(trunc+1) * min(weights)``; in terms of plain degrees,
-the quotient certifies ``g.trunc - deg(lead_exp)`` orders and the
-remainder is reported at ``g.trunc``.
+level n certifies ``g.trunc - n*deg(lead_exp)`` orders.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, ZeroGermError
 from .scalars import is_zero, sdiv
 from .series import (MonomialOrder, TruncatedSeries, _exact_real, _kernel_prec, _lift,
-                     _Packing, series_from_json, series_to_json, v_ell)
+                     _Packing, series_from_json, series_to_json, substitute, v_ell)
 
 
 class Germ:
@@ -80,44 +80,56 @@ def delta_member(e, germ):
 def wdivide(g, germ):
     """Divide g by the germ: g = q*P + r with r supported off the cone.
 
-    Deterministic: repeatedly cancels the order-minimal in-cone term of the
-    running remainder against ``(term / lead monomial) * P``.  Every
-    cancellation replaces the minimal in-cone term by strictly larger ones,
-    and only finitely many exponents fit under the truncation, so the loop
-    terminates.  Truncation: q at ``g.trunc - deg(lead_exp)``, r at
-    ``g.trunc``.
+    The elimination by P - t to depth 1 (see :func:`_reduce`): r is level 0,
+    at ``g.trunc``, and q is level 1, at ``g.trunc - deg(lead_exp)``.
     """
+    r, q = _eliminate(g, germ, 1)
+    return DivisionResult(q, r)
+
+
+def _eliminate(g, germ, depth):
+    """Levels 0..depth of g modulo P - t, by :func:`_reduce`."""
     if g.dim != germ.dim:
         raise DimensionMismatchError(
             f"series has {g.dim} variables, germ has {germ.dim}")
-    if germ.lead_degree > g.trunc:
-        return DivisionResult(TruncatedSeries.zero(g.dim, -1), g)
     exact = _exact_real(g.terms) and _exact_real(germ.p.terms)
     with _kernel_prec(exact):
-        return _wdivide(g.terms, germ, g.trunc, exact)
+        return _reduce(g.terms, germ, g.trunc, depth, exact)
 
 
-def _wdivide(terms, germ, trunc, exact):
-    """The elimination on packed numerators (sparse division with a heap).
+def _reduce(terms, germ, trunc, depth, exact):
+    """Divide by ``P - t`` on packed numerators (sparse division with a heap).
+
+    A term's level, its power of t, is one more packed exponent field, and t
+    has degree ``deg(lead_exp)`` in the degree field, so the truncation test
+    drops at level n what the n-th iterated division by P dropped.  A step
+    cancels the order-minimal in-cone term ``c x^(m+lead)`` at level n with
+    ``(c/lc) x^m (P - t)``.  t ranks above every monomial of degree <= trunc,
+    so a step adds only larger terms, of which finitely many fit under the
+    truncation, and the levels are reduced one after another, in the term
+    order of the iterated divisions; level ``depth``, the quotient, is not
+    reduced.  rem never holds a zero, as cancelled entries are deleted.
 
     For exact real data P is scaled to integer coefficients with lead L.  A
-    remainder term is a pair ``(n, j)`` standing for ``n / (den_g * L**j)``:
-    cancelling it against ``(term / lead monomial) * P`` adds terms of
-    generation ``j + 1``, and two generations meeting on one exponent are
-    aligned by a power of L.  Other data divide P's tail by its lead
-    coefficient once, so L = 1 and ``n`` is the coefficient itself.  A step
-    adds only terms larger than the one it cancels, so each quotient exponent
-    is set once; rem never holds a zero, as cancelled entries are deleted.
-    Heap entries are ints: the order key (linear in the exponent, valid up to
-    degree trunc) above the packed exponent.
+    term is a pair ``(n, j)`` standing for ``n / (den_g * L**j)``: cancelling
+    it adds terms of generation ``j + 1``, and two generations meeting on one
+    exponent are aligned by a power of L.  Other data divide P's tail by its
+    lead coefficient once, so L = 1 and ``n`` is the coefficient itself.
+    Heap entries are ints: the order key (linear in the exponent) above the
+    packed exponent.
     """
     lead = germ.lead_exp
     d = len(lead)
-    packing = _Packing(d, trunc)
+    ell = germ.lead_degree
+    # wide enough for lead's exponents too, which the cone test subtracts field by field
+    packing = _Packing(d + 1, max(trunc, ell))
+    top = packing.top
     pack = packing.pack
-    # the top bit of each exponent field: (p | guard) - plead keeps it in every
+    # the top bit of each x-exponent field: (p | guard) - plead keeps it in every
     # field where p's exponent is >= lead's, i.e. p lies in the cone
-    guard = sum(1 << (shift + packing.width - 1) for shift in packing.shifts)
+    guard = sum(1 << (shift + packing.width - 1) for shift in packing.shifts[:d])
+    level_shift = packing.shifts[d]
+    level_mask, quotient_level = packing.mask << level_shift, depth << level_shift
     # key = weight * R**(d+1) + degree * R**d + tiebreak digits in base R = trunc + 1,
     # the tiebreak digit of x_i being -e_i; this orders in-window exponents as
     # MonomialOrder.key does
@@ -130,41 +142,43 @@ def _wdivide(terms, germ, trunc, exact):
     def okey(e):
         return sum(a * k for a, k in zip(alpha, e))
 
-    key_bits = packing.top + packing.width
+    key_bits = top + packing.width
     key_mask = (1 << key_bits) - 1
-    lc = germ.lead_coeff
     if exact:
         p_num, p_den = _lift(germ.p.terms, exact)
         big_l = p_num[lead]
         tail = {e: -c for e, c in p_num.items()}
+        t_coeff = p_den
     else:
         big_l = 1
-        tail = {e: -sdiv(c, lc) for e, c in germ.p.terms.items()}
-    plead, klead = pack(lead), okey(lead)
-    tail = [(pack(e), okey(e) - klead, b) for e, b in tail.items()
+        tail = {e: -sdiv(c, germ.lead_coeff) for e, c in germ.p.terms.items()}
+        t_coeff = sdiv(1, germ.lead_coeff)
+    plead, klead = pack(lead + (0,)), okey(lead)
+    tail = [(pack(e + (0,)), okey(e) - klead, b) for e, b in tail.items()
             if e != lead and sum(e) <= trunc]
+    # t: one level and deg(lead) degrees up, keyed above okey(e) for all sum(e) <= trunc
+    tail.append(((1 << level_shift) + (ell << top), radix * max(alpha) - klead, t_coeff))
     # with L = 1 every generation has the same denominator: all terms stay at j = 0
     step = int(big_l != 1)
-    top = packing.top
     g_num, g_den = _lift(terms, exact)
     rem = {}
     heap = []
     for e, n in g_num.items():
-        p = pack(e)
+        p = pack(e + (0,))
         rem[p] = (n, 0)
         if ((p | guard) - plead) & guard == guard:
             heap.append((okey(e) << key_bits) | p)
     heapq.heapify(heap)
-    quot = []
     while heap:
         entry = heapq.heappop(heap)
         p = entry & key_mask
+        if p & level_mask == quotient_level:
+            break  # every level below is reduced
         t = rem.pop(p, None)
         if t is None:
             continue
         n, j = t
         m = p - plead
-        quot.append((m, n, j))
         k = entry >> key_bits
         j1 = j + step
         for pt, dk, b in tail:
@@ -190,20 +204,19 @@ def _wdivide(terms, germ, trunc, exact):
                 rem[p2] = (n2, j2)
             else:
                 del rem[p2]
-    unpack = packing.unpack
-    q_trunc = trunc - germ.lead_degree
+    levels = [{} for _ in range(depth + 1)]
+    for p, t in rem.items():
+        e = packing.unpack(p)
+        levels[e[d]][e[:d]] = t
+    truncs = [max(trunc - n * ell, -1) for n in range(depth + 1)]
     if not exact:
-        return DivisionResult(
-            TruncatedSeries(d, q_trunc, {unpack(m): sdiv(n, lc) for m, n, _ in quot}),
-            TruncatedSeries(d, trunc, {unpack(p): n for p, (n, _) in rem.items()}))
+        return [TruncatedSeries(d, tr, {e: n for e, (n, _) in level.items()})
+                for tr, level in zip(truncs, levels)]
     dens = [g_den]  # dens[j]: den_g * L**j
-    for j in range(1 + max((j for _, _, j in quot), default=0)):
+    for _ in range(max((j for _, j in rem.values()), default=0)):
         dens.append(dens[-1] * big_l)
-    return DivisionResult(
-        TruncatedSeries._clean(d, q_trunc, {unpack(m): Fraction(n * p_den, dens[j + 1])
-                                            for m, n, j in quot}),
-        TruncatedSeries._clean(d, trunc, {unpack(p): Fraction(n, dens[j])
-                                          for p, (n, j) in rem.items()}))
+    return [TruncatedSeries._clean(d, tr, {e: Fraction(n, dens[j]) for e, (n, j) in level.items()})
+            for tr, level in zip(truncs, levels)]
 
 
 class PExpansion:
@@ -257,35 +270,23 @@ class PExpansion:
 
 
 def p_expand(f, germ, depth):
-    """Expand f in powers of the germ: g_0 = remainder, recurse on the quotient."""
-    if f.dim != germ.dim:
-        raise DimensionMismatchError(
-            f"series has {f.dim} variables, germ has {germ.dim}")
-    coeffs = []
-    cur = f
-    for _ in range(depth):
-        division = wdivide(cur, germ)
-        coeffs.append(division.r)
-        cur = division.q
-    return PExpansion(germ, coeffs, f.trunc)
+    """Expand f in powers of the germ: levels 0..depth-1 of f modulo P - t."""
+    return PExpansion(germ, _eliminate(f, germ, depth)[:depth], f.trunc)
 
 
 def t_substitute(expansion):
     """Replace t by P: evaluate sum g_n * P^n modulo the expansion's truncation.
 
-    All products are formed at the expansion's stated truncation, so this
-    is the exact left-inverse of :func:`p_expand` there (provided the depth
-    exhausted the quotient).
+    One substitution of ``(x_1, ..., x_d, P)`` into ``G(x, t) = sum g_n(x) t^n``,
+    formed at the expansion's stated truncation, so this is the exact
+    left-inverse of :func:`p_expand` there (provided the depth exhausted the
+    quotient).
     """
     germ = expansion.germ
     trunc = min(expansion.trunc, germ.p.trunc)
-    p_work = germ.p.with_trunc(trunc)
-    acc = TruncatedSeries.zero(germ.dim, trunc)
-    p_pow = TruncatedSeries.one(germ.dim, trunc)
-    for n, g in enumerate(expansion.coeffs):
-        if n:
-            p_pow = p_pow * p_work
-        if g.is_zero:
-            continue
-        acc = acc + g.with_trunc(trunc) * p_pow
-    return acc
+    # G wraps the terms of valid series, so nothing is left to check; t^n adds n to a degree
+    g_top = max((g.trunc + n for n, g in enumerate(expansion.coeffs)), default=-1)
+    big_g = TruncatedSeries._clean(germ.dim + 1, g_top, {
+        e + (n,): c for n, g in enumerate(expansion.coeffs) for e, c in g.terms.items()})
+    xs = [TruncatedSeries.variable(i, germ.dim, trunc) for i in range(germ.dim)]
+    return substitute(big_g, xs + [germ.p], out_trunc=trunc)

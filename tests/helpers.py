@@ -240,13 +240,15 @@ def ref_wdivide(g_terms, p_terms, key, trunc, add=operator.add, mul=operator.mul
                 rem[e2] = c
 
 
-def ref_p_expand(f_terms, p_terms, key, trunc, depth):
-    """Remainders of ``depth`` reference divisions, each of the previous quotient."""
+def ref_p_expand(f_terms, p_terms, key, trunc, depth, add=operator.add, mul=operator.mul,
+                 div=exact_div, neg=operator.neg):
+    """(truncation, remainder) of ``depth`` reference divisions, each of the
+    previous quotient."""
     lead_degree = sum(min(p_terms, key=key))
     coeffs, cur = [], f_terms
     for _ in range(depth):
-        cur, rem = ref_wdivide(cur, p_terms, key, trunc)
-        coeffs.append(rem)
+        cur, rem = ref_wdivide(cur, p_terms, key, trunc, add, mul, div, neg)
+        coeffs.append((trunc, rem))
         trunc = max(trunc - lead_degree, -1)
     return coeffs
 

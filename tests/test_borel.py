@@ -400,6 +400,20 @@ class TestLaplace:
             with mp.workprec(256):
                 assert abs(res.value - exact) <= res.total_error
 
+    def test_fourfold_pole_holds_its_bound(self):
+        # (-1)^n C(n + 3, 3) n! has the Borel transform 1/(1 + tau)^4.  Split
+        # into four simple poles 3e-10 apart, the fourfold pole summed to a
+        # value off by 47 against 4e-10 reported (refused at the default eps)
+        a = OneVarSeries([(-1) ** n * math.comb(n + 3, 3) * factorial(n) for n in range(40)])
+        rc = continue_on_ray(borel_transform(a, 1), 0.0, [1.0])
+        assert [mult for _, mult in rc._hi.raw_poles()] == [4]
+        with mp.workprec(128):
+            t = mpmath.mpf(1) / 5
+        res = laplace_sum(rc, 1, t)
+        with mp.workprec(256):
+            exact = mpmath.quad(lambda s: mpmath.exp(-s / t) / (1 + s) ** 4, [0, mpmath.inf]) / t
+            assert abs(res.value - exact) <= res.total_error
+
     @pytest.mark.parametrize("k", [1, 1.5])
     def test_close_poles_sum_as_a_cluster(self, k):
         # 1/(1 + tau) + 1/(1 + 1e-10 + tau): the fit resolves both poles,
@@ -479,6 +493,11 @@ class TestLaplace:
         rc = continue_on_ray(borel_transform(euler_series(), 1), 0.0, [1.0])
         with pytest.raises(SectorError):
             laplace_sum(rc, 1, mpmath.mpc(-0.1))
+
+    def test_zero_t_refused(self):
+        rc = continue_on_ray(borel_transform(euler_series(), 1), 0.0, [1.0])
+        with pytest.raises(SectorError, match="t = 0"):
+            laplace_sum(rc, 1, 0)
 
     def test_k2_monomial_identity(self):
         # order-2 kernel reproduces a_n t^n termwise: test on 1 + t^2/2
@@ -687,6 +706,12 @@ class TestPKSum:
         exp = PExpansion(germ, [TS.one(2, 10)] * 10, 10)
         with pytest.raises(SectorError):
             p_k_sum(exp, (Fraction(-1, 10), Fraction(1, 10)), 1, 0.0)
+
+    def test_germ_zero_refused(self):
+        germ = Germ(TS(2, 10, {(1, 1): 1}), MonomialOrder((1, 1)))
+        exp = PExpansion(germ, [TS.one(2, 10)] * 10, 10)
+        with pytest.raises(SectorError, match="vanishes"):
+            p_k_sum(exp, (0, Fraction(1, 10)), 1, 0.0)
 
     def test_ode_expansion_at_negative_germ_value(self):
         # y = sum m! P^(m+1) with P = x^2 - eps^2, evaluated where P < 0:

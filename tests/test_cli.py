@@ -295,4 +295,8 @@ def test_domain_errors(files, capsys):
                                          for m in range(32)]})
     assert cli_main(["borel-sum", "--k", "1", "--theta", "0",
                      "--t", "0.1", coeffs]) == 3
-    capsys.readouterr()
+    # a point where the germ vanishes -> 3
+    p = files("p.json", series_to_json(TS(2, 10, {(1, 1): 1})))
+    assert cli_main(["borel-sum", "--germ", p, "--order", "1,1", "--depth", "10",
+                     "--theta", "0", "--point", "0,0", f]) == 3
+    assert "vanishes" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 import pytest
@@ -177,6 +177,17 @@ class TestDominantData:
         assert len(dd.roots) == 1
         v, m = dd.roots[0]
         assert m == 3 and abs(mpmath.mpc(v) + 1) < 1e-20
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_high_multiplicity_root(self, m):
+        # (x1 + x2)^m: Durand-Kerner does not converge on the m-fold root, and
+        # the eigenvalue fallback must resolve it finely enough to merge it; at
+        # the working precision it came back as m simple roots (about 1e-6 apart at m = 6)
+        p = TS(2, m, {(i, m - i): comb(m, i) for i in range(m + 1)})
+        dd = dominant_data(p, None)
+        assert len(dd.roots) == 1
+        v, mult = dd.roots[0]
+        assert mult == m and abs(mpmath.mpc(v) + 1) < 1e-20
 
     def test_multiplicity_sum_is_h(self):
         rng = random.Random(47)

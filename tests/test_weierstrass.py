@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germsum.errors import DimensionMismatchError, ZeroGermError
-from germsum.scalars import sadd, sdiv, smul, sneg
+from germsum.scalars import QQi, sadd, sdiv, smul, sneg
 from germsum.series import MonomialOrder, TruncatedSeries, series_to_json, substitute
 from germsum.weierstrass import (Germ, PExpansion, delta_member, p_expand,
                                  t_substitute, wdivide)
@@ -77,6 +77,15 @@ class TestWdivide:
         res = wdivide(g, mono_germ)
         assert res.q.terms == {(1, 0): 1}
         assert res.r.terms == {(1, 0): 1, (0, 2): 1}
+
+    @pytest.mark.parametrize("c", [Fraction(1, 3), QQi(1, 2), mpmath.mpc(0.5, 0.25)])
+    def test_lead_degree_above_trunc(self, cusp_germ, c):
+        # the lead monomial's degree exceeds the truncation, so no term lies in
+        # the cone and the quotient certifies no order
+        g = TS(2, 1, {(0, 0): c, (0, 1): 2})
+        res = wdivide(g, cusp_germ)
+        assert res.r == g
+        assert res.q.is_zero and res.q.trunc == -1
 
     def test_trunc_contract(self, cusp_germ):
         res = wdivide(TS(2, 9, {(3, 0): 1}), cusp_germ)
@@ -147,16 +156,17 @@ class TestIntegerKernel:
         qqi = data.draw(st.booleans())
         germ = data.draw(exact_germs(dim, trunc, qqi=qqi))
         f = data.draw(exact_series(dim, trunc, qqi=qqi, max_terms=30))
+        depth = data.draw(st.integers(0, trunc + 2))
         key = ref_order_key(germ.order.weights, germ.order.tiebreak)
-        expansion = p_expand(f, germ, 4)
-        ref = ref_p_expand(f.terms, germ.p.terms, key, trunc, 4)
-        assert [g.terms for g in expansion.coeffs] == ref
+        expansion = p_expand(f, germ, depth)
+        ref = ref_p_expand(f.terms, germ.p.terms, key, trunc, depth)
+        assert [(g.trunc, g.terms) for g in expansion.coeffs] == ref
 
 
 def test_float_path_matches_funnel_reference():
-    """mpc data on the series kernel: *, substitute and wdivide agree with the
-    reference run on sadd/smul/sdiv/sneg (a germ-sum style scaled input) within
-    the tolerance of ``assert_near_reference``."""
+    """mpc data on the series kernel: *, substitute, wdivide and p_expand agree
+    with the reference run on sadd/smul/sdiv/sneg (a germ-sum style scaled
+    input) within the tolerance of ``assert_near_reference``."""
     depth, a = 8, Fraction(-1, 2)
     trunc = 2 * (depth - 1)
     p = TS(2, trunc, {(2, 0): 1, (1, 1): Fraction(3, 4), (0, 2): Fraction(-3, 4)})
@@ -183,11 +193,14 @@ def test_float_path_matches_funnel_reference():
                             sadd, smul, sdiv, sneg)
     assert_near_reference([res.q, res.r], [TS(2, res.q.trunc, quot), TS(2, trunc, rem)])
     assert len(res.q.terms) > 20 and len(res.r.terms) > 5
+    ref = ref_p_expand(fs.terms, ps.terms, ref_order_key((1, 1), "lex"), trunc, depth,
+                       sadd, smul, sdiv, sneg)
+    assert_near_reference(p_expand(fs, germ, depth).coeffs, [TS(2, t, terms) for t, terms in ref])
 
 
 class TestMixedDomains:
-    """Fraction, QQi and mpc coefficients mixed in one operand: wdivide against
-    the reference run on the s* funnel."""
+    """Fraction, QQi and mpc coefficients mixed in one operand: wdivide and
+    p_expand against the reference run on the s* funnel."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -200,6 +213,18 @@ class TestMixedDomains:
         res = wdivide(g, germ)
         assert_near_reference([res.q, res.r],
                               [TS(dim, res.q.trunc, quot), TS(dim, trunc, rem)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_p_expand_matches_funnel_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        germ = data.draw(mixed_germs(dim, trunc))
+        f = data.draw(mixed(data.draw(exact_series(dim, trunc, qqi=True, max_terms=30))))
+        depth = data.draw(st.integers(0, trunc + 2))
+        key = ref_order_key(germ.order.weights, germ.order.tiebreak)
+        ref = ref_p_expand(f.terms, germ.p.terms, key, trunc, depth, sadd, smul, sdiv, sneg)
+        assert_near_reference(p_expand(f, germ, depth).coeffs,
+                              [TS(dim, t, terms) for t, terms in ref])
 
 
 class TestPExpand:
