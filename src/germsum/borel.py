@@ -426,7 +426,8 @@ def build_approximant(coeffs, m=None, prec=None):
 @dataclass(frozen=True)
 class RayContinuation:
     """Samples of the continued Borel transform along a ray, plus the two
-    approximants (orders m and m - 1) that ``laplace_sum`` transforms."""
+    approximants (orders m and m - 1) that ``laplace_sum`` transforms at ``k``."""
+    k: float
     direction: float
     radii: tuple
     values: tuple
@@ -499,7 +500,7 @@ def continue_on_ray(b, theta, radii, method="pade", prec=None):
             v = hi(tau)
             values.append(v)
             errors.append(float(abs(v - lo(tau))))
-    return RayContinuation(direction=theta, radii=radii, values=tuple(values),
+    return RayContinuation(k=b.k, direction=theta, radii=radii, values=tuple(values),
                            errors=tuple(errors), poles=poles,
                            prec=prec, _hi=hi, _lo=lo)
 
@@ -711,8 +712,8 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     The reported continuation error is the difference of the two
     approximants' sums.  When ``max_continuation_error`` is given and that
     exceeds it, a :class:`ContinuationError` is raised instead of returning
-    a silently degraded value.  A k that is not a fraction a/b with
-    b <= 12 raises ``ValueError`` before anything else.
+    a silently degraded value.  A k other than the transform's ``rc.k``, or
+    not a fraction a/b with b <= 12, raises ``ValueError`` before anything else.
 
     The sum is closed-form for every such k.  With tau = s^b and
     u = |t|^(1/b) e^(i (theta - d)/b), the order-k sum of g at t is the
@@ -731,6 +732,8 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     bound raises ``ValueError``.
     """
     a, b = _rational_k(k)
+    if float(k) != rc.k:
+        raise ValueError(f"k = {k} is not the k = {rc.k} of the continued Borel transform")
     prec = working_prec(prec)
     with mp.workprec(prec):
         t = to_mpc(t)

@@ -235,13 +235,15 @@ class PSectorSample:
 
     def recheck(self):
         width = (self.b - self.a) % (2 * cmath.pi) or 2 * cmath.pi
-        for x in self.points:
-            if not all(abs(c) < self.R for c in x):
-                return False
-            w = complex(to_mpc(self.p.eval_at(x)))
-            if w == 0 or (cmath.phase(w) - self.a) % (2 * cmath.pi) >= width:
-                return False
-        return True
+        return all(_in_p_sector(self.p, x, self.a, width, self.R) for x in self.points)
+
+
+def _in_p_sector(p, x, a, width, R):
+    """x lies in the open polydisk of radius R, and arg P(x) - a mod 2 pi below width."""
+    if not all(abs(c) < R for c in x):
+        return False
+    w = complex(to_mpc(p.eval_at(x)))
+    return w != 0 and (cmath.phase(w) - a) % (2 * cmath.pi) < width
 
 
 def sample_p_sector(p, a, b, R, count, seed=0, max_tries=200000):
@@ -256,13 +258,7 @@ def sample_p_sector(p, a, b, R, count, seed=0, max_tries=200000):
             break
         x = tuple(complex(rng.uniform(-R, R), rng.uniform(-R, R))
                   for _ in range(p.dim))
-        if not all(abs(c) < R for c in x):
-            continue
-        w = complex(to_mpc(p.eval_at(x)))
-        if w == 0:
-            continue
-        rel = (cmath.phase(w) - a) % (2 * cmath.pi)
-        if rel < width:
+        if _in_p_sector(p, x, a, width, R):
             pts.append(x)
     if len(pts) < count:
         raise GermsumError(

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import nullcontext
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from mpmath import mp
 
@@ -106,19 +106,19 @@ def _prune_terms(terms, trunc):
     kill = [e for e, c in terms.items() if sum(e) > trunc or is_zero(c)]
     for e in kill:
         del terms[e]
-    if any(not scalars.is_exact(c) for c in terms.values()):
-        prec = scalars.working_prec()
-        eps = mp.mpf(2) ** (-(prec // 2))
-        size = {e: sabs(c) for e, c in terms.items()}
-        by_deg = {}
-        for e, a in size.items():
-            d = sum(e)
-            if d not in by_deg or a > by_deg[d]:
-                by_deg[d] = a
-        kill = [e for e, c in terms.items()
-                if not scalars.is_exact(c) and size[e] < by_deg[sum(e)] * eps]
-        for e in kill:
-            del terms[e]
+    by_deg = {}
+    for e in terms:
+        by_deg.setdefault(sum(e), []).append(e)
+    # a term alone in its degree is never negligible
+    shared = [group for group in by_deg.values() if len(group) > 1]
+    if any(not scalars.is_exact(terms[e]) for group in shared for e in group):
+        eps = mp.mpf(2) ** (-(scalars.working_prec() // 2))
+        for group in shared:
+            size = {e: sabs(terms[e]) for e in group}
+            cut = max(size.values()) * eps
+            for e in group:
+                if not scalars.is_exact(terms[e]) and size[e] < cut:
+                    del terms[e]
     return terms
 
 
@@ -312,26 +312,15 @@ class TruncatedSeries:
         return TruncatedSeries(self.dim, new_trunc, self.terms)
 
     def eval_at(self, point):
-        """Evaluate the stored polynomial at a point (exact when possible)."""
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point has {len(point)} coordinates, series has {self.dim}")
-        caches = [{0: 1} for _ in range(self.dim)]
+        """The stored polynomial at a point (exact for exact data), by substituting constants."""
+        return substitute(self, _constant_images(point, self.dim), out_trunc=0).coeff((0,))
 
-        def power(i, n):
-            cache = caches[i]
-            if n not in cache:
-                cache[n] = smul(power(i, n - 1), point[i])
-            return cache[n]
 
-        total = 0
-        for e, c in self.sorted_terms():
-            piece = c
-            for i, k in enumerate(e):
-                if k:
-                    piece = smul(piece, power(i, k))
-            total = sadd(total, piece)
-        return total
+def _constant_images(point, dim):
+    """The ``dim`` coordinates as constant one-variable series, a zero one empty, unpruned."""
+    if len(point) != dim:
+        raise DimensionMismatchError(f"point has {len(point)} coordinates, expected {dim}")
+    return [TruncatedSeries._clean(1, 0, {} if is_zero(x) else {(0,): x}) for x in point]
 
 
 def _fmt_term(e, c):
@@ -472,7 +461,7 @@ def _substitute(f, images, out_trunc, exact):
     scales = [[den ** (t - k) for k in range(t + 1)]
               for (_, den), t in zip(lifted, tops)]
     one = _operand([(0, 1)], out_trunc, top)
-    powers = [[one] for _ in images]  # powers[i][n]: image_i^n over den_i^n
+    powers = [[one, image] for image, _ in lifted]  # powers[i][n]: image_i^n over den_i^n
 
     def power(i, n):
         cache = powers[i]
@@ -485,9 +474,7 @@ def _substitute(f, images, out_trunc, exact):
     acc = {}
     get = acc.get
     for e, n in num.items():
-        scale = 1
-        for i, k in enumerate(e):
-            scale *= scales[i][k]
+        scale = prod(scales[i][k] for i, k in enumerate(e))
         piece = ((0, n * scale if scale != 1 else n),)
         for i, k in enumerate(e):
             if k:
@@ -526,7 +513,7 @@ def substitute(f, images, out_trunc=None):
                 "coefficient; pass out_trunc to assert polynomial inputs")
 
     if not f.terms or out_trunc < 0:
-        return TruncatedSeries._clean(d2, out_trunc, {})
+        return TruncatedSeries._clean(d2, max(out_trunc, -1), {})
     exact = _exact_real(f.terms) and all(_exact_real(g.terms) for g in images)
     with _kernel_prec(exact):
         return _substitute(f, images, out_trunc, exact)
@@ -587,6 +574,10 @@ def series_from_json(obj):
     for i, item in enumerate(raw):
         try:
             e = tuple(_json_int(k) for k in item["exp"])
+            if len(e) != dim:
+                raise ValueError(f"exponent {list(e)} has length {len(e)}, expected {dim}")
+            if e in terms:
+                raise ValueError(f"repeated exponent {list(e)}")
             c = scalar_from_json(item["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"series JSON terms[{i}]: {exc}") from exc

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, ZeroGermError
 from .scalars import is_zero, sdiv
-from .series import (MonomialOrder, TruncatedSeries, _exact_real, _kernel_prec, _lift,
-                     _Packing, series_from_json, series_to_json, substitute, v_ell)
+from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real,
+                     _kernel_prec, _lift, _Packing, series_from_json, series_to_json,
+                     substitute, v_ell)
 
 
 class Germ:
@@ -244,8 +245,11 @@ class PExpansion:
         return self.trunc - n * self.germ.lead_degree
 
     def specialize(self, point):
-        """Evaluate every coefficient at a point: the list a_n = g_n(point)."""
-        return [g.eval_at(point) for g in self.coeffs]
+        """Evaluate every coefficient at a point: a_n = g_n(point) is the coefficient
+        of t^n in one substitution of ``(point, t)`` into G (:func:`_t_series`)."""
+        images = _constant_images(point, self.germ.dim) + [TruncatedSeries.variable(0, 1, 1)]
+        a = substitute(_t_series(self), images, out_trunc=self.depth - 1)
+        return [a.coeff((n,)) for n in range(self.depth)]
 
     def __repr__(self):
         nz = sum(1 for g in self.coeffs if not g.is_zero)
@@ -284,9 +288,13 @@ def t_substitute(expansion):
     """
     germ = expansion.germ
     trunc = min(expansion.trunc, germ.p.trunc)
-    # G wraps the terms of valid series, so nothing is left to check; t^n adds n to a degree
-    g_top = max((g.trunc + n for n, g in enumerate(expansion.coeffs)), default=-1)
-    big_g = TruncatedSeries._clean(germ.dim + 1, g_top, {
-        e + (n,): c for n, g in enumerate(expansion.coeffs) for e, c in g.terms.items()})
     xs = [TruncatedSeries.variable(i, germ.dim, trunc) for i in range(germ.dim)]
-    return substitute(big_g, xs + [germ.p], out_trunc=trunc)
+    return substitute(_t_series(expansion), xs + [germ.p], out_trunc=trunc)
+
+
+def _t_series(expansion):
+    """``G(x, t) = sum g_n(x) t^n``, t the last variable.  It wraps the terms of
+    valid series, so nothing is left to check; t^n adds n to a degree."""
+    g_top = max((g.trunc + n for n, g in enumerate(expansion.coeffs)), default=-1)
+    return TruncatedSeries._clean(expansion.germ.dim + 1, g_top, {
+        e + (n,): c for n, g in enumerate(expansion.coeffs) for e, c in g.terms.items()})

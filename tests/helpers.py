@@ -182,6 +182,18 @@ def ref_substitute(f_terms, image_terms, out_trunc, add=operator.add, mul=operat
     return acc
 
 
+def ref_eval(terms, point, add=operator.add, mul=operator.mul):
+    """sum over the terms (sorted) of c * prod_i x_i^k_i, each power by repeated products."""
+    total = 0
+    for e in sorted(terms):
+        piece = terms[e]
+        for x, k in zip(point, e, strict=True):
+            for _ in range(k):
+                piece = mul(piece, x)
+        total = add(total, piece)
+    return total
+
+
 def assert_near_reference(results, refs):
     """Each result series agrees with its reference series (the reference terms
     wrapped by the TruncatedSeries constructor).
@@ -285,6 +297,17 @@ def mixed(draw, series):
     return TruncatedSeries(series.dim, series.trunc,
                            {e: smul(c, LAM) if draw(st.booleans()) else c
                             for e, c in series.terms.items()})
+
+
+@st.composite
+def points(draw, dim, qqi=False, floats=False):
+    """dim coordinates, each 0 or an :func:`exact_coeffs` scalar over 40 (of modulus
+    about 1 at most); with floats, each kept exact or turned into an mpc at random."""
+    point = []
+    for _ in range(dim):
+        x = smul(draw(exact_coeffs(qqi)), Fraction(1, 40)) if draw(st.booleans()) else 0
+        point.append(smul(x, LAM) if floats and draw(st.booleans()) else x)
+    return tuple(point)
 
 
 @st.composite

@@ -226,6 +226,15 @@ class TestLaplace:
         res = laplace_sum(rc, 1, 0.1, prec=128, eps=1e-25)
         assert abs(res.value - euler_oracle("0.1")) < 1e-9
 
+    def test_k_other_than_the_transforms_refused(self):
+        # summed at k = 2, the k = 1 transform of the Euler series gave 0.09412 (the
+        # sum is 0.11315) with a total_error of 5.5e-35
+        rc = continue_on_ray(borel_transform(euler_series(), 1), 0.5, [1.0, 2.0])
+        assert rc.k == 1
+        with pytest.raises(ValueError, match="k = 2 is not the k = 1.0"):
+            laplace_sum(rc, 2, 0.1)
+        assert abs(laplace_sum(rc, 1, 0.1).value - euler_oracle("0.1")) < 1e-9
+
     def test_constant_is_one(self):
         rc = continue_on_ray(borel_transform(OneVarSeries([1] + [0] * 9), 1),
                              0.3, [1.0, 2.0])

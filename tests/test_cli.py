@@ -230,6 +230,13 @@ def test_usage_errors(files, capsys, tmp_path):
     assert cli_main(["borel-sum", c, "--theta", "3.1", "--t=-0.2",
                      "--method", "pade"]) == 2
     capsys.readouterr()
+    # malformed terms: a repeated exponent, an exponent of the wrong length
+    for name, exps in (("twice.json", [[1, 0], [0, 1], [1, 0]]), ("long.json", [[1, 0, 0]])):
+        g = files(name, {"dim": 2, "trunc": 3,
+                         "terms": [{"exp": e, "coeff": str(i + 1)} for i, e in enumerate(exps)]})
+        assert cli_main(["divide", "--germ", p, "--order", "1,1", g]) == 2
+        err = capsys.readouterr().err
+        assert name in err and f"terms[{len(exps) - 1}]" in err
     # the library's argument checks are usage errors, not failed verifications
     f = files("f.json", series_to_json(TS(2, 10, {(2, 2): 1, (1, 0): 1})))
     assert cli_main(["borel-sum", f, "--germ", p, "--order", "1,1", "--depth", "6",

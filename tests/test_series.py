@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from germsum.errors import (DimensionMismatchError, InsufficientTruncationError,
                             ZeroSeriesError)
-from germsum.scalars import QQi, parse_scalar, sadd, smul
+from germsum.scalars import QQi, is_exact, parse_scalar, sabs, sadd, smul, sneg, working_prec
 from germsum.series import (MonomialOrder, TruncatedSeries, majorant_norm,
                             series_from_json, series_to_json, substitute, v_ell)
 
-from helpers import (SHAPES, assert_near_reference, exact_series, mixed, nonzero,
-                     random_series, ref_mul, ref_substitute)
+from helpers import (SHAPES, assert_near_reference, exact_series, mixed, nonzero, points,
+                     random_series, ref_eval, ref_mul, ref_substitute)
 
 TS = TruncatedSeries
 
@@ -98,6 +98,12 @@ class TestSubstitute:
             substitute(f, [TS.variable(0, 2, 5)])
         with pytest.raises(DimensionMismatchError):
             substitute(f, [TS.variable(0, 2, 5), TS.variable(0, 3, 5)])
+
+    def test_empty_result_truncation_clamped(self):
+        y = S(1, 5, {(2,): 1})
+        p = S(2, 5, {(1, 0): 1})
+        assert substitute(y, [p], out_trunc=-5) == TS(2, -5)
+        assert substitute(TS(1, 5), [p], out_trunc=-3).trunc == -1
 
     def test_unit_image_requires_override(self):
         f = S(1, 5, {(2,): 1})
@@ -309,6 +315,8 @@ class TestScalarsAndPruning:
         f = S(2, 4, {(1, 0): big, (0, 1): tiny, (0, 2): tiny})
         assert (0, 1) not in f.terms          # same degree as the big term
         assert (0, 2) in f.terms              # its own degree scale
+        g = S(2, 4, {(1, 0): big, (0, 1): Fraction(1, 10 ** 40)})
+        assert (0, 1) in g.terms              # exact terms are never pruned
 
     def test_exact_zero_never_stored(self):
         f = S(2, 4, {(1, 0): Fraction(0), (0, 1): QQi(0, 0)})
@@ -360,6 +368,14 @@ class TestJson:
         with pytest.raises(ValueError, match="expected an integer"):
             series_from_json(obj)
 
+    @pytest.mark.parametrize("exps, match", [
+        ([[1, 0], [0, 1], [1, 0]], r"terms\[2\]: repeated exponent \[1, 0\]"),
+        ([[1, 0], [0, 1, 0]], r"terms\[1\]: exponent \[0, 1, 0\] has length 3")])
+    def test_malformed_terms_refused(self, exps, match):
+        obj = {"dim": 2, "trunc": 4, "terms": [{"exp": e, "coeff": "1"} for e in exps]}
+        with pytest.raises(ValueError, match=match):
+            series_from_json(obj)
+
     def test_no_information_trunc_round_trips(self):
         f = S(2, -1, {})
         g = series_from_json(json.loads(json.dumps(series_to_json(f))))
@@ -381,6 +397,37 @@ class TestCalculus:
         f = S(2, 6, {(1, 1): 1})
         v = f.eval_at((mpmath.mpc(0, 1), mpmath.mpc(2)))
         assert v == mpmath.mpc(0, 2)
+
+    def test_eval_point_length_checked(self):
+        f = S(2, 6, {(1, 1): 1})
+        for point in ((1,), (1, 2, 3)):
+            with pytest.raises(DimensionMismatchError):
+                f.eval_at(point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_eval_matches_reference(self, data):
+        """int, Fraction and QQi data and points: equal to the term-by-term sum."""
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        qqi = data.draw(st.booleans())
+        f = data.draw(exact_series(dim, trunc, qqi=qqi))
+        x = data.draw(points(dim, qqi=qqi))
+        assert f.eval_at(x) == ref_eval(f.terms, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_eval_float_matches_funnel_reference(self, data):
+        """mpc data and points: within 2^(16 - prec) max|c| of the term-by-term sum
+        on the s* funnel, and exact exactly when it is."""
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        f = data.draw(mixed(data.draw(exact_series(dim, trunc, qqi=True))))
+        x = data.draw(points(dim, qqi=True, floats=True))
+        v, ref = f.eval_at(x), ref_eval(f.terms, x, sadd, smul)
+        if is_exact(ref):
+            assert is_exact(v) and v == ref
+        else:
+            scale = max((sabs(c) for c in f.terms.values()), default=0)
+            assert sabs(sadd(v, sneg(ref))) <= scale * mpmath.mpf(2) ** (16 - working_prec())
 
     def test_pow(self):
         p = S(2, 12, {(0, 2): 1, (3, 0): -1})

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germsum.errors import DimensionMismatchError, ZeroGermError
-from germsum.scalars import QQi, sadd, sdiv, smul, sneg
+from germsum.scalars import QQi, is_exact, sabs, sadd, sdiv, smul, sneg, working_prec
 from germsum.series import MonomialOrder, TruncatedSeries, series_to_json, substitute
 from germsum.weierstrass import (Germ, PExpansion, delta_member, p_expand,
                                  t_substitute, wdivide)
 
 from helpers import (SHAPES, assert_near_reference, exact_germs, exact_series,
-                     expansion_oracle, fixed_germs, mixed, mixed_germs, random_series,
-                     ref_mul, ref_order_key, ref_p_expand, ref_substitute, ref_wdivide)
+                     expansion_oracle, fixed_germs, mixed, mixed_germs, points, random_series,
+                     ref_eval, ref_mul, ref_order_key, ref_p_expand, ref_substitute,
+                     ref_wdivide)
 
 TS = TruncatedSeries
 
@@ -162,6 +163,21 @@ class TestIntegerKernel:
         ref = ref_p_expand(f.terms, germ.p.terms, key, trunc, depth)
         assert [(g.trunc, g.terms) for g in expansion.coeffs] == ref
 
+    def test_older_generation_meets_newer(self):
+        """A cancellation adds to a remainder term of a later generation j2 > j1, which
+        is aligned by L^(j2 - j1) (L = 15, P scaled to integers)."""
+        p = TS(2, 8, {(2, 0): Fraction(5, 2), (1, 1): -3, (2, 1): Fraction(5, 3)})
+        germ = Germ(p, MonomialOrder((1, 3), "revlex"))
+        g = TS(2, 8, {(0, 0): Fraction(-1, 5), (3, 0): Fraction(6, 5), (5, 1): -7,
+                      (7, 1): 6, (6, 2): -8, (0, 7): Fraction(-8, 5)})
+        key = ref_order_key((1, 3), "revlex")
+        quot, rem = ref_wdivide(g.terms, p.terms, key, 8)
+        res = wdivide(g, germ)
+        assert (res.q.terms, res.r.terms) == (quot, rem)
+        for depth in range(1, 5):
+            ref = ref_p_expand(g.terms, p.terms, key, 8, depth)
+            assert [(c.trunc, c.terms) for c in p_expand(g, germ, depth).coeffs] == ref
+
 
 def test_float_path_matches_funnel_reference():
     """mpc data on the series kernel: *, substitute, wdivide and p_expand agree
@@ -225,6 +241,47 @@ class TestMixedDomains:
         ref = ref_p_expand(f.terms, germ.p.terms, key, trunc, depth, sadd, smul, sdiv, sneg)
         assert_near_reference(p_expand(f, germ, depth).coeffs,
                               [TS(dim, t, terms) for t, terms in ref])
+
+
+class TestSpecialize:
+    """a_n = g_n(x) from one substitution into sum g_n(x) t^n, against evaluating
+    each coefficient and the term-by-term reference of tests/helpers.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_exact_matches_eval_and_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        qqi = data.draw(st.booleans())
+        germ = data.draw(exact_germs(dim, trunc, qqi=qqi))
+        f = data.draw(exact_series(dim, trunc, qqi=qqi, max_terms=30))
+        expansion = p_expand(f, germ, data.draw(st.integers(0, trunc + 2)))
+        x = data.draw(points(dim, qqi=qqi))
+        values = expansion.specialize(x)
+        assert values == [g.eval_at(x) for g in expansion.coeffs]
+        assert values == [ref_eval(g.terms, x) for g in expansion.coeffs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_float_matches_funnel_reference(self, data):
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        germ = data.draw(mixed_germs(dim, trunc))
+        f = data.draw(mixed(data.draw(exact_series(dim, trunc, qqi=True, max_terms=30))))
+        expansion = p_expand(f, germ, data.draw(st.integers(1, trunc + 2)))
+        x = data.draw(points(dim, qqi=True, floats=True))
+        scale = max((sabs(c) for g in expansion.coeffs for c in g.terms.values()), default=0)
+        tol = scale * mpmath.mpf(2) ** (16 - working_prec())
+        for v, g in zip(expansion.specialize(x), expansion.coeffs, strict=True):
+            ref = ref_eval(g.terms, x, sadd, smul)
+            if is_exact(ref):
+                assert is_exact(v) and v == ref
+            else:
+                assert sabs(sadd(v, sneg(ref))) <= tol
+
+    def test_point_length_checked(self, cusp_germ):
+        expansion = p_expand(TS(2, 12, {(3, 1): 1, (0, 1): 2}), cusp_germ, 3)
+        for point in ((1,), (1, 2, 3)):
+            with pytest.raises(DimensionMismatchError):
+                expansion.specialize(point)
 
 
 class TestPExpand:
