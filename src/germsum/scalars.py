@@ -11,16 +11,17 @@ mpmath representation.  One promotion rule: exact stays exact, and anything
 touching a float becomes an ``mpc`` at :func:`working_prec`.  :class:`QQi`'s
 operators carry it: they promote ``int`` and ``Fraction`` operands to
 ``QQi`` and an mpmath operand the other way, so plain ``+`` and ``*`` follow
-the rule on every pair the series kernel meets (``int`` and ``Fraction``
-meet mpmath through mpmath itself, which the kernel runs at the working
-precision).  The ``s*`` helpers below apply the rule to any two scalars,
-each call at the working precision.
+the rule on any pair of these scalars (``int`` and ``Fraction`` meet mpmath
+through mpmath itself, at mpmath's precision).  The ``s*`` helpers below
+apply the rule to any two scalars, each call at the working precision; the
+series kernel applies it to whole operands (see :mod:`germsum.series`).
 
 The ``gi_*`` helpers at the end are a small Gaussian-integer kernel for
 numerical loops: a complex number ``(re, im, exp)`` is two int mantissas
 with a shared binary exponent, and every operation truncates the result to
 a width of ``w`` bits, so the loops run on Python ints and not on mpmath
-objects.
+objects.  :func:`gi_lift` puts many scalars on one such exponent, the float
+lift of the series kernel.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, round_nearest
 
 DEFAULT_PREC_BITS = int(os.environ.get("GERMSUM_PREC_BITS", "128"))
 
@@ -206,7 +207,11 @@ def sabs(x):
 
 
 def sabs_float(x):
+    """|x| as a float: exactly rounded for an int or a Fraction, else through
+    :func:`sabs`; inf beyond the float range."""
     try:
+        if isinstance(x, _EXACT_REAL):
+            return float(abs(x))
         return float(sabs(x))
     except OverflowError:
         return float("inf")
@@ -357,10 +362,51 @@ def gi_from_mpc(z, w):
     return _gi_add(-rm if rs else rm, 0, re_, 0, -im if is_ else im, ie, w)
 
 
-def gi_to_mpc(a):
-    """A kernel number as an mpc, exactly (no rounding)."""
+def gi_to_mpc(a, prec=None):
+    """A kernel number as an mpc: exactly, or rounded to nearest at ``prec`` bits."""
     re, im, e = a
-    return mp.make_mpc((from_man_exp(re, e), from_man_exp(im, e)))
+    return mp.make_mpc((from_man_exp(re, e, prec, round_nearest),
+                        from_man_exp(im, e, prec, round_nearest)))
+
+
+def _parts(x):
+    """The real and imaginary parts of a scalar, each as (n, d, k) for n 2^k / d."""
+    if not isinstance(x, mpmath.mpc):
+        if isinstance(x, _EXACT_REAL):
+            return (x.numerator, x.denominator, 0), (0, 1, 0)
+        if isinstance(x, QQi):
+            return (x.re.numerator, x.re.denominator, 0), (x.im.numerator, x.im.denominator, 0)
+        x = to_mpc(x)
+    (rs, rm, re_, rbc), (is_, im, ie, ibc) = x._mpc_
+    if rbc < 0 or ibc < 0:
+        raise ValueError(f"non-finite scalar {x!r} has no integer mantissa")
+    return (-rm if rs else rm, 1, re_), (-im if is_ else im, 1, ie)
+
+
+def _part_mag(part):
+    # n 2^k / d >= 2^(m - 1) for m = bitlen(n) + k - bitlen(d - 1)
+    return max(n.bit_length() + k - (d - 1).bit_length() for n, d, k in part if n)
+
+
+def bit_mag(x):
+    """A nonzero scalar's bit-length magnitude m: its larger component lies in
+    [2^(m-1), 2^(m+1)) (see :func:`gi_mag`)."""
+    return _part_mag(_parts(x))
+
+
+def gi_lift(values, bits):
+    """Scalars as Gaussian mantissas on one exponent: a list of pairs (re, im)
+    and e, each value being (re + i im) 2^e truncated toward -inf componentwise.
+
+    e puts the smallest nonzero value (by its larger component) at ``bits``
+    bits or more, so a float with at most that many bits is lifted exactly;
+    ``ValueError`` on an inf or a nan.
+    """
+    parts = [_parts(x) for x in values]
+    mags = [_part_mag(part) for part in parts if part[0][0] or part[1][0]]
+    e = min(mags) - bits if mags else 0
+    return [tuple((n << k - e) // d if k >= e else n // (d << e - k) for n, d, k in part)
+            for part in parts], e
 
 
 def gi_mag(a):

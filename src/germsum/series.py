@@ -16,14 +16,15 @@ never claims accuracy beyond what the operands certify:
 Coefficients are exact rationals, exact complex rationals or mpmath
 complex floats; see :mod:`germsum.scalars`.  Products and substitutions
 run on one series kernel (below) for every coefficient domain; the domain
-picks only how coefficients enter it and leave it: integer numerators over
-one denominator per operand when every coefficient is an ``int`` or a
-``Fraction``, the coefficients themselves at the working precision otherwise.
+picks only the denominator: integer numerators over one denominator per
+operand when every coefficient is an ``int`` or a ``Fraction``,
+Gaussian-integer mantissas over a power of two for floats (each output
+coefficient becomes an ``mpc`` once, at the working precision), and the
+exact coefficients themselves, over 1, for complex rationals.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import nullcontext
 from fractions import Fraction
 from math import lcm, prod
 
@@ -32,8 +33,8 @@ from mpmath import mp
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
 from . import scalars
-from .scalars import (_EXACT_REAL, _wp, is_zero, sabs, sabs_float, sadd, scalar_eq,
-                      scalar_from_json, scalar_to_json, smul, sneg, to_mpc)
+from .scalars import (_EXACT_REAL, gi_lift, gi_mag, gi_to_mpc, is_zero, sabs, sabs_float, sadd,
+                      scalar_eq, scalar_from_json, scalar_to_json, smul, sneg, working_prec)
 
 
 class MonomialOrder:
@@ -332,32 +333,68 @@ def _fmt_term(e, c):
 # -- the series kernel -------------------------------------------------------------
 #
 # Products, substitutions and divisions run on the loops below for every
-# coefficient domain, with exponents packed into ints.  The domain picks only the
-# lift and the finish.  When every coefficient is an int or a Fraction, an operand
-# is lifted once to integer numerators over the lcm of its denominators and each
-# output coefficient becomes a normalised Fraction once.  Other data keep their
-# coefficients (floats as mpc), the loops run at the working precision, and the
-# output goes through the TruncatedSeries constructor, which prunes relatively
-# negligible float terms.
+# coefficient domain, with exponents packed into ints and coefficients lifted to
+# ints: the domain picks only the denominator.  When every coefficient is an int or
+# a Fraction, an operand is lifted once to integer numerators over the lcm of its
+# denominators, and each output coefficient becomes a normalised Fraction once.
+# Float coefficients are lifted to Gaussian-integer mantissas (re, im) over one
+# power of two per operand, placed so that the smallest nonzero coefficient keeps
+# working_prec() + _GUARD bits (scalars.gi_lift).  Products inside one loop are
+# exact; a result is truncated to that rule again only where it comes back as an
+# operand (_truncate), and each output coefficient becomes an mpc once, after
+# float terms are pruned on bit lengths (_finish).  The elimination by P - t of
+# germsum.weierstrass, whose products chain from level to level, gives each term
+# its own exponent instead.  Exact data that are not all real (QQi) keep their
+# coefficients, over 1.  When exact and float coefficients meet, an exact pass
+# runs with every float coefficient replaced by _INEXACT and a float pass with
+# every coefficient lifted, both walking the same products (_horner for
+# substitute): an output coefficient is the exact pass's value where that is
+# exact, as the promotion rule of germsum.scalars would leave it, and the float
+# pass's elsewhere.
+
+# bits beyond the working precision that the float lift keeps
+_GUARD = 32
+
+
+class _Inexact:
+    """A float value in the exact pass: every sum it enters is a float, and every
+    product but one with an exact zero, which is an exact zero."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self
+
+    def __mul__(self, other):
+        return self if other is self or other != 0 else other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+_INEXACT = _Inexact()
+
 
 def _exact_real(terms):
     """True when every coefficient is an int or a Fraction (the integer lift's domain)."""
     return all(isinstance(c, _EXACT_REAL) for c in terms.values())
 
 
+def _has_exact(terms):
+    return any(scalars.is_exact(c) for c in terms.values())
+
+
 def _lift(terms, exact):
-    """The kernel's coefficients of ``terms`` and their common denominator: integer
-    numerators over the lcm of the denominators for exact real data, else the
-    coefficients themselves (floats as mpc) over 1."""
+    """The exact pass's coefficients of ``terms`` and their common denominator:
+    integer numerators over the lcm of the denominators for exact real data, else
+    the exact coefficients themselves, and _INEXACT for each float, over 1."""
     if not exact:
-        return {e: c if scalars.is_exact(c) else to_mpc(c) for e, c in terms.items()}, 1
+        return {e: c if scalars.is_exact(c) else _INEXACT for e, c in terms.items()}, 1
     den = lcm(*{c.denominator for c in terms.values()})
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
-def _kernel_prec(exact):
-    """Float data runs at the working precision; exact data needs no context."""
-    return nullcontext() if exact else _wp()
+def _float_bits():
+    return working_prec() + _GUARD
 
 
 class _Packing:
@@ -387,15 +424,58 @@ class _Packing:
         mask = self.mask
         return tuple((key >> shift) & mask for shift in self.shifts)
 
-    def finish(self, trunc, numerators, den, exact):
-        """The series of packed numerators over den: each coefficient a normalised
-        Fraction for exact real data, else through the constructor."""
+    def finish(self, trunc, numerators, den):
+        """The series of packed integer numerators over den, each a normalised Fraction."""
         unpack = self.unpack
-        if exact:
-            return TruncatedSeries._clean(len(self.shifts), trunc, {
-                unpack(k): Fraction(n, den) for k, n in numerators.items() if n})
-        return TruncatedSeries(len(self.shifts), trunc,
-                               {unpack(k): n for k, n in numerators.items()})
+        return TruncatedSeries._clean(len(self.shifts), trunc, {
+            unpack(k): Fraction(n, den) for k, n in numerators.items() if n})
+
+
+def _finish(dim, trunc, top, unpack, exact, floats=None):
+    """The series of the kernel passes over data that are not all exact real.
+
+    ``exact`` maps packed keys to the exact pass's values (None: there was no
+    exact pass, every term is a float), and ``floats`` maps them to the float
+    pass's kernel numbers (re, im, e), None when it did not run.  ``key >> top``
+    is the degree of a key, up to a constant.  The two passes walk the same
+    products under the same truncation, so the float pass reaches no key the
+    exact pass lacks.  A term is exact where the exact pass holds an exact
+    value.  A float term is dropped when it is zero or, as :func:`_prune_terms`
+    does, when it shares its degree and falls below 2^-(prec/2) of the largest
+    term there, compared on bit lengths; each kept one becomes an mpc once, at
+    the working precision.
+    """
+    if floats is None:
+        return TruncatedSeries._clean(dim, trunc, {unpack(k): c for k, c in exact.items() if c})
+    mag = {}
+    if exact is None:
+        exact = {}
+        for k, (r, i, e) in floats.items():
+            if r or i:
+                mag[k] = max(r.bit_length(), i.bit_length()) + e  # gi_mag
+    for k, c in exact.items():
+        if c is not _INEXACT:
+            if c:
+                mag[k] = scalars.bit_mag(c)
+        elif k in floats and (floats[k][0] or floats[k][1]):
+            mag[k] = gi_mag(floats[k])
+    count, best = {}, {}
+    for k, m in mag.items():
+        d = k >> top
+        count[d] = count.get(d, 0) + 1
+        best[d] = max(best.get(d, m), m)
+    prec = working_prec()
+    cut = prec // 2
+    terms = {}
+    for k, m in mag.items():
+        c = exact.get(k, _INEXACT)
+        if c is _INEXACT:
+            d = k >> top
+            if count[d] > 1 and m < best[d] - cut:
+                continue
+            c = gi_to_mpc(floats[k], prec)
+        terms[unpack(k)] = c
+    return TruncatedSeries._clean(dim, trunc, terms)
 
 
 def _operand(pairs, trunc, top):
@@ -407,12 +487,21 @@ def _operand(pairs, trunc, top):
 
 
 def _pack_terms(terms, packing, trunc, exact):
-    """Lift terms: an :func:`_operand` of the terms of degree <= trunc, and their
-    denominator."""
+    """The exact pass's lift of terms: an :func:`_operand` of the terms of degree
+    <= trunc, and their denominator."""
     num, den = _lift(terms, exact)
     pack = packing.pack
     return _operand([(pack(e), n) for e, n in num.items() if sum(e) <= trunc],
                     trunc, packing.top), den
+
+
+def _pack_float(terms, packing, trunc):
+    """The float pass's lift of terms: an :func:`_operand` of the mantissa pairs
+    of the terms of degree <= trunc, and the exponent of their grid."""
+    items = [(x, c) for x, c in terms.items() if sum(x) <= trunc]
+    mants, e = gi_lift([c for _, c in items], _float_bits())
+    pack = packing.pack
+    return _operand([(pack(x), m) for (x, _), m in zip(items, mants)], trunc, packing.top), e
 
 
 def _imul(a, b, trunc, top):
@@ -423,6 +512,10 @@ def _imul(a, b, trunc, top):
     of its pairs.
     """
     pairs, upto = b
+    if len(pairs) == 1:  # a monomial moves each key
+        (kb, nb), = pairs
+        cap = (trunc + 1 - (kb >> top)) << top
+        return {ka + kb: na * nb for ka, na in a if ka < cap}
     out = {}
     get = out.get
     for ka, na in a:
@@ -432,29 +525,103 @@ def _imul(a, b, trunc, top):
     return out
 
 
+def _gimul(a, b, trunc, top):
+    """:func:`_imul` on Gaussian mantissa pairs (re, im), exactly."""
+    pairs, upto = b
+    if len(pairs) == 1:
+        (kb, (br, bi)), = pairs
+        cap = (trunc + 1 - (kb >> top)) << top
+        return {ka + kb: (ar * br - ai * bi, ar * bi + ai * br) for ka, (ar, ai) in a if ka < cap}
+    out = {}
+    get = out.get
+    for ka, (ar, ai) in a:
+        for kb, (br, bi) in pairs[:upto[trunc - (ka >> top)]]:
+            k = ka + kb
+            t = get(k)
+            if t is None:
+                out[k] = (ar * br - ai * bi, ar * bi + ai * br)
+            else:
+                out[k] = (t[0] + ar * br - ai * bi, t[1] + ar * bi + ai * br)
+    return out
+
+
+def _on_exponent(pairs, e):
+    """Mantissa pairs over 2^e (a dict by key) as kernel numbers (re, im, e)."""
+    return {k: (r, i, e) for k, (r, i) in pairs.items()}
+
+
+def _truncate(products, e, bits):
+    """Mantissa pairs over 2^e (a dict by key), zeros dropped, on the float lift's
+    rule again: the smallest nonzero keeps ``bits`` bits."""
+    products = {k: m for k, m in products.items() if m[0] or m[1]}
+    low = min((max(r.bit_length(), i.bit_length()) for r, i in products.values()), default=bits)
+    s = low - bits
+    if s <= 0:
+        return products, e
+    return {k: (r >> s, i >> s) for k, (r, i) in products.items()}, e + s
+
+
 def _mul(ta, tb, dim, trunc):
     """The product of two term dicts without terms of degree > trunc, as a series."""
     if len(ta) > len(tb):
         ta, tb = tb, ta
-    exact = _exact_real(ta) and _exact_real(tb)
     if not ta or trunc < 0:
         return TruncatedSeries._clean(dim, trunc, {})
     packing = _Packing(dim, trunc)
-    with _kernel_prec(exact):
-        (a, _), da = _pack_terms(ta, packing, trunc, exact)
-        b, db = _pack_terms(tb, packing, trunc, exact)
-        return packing.finish(trunc, _imul(a, b, trunc, packing.top), da * db, exact)
+    top = packing.top
+    if _exact_real(ta) and _exact_real(tb):
+        (a, _), da = _pack_terms(ta, packing, trunc, True)
+        b, db = _pack_terms(tb, packing, trunc, True)
+        return packing.finish(trunc, _imul(a, b, trunc, top), da * db)
+    exact = None
+    if _has_exact(ta) and _has_exact(tb):
+        (a, _), _ = _pack_terms(ta, packing, trunc, False)
+        b, _ = _pack_terms(tb, packing, trunc, False)
+        exact = _imul(a, b, trunc, top)
+        if not any(c is _INEXACT for c in exact.values()):
+            return _finish(dim, trunc, top, packing.unpack, exact)
+    (a, _), ea = _pack_float(ta, packing, trunc)
+    b, eb = _pack_float(tb, packing, trunc)
+    return _finish(dim, trunc, top, packing.unpack, exact,
+                   _on_exponent(_gimul(a, b, trunc, top), ea + eb))
 
 
-def _substitute(f, images, out_trunc, exact):
-    """:func:`substitute` on packed numerators, every piece brought to one denominator.
+def _horner(coeffs, power, lows, trunc, combine, times):
+    """The pieces of a substitution, one at a time: Horner's rule in the last variable.
+
+    ``coeffs`` pairs each exponent of f with the domain's coefficient,
+    ``power(i, n)`` is image i to the n, and ``lows[i]`` is the lowest degree
+    of image i (above ``trunc`` for a zero image).  The terms of f that share
+    their other exponents (a prefix) are combined first, ``combine(parts,
+    cap)`` of pairs of a coefficient and its power of the last image, on the
+    terms of degree <= cap that the prefix's powers can leave within
+    ``trunc``; that sum is multiplied by the prefix's powers of the other
+    images (``times``), one piece per prefix.  Every pass of
+    :func:`substitute` walks these same products.
+    """
+    groups = {}
+    for x, c in coeffs:
+        groups.setdefault(x[:-1], []).append((c, power(len(x) - 1, x[-1])))
+    for prefix, parts in groups.items():
+        cap = trunc - sum(k * low for k, low in zip(prefix, lows))
+        if cap < 0:
+            continue
+        piece = combine(parts, cap)
+        for i, k in enumerate(prefix):
+            if k:
+                piece = times(piece, power(i, k))
+        yield piece
+
+
+def _substitute(f, images, packing, out_trunc, exact):
+    """The exact pass of :func:`substitute`: packed numerators and their denominator,
+    every piece brought to one denominator.
 
     With ``den_i`` the denominator of image i and ``top_i`` the largest
     exponent of x_i in f, a term of f with exponent e is scaled by
     ``prod_i den_i**(top_i - e_i)``, so that all pieces share the denominator
     ``den_f * prod_i den_i**top_i`` (1 for data that is not exact real).
     """
-    packing = _Packing(images[0].dim, out_trunc)
     top = packing.top
     lifted = [_pack_terms(g.terms, packing, out_trunc, exact) for g in images]
     tops = [max(e[i] for e in f.terms) for i in range(f.dim)]
@@ -470,20 +637,85 @@ def _substitute(f, images, out_trunc, exact):
             cache.append(_operand(product.items(), out_trunc, top))
         return cache[n]
 
+    def combine(parts, cap):
+        acc = {}
+        get = acc.get
+        for c, (pairs, upto) in parts:
+            for key, b in pairs[:upto[cap]]:
+                acc[key] = get(key, 0) + c * b
+        return acc
+
     num, den = _lift(f.terms, exact)
-    acc = {}
-    get = acc.get
+    coeffs = []
     for e, n in num.items():
         scale = prod(scales[i][k] for i, k in enumerate(e))
-        piece = ((0, n * scale if scale != 1 else n),)
-        for i, k in enumerate(e):
-            if k:
-                piece = _imul(piece, power(i, k), out_trunc, top).items()
-        for key, c in piece:
+        coeffs.append((e, n * scale if scale != 1 else n))
+    acc = {}
+    get = acc.get
+    for piece in _horner(coeffs, power, _lows(lifted, out_trunc, top), out_trunc, combine,
+                         lambda piece, b: _imul(piece.items(), b, out_trunc, top)):
+        for key, c in piece.items():
             acc[key] = get(key, 0) + c
     for (_, d), t in zip(lifted, tops):
         den *= d ** t
-    return packing.finish(out_trunc, acc, den, exact)
+    return acc, den
+
+
+def _substitute_float(f, images, packing, out_trunc):
+    """The float pass of :func:`substitute`: kernel numbers (re, im, e) by key.
+
+    Image powers and the sums that meet a further product are truncated where
+    they come back as operands (:func:`_truncate`); the other sums are exact.
+    """
+    top = packing.top
+    bits = _float_bits()
+    lifted = [_pack_float(g.terms, packing, out_trunc) for g in images]
+    one = (_operand([(0, (1, 0))], out_trunc, top), 0)
+    powers = [[one, image] for image in lifted]  # powers[i][n]: image_i^n and its exponent
+
+    def power(i, n):
+        cache = powers[i]
+        while len(cache) <= n:
+            ((prev, _), ep), (image, ei) = cache[-1], lifted[i]
+            product, e = _truncate(_gimul(prev, image, out_trunc, top), ep + ei, bits)
+            cache.append((_operand(product.items(), out_trunc, top), e))
+        return cache[n]
+
+    def times(piece, b):
+        piece, e = _truncate(*piece, bits)
+        (b, eb) = b
+        return _gimul(piece.items(), b, out_trunc, top), e + eb
+
+    def combine(parts, cap):
+        return _combine([(m, pairs[:upto[cap]], ef + e) for m, ((pairs, upto), e) in parts])
+
+    mants, ef = gi_lift(f.terms.values(), bits)
+    pieces = list(_horner(zip(f.terms, mants), power, _lows(lifted, out_trunc, top), out_trunc,
+                          combine, times))
+    if not pieces:
+        return {}
+    return _on_exponent(*_combine([((1, 0), piece.items(), e) for piece, e in pieces]))
+
+
+def _lows(lifted, trunc, top):
+    """The lowest degree of each lifted image, trunc + 1 for a zero one."""
+    return [pairs[0][0] >> top if pairs else trunc + 1 for ((pairs, _), _) in lifted]
+
+
+def _combine(parts):
+    """The sum of the products m*c over ``parts`` (m, [(key, c)], e), mantissa
+    pairs over 2^e, exactly on the finest of their grids: (pairs by key, exponent)."""
+    low = min(e for _, _, e in parts)
+    acc = {}
+    get = acc.get
+    for (mr, mi), items, e in parts:
+        s = e - low
+        for k, (r, i) in items:
+            re = (mr * r - mi * i) << s
+            im = (mr * i + mi * r) << s
+            t = get(k)
+            acc[k] = (re, im) if t is None else (t[0] + re, t[1] + im)
+    return acc, low
 
 
 def substitute(f, images, out_trunc=None):
@@ -514,9 +746,19 @@ def substitute(f, images, out_trunc=None):
 
     if not f.terms or out_trunc < 0:
         return TruncatedSeries._clean(d2, max(out_trunc, -1), {})
-    exact = _exact_real(f.terms) and all(_exact_real(g.terms) for g in images)
-    with _kernel_prec(exact):
-        return _substitute(f, images, out_trunc, exact)
+    packing = _Packing(d2, out_trunc)
+    if _exact_real(f.terms) and all(_exact_real(g.terms) for g in images):
+        return packing.finish(out_trunc, *_substitute(f, images, packing, out_trunc, True))
+    exact = None
+    # a piece is all float unless its coefficient and every image it takes have exact terms
+    some_exact = [_has_exact(g.terms) for g in images]
+    if any(scalars.is_exact(c) and all(some_exact[i] for i, k in enumerate(e) if k)
+           for e, c in f.terms.items()):
+        exact, _ = _substitute(f, images, packing, out_trunc, False)
+        if not any(c is _INEXACT for c in exact.values()):
+            return _finish(d2, out_trunc, packing.top, packing.unpack, exact)
+    return _finish(d2, out_trunc, packing.top, packing.unpack, exact,
+                   _substitute_float(f, images, packing, out_trunc))
 
 
 def v_ell(f, order):
@@ -576,6 +818,8 @@ def series_from_json(obj):
             e = tuple(_json_int(k) for k in item["exp"])
             if len(e) != dim:
                 raise ValueError(f"exponent {list(e)} has length {len(e)}, expected {dim}")
+            if any(k < 0 for k in e):
+                raise ValueError(f"negative exponent in {list(e)}")
             if e in terms:
                 raise ValueError(f"repeated exponent {list(e)}")
             c = scalar_from_json(item["coeff"])

@@ -237,15 +237,20 @@ def _durand_kerner(poly, prec):
     :func:`_float_seeds`.  A sweep updates each root in turn by
     f(p) / prod(p - q) over the other roots q, one division per root; a
     zero difference is left out of the product.  The iteration stops when
-    every correction of a sweep is below 2^(1 - prec) (absolute), and gives
-    up (None) after ``_DK_SWEEPS`` sweeps.  Components below 2^(1 - prec)
-    are then set to zero, as ``mpmath.polyroots`` does, so that roots on an
-    axis land on it.
+    every correction of a sweep is below 2^(-31 - prec) (absolute), and gives
+    up (None) after ``_DK_SWEEPS`` sweeps.  Components below that are then
+    set to zero, as ``mpmath.polyroots`` does, so that roots on an axis land
+    on it.  The 32 bits beyond the working precision are for close roots,
+    whose partial-fraction residues, of order one over their spread,
+    multiply any error of the roots: a snap at 2^(1 - prec) moved the
+    simple roots -1 and -(1 + 1e-9) of a Pade denominator by their
+    imaginary parts of 5e-46, and a k = 1 sum missed its reported error
+    tenfold.
     """
     w = gi_width(prec)
     monic = [GI_ONE] + [gi_div(c, poly[0], w) for c in poly[1:]]
     roots = _float_seeds(poly)
-    tol = 1 - prec
+    tol = -31 - prec
     for _ in range(_DK_SWEEPS):
         converged = True
         for i, p in enumerate(roots):
@@ -281,9 +286,12 @@ def _poly_roots(coeffs_low_to_high, prec):
     of :mod:`germsum.scalars` at ``2 * prec + 10`` bits, seeded by the float64
     companion-matrix eigenvalues of ``numpy.roots`` (Edelman and Murakami,
     Math. Comp. 64, 1995) on the coefficients scaled by a power of two.  It
-    stops when every correction of a sweep is below 2^(1 - prec), and the
-    roots are kept at the kernel width: twice the working precision, which
-    quadratic convergence reaches one sweep after that stop.  When it does
+    stops when every correction of a sweep is below 2^(-31 - prec) (see
+    :func:`_durand_kerner`), and the roots are kept at the kernel width.
+    Where the iteration converges quadratically, the stopping sweep leaves a
+    root accurate to about twice as many bits; where it converges only
+    linearly (near a multiple root) a root is only about as accurate as the
+    stop.  When it does
     not converge within 200 sweeps (a multiple root), the roots are the
     eigenvalues of the companion matrix (``mpmath.eig``) at the kernel width,
     where an m-fold root (m <= 8) spreads less than the merge radius below.

@@ -20,11 +20,13 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath import mp
+
 from .errors import DimensionMismatchError, ZeroGermError
-from .scalars import is_zero, sdiv
-from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real,
-                     _kernel_prec, _lift, _Packing, series_from_json, series_to_json,
-                     substitute, v_ell)
+from .scalars import gi_from_mpc, gi_lift, is_exact, is_zero, sdiv, to_mpc
+from .series import (_INEXACT, MonomialOrder, TruncatedSeries, _constant_images,
+                     _exact_real, _finish, _float_bits, _has_exact, _lift, _Packing,
+                     series_from_json, series_to_json, substitute, v_ell)
 
 
 class Germ:
@@ -89,87 +91,140 @@ def wdivide(g, germ):
 
 
 def _eliminate(g, germ, depth):
-    """Levels 0..depth of g modulo P - t, by :func:`_reduce`."""
+    """Levels 0..depth of g modulo P - t, by :func:`_reduce`, as series."""
     if g.dim != germ.dim:
         raise DimensionMismatchError(
             f"series has {g.dim} variables, germ has {germ.dim}")
-    exact = _exact_real(g.terms) and _exact_real(germ.p.terms)
-    with _kernel_prec(exact):
-        return _reduce(g.terms, germ, g.trunc, depth, exact)
+    frame = _Frame(germ, g.trunc, depth)
+    d, top = germ.dim, frame.top
+    truncs = [max(g.trunc - n * germ.lead_degree, -1) for n in range(depth + 1)]
+    if _exact_real(g.terms) and _exact_real(germ.p.terms):
+        rem, dens = _reduce(frame, g.terms, germ, True)
+        levels = [{} for _ in truncs]
+        unpack = frame.packing.unpack
+        for p, (n, j) in rem.items():
+            e = unpack(p)
+            levels[e[d]][e[:d]] = Fraction(n, dens[j])
+        return [TruncatedSeries._clean(d, tr, level) for tr, level in zip(truncs, levels)]
+    exact = [None] * (depth + 1)
+    if _has_exact(g.terms):
+        rem, _ = _reduce(frame, g.terms, germ, False)
+        exact = frame.levels({p: n for p, (n, _) in rem.items()})
+        if not any(n is _INEXACT for n, _ in rem.values()):
+            return [_finish(d, tr, top, frame.unpack, level) for tr, level in zip(truncs, exact)]
+    return [_finish(d, tr, top, frame.unpack, ex, fl)
+            for tr, ex, fl in zip(truncs, exact, frame.levels(_reduce_float(frame, g.terms, germ)))]
 
 
-def _reduce(terms, germ, trunc, depth, exact):
-    """Divide by ``P - t`` on packed numerators (sparse division with a heap).
+class _Frame:
+    """The packed keys of an elimination by ``P - t`` (see :func:`_reduce`).
 
     A term's level, its power of t, is one more packed exponent field, and t
-    has degree ``deg(lead_exp)`` in the degree field, so the truncation test
-    drops at level n what the n-th iterated division by P dropped.  A step
-    cancels the order-minimal in-cone term ``c x^(m+lead)`` at level n with
-    ``(c/lc) x^m (P - t)``.  t ranks above every monomial of degree <= trunc,
-    so a step adds only larger terms, of which finitely many fit under the
-    truncation, and the levels are reduced one after another, in the term
-    order of the iterated divisions; level ``depth``, the quotient, is not
-    reduced.  rem never holds a zero, as cancelled entries are deleted.
+    has degree ``deg(lead_exp)`` in the degree field.  Heap entries are ints:
+    the order key (linear in the exponent) above the packed exponent.
+    """
+
+    def __init__(self, germ, trunc, depth):
+        lead = germ.lead_exp
+        d = len(lead)
+        ell = germ.lead_degree
+        self.trunc = trunc
+        # wide enough for lead's exponents too, which the cone test subtracts field by field
+        self.packing = packing = _Packing(d + 1, max(trunc, ell))
+        self.top = top = packing.top
+        pack = packing.pack
+        # the top bit of each x-exponent field: (p | guard) - plead keeps it in every
+        # field where p's exponent is >= lead's, i.e. p lies in the cone
+        self.guard = sum(1 << (shift + packing.width - 1) for shift in packing.shifts[:d])
+        self.level_shift = level_shift = packing.shifts[d]
+        self.level_mask = packing.mask << level_shift
+        self.quotient_level = depth << level_shift
+        self.depth = depth
+        # key = weight * R**(d+1) + degree * R**d + tiebreak digits in base R = trunc + 1,
+        # the tiebreak digit of x_i being -e_i; this orders in-window exponents as
+        # MonomialOrder.key does
+        radix = trunc + 1
+        order = germ.order
+        place = range(d - 1, -1, -1) if order.tiebreak == "lex" else range(d)
+        self.alpha = alpha = [w * radix ** (d + 1) + radix ** d - radix ** pos
+                              for w, pos in zip(order.int_weights, place)]
+        self.key_bits = top + packing.width
+        self.key_mask = (1 << self.key_bits) - 1
+        self.plead, klead = pack(lead + (0,)), self.okey(lead)
+        # P's exponents other than lead within the window, then t: one level and
+        # deg(lead) degrees up, keyed above okey(e) for all sum(e) <= trunc
+        self.tail_exps = [e for e in germ.p.terms if e != lead and sum(e) <= trunc]
+        self.tail = [(pack(e + (0,)), self.okey(e) - klead) for e in self.tail_exps]
+        self.tail.append(((1 << level_shift) + (ell << top), radix * max(alpha) - klead))
+
+    def okey(self, e):
+        return sum(a * k for a, k in zip(self.alpha, e))
+
+    def start(self, values):
+        """The packed remainder of ``values`` (exponent -> entry) and its heap."""
+        pack, guard, plead = self.packing.pack, self.guard, self.plead
+        rem = {}
+        heap = []
+        for e, v in values.items():
+            p = pack(e + (0,))
+            rem[p] = v
+            if ((p | guard) - plead) & guard == guard:
+                heap.append((self.okey(e) << self.key_bits) | p)
+        heapq.heapify(heap)
+        return rem, heap
+
+    def levels(self, rem):
+        """``rem`` split by level, levels 0..depth, keys kept packed."""
+        levels = [{} for _ in range(self.depth + 1)]
+        shift, mask = self.level_shift, self.packing.mask
+        for p, v in rem.items():
+            levels[(p >> shift) & mask][p] = v
+        return levels
+
+    def unpack(self, p):
+        return self.packing.unpack(p)[:-1]
+
+
+def _reduce(frame, terms, germ, exact):
+    """Divide by ``P - t`` on packed numerators (sparse division with a heap): the
+    exact pass, returning the remainder by packed key and the denominators.
+
+    A step cancels the order-minimal in-cone term ``c x^(m+lead)`` at level n
+    with ``(c/lc) x^m (P - t)``.  Since t has degree ``deg(lead_exp)``, the
+    truncation test drops at level n what the n-th iterated division by P
+    dropped.  t ranks above every monomial of degree <= trunc, so a step adds
+    only larger terms, of which finitely many fit under the truncation, and the
+    levels are reduced one after another, in the term order of the iterated
+    divisions; level ``depth``, the quotient, is not reduced.  rem never holds
+    a zero, as cancelled entries are deleted.
 
     For exact real data P is scaled to integer coefficients with lead L.  A
     term is a pair ``(n, j)`` standing for ``n / (den_g * L**j)``: cancelling
     it adds terms of generation ``j + 1``, and two generations meeting on one
     exponent are aligned by a power of L.  Other data divide P's tail by its
-    lead coefficient once, so L = 1 and ``n`` is the coefficient itself.
-    Heap entries are ints: the order key (linear in the exponent) above the
-    packed exponent.
+    lead coefficient once, so L = 1 and ``n`` is the exact quotient itself, or
+    _INEXACT where a float enters it.
     """
     lead = germ.lead_exp
-    d = len(lead)
-    ell = germ.lead_degree
-    # wide enough for lead's exponents too, which the cone test subtracts field by field
-    packing = _Packing(d + 1, max(trunc, ell))
-    top = packing.top
-    pack = packing.pack
-    # the top bit of each x-exponent field: (p | guard) - plead keeps it in every
-    # field where p's exponent is >= lead's, i.e. p lies in the cone
-    guard = sum(1 << (shift + packing.width - 1) for shift in packing.shifts[:d])
-    level_shift = packing.shifts[d]
-    level_mask, quotient_level = packing.mask << level_shift, depth << level_shift
-    # key = weight * R**(d+1) + degree * R**d + tiebreak digits in base R = trunc + 1,
-    # the tiebreak digit of x_i being -e_i; this orders in-window exponents as
-    # MonomialOrder.key does
-    radix = trunc + 1
-    order = germ.order
-    place = range(d - 1, -1, -1) if order.tiebreak == "lex" else range(d)
-    alpha = [w * radix ** (d + 1) + radix ** d - radix ** pos
-             for w, pos in zip(order.int_weights, place)]
-
-    def okey(e):
-        return sum(a * k for a, k in zip(alpha, e))
-
-    key_bits = top + packing.width
-    key_mask = (1 << key_bits) - 1
     if exact:
         p_num, p_den = _lift(germ.p.terms, exact)
         big_l = p_num[lead]
-        tail = {e: -c for e, c in p_num.items()}
-        t_coeff = p_den
+        coeffs = [-p_num[e] for e in frame.tail_exps] + [p_den]
     else:
         big_l = 1
-        tail = {e: -sdiv(c, germ.lead_coeff) for e, c in germ.p.terms.items()}
-        t_coeff = sdiv(1, germ.lead_coeff)
-    plead, klead = pack(lead + (0,)), okey(lead)
-    tail = [(pack(e + (0,)), okey(e) - klead, b) for e, b in tail.items()
-            if e != lead and sum(e) <= trunc]
-    # t: one level and deg(lead) degrees up, keyed above okey(e) for all sum(e) <= trunc
-    tail.append(((1 << level_shift) + (ell << top), radix * max(alpha) - klead, t_coeff))
+        lc = germ.lead_coeff
+        exact_lc = is_exact(lc)
+        coeffs = [-sdiv(c, lc) if exact_lc and is_exact(c) else _INEXACT
+                  for c in (germ.p.terms[e] for e in frame.tail_exps)]
+        coeffs.append(sdiv(1, lc) if exact_lc else _INEXACT)
+    tail = [(pt, dk, b) for (pt, dk), b in zip(frame.tail, coeffs)]
     # with L = 1 every generation has the same denominator: all terms stay at j = 0
     step = int(big_l != 1)
     g_num, g_den = _lift(terms, exact)
-    rem = {}
-    heap = []
-    for e, n in g_num.items():
-        p = pack(e + (0,))
-        rem[p] = (n, 0)
-        if ((p | guard) - plead) & guard == guard:
-            heap.append((okey(e) << key_bits) | p)
-    heapq.heapify(heap)
+    rem, heap = frame.start({e: (n, 0) for e, n in g_num.items()})
+    top, trunc, key_bits, key_mask = frame.top, frame.trunc, frame.key_bits, frame.key_mask
+    guard, plead = frame.guard, frame.plead
+    level_mask, quotient_level = frame.level_mask, frame.quotient_level
     while heap:
         entry = heapq.heappop(heap)
         p = entry & key_mask
@@ -205,19 +260,93 @@ def _reduce(terms, germ, trunc, depth, exact):
                 rem[p2] = (n2, j2)
             else:
                 del rem[p2]
-    levels = [{} for _ in range(depth + 1)]
-    for p, t in rem.items():
-        e = packing.unpack(p)
-        levels[e[d]][e[:d]] = t
-    truncs = [max(trunc - n * ell, -1) for n in range(depth + 1)]
-    if not exact:
-        return [TruncatedSeries(d, tr, {e: n for e, (n, _) in level.items()})
-                for tr, level in zip(truncs, levels)]
     dens = [g_den]  # dens[j]: den_g * L**j
     for _ in range(max((j for _, j in rem.values()), default=0)):
         dens.append(dens[-1] * big_l)
-    return [TruncatedSeries._clean(d, tr, {e: Fraction(n, dens[j]) for e, (n, j) in level.items()})
-            for tr, level in zip(truncs, levels)]
+    return rem, dens
+
+
+def _reduce_float(frame, terms, germ):
+    """The float pass of :func:`_reduce`: the remainder as kernel numbers
+    (re, im, e), standing for (re + i im) 2^e, by packed key.
+
+    g's coefficients are lifted exactly onto one grid 2^eg (``scalars.gi_lift``),
+    and P's tail and t's coefficient, divided by the lead coefficient at
+    prec + 32 bits, to kernel numbers of prec + 32 bits.  Each term carries its
+    own exponent.  A term, when it is cancelled, and each product n*b are cut
+    (toward -inf) below 2^eg or below prec + 32 bits under their own top,
+    whichever bit is lower: a term as large as g's keeps every bit of g's grid,
+    which the cancellation down to small levels needs, and a term far below g's
+    smallest keeps its relative precision, as an mpc would.  Sums are exact, on
+    the lower of the two exponents.
+    """
+    bits = _float_bits()
+    lc = germ.lead_coeff
+    with mp.workprec(bits):
+        lc = to_mpc(lc)
+        coeffs = [-to_mpc(germ.p.terms[e]) / lc for e in frame.tail_exps] + [1 / lc]
+    tail = []
+    for (pt, dk), b in zip(frame.tail, coeffs):
+        br, bi, eb = gi_from_mpc(b, bits)
+        s = bits - max(br.bit_length(), bi.bit_length())  # widen to exactly bits bits
+        tail.append((pt, dk, br << s, bi << s, eb - s))
+    mants, eg = gi_lift(terms.values(), bits)
+    rem, heap = frame.start({x: (r, i, eg) for x, (r, i) in zip(terms, mants)})
+    top, trunc, key_bits, key_mask = frame.top, frame.trunc, frame.key_bits, frame.key_mask
+    guard, plead = frame.guard, frame.plead
+    level_mask, quotient_level = frame.level_mask, frame.quotient_level
+    while heap:
+        entry = heapq.heappop(heap)
+        p = entry & key_mask
+        if p & level_mask == quotient_level:
+            break  # every level below is reduced
+        t = rem.pop(p, None)
+        if t is None:
+            continue
+        nr, ni, en = t
+        wn = max(nr.bit_length(), ni.bit_length())
+        s = min(wn - bits, eg - en)
+        if s > 0:
+            nr, ni, en, wn = nr >> s, ni >> s, en + s, wn - s
+        # a product of n and b has wn + bits bits (one more or less) from 2^(en + eb)
+        # up; cut it at 2^eg or wn bits up, whichever is lower
+        g = eg - en
+        m = p - plead
+        k = entry >> key_bits
+        for pt, dk, br, bi, eb in tail:
+            p2 = m + pt
+            if p2 >> top > trunc:
+                continue
+            s = g - eb
+            if s > wn:
+                s = wn
+            if s > 0:
+                dr = (nr * br - ni * bi) >> s
+                di = (nr * bi + ni * br) >> s
+            else:
+                s = 0
+                dr = nr * br - ni * bi
+                di = nr * bi + ni * br
+            e2 = en + eb + s
+            t2 = rem.get(p2)
+            if t2 is None:
+                rem[p2] = (dr, di, e2)
+                if ((p2 | guard) - plead) & guard == guard:
+                    heapq.heappush(heap, ((k + dk) << key_bits) | p2)
+                continue
+            tr, ti, et = t2
+            if et == e2:
+                dr += tr
+                di += ti
+            elif et < e2:
+                dr, di, e2 = (dr << e2 - et) + tr, (di << e2 - et) + ti, et
+            else:
+                dr, di = dr + (tr << et - e2), di + (ti << et - e2)
+            if dr or di:
+                rem[p2] = (dr, di, e2)
+            else:
+                del rem[p2]
+    return rem
 
 
 class PExpansion:

@@ -443,6 +443,34 @@ class TestLaplace:
             with mp.workprec(256):
                 assert abs(res.value - exact) <= res.total_error
 
+    @pytest.mark.parametrize("residue", [1, 0.3 - 0.7j])
+    def test_close_simple_poles_hold_their_bound(self, residue):
+        # poles -1, -(1 + d), -(1 - i d) (d = 1e-9, too far apart to merge) and
+        # 0.5 + 1.5i: the cluster's residues, of order 1/d, multiply any error of
+        # its roots.  With the root finder's stop and axis snap at 2^(1 - prec),
+        # the snap moved two roots by their imaginary parts of 5e-46, and the
+        # value erred by 1.3e-35 against 5.6e-36 reported (2.5e-36 against
+        # 2.0e-37 with the second residue).  The oracle is the closed form on
+        # the exact poles: with q = p/t, J = e^-q E1(-q), the sum is
+        # sum -r q J and its t-derivative sum -r (q/t) ((q - 1) J + 1)
+        with mp.workprec(512):
+            d = mpmath.mpf("1e-9")
+            poles = [(-1, 1), (-(1 + d), 2), (-(1 - 1j * d), -1),
+                     (mpmath.mpc(0.5, 1.5), to_mpc(residue))]
+        coeffs = pole_transform_coeffs(poles, 1, 40, 512)
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), 0.0, [1.0])
+        with mp.workprec(128):
+            t = mpmath.mpf("0.2")
+        for derivative in (False, True):
+            res = laplace_sum(rc, 1, t, derivative=derivative, eps=1)
+            with mp.workprec(320):
+                exact = 0
+                for p, r in poles:
+                    q = to_mpc(p) / t
+                    j = mpmath.exp(-q) * mpmath.e1(-q)
+                    exact -= to_mpc(r) * (q / t * ((q - 1) * j + 1) if derivative else q * j)
+                assert abs(res.value - exact) <= res.total_error
+
     def test_crowded_cluster_refused(self):
         # roots 2e-10 apart, merged (within 2^-32 of their mean), and a third
         # 2.5e-10 from that mean, not merged: the pair does not stand apart

@@ -230,8 +230,9 @@ def test_usage_errors(files, capsys, tmp_path):
     assert cli_main(["borel-sum", c, "--theta", "3.1", "--t=-0.2",
                      "--method", "pade"]) == 2
     capsys.readouterr()
-    # malformed terms: a repeated exponent, an exponent of the wrong length
-    for name, exps in (("twice.json", [[1, 0], [0, 1], [1, 0]]), ("long.json", [[1, 0, 0]])):
+    # malformed terms: a repeated exponent, an exponent of the wrong length, a negative one
+    for name, exps in (("twice.json", [[1, 0], [0, 1], [1, 0]]), ("long.json", [[1, 0, 0]]),
+                       ("negative.json", [[1, 0], [-1, 2]])):
         g = files(name, {"dim": 2, "trunc": 3,
                          "terms": [{"exp": e, "coeff": str(i + 1)} for i, e in enumerate(exps)]})
         assert cli_main(["divide", "--germ", p, "--order", "1,1", g]) == 2

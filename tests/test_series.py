@@ -190,6 +190,37 @@ class TestMixedDomains:
         ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc, sadd, smul)
         assert_near_reference([out], [TS(dim2, out.trunc, ref)])
 
+    @pytest.mark.parametrize("mixed_image", [False, True])
+    def test_float_images_keep_exact_terms(self, mixed_image):
+        """An exact f substituted with float images keeps its exact constant term,
+        and a term that only exact pieces reach (x2, from an exact image term)."""
+        with mpmath.mp.workprec(working_prec()):
+            lam = mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(-1) / 7)
+        f = S(2, 6, {(0, 0): Fraction(2, 3), (1, 0): 1, (1, 2): Fraction(-1, 7)})
+        first = {(1, 0): lam, (0, 1): 1} if mixed_image else {(1, 0): lam}
+        images = [S(2, 6, first), S(2, 6, {(0, 1): lam})]
+        out = substitute(f, images)
+        assert out.terms[(0, 0)] == Fraction(2, 3)
+        assert is_exact(out.terms[(0, 0)])
+        assert is_exact(out.terms[(0, 1)]) if mixed_image else (0, 1) not in out.terms
+        ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc, sadd, smul)
+        assert_near_reference([out], [TS(2, out.trunc, ref)])
+
+    def test_exact_cancellation_stays_exact_beside_floats(self):
+        """f = x1 x2 - x1 x2^2 with x2 -> y1/3 + y1^2/9: the y1^2 terms of x2 and
+        x2^2 cancel exactly, so x1 -> lam y1 + y2 multiplies an exact zero, and the
+        result has no y1^3 term (a float pass alone leaves round-off there)."""
+        with mpmath.mp.workprec(working_prec()):
+            lam = mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(-1) / 7)
+        f = S(2, 6, {(1, 1): 1, (1, 2): -1})
+        images = [S(2, 6, {(1, 0): lam, (0, 1): 1}),
+                  S(2, 6, {(1, 0): Fraction(1, 3), (2, 0): Fraction(1, 9)})]
+        out = substitute(f, images)
+        ref = TS(2, out.trunc, ref_substitute(f.terms, [g.terms for g in images], out.trunc,
+                                              sadd, smul))
+        assert (3, 0) not in ref.terms and (3, 0) not in out.terms
+        assert_near_reference([out], [ref])
+
 
 class TestVEll:
     def test_weighted(self):

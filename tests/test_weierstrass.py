@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germsum.errors import DimensionMismatchError, ZeroGermError
-from germsum.scalars import QQi, is_exact, sabs, sadd, sdiv, smul, sneg, working_prec
+from germsum.scalars import (QQi, is_exact, sabs, sadd, sdiv, smul, sneg, to_mpc,
+                             working_prec)
 from germsum.series import MonomialOrder, TruncatedSeries, series_to_json, substitute
 from germsum.weierstrass import (Germ, PExpansion, delta_member, p_expand,
                                  t_substitute, wdivide)
@@ -212,6 +213,82 @@ def test_float_path_matches_funnel_reference():
     ref = ref_p_expand(fs.terms, ps.terms, ref_order_key((1, 1), "lex"), trunc, depth,
                        sadd, smul, sdiv, sneg)
     assert_near_reference(p_expand(fs, germ, depth).coeffs, [TS(2, t, terms) for t, terms in ref])
+
+
+@pytest.mark.parametrize("lead_bits", [0, 20])
+def test_float_expansion_matches_wide_precision(lead_bits):
+    """A depth-24 germ-sum style input (f = sum m! a^m P^(m+1) scaled by lambda,
+    round-off amplified by about (1 + 3/4 + 3/4)^24 in the division), expanded
+    in powers of L P for L = 1 or 2^20; for L = 2^20 level n shrinks by L^-n.
+    Each level times L^n, and each value of specialize times L^n, lies within
+    2^(16 - prec) max|c| of the same call at 512 bits.  The levels lie within
+    2^(4 - prec) max|c| even: cutting every term to prec + 32 bits of its own
+    size, without g's grid, errs by 2^(5.7 - prec) max|c| here."""
+    depth, a = 24, Fraction(-1, 2)
+    trunc = 2 * (depth - 1)
+    p = TS(2, trunc, {(2, 0): 1, (1, 1): Fraction(3, 4), (0, 2): Fraction(-3, 4)})
+    f, p_pow = TS.zero(2, trunc), p
+    for m in range(depth - 1):
+        f = f + p_pow * (factorial(m) * a ** m)
+        p_pow = p_pow * p
+    with mpmath.mp.workprec(working_prec()):
+        lam = mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(-1) / 7)
+        x = (mpmath.mpc(0.15, 0.05), mpmath.mpc(-0.1, 0.1))
+    images = [TS(2, trunc, {(1, 0): lam}), TS(2, trunc, {(0, 1): lam})]
+    germ = Germ(substitute(p * 2 ** lead_bits, images), MonomialOrder((1, 1)))
+    fs = substitute(f, images)
+    expansion = p_expand(fs, germ, depth)
+    values = expansion.specialize(x)
+    with mpmath.mp.workprec(512):
+        wide = p_expand(fs, germ, depth)
+        wide_values = wide.specialize(x)
+
+        def unscaled(levels):  # times L^n, exactly
+            return [TS(2, g.trunc, {e: c * mpmath.ldexp(1, lead_bits * n)
+                                    for e, c in g.terms.items()}) for n, g in enumerate(levels)]
+
+        values = [v * mpmath.ldexp(1, lead_bits * n) for n, v in enumerate(values)]
+        wide_values = [v * mpmath.ldexp(1, lead_bits * n) for n, v in enumerate(wide_values)]
+        levels, wide_levels = unscaled(expansion.coeffs), unscaled(wide.coeffs)
+    assert_near_reference(levels, wide_levels)
+    scale = max(sabs(c) for g in wide_levels for c in g.terms.values())
+    for g, w in zip(levels, wide_levels, strict=True):
+        for e in set(g.terms) | set(w.terms):
+            assert sabs(sadd(g.coeff(e), sneg(w.coeff(e)))) <= scale * mpmath.mpf(2) ** (4 - working_prec())
+    tol = max(sabs(v) for v in wide_values) * mpmath.mpf(2) ** (16 - working_prec())
+    for v, w in zip(values, wide_values, strict=True):
+        assert sabs(sadd(v, sneg(w))) <= tol
+
+
+@pytest.mark.parametrize("lead, tail", [(2 ** 166, 1), (1, Fraction(1, 2 ** 200))])
+def test_float_elimination_keeps_relative_precision(lead, tail):
+    """Terms far above or below g's coefficients keep their relative precision:
+    P = lead x1 + tail x2^2 + (3 + 4i)/8 tail x1 x2 with a lead of about 1e50,
+    or a tail of about 1e-60, on mpc data.  Each term of wdivide and p_expand
+    lies within 2^(16 - prec) of its own size of the exact elimination of the
+    same values; a term the float result lacks is below 2^(-prec/2) of the
+    largest of its degree (the prune rule of the TruncatedSeries constructor)."""
+    trunc, depth = 8, 4
+    p = {(1, 0): lead, (0, 2): tail, (1, 1): QQi(Fraction(3, 8), Fraction(1, 2)) * tail}
+    g = {(1, 0): Fraction(1, 3), (2, 0): 3, (1, 1): Fraction(-2, 7), (0, 3): 5,
+         (2, 1): Fraction(1, 5), (3, 2): Fraction(-4, 3)}
+    with mpmath.mp.workprec(working_prec()):
+        germ = Germ(TS(2, trunc, {e: to_mpc(c) for e, c in p.items()}), MonomialOrder((1, 1)))
+        gf = TS(2, trunc, {e: to_mpc(c) for e, c in g.items()})
+    exact_germ = Germ(TS(2, trunc, p), MonomialOrder((1, 1)))
+    res, ref = wdivide(gf, germ), wdivide(TS(2, trunc, g), exact_germ)
+    outs = [res.q, res.r] + list(p_expand(gf, germ, depth).coeffs)
+    refs = [ref.q, ref.r] + list(p_expand(TS(2, trunc, g), exact_germ, depth).coeffs)
+    assert len(ref.q.terms) > 10 and len(ref.r.terms) > 5
+    tol = mpmath.mpf(2) ** (16 - working_prec())
+    cut = mpmath.mpf(2) ** -(working_prec() // 2)
+    for out, r in zip(outs, refs, strict=True):
+        assert set(out.terms) <= set(r.terms)
+        for e, c in r.terms.items():
+            if e in out.terms:
+                assert sabs(sadd(out.terms[e], sneg(c))) <= tol * sabs(c), (e, out.terms[e], c)
+            else:
+                assert sabs(c) < cut * max(sabs(b) for k, b in r.terms.items() if sum(k) == sum(e))
 
 
 class TestMixedDomains:
