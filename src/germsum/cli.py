@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import mp, mpc
 
 from .borel import (OneVarSeries, borel_transform, continue_on_ray,
                     laplace_sum, p_k_sum, singular_directions)
@@ -21,7 +21,7 @@ from .errors import GermsumError
 from .gevrey import fit_gevrey, norm_sequence
 from .harness import (EXAMPLE_NAMES, euler_borel_series, gen_example,
                       verify_ode_formal, verify_ode_numeric, verify_pde_formal)
-from .scalars import (DEFAULT_PREC_BITS, parse_scalar, scalar_from_json,
+from .scalars import (DEFAULT_PREC_BITS, QQi, parse_scalar, scalar_from_json,
                       working_prec)
 from .series import MonomialOrder, series_from_json, series_to_json
 from .transforms import INFINITY, blowup, dominant_data, ramify
@@ -186,7 +186,10 @@ def _dispatch(args):
     elif cmd == "gevrey":
         germ = _germ_from_args(args)
         expansion = p_expand(_load_series(args.input), germ, args.depth)
-        ns = norm_sequence(expansion, Fraction(args.rho))
+        rho = parse_scalar(args.rho)
+        if isinstance(rho, (QQi, mpc)):
+            raise _UsageError(f"--rho {args.rho!r} is not a real number")
+        ns = norm_sequence(expansion, rho)
         _emit(fit_gevrey(ns, args.nmin).to_json())
     elif cmd == "borel-sum":
         if args.point:

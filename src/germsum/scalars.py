@@ -237,50 +237,56 @@ def _finite(x, source):
 
 
 def scalar_from_json(obj):
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, (int, float)):
-        if isinstance(obj, int):
+    try:
+        if isinstance(obj, str):
             return Fraction(obj)
-        return _finite(mpmath.mpf(obj), obj)
-    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        re, im = obj.get("re", 0), obj.get("im", 0)
-        if isinstance(re, str) or isinstance(im, str):
-            q = QQi(Fraction(str(re)), Fraction(str(im)))
-            return q.re if q.im == 0 else q
-        return _finite(mpmath.mpc(re, im), obj)
+        if isinstance(obj, (int, float)):
+            if isinstance(obj, int):
+                return Fraction(obj)
+            return _finite(mpmath.mpf(obj), obj)
+        if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
+            re, im = obj.get("re", 0), obj.get("im", 0)
+            if isinstance(re, str) or isinstance(im, str):
+                q = QQi(Fraction(str(re)), Fraction(str(im)))
+                return q.re if q.im == 0 else q
+            return _finite(mpmath.mpc(re, im), obj)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {obj!r}") from None
     raise ValueError(f"unrecognized coefficient encoding: {obj!r}")
 
 
 def parse_scalar(text):
     """Parse a user-facing scalar: '3/4', '-2', '0.5', '1/2+1/3j', '0.1-0.2j'.
 
-    A NaN or an infinity raises ``ValueError``."""
-    s = text.strip().replace(" ", "")
+    A NaN, an infinity or a zero denominator raises ``ValueError``."""
     try:
-        return Fraction(s)
-    except ValueError:
-        pass
-    if s.endswith(("j", "J", "i", "I")):
-        body = s[:-1]
-        # split mantissa into re/im on the last +/- that is not an exponent sign
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE":
-                re_part, im_part = body[:pos], body[pos:]
-                break
-        else:
-            re_part, im_part = "0", body
-        if im_part in ("", "+", "-"):
-            im_part += "1"
+        s = text.strip().replace(" ", "")
         try:
-            return QQi(Fraction(re_part), Fraction(im_part))
+            return Fraction(s)
         except ValueError:
-            return _finite(mpmath.mpc(mpmath.mpf(re_part), mpmath.mpf(im_part)), text)
-    try:
-        value = mpmath.mpf(s)
-    except ValueError:
-        raise ValueError(f"cannot parse scalar {text!r}") from None
-    return _finite(value, text)
+            pass
+        if s.endswith(("j", "J", "i", "I")):
+            body = s[:-1]
+            # split mantissa into re/im on the last +/- that is not an exponent sign
+            for pos in range(len(body) - 1, 0, -1):
+                if body[pos] in "+-" and body[pos - 1] not in "eE":
+                    re_part, im_part = body[:pos], body[pos:]
+                    break
+            else:
+                re_part, im_part = "0", body
+            if im_part in ("", "+", "-"):
+                im_part += "1"
+            try:
+                return QQi(Fraction(re_part), Fraction(im_part))
+            except ValueError:
+                return _finite(mpmath.mpc(mpmath.mpf(re_part), mpmath.mpf(im_part)), text)
+        try:
+            value = mpmath.mpf(s)
+        except ValueError:
+            raise ValueError(f"cannot parse scalar {text!r}") from None
+        return _finite(value, text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
 # -- Gaussian-integer kernel -------------------------------------------------

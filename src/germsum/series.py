@@ -18,9 +18,10 @@ complex floats; see :mod:`germsum.scalars`.  Products and substitutions
 run on one series kernel (below) for every coefficient domain; the domain
 picks only the denominator: integer numerators over one denominator per
 operand when every coefficient is an ``int`` or a ``Fraction``,
-Gaussian-integer mantissas over a power of two for floats (each output
-coefficient becomes an ``mpc`` once, at the working precision), and the
-exact coefficients themselves, over 1, for complex rationals.
+Gaussian-integer mantissas over a power of two for floats, and the
+coefficients themselves, over 1, for complex rationals and mixed data, at
+32 bits above the working precision; each float output coefficient is
+rounded to the working precision once.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from mpmath import mp
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
 from . import scalars
-from .scalars import (_EXACT_REAL, gi_lift, gi_mag, gi_to_mpc, is_zero, sabs, sabs_float, sadd,
-                      scalar_eq, scalar_from_json, scalar_to_json, smul, sneg, working_prec)
+from .scalars import (_EXACT_REAL, gi_lift, gi_to_mpc, is_zero, sabs, sabs_float, sadd, scalar_eq,
+                      scalar_from_json, scalar_to_json, smul, sneg, to_mpc, working_prec)
 
 
 class MonomialOrder:
@@ -333,45 +334,20 @@ def _fmt_term(e, c):
 # -- the series kernel -------------------------------------------------------------
 #
 # Products, substitutions and divisions run on the loops below for every
-# coefficient domain, with exponents packed into ints and coefficients lifted to
-# ints: the domain picks only the denominator.  When every coefficient is an int or
-# a Fraction, an operand is lifted once to integer numerators over the lcm of its
-# denominators, and each output coefficient becomes a normalised Fraction once.
-# Float coefficients are lifted to Gaussian-integer mantissas (re, im) over one
-# power of two per operand, placed so that the smallest nonzero coefficient keeps
-# working_prec() + _GUARD bits (scalars.gi_lift).  Products inside one loop are
-# exact; a result is truncated to that rule again only where it comes back as an
-# operand (_truncate), and each output coefficient becomes an mpc once, after
-# float terms are pruned on bit lengths (_finish).  The elimination by P - t of
-# germsum.weierstrass, whose products chain from level to level, gives each term
-# its own exponent instead.  Exact data that are not all real (QQi) keep their
-# coefficients, over 1.  When exact and float coefficients meet, an exact pass
-# runs with every float coefficient replaced by _INEXACT and a float pass with
-# every coefficient lifted, both walking the same products (_horner for
-# substitute): an output coefficient is the exact pass's value where that is
-# exact, as the promotion rule of germsum.scalars would leave it, and the float
-# pass's elsewhere.
+# coefficient domain, with exponents packed into ints.  int and Fraction data are
+# lifted once to integer numerators over one denominator per operand.  Where some
+# operand (for substitute, every piece) has no exact term, floats are lifted to
+# Gaussian-integer mantissas (re, im) over one power of two per operand, the
+# smallest nonzero keeping working_prec() + _GUARD bits (scalars.gi_lift); products
+# inside a loop are exact, and a result is truncated to that rule again only where
+# it comes back as an operand (_truncate).  Other data (QQi, or exact and float
+# coefficients mixed) keep their own scalars, over 1, and run the same loops once
+# inside mp.workprec(working_prec() + _GUARD), each operation following the
+# promotion rule of germsum.scalars.  _finish prunes float terms on bit lengths and
+# rounds each to the working precision once.
 
-# bits beyond the working precision that the float lift keeps
+# bits beyond the working precision that the float lift and the generic pass keep
 _GUARD = 32
-
-
-class _Inexact:
-    """A float value in the exact pass: every sum it enters is a float, and every
-    product but one with an exact zero, which is an exact zero."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return self
-
-    def __mul__(self, other):
-        return self if other is self or other != 0 else other
-
-    __radd__, __rmul__ = __add__, __mul__
-
-
-_INEXACT = _Inexact()
 
 
 def _exact_real(terms):
@@ -384,11 +360,11 @@ def _has_exact(terms):
 
 
 def _lift(terms, exact):
-    """The exact pass's coefficients of ``terms`` and their common denominator:
-    integer numerators over the lcm of the denominators for exact real data, else
-    the exact coefficients themselves, and _INEXACT for each float, over 1."""
+    """The coefficients of ``terms`` for an exact or generic pass, and their common
+    denominator: integer numerators over the lcm of the denominators for exact real
+    data, else the coefficients themselves, over 1."""
     if not exact:
-        return {e: c if scalars.is_exact(c) else _INEXACT for e, c in terms.items()}, 1
+        return terms, 1
     den = lcm(*{c.denominator for c in terms.values()})
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
@@ -431,34 +407,18 @@ class _Packing:
             unpack(k): Fraction(n, den) for k, n in numerators.items() if n})
 
 
-def _finish(dim, trunc, top, unpack, exact, floats=None):
-    """The series of the kernel passes over data that are not all exact real.
-
-    ``exact`` maps packed keys to the exact pass's values (None: there was no
-    exact pass, every term is a float), and ``floats`` maps them to the float
-    pass's kernel numbers (re, im, e), None when it did not run.  ``key >> top``
-    is the degree of a key, up to a constant.  The two passes walk the same
-    products under the same truncation, so the float pass reaches no key the
-    exact pass lacks.  A term is exact where the exact pass holds an exact
-    value.  A float term is dropped when it is zero or, as :func:`_prune_terms`
-    does, when it shares its degree and falls below 2^-(prec/2) of the largest
-    term there, compared on bit lengths; each kept one becomes an mpc once, at
-    the working precision.
-    """
-    if floats is None:
-        return TruncatedSeries._clean(dim, trunc, {unpack(k): c for k, c in exact.items() if c})
-    mag = {}
-    if exact is None:
-        exact = {}
-        for k, (r, i, e) in floats.items():
-            if r or i:
-                mag[k] = max(r.bit_length(), i.bit_length()) + e  # gi_mag
-    for k, c in exact.items():
-        if c is not _INEXACT:
-            if c:
-                mag[k] = scalars.bit_mag(c)
-        elif k in floats and (floats[k][0] or floats[k][1]):
-            mag[k] = gi_mag(floats[k])
+def _finish(dim, trunc, top, unpack, values, floats=False):
+    """The series of the generic pass's scalars, or of the float lift's kernel numbers
+    (re, im, e) with ``floats``, by packed key; ``key >> top`` is the degree of a
+    key, up to a constant.  A zero is dropped, and so is a float term that, as in
+    :func:`_prune_terms`, shares its degree and falls below 2^-(prec/2) of the
+    largest term there, compared on bit lengths (``gi_mag``, ``scalars.bit_mag``);
+    each kept float is rounded to the working precision once."""
+    if floats:  # gi_mag, inline
+        mag = {k: max(r.bit_length(), i.bit_length()) + e
+               for k, (r, i, e) in values.items() if r or i}
+    else:
+        mag = {k: scalars.bit_mag(c) for k, c in values.items() if c}
     count, best = {}, {}
     for k, m in mag.items():
         d = k >> top
@@ -467,14 +427,15 @@ def _finish(dim, trunc, top, unpack, exact, floats=None):
     prec = working_prec()
     cut = prec // 2
     terms = {}
-    for k, m in mag.items():
-        c = exact.get(k, _INEXACT)
-        if c is _INEXACT:
-            d = k >> top
-            if count[d] > 1 and m < best[d] - cut:
-                continue
-            c = gi_to_mpc(floats[k], prec)
-        terms[unpack(k)] = c
+    with mp.workprec(prec):
+        for k, m in mag.items():
+            c = values[k]
+            if floats or not scalars.is_exact(c):
+                d = k >> top
+                if count[d] > 1 and m < best[d] - cut:
+                    continue
+                c = gi_to_mpc(c, prec) if floats else to_mpc(+c)
+            terms[unpack(k)] = c
     return TruncatedSeries._clean(dim, trunc, terms)
 
 
@@ -487,8 +448,8 @@ def _operand(pairs, trunc, top):
 
 
 def _pack_terms(terms, packing, trunc, exact):
-    """The exact pass's lift of terms: an :func:`_operand` of the terms of degree
-    <= trunc, and their denominator."""
+    """The lift of terms for an exact or generic pass (:func:`_lift`): an
+    :func:`_operand` of the terms of degree <= trunc, and their denominator."""
     num, den = _lift(terms, exact)
     pack = packing.pack
     return _operand([(pack(e), n) for e, n in num.items() if sum(e) <= trunc],
@@ -573,17 +534,16 @@ def _mul(ta, tb, dim, trunc):
         (a, _), da = _pack_terms(ta, packing, trunc, True)
         b, db = _pack_terms(tb, packing, trunc, True)
         return packing.finish(trunc, _imul(a, b, trunc, top), da * db)
-    exact = None
     if _has_exact(ta) and _has_exact(tb):
         (a, _), _ = _pack_terms(ta, packing, trunc, False)
         b, _ = _pack_terms(tb, packing, trunc, False)
-        exact = _imul(a, b, trunc, top)
-        if not any(c is _INEXACT for c in exact.values()):
-            return _finish(dim, trunc, top, packing.unpack, exact)
+        with mp.workprec(_float_bits()):
+            product = _imul(a, b, trunc, top)
+        return _finish(dim, trunc, top, packing.unpack, product)
     (a, _), ea = _pack_float(ta, packing, trunc)
     b, eb = _pack_float(tb, packing, trunc)
-    return _finish(dim, trunc, top, packing.unpack, exact,
-                   _on_exponent(_gimul(a, b, trunc, top), ea + eb))
+    return _finish(dim, trunc, top, packing.unpack,
+                   _on_exponent(_gimul(a, b, trunc, top), ea + eb), True)
 
 
 def _horner(coeffs, power, lows, trunc, combine, times):
@@ -614,8 +574,8 @@ def _horner(coeffs, power, lows, trunc, combine, times):
 
 
 def _substitute(f, images, packing, out_trunc, exact):
-    """The exact pass of :func:`substitute`: packed numerators and their denominator,
-    every piece brought to one denominator.
+    """The exact or generic pass of :func:`substitute` (see :func:`_lift`): packed
+    numerators and their denominator, every piece brought to one denominator.
 
     With ``den_i`` the denominator of image i and ``top_i`` the largest
     exponent of x_i in f, a term of f with exponent e is scaled by
@@ -749,16 +709,15 @@ def substitute(f, images, out_trunc=None):
     packing = _Packing(d2, out_trunc)
     if _exact_real(f.terms) and all(_exact_real(g.terms) for g in images):
         return packing.finish(out_trunc, *_substitute(f, images, packing, out_trunc, True))
-    exact = None
     # a piece is all float unless its coefficient and every image it takes have exact terms
     some_exact = [_has_exact(g.terms) for g in images]
     if any(scalars.is_exact(c) and all(some_exact[i] for i, k in enumerate(e) if k)
            for e, c in f.terms.items()):
-        exact, _ = _substitute(f, images, packing, out_trunc, False)
-        if not any(c is _INEXACT for c in exact.values()):
-            return _finish(d2, out_trunc, packing.top, packing.unpack, exact)
-    return _finish(d2, out_trunc, packing.top, packing.unpack, exact,
-                   _substitute_float(f, images, packing, out_trunc))
+        with mp.workprec(_float_bits()):
+            values, _ = _substitute(f, images, packing, out_trunc, False)
+        return _finish(d2, out_trunc, packing.top, packing.unpack, values)
+    return _finish(d2, out_trunc, packing.top, packing.unpack,
+                   _substitute_float(f, images, packing, out_trunc), True)
 
 
 def v_ell(f, order):

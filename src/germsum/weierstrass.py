@@ -23,10 +23,10 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
-from .scalars import gi_from_mpc, gi_lift, is_exact, is_zero, sdiv, to_mpc
-from .series import (_INEXACT, MonomialOrder, TruncatedSeries, _constant_images,
-                     _exact_real, _finish, _float_bits, _has_exact, _lift, _Packing,
-                     series_from_json, series_to_json, substitute, v_ell)
+from .scalars import gi_from_mpc, gi_lift, is_zero, sdiv, to_mpc
+from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real, _finish,
+                     _float_bits, _has_exact, _json_int, _lift, _Packing, series_from_json,
+                     series_to_json, substitute, v_ell)
 
 
 class Germ:
@@ -106,14 +106,13 @@ def _eliminate(g, germ, depth):
             e = unpack(p)
             levels[e[d]][e[:d]] = Fraction(n, dens[j])
         return [TruncatedSeries._clean(d, tr, level) for tr, level in zip(truncs, levels)]
-    exact = [None] * (depth + 1)
     if _has_exact(g.terms):
-        rem, _ = _reduce(frame, g.terms, germ, False)
-        exact = frame.levels({p: n for p, (n, _) in rem.items()})
-        if not any(n is _INEXACT for n, _ in rem.values()):
-            return [_finish(d, tr, top, frame.unpack, level) for tr, level in zip(truncs, exact)]
-    return [_finish(d, tr, top, frame.unpack, ex, fl)
-            for tr, ex, fl in zip(truncs, exact, frame.levels(_reduce_float(frame, g.terms, germ)))]
+        with mp.workprec(_float_bits()):
+            rem, _ = _reduce(frame, g.terms, germ, False)
+        levels = frame.levels({p: n for p, (n, _) in rem.items()})
+        return [_finish(d, tr, top, frame.unpack, level) for tr, level in zip(truncs, levels)]
+    return [_finish(d, tr, top, frame.unpack, level, True)
+            for tr, level in zip(truncs, frame.levels(_reduce_float(frame, g.terms, germ)))]
 
 
 class _Frame:
@@ -187,7 +186,7 @@ class _Frame:
 
 def _reduce(frame, terms, germ, exact):
     """Divide by ``P - t`` on packed numerators (sparse division with a heap): the
-    exact pass, returning the remainder by packed key and the denominators.
+    exact or generic pass, returning the remainder by packed key and the denominators.
 
     A step cancels the order-minimal in-cone term ``c x^(m+lead)`` at level n
     with ``(c/lc) x^m (P - t)``.  Since t has degree ``deg(lead_exp)``, the
@@ -202,8 +201,8 @@ def _reduce(frame, terms, germ, exact):
     term is a pair ``(n, j)`` standing for ``n / (den_g * L**j)``: cancelling
     it adds terms of generation ``j + 1``, and two generations meeting on one
     exponent are aligned by a power of L.  Other data divide P's tail by its
-    lead coefficient once, so L = 1 and ``n`` is the exact quotient itself, or
-    _INEXACT where a float enters it.
+    lead coefficient once, so L = 1 and ``n`` is the coefficient itself, under
+    the promotion rule of :mod:`germsum.scalars` at the caller's precision.
     """
     lead = germ.lead_exp
     if exact:
@@ -213,10 +212,7 @@ def _reduce(frame, terms, germ, exact):
     else:
         big_l = 1
         lc = germ.lead_coeff
-        exact_lc = is_exact(lc)
-        coeffs = [-sdiv(c, lc) if exact_lc and is_exact(c) else _INEXACT
-                  for c in (germ.p.terms[e] for e in frame.tail_exps)]
-        coeffs.append(sdiv(1, lc) if exact_lc else _INEXACT)
+        coeffs = [-sdiv(germ.p.terms[e], lc) for e in frame.tail_exps] + [sdiv(1, lc)]
     tail = [(pt, dk, b) for (pt, dk), b in zip(frame.tail, coeffs)]
     # with L = 1 every generation has the same denominator: all terms stay at j = 0
     step = int(big_l != 1)
@@ -399,7 +395,11 @@ class PExpansion:
         germ = Germ(series_from_json(obj["germ"]),
                     MonomialOrder.from_json(obj["order"]))
         coeffs = [series_from_json(g) for g in obj["coeffs"]]
-        return cls(germ, coeffs, int(obj.get("trunc", germ.p.trunc)))
+        if _json_int(obj.get("depth", len(coeffs))) != len(coeffs):
+            raise ValueError(f"expansion JSON depth {obj['depth']} is not its {len(coeffs)} coeffs")
+        if any(g.dim != germ.dim for g in coeffs):
+            raise ValueError(f"expansion JSON has a coefficient not of dimension {germ.dim}")
+        return cls(germ, coeffs, _json_int(obj.get("trunc", germ.p.trunc)))
 
 
 def p_expand(f, germ, depth):

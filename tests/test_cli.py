@@ -238,6 +238,18 @@ def test_usage_errors(files, capsys, tmp_path):
         assert cli_main(["divide", "--germ", p, "--order", "1,1", g]) == 2
         err = capsys.readouterr().err
         assert name in err and f"terms[{len(exps) - 1}]" in err
+    # a zero denominator, in a JSON coefficient or in a scalar option, is a usage error
+    zero = files("zero.json", {"dim": 2, "trunc": 3, "terms": [{"exp": [1, 0], "coeff": "1/0"}]})
+    zc = files("zc.json", {"coeffs": ["1", "1/0"] + [str(factorial(n)) for n in range(2, 16)]})
+    for argv in (["divide", "--germ", p, "--order", "1,1", zero],
+                 ["borel-sum", zc, "--theta", "0", "--t", "0.1"],
+                 ["borel-sum", c, "--theta", "0", "--t", "1/0"],
+                 ["blowup", "--xi", "1/0", p],
+                 ["borel-sum", c, "--germ", p, "--order", "1,1", "--depth", "8",
+                  "--point", "1/0,0.1", "--theta", "0"],
+                 ["gevrey", "--germ", p, "--order", "1,1", "--depth", "4", "--rho", "1/0", p]):
+        assert cli_main(argv) == 2, argv
+        assert "zero denominator" in capsys.readouterr().err, argv
     # the library's argument checks are usage errors, not failed verifications
     f = files("f.json", series_to_json(TS(2, 10, {(2, 2): 1, (1, 0): 1})))
     assert cli_main(["borel-sum", f, "--germ", p, "--order", "1,1", "--depth", "6",

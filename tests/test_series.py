@@ -221,6 +221,21 @@ class TestMixedDomains:
         assert (3, 0) not in ref.terms and (3, 0) not in out.terms
         assert_near_reference([out], [ref])
 
+    def test_exact_zero_times_float_is_float(self):
+        """f = x1 x2 - x1 x2^2 + x2^3 with the images above: the exact zero left by
+        the cancellation times lam is a float zero, so the y1^3 term, y1^3/27 from
+        x2^3 alone, is a float equal to the reference's and not Fraction(1, 27)."""
+        with mpmath.mp.workprec(working_prec()):
+            lam = mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(-1) / 7)
+        f = S(2, 6, {(1, 1): 1, (1, 2): -1, (0, 3): 1})
+        images = [S(2, 6, {(1, 0): lam, (0, 1): 1}),
+                  S(2, 6, {(1, 0): Fraction(1, 3), (2, 0): Fraction(1, 9)})]
+        out = substitute(f, images)
+        ref = TS(2, out.trunc, ref_substitute(f.terms, [g.terms for g in images], out.trunc,
+                                              sadd, smul))
+        assert not is_exact(out.terms[(3, 0)]) and out.terms[(3, 0)] == ref.terms[(3, 0)]
+        assert_near_reference([out], [ref])
+
 
 class TestVEll:
     def test_weighted(self):

@@ -260,6 +260,37 @@ def test_float_expansion_matches_wide_precision(lead_bits):
         assert sabs(sadd(v, sneg(w))) <= tol
 
 
+def test_mixed_expansion_holds_working_precision():
+    """A dense series of truncation 24 with about 15 % of its coefficients turned
+    into mpc (times lam), expanded in powers of x2^2 - x1^3 + x1 x2/3 to depth 8.
+    Mixed data run the generic pass at prec + 32 bits and round each output once,
+    so every coefficient lies within 2^-prec max|c| of the same call at 512 bits,
+    the maximum taken over its level.  Without the 32 guard bits it errs by
+    2^(1.7 - prec) here."""
+    rng = random.Random(2)
+    trunc, depth = 24, 8
+    prec = working_prec()
+    with mpmath.mp.workprec(prec):
+        lam = mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(-1) / 7)
+    terms = {}
+    for i in range(trunc + 1):
+        for j in range(trunc + 1 - i):
+            c = Fraction(rng.randint(-40, 40) or 1, rng.choice((1, 7, 11, 13)))
+            terms[(i, j)] = smul(c, lam) if rng.random() < 0.15 else c
+    f = TS(2, trunc, terms)
+    germ = Germ(TS(2, trunc, {(0, 2): 1, (3, 0): -1, (1, 1): Fraction(1, 3)}),
+                MonomialOrder((2, 3)))
+    levels = p_expand(f, germ, depth).coeffs
+    values = [c for g in levels for c in g.terms.values()]
+    assert any(is_exact(c) for c in values) and not all(is_exact(c) for c in values)
+    with mpmath.mp.workprec(512):
+        wide = p_expand(f, germ, depth).coeffs
+        for g, w in zip(levels, wide, strict=True):
+            tol = max((sabs(c) for c in w.terms.values()), default=0) * mpmath.mpf(2) ** -prec
+            for e in set(g.terms) | set(w.terms):
+                assert sabs(sadd(g.coeff(e), sneg(w.coeff(e)))) <= tol, (e, g.coeff(e))
+
+
 @pytest.mark.parametrize("lead, tail", [(2 ** 166, 1), (1, Fraction(1, 2 ** 200))])
 def test_float_elimination_keeps_relative_precision(lead, tail):
     """Terms far above or below g's coefficients keep their relative precision:
@@ -498,3 +529,15 @@ class TestPExpansionJson:
         for g1, g2 in zip(back.coeffs, exp.coeffs):
             assert g1 == g2
         assert back.germ.lead_exp == cusp_germ.lead_exp
+
+    def test_refuses_malformed_fields(self, cusp_germ):
+        """trunc and depth are JSON integers, depth counts the coefficients, and
+        every coefficient has the germ's dimension."""
+        obj = p_expand(TS(2, 12, {(1, 0): 1, (6, 0): Fraction(2, 3)}), cusp_germ, 3).to_json()
+        for field, value in (("trunc", 5.9), ("trunc", True), ("trunc", "4"),
+                             ("depth", 2), ("depth", 4), ("depth", 3.0)):
+            with pytest.raises(ValueError):
+                PExpansion.from_json({**obj, field: value})
+        other = series_to_json(TS(3, 9, {(1, 0, 0): 1}))
+        with pytest.raises(ValueError, match="dimension"):
+            PExpansion.from_json({**obj, "coeffs": obj["coeffs"][:2] + [other]})
