@@ -24,6 +24,17 @@ for each pole between arg t and the ray; for integer a > 1 the E1 becomes
 a sum of upper incomplete gammas, and a multiple pole sums through their
 Taylor coefficients.
 
+G(z) = e^z E1(z) is the one special function of the k = 1 step, and
+:func:`_exp_e1` computes every value of it, each with a bound on its error
+that joins the sum's evaluation bound.  For |z| >= 12 with Re z >= 0 it
+runs the Stieltjes continued fraction of G on Gaussian-integer mantissas,
+stopped by the Henrici-Pfluger truncation bound; elsewhere mpmath's E1,
+at 6 guard bits.  What a pole's sum needs at a point u and not the ray
+(x = c/u, G, their sizes, e^(-x^a) once needed) is its start
+(:class:`_PoleStart`), and each approximant keeps the starts of its last
+four points: the value and the derivative at one t, and the two rays of a
+Stokes pair, compute G once per pole.
+
 Error reporting is split and mandatory: the continuation error is the
 difference between two consecutive approximant orders propagated through
 the same Laplace step.  The quadrature error is the bound on rounding in
@@ -131,10 +142,11 @@ class RationalApproximant:
     """Ratio of two polynomials matching a Taylor series to order n+m.
 
     The denominator is rooted once: ``raw_poles`` caches its roots, and
-    ``filtered_poles`` and ``partial_fractions`` reuse them.
+    ``filtered_poles`` and ``partial_fractions`` reuse them.  The Laplace
+    step's work per pole and point is kept too (``pole_starts``).
     """
 
-    __slots__ = ("num", "den", "prec", "_roots", "_fractions")
+    __slots__ = ("num", "den", "prec", "_roots", "_fractions", "_starts")
 
     def __init__(self, num, den, prec):
         self.num = tuple(num)
@@ -142,6 +154,7 @@ class RationalApproximant:
         self.prec = prec
         self._roots = None
         self._fractions = {}
+        self._starts = {}
 
     @property
     def order(self):
@@ -258,6 +271,24 @@ class RationalApproximant:
             fractions.append((gi_to_mpc(z), _cluster_fractions(dd, rr, m, reach, w)))
         self._fractions[b] = tuple(gi_to_mpc(c) for c in poly), tuple(fractions)
         return self._fractions[b]
+
+    def pole_starts(self, b, a, u, prec):
+        """The :class:`_PoleStart` at u of each pole of
+        ``partial_fractions(b)``, for the order-a sum at ``prec`` bits.
+
+        The starts hold G = e^z E1(z), the one special function of the
+        k = 1 sum, and depend on the point only: the value, the derivative
+        and the other ray of a Stokes pair at one t share them.  The
+        approximant keeps those of its last ``_STORED_POINTS`` points.
+        """
+        key = (b, a, prec, u._mpc_)
+        starts = self._starts.pop(key, None)
+        if starts is None:
+            starts = tuple(_PoleStart(c, a, u, prec) for c, _ in self.partial_fractions(b)[1])
+            if len(self._starts) >= _STORED_POINTS:
+                del self._starts[next(iter(self._starts))]
+        self._starts[key] = starts
+        return starts
 
 
 def _cluster_fractions(dd, rr, m, reach, w):
@@ -546,9 +577,10 @@ def _rational_k(k):
     ``ValueError``, naming k, unless k is positive and such a fraction
     round-trips to ``float(k)``: the Laplace step sums order a/b as the
     integer order a after the substitution tau = s^b.  That costs b (a - 1)
-    incomplete gamma values (and b values of E1) per pole of each
-    approximant, so a large a b is slow: a 10-pole approximant pair takes
-    roughly 20 times as long at k = 11/12 as at k = 3.
+    incomplete gamma values (and b values of G = e^z E1(z)) per pole of each
+    approximant and point (the sums at one point share them), so a large
+    a b is slow: a 10-pole approximant pair takes roughly 20 times as long
+    at k = 11/12 as at k = 3.
     """
     x = float(k)
     if x > 0 and math.isfinite(x):
@@ -565,6 +597,9 @@ def _rational_k(k):
 # guard precision (the terms, their sum and the partial fractions).
 _CLOSED_FORM_GUARD = 16
 _CLOSED_FORM_C = 2
+# Points whose pole starts an approximant keeps: a ray-sum task sums the
+# value and the derivative at one t, and a Stokes pair adds the other ray.
+_STORED_POINTS = 4
 
 
 def _laplace_moment(n, a):
@@ -573,52 +608,181 @@ def _laplace_moment(n, a):
     return math.factorial(n // a) if n % a == 0 else mpmath.gamma(1 + mpmath.mpf(n) / a)
 
 
-def _pole_jet(x, a, n, phi, two_pi_i, extra):
+# G(z) = e^z E1(z) comes from the continued fraction where |z| >= this and
+# Re z >= 0, and from mpmath elsewhere (see _exp_e1).  At 145-160 bits, on
+# the arguments of the benchmark's sums, the fraction took 270 us against
+# mpmath's 315 us for 12 <= |z| < 16 and 90 us against 590 us beyond 64,
+# but 360 us against 300 us for 8 <= |z| < 12.
+_FRACTION_MIN_ABS = 12
+# Bits over the precision asked of G at which mpmath computes it.
+_MPMATH_GUARD = 6
+
+
+def _exp_e1(z, prec):
+    """``(g, bound)``: G(z) = e^z E1(z) (principal branch) as an mpc, and an
+    mpf with |g - G(z)| <= bound <= 2^-prec |g|.
+
+    Every E1 of the Laplace step comes from here.  For |z| >=
+    ``_FRACTION_MIN_ABS`` with Re z >= 0 it is the continued fraction of
+    :func:`_exp_e1_fraction`, which converges the faster the larger |z| is,
+    where mpmath's power series is slowest.  Elsewhere mpmath computes
+    e^z E1(z) at p = ``prec + _MPMATH_GUARD`` bits: its E1 was measured
+    within 2^(0.8 - p) of the value, relative, and e^z and the product
+    add a rounding each, so the bound counts 2^(4 - p) |g|.
+    """
+    if z.real >= 0 and abs(z) >= _FRACTION_MIN_ABS:
+        return _exp_e1_fraction(z, prec)
+    wp = prec + _MPMATH_GUARD
+    with mp.workprec(wp):
+        g = mpmath.exp(z) * mpmath.e1(z)
+        return g, mpmath.ldexp(abs(g), 4 - wp)
+
+
+def _exp_e1_fraction(z, prec):
+    """``(g, bound)`` as in :func:`_exp_e1`, for Re z >= 0, z != 0, from the
+    Stieltjes fraction (NIST DLMF 6.9.1)
+
+        G(z) = 1/(z + 1/(1 + 1/(z + 2/(1 + 2/(z + 3/(1 + ...)))))),
+
+    partial numerators a_1 = 1, a_i = floor(i/2), partial denominators z
+    and 1 in turn.  In w = 1/z it is the S-fraction K(a_i w/1) with every
+    a_i > 0, and for |arg w| <= pi/2 Henrici and Pfluger (Numer. Math. 9,
+    1966) bound its truncation: |G - f_n| <= |f_n - f_(n-1)|, and
+    f_n - f_(n-1) = +-a_1...a_n/(B_n B_(n-1)).
+
+    The numerators A_i and denominators B_i follow the Wallis recurrence
+    X_i = b_i X_(i-1) + a_i X_(i-2) on Gaussian-integer mantissas with
+    W fraction bits of z (z itself held exactly), all four on one scale
+    that drops by a shift whenever the A's outgrow W + 64 bits; ``det``
+    carries a_1...a_n on the square of that scale, rounded up.  A step
+    with b = z truncates its products by at most one unit, 2^(1.5 - W) of
+    the A and B it makes, and such relative errors enter f_n about once
+    each: the bound counts 2^(4 - W) |g| per step, and the loop stops at
+    the first even n whose truncation bound is at most 2^-(prec + 4) |g|.
+    For |z| >= 12 that n is below prec^2/16 (128 steps at |z| = 16 and
+    150 bits, 204 at 16i), so W = prec + 2 bitlen(prec) + 10 keeps the
+    steps' share below 2^-(prec + 10) |g|.
+    """
+    w = prec + 2 * prec.bit_length() + 10
+    (rs, rm, re_, _), (is_, im, ie, _) = z._mpc_
+    f = max(w, -re_, -ie)
+    zr = (-rm if rs else rm) << (re_ + f)
+    zi = (-im if is_ else im) << (ie + f)
+    one = 1 << f
+    # (A_1, A_2) = (1, 1) and (B_1, B_2) = (z, z + 1); odd index o, even e
+    aor, aoi, aer, aei = one, 0, one, 0
+    bor, boi, ber, bei = zr, zi, zr + one, zi
+    det = one * one
+    top = w + 64
+    j = 1
+    while True:
+        # X_(2j+1) = z X_(2j) + j X_(2j-1)
+        t = aer * zr - aei * zi
+        aoi = ((aer * zi + aei * zr) >> f) + j * aoi
+        aor = (t >> f) + j * aor
+        t = ber * zr - bei * zi
+        boi = ((ber * zi + bei * zr) >> f) + j * boi
+        bor = (t >> f) + j * bor
+        # X_(2j+2) = X_(2j+1) + (j + 1) X_(2j)
+        det *= j * (j + 1)
+        j += 1
+        aer, aei = aor + j * aer, aoi + j * aei
+        ber, bei = bor + j * ber, boi + j * bei
+        la = max(abs(aer).bit_length(), abs(aei).bit_length())
+        lb = max(abs(bor).bit_length(), abs(boi).bit_length())
+        # |f_n - f_(n-1)| / |f_n| = det / (|A_n| |B_(n-1)|) < 2^(gap + 2)
+        gap = det.bit_length() - la - lb
+        if gap <= -(prec + 6):
+            break
+        if la > top:
+            s = la - w
+            aor, aoi, aer, aei = aor >> s, aoi >> s, aer >> s, aei >> s
+            bor, boi, ber, bei = bor >> s, boi >> s, ber >> s, bei >> s
+            det = -(-det >> 2 * s)
+    # the division's truncation and the 53-bit bound's rounding count as steps
+    g = gi_to_mpc(gi_div((aer, aei, 0), (ber, bei, 0), w))
+    with mp.workprec(53):
+        return g, abs(g) * (mpmath.ldexp(1, gap + 2) + mpmath.ldexp(2 * j + 2, 4 - w))
+
+
+class _PoleStart:
+    """The ray-independent start of the jet of the pole c at u for the
+    order-a sum: what :func:`_pole_jet` reads, once per pole and point.
+
+    x = c/u at ``2 * prec`` bits and ``extra`` = a mag(x): e^(-x^a) has
+    condition number |x^a|, so the jet runs ``extra`` bits above
+    wp = ``prec + _CLOSED_FORM_GUARD``, and so does everything here.  It
+    holds z = -x^a, x^(a-1), arg x, u at that precision and its modulus,
+    psi_0 before the residue term (the G part of :func:`_pole_jet`) with
+    its size, the sum of the magnitudes of its pieces, and ``err``, the
+    bound of :func:`_exp_e1` on G times |x^(a-1)| in units of 2^-wp.
+    e^(-x^a) is ``exp`` once it has been needed: at once when a > 1, for
+    the incomplete gammas, else by the first residue term.
+    """
+
+    __slots__ = ("x", "z", "lead", "extra", "arg", "v", "av", "psi", "size", "err", "exp")
+
+    def __init__(self, c, a, u, prec):
+        with mp.workprec(2 * prec):
+            self.x = x = c / u
+        self.extra = max(0, a * mpmath.mag(x))
+        wp = prec + _CLOSED_FORM_GUARD
+        with mp.workprec(wp + self.extra):
+            self.z = z = -x ** a
+            self.lead = lead = x ** (a - 1)
+            g, bound = _exp_e1(z, wp + self.extra)
+            psi = lead * g
+            size = abs(psi)
+            self.exp = e = mpmath.exp(z) if a > 1 else None
+            for i in range(1, a):
+                al = mpmath.mpf(i) / a
+                g = _laplace_moment(i, a) * x ** (a - 1 - i) * z ** al * e * mpmath.gammainc(-al, z)
+                psi += g
+                size += abs(g)
+            self.psi, self.size = psi, size
+            self.err = mpmath.ldexp(abs(lead) * bound, wp)
+            self.arg = mpmath.arg(x)
+            self.v = +u
+            self.av = abs(self.v)
+
+
+def _pole_jet(start, a, n, phi, two_pi_i):
     """Taylor coefficients psi_0..psi_(n-1) at x of the order-a sum at 1 of
-    1/(s - x) along arg s = phi, each with the size it is relative to
-    (``two_pi_i`` is 2 pi i at the caller's precision, which is ``extra``
-    bits above ``prec + _CLOSED_FORM_GUARD``).
+    1/(s - x) along arg s = phi, each with the size it is relative to, from
+    the :class:`_PoleStart` of x (``two_pi_i`` is 2 pi i at the caller's
+    precision, which is ``start.extra`` bits above
+    ``prec + _CLOSED_FORM_GUARD``).
 
     The sum is Psi(x) = sum_(i<a) Gamma(1 + i/a) x^(a-1-i) G_(i/a)(-x^a)
-    with G_alpha(z) = z^alpha e^z Gamma(-alpha, z) (G_0(z) = e^z E1(z)),
-    the principal branch, whose cut (x^a > 0) takes its value from
-    arg x < 0.  A pole that the ray has turned past, 0 < arg x < phi (or
-    phi < arg x <= 0, which puts a pole on arg s = 0 on the ray's side of
-    the cut), adds -2 pi i a x^(a-1) e^(-x^a) (or +2 pi i ...).  From
-    z G_alpha'(z) = (z + alpha) G_alpha(z) - 1, Psi solves
-    y Psi' = (a - 1 - a y^a) Psi - a Pi(y) with
+    with G_alpha(z) = z^alpha e^z Gamma(-alpha, z) (G_0(z) = e^z E1(z),
+    from :func:`_exp_e1`), the principal branch, whose cut (x^a > 0) takes
+    its value from arg x < 0.  A pole that the ray has turned past,
+    0 < arg x < phi (or phi < arg x <= 0, which puts a pole on arg s = 0 on
+    the ray's side of the cut), adds -2 pi i a x^(a-1) e^(-x^a) (or
+    +2 pi i ...).  From z G_alpha'(z) = (z + alpha) G_alpha(z) - 1, Psi
+    solves y Psi' = (a - 1 - a y^a) Psi - a Pi(y) with
     Pi(y) = sum_(i<a) Gamma(1 + i/a) y^(a-1-i), and the Taylor coefficients
     follow from it.  The size of psi_0 is the sum of the magnitudes of its
-    pieces.  That of psi_m is |psi_m| plus 2^-_CLOSED_FORM_GUARD times
-    err_m, the bound on its error in units of 2^-(prec + guard): G is
-    well conditioned in z, so err_0 is 2^-extra |G part| plus |residue
-    term| (whose e^(-x^a) uses the ``extra`` bits), and each step of the
-    recurrence carries the err of the coefficients it combines and adds
-    2^-extra times the magnitudes of its pieces, its own rounding.
+    pieces plus 2^-_CLOSED_FORM_GUARD times the bound on G's error.  That
+    of psi_m is |psi_m| plus 2^-_CLOSED_FORM_GUARD times err_m, the bound
+    on its error in units of 2^-(prec + guard): G is well conditioned in
+    z, so err_0 is 2^-extra |G part| plus the bound on G's error plus
+    |residue term| (whose e^(-x^a) uses the ``extra`` bits), and each step
+    of the recurrence carries the err of the coefficients it combines and
+    adds 2^-extra times the magnitudes of its pieces, its own rounding.
     """
-    z = -x ** a
-    e = mpmath.exp(z)
-    lead = x ** (a - 1)
-    psi = lead * (e * mpmath.e1(z))
-    size = abs(psi)
-    for i in range(1, a):
-        al = mpmath.mpf(i) / a
-        g = _laplace_moment(i, a) * x ** (a - 1 - i) * z ** al * e * mpmath.gammainc(-al, z)
-        psi += g
-        size += abs(g)
-    arg = mpmath.arg(x)
-    if 0 < arg < phi:
-        rot = -two_pi_i * e * (a * lead)
-    elif phi < arg <= 0:
-        rot = two_pi_i * e * (a * lead)
-    else:
-        rot = 0
-    psi = [psi + rot]
+    x, z, lead, arg = start.x, start.z, start.lead, start.arg
+    rot = 0
+    if 0 < arg < phi or phi < arg <= 0:
+        if start.exp is None:
+            start.exp = mpmath.exp(z)
+        rot = (-two_pi_i if arg > 0 else two_pi_i) * start.exp * (a * lead)
+    psi = [start.psi + rot]
+    size = [start.size + abs(rot) + mpmath.ldexp(start.err, -_CLOSED_FORM_GUARD)]
     if n == 1:
-        return psi, [size + abs(rot)]
-    cut = mpmath.ldexp(1, -extra)
-    err = [cut * size + abs(rot)]
-    size = [size + abs(rot)]
+        return psi, size
+    cut = mpmath.ldexp(1, -start.extra)
+    err = [cut * start.size + start.err + abs(rot)]
     apsi = [abs(psi[0])]
     xp = [1] + [x ** j for j in range(1, a)] + [-z]
     ax = abs(x)
@@ -659,9 +823,11 @@ def _times_derivative(poly, fractions):
     return poly, tuple(out)
 
 
-def _closed_form_sum(poly, fractions, a, u, phi, prec):
+def _closed_form_sum(poly, fractions, starts, a, u, phi, prec):
     """Order-a Laplace sum at u of Q(s) + sum r_j/(s - c)^j along
-    arg s = arg u + phi, from its partial fractions.
+    arg s = arg u + phi, from its partial fractions and the
+    :class:`_PoleStart` at u of each of their poles (``starts``, in the
+    same order).
 
     Returns ``(value, mass)``, both at ``prec + _CLOSED_FORM_GUARD`` bits.
     Q sums as sum q_n Gamma(1 + n/a) u^n, and r/(s - c)^j as
@@ -678,16 +844,11 @@ def _closed_form_sum(poly, fractions, a, u, phi, prec):
             total += term
             mass += abs(term)
         two_pi_i = mpmath.mpc(0, 2 * mpmath.pi)
-        for c, rs in fractions:
-            with mp.workprec(2 * prec):
-                x = c / u
-            # e^(-x^a) has condition number |x^a|: carry its magnitude in bits
-            extra = max(0, a * mpmath.mag(x))
-            with mp.workprec(wp + extra):
-                psi, size = _pole_jet(x, a, len(rs), phi, two_pi_i, extra)
+        for (_, rs), start in zip(fractions, starts):
+            with mp.workprec(wp + start.extra):
+                psi, size = _pole_jet(start, a, len(rs), phi, two_pi_i)
                 # sum_j r_j psi_(j-1)/u^j by Horner's rule in 1/u
-                v = +u
-                av = abs(v)
+                v, av = start.v, start.av
                 term = rs[-1] * psi[-1] / v
                 part = abs(rs[-1]) * size[-1] / av
                 for j in range(len(rs) - 2, -1, -1):
@@ -724,12 +885,14 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     plus -+2 pi i r e^(-q)/t for a pole between arg t and the ray; for
     integer a through upper incomplete gammas and, for a multiple pole or
     a cluster, their Taylor coefficients.  The derivative is (1/t) times
-    the sum of tau g'(tau), whose partial fractions follow from g's.
+    the sum of tau g'(tau), whose partial fractions follow from g's.  Each
+    approximant's pole starts at u (``RationalApproximant.pole_starts``),
+    which hold e^(-q) E1(-q), serve every sum at that point.
     Nothing is cut off, and ``quadrature_error`` is the evaluation bound
     (|Q part| + sum of the term sizes) 2^(2 - prec), which covers rounding
     to ``prec`` bits; a term's size is its magnitude plus the carried
-    error of the Taylor coefficients it takes.  An ``eps`` below that
-    bound raises ``ValueError``.
+    error of the Taylor coefficients it takes, that of G included.  An
+    ``eps`` below that bound raises ``ValueError``.
     """
     a, b = _rational_k(k)
     if float(k) != rc.k:
@@ -751,10 +914,11 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         sums = []
         for appr in (rc._hi, rc._lo):
             poly, fractions = appr.partial_fractions(b)
+            starts = appr.pole_starts(b, a, u, prec)
             if derivative:
                 with mp.workprec(gi_width(prec)):
                     poly, fractions = _times_derivative(poly, fractions)
-            value, mass = _closed_form_sum(poly, fractions, a, u, d / b, prec)
+            value, mass = _closed_form_sum(poly, fractions, starts, a, u, d / b, prec)
             if derivative:
                 with mp.workprec(prec + _CLOSED_FORM_GUARD):
                     value, mass = value / (b * t), mass / abs(b * t)

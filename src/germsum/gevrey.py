@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GermsumError
-from .series import majorant_norm
+from .series import majorant_norm, majorant_radius
 
 
 class InsufficientDataError(GermsumError):
@@ -60,9 +60,11 @@ class GevreyEstimate:
 
 
 def norm_sequence(expansion, rho):
-    """Norms of every expansion coefficient at the given polydisk radius."""
-    norms = tuple(majorant_norm(g, rho) for g in expansion.coeffs)
-    return NormSequence(float(rho), norms, tuple(x == 0.0 for x in norms))
+    """Norms of every expansion coefficient at the given polydisk radius
+    (``ValueError`` unless it is a positive real number)."""
+    r = majorant_radius(rho)
+    norms = tuple(majorant_norm(g, r) for g in expansion.coeffs)
+    return NormSequence(r, norms, tuple(x == 0.0 for x in norms))
 
 
 def fit_gevrey(ns, n_min=5):

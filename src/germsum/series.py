@@ -730,15 +730,25 @@ def v_ell(f, order):
     return min(f.terms, key=order.key)
 
 
+def majorant_radius(rho):
+    """The polydisk radius rho as a float; ``ValueError``, naming rho, unless
+    it is a positive real number (a complex radius included)."""
+    try:
+        r = float(rho)
+    except TypeError:
+        r = float("nan")
+    if not r > 0:
+        raise ValueError(f"majorant radius must be positive and real, not {rho!r}")
+    return r
+
+
 def majorant_norm(f, rho):
     """Sum of |c_e| * rho^deg(e) over stored terms.
 
     Upper-bounds the sup of |f| on the closed polydisk of radius rho, for
-    the stored polynomial part.
+    the stored polynomial part; rho passes :func:`majorant_radius`.
     """
-    r = float(rho)
-    if not r > 0:
-        raise ValueError("majorant radius must be positive")
+    r = majorant_radius(rho)
     total = 0.0
     for e, c in f.terms.items():
         total += sabs_float(c) * r ** sum(e)

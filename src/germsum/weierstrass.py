@@ -392,9 +392,16 @@ class PExpansion:
 
     @classmethod
     def from_json(cls, obj):
-        germ = Germ(series_from_json(obj["germ"]),
-                    MonomialOrder.from_json(obj["order"]))
-        coeffs = [series_from_json(g) for g in obj["coeffs"]]
+        """The expansion of :meth:`to_json`; ``ValueError``, naming the field,
+        when one is missing or of the wrong type."""
+        def field(name, parse):
+            try:
+                return parse(obj[name])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"expansion JSON field {name!r} missing or invalid: {exc!r}") from exc
+
+        germ = Germ(series_from_json(field("germ", dict)), field("order", MonomialOrder.from_json))
+        coeffs = [series_from_json(g) for g in field("coeffs", list)]
         if _json_int(obj.get("depth", len(coeffs))) != len(coeffs):
             raise ValueError(f"expansion JSON depth {obj['depth']} is not its {len(coeffs)} coeffs")
         if any(g.dim != germ.dim for g in coeffs):

@@ -5,9 +5,10 @@ from math import factorial
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+import germsum.borel as borel
 from germsum.borel import (FROISSART_REL, BorelSeries, OneVarSeries,
                            RationalApproximant, borel_transform, build_approximant,
                            continue_on_ray, laplace_sum, p_k_sum, singular_directions)
@@ -726,6 +727,102 @@ class TestKernelGuard:
         laplace_sum(rc, 1, t)
         singular_directions(b, 1)
         assert calls == []
+
+
+class TestExpE1:
+    # G(z) = e^z E1(z), the one special function of the k = 1 sum, against
+    # mpmath at 3 prec bits: every value within the bound it states, and
+    # that bound within 2^-prec |G|
+    @staticmethod
+    def check(z, prec, g, bound):
+        with mp.workprec(3 * prec):
+            exact = mpmath.exp(z) * mpmath.e1(z)
+            assert abs(g - exact) <= bound
+            assert bound <= mpmath.ldexp(abs(g), -prec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_r=st.floats(-3, 3), turn=st.floats(-1, 1, exclude_min=True, exclude_max=True),
+           prec=st.sampled_from([64, 128, 160, 256]))
+    @example(log_r=math.log10(borel._FRACTION_MIN_ABS), turn=0.0, prec=128)
+    @example(log_r=math.log10(borel._FRACTION_MIN_ABS * 0.999), turn=0.25, prec=128)
+    @example(log_r=math.log10(borel._FRACTION_MIN_ABS * 1.001), turn=-0.5, prec=160)
+    @example(log_r=3.0, turn=0.5, prec=64)
+    @example(log_r=1.5, turn=0.999, prec=128)
+    def test_within_its_bound(self, log_r, turn, prec):
+        # |z| from 1e-3 to 1e3, every argument off the cut: both sides of
+        # the crossover to the continued fraction, and both half-planes
+        with mp.workprec(prec):
+            z = mpmath.mpf(10) ** log_r * mpmath.expjpi(turn)
+        self.check(z, prec, *borel._exp_e1(z, prec))
+
+    @settings(max_examples=25, deadline=None)
+    @given(log_r=st.floats(math.log10(4), 3), turn=st.floats(-0.5, 0.5),
+           prec=st.sampled_from([64, 128, 256]))
+    def test_fraction_within_its_bound(self, log_r, turn, prec):
+        # the fraction on all of Re z >= 0, below the crossover too, where
+        # it is valid but slower than mpmath
+        with mp.workprec(prec):
+            z = mpmath.mpf(10) ** log_r * mpmath.expjpi(turn)
+        self.check(z, prec, *borel._exp_e1_fraction(z, prec))
+
+    def test_fraction_beyond_the_crossover(self, monkeypatch):
+        # mpmath.e1 runs only below the crossover or in the left half-plane
+        seen = []
+        monkeypatch.setattr(mpmath, "e1", lambda z: seen.append(z) or mpmath.expint(1, z))
+        with mp.workprec(128):
+            inside = [mpmath.mpc(12, 0), mpmath.mpc(0, 20), mpmath.mpc(300, -40)]
+            outside = [mpmath.mpc(11.9, 0), mpmath.mpc(-20, 1), mpmath.mpc(0.5, 0.5)]
+        for z in inside + outside:
+            borel._exp_e1(z, 128)
+        assert seen == outside
+
+
+class TestPoleStarts:
+    # the ray-independent start of each pole's jet (x = c/u, G and its bound,
+    # e^-x) is computed once per pole, point and approximant
+    @staticmethod
+    def problem():
+        # a pole at tau = 1 between the rays arg tau = 0.3 and -0.3, a Stokes
+        # pair at t = 0.2 e^(0.05 i): the ray below adds the pole's residue term
+        poles = [(1, 1), (mpmath.mpc(-0.5, 1.5), 0.5 - 1j), (-2, 2)]
+        coeffs = pole_transform_coeffs(poles, 1, 32, 512)
+        with mp.workprec(128):
+            t = mpmath.mpf("0.2") * mpmath.expj(mpmath.mpf("0.05"))
+        return coeffs, t
+
+    def test_value_derivative_and_stokes_pair_share_g(self, monkeypatch):
+        coeffs, t = self.problem()
+        calls = []
+        exp_e1 = borel._exp_e1
+        monkeypatch.setattr(borel, "_exp_e1", lambda z, prec: calls.append(z) or exp_e1(z, prec))
+        b = borel_transform(OneVarSeries(coeffs), 1)
+        above = continue_on_ray(b, 0.3, [1.0])
+        below = continue_on_ray(b, -0.3, [1.0])
+        shared = [laplace_sum(above, 1, t), laplace_sum(above, 1, t, derivative=True),
+                  laplace_sum(below, 1, t)]
+        # both rays take the series' cached approximants: one G per pole of each
+        poles = sum(len(appr.partial_fractions(1)[1]) for appr in (above._hi, above._lo))
+        assert poles >= 4 and len(calls) == poles
+        assert (below._hi, below._lo) == (above._hi, above._lo)
+        for res, (theta, derivative) in zip(shared, [(0.3, False), (0.3, True), (-0.3, False)]):
+            fresh = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), theta, [1.0])
+            alone = laplace_sum(fresh, 1, t, derivative=derivative)
+            assert res.value._mpc_ == alone.value._mpc_
+            assert (res.quadrature_error, res.continuation_error) == (
+                alone.quadrature_error, alone.continuation_error)
+
+    def test_store_stays_bounded(self, monkeypatch):
+        coeffs, t = self.problem()
+        calls = []
+        exp_e1 = borel._exp_e1
+        monkeypatch.setattr(borel, "_exp_e1", lambda z, prec: calls.append(z) or exp_e1(z, prec))
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), 0.3, [1.0])
+        poles = sum(len(appr.partial_fractions(1)[1]) for appr in (rc._hi, rc._lo))
+        for i in range(10):
+            laplace_sum(rc, 1, t * (1 + mpmath.mpf(i) / 16))
+        assert len(calls) == 10 * poles
+        for appr in (rc._hi, rc._lo):
+            assert len(appr._starts) <= borel._STORED_POINTS
 
 
 class TestPKSum:

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from germsum.gevrey import (InsufficientDataError, NormSequence,
                             check_gevrey_bound, fit_gevrey, norm_sequence)
 from germsum.harness import gen_example
+from germsum.scalars import QQi
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.transforms import INFINITY, blowup
 from germsum.weierstrass import Germ, p_expand
@@ -44,6 +46,16 @@ class TestNormSequence:
         _, b0, _ = remark_triple(100)
         ns = norm_sequence(b0, 0.5)
         assert ns.zero_mask[1] and not ns.zero_mask[2]
+
+    @pytest.mark.parametrize("rho", [QQi(1, 1), mpmath.mpc(1, 1)])
+    def test_complex_radius_refused(self, rho):
+        # ValueError naming the radius, with or without coefficients to norm
+        from germsum.weierstrass import PExpansion
+        germ = Germ(TS(2, 10, {(1, 1): 1}), MonomialOrder((1, 1)))
+        for depth in (0, 3):
+            expansion = PExpansion(germ, [TS.one(2, 10)] * depth, 10)
+            with pytest.raises(ValueError, match="radius"):
+                norm_sequence(expansion, rho)
 
 
 class TestFitGevrey:

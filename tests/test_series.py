@@ -284,6 +284,13 @@ class TestMajorantNorm:
         f = S(2, 4, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         assert majorant_norm(f, 1) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("rho", [QQi(1, 1), mpmath.mpc(1, 1), 0, -1])
+    def test_refuses_radius_not_positive_real(self, rho):
+        # a complex radius is a ValueError naming it, like a nonpositive one
+        f = S(2, 4, {(0, 0): 1, (1, 0): 1})
+        with pytest.raises(ValueError, match="radius"):
+            majorant_norm(f, rho)
+
     def test_sub_additive_multiplicative(self):
         rng = random.Random(11)
         for _ in range(40):

@@ -541,3 +541,9 @@ class TestPExpansionJson:
         other = series_to_json(TS(3, 9, {(1, 0, 0): 1}))
         with pytest.raises(ValueError, match="dimension"):
             PExpansion.from_json({**obj, "coeffs": obj["coeffs"][:2] + [other]})
+        # a missing or mistyped field is a ValueError that names it, not a bare KeyError
+        for field in ("germ", "order", "coeffs"):
+            with pytest.raises(ValueError, match=repr(field)):
+                PExpansion.from_json({k: v for k, v in obj.items() if k != field})
+        with pytest.raises(ValueError, match="'order'"):
+            PExpansion.from_json({**obj, "order": 3})
