@@ -12,7 +12,8 @@ The rational continuation runs on the Gaussian-integer kernel of
 each approximant (a system whose pivot is at most ||A||_1 2^-(2 prec + 9)
 is singular, and the build moves one degree down), the Durand-Kerner
 rooting of its denominator (stopped when every correction is below
-2^(1 - prec), roots kept at the kernel width) and its partial fractions.
+2^(-31 - prec), roots kept at the kernel width, merged roots centered by
+Newton steps) and its partial fractions.
 A :class:`BorelSeries` keeps the approximants it has built.
 
 The Laplace step is closed-form for every k = a/b: tau = s^b turns it
@@ -51,9 +52,9 @@ from mpmath import mp
 from mpmath.libmp import repr_dps, to_str
 
 from .errors import ContinuationError, SectorError, SingularRayError
-from .scalars import (gi_abs, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_sub, gi_submul,
+from .scalars import (gi_abs, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_submul,
                       gi_to_mpc, gi_width, to_mpc, working_prec)
-from .transforms import _poly_roots
+from .transforms import _poly_roots, _taylor_hl
 
 TWO_PI = 2 * math.pi
 
@@ -224,11 +225,11 @@ class RationalApproximant:
         from dividing N(s^b) by D(s^b) on the Gaussian-integer kernel.  A
         simple pole has r_1 = R(c)/D'(c), by kernel Horner.  A pole of
         multiplicity m stands for m roots of D(s^b) that ``_poly_roots``
-        merged: its center is refined by a Newton step on the (m - 1)-th
-        derivative, where it is simple, and :func:`_cluster_fractions`
-        expands the m roots about it, exactly coincident or not.  A
-        non-finite coefficient, a pole at 0, or a cluster that does not
-        stand apart from the other poles raises ``ValueError``.
+        merged and centered, and :func:`_cluster_fractions` expands the m
+        roots about the center (for b > 1 about its b-th roots), exactly
+        coincident or not.  A non-finite coefficient, a pole at 0, or a
+        cluster that does not stand apart from the other poles raises
+        ``ValueError``.
         """
         if b in self._fractions:
             return self._fractions[b]
@@ -257,11 +258,6 @@ class RationalApproximant:
                 r = gi_div(_horner(rem_hl[0], z, w), _horner(den_hl[1], z, w), w)
                 fractions.append((gi_to_mpc(z), (gi_to_mpc(r),)))
                 continue
-            # one Newton step on D^(m-1), where c is simple: quadratic
-            # convergence from the cluster mean to the kernel width
-            step = gi_div(_horner(den_hl[m - 1], z, w),
-                          gi_mul(_horner(den_hl[m], z, w), (m, 0, 0), w), w)
-            z = gi_sub(z, step, w)
             dd = [gi_to_mpc(_horner(hl, z, w)) for hl in den_hl]
             rr = [gi_to_mpc(_horner(hl, z, w)) for hl in rem_hl]
             with mp.workprec(w):
@@ -357,13 +353,6 @@ def _spread(coeffs, b):
     out = [(0, 0, 0)] * ((len(coeffs) - 1) * b + 1)
     out[::b] = coeffs
     return out
-
-
-def _taylor_hl(coeffs, j, w):
-    """Kernel coefficients, highest degree first, of P^(j)/j! for the
-    polynomial P with kernel coefficients ``coeffs`` (lowest first): its
-    value at z is the j-th Taylor coefficient of P at z."""
-    return [gi_mul(c, (math.comb(i, j), 0, 0), w) for i, c in enumerate(coeffs)][j:][::-1]
 
 
 def _horner(coeffs_hl, z, w):
@@ -492,11 +481,14 @@ def _stable_poles(approximants, rel):
     return stable
 
 
-def continue_on_ray(b, theta, radii, method="pade", prec=None):
+def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
     """Continue the Borel series along arg tau = theta, sampling at the radii.
 
-    Samples the diagonal rational approximant; the per-sample error
-    estimate is the difference against the approximant of one lower order.
+    Samples the diagonal rational approximant at each of the ``radii``
+    (none by default: ``laplace_sum`` reads the approximants, not the
+    samples); the per-sample error estimate is the difference against the
+    approximant of one lower order.  A non-finite ``theta`` or radius, a
+    radius <= 0 and radii that do not increase raise ``ValueError``.
     A pole stable across the two orders (within ``RAY_MATCH_REL``) and
     within angular distance ``RAY_POLE_MARGIN`` of the ray raises
     :class:`SingularRayError`.  ``"pade"`` is the only continuation
@@ -508,12 +500,15 @@ def continue_on_ray(b, theta, radii, method="pade", prec=None):
     coeffs = b.coeffs
     if len(coeffs) < 8:
         raise ValueError("need at least 8 Borel coefficients to continue")
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"ray direction {theta} is not finite")
     radii = tuple(float(r) for r in radii)
-    if any(r <= 0 for r in radii) or any(b2 <= a2 for a2, b2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and strictly increasing")
+    if (not all(0 < r < math.inf for r in radii)
+            or any(b2 <= a2 for a2, b2 in zip(radii, radii[1:]))):
+        raise ValueError(f"radii {radii} must be finite, positive and strictly increasing")
     prec = working_prec(prec)
     with mp.workprec(prec):
-        theta = float(theta)
         m_star = (len(coeffs) - 1) // 2
         hi = b.approximant(m_star, prec)
         lo = b.approximant(m_star - 1, prec)
@@ -961,9 +956,7 @@ def p_k_sum(expansion, point, k, theta, prec=None):
                 f"> pi/(2k) + {SECTOR_SLACK}")
         spec = OneVarSeries(expansion.specialize(point))
         b = borel_transform(spec, k, prec=prec)
-        tmod = abs(t)
-        radii = [float(tmod * 2 ** j) for j in range(-1, 4)]
-        rc = continue_on_ray(b, theta, radii, prec=prec)
+        rc = continue_on_ray(b, theta, prec=prec)
         return laplace_sum(rc, k, t, prec=prec)
 
 
@@ -1005,12 +998,15 @@ def singular_directions(b, k=None, prec=None):
     ``DIRECTION_MATCH_REL`` relative distance) at every order, and reports
     the arguments of the cluster centers, deduplicated within 0.05 rad.  An
     empty report means no obstruction was detected (entire Borel
-    transform).  Runs at ``working_prec(prec)``.
+    transform).  A k other than the transform's ``b.k`` raises
+    ``ValueError``, as in ``laplace_sum``.  Runs at ``working_prec(prec)``.
     """
+    if k is not None and float(k) != b.k:
+        raise ValueError(f"k = {k} is not the k = {b.k} of the Borel transform")
     coeffs = b.coeffs
     if len(coeffs) < 16:
         raise ValueError("need at least 16 Borel coefficients")
-    k = float(k if k is not None else getattr(b, "k", 1.0))
+    k = b.k
     prec = working_prec(prec)
     with mp.workprec(prec):
         m0 = (len(coeffs) - 1) // 2

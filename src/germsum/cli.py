@@ -205,7 +205,7 @@ def _dispatch(args):
             series = _load_coeffs(args.input)
             b = borel_transform(series, args.k)
             t = parse_scalar(args.t)
-            rc = continue_on_ray(b, args.theta, [0.5, 1.0, 2.0, 4.0])
+            rc = continue_on_ray(b, args.theta)
             result = laplace_sum(rc, args.k, t)
         _emit(result.to_json())
     elif cmd == "directions":

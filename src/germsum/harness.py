@@ -202,7 +202,7 @@ def verify_ode_numeric(k, theta, t_samples, n_coeffs=48):
     """
     with mp.workprec(working_prec()):
         b = borel_transform(euler_borel_series(n_coeffs), k)
-        rc = continue_on_ray(b, theta, [0.25, 0.5, 1.0, 2.0])
+        rc = continue_on_ray(b, theta)
         phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
         worst = 0.0
         samples = []

@@ -174,26 +174,6 @@ def _root_str(v):
     return str(complex(float(z.real), float(z.imag)))
 
 
-def _cluster_roots(values, radius):
-    """Greedy clustering of approximate roots; multiplicity = cluster size.
-
-    A cluster's center is the mean of its members; a single root is its own
-    center, unrounded.
-    """
-    clusters = []  # [sum, size, center, max(1, |center|)]
-    for z in sorted(values, key=lambda w: (abs(w), mpmath.arg(w) if w != 0 else 0)):
-        for c in clusters:
-            if abs(z - c[2]) <= radius * c[3]:
-                c[0] += z
-                c[1] += 1
-                c[2] = c[0] / c[1]
-                c[3] = max(1, abs(c[2]))
-                break
-        else:
-            clusters.append([z, 1, z, max(1, abs(z))])
-    return [(c[2], c[1]) for c in clusters]
-
-
 def _float_seeds(poly):
     """float64 companion-matrix eigenvalues of a kernel polynomial (highest
     degree first) as kernel seeds, one per root.
@@ -219,7 +199,7 @@ def _float_seeds(poly):
     return [gi_from_mpc(mpmath.mpc(z), 60) for z in found]
 
 
-# Durand-Kerner sweeps before a polynomial counts as having a multiple root.
+# Durand-Kerner sweeps at most: near a multiple root the sweeps stall.
 _DK_SWEEPS = 200
 
 
@@ -230,22 +210,40 @@ def _below(z, k):
     return re * re + im * im < (1 << n) if n >= 0 else not (re or im)
 
 
+def _snap(z, tol):
+    """z with what lies below 2^tol set to zero: all of it, or one component
+    (as ``mpmath.polyroots`` does), so that roots on an axis land on it."""
+    re, im, e = z
+    if _below(z, tol):
+        return 0, 0, e
+    if im.bit_length() + e <= tol:
+        return re, 0, e
+    return (0 if re.bit_length() + e <= tol else re), im, e
+
+
+def _taylor_hl(coeffs, j, w):
+    """Kernel coefficients, highest degree first, of P^(j)/j! for the
+    polynomial P with kernel coefficients ``coeffs`` (lowest first): its
+    value at z is the j-th Taylor coefficient of P at z."""
+    return [gi_mul(c, (math.comb(i, j), 0, 0), w) for i, c in enumerate(coeffs)][j:][::-1]
+
+
 def _durand_kerner(poly, prec):
-    """All roots of a kernel polynomial (highest degree first), or None.
+    """All roots of a kernel polynomial (highest degree first).
 
     Runs on the monic polynomial at ``gi_width(prec)`` bits from
     :func:`_float_seeds`.  A sweep updates each root in turn by
     f(p) / prod(p - q) over the other roots q, one division per root; a
     zero difference is left out of the product.  The iteration stops when
-    every correction of a sweep is below 2^(-31 - prec) (absolute), and gives
-    up (None) after ``_DK_SWEEPS`` sweeps.  Components below that are then
-    set to zero, as ``mpmath.polyroots`` does, so that roots on an axis land
-    on it.  The 32 bits beyond the working precision are for close roots,
-    whose partial-fraction residues, of order one over their spread,
-    multiply any error of the roots: a snap at 2^(1 - prec) moved the
-    simple roots -1 and -(1 + 1e-9) of a Pade denominator by their
-    imaginary parts of 5e-46, and a k = 1 sum missed its reported error
-    tenfold.
+    every correction of a sweep is below 2^(-31 - prec) (absolute), or
+    after ``_DK_SWEEPS`` sweeps: near an m-fold root it converges only
+    linearly, and its m iterates stall at about 2^(-w/m) from it.  The
+    iterates are then snapped (:func:`_snap`) at 2^(-31 - prec).  The 32
+    bits beyond the working precision are for close roots, whose
+    partial-fraction residues, of order one over their spread, multiply any
+    error of the roots: a snap at 2^(1 - prec) moved the simple roots -1
+    and -(1 + 1e-9) of a Pade denominator by their imaginary parts of
+    5e-46, and a k = 1 sum missed its reported error tenfold.
     """
     w = gi_width(prec)
     monic = [GI_ONE] + [gi_div(c, poly[0], w) for c in poly[1:]]
@@ -265,18 +263,34 @@ def _durand_kerner(poly, prec):
             converged = converged and _below(step, tol)
         if converged:
             break
-    else:
-        return None
-    out = []
-    for re, im, e in roots:
-        if _below((re, im, e), tol):
-            re = im = 0
-        elif im.bit_length() + e <= tol:
-            im = 0
-        elif re.bit_length() + e <= tol:
-            re = 0
-        out.append((re, im, e))
-    return out
+    return [_snap(z, tol) for z in roots]
+
+
+def _refine_center(poly, values, prec, radius):
+    """The center of the merged roots ``values`` (mpc) of a kernel
+    polynomial (highest degree first), as an mpc at the kernel width.
+
+    From their mean at the ambient precision, Newton steps on P^(m - 1),
+    where an m-fold root is simple, run at the kernel width w until a step
+    is below 2^(-31 - prec), or for w steps, and the center is snapped like
+    a Durand-Kerner root.  A step that would leave the merge radius about
+    the mean (radius max(1, |mean|)) is not taken.
+    """
+    w, m, tol = gi_width(prec), len(values), -31 - prec
+    num, den = (_taylor_hl(poly[::-1], j, w) for j in (m - 1, m))
+    mean = mpmath.fsum(values) / m
+    z = gi_from_mpc(mean, w)
+    for _ in range(w):
+        d = gi_horner(den, z, w)
+        if not (d[0] or d[1]):
+            break
+        step = gi_div(gi_horner(num, z, w), gi_mul(d, (m, 0, 0), w), w)
+        if abs(gi_to_mpc(gi_sub(z, step, w)) - mean) > radius * max(1, abs(mean)):
+            break
+        z = gi_sub(z, step, w)
+        if _below(step, tol):
+            break
+    return gi_to_mpc(_snap(z, tol))
 
 
 def _poly_roots(coeffs_low_to_high, prec):
@@ -286,17 +300,20 @@ def _poly_roots(coeffs_low_to_high, prec):
     of :mod:`germsum.scalars` at ``2 * prec + 10`` bits, seeded by the float64
     companion-matrix eigenvalues of ``numpy.roots`` (Edelman and Murakami,
     Math. Comp. 64, 1995) on the coefficients scaled by a power of two.  It
-    stops when every correction of a sweep is below 2^(-31 - prec) (see
-    :func:`_durand_kerner`), and the roots are kept at the kernel width.
-    Where the iteration converges quadratically, the stopping sweep leaves a
-    root accurate to about twice as many bits; where it converges only
-    linearly (near a multiple root) a root is only about as accurate as the
-    stop.  When it does
-    not converge within 200 sweeps (a multiple root), the roots are the
-    eigenvalues of the companion matrix (``mpmath.eig``) at the kernel width,
-    where an m-fold root (m <= 8) spreads less than the merge radius below.
-    Roots within 2^-(prec/4) (relative) of each other are merged into one
-    with its multiplicity.
+    stops when every correction of a sweep is below 2^(-31 - prec), and the
+    roots are kept at the kernel width.  Where the iteration converges
+    quadratically, the stopping sweep leaves a root accurate to about twice
+    as many bits; near an m-fold root it stalls, and the m iterates spread
+    about 2^(-(2 prec + 10)/m) around it.  Roots are merged by single
+    linkage within 2^-(prec/4) (relative to max(1, |z|, |z'|)), decided at
+    the working precision, so an m-fold root merges while that spread stays
+    below the radius (m <= 8 at 128 bits).  Roots are listed by modulus,
+    then argument, each group at its first member; as the moduli ascend, a
+    root is compared only with the roots before it whose modulus is within
+    twice the radius (the factor 2 covers the rounding of the moduli).  A
+    merged group is one root with its multiplicity, centered by Newton
+    steps on the (m - 1)-th derivative (:func:`_refine_center`); a single
+    root is its iterate.
     """
     roots = []
     cs = list(coeffs_low_to_high)
@@ -315,20 +332,24 @@ def _poly_roots(coeffs_low_to_high, prec):
     w = gi_width(prec)
     with mp.workprec(w):
         poly = [gi_from_mpc(c, w) for c in reversed(cs)]
-    found = _durand_kerner(poly, prec)
-    if found is None:
-        with mp.workprec(w):
-            comp = mpmath.zeros(len(poly) - 1)
-            lead = to_mpc(cs[-1])
-            for i in range(len(poly) - 1):
-                comp[i, len(poly) - 2] = -to_mpc(cs[i]) / lead
-                if i > 0:
-                    comp[i, i - 1] = 1
-            found, _ = mpmath.eig(comp)
-    else:
-        found = [gi_to_mpc(z) for z in found]
+    radius = mpmath.ldexp(1, -(prec // 4))
     with mp.workprec(prec):
-        roots.extend(_cluster_roots(found, mpmath.mpf(2) ** (-(prec // 4))))
+        found = sorted(map(gi_to_mpc, _durand_kerner(poly, prec)),
+                       key=lambda z: (abs(z), mpmath.arg(z) if z != 0 else 0))
+        mods = [abs(z) for z in found]
+        label = list(range(len(found)))  # each root's group, by its first root
+        for i, z in enumerate(found):
+            reach = radius * max(1, mods[i])
+            for j in range(i - 1, -1, -1):
+                if mods[i] - mods[j] > 2 * reach:
+                    break
+                if abs(z - found[j]) <= reach:
+                    lo, hi = sorted((label[i], label[j]))
+                    label = [lo if x == hi else x for x in label]
+        for first in sorted(set(label)):
+            group = [z for z, x in zip(found, label) if x == first]
+            m = len(group)
+            roots.append((_refine_center(poly, group, prec, radius) if m > 1 else group[0], m))
     return roots
 
 

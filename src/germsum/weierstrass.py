@@ -410,7 +410,12 @@ class PExpansion:
 
 
 def p_expand(f, germ, depth):
-    """Expand f in powers of the germ: levels 0..depth-1 of f modulo P - t."""
+    """Expand f in powers of the germ: levels 0..depth-1 of f modulo P - t.
+
+    A negative ``depth`` raises ``ValueError``.
+    """
+    if depth < 0:
+        raise ValueError(f"expansion depth {depth} is negative")
     return PExpansion(germ, _eliminate(f, germ, depth)[:depth], f.trunc)
 
 

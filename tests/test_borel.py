@@ -83,10 +83,24 @@ class TestContinuation:
         b = borel_transform(euler_series(), 1)
         with pytest.raises(ValueError):
             continue_on_ray(b, 0.0, [2.0, 1.0])
+        # a nan radius sampled a nan value and a nan error, an inf one a nan value
+        for radii in ([1.0, math.nan], [math.inf], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="radii"):
+                continue_on_ray(b, 0.0, radii)
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="direction"):
+                continue_on_ray(b, theta)
         with pytest.raises(ValueError):
             continue_on_ray(BorelSeries(1.0, (mpmath.mpc(1),) * 4), 0.0, [1.0])
         with pytest.raises(ValueError):
             continue_on_ray(b, 0.0, [1.0, 2.0], method="taylor")
+
+    def test_no_samples_by_default(self):
+        rc = continue_on_ray(borel_transform(euler_series(), 1), 0.0)
+        assert rc.radii == rc.values == rc.errors == ()
+        t = mpmath.mpf("0.1")
+        res = laplace_sum(rc, 1, t)
+        assert abs(res.value - euler_oracle(t)) <= res.total_error
 
     def test_degenerate_pade_reduces(self):
         # exactly geometric coefficients make the full Toeplitz system
@@ -473,18 +487,42 @@ class TestLaplace:
                 assert abs(res.value - exact) <= res.total_error
 
     def test_crowded_cluster_refused(self):
-        # roots 2e-10 apart, merged (within 2^-32 of their mean), and a third
-        # 2.5e-10 from that mean, not merged: the pair does not stand apart
-        # from it, and the split refuses to expand it
+        # roots 2e-10 apart, merged (within 2^-32 of each other), and a third
+        # 3e-10 from the nearer of them, not merged: the pair does not stand
+        # apart from it, and the split refuses to expand it
         with mp.workprec(512):
             den = [mpmath.mpc(1)]
-            for z in (-1, -1 - mpmath.mpf("2e-10"), -1 - mpmath.mpf("3.5e-10")):
+            for z in (-1, -1 - mpmath.mpf("2e-10"), -1 - mpmath.mpf("5e-10")):
                 # times (tau - z) / (-z)
                 den = [(y - z * x) / -z for x, y in zip(den + [0], [0] + den)]
         appr = RationalApproximant([mpmath.mpc(1)], den, 128)
         assert sorted(mult for _, mult in appr.raw_poles()) == [1, 2]
         with pytest.raises(ValueError):
             appr.partial_fractions()
+
+    def test_chained_triple_sums_as_a_cluster(self):
+        # poles -1, -1 - 2e-10 and -1 - 3.5e-10 link in a chain (each within
+        # 2^-32 of the next, the ends not) and sum as one cluster of three,
+        # beside 0.5 + 1.5i.  Merged about a running mean, the third root
+        # stayed apart and the split refused the pair; the oracle is the
+        # closed form on the exact poles, as in the test above
+        with mp.workprec(512):
+            poles = [(-1, 1), (-1 - mpmath.mpf("2e-10"), 2), (-1 - mpmath.mpf("3.5e-10"), -1),
+                     (mpmath.mpc(0.5, 1.5), 1)]
+        coeffs = pole_transform_coeffs(poles, 1, 40, 512)
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), 0.0)
+        assert sorted(mult for _, mult in rc._hi.raw_poles())[-2:] == [1, 3]
+        with mp.workprec(128):
+            t = mpmath.mpf("0.2")
+        for derivative in (False, True):
+            res = laplace_sum(rc, 1, t, derivative=derivative, eps=1)
+            with mp.workprec(320):
+                exact = 0
+                for p, r in poles:
+                    q = to_mpc(p) / t
+                    j = mpmath.exp(-q) * mpmath.e1(-q)
+                    exact -= to_mpc(r) * (q / t * ((q - 1) * j + 1) if derivative else q * j)
+                assert abs(res.value - exact) <= res.total_error
 
     @pytest.mark.parametrize("prec", [64, 128])
     def test_jet_bound_tracks_its_error(self, prec):
@@ -841,6 +879,16 @@ class TestPKSum:
         with pytest.raises(SectorError):
             p_k_sum(exp, (Fraction(-1, 10), Fraction(1, 10)), 1, 0.0)
 
+    def test_samples_no_ray(self, monkeypatch):
+        # the Laplace step reads the approximants, never samples of the ray
+        def refuse(self, tau):
+            raise AssertionError("sampled the continuation")
+        monkeypatch.setattr(RationalApproximant, "__call__", refuse)
+        germ = Germ(TS(2, 10, {(1, 1): 1}), MonomialOrder((1, 1)))
+        exp = PExpansion(germ, [TS.one(2, 10)] * 10, 10)
+        res = p_k_sum(exp, (Fraction(1, 10), Fraction(1, 5)), 1, 0.0)
+        assert abs(res.value - 1 / (1 - mpmath.mpf("0.02"))) < 1e-12
+
     def test_germ_zero_refused(self):
         germ = Germ(TS(2, 10, {(1, 1): 1}), MonomialOrder((1, 1)))
         exp = PExpansion(germ, [TS.one(2, 10)] * 10, 10)
@@ -902,6 +950,13 @@ class TestSingularDirections:
     def test_minimum_coefficients(self):
         with pytest.raises(ValueError):
             singular_directions(borel_transform(OneVarSeries([1] * 8), 1), 1)
+
+    def test_k_of_the_transform(self):
+        # another k was reported as the report's k
+        b = borel_transform(euler_borel_series(32), 1)
+        with pytest.raises(ValueError, match="k = 2"):
+            singular_directions(b, 2)
+        assert singular_directions(b).k == singular_directions(b, 1).k == 1.0
 
 
 class TestInvariants:

@@ -260,6 +260,13 @@ def test_usage_errors(files, capsys, tmp_path):
     assert "at least 16 Borel coefficients" in capsys.readouterr().err
     assert cli_main(["borel-sum", c, "--k", "-1", "--theta", "3.1", "--t=-0.2"]) == 2
     assert capsys.readouterr().err.startswith("germsum: summability index k")
+    # a negative depth is a usage error, not a traceback with the exit code of a failed check
+    for argv in (["expand", "--germ", p, "--order", "1,1", "--depth", "-1", f],
+                 ["gevrey", "--germ", p, "--order", "1,1", "--depth", "-1", f],
+                 ["borel-sum", f, "--germ", p, "--order", "1,1", "--depth", "-1",
+                  "--point", "0.1,0.1", "--theta", "0"]):
+        assert cli_main(argv) == 2, argv
+        assert "depth -1" in capsys.readouterr().err, argv
     # series arithmetic is floored at DEFAULT_PREC_BITS: a lower --prec is refused
     from germsum.scalars import DEFAULT_PREC_BITS
     assert cli_main(["--prec", "64", "blowup", "--xi", "0", p]) == 2

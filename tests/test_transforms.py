@@ -10,6 +10,7 @@ from germsum import transforms
 from germsum.borel import borel_transform, build_approximant
 from germsum.errors import DimensionMismatchError
 from germsum.harness import euler_borel_series
+from germsum.scalars import QQi
 from germsum.series import MonomialOrder, TruncatedSeries, v_ell
 from germsum.transforms import (INFINITY, blowup, chart_shift,
                                 dominant_data, ramify, rotation_average)
@@ -170,24 +171,34 @@ class TestDominantData:
         assert m == 2 and abs(mpmath.mpc(v) - 1) < 1e-25
 
     def test_triple_root(self):
-        # (x1 + x2)^3: the triple root at -1 merges into one root of
-        # multiplicity 3, whichever of Durand-Kerner and the eigenvalue
-        # fallback found it
+        # (x1 + x2)^3: the three Durand-Kerner iterates near -1 merge into
+        # one root of multiplicity 3
         dd = dominant_data(TS(2, 6, {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}), None)
         assert len(dd.roots) == 1
         v, m = dd.roots[0]
         assert m == 3 and abs(mpmath.mpc(v) + 1) < 1e-20
 
-    @pytest.mark.parametrize("m", [4, 5, 6])
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_high_multiplicity_root(self, m):
-        # (x1 + x2)^m: Durand-Kerner does not converge on the m-fold root, and
-        # the eigenvalue fallback must resolve it finely enough to merge it; at
-        # the working precision it came back as m simple roots (about 1e-6 apart at m = 6)
+        # (x1 + x2)^m: Durand-Kerner stalls on the m-fold root, its iterates
+        # about 2^(-266/m) from -1 (2-5e-10 at m = 8, beside the 2.3e-10
+        # radius), and single linkage must merge them; a greedy pass about
+        # the running mean returned m = 8 as [1, 7]
         p = TS(2, m, {(i, m - i): comb(m, i) for i in range(m + 1)})
         dd = dominant_data(p, None)
         assert len(dd.roots) == 1
         v, mult = dd.roots[0]
         assert mult == m and abs(mpmath.mpc(v) + 1) < 1e-20
+
+    def test_merged_center_refined(self):
+        # (x1 - 2 x2)^5: the five iterates merge, and Newton steps on the
+        # fourth derivative put the center within 2^(-2 prec) of 1/2 (the
+        # mean of the iterates erred by 1e-51 to 1e-60)
+        prec = 128
+        p = TS(2, 5, {(5 - i, i): comb(5, i) * (-2) ** i for i in range(6)})
+        (v, mult), = dominant_data(p, None, prec=prec).roots
+        with mp.workprec(4 * prec):
+            assert mult == 5 and abs(mpmath.mpc(v) - mpmath.mpf(1) / 2) <= mpmath.ldexp(1, -2 * prec)
 
     def test_multiplicity_sum_is_h(self):
         rng = random.Random(47)
@@ -273,3 +284,16 @@ class TestPolyRoots:
         with mp.workprec(4 * self.PREC):  # wide enough to scale exactly
             scaled = [c * mpmath.mpf(2) ** 1100 for c in den]
         assert transforms._poly_roots(scaled, self.PREC) == transforms._poly_roots(den, self.PREC)
+
+    def test_multiple_roots_merge_beside_simple_ones(self):
+        # (z + 1)^7 (z - 1/2) (z + 3) (z - 1 - i) with exact QQi coefficients:
+        # the stalled iterates of the sevenfold root merge into one root,
+        # and the simple roots stay apart, listed by modulus
+        poly = [QQi(1)]
+        for r in [QQi(-1)] * 7 + [QQi(Fraction(1, 2)), QQi(-3), QQi(1, 1)]:
+            poly = [a - r * b for a, b in zip([QQi(0)] + poly, poly + [QQi(0)])]
+        roots = transforms._poly_roots(poly, self.PREC)
+        assert [m for _, m in roots] == [1, 7, 1, 1]
+        with mp.workprec(2 * self.PREC):
+            for (v, _), z in zip(roots, (0.5, -1, 1 + 1j, -3)):
+                assert abs(mpmath.mpc(v) - z) <= mpmath.ldexp(1, -self.PREC)

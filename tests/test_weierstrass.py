@@ -434,6 +434,12 @@ class TestPExpand:
             assert exp.reliable_order(n) == 12 - 3 * n
             assert exp.coeffs[n].trunc == max(12 - 3 * n, -1)
 
+    def test_negative_depth_refused(self, cusp_germ):
+        # it ended in an IndexError from the elimination
+        with pytest.raises(ValueError, match="depth -1"):
+            p_expand(TS(2, 6, {(1, 0): 1}), cusp_germ, -1)
+        assert p_expand(TS(2, 6, {(1, 0): 1}), cusp_germ, 0).coeffs == ()
+
     def test_oracle_equivalence_small(self):
         # the acceptance suite runs the exhaustive version; spot-check here
         germ = Germ(TS(2, 6, {(0, 2): 1, (3, 0): -1}), MonomialOrder((1, 2)))
