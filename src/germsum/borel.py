@@ -9,11 +9,11 @@ there reduces germ-relative summation to this one-variable machinery.
 
 The rational continuation runs on the Gaussian-integer kernel of
 :mod:`germsum.scalars` at ``2 * prec + 10`` bits: the Toeplitz solve of
-each approximant (a system whose pivot is at most ||A||_1 2^-(2 prec + 9)
-is singular, and the build moves one degree down), the Durand-Kerner
-rooting of its denominator (stopped when every correction is below
-2^(-31 - prec), roots kept at the kernel width, merged roots centered by
-Newton steps) and its partial fractions.
+each approximant (which stops at the numerical rank of the data, the
+pivots above ||A||_1 2^(16 - d) for data accurate to d bits, and solves
+at that degree), the Durand-Kerner rooting of its denominator (stopped
+when every correction is below 2^(-31 - prec), roots kept at the kernel
+width, merged roots centered by Newton steps) and its partial fractions.
 A :class:`BorelSeries` keeps the approximants it has built.
 
 The Laplace step is closed-form for every k = a/b: tau = s^b turns it
@@ -37,9 +37,10 @@ four points: the value and the derivative at one t, and the two rays of a
 Stokes pair, compute G once per pole.
 
 Error reporting is split and mandatory: the continuation error is the
-difference between two consecutive approximant orders propagated through
-the same Laplace step.  The quadrature error is the bound on rounding in
-evaluating the closed form.
+difference between two approximants fitted to different coefficient
+windows (consecutive orders, or [nu/nu] and [nu + 1/nu] when the data's
+rank nu cuts both) propagated through the same Laplace step.  The
+quadrature error is the bound on rounding in evaluating the closed form.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from mpmath.libmp import repr_dps, to_str
 
 from .errors import ContinuationError, SectorError, SingularRayError
 from .scalars import (gi_abs, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_submul,
-                      gi_to_mpc, gi_width, to_mpc, working_prec)
+                      gi_to_mpc, gi_width, is_exact, to_mpc, working_prec)
 from .transforms import _poly_roots, _taylor_hl
 
 TWO_PI = 2 * math.pi
@@ -99,23 +100,34 @@ class OneVarSeries:
 class BorelSeries:
     """Coefficients b_n = a_n / Gamma(1 + n/k).
 
-    ``approximant`` builds each diagonal approximant once per series: the
-    rays of a Stokes pair and ``singular_directions`` share them.
+    ``exact`` records that every a_n was exact (an int, Fraction or
+    ``QQi``), so that the b_n are accurate to their rounding at twice the
+    working precision; the b_n of rounded a_n are taken as accurate to the
+    working precision.  ``approximant`` keeps each approximant under the
+    order it resolves to: the rays of a Stokes pair and
+    ``singular_directions`` share them.
     """
     k: float
     coeffs: tuple
+    exact: bool = False
     _approximants: dict = field(default_factory=dict, init=False, compare=False,
                                 repr=False)
 
     def __len__(self):
         return len(self.coeffs)
 
-    def approximant(self, m, prec):
-        """``build_approximant(self.coeffs, m, prec)``, built on first use."""
-        key = (m, prec)
-        if key not in self._approximants:
-            self._approximants[key] = build_approximant(self.coeffs, m, prec)
-        return self._approximants[key]
+    def approximant(self, m, prec, excess=0):
+        """``build_approximant(self.coeffs, m, prec, self.exact, excess)``,
+        built on first use and shared by every request that resolves to
+        its order."""
+        # keyed both by the request (m, excess, prec) and by ((n, m), prec)
+        request = (m, excess, prec)
+        appr = self._approximants.get(request)
+        if appr is None:
+            appr = build_approximant(self.coeffs, m, prec, self.exact, excess)
+            appr = self._approximants.setdefault((appr.order, prec), appr)
+            self._approximants[request] = appr
+        return appr
 
 
 def borel_transform(series, k, prec=None):
@@ -124,7 +136,9 @@ def borel_transform(series, k, prec=None):
     Twice, because the rational continuation solves at that precision:
     coefficients rounded to the working precision would hand the fit a
     noise of 2^-prec, which a badly conditioned fit (poles close together)
-    amplifies past every error the sum reports.
+    amplifies past every error the sum reports.  Whether every input
+    coefficient is exact is recorded as ``BorelSeries.exact``: the fit
+    counts exact data as accurate to 2 prec bits, rounded data to prec.
     """
     if not k > 0:
         raise ValueError("summability index k must be positive")
@@ -134,7 +148,7 @@ def borel_transform(series, k, prec=None):
         kk = mpmath.mpf(k)
         out = tuple(to_mpc(a) / mpmath.gamma(1 + mpmath.mpf(n) / kk)
                     for n, a in enumerate(coeffs))
-    return BorelSeries(float(k), out)
+    return BorelSeries(float(k), out, all(is_exact(a) for a in coeffs))
 
 
 # -- rational (Pade-type) continuation ---------------------------------------
@@ -193,10 +207,12 @@ class RationalApproximant:
 
         The Newton step ``|N(p)/N'(p)|``, by kernel Horner at the kernel
         width, estimates the distance from p to the nearest zero of N
-        without rooting N.  On the benchmark's ray-sum
-        inputs it is <= 1e-35 max(1, |p|) at every doublet and >= 1e-3
-        max(1, |p|) at every kept pole, so it keeps exactly the poles that
-        rooting N would keep.
+        without rooting N.  A fit at the data's rank has no doublets: on
+        the benchmark's ray-sum inputs (seeds 1, 7, 1001 and 3031, 694
+        poles) the step is >= 1e-3 max(1, |p|) at every pole.  Doublets
+        remain where the data carry noise above their stated accuracy; when
+        the fit ran past the rank, the same inputs had 474 doublets, each
+        with a step <= 1e-36 max(1, |p|).
         """
         w = gi_width(self.prec)
         num = [gi_from_mpc(c, w) for c in self.num]
@@ -360,42 +376,49 @@ def _horner(coeffs_hl, z, w):
     return gi_horner(coeffs_hl, z, w) if coeffs_hl else (0, 0, 0)
 
 
-def _toeplitz_solve(a, m, w):
-    """Minus the denominator, -q_1..-q_m, of the [m/m] Pade approximant, or
-    None when the system is singular.
+def _toeplitz_solve(a, n, m, w, bits):
+    """``(rank, x)``: the numerical rank of the denominator system of the
+    [n/m] Pade approximant and, when it is m, the solution x_i = -q_i
+    (i = 1..m), else None.
 
-    Solves sum_i a[m + j + 1 - i] x_i = a[m + 1 + j] (j = 0..m-1, i = 1..m)
+    Solves sum_i a[n + j + 1 - i] x_i = a[n + 1 + j] (j = 0..m-1, i = 1..m)
     for kernel coefficients ``a`` by Gaussian elimination at w bits, with
-    the decisions of ``mpmath.lu_solve``: the pivot of a column is the
-    entry largest relative to the sum of its row, and the system is
-    numerically singular (None) when such a row sum or the pivot is at most
-    ||A||_1 2^(1 - w).  Magnitudes are floats relative to the largest
+    the pivot choice of ``mpmath.lu_solve``: the pivot of a column is the
+    entry largest relative to the sum of its row.  A row sum or pivot at
+    most ||A||_1 2^bits counts as zero, so a column whose pivot is that
+    small depends on the columns before it (within the data's noise when
+    2^bits lies above it): it is skipped, and the rank is the number of
+    pivots.  Magnitudes are floats relative to the largest
     coefficient (``gi_abs``).
     """
-    rows = [[a[m + j - i] for i in range(m)] + [a[m + 1 + j]] for j in range(m)]
-    top = max(gi_mag(x) for x in a[1:2 * m])
+    if m == 0:
+        return 0, []
+    rows = [[a[n + j - i] for i in range(m)] + [a[n + 1 + j]] for j in range(m)]
+    top = max(gi_mag(x) for x in a[n + 1 - m:n + m])
     if top == -math.inf:
-        return None
+        return 0, None
     mags = [[gi_abs(x, top) for x in row[:m]] for row in rows]
-    tol = math.ldexp(max(sum(col) for col in zip(*mags)), 1 - w)
+    tol = math.ldexp(max(sum(col) for col in zip(*mags)), bits)
+    rank = 0
     for j in range(m):
         best, piv = 0.0, None
-        for k in range(j, m):
+        for k in range(rank, m):
             s = math.fsum(mags[k][j:])
-            if s <= tol:
-                return None
-            if mags[k][j] / s > best:
+            if s > tol and mags[k][j] / s > best:
                 best, piv = mags[k][j] / s, k
         if piv is None or mags[piv][j] <= tol:
-            return None
-        rows[j], rows[piv] = rows[piv], rows[j]
-        mags[j], mags[piv] = mags[piv], mags[j]
-        head = rows[j]
-        for row, mag in zip(rows[j + 1:], mags[j + 1:]):
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        mags[rank], mags[piv] = mags[piv], mags[rank]
+        head = rows[rank]
+        for row, mag in zip(rows[rank + 1:], mags[rank + 1:]):
             f = gi_div(row[j], head[j], w)
             for k in range(j + 1, m + 1):
                 row[k] = gi_submul(row[k], f, head[k], w)
             mag[j + 1:] = [gi_abs(x, top) for x in row[j + 1:m]]
+        rank += 1
+    if rank < m:
+        return rank, None
     q = [None] * m
     for j in range(m - 1, -1, -1):
         row = rows[j]
@@ -403,50 +426,62 @@ def _toeplitz_solve(a, m, w):
         for k in range(j + 1, m):
             acc = gi_submul(acc, row[k], q[k], w)
         q[j] = gi_div(acc, row[j], w)
-    return q
+    return m, q
 
 
-def build_approximant(coeffs, m=None, prec=None):
-    """Diagonal Pade approximant [m/m] (default: the largest the coefficients allow).
+# Bits between the accuracy of the Borel data and the pivot that the
+# Toeplitz solve still counts: ||A||_1 2^(_RANK_MARGIN - accuracy).
+_RANK_MARGIN = 16
+
+
+def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
+    """Pade approximant [nu + excess/nu] (``excess`` 0 or 1), nu <= m (default:
+    the largest m the coefficients allow) the numerical rank of the data.
 
     The coefficients are rounded to twice the working precision, and the
     Toeplitz system of the denominator is solved on the Gaussian-integer
     kernel of :mod:`germsum.scalars` at ``2 * prec + 10`` bits
     (:func:`_toeplitz_solve`), by elimination with partial pivoting.  A
-    numerically singular system (a pivot, or a row sum of the remaining
-    matrix, at most ||A||_1 2^-(2 prec + 9): exactly rational input of
-    lower true degree) moves on to the next lower degree; when no
-    degree >= 1 works the approximant is the constant term (at twice the
+    pivot at most ||A||_1 2^(16 - d) counts as zero, d being the accuracy
+    of the data: 2 prec bits when ``exact`` (the default when every
+    coefficient is an int, Fraction or ``QQi``), else prec bits.  The
+    approximant is solved at the rank nu of the order-m system (again at
+    the rank of the order-nu system, until it has full rank): a rounded
+    rational function of lower degree is fitted at its true degree, not
+    with pole-zero doublets that fit the rounding.  At nu = 0 the
+    approximant is the polynomial a_0 + ... + a_excess (at twice the
     working precision, like every coefficient).  A non-finite coefficient
     raises ``ValueError``.
     """
     prec = working_prec(prec)
-    top = (len(coeffs) - 1) // 2
+    top = (len(coeffs) - 1 - excess) // 2
     m = top if m is None else max(0, min(m, top))
+    if exact is None:
+        exact = all(is_exact(x) for x in coeffs)
+    bits = _RANK_MARGIN - (2 * prec if exact else prec)
     w = gi_width(prec)
     with mp.workprec(2 * prec):
-        c = [to_mpc(x) for x in coeffs]
-    a = [gi_from_mpc(x, w) for x in c]
-    for mm in range(m, 0, -1):
-        x = _toeplitz_solve(a, mm, w)
-        if x is None:
-            continue
-        # p_i = a_i + sum_j q_j a_(i-j) with q_j = -x_j
-        num = []
-        for i in range(mm + 1):
-            acc = a[i]
-            for j in range(1, i + 1):
-                acc = gi_submul(acc, x[j - 1], a[i - j], w)
-            num.append(acc)
-        den = [mpmath.mpc(1)] + [gi_to_mpc((-re, -im, e)) for re, im, e in x]
-        return RationalApproximant([gi_to_mpc(c) for c in num], den, prec)
-    return RationalApproximant([c[0]], [mpmath.mpc(1)], prec)
+        a = [gi_from_mpc(to_mpc(x), w) for x in coeffs]
+    while True:
+        m, x = _toeplitz_solve(a, m + excess, m, w, bits)
+        if x is not None:
+            break
+    # p_i = a_i + sum_j q_j a_(i-j) with q_j = -x_j
+    num = []
+    for i in range(m + excess + 1):
+        acc = a[i]
+        for j in range(1, min(i, m) + 1):
+            acc = gi_submul(acc, x[j - 1], a[i - j], w)
+        num.append(acc)
+    den = [mpmath.mpc(1)] + [gi_to_mpc((-re, -im, e)) for re, im, e in x]
+    return RationalApproximant([gi_to_mpc(c) for c in num], den, prec)
 
 
 @dataclass(frozen=True)
 class RayContinuation:
     """Samples of the continued Borel transform along a ray, plus the two
-    approximants (orders m and m - 1) that ``laplace_sum`` transforms at ``k``."""
+    approximants (orders m and m - 1, or [nu/nu] and [nu + 1/nu] when the
+    data's rank nu cuts both) that ``laplace_sum`` transforms at ``k``."""
     k: float
     direction: float
     radii: tuple
@@ -487,8 +522,11 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
     Samples the diagonal rational approximant at each of the ``radii``
     (none by default: ``laplace_sum`` reads the approximants, not the
     samples); the per-sample error estimate is the difference against the
-    approximant of one lower order.  A non-finite ``theta`` or radius, a
-    radius <= 0 and radii that do not increase raise ``ValueError``.
+    approximant of one lower order.  When the data's rank nu cuts both
+    orders to [nu/nu], the lower one is [nu + 1/nu]: the same denominator
+    degree fitted to one more coefficient.  A non-finite ``theta`` or
+    radius, a radius <= 0 and radii that do not increase raise
+    ``ValueError``.
     A pole stable across the two orders (within ``RAY_MATCH_REL``) and
     within angular distance ``RAY_POLE_MARGIN`` of the ray raises
     :class:`SingularRayError`.  ``"pade"`` is the only continuation
@@ -512,6 +550,10 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
         m_star = (len(coeffs) - 1) // 2
         hi = b.approximant(m_star, prec)
         lo = b.approximant(m_star - 1, prec)
+        if lo is hi:
+            # the data cut both orders to one rank nu: the lower fit is
+            # [nu + 1/nu], the same denominator degree on one more coefficient
+            lo = b.approximant(hi.order[1], prec, excess=1)
         poles = tuple(p for p, _ in _stable_poles((hi, lo), RAY_MATCH_REL))
         for p in poles:
             if abs(_angdiff(mpmath.arg(p), theta)) < RAY_POLE_MARGIN:
@@ -994,7 +1036,8 @@ def singular_directions(b, k=None, prec=None):
     """Directions obstructed by cross-order-stable poles of the continuation.
 
     Builds rational approximants at ``DIRECTION_ORDERS`` consecutive
-    denominator degrees, keeps only poles reproduced (within
+    denominator degrees (one approximant when the data's rank cuts them all
+    to it), keeps only poles reproduced (within
     ``DIRECTION_MATCH_REL`` relative distance) at every order, and reports
     the arguments of the cluster centers, deduplicated within 0.05 rad.  An
     empty report means no obstruction was detected (entire Borel

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GermsumError
 from .series import majorant_norm, majorant_radius
 
@@ -73,8 +71,12 @@ def fit_gevrey(ns, n_min=5):
     Entries with zero norm are excluded (they would bias sparse
     expansions); the fit keeps the original index n so that interleaved
     zeros still estimate the correct order.  Negative fitted s is clamped
-    to 0 and flagged as convergent-type.
+    to 0 and flagged as convergent-type.  numpy is imported here, its one
+    use in the module, so that a command that fits nothing does not pay
+    for the import.
     """
+    import numpy as np
+
     rows = [(n, math.log(x)) for n, (x, z) in enumerate(zip(ns.norms, ns.zero_mask))
             if n >= n_min and not z]
     if len(rows) < 4:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy
 from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
@@ -183,7 +182,11 @@ def _float_seeds(poly):
     float64 (one far below the largest underflows to 0).  When numpy
     returns fewer finite eigenvalues than the degree (a leading coefficient
     underflowed) or fails, the rest are Durand-Kerner's usual (0.4 + 0.9i)^n.
+    numpy is imported here, its one use in the module, so that a command
+    that roots nothing does not pay for the import.
     """
+    import numpy
+
     top = max(gi_mag(c) for c in poly)
     coeffs = []
     for c in poly:

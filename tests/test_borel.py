@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 from math import factorial
@@ -125,8 +126,10 @@ class TestContinuation:
 
 
 class TestFroissartFilter:
-    # g(tau) = sum r p / (p - tau): a [1/2] rational Borel transform whose
-    # [15/15] approximant carries 13 pole-zero doublets besides the true poles
+    # g(tau) = sum r p / (p - tau): a [1/2] rational Borel transform.  From
+    # coefficients rounded to 128 bits the fit stops at the two true poles;
+    # the same coefficients moved by about 2^-100, a noise above the cut of
+    # 128-bit data, give a fit that follows the noise with pole-zero doublets
     POLES = ((mpmath.mpc(1.5, 1.0), 2), (mpmath.mpc(-2, 0.5), -1))
 
     @classmethod
@@ -134,14 +137,22 @@ class TestFroissartFilter:
         with mp.workprec(128):
             return [sum(r * p ** (-n) for p, r in cls.POLES) for n in range(32)]
 
+    @classmethod
+    def noisy_coeffs(cls):
+        rng = random.Random(1)
+        with mp.workprec(128):
+            noise = mpmath.ldexp(1, -100)
+            return [c * (1 + noise * mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                    for c in cls.coeffs()]
+
     def top_approximant(self):
         return build_approximant(self.coeffs())
 
     def test_keeps_exactly_the_true_poles(self):
         appr = self.top_approximant()
-        assert appr.order == (15, 15)
+        assert appr.order == (2, 2)
         kept = [p for p, _ in appr.filtered_poles()]
-        assert len(kept) == 2
+        assert kept == [p for p, _ in appr.raw_poles()]
         with mp.workprec(128):
             for p, _ in self.POLES:
                 assert min(abs(q - p) for q in kept) < 1e-20
@@ -149,11 +160,14 @@ class TestFroissartFilter:
     def test_decisions_match_numerator_roots(self):
         # the oracle roots the numerator and drops a pole with a zero
         # within FROISSART_REL of it
-        appr = self.top_approximant()
+        appr = build_approximant(self.noisy_coeffs())
         kept = [p for p, _ in appr.filtered_poles()]
         raw = [p for p, _ in appr.raw_poles()]
-        assert len(raw) == 15
+        assert len(raw) == appr.order[1] >= 8
+        assert len(kept) == 2
         with mp.workprec(appr.prec):
+            for p, _ in self.POLES:
+                assert min(abs(q - p) for q in kept) < 1e-20
             zeros = mpmath.polyroots(appr.num[::-1], maxsteps=200, extraprec=appr.prec)
             for p in raw:
                 near = min(abs(p - z) for z in zeros) < FROISSART_REL * max(1, abs(p))
@@ -170,13 +184,15 @@ class TestFroissartFilter:
             return real(*args)
 
         monkeypatch.setattr(germsum.borel, "_poly_roots", counting)
+        # b_n = (-1)^n: the ray's pair is [1/1] and [2/1], one root each
         b = borel_transform(euler_series(32), 1)
         continue_on_ray(b, 0.0, [1.0, 2.0])
         assert len(calls) == 2
         calls.clear()
-        # the series keeps the two approximants the ray built: one new order
+        # every order singular_directions asks for resolves to the rank 1 the
+        # series keeps: nothing is rooted again
         singular_directions(b, 1)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
 
 def three_pole_coeffs(n):
@@ -505,11 +521,12 @@ class TestLaplace:
         # 2^-32 of the next, the ends not) and sum as one cluster of three,
         # beside 0.5 + 1.5i.  Merged about a running mean, the third root
         # stayed apart and the split refused the pair; the oracle is the
-        # closed form on the exact poles, as in the test above
-        with mp.workprec(512):
-            poles = [(-1, 1), (-1 - mpmath.mpf("2e-10"), 2), (-1 - mpmath.mpf("3.5e-10"), -1),
-                     (mpmath.mpc(0.5, 1.5), 1)]
-        coeffs = pole_transform_coeffs(poles, 1, 40, 512)
+        # closed form on the exact poles, as in the test above.  The input is
+        # exact, so the fit resolves all four poles (from mpc data, taken as
+        # accurate to 128 bits, it models the triple by fewer)
+        poles = [(QQi(-1), 1), (QQi(-1 - Fraction(2, 10 ** 10)), 2),
+                 (QQi(-1 - Fraction(35, 10 ** 11)), -1), (QQi(Fraction(1, 2), Fraction(3, 2)), 1)]
+        coeffs = rational_pole_coeffs(poles, 40)
         rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), 0.0)
         assert sorted(mult for _, mult in rc._hi.raw_poles())[-2:] == [1, 3]
         with mp.workprec(128):
@@ -700,8 +717,9 @@ def exact_lower_degree_coeffs(draw):
     1/p is a nonzero Gaussian integer of modulus <= 5 and r a dyadic
     rational, so every coefficient is held exactly at 2 prec >= 128 bits and
     the Toeplitz system of each order above the number of distinct poles
-    is exactly singular.  (On rounded inputs neither the kernel nor
-    ``mpmath.lu_solve`` can tell a lower true degree from rounding noise.)
+    is exactly singular.  (On rounded inputs ``mpmath.lu_solve`` cannot
+    tell a lower true degree from rounding noise; the kernel stops where
+    the pivots fall below the noise of the data's accuracy.)
     """
     invs = [QQi(draw(st.integers(-4, 4)), draw(st.integers(-3, 3)))
             for _ in range(draw(st.integers(1, 4)))]
@@ -725,7 +743,14 @@ class TestToeplitzSolve:
         exact_lower_degree_coeffs()))
     def test_degenerate_input_settles_like_pade(self, prec, coeffs):
         m = (len(coeffs) - 1) // 2
-        assert build_approximant(coeffs, m, prec).order[1] == pade_step_down(coeffs, m, prec)[0]
+        order = build_approximant(coeffs, m, prec).order[1]
+        if isinstance(coeffs[0], mpmath.mpc) and prec <= 128:
+            # rounded to 128 bits and taken as accurate to prec: the rounding
+            # lies below the cut 2^(16 - prec), and the fit stops at the
+            # true degree, where a step-down of mpmath.pade fits the noise
+            assert order == 2
+        else:
+            assert order == pade_step_down(coeffs, m, prec)[0]
 
     @pytest.mark.parametrize("prec", [64, 128, 256])
     @settings(max_examples=8, deadline=None)
@@ -741,6 +766,97 @@ class TestToeplitzSolve:
                 got = mpmath.polyval(appr.num[::-1], tau) / mpmath.polyval(appr.den[::-1], tau)
                 want = mpmath.polyval(num[::-1], tau) / mpmath.polyval(den[::-1], tau)
                 assert abs(got - want) <= abs(want) * mpmath.ldexp(1, 8 - prec)
+
+
+@st.composite
+def rounded_rational_problems(draw):
+    """a_0..a_(n-1), a_n = n! sum r p^-n at 128 bits (n 24-48), over 1-4
+    poles p of modulus 0.6-2, at least 0.45 rad off the ray and 0.33 rad
+    apart in angle, the (p, r) pairs, the ray and a point t within 0.5 rad
+    of it."""
+    def rational(lo, hi, den=16):
+        return Fraction(draw(st.integers(round(lo * den), round(hi * den))), den)
+
+    theta = float(rational(-3.1, 3.1))
+    n = draw(st.integers(1, 4))
+    # the poles' angles split the 2 pi - 0.9 rad off the ray into n parts
+    span = 2 * math.pi - 0.9
+    angles = [theta + 0.45 + span * (j + float(rational(0, 0.75))) / n for j in range(n)]
+    with mp.workprec(128):
+        poles = [(rational(0.6, 2.0, 10) * mpmath.expj(a), rational(-4, 4, 4) or 1)
+                 for a in angles]
+        coeffs = [mpmath.factorial(m) * sum(r * p ** -m for p, r in poles)
+                  for m in range(draw(st.integers(24, 48)))]
+        t = rational(0.05, 0.5) * mpmath.expj(theta + float(rational(-0.5, 0.5)))
+    return coeffs, poles, theta, t
+
+
+class TestRankCut:
+    # the Toeplitz solve stops at the numerical rank of the data: a rounded
+    # rational Borel transform is fitted at its true degree
+    @settings(max_examples=12, deadline=None)
+    @given(problem=rounded_rational_problems())
+    def test_rounded_rational_sums_at_its_true_degree(self, problem):
+        coeffs, poles, theta, t = problem
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), theta)
+        nu = len(poles)
+        assert rc._hi.order == (nu, nu) and rc._lo.order == (nu + 1, nu)
+        for appr in (rc._hi, rc._lo):
+            assert appr.filtered_poles() == appr.raw_poles()
+        for derivative in (False, True):
+            res = laplace_sum(rc, 1, t, derivative=derivative)
+            exact = rational_pole_sum(poles, t, theta, derivative)
+            with mp.workprec(512):
+                assert abs(res.value - exact) <= res.total_error
+
+    def test_rounded_stokes_pair_holds_its_bounds(self):
+        # ray-sum seed 3031, slot 7: four poles (r, |p|, arg p), the first on
+        # arg tau = -119/40, coefficients rounded to 128 bits, rays 7/20 rad
+        # to either side.  Fitted at orders 19 and 18, doublets included, the
+        # value erred by 3.0e-37 against 1.8e-37 reported, the derivative by
+        # 3.4e-36 against 1.2e-36, the ray below by 5.1e-37 against 1.7e-37
+        # and the Stokes jump by 4.4e-37 against 3.5e-37
+        spec = ((-7, Fraction(19, 10), Fraction(-119, 40)),
+                (2, Fraction(4, 5), Fraction(439, 500)),
+                (-2, 2, Fraction(807, 1000)),
+                (Fraction(3, 2), 2, Fraction(2369, 1000)))
+        with mp.workprec(128):
+            def real(x):
+                x = Fraction(x)
+                return mpmath.mpf(x.numerator) / x.denominator
+
+            def polar(modulus, angle):
+                return real(modulus) * mpmath.expj(real(angle))
+
+            poles = [(polar(m, a), real(r)) for r, m, a in spec]
+            coeffs = [mpmath.factorial(n) * sum(r * p ** -n for p, r in poles) for n in range(40)]
+            t = polar(Fraction(177, 500), Fraction(-1553, 500))
+            above, below = float(real(Fraction(-21, 8))), float(real(Fraction(-133, 40)))
+        b = borel_transform(OneVarSeries(coeffs), 1)
+        rc_above, rc_below = continue_on_ray(b, above), continue_on_ray(b, below)
+        value = laplace_sum(rc_above, 1, t)
+        dt = laplace_sum(rc_above, 1, t, derivative=True)
+        low = laplace_sum(rc_below, 1, t)
+        with mp.workprec(512):
+            exact = rational_pole_sum(poles, t, above)
+            exact_below = rational_pole_sum(poles, t, below)
+            assert abs(value.value - exact) <= value.total_error
+            exact_dt = rational_pole_sum(poles, t, above, derivative=True)
+            assert abs(dt.value - exact_dt) <= dt.total_error
+            assert abs(low.value - exact_below) <= low.total_error
+            jump = value.value - low.value
+            assert abs(jump - (exact - exact_below)) <= value.total_error + low.total_error
+
+    @pytest.mark.parametrize("prec", [64, 96, 128])
+    def test_exact_euler_keeps_its_orders(self, prec):
+        # sum m! t^(m+1), exact: the Borel transform -log(1 - tau) has no
+        # finite degree, and no order of the ray's pair is cut
+        for n in range(24, 65, 8):
+            a = OneVarSeries([0] + [factorial(m) for m in range(n - 1)])
+            b = borel_transform(a, 1, prec=prec)
+            rc = continue_on_ray(b, math.pi, prec=prec)
+            m = (n - 1) // 2
+            assert (rc._hi.order, rc._lo.order) == ((m, m), (m - 1, m - 1))
 
 
 class TestKernelGuard:
@@ -838,9 +954,11 @@ class TestPoleStarts:
         below = continue_on_ray(b, -0.3, [1.0])
         shared = [laplace_sum(above, 1, t), laplace_sum(above, 1, t, derivative=True),
                   laplace_sum(below, 1, t)]
-        # both rays take the series' cached approximants: one G per pole of each
+        # both rays take the series' cached approximants, [3/3] and [4/3] with
+        # the three true poles each: one G per pole of each
+        assert (above._hi.order, above._lo.order) == ((3, 3), (4, 3))
         poles = sum(len(appr.partial_fractions(1)[1]) for appr in (above._hi, above._lo))
-        assert poles >= 4 and len(calls) == poles
+        assert poles == 6 and len(calls) == poles
         assert (below._hi, below._lo) == (above._hi, above._lo)
         for res, (theta, derivative) in zip(shared, [(0.3, False), (0.3, True), (-0.3, False)]):
             fresh = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), theta, [1.0])
