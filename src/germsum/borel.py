@@ -25,22 +25,25 @@ for each pole between arg t and the ray; for integer a > 1 the E1 becomes
 a sum of upper incomplete gammas, and a multiple pole sums through their
 Taylor coefficients.
 
-G(z) = e^z E1(z) is the one special function of the k = 1 step, and
-:func:`_exp_e1` computes every value of it, each with a bound on its error
-that joins the sum's evaluation bound.  For |z| >= 12 with Re z >= 0 it
-runs the Stieltjes continued fraction of G on Gaussian-integer mantissas,
-stopped by the Henrici-Pfluger truncation bound; elsewhere mpmath's E1,
-at 6 guard bits.  What a pole's sum needs at a point u and not the ray
-(x = c/u, G, their sizes, e^(-x^a) once needed) is its start
-(:class:`_PoleStart`), and each approximant keeps the starts of its last
-four points: the value and the derivative at one t, and the two rays of a
-Stokes pair, compute G once per pole.
+Its per-pole loops run on the same kernel, terms as kernel numbers and
+their bounds as floats on integer exponents; mpmath remains for E1 below
+the crossover, e^z and a > 1's incomplete gammas.  G(z) = e^z E1(z) is the
+one special function of the k = 1 step, and :func:`_exp_e1` computes every
+value of it, each with a bound on its error that joins the sum's
+evaluation bound.  For |z| >= 12 with Re z >= 0 it runs the Stieltjes
+continued fraction of G on Gaussian-integer mantissas, stopped by the
+Henrici-Pfluger truncation bound; elsewhere mpmath's E1, at 6 guard bits.
+What a pole's sum needs at a point u and not the ray (x = c/u, G, their
+sizes, e^(-x^a) once needed) is its start (:class:`_PoleStart`), and each
+approximant keeps the starts of its last four points: the value and the
+derivative at one t, and the two rays of a Stokes pair, compute G once per
+pole.
 
 Error reporting is split and mandatory: the continuation error is the
 difference between two approximants fitted to different coefficient
 windows (consecutive orders, or [nu/nu] and [nu + 1/nu] when the data's
-rank nu cuts both) propagated through the same Laplace step.  The
-quadrature error is the bound on rounding in evaluating the closed form.
+rank nu cuts the upper one) propagated through the same Laplace step.
+The quadrature error is the bound on rounding in evaluating the closed form.
 """
 from __future__ import annotations
 
@@ -53,8 +56,9 @@ from mpmath import mp
 from mpmath.libmp import repr_dps, to_str
 
 from .errors import ContinuationError, SectorError, SingularRayError
-from .scalars import (gi_abs, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_submul,
-                      gi_to_mpc, gi_width, is_exact, to_mpc, working_prec)
+from .scalars import (GI_ONE, gi_abs, gi_add, gi_div, gi_from_mpc, gi_horner, gi_mag,
+                      gi_mul, gi_sub, gi_submul, gi_to_mpc, gi_width, is_exact, to_mpc,
+                      working_prec)
 from .transforms import _poly_roots, _taylor_hl
 
 TWO_PI = 2 * math.pi
@@ -119,10 +123,10 @@ class BorelSeries:
     def approximant(self, m, prec, excess=0):
         """``build_approximant(self.coeffs, m, prec, self.exact, excess)``,
         built on first use and shared by every request that resolves to
-        its order."""
+        its order, and by a request for that order (the same full-rank solve)."""
         # keyed both by the request (m, excess, prec) and by ((n, m), prec)
         request = (m, excess, prec)
-        appr = self._approximants.get(request)
+        appr = self._approximants.get(request) or self._approximants.get(((m + excess, m), prec))
         if appr is None:
             appr = build_approximant(self.coeffs, m, prec, self.exact, excess)
             appr = self._approximants.setdefault((appr.order, prec), appr)
@@ -157,17 +161,18 @@ class RationalApproximant:
     """Ratio of two polynomials matching a Taylor series to order n+m.
 
     The denominator is rooted once: ``raw_poles`` caches its roots, and
-    ``filtered_poles`` and ``partial_fractions`` reuse them.  The Laplace
-    step's work per pole and point is kept too (``pole_starts``).
+    ``filtered_poles`` (cached too) and ``partial_fractions`` reuse them.
+    The Laplace step's work per pole and point is kept too
+    (``pole_starts``).
     """
 
-    __slots__ = ("num", "den", "prec", "_roots", "_fractions", "_starts")
+    __slots__ = ("num", "den", "prec", "_roots", "_filtered", "_fractions", "_starts")
 
     def __init__(self, num, den, prec):
         self.num = tuple(num)
         self.den = tuple(den)
         self.prec = prec
-        self._roots = None
+        self._roots = self._filtered = None
         self._fractions = {}
         self._starts = {}
 
@@ -214,6 +219,8 @@ class RationalApproximant:
         the fit ran past the rank, the same inputs had 474 doublets, each
         with a step <= 1e-36 max(1, |p|).
         """
+        if self._filtered is not None:
+            return self._filtered
         w = gi_width(self.prec)
         num = [gi_from_mpc(c, w) for c in self.num]
         num_hl, dnum_hl = num[::-1], _taylor_hl(num, 1, w)
@@ -227,7 +234,8 @@ class RationalApproximant:
             e = gi_mag(n)
             if gi_abs(n, e) > FROISSART_REL * max(1, gi_abs(z)) * gi_abs(dn, e):
                 kept.append((p, mult))
-        return tuple(kept)
+        self._filtered = tuple(kept)
+        return self._filtered
 
     def partial_fractions(self, b=1):
         """``(poly, fractions)`` with N(s^b)/D(s^b) = Q(s) + sum r_j/(s - c)^j,
@@ -235,9 +243,9 @@ class RationalApproximant:
 
         ``poly`` holds the coefficients of Q, low to high, and ``fractions``
         one pair (c, (r_1, r_2, ...)) for each b-th root c of each pole p,
-        all at the kernel width ``2 * prec + 10``.  The poles are the cached
-        roots of the trimmed denominator D, which ``raw_poles`` keeps at
-        that width, so nothing is rooted again; Q and the remainder R come
+        all kernel numbers of the width ``2 * prec + 10``.  The poles are the
+        cached roots of the trimmed denominator D, which ``raw_poles`` keeps
+        at that width, so nothing is rooted again; Q and the remainder R come
         from dividing N(s^b) by D(s^b) on the Gaussian-integer kernel.  A
         simple pole has r_1 = R(c)/D'(c), by kernel Horner.  A pole of
         multiplicity m stands for m roots of D(s^b) that ``_poly_roots``
@@ -272,7 +280,7 @@ class RationalApproximant:
             z = gi_from_mpc(c, w)
             if m == 1:
                 r = gi_div(_horner(rem_hl[0], z, w), _horner(den_hl[1], z, w), w)
-                fractions.append((gi_to_mpc(z), (gi_to_mpc(r),)))
+                fractions.append((z, (r,)))
                 continue
             dd = [gi_to_mpc(_horner(hl, z, w)) for hl in den_hl]
             rr = [gi_to_mpc(_horner(hl, z, w)) for hl in rem_hl]
@@ -280,12 +288,13 @@ class RationalApproximant:
                 # an eighth of the distance to the nearest other pole, or to 0,
                 # where the ray starts
                 reach = min([abs(c)] + [abs(c - o) for o, _ in centers if o is not c]) / 8
-            fractions.append((gi_to_mpc(z), _cluster_fractions(dd, rr, m, reach, w)))
-        self._fractions[b] = tuple(gi_to_mpc(c) for c in poly), tuple(fractions)
+            fractions.append((z, tuple(gi_from_mpc(r, w) for r in
+                                       _cluster_fractions(dd, rr, m, reach, w))))
+        self._fractions[b] = tuple(poly), tuple(fractions)
         return self._fractions[b]
 
     def pole_starts(self, b, a, u, prec):
-        """The :class:`_PoleStart` at u of each pole of
+        """The :class:`_PoleStart` at the kernel number u of each pole of
         ``partial_fractions(b)``, for the order-a sum at ``prec`` bits.
 
         The starts hold G = e^z E1(z), the one special function of the
@@ -293,7 +302,7 @@ class RationalApproximant:
         and the other ray of a Stokes pair at one t share them.  The
         approximant keeps those of its last ``_STORED_POINTS`` points.
         """
-        key = (b, a, prec, u._mpc_)
+        key = (b, a, prec, u)
         starts = self._starts.pop(key, None)
         if starts is None:
             starts = tuple(_PoleStart(c, a, u, prec) for c, _ in self.partial_fractions(b)[1])
@@ -522,8 +531,8 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
     Samples the diagonal rational approximant at each of the ``radii``
     (none by default: ``laplace_sum`` reads the approximants, not the
     samples); the per-sample error estimate is the difference against the
-    approximant of one lower order.  When the data's rank nu cuts both
-    orders to [nu/nu], the lower one is [nu + 1/nu]: the same denominator
+    approximant of one lower order.  When the data's rank nu cuts the upper
+    one to [nu/nu], the lower one is [nu + 1/nu]: the same denominator
     degree fitted to one more coefficient.  A non-finite ``theta`` or
     radius, a radius <= 0 and radii that do not increase raise
     ``ValueError``.
@@ -549,11 +558,9 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
     with mp.workprec(prec):
         m_star = (len(coeffs) - 1) // 2
         hi = b.approximant(m_star, prec)
-        lo = b.approximant(m_star - 1, prec)
-        if lo is hi:
-            # the data cut both orders to one rank nu: the lower fit is
-            # [nu + 1/nu], the same denominator degree on one more coefficient
-            lo = b.approximant(hi.order[1], prec, excess=1)
+        nu = hi.order[1]
+        # a rank nu below m* cuts m* - 1 too: the lower fit is [nu + 1/nu]
+        lo = b.approximant(nu, prec, excess=1) if nu < m_star else b.approximant(m_star - 1, prec)
         poles = tuple(p for p, _ in _stable_poles((hi, lo), RAY_MATCH_REL))
         for p in poles:
             if abs(_angdiff(mpmath.arg(p), theta)) < RAY_POLE_MARGIN:
@@ -639,10 +646,17 @@ _CLOSED_FORM_C = 2
 _STORED_POINTS = 4
 
 
-def _laplace_moment(n, a):
-    """Gamma(1 + n/a), the order-a sum of s^n at 1: exactly (n/a)! when a
-    divides n."""
-    return math.factorial(n // a) if n % a == 0 else mpmath.gamma(1 + mpmath.mpf(n) / a)
+def _laplace_moment(n, a, w):
+    """Gamma(1 + n/a), the order-a sum of s^n at 1, as a kernel number:
+    exactly (n/a)! when a divides n, else of w bits."""
+    with mp.workprec(w):
+        return ((math.factorial(n // a), 0, 0) if n % a == 0
+                else gi_from_mpc(mpmath.gamma(1 + mpmath.mpf(n) / a), w))
+
+
+def _scale(k, a):
+    """The kernel number a times the int k, exactly."""
+    return k * a[0], k * a[1], a[2]
 
 
 # G(z) = e^z E1(z) comes from the continued fraction where |z| >= this and
@@ -656,27 +670,29 @@ _MPMATH_GUARD = 6
 
 
 def _exp_e1(z, prec):
-    """``(g, bound)``: G(z) = e^z E1(z) (principal branch) as an mpc, and an
-    mpf with |g - G(z)| <= bound <= 2^-prec |g|.
+    """``(g, ulps)``: G(z) = e^z E1(z) (principal branch) at the kernel
+    number z, as a kernel number, and a float ulps <= 1 with
+    |g - G(z)| <= ulps 2^-prec |g|.
 
     Every E1 of the Laplace step comes from here.  For |z| >=
     ``_FRACTION_MIN_ABS`` with Re z >= 0 it is the continued fraction of
     :func:`_exp_e1_fraction`, which converges the faster the larger |z| is,
     where mpmath's power series is slowest.  Elsewhere mpmath computes
-    e^z E1(z) at p = ``prec + _MPMATH_GUARD`` bits: its E1 was measured
-    within 2^(0.8 - p) of the value, relative, and e^z and the product
-    add a rounding each, so the bound counts 2^(4 - p) |g|.
+    e^z E1(z) at p = ``prec + _MPMATH_GUARD`` bits, lifted once to the
+    kernel: its E1 was measured within 2^(0.8 - p) of the value, relative,
+    e^z and the product add a rounding each and the lift a truncation of
+    2^(2 - p), so the bound counts 2^(4 - p) |g|.
     """
-    if z.real >= 0 and abs(z) >= _FRACTION_MIN_ABS:
+    if z[0] >= 0 and gi_abs(z) >= _FRACTION_MIN_ABS:
         return _exp_e1_fraction(z, prec)
     wp = prec + _MPMATH_GUARD
     with mp.workprec(wp):
-        g = mpmath.exp(z) * mpmath.e1(z)
-        return g, mpmath.ldexp(abs(g), 4 - wp)
+        z = gi_to_mpc(z)
+        return gi_from_mpc(mpmath.exp(z) * mpmath.e1(z), wp), math.ldexp(1, 4 - _MPMATH_GUARD)
 
 
 def _exp_e1_fraction(z, prec):
-    """``(g, bound)`` as in :func:`_exp_e1`, for Re z >= 0, z != 0, from the
+    """``(g, ulps)`` as in :func:`_exp_e1`, for Re z >= 0, z != 0, from the
     Stieltjes fraction (NIST DLMF 6.9.1)
 
         G(z) = 1/(z + 1/(1 + 1/(z + 2/(1 + 2/(z + 3/(1 + ...)))))),
@@ -701,10 +717,9 @@ def _exp_e1_fraction(z, prec):
     steps' share below 2^-(prec + 10) |g|.
     """
     w = prec + 2 * prec.bit_length() + 10
-    (rs, rm, re_, _), (is_, im, ie, _) = z._mpc_
-    f = max(w, -re_, -ie)
-    zr = (-rm if rs else rm) << (re_ + f)
-    zi = (-im if is_ else im) << (ie + f)
+    zr, zi, ze = z
+    f = max(w, -ze)
+    zr, zi = zr << (ze + f), zi << (ze + f)
     one = 1 << f
     # (A_1, A_2) = (1, 1) and (B_1, B_2) = (z, z + 1); odd index o, even e
     aor, aoi, aer, aei = one, 0, one, 0
@@ -736,59 +751,64 @@ def _exp_e1_fraction(z, prec):
             aor, aoi, aer, aei = aor >> s, aoi >> s, aer >> s, aei >> s
             bor, boi, ber, bei = bor >> s, boi >> s, ber >> s, bei >> s
             det = -(-det >> 2 * s)
-    # the division's truncation and the 53-bit bound's rounding count as steps
-    g = gi_to_mpc(gi_div((aer, aei, 0), (ber, bei, 0), w))
-    with mp.workprec(53):
-        return g, abs(g) * (mpmath.ldexp(1, gap + 2) + mpmath.ldexp(2 * j + 2, 4 - w))
+    # the division's truncation and the float bound's rounding count as steps
+    g = gi_div((aer, aei, 0), (ber, bei, 0), w)
+    return g, math.ldexp(1, gap + 2 + prec) + math.ldexp(2 * j + 2, 4 - w + prec)
 
 
 class _PoleStart:
     """The ray-independent start of the jet of the pole c at u for the
     order-a sum: what :func:`_pole_jet` reads, once per pole and point.
 
-    x = c/u at ``2 * prec`` bits and ``extra`` = a mag(x): e^(-x^a) has
-    condition number |x^a|, so the jet runs ``extra`` bits above
-    wp = ``prec + _CLOSED_FORM_GUARD``, and so does everything here.  It
-    holds z = -x^a, x^(a-1), arg x, u at that precision and its modulus,
-    psi_0 before the residue term (the G part of :func:`_pole_jet`) with
-    its size, the sum of the magnitudes of its pieces, and ``err``, the
-    bound of :func:`_exp_e1` on G times |x^(a-1)| in units of 2^-wp.
-    e^(-x^a) is ``exp`` once it has been needed: at once when a > 1, for
-    the incomplete gammas, else by the first residue term.
+    Kernel numbers: x = c/u of ``2 * prec`` bits and ``extra`` = a mag(x):
+    e^(-x^a) has condition number |x^a|, so the jet runs ``extra`` bits
+    above wp = ``prec + _CLOSED_FORM_GUARD``, and so does everything here,
+    at the width w = wp + extra + 2, where a truncation (2^(2 - w) of its
+    result) is 2^-(wp + extra) of it.  It holds x^0..x^a (z = -x^a) and
+    psi_0 before the residue term (the G part of :func:`_pole_jet`).  Its
+    bounds are floats on the integer exponent ``e`` of psi_0 (f stands for
+    f 2^e), which no e^(-x^a) over- or underflows: ``size``, the sum of the
+    magnitudes of psi_0's pieces, and ``err``, the bound of :func:`_exp_e1`
+    on G times |x^(a-1)| in units of 2^-wp.  e^(-x^a) is ``exp`` once
+    needed: at once when a > 1, for the incomplete gammas, else by the
+    first residue term.
     """
 
-    __slots__ = ("x", "z", "lead", "extra", "arg", "v", "av", "psi", "size", "err", "exp")
+    __slots__ = ("x", "xp", "extra", "w", "e", "psi", "size", "err", "exp")
 
     def __init__(self, c, a, u, prec):
-        with mp.workprec(2 * prec):
-            self.x = x = c / u
-        self.extra = max(0, a * mpmath.mag(x))
+        self.x = x = gi_div(c, u, 2 * prec)
+        self.extra = extra = max(0, a * gi_mag(x))
         wp = prec + _CLOSED_FORM_GUARD
-        with mp.workprec(wp + self.extra):
-            self.z = z = -x ** a
-            self.lead = lead = x ** (a - 1)
-            g, bound = _exp_e1(z, wp + self.extra)
-            psi = lead * g
-            size = abs(psi)
-            self.exp = e = mpmath.exp(z) if a > 1 else None
-            for i in range(1, a):
-                al = mpmath.mpf(i) / a
-                g = _laplace_moment(i, a) * x ** (a - 1 - i) * z ** al * e * mpmath.gammainc(-al, z)
-                psi += g
-                size += abs(g)
-            self.psi, self.size = psi, size
-            self.err = mpmath.ldexp(abs(lead) * bound, wp)
-            self.arg = mpmath.arg(x)
-            self.v = +u
-            self.av = abs(self.v)
+        self.w = w = wp + extra + 2
+        self.xp = xp = [GI_ONE]
+        for _ in range(a):
+            xp.append(gi_mul(xp[-1], x, w))
+        g, ulps = _exp_e1(_scale(-1, xp[a]), wp + extra)
+        self.psi = psi = gi_mul(xp[a - 1], g, w)
+        pieces, self.exp = [psi], None
+        if a > 1:
+            with mp.workprec(w):
+                z = -gi_to_mpc(xp[a])
+                exp = mpmath.exp(z)
+                self.exp = gi_from_mpc(exp, w)
+                for i in range(1, a):
+                    al = mpmath.mpf(i) / a
+                    pieces.append(gi_from_mpc(
+                        gi_to_mpc(_laplace_moment(i, a, w)) * gi_to_mpc(xp[a - 1 - i])
+                        * z ** al * exp * mpmath.gammainc(-al, z), w))
+                    self.psi = gi_add(self.psi, pieces[-1], w)
+        self.e = e = max(gi_mag(p) for p in pieces)
+        self.size = sum(gi_abs(p, e) for p in pieces)
+        self.err = math.ldexp(gi_abs(psi, e) * ulps, -extra)
 
 
-def _pole_jet(start, a, n, phi, two_pi_i):
+def _pole_jet(start, a, n, side):
     """Taylor coefficients psi_0..psi_(n-1) at x of the order-a sum at 1 of
-    1/(s - x) along arg s = phi, each with the size it is relative to, from
-    the :class:`_PoleStart` of x (``two_pi_i`` is 2 pi i at the caller's
-    precision, which is ``start.extra`` bits above
-    ``prec + _CLOSED_FORM_GUARD``).
+    1/(s - x) along arg s = phi, as kernel numbers of ``start.w`` bits,
+    each with the size it is relative to (a float on the exponent
+    ``start.e``), from the :class:`_PoleStart` of x and its Stokes side:
+    -1 when 0 < arg x < phi, +1 when phi < arg x <= 0, else 0.
 
     The sum is Psi(x) = sum_(i<a) Gamma(1 + i/a) x^(a-1-i) G_(i/a)(-x^a)
     with G_alpha(z) = z^alpha e^z Gamma(-alpha, z) (G_0(z) = e^z E1(z),
@@ -806,94 +826,105 @@ def _pole_jet(start, a, n, phi, two_pi_i):
     z, so err_0 is 2^-extra |G part| plus the bound on G's error plus
     |residue term| (whose e^(-x^a) uses the ``extra`` bits), and each step
     of the recurrence carries the err of the coefficients it combines and
-    adds 2^-extra times the magnitudes of its pieces, its own rounding.
+    adds 2^-extra times the magnitudes of its pieces, its own truncations.
     """
-    x, z, lead, arg = start.x, start.z, start.lead, start.arg
-    rot = 0
-    if 0 < arg < phi or phi < arg <= 0:
-        if start.exp is None:
-            start.exp = mpmath.exp(z)
-        rot = (-two_pi_i if arg > 0 else two_pi_i) * start.exp * (a * lead)
-    psi = [start.psi + rot]
-    size = [start.size + abs(rot) + mpmath.ldexp(start.err, -_CLOSED_FORM_GUARD)]
+    x, xp, w, e = start.x, start.xp, start.w, start.e
+    psi, arot = start.psi, 0.0
+    if side:
+        with mp.workprec(w):
+            if start.exp is None:
+                start.exp = gi_from_mpc(mpmath.exp(-gi_to_mpc(xp[a])), w)
+            re, im, ex = gi_mul(gi_mul(start.exp, xp[a - 1], w),
+                                gi_from_mpc(2 * side * a * mpmath.pi, w), w)
+        rot = (-im, re, ex)
+        psi = gi_add(psi, rot, w)
+        arot = gi_abs(rot, e)
+    psi = [psi]
+    size = [start.size + arot + math.ldexp(start.err, -_CLOSED_FORM_GUARD)]
     if n == 1:
         return psi, size
-    cut = mpmath.ldexp(1, -start.extra)
-    err = [cut * start.size + start.err + abs(rot)]
-    apsi = [abs(psi[0])]
-    xp = [1] + [x ** j for j in range(1, a)] + [-z]
-    ax = abs(x)
-    axp = [ax ** j for j in range(a + 1)]
+    cut = math.ldexp(1, -start.extra)
+    err = [cut * start.size + start.err + arot]
+    apsi = [gi_abs(psi[0], e)]
+    axp = [gi_abs(p) for p in xp]
+    moments = [_laplace_moment(i, a, w) for i in range(a)]
     for m in range(n - 1):
-        pi_m = sum(_laplace_moment(i, a) * math.comb(a - 1 - i, m) * xp[a - 1 - i - m]
-                   for i in range(a - m))
-        acc = -a * pi_m
-        pieces = a * abs(pi_m)
+        pi_m = (0, 0, 0)
+        for i in range(a - m):
+            pi_m = gi_add(pi_m, gi_mul(_scale(math.comb(a - 1 - i, m), moments[i]),
+                                       xp[a - 1 - i - m], w), w)
+        acc = _scale(-a, pi_m)
+        pieces = a * gi_abs(pi_m, e)
         carried = 0
         if m != a - 1:
-            acc += (a - 1 - m) * psi[m]
+            acc = gi_add(acc, _scale(a - 1 - m, psi[m]), w)
             pieces += abs(a - 1 - m) * apsi[m]
             carried = abs(a - 1 - m) * err[m]
         for l in range(min(m, a) + 1):
             cf = a * math.comb(a, l)
-            acc -= cf * xp[a - l] * psi[m - l]
+            acc = gi_submul(acc, _scale(cf, xp[a - l]), psi[m - l], w)
             pieces += cf * axp[a - l] * apsi[m - l]
             carried += cf * axp[a - l] * err[m - l]
-        psi.append(acc / (x * (m + 1)))
-        apsi.append(abs(psi[-1]))
+        psi.append(gi_div(acc, _scale(m + 1, x), w))
+        apsi.append(gi_abs(psi[-1], e))
         err.append((carried + cut * pieces) / (axp[1] * (m + 1)))
-        size.append(apsi[-1] + mpmath.ldexp(err[-1], -_CLOSED_FORM_GUARD))
+        size.append(apsi[-1] + math.ldexp(err[-1], -_CLOSED_FORM_GUARD))
     return psi, size
 
 
-def _times_derivative(poly, fractions):
-    """Partial fractions of s h'(s) from those of h(s), at the ambient precision.
+def _times_derivative(poly, fractions, w):
+    """Partial fractions of s h'(s) from those of h(s), kernel numbers of w bits.
 
     s d/ds r/(s - c)^j = -j r/(s - c)^j - j c r/(s - c)^(j+1).
     """
-    poly = tuple(j * q for j, q in enumerate(poly))
+    poly = tuple(_scale(j, q) for j, q in enumerate(poly))
     out = []
     for c, rs in fractions:
-        crs = [c * r for r in rs]
-        out.append((c, (-rs[0],) + tuple(-(j + 1) * rs[j] - j * crs[j - 1]
-                                         for j in range(1, len(rs))) + (-len(rs) * crs[-1],)))
+        crs = [gi_mul(c, r, w) for r in rs]
+        out.append((c, (_scale(-1, rs[0]),) + tuple(
+            gi_sub(_scale(-(j + 1), rs[j]), _scale(j, crs[j - 1]), w) for j in range(1, len(rs)))
+            + (_scale(-len(rs), crs[-1]),)))
     return poly, tuple(out)
 
 
-def _closed_form_sum(poly, fractions, starts, a, u, phi, prec):
-    """Order-a Laplace sum at u of Q(s) + sum r_j/(s - c)^j along
-    arg s = arg u + phi, from its partial fractions and the
-    :class:`_PoleStart` at u of each of their poles (``starts``, in the
-    same order).
+def _closed_form_sum(poly, fractions, starts, a, u, turn, up, prec):
+    """Order-a Laplace sum at the kernel number u of Q(s) + sum r_j/(s - c)^j
+    along arg s = arg u + phi (turn = e^(-i phi), phi > 0 when ``up``),
+    from its partial fractions and the :class:`_PoleStart` at u of each of
+    their poles (``starts``, in the same order).
 
-    Returns ``(value, mass)``, both at ``prec + _CLOSED_FORM_GUARD`` bits.
-    Q sums as sum q_n Gamma(1 + n/a) u^n, and r/(s - c)^j as
-    r psi_(j-1)(c/u)/u^j (:func:`_pole_jet`).  ``mass`` is
+    Returns ``(value, mass, e)``: the value a kernel number of
+    ``prec + _CLOSED_FORM_GUARD + 2`` bits, and the float mass on the
+    exponent e.  Q sums as sum q_n Gamma(1 + n/a) u^n, and r/(s - c)^j as
+    r psi_(j-1)(c/u)/u^j (:func:`_pole_jet`).  The mass is
     |Q part| + sum |r| size_(j-1)/|u|^j: the size the rounding error is
     relative to.
     """
-    wp = prec + _CLOSED_FORM_GUARD
-    with mp.workprec(wp):
-        total = mpmath.mpc(0)
-        mass = mpmath.mpf(0)
-        for n, c in enumerate(poly):
-            term = c * _laplace_moment(n, a) * u ** n
-            total += term
-            mass += abs(term)
-        two_pi_i = mpmath.mpc(0, 2 * mpmath.pi)
-        for (_, rs), start in zip(fractions, starts):
-            with mp.workprec(wp + start.extra):
-                psi, size = _pole_jet(start, a, len(rs), phi, two_pi_i)
-                # sum_j r_j psi_(j-1)/u^j by Horner's rule in 1/u
-                v, av = start.v, start.av
-                term = rs[-1] * psi[-1] / v
-                part = abs(rs[-1]) * size[-1] / av
-                for j in range(len(rs) - 2, -1, -1):
-                    term = (term + rs[j] * psi[j]) / v
-                    part = (part + abs(rs[j]) * size[j]) / av
-            total += term
-            mass += part
-    return total, mass
+    wp = prec + _CLOSED_FORM_GUARD + 2
+    total, mass, me, un = (0, 0, 0), 0.0, 0, GI_ONE
+    for n, c in enumerate(poly):
+        term = gi_mul(gi_mul(c, _laplace_moment(n, a, wp), wp), un, wp)
+        total = gi_add(total, term, wp)
+        mass += gi_abs(term)
+        un = gi_mul(un, u, wp)
+    au = gi_abs(u)
+    for (_, rs), start in zip(fractions, starts):
+        # the Stokes side from the signs of x and x e^(-i phi) (|phi| < pi/2):
+        # -1 when 0 < arg x < phi, +1 when phi < arg x <= 0
+        (xr, xi, _), w = start.x, start.w
+        yi = xr * turn[1] + xi * turn[0]
+        side = -(xi > 0 > yi) if up else int((xi < 0 or xi == 0 < xr) and yi > 0)
+        psi, size = _pole_jet(start, a, len(rs), side)
+        # sum_j r_j psi_(j-1)/u^j by Horner's rule in 1/u
+        term = gi_div(gi_mul(rs[-1], psi[-1], w), u, w)
+        part = gi_abs(rs[-1]) * size[-1] / au
+        for j in range(len(rs) - 2, -1, -1):
+            term = gi_div(gi_add(term, gi_mul(rs[j], psi[j], w), w), u, w)
+            part = (part + gi_abs(rs[j]) * size[j]) / au
+        total = gi_add(total, term, wp)
+        top = max(me, start.e)
+        mass, me = math.ldexp(mass, me - top) + math.ldexp(part, start.e - top), top
+    return total, mass, me
 
 
 def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
@@ -927,9 +958,9 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     which hold e^(-q) E1(-q), serve every sum at that point.
     Nothing is cut off, and ``quadrature_error`` is the evaluation bound
     (|Q part| + sum of the term sizes) 2^(2 - prec), which covers rounding
-    to ``prec`` bits; a term's size is its magnitude plus the carried
-    error of the Taylor coefficients it takes, that of G included.  An
-    ``eps`` below that bound raises ``ValueError``.
+    to ``prec`` bits; a term's size is its magnitude plus the carried error
+    of the Taylor coefficients it takes, that of G and of every kernel
+    truncation included.  An ``eps`` below that bound raises ``ValueError``.
     """
     a, b = _rational_k(k)
     if float(k) != rc.k:
@@ -945,25 +976,26 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         if not decay > 0.05:
             raise SectorError(
                 f"direction/point incompatible: cos(k*(theta-arg t)) = {float(decay):.3f}")
+        w = gi_width(prec)
         with mp.workprec(2 * prec):
             turns = mpmath.nint((theta - d - mpmath.arg(t)) / (2 * mpmath.pi))
-            u = mpmath.root(t, b, int(turns) % b)
+            u = gi_from_mpc(mpmath.root(t, b, int(turns) % b), w)
+            turn = gi_from_mpc(mpmath.expj(-d / b), w)
         sums = []
         for appr in (rc._hi, rc._lo):
             poly, fractions = appr.partial_fractions(b)
             starts = appr.pole_starts(b, a, u, prec)
             if derivative:
-                with mp.workprec(gi_width(prec)):
-                    poly, fractions = _times_derivative(poly, fractions)
-            value, mass = _closed_form_sum(poly, fractions, starts, a, u, d / b, prec)
+                poly, fractions = _times_derivative(poly, fractions, w)
+            value, mass, me = _closed_form_sum(poly, fractions, starts, a, u, turn, d > 0, prec)
             if derivative:
-                with mp.workprec(prec + _CLOSED_FORM_GUARD):
-                    value, mass = value / (b * t), mass / abs(b * t)
-            sums.append((value, mass))
-        (v_hi, mass), (v_lo, _) = sums
-        value = +v_hi
-        cont = float(abs(v_hi - v_lo))
-        qerr = float(mpmath.ldexp(mass, _CLOSED_FORM_C - prec))
+                bt = _scale(b, gi_from_mpc(t, w))
+                value = gi_div(value, bt, prec + _CLOSED_FORM_GUARD + 2)
+                mass, me = mass / gi_abs(bt, gi_mag(bt)), me - gi_mag(bt)
+            sums.append((value, mass, me))
+        (v_hi, mass, me), (v_lo, _, _) = sums
+        cont = gi_abs(gi_sub(v_hi, v_lo, 53))
+        qerr = math.ldexp(mass, me + _CLOSED_FORM_C - prec)
         if not qerr <= eps:
             raise ValueError(f"eps = {float(eps):.3g} is below {qerr:.3g}, the "
                              f"evaluation bound of the {prec}-bit closed-form sum")
@@ -971,7 +1003,7 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
             raise ContinuationError(
                 f"continuation error {cont:.3e} exceeds the tolerance "
                 f"{max_continuation_error:.3e}")
-        return SumResult(t=t, k=float(k), theta=float(theta), value=value,
+        return SumResult(t=t, k=float(k), theta=float(theta), value=gi_to_mpc(v_hi, prec),
                          quadrature_error=qerr, continuation_error=cont, prec=prec)
 
 
@@ -1036,8 +1068,8 @@ def singular_directions(b, k=None, prec=None):
     """Directions obstructed by cross-order-stable poles of the continuation.
 
     Builds rational approximants at ``DIRECTION_ORDERS`` consecutive
-    denominator degrees (one approximant when the data's rank cuts them all
-    to it), keeps only poles reproduced (within
+    denominator degrees, none above the rank the top one resolves to (one
+    approximant when that rank cuts them all to it), keeps only poles reproduced (within
     ``DIRECTION_MATCH_REL`` relative distance) at every order, and reports
     the arguments of the cluster centers, deduplicated within 0.05 rad.  An
     empty report means no obstruction was detected (entire Borel
@@ -1053,7 +1085,8 @@ def singular_directions(b, k=None, prec=None):
     prec = working_prec(prec)
     with mp.workprec(prec):
         m0 = (len(coeffs) - 1) // 2
-        approximants = [b.approximant(m0 - i, prec) for i in range(DIRECTION_ORDERS)]
+        nu = b.approximant(m0, prec).order[1]
+        approximants = [b.approximant(min(m0 - i, nu), prec) for i in range(DIRECTION_ORDERS)]
         clusters = []
         for matched in _stable_poles(approximants, DIRECTION_MATCH_REL):
             center = sum(matched) / len(matched)

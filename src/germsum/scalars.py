@@ -429,6 +429,11 @@ def gi_abs(a, e=0):
     return math.hypot(math.ldexp(re, ae - e), math.ldexp(im, ae - e))
 
 
+def gi_add(a, b, w):
+    """a + b, truncated to w bits."""
+    return _gi_add(*a, *b, w)
+
+
 def gi_sub(a, b, w):
     """a - b, truncated to w bits."""
     br, bi, be = b

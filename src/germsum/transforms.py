@@ -26,7 +26,7 @@ from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
 from . import scalars
-from .scalars import (GI_ONE, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_round,
+from .scalars import (gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_round,
                       gi_sub, gi_to_mpc, gi_width, is_zero, sadd, scalar_to_json, to_mpc,
                       working_prec)
 from .series import MonomialOrder, TruncatedSeries, substitute
@@ -174,19 +174,26 @@ def _root_str(v):
 
 
 def _float_seeds(poly):
-    """float64 companion-matrix eigenvalues of a kernel polynomial (highest
-    degree first) as kernel seeds, one per root.
+    """``(seeds, k)``: float64 companion-matrix eigenvalues, one per root
+    (about the root over 2^k), of a kernel polynomial (highest degree first,
+    constant term nonzero) in the variable scaled by 2^k.
 
-    The coefficients are scaled by one power of two, which changes no root,
+    2^k is about the geometric mean of the roots' moduli where the
+    coefficients span more than 2^1000 (else 1: ten roots near 2^300 left
+    seven seeds near 0), and the coefficients are scaled by one power of two
     so that the largest has magnitude about 1: every coefficient then fits
-    float64 (one far below the largest underflows to 0).  When numpy
-    returns fewer finite eigenvalues than the degree (a leading coefficient
-    underflowed) or fails, the rest are Durand-Kerner's usual (0.4 + 0.9i)^n.
-    numpy is imported here, its one use in the module, so that a command
-    that roots nothing does not pay for the import.
+    float64 (one far below the largest underflows to 0).  When numpy returns
+    fewer finite eigenvalues than the degree (a leading coefficient
+    underflowed) or fails, the rest are Durand-Kerner's usual
+    (0.4 + 0.9i)^n.  numpy is imported here, its one use in the module, so
+    that a command that roots nothing does not pay for the import.
     """
     import numpy
 
+    d = len(poly) - 1
+    mags = [gi_mag(c) for c in poly if c[0] or c[1]]
+    k = round((gi_mag(poly[-1]) - gi_mag(poly[0])) / d) if max(mags) - min(mags) > 1000 else 0
+    poly = [(re, im, e + k * (d - i)) for i, (re, im, e) in enumerate(poly)]
     top = max(gi_mag(c) for c in poly)
     coeffs = []
     for c in poly:
@@ -198,8 +205,7 @@ def _float_seeds(poly):
     except numpy.linalg.LinAlgError:
         found = []
     found = [z for z in found if cmath.isfinite(z)]
-    found += [(0.4 + 0.9j) ** n for n in range(len(found), len(poly) - 1)]
-    return [gi_from_mpc(mpmath.mpc(z), 60) for z in found]
+    return found + [(0.4 + 0.9j) ** n for n in range(len(found), d)], k
 
 
 # Durand-Kerner sweeps at most: near a multiple root the sweeps stall.
@@ -234,39 +240,55 @@ def _taylor_hl(coeffs, j, w):
 def _durand_kerner(poly, prec):
     """All roots of a kernel polynomial (highest degree first).
 
-    Runs on the monic polynomial at ``gi_width(prec)`` bits from
-    :func:`_float_seeds`.  A sweep updates each root in turn by
-    f(p) / prod(p - q) over the other roots q, one division per root; a
-    zero difference is left out of the product.  The iteration stops when
-    every correction of a sweep is below 2^(-31 - prec) (absolute), or
-    after ``_DK_SWEEPS`` sweeps: near an m-fold root it converges only
-    linearly, and its m iterates stall at about 2^(-w/m) from it.  The
-    iterates are then snapped (:func:`_snap`) at 2^(-31 - prec).  The 32
-    bits beyond the working precision are for close roots, whose
+    Runs on the monic polynomial from :func:`_float_seeds` in fixed point,
+    so that a product costs one shift: int pairs on one exponent, placed as
+    ``gi_lift`` places it, so that the smallest seed (one at 0 counts at
+    Fujiwara's lower bound on the roots) keeps ``gi_width(prec)`` bits, and
+    a bit lower per halving of a seed below 1 (the polynomial's values
+    shrink with its roots).  A sweep updates each root in turn by
+    f(p)/prod(p - q) over the other roots q, a zero difference left out.  It
+    stops when every correction of a sweep is below 2^(-31 - prec), or after
+    ``_DK_SWEEPS`` sweeps: the m iterates of an m-fold root stall about
+    2^(-w/m) from it.  The iterates are then snapped (:func:`_snap`) there.
+    The 32 bits beyond the working precision are for close roots, whose
     partial-fraction residues, of order one over their spread, multiply any
-    error of the roots: a snap at 2^(1 - prec) moved the simple roots -1
-    and -(1 + 1e-9) of a Pade denominator by their imaginary parts of
-    5e-46, and a k = 1 sum missed its reported error tenfold.
+    error of the roots: a snap at 2^(1 - prec) moved the simple roots -1 and
+    -(1 + 1e-9) of a Pade denominator by their imaginary parts of 5e-46, and
+    a k = 1 sum missed its reported error tenfold.
     """
-    w = gi_width(prec)
-    monic = [GI_ONE] + [gi_div(c, poly[0], w) for c in poly[1:]]
-    roots = _float_seeds(poly)
-    tol = -31 - prec
+    w, tol, d = gi_width(prec), -31 - prec, len(poly) - 1
+    low = -2 - max((gi_mag(poly[d - j]) - gi_mag(poly[d]) + 2) // j for j in range(1, d + 1)
+                   if poly[d - j][0] or poly[d - j][1])
+    seeds, k = _float_seeds(poly)
+    mags = [max(low, k + math.frexp(abs(z))[1]) if z else low for z in seeds]
+    e = min(0, min(mags) - w - sum(max(0, -m) for m in mags))
+    roots = [tuple((n << k - e) // q for n, q in map(float.as_integer_ratio, (z.real, z.imag)))
+             for z in seeds]
+    monic = []
+    for c in poly[1:]:
+        re, im, ce = gi_div(c, poly[0], w)
+        monic.append((re << ce - e, im << ce - e) if ce >= e else (re >> e - ce, im >> e - ce))
+    # 1, and |step| < 2^tol decided exactly on the mantissas as in _below
+    s, one, limit = -e, 1 << -e, 1 << max(0, 2 * (tol - e))
     for _ in range(_DK_SWEEPS):
         converged = True
-        for i, p in enumerate(roots):
-            prod = GI_ONE
-            for j, q in enumerate(roots):
-                if j != i:
-                    diff = gi_sub(p, q, w)
-                    if diff[0] or diff[1]:
-                        prod = gi_mul(prod, diff, w)
-            step = gi_div(gi_horner(monic, p, w), prod, w)
-            roots[i] = gi_sub(p, step, w)
-            converged = converged and _below(step, tol)
+        for i, (pr, pi) in enumerate(roots):
+            fr, fi = one, 0
+            for cr, ci in monic:
+                fr, fi = ((fr * pr - fi * pi) >> s) + cr, ((fr * pi + fi * pr) >> s) + ci
+            dr, di = one, 0
+            for j, (qr, qi) in enumerate(roots):
+                if j != i and (pr != qr or pi != qi):
+                    qr, qi = pr - qr, pi - qi
+                    dr, di = (dr * qr - di * qi) >> s, (dr * qi + di * qr) >> s
+            # f / prod; a product below 2^e leaves the root where it is
+            n = dr * dr + di * di or 1
+            sr, si = ((fr * dr + fi * di) << s) // n, ((fi * dr - fr * di) << s) // n
+            roots[i] = (pr - sr, pi - si)
+            converged = converged and sr * sr + si * si < limit
         if converged:
             break
-    return [_snap(z, tol) for z in roots]
+    return [_snap((re, im, e), tol) for re, im in roots]
 
 
 def _refine_center(poly, values, prec, radius):

@@ -15,7 +15,7 @@ from germsum.borel import (FROISSART_REL, BorelSeries, OneVarSeries,
                            continue_on_ray, laplace_sum, p_k_sum, singular_directions)
 from germsum.errors import ContinuationError, SectorError, SingularRayError
 from germsum.harness import euler_borel_series, gen_example
-from germsum.scalars import QQi, to_mpc
+from germsum.scalars import QQi, gi_from_mpc, gi_to_mpc, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, PExpansion, p_expand
 from helpers import pole_transform_coeffs, pole_transform_quad
@@ -429,7 +429,9 @@ class TestLaplace:
         # (the terms past r2 expand the two roots of the fit about their
         # center, which coincide to the fit's noise)
         assert [mult for _, mult in rc._hi.raw_poles()] == [2]
-        (p, (r1, r2, *rest)), = rc._hi.partial_fractions()[1]
+        # partial fractions are kernel numbers
+        (p, rs), = rc._hi.partial_fractions()[1]
+        p, (r1, r2, *rest) = gi_to_mpc(p), map(gi_to_mpc, rs)
         with mp.workprec(128):
             assert abs(p + 1) < 1e-30 and abs(r1) < 1e-30 and abs(r2 - 1) < 1e-30
             assert all(abs(r) < 1e-60 for r in rest)
@@ -847,6 +849,24 @@ class TestRankCut:
             jump = value.value - low.value
             assert abs(jump - (exact - exact_below)) <= value.total_error + low.total_error
 
+    def test_rank_cut_pair_builds_two_approximants(self, monkeypatch):
+        # three poles, coefficients rounded to 128 bits: the fit at m* = 15
+        # resolves to the rank 3, and the lower fit is requested as [4/3]
+        # directly; building order m* - 1 first only resolved to [3/3] again
+        with mp.workprec(128):
+            poles = [(mpmath.mpf(3) / 2 * mpmath.expj(2), 1),
+                     (mpmath.mpf(4) / 5 * mpmath.expj(-1), -2),
+                     (mpmath.mpf(6) / 5 * mpmath.expj(mpmath.mpf(1) / 5), mpmath.mpf(1) / 2)]
+            coeffs = [mpmath.factorial(n) * sum(r * p ** -n for p, r in poles)
+                      for n in range(32)]
+        built = []
+        build = borel.build_approximant
+        monkeypatch.setattr(borel, "build_approximant",
+                            lambda *a, **kw: built.append(a[1]) or build(*a, **kw))
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), -2.5)
+        assert (rc._hi.order, rc._lo.order) == ((3, 3), (4, 3))
+        assert built == [15, 3]
+
     @pytest.mark.parametrize("prec", [64, 96, 128])
     def test_exact_euler_keeps_its_orders(self, prec):
         # sum m! t^(m+1), exact: the Borel transform -log(1 - tau) has no
@@ -859,34 +879,145 @@ class TestRankCut:
             assert (rc._hi.order, rc._lo.order) == ((m, m), (m - 1, m - 1))
 
 
+def one_pole_sum(p, r, t, theta, double, derivative, prec):
+    """The 1-sum (or its t-derivative) of r p/(p - tau), or of
+    r p^2/(p - tau)^2 when ``double``, along theta, in closed form at
+    ``prec`` bits from mpmath alone, as perfbench/oracles.py builds it
+    (p and r exact complex rationals).
+
+    With q = p/t, J(q) = -e^-q E1(-q) and K = J + s 2 pi i e^-q, where
+    s = +1 (-1) when the ray turned past the pole counter-clockwise
+    (clockwise) from arg t: F = r q K for the simple pole and
+    r (q^2 K - q) for the double one.  K' = 1/q - K, and dq/dt = -q/t.
+    """
+    with mp.workprec(prec):
+        p, r = (mpmath.mpc(mpmath.mpf(x.re.numerator) / x.re.denominator,
+                           mpmath.mpf(x.im.numerator) / x.im.denominator) for x in (p, r))
+        t = mpmath.mpc(t)
+        arg_t = mpmath.atan2(t.imag, t.real)
+        wrap = lambda a: a - 2 * mpmath.pi * mpmath.nint(a / (2 * mpmath.pi))
+        d_ray, d_pole = wrap(theta - arg_t), wrap(mpmath.atan2(p.imag, p.real) - arg_t)
+        side = 1 if 0 < d_pole < d_ray else -1 if d_ray < d_pole < 0 else 0
+        q = p / t
+        k = -mpmath.exp(-q) * mpmath.e1(-q) + side * 2j * mpmath.pi * mpmath.exp(-q)
+        if not derivative:
+            return r * (q * q * k - q if double else q * k)
+        dk = 1 / q - k
+        return -q / t * r * (2 * q * k + q * q * dk - 1 if double else k + q * dk)
+
+
+class TestOnePoleOracle:
+    # one pole at k = 1 against one_pole_sum at 3 prec bits: |p/t| from 1e-2
+    # to 1e3, p/t in both half-planes and on both sides of the continued
+    # fraction's crossover |z| = 12 (z = -p/t), the ray past the pole (either
+    # way) or not; (arg p/t, the ray's turn from arg t) for each case
+    P, R = QQi(Fraction(3, 4), Fraction(6, 5)), QQi(Fraction(3, 4), Fraction(-1, 2))
+    GEOMETRY = [(0.5, 1.0), (-0.5, -1.0), (0.6, -0.5), (2.6, 0.4), (-2.2, -0.6)]
+    MODULI = ["0.01", "0.5", "11.5", "12.5", "1000"]
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("double", [False, True])
+    def test_value_and_derivative_within_total_error(self, prec, double):
+        pole = [(self.P, self.R)]
+        coeffs = pole_transform_coeffs([] if double else pole, 1, 32, 4 * prec,
+                                       pole if double else ())
+        b = borel_transform(OneVarSeries(coeffs), 1, prec=prec)
+        with mp.workprec(prec):
+            p = to_mpc(self.P)
+            arg_p = mpmath.atan2(p.imag, p.real)
+        for arg_x, turn in self.GEOMETRY:
+            theta = float(arg_p - arg_x + turn)
+            rc = continue_on_ray(b, theta, prec=prec)
+            for modulus in self.MODULI:
+                with mp.workprec(prec):
+                    t = abs(p) / mpmath.mpf(modulus) * mpmath.expj(arg_p - arg_x)
+                for derivative in (False, True):
+                    res = laplace_sum(rc, 1, t, derivative=derivative, prec=prec, eps=1)
+                    exact = one_pole_sum(self.P, self.R, t, theta, double, derivative,
+                                         3 * prec)
+                    with mp.workprec(3 * prec):
+                        assert abs(res.value - exact) <= res.total_error, (
+                            arg_x, turn, modulus, derivative)
+
+
 class TestKernelGuard:
     # the Pade layer runs on the Gaussian-integer kernel: no mpmath Pade
-    # solve, LU solve or polynomial rooting anywhere in the ray-sum chain
-    @pytest.mark.parametrize("family", ["euler48", "three_pole"])
-    def test_chain_calls_no_mpmath_solver(self, monkeypatch, family):
+    # solve, LU solve or polynomial rooting anywhere in the ray-sum chain,
+    # and the Laplace step's per-pole loops run on it too
+    @staticmethod
+    def problem(family):
         if family == "euler48":
-            series, theta, t = euler_borel_series(48), math.pi, mpmath.mpf("-0.1")
-        else:
-            series = OneVarSeries([factorial(n) * c for n, c in enumerate(three_pole_coeffs(32))])
-            theta, t = -0.3, mpmath.mpf("0.1") * mpmath.expj(-0.3)
+            return euler_borel_series(48), math.pi, mpmath.mpf("-0.1")
+        series = OneVarSeries([factorial(n) * c for n, c in enumerate(three_pole_coeffs(32))])
+        return series, -0.3, mpmath.mpf("0.1") * mpmath.expj(-0.3)
+
+    @staticmethod
+    def spy(monkeypatch, names):
         calls = []
-        for name in ("pade", "lu_solve", "polyroots"):
+        for name in names:
             def spy(*args, _name=name, _real=getattr(mpmath, name), **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(mpmath, name, spy)
             monkeypatch.setattr(mp, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("family", ["euler48", "three_pole"])
+    def test_chain_calls_no_mpmath_solver(self, monkeypatch, family):
+        series, theta, t = self.problem(family)
+        calls = self.spy(monkeypatch, ("pade", "lu_solve", "polyroots"))
         b = borel_transform(series, 1)
         rc = continue_on_ray(b, theta, [0.5, 1.0])
         laplace_sum(rc, 1, t)
         singular_directions(b, 1)
         assert calls == []
 
+    @pytest.mark.parametrize("family", ["euler48", "three_pole"])
+    def test_laplace_step_runs_on_the_kernel(self, monkeypatch, family):
+        # no argument, magnitude, ldexp or Horner of mpmath objects per pole:
+        # the Stokes side comes from mantissa signs, the bounds are floats on
+        # integer exponents, and the terms are kernel numbers.  Only calls
+        # made inside the per-pole steps count; once per sum, the point's
+        # argument is still taken by mpmath
+        series, theta, t = self.problem(family)
+        rc = continue_on_ray(borel_transform(series, 1), theta, [0.5, 1.0])
+        calls = self.spy(monkeypatch, ("arg", "mag", "ldexp", "polyval"))
+        inside = []
+
+        def per_pole(owner, name):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                inside.append(name)
+                mark = len(calls)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    assert calls[mark:] == [], (name, calls[mark:])
+            monkeypatch.setattr(owner, name, wrapped)
+
+        per_pole(borel._PoleStart, "__init__")
+        for name in ("_pole_jet", "_times_derivative", "_closed_form_sum"):
+            per_pole(borel, name)
+        laplace_sum(rc, 1, t)
+        laplace_sum(rc, 1, t, derivative=True)
+        assert {"__init__", "_pole_jet", "_times_derivative", "_closed_form_sum"} <= set(inside)
+
 
 class TestExpE1:
     # G(z) = e^z E1(z), the one special function of the k = 1 sum, against
     # mpmath at 3 prec bits: every value within the bound it states, and
     # that bound within 2^-prec |G|
+    @staticmethod
+    def kernel(fn, z, prec):
+        """fn at z as a kernel number: (z, prec, g, bound) for check, g read
+        through gi_to_mpc and the bound ulps 2^-prec |g|."""
+        zk = gi_from_mpc(z, 4 * prec)
+        g, ulps = fn(zk, prec)
+        g = gi_to_mpc(g)
+        with mp.workprec(3 * prec):
+            return gi_to_mpc(zk), prec, g, ulps * mpmath.ldexp(abs(g), -prec)
+
     @staticmethod
     def check(z, prec, g, bound):
         with mp.workprec(3 * prec):
@@ -907,7 +1038,7 @@ class TestExpE1:
         # the crossover to the continued fraction, and both half-planes
         with mp.workprec(prec):
             z = mpmath.mpf(10) ** log_r * mpmath.expjpi(turn)
-        self.check(z, prec, *borel._exp_e1(z, prec))
+        self.check(*self.kernel(borel._exp_e1, z, prec))
 
     @settings(max_examples=25, deadline=None)
     @given(log_r=st.floats(math.log10(4), 3), turn=st.floats(-0.5, 0.5),
@@ -917,7 +1048,7 @@ class TestExpE1:
         # it is valid but slower than mpmath
         with mp.workprec(prec):
             z = mpmath.mpf(10) ** log_r * mpmath.expjpi(turn)
-        self.check(z, prec, *borel._exp_e1_fraction(z, prec))
+        self.check(*self.kernel(borel._exp_e1_fraction, z, prec))
 
     def test_fraction_beyond_the_crossover(self, monkeypatch):
         # mpmath.e1 runs only below the crossover or in the left half-plane
@@ -927,7 +1058,7 @@ class TestExpE1:
             inside = [mpmath.mpc(12, 0), mpmath.mpc(0, 20), mpmath.mpc(300, -40)]
             outside = [mpmath.mpc(11.9, 0), mpmath.mpc(-20, 1), mpmath.mpc(0.5, 0.5)]
         for z in inside + outside:
-            borel._exp_e1(z, 128)
+            borel._exp_e1(gi_from_mpc(z, 256), 128)
         assert seen == outside
 
 
@@ -951,7 +1082,13 @@ class TestPoleStarts:
         monkeypatch.setattr(borel, "_exp_e1", lambda z, prec: calls.append(z) or exp_e1(z, prec))
         b = borel_transform(OneVarSeries(coeffs), 1)
         above = continue_on_ray(b, 0.3, [1.0])
+        # the second ray matches the poles its approximants filtered for the
+        # first: no numerator Horner at any pole
+        horner = []
+        gi_horner = borel.gi_horner
+        monkeypatch.setattr(borel, "gi_horner", lambda *a: horner.append(a) or gi_horner(*a))
         below = continue_on_ray(b, -0.3, [1.0])
+        assert horner == []
         shared = [laplace_sum(above, 1, t), laplace_sum(above, 1, t, derivative=True),
                   laplace_sum(below, 1, t)]
         # both rays take the series' cached approximants, [3/3] and [4/3] with

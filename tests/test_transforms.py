@@ -10,7 +10,7 @@ from germsum import transforms
 from germsum.borel import borel_transform, build_approximant
 from germsum.errors import DimensionMismatchError
 from germsum.harness import euler_borel_series
-from germsum.scalars import QQi
+from germsum.scalars import QQi, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries, v_ell
 from germsum.transforms import (INFINITY, blowup, chart_shift,
                                 dominant_data, ramify, rotation_average)
@@ -163,6 +163,16 @@ class TestDominantData:
                        key=lambda z: z.imag)
         assert roots == [complex(0, -1), complex(0, 1)]
 
+    def test_scaled_circle_pair(self):
+        # x1^2 + 2 x2^2: 2 xi^2 + 1 has no linear term, and its roots +-i/sqrt(2)
+        # are not Gaussian integers (a zero coefficient once set the sweeps'
+        # scale to nothing, and both iterates settled at 0)
+        dd = dominant_data(TS(2, 8, {(2, 0): 1, (0, 2): 2}), None)
+        assert sorted(m for _, m in dd.roots) == [1, 1]
+        for v, _ in dd.roots:
+            assert abs(abs(mpmath.mpc(v).imag) - mpmath.sqrt(0.5)) < 1e-25
+            assert mpmath.mpc(v).real == 0
+
     def test_numeric_double_root_clustering(self):
         # (x2 - x1)^2: double root at 1 found by clustering, not deflation
         dd = dominant_data(TS(2, 8, {(2, 0): 1, (1, 1): -2, (0, 2): 1}), None)
@@ -297,3 +307,40 @@ class TestPolyRoots:
         with mp.workprec(2 * self.PREC):
             for (v, _), z in zip(roots, (0.5, -1, 1 + 1j, -3)):
                 assert abs(mpmath.mpc(v) - z) <= mpmath.ldexp(1, -self.PREC)
+
+    @pytest.mark.parametrize("poly, exact", [
+        # roots (re + i im) / sqrt 8: +-i / sqrt 2 and (+-1 +- i) / sqrt 8
+        ([1, 0, 2], [(0, s) for s in (-2, 2)]),
+        ([1, 0, 0, 0, 16], [(s, t) for s in (-1, 1) for t in (-1, 1)]),
+    ])
+    def test_zero_coefficients(self, poly, exact):
+        # zero coefficients are left out of the lower bound on the roots that
+        # places the sweeps' exponent; counted, it came out nan, the sweeps
+        # ran on integers and 1 + 2 z^2 had a double root at 0
+        roots = transforms._poly_roots(poly, self.PREC)
+        assert [m for _, m in roots] == [1] * len(exact)
+        with mp.workprec(2 * self.PREC):
+            exact = [mpmath.mpc(re, im) / mpmath.sqrt(8) for re, im in exact]
+            for v, _ in roots:
+                err = min(abs(mpmath.mpc(v) - r) for r in exact)
+                assert err <= mpmath.ldexp(1, -self.PREC)
+
+    @pytest.mark.parametrize("scale", [-20, 300])
+    def test_far_roots_hold_their_precision(self, scale):
+        # the sweeps run in fixed point on one exponent, placed by the
+        # smallest seed: roots 2^scale (j + (j - 2) i/3)/4, j = 1..10, far
+        # below 1 (placed at the kernel width alone, the ten roots at 2^-20
+        # came out within 2^-80 of their values, relative: each seed below 1
+        # adds bits for the polynomial's shrinking values) or far above
+        # 2^(2 prec + 10) (the exponent stops at 0)
+        exact = [QQi(Fraction(j, 4), Fraction(j - 2, 12)) * Fraction(2) ** scale
+                 for j in range(1, 11)]
+        poly = [QQi(1)]
+        for r in exact:
+            poly = [a - r * b for a, b in zip([QQi(0)] + poly, poly + [QQi(0)])]
+        roots = transforms._poly_roots(poly, self.PREC)
+        assert [m for _, m in roots] == [1] * 10
+        with mp.workprec(2 * self.PREC):
+            for (v, _), r in zip(roots, exact):
+                r = to_mpc(r)
+                assert abs(mpmath.mpc(v) - r) <= abs(r) * mpmath.ldexp(1, -self.PREC)
