@@ -2,10 +2,10 @@
 
 First example: the ODE  P^2 y' = P' y - P P'  with P = x^2 - eps^2 has the
 divergent formal solution y = sum m! P^(m+1).  We verify the equation
-exactly on the truncated series, then numerically: writing y = F(P) turns
-the equation into t^2 F'(t) = F(t) - t, and the Borel-Laplace sum of
-sum m! t^(m+1) satisfies that relation along every admissible ray to
-near-machine accuracy.
+exactly on the truncated series, then numerically: y and y' are expanded
+in powers of the germ P, both expansions are summed by Borel-Laplace with
+respect to P at points x where arg P(x) lies near the summation direction,
+and the sums satisfy the equation there to within the errors they report.
 
 Second example: a first-order PDE built from a quasi-homogeneous germ
 P = x2^2 - x1^3 with formal solution f = x1 sum n! P^(n+1).  Computing
@@ -19,7 +19,7 @@ from germsum import (gen_example, verify_ode_formal, verify_ode_numeric,
                      verify_pde_formal)
 
 # -- ODE, formal -------------------------------------------------------------
-ex = gen_example("ode-euler", 24)
+ex = gen_example("ode-euler", 64)
 report = verify_ode_formal(ex.f, ex.p)
 print("ODE residual valuation:", report.formal_valuation,
       "(truncation %d)" % ex.f.trunc)
@@ -27,15 +27,16 @@ print("vanishes to truncation:", report.exact_to_truncation)
 
 # -- ODE, numeric ------------------------------------------------------------
 for theta in (math.pi, math.pi / 2):
-    rep = verify_ode_numeric(1, theta, [0.02, 0.1, 0.3])
-    print("max |t^2 F' - F + t| along theta=%.3f: %.2e"
-          % (theta, rep.numeric_max_residual))
+    rep = verify_ode_numeric(ex.f, ex.p, ex.order, theta, 3)
+    worst = max(rep.details["samples"], key=lambda s: s["residual"])
+    print("max |P^2 y' - P' y + P P'| at 3 points about theta=%.3f: %.2e"
+          " (bound there %.2e)" % (theta, worst["residual"], worst["bound"]))
 
 # The direction theta = 0 is singular for this equation: the machinery
 # refuses it rather than producing an uncontrolled number.
 from germsum.errors import SingularRayError
 try:
-    verify_ode_numeric(1, 0.0, [0.1])
+    verify_ode_numeric(ex.f, ex.p, ex.order, 0.0, 1)
 except SingularRayError as err:
     print("theta=0 refused:", err)
 

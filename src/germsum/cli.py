@@ -19,13 +19,17 @@ from .borel import (OneVarSeries, borel_transform, continue_on_ray,
                     laplace_sum, p_k_sum, singular_directions)
 from .errors import GermsumError
 from .gevrey import fit_gevrey, norm_sequence
-from .harness import (EXAMPLE_NAMES, euler_borel_series, gen_example,
-                      verify_ode_formal, verify_ode_numeric, verify_pde_formal)
+from .harness import (EXAMPLE_NAMES, gen_example, verify_ode_formal,
+                      verify_ode_numeric, verify_pde_formal)
 from .scalars import (DEFAULT_PREC_BITS, QQi, parse_scalar, scalar_from_json,
                       working_prec)
 from .series import MonomialOrder, series_from_json, series_to_json
 from .transforms import INFINITY, blowup, dominant_data, ramify
 from .weierstrass import Germ, p_expand, wdivide
+
+
+# Truncation each canned verification runs at when --trunc is not given.
+_VERIFY_TRUNC = {"remark79": 212, "ode-euler": 64, "pde-quasihom": 25}
 
 
 class _UsageError(ValueError):
@@ -220,9 +224,8 @@ def _dispatch(args):
 def _verify(name, trunc):
     out = {"name": name}
     ok = True
+    ex = gen_example(name, _VERIFY_TRUNC[name] if trunc is None else trunc)
     if name == "remark79":
-        trunc = trunc or 212
-        ex = gen_example(name, trunc)
         germ = Germ(ex.p, ex.order)
         fits = {}
         cases = {
@@ -239,12 +242,11 @@ def _verify(name, trunc):
             ok = ok and fits[label]["pass"]
         out["fits"] = fits
     elif name == "ode-euler":
-        trunc = trunc or 24
-        ex = gen_example(name, trunc)
         formal = verify_ode_formal(ex.f, ex.p)
-        numeric = verify_ode_numeric(1, math.pi, [0.02, 0.05, 0.1, 0.2, 0.3])
-        b = borel_transform(euler_borel_series(32), 1)
-        report = singular_directions(b, 1)
+        numeric = verify_ode_numeric(ex.f, ex.p, ex.order, math.pi, 3)
+        sample = numeric.details["sample"]
+        spec = numeric.details["expansion"].specialize(sample.points[0])
+        report = singular_directions(borel_transform(OneVarSeries(spec), 1), 1)
         out["formal"] = formal.to_json()
         out["numeric"] = numeric.to_json()
         out["singular_directions"] = report.to_json()
@@ -253,8 +255,6 @@ def _verify(name, trunc):
               and all(s["residual"] <= s["bound"] for s in numeric.details["samples"])
               and any(abs(d) < 0.05 for d in report.directions))
     elif name == "pde-quasihom":
-        trunc = trunc or 25
-        ex = gen_example(name, trunc)
         report, _ = verify_pde_formal(ex.f, ex.p, ex.notes["alpha"],
                                       ex.notes["beta"], ex.notes["k"])
         out["formal"] = report.to_json()

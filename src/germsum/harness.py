@@ -14,33 +14,36 @@ Three generator names are understood:
 The formal verifiers evaluate the differential equations in exact
 arithmetic on the stored polynomial representatives at a raised working
 truncation, so residual valuations (which sit above the generator's
-truncation) are visible and reported.  The numeric verifier reduces the
-ODE to its one-variable form ``t^2 F'(t) = F(t) - t`` for the sum
-``F = Laplace(Borel(sum m! t^(m+1)))``: substituting t = P(x) and
-factoring P' out of the two-variable equation leaves exactly this
-relation, so checking it along rays checks the original equation wherever
-P' does not vanish.
+truncation) are visible and reported.  The numeric verifier sums the
+germ expansions of y and dy/dx with ``p_k_sum`` at points of a P-sector
+and checks the two-variable equation there, each residual gated by the
+errors the two sums report.
 """
 from __future__ import annotations
 
 import cmath
+import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-import mpmath
 from mpmath import mp
 
-from .borel import OneVarSeries, borel_transform, continue_on_ray, laplace_sum
+from .borel import p_k_sum
 from .errors import GermsumError
 from .scalars import to_mpc, working_prec
 from .series import MonomialOrder, TruncatedSeries, substitute, v_ell
-from .weierstrass import Germ, wdivide
+from .weierstrass import Germ, PExpansion, p_expand, wdivide
 
-EXAMPLE_NAMES = ("remark79", "ode-euler", "pde-quasihom")
-# Quadrature tolerance of each ray sum in the numeric ODE check.
+# Each example's germ P, exponent -> coefficient.
+_GERMS = {"remark79": {(1, 1): 1}, "ode-euler": {(2, 0): 1, (0, 2): -1},
+          "pde-quasihom": {(0, 2): 1, (3, 0): -1}}
+EXAMPLE_NAMES = tuple(_GERMS)
+# Cap on each germ sum's quadrature error in the numeric ODE check.
 ODE_NUMERIC_EPS = 1e-18
+# Polydisk radius of the numeric ODE check's sector points: |P| < 2 * 0.4^2.
+ODE_SECTOR_RADIUS = 0.4
 # Monomial order dividing the PDE left-hand side by x2 * dP/dx2 * P.
 PDE_ORDER = MonomialOrder((2, 3))
 
@@ -55,8 +58,17 @@ class ExampleData:
 
 
 def gen_example(name, trunc):
-    """Exact generator for the named example series, to the requested order."""
+    """Exact generator for the named example series, to the requested order.
+
+    A truncation that cuts a term of the example's germ (a negative one
+    included) raises ``ValueError``.
+    """
+    if name not in _GERMS:
+        raise ValueError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
     n = int(trunc)
+    p = TruncatedSeries(2, n, _GERMS[name])
+    if p.terms != _GERMS[name]:
+        raise ValueError(f"truncation {n} cuts the {name} germ {_GERMS[name]}")
     if name == "remark79":
         terms = {}
         m = 0
@@ -64,26 +76,21 @@ def gen_example(name, trunc):
             terms[(m, 3 * m)] = Fraction(factorial(m))
             m += 1
         f = TruncatedSeries(2, n, terms)
-        p = TruncatedSeries(2, n, {(1, 1): 1})
         return ExampleData(name, f, p, MonomialOrder((1, 1)),
                            {"expected_order": 1.0})
     if name == "ode-euler":
-        p = TruncatedSeries(2, n, {(2, 0): 1, (0, 2): -1})
         # y(P) for y = sum_{m < n//2} m! t^(m+1): the summands of degree <= n
         y = TruncatedSeries(1, n // 2, {(m + 1,): factorial(m) for m in range(n // 2)})
         f = substitute(y, [p], out_trunc=p.trunc)
         return ExampleData(name, f, p, MonomialOrder((1, 1)),
                            {"k": 1, "singular_direction": 0.0})
-    if name == "pde-quasihom":
-        p = TruncatedSeries(2, n, {(0, 2): 1, (3, 0): -1})
-        # x1 * y(P) for y = sum_{m < depth} m! t^(m+1), whole summands only: x1 * P^(m+1)
-        # has top degree 1 + 3(m+1), so no power of the (inhomogeneous) germ gets sliced
-        depth = max((n - 1) // 3, 0)
-        y = TruncatedSeries(2, depth + 1, {(1, m + 1): factorial(m) for m in range(depth)})
-        f = substitute(y, [TruncatedSeries.variable(0, 2, n), p], out_trunc=p.trunc)
-        return ExampleData(name, f, p, MonomialOrder((2, 3)),
-                           {"alpha": 0, "beta": 1, "k": 1, "depth": depth})
-    raise ValueError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
+    # x1 * y(P) for y = sum_{m < depth} m! t^(m+1), whole summands only: x1 * P^(m+1)
+    # has top degree 1 + 3(m+1), so no power of the (inhomogeneous) germ gets sliced
+    depth = (n - 1) // 3
+    y = TruncatedSeries(2, depth + 1, {(1, m + 1): factorial(m) for m in range(depth)})
+    f = substitute(y, [TruncatedSeries.variable(0, 2, n), p], out_trunc=p.trunc)
+    return ExampleData(name, f, p, MonomialOrder((2, 3)),
+                       {"alpha": 0, "beta": 1, "k": 1, "depth": depth})
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ class ResidualReport:
             "exact_to_truncation": self.exact_to_truncation,
             "numeric_max_residual": self.numeric_max_residual,
             "details": {k: v for k, v in self.details.items()
-                        if not isinstance(v, TruncatedSeries)},
+                        if not isinstance(v, (TruncatedSeries, PExpansion, PSectorSample))},
         }
 
 
@@ -184,44 +191,44 @@ def verify_pde_formal(f, p, alpha, beta, k):
     return report, h
 
 
-def euler_borel_series(n_coeffs):
-    """Coefficients of sum_{m>=0} m! t^(m+1), the one-variable ODE solution."""
-    return OneVarSeries([0] + [factorial(m) for m in range(n_coeffs - 1)])
+def verify_ode_numeric(y, p, order, theta, points):
+    """Check P^2 dy/dx - P' y + P P' = 0 on the germ sums of y and dy/dx.
 
-
-def verify_ode_numeric(k, theta, t_samples, n_coeffs=48):
-    """Check t^2 F' = F - t for the ray sum of the factorial series.
-
-    F and F' are produced by the Borel-ray-Laplace pipeline (F' by
-    differentiation under the integral) at ``working_prec()``, each sum
-    to :data:`ODE_NUMERIC_EPS`, and the maximal residual over the sample
-    moduli |t| is reported.  Each sample records both sums' errors and the
-    residual ``bound = |t|^2 * total_error(F') + total_error(F)`` they
-    imply.  A direction congruent to 0 mod 2*pi fails with a singular-ray
-    error (branch point of the Borel transform).
+    y and its derivative in the first variable are expanded in powers of
+    the germ ``(p, order)`` to the deepest level whose ``reliable_order``
+    is not negative, and summed with ``p_k_sum`` (k = 1) along ``theta`` at
+    ``points`` seeded points of the P-sector ``|arg P - theta| < 1/2``
+    within the polydisk of radius :data:`ODE_SECTOR_RADIUS`.  Each sample
+    records P there (``t``), its residual and the
+    ``bound = |P|^2 * total_error(dy/dx) + |P'| * total_error(y)`` the two
+    sums imply; a sum whose quadrature error exceeds
+    :data:`ODE_NUMERIC_EPS` raises ``ValueError``.  A direction congruent
+    to 0 mod 2*pi fails with a singular-ray error for ode-euler (the Borel
+    transform's pole at 1).  ``details`` also holds the expansion of y and
+    the sector sample, which the JSON form leaves out.
     """
+    germ = Germ(p, order)
+    ey, edy = (p_expand(f, germ, f.trunc // germ.lead_degree + 1) for f in (y, y.differentiate(0)))
+    assert all(g.is_zero or g.degree() <= e.reliable_order(n)
+               for e in (ey, edy) for n, g in enumerate(e.coeffs))
+    sample = sample_p_sector(p, theta - 0.5, theta + 0.5, ODE_SECTOR_RADIUS, points)
+    dp = p.differentiate(0)
+    samples = []
     with mp.workprec(working_prec()):
-        b = borel_transform(euler_borel_series(n_coeffs), k)
-        rc = continue_on_ray(b, theta)
-        phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
-        worst = 0.0
-        samples = []
-        for r in t_samples:
-            t = mpmath.mpf(r) * phase
-            fs = laplace_sum(rc, k, t, eps=ODE_NUMERIC_EPS)
-            fps = laplace_sum(rc, k, t, derivative=True, eps=ODE_NUMERIC_EPS)
-            res = abs(t * t * fps.value - fs.value + t)
-            samples.append({"t_mod": float(r), "residual": float(res),
-                            "quad_err": fs.quadrature_error,
-                            "cont_err": fs.continuation_error,
-                            "deriv_quad_err": fps.quadrature_error,
-                            "deriv_cont_err": fps.continuation_error,
-                            "bound": r * r * fps.total_error + fs.total_error})
-            worst = max(worst, float(res))
+        for x in sample.points:
+            fs, fps = (p_k_sum(e, x, 1, theta) for e in (ey, edy))
+            if max(fs.quadrature_error, fps.quadrature_error) > ODE_NUMERIC_EPS:
+                raise ValueError(f"a germ sum's quadrature error exceeds ODE_NUMERIC_EPS = "
+                                 f"{ODE_NUMERIC_EPS:g}")
+            t, dt = to_mpc(p.eval_at(x)), to_mpc(dp.eval_at(x))
+            samples.append({"t": {"re": float(t.real), "im": float(t.imag)},
+                            "residual": float(abs(t * t * fps.value - dt * fs.value + t * dt)),
+                            "bound": float(abs(t) ** 2 * fps.total_error
+                                           + abs(dt) * fs.total_error)})
     return ResidualReport(
-        numeric_max_residual=worst,
-        details={"theta": float(theta), "k": float(k), "samples": samples,
-                 "n_coeffs": n_coeffs})
+        numeric_max_residual=max((s["residual"] for s in samples), default=0.0),
+        details={"theta": float(theta), "k": 1, "depth": ey.depth,
+                 "samples": samples, "expansion": ey, "sample": sample})
 
 
 @dataclass(frozen=True)
@@ -234,31 +241,36 @@ class PSectorSample:
     p: TruncatedSeries
 
     def recheck(self):
-        width = (self.b - self.a) % (2 * cmath.pi) or 2 * cmath.pi
-        return all(_in_p_sector(self.p, x, self.a, width, self.R) for x in self.points)
+        return all(_in_p_sector(self.p, x, self.a, self.b, self.R) for x in self.points)
 
 
-def _in_p_sector(p, x, a, width, R):
-    """x lies in the open polydisk of radius R, and arg P(x) - a mod 2 pi below width."""
+def _in_p_sector(p, x, a, b, R):
+    """x lies in the open polydisk of radius R, and arg P(x) - a mod 2 pi below b - a."""
     if not all(abs(c) < R for c in x):
         return False
     w = complex(to_mpc(p.eval_at(x)))
-    return w != 0 and (cmath.phase(w) - a) % (2 * cmath.pi) < width
+    return w != 0 and (cmath.phase(w) - a) % (2 * cmath.pi) < b - a
 
 
 def sample_p_sector(p, a, b, R, count, seed=0, max_tries=200000):
-    """Rejection-sample points with a < arg P(x) < b inside the polydisk."""
-    if not b > a:
-        raise ValueError("need a < b")
+    """Rejection-sample points with a < arg P(x) < b inside the polydisk.
+
+    Before drawing anything, refuses with ``ValueError`` a window that is
+    empty or wider than 2*pi, a radius that is not a positive finite real
+    and a negative count.
+    """
+    if not 0 < b - a <= 2 * cmath.pi:
+        raise ValueError(f"need a < b <= a + 2*pi, not a = {a}, b = {b}")
+    if not (isinstance(R, numbers.Real) and 0 < R < cmath.inf) or count < 0:
+        raise ValueError(f"need a positive finite real radius and a count >= 0, not {R!r}, {count}")
     rng = random.Random(seed)
     pts = []
-    width = (b - a) % (2 * cmath.pi) or 2 * cmath.pi
     for _ in range(max_tries):
         if len(pts) >= count:
             break
         x = tuple(complex(rng.uniform(-R, R), rng.uniform(-R, R))
                   for _ in range(p.dim))
-        if _in_p_sector(p, x, a, width, R):
+        if _in_p_sector(p, x, a, b, R):
             pts.append(x)
     if len(pts) < count:
         raise GermsumError(

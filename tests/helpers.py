@@ -2,12 +2,13 @@
 and the independent expansion oracle."""
 import operator
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 from hypothesis import strategies as st
 from mpmath import mp
 
-from germsum.borel import _angdiff
+from germsum.borel import OneVarSeries, _angdiff
 from germsum.scalars import QQi, is_exact, sabs, sadd, smul, sneg, to_mpc, working_prec
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, delta_member
@@ -348,6 +349,11 @@ def mixed_germs(draw, dim, trunc):
     """An :func:`exact_germs` germ with QQi terms and some terms, the lead too, as mpc."""
     germ = draw(exact_germs(dim, trunc, qqi=True))
     return Germ(draw(mixed(germ.p)), germ.order)
+
+
+def euler_borel_series(n_coeffs):
+    """Coefficients of sum_{m>=0} m! t^(m+1), the Euler series, as a Borel input."""
+    return OneVarSeries([0] + [factorial(m) for m in range(n_coeffs - 1)])
 
 
 def pole_transform_coeffs(poles, k, n, prec, double=()):

@@ -17,9 +17,8 @@ from mpmath import mp
 from germsum.borel import (OneVarSeries, borel_transform, continue_on_ray,
                            laplace_sum, singular_directions)
 from germsum.gevrey import fit_gevrey, norm_sequence
-from germsum.harness import (euler_borel_series, gen_example,
-                             verify_ode_formal, verify_ode_numeric,
-                             verify_pde_formal)
+from germsum.harness import (gen_example, verify_ode_formal,
+                             verify_ode_numeric, verify_pde_formal)
 from germsum.series import MonomialOrder, TruncatedSeries, series_to_json, v_ell
 from germsum.transforms import (INFINITY, blowup, chart_shift, dominant_data,
                                 ramify, rotation_average)
@@ -203,12 +202,15 @@ def test_criterion_08_ode_verification():
         for n in range(8, 25, 4):
             ex = gen_example("ode-euler", n)
             assert verify_ode_formal(ex.f, ex.p).exact_to_truncation
+        ex = gen_example("ode-euler", 64)
         for theta in (math.pi / 2, math.pi):
-            rep = verify_ode_numeric(1, theta, [0.02, 0.05, 0.1, 0.2, 0.3])
+            rep = verify_ode_numeric(ex.f, ex.p, ex.order, theta, 5)
             assert rep.numeric_max_residual < 1e-8, theta
             for s in rep.details["samples"]:
                 assert s["residual"] <= s["bound"], (theta, s)
-        report = singular_directions(borel_transform(euler_borel_series(40), 1), 1)
+        # the germ expansion specialized at a sector point, as `verify ode-euler` reads it
+        spec = rep.details["expansion"].specialize(rep.details["sample"].points[0])
+        report = singular_directions(borel_transform(OneVarSeries(spec), 1), 1)
         assert any(abs(d) < 0.05 for d in report.directions)
         assert c.elapsed < 30.0
 

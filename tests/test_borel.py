@@ -14,11 +14,11 @@ from germsum.borel import (FROISSART_REL, BorelSeries, OneVarSeries,
                            RationalApproximant, borel_transform, build_approximant,
                            continue_on_ray, laplace_sum, p_k_sum, singular_directions)
 from germsum.errors import ContinuationError, SectorError, SingularRayError
-from germsum.harness import euler_borel_series, gen_example
+from germsum.harness import gen_example
 from germsum.scalars import QQi, gi_from_mpc, gi_to_mpc, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, PExpansion, p_expand
-from helpers import pole_transform_coeffs, pole_transform_quad
+from helpers import euler_borel_series, pole_transform_coeffs, pole_transform_quad
 
 TS = TruncatedSeries
 

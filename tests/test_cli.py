@@ -192,6 +192,17 @@ def test_verify_ode_euler(capsys):
     assert samples and all(s["residual"] <= s["bound"] for s in samples)
 
 
+def test_verify_trunc_refusals(capsys):
+    # --trunc 0 is not the default, a truncation that cuts the germ (a negative one
+    # too) is refused, and so is one that leaves the ODE's germ sums under 8 coefficients
+    for argv in (["verify", "pde-quasihom", "--trunc", "0"],
+                 ["verify", "ode-euler", "--trunc", "0"],
+                 ["verify", "ode-euler", "--trunc", "-3"],
+                 ["verify", "ode-euler", "--trunc", "12"]):
+        assert cli_main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("germsum: "), argv
+
+
 def test_verify_pde(capsys):
     code, out = run(capsys, ["verify", "pde-quasihom"])
     assert code == 0 and out["pass"]

@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
+from mpmath import mp
 
+from germsum import harness
 from germsum.borel import (OneVarSeries, borel_transform, p_k_sum,
                            singular_directions)
 from germsum.errors import GermsumError, SingularRayError
-from germsum.harness import (euler_borel_series, gen_example,
-                             sample_p_sector, verify_ode_formal,
+from germsum.harness import (gen_example, sample_p_sector, verify_ode_formal,
                              verify_ode_numeric, verify_pde_formal)
 from germsum.scalars import QQi
 from germsum.series import MonomialOrder, TruncatedSeries
@@ -41,6 +43,12 @@ class TestGenerators:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             gen_example("nope", 10)
+
+    @pytest.mark.parametrize("name, trunc", [("ode-euler", -3), ("ode-euler", 1),
+                                             ("pde-quasihom", 2), ("remark79", 1)])
+    def test_truncation_cutting_the_germ_refused(self, name, trunc):
+        with pytest.raises(ValueError, match="cuts the"):
+            gen_example(name, trunc)
 
 
 class TestOdeFormal:
@@ -109,18 +117,38 @@ class TestPdeFormal:
 
 
 class TestOdeNumeric:
+    EX = gen_example("ode-euler", 64)
+
     def test_residual_small_on_two_rays(self):
+        ex = self.EX
         for theta in (math.pi, math.pi / 2):
-            rep = verify_ode_numeric(1, theta, [0.05, 0.2], n_coeffs=40)
+            rep = verify_ode_numeric(ex.f, ex.p, ex.order, theta, 2)
             assert rep.numeric_max_residual < 1e-8
+            assert all(s["residual"] <= s["bound"] for s in rep.details["samples"])
 
     def test_singular_direction_errors(self):
+        ex = self.EX
         with pytest.raises(SingularRayError):
-            verify_ode_numeric(1, 0.0, [0.1])
+            verify_ode_numeric(ex.f, ex.p, ex.order, 0.0, 1)
 
-    def test_euler_borel_series_shape(self):
-        s = euler_borel_series(6)
-        assert s.coeffs == (0, 1, 1, 2, 6, 24)
+    def test_germ_sum_matches_the_closed_form(self):
+        # y = sum m! P^(m+1) sums to -e^(-1/t) E1(-1/t) at t = P(x)
+        ex = self.EX
+        for theta in (math.pi, math.pi / 2):
+            rep = verify_ode_numeric(ex.f, ex.p, ex.order, theta, 3)
+            for x in rep.details["sample"].points:
+                s = p_k_sum(rep.details["expansion"], x, 1, theta)
+                with mp.workprec(2 * s.prec):
+                    x1, x2 = (mpmath.mpc(c) for c in x)
+                    t = x1 ** 2 - x2 ** 2
+                    closed = -mpmath.exp(-1 / t) * mpmath.e1(-1 / t)
+                    assert abs(s.value - closed) <= s.total_error, (theta, x)
+
+    def test_quadrature_error_capped(self, monkeypatch):
+        ex = self.EX
+        monkeypatch.setattr(harness, "ODE_NUMERIC_EPS", 1e-60)
+        with pytest.raises(ValueError, match="ODE_NUMERIC_EPS"):
+            verify_ode_numeric(ex.f, ex.p, ex.order, math.pi, 1)
 
 
 class TestPSector:
@@ -137,6 +165,15 @@ class TestPSector:
         for x0 in sample.points:
             res = p_k_sum(exp, x0, 1, math.pi / 4)
             assert res.total_error < 1e-6
+
+    @pytest.mark.parametrize("a, b, R, count", [
+        (-0.5, 0.5, -1, 3), (-0.5, 0.5, 0, 3), (-0.5, 0.5, math.nan, 3),
+        (-0.5, 0.5, math.inf, 3), (-0.5, 0.5, 1j, 3), (-0.5, 0.5, 0.4, -1),
+        (0.0, 3 * math.pi, 0.4, 3)])
+    def test_bad_inputs_refused(self, a, b, R, count):
+        p = TS(2, 8, {(1, 1): 1})
+        with pytest.raises(ValueError):
+            sample_p_sector(p, a, b, R, count, seed=1)
 
     def test_empty_sector_errors(self):
         p = TS(2, 8, {(1, 1): 1})

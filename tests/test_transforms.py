@@ -9,13 +9,12 @@ from mpmath import mp
 from germsum import transforms
 from germsum.borel import borel_transform, build_approximant
 from germsum.errors import DimensionMismatchError
-from germsum.harness import euler_borel_series
 from germsum.scalars import QQi, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries, v_ell
 from germsum.transforms import (INFINITY, blowup, chart_shift,
                                 dominant_data, ramify, rotation_average)
 
-from helpers import random_series
+from helpers import euler_borel_series, random_series
 
 TS = TruncatedSeries
 
