@@ -15,7 +15,9 @@ import json
 import sys
 
 NEEDED = {
-    "ray-sum": {"borel.laplace_sum.calls", "transforms.poly_roots.calls"},
+    "ray-sum": {"borel.laplace_sum.calls", "transforms.poly_roots.calls",
+                "borel.build_approximant.calls", "borel.pade.order_used_ratio",
+                "borel.poles.kept_ratio"},
     "germ-sum": {"borel.laplace_sum.calls", "transforms.poly_roots.calls",
                  "series.eval_at.self_s", "series.substitute.self_s"},
     "algebra-exact": {"weierstrass.p_expand.self_s", "weierstrass.t_substitute.self_s"},

@@ -14,7 +14,15 @@ pivots above ||A||_1 2^(16 - d) for data accurate to d bits, and solves
 at that degree), the Durand-Kerner rooting of its denominator (stopped
 when every correction is below 2^(-31 - prec), roots kept at the kernel
 width, merged roots centered by Newton steps) and its partial fractions.
-A :class:`BorelSeries` keeps the approximants it has built.
+A :class:`BorelSeries` keeps the approximants it has built.  From the
+Toeplitz solve to the Laplace step the coefficients, roots and poles stay
+kernel numbers: an mpc enters with the coefficients handed to
+:func:`build_approximant`, each lifted once, and leaves only with a result
+of the library (``RayContinuation.values`` and ``.poles``,
+``SingularRayError.pole``, ``PoleCluster.center`` and ``.argument``).
+Two steps run on mpmath, each converting at its call site: the split of a
+merged pole (:func:`_cluster_fractions`) and, for k = a/b with b > 1, the
+b-th roots of the poles.
 
 The Laplace step is closed-form for every k = a/b: tau = s^b turns it
 into the order-a step, and each approximant splits into partial fractions
@@ -160,7 +168,12 @@ def borel_transform(series, k, prec=None):
 class RationalApproximant:
     """Ratio of two polynomials matching a Taylor series to order n+m.
 
-    The denominator is rooted once: ``raw_poles`` caches its roots, and
+    ``num`` and ``den`` hold the coefficients, lowest first, as kernel
+    numbers of the width ``2 * prec + 10`` (``den[0]`` is ``GI_ONE``), and
+    its poles are kernel numbers too: the approximant leaves the kernel
+    only for a value (``__call__``, an mpc at the ambient precision, like
+    an mpmath function's).  The
+    denominator is rooted once: ``raw_poles`` caches its roots, and
     ``filtered_poles`` (cached too) and ``partial_fractions`` reuse them.
     The Laplace step's work per pole and point is kept too
     (``pole_starts``).
@@ -181,30 +194,26 @@ class RationalApproximant:
         return (len(self.num) - 1, len(self.den) - 1)
 
     def __call__(self, tau):
-        tau = to_mpc(tau)
-        # Horner from a zero leading term, so the top coefficient (held at
-        # twice the precision) enters rounded to working precision
-        return (mpmath.polyval((0,) + self.num[::-1], tau)
-                / mpmath.polyval((0,) + self.den[::-1], tau))
+        w = gi_width(self.prec)
+        z = gi_from_mpc(tau, w)
+        return gi_to_mpc(gi_div(gi_horner(self.num[::-1], z, w),
+                                gi_horner(self.den[::-1], z, w), w), mp.prec)
 
     def _trimmed_den(self):
-        """Denominator coefficients, low to high, without negligible top ones."""
-        with mp.workprec(self.prec):
-            mags = [abs(to_mpc(c)) for c in self.den]
-            top = max(mags)
-            if top == 0:
-                return ()
-            cut = top * mpmath.mpf(2) ** (-(self.prec // 2))
-            hi = len(mags) - 1
-            while hi > 0 and mags[hi] < cut:
-                hi -= 1
-            return self.den[:hi + 1]
+        """Denominator coefficients, low to high, without the top ones below
+        2^-(prec/2) of the largest."""
+        e = max(gi_mag(c) for c in self.den)
+        mags = [gi_abs(c, e) for c in self.den]
+        cut = math.ldexp(max(mags), -(self.prec // 2))
+        hi = len(mags) - 1
+        while hi > 0 and mags[hi] < cut:
+            hi -= 1
+        return self.den[:hi + 1]
 
     def raw_poles(self):
         """Denominator roots with multiplicities, negligible top coefficients dropped."""
         if self._roots is None:
-            den = self._trimmed_den()
-            self._roots = tuple(_poly_roots(list(den), self.prec)) if den else ()
+            self._roots = tuple(_poly_roots(self._trimmed_den(), self.prec))
         return self._roots
 
     def filtered_poles(self):
@@ -222,17 +231,15 @@ class RationalApproximant:
         if self._filtered is not None:
             return self._filtered
         w = gi_width(self.prec)
-        num = [gi_from_mpc(c, w) for c in self.num]
-        num_hl, dnum_hl = num[::-1], _taylor_hl(num, 1, w)
+        num_hl, dnum_hl = self.num[::-1], _taylor_hl(self.num, 1, w)
         kept = []
         for p, mult in self.raw_poles():
-            z = gi_from_mpc(p, w)
-            n = gi_horner(num_hl, z, w)
+            n = gi_horner(num_hl, p, w)
             if not (n[0] or n[1]):
                 continue
-            dn = _horner(dnum_hl, z, w)
+            dn = _horner(dnum_hl, p, w)
             e = gi_mag(n)
-            if gi_abs(n, e) > FROISSART_REL * max(1, gi_abs(z)) * gi_abs(dn, e):
+            if gi_abs(n, e) > FROISSART_REL * max(1, gi_abs(p)) * gi_abs(dn, e):
                 kept.append((p, mult))
         self._filtered = tuple(kept)
         return self._filtered
@@ -258,8 +265,8 @@ class RationalApproximant:
         if b in self._fractions:
             return self._fractions[b]
         w = gi_width(self.prec)
-        den = _spread([gi_from_mpc(c, w) for c in self._trimmed_den()], b)
-        rem = _spread([gi_from_mpc(c, w) for c in self.num], b)
+        den = _spread(self._trimmed_den(), b)
+        rem = _spread(self.num, b)
         d = len(den) - 1
         poly = [None] * max(0, len(rem) - d)
         for i in range(len(poly) - 1, -1, -1):
@@ -267,27 +274,28 @@ class RationalApproximant:
             for j, dj in enumerate(den):
                 rem[i + j] = gi_submul(rem[i + j], c, dj, w)
         roots = self.raw_poles()
-        if any(p == 0 for p, _ in roots):
+        if any(not (p[0] or p[1]) for p, _ in roots):
             raise ValueError("a pole at tau = 0 has no Laplace transform")
         with mp.workprec(w):
-            centers = [(mpmath.root(p, b, l), m) for p, m in roots for l in range(b)]
+            centers = roots if b == 1 else [
+                (gi_from_mpc(mpmath.root(gi_to_mpc(p), b, l), w), m)
+                for p, m in roots for l in range(b)]
         # a cluster needs every Taylor coefficient of D(s^b) and R; a simple pole D' and R
         multiple = any(m > 1 for _, m in roots)
         den_hl = [den[::-1]] + [_taylor_hl(den, j, w) for j in range(1, d + 1 if multiple else 2)]
         rem_hl = [_taylor_hl(rem[:d], j, w) for j in range(d if multiple else 1)]
         fractions = []
-        for c, m in centers:
-            z = gi_from_mpc(c, w)
+        for z, m in centers:
             if m == 1:
                 r = gi_div(_horner(rem_hl[0], z, w), _horner(den_hl[1], z, w), w)
                 fractions.append((z, (r,)))
                 continue
             dd = [gi_to_mpc(_horner(hl, z, w)) for hl in den_hl]
             rr = [gi_to_mpc(_horner(hl, z, w)) for hl in rem_hl]
-            with mp.workprec(w):
-                # an eighth of the distance to the nearest other pole, or to 0,
-                # where the ray starts
-                reach = min([abs(c)] + [abs(c - o) for o, _ in centers if o is not c]) / 8
+            # an eighth of the distance to the nearest other pole, or to 0,
+            # where the ray starts
+            reach = min([gi_abs(z)] + [gi_abs(gi_sub(z, o, w)) for o, _ in centers
+                                       if o is not z]) / 8
             fractions.append((z, tuple(gi_from_mpc(r, w) for r in
                                        _cluster_fractions(dd, rr, m, reach, w))))
         self._fractions[b] = tuple(poly), tuple(fractions)
@@ -470,7 +478,7 @@ def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
     bits = _RANK_MARGIN - (2 * prec if exact else prec)
     w = gi_width(prec)
     with mp.workprec(2 * prec):
-        a = [gi_from_mpc(to_mpc(x), w) for x in coeffs]
+        a = [gi_from_mpc(x, w) for x in coeffs]
     while True:
         m, x = _toeplitz_solve(a, m + excess, m, w, bits)
         if x is not None:
@@ -482,8 +490,7 @@ def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
         for j in range(1, min(i, m) + 1):
             acc = gi_submul(acc, x[j - 1], a[i - j], w)
         num.append(acc)
-    den = [mpmath.mpc(1)] + [gi_to_mpc((-re, -im, e)) for re, im, e in x]
-    return RationalApproximant([gi_to_mpc(c) for c in num], den, prec)
+    return RationalApproximant(num, [GI_ONE] + [(-re, -im, e) for re, im, e in x], prec)
 
 
 @dataclass(frozen=True)
@@ -509,6 +516,7 @@ def _stable_poles(approximants, rel):
     lies within ``rel * max(1, |p|)`` of it.  Returns, for each stable pole,
     the tuple of p and its nearest match at each further approximant.
     """
+    w = gi_width(approximants[0].prec)
     pole_sets = [[p for p, _ in appr.filtered_poles()] for appr in approximants]
     stable = []
     for p in pole_sets[0]:
@@ -516,8 +524,8 @@ def _stable_poles(approximants, rel):
         for ps in pole_sets[1:]:
             if not ps:
                 break
-            q = min(ps, key=lambda x: abs(x - p))
-            if abs(q - p) > rel * max(1, abs(p)):
+            q = min(ps, key=lambda x: gi_abs(gi_sub(x, p, w)))
+            if gi_abs(gi_sub(q, p, w)) > rel * max(1, gi_abs(p)):
                 break
             matched.append(q)
         if len(matched) == len(pole_sets):
@@ -561,13 +569,12 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
         nu = hi.order[1]
         # a rank nu below m* cuts m* - 1 too: the lower fit is [nu + 1/nu]
         lo = b.approximant(nu, prec, excess=1) if nu < m_star else b.approximant(m_star - 1, prec)
-        poles = tuple(p for p, _ in _stable_poles((hi, lo), RAY_MATCH_REL))
+        poles = tuple(gi_to_mpc(p) for p, _ in _stable_poles((hi, lo), RAY_MATCH_REL))
         for p in poles:
             if abs(_angdiff(mpmath.arg(p), theta)) < RAY_POLE_MARGIN:
                 raise SingularRayError(
-                    f"stable pole at {complex(to_mpc(p))} within "
-                    f"{RAY_POLE_MARGIN} rad of the ray arg tau = {theta:.6g}",
-                    pole=to_mpc(p))
+                    f"stable pole at {complex(p)} within "
+                    f"{RAY_POLE_MARGIN} rad of the ray arg tau = {theta:.6g}", pole=p)
         phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
         values, errors = [], []
         for r in radii:
@@ -1089,6 +1096,7 @@ def singular_directions(b, k=None, prec=None):
         approximants = [b.approximant(min(m0 - i, nu), prec) for i in range(DIRECTION_ORDERS)]
         clusters = []
         for matched in _stable_poles(approximants, DIRECTION_MATCH_REL):
+            matched = [gi_to_mpc(x) for x in matched]
             center = sum(matched) / len(matched)
             spread = max(abs(x - center) for x in matched)
             clusters.append(PoleCluster(

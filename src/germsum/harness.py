@@ -76,14 +76,12 @@ def gen_example(name, trunc):
             terms[(m, 3 * m)] = Fraction(factorial(m))
             m += 1
         f = TruncatedSeries(2, n, terms)
-        return ExampleData(name, f, p, MonomialOrder((1, 1)),
-                           {"expected_order": 1.0})
+        return ExampleData(name, f, p, MonomialOrder((1, 1)), {})
     if name == "ode-euler":
         # y(P) for y = sum_{m < n//2} m! t^(m+1): the summands of degree <= n
         y = TruncatedSeries(1, n // 2, {(m + 1,): factorial(m) for m in range(n // 2)})
         f = substitute(y, [p], out_trunc=p.trunc)
-        return ExampleData(name, f, p, MonomialOrder((1, 1)),
-                           {"k": 1, "singular_direction": 0.0})
+        return ExampleData(name, f, p, MonomialOrder((1, 1)), {})
     # x1 * y(P) for y = sum_{m < depth} m! t^(m+1), whole summands only: x1 * P^(m+1)
     # has top degree 1 + 3(m+1), so no power of the (inhomogeneous) germ gets sliced
     depth = (n - 1) // 3

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
@@ -141,7 +140,8 @@ class DominantData:
     h: degree of the bivariate leading form; H: the form itself (dim-2
     series); a: minimal exponent of the remaining variables; roots: zeros
     of H on the projective line with multiplicities, the charts where the
-    blown-up germ is not dominated by ``v2^h * rest^a``.
+    blown-up germ is not dominated by ``v2^h * rest^a`` (mpc, except
+    ``INFINITY`` and a root at 0 of a zero constant term, ``Fraction(0)``).
     """
     base_order: object
     completed_order: MonomialOrder
@@ -291,35 +291,46 @@ def _durand_kerner(poly, prec):
     return [_snap((re, im, e), tol) for re, im in roots]
 
 
-def _refine_center(poly, values, prec, radius):
-    """The center of the merged roots ``values`` (mpc) of a kernel
-    polynomial (highest degree first), as an mpc at the kernel width.
+def _within(d, z, r):
+    """|d| <= 2^-r max(1, |z|) for kernel numbers d and z, decided exactly."""
+    dr, di, de = d
+    zr, zi, ze = z
+    n, ne = (1, 0) if _below(z, 0) else (zr * zr + zi * zi, 2 * ze)
+    lhs, s = dr * dr + di * di, 2 * (de + r) - ne
+    return (lhs << s if s >= 0 else lhs) <= (n if s >= 0 else n << -s)
 
-    From their mean at the ambient precision, Newton steps on P^(m - 1),
-    where an m-fold root is simple, run at the kernel width w until a step
-    is below 2^(-31 - prec), or for w steps, and the center is snapped like
-    a Durand-Kerner root.  A step that would leave the merge radius about
-    the mean (radius max(1, |mean|)) is not taken.
+
+def _refine_center(poly, values, prec, r):
+    """The center of the merged roots ``values`` (kernel numbers on one
+    exponent) of a kernel polynomial (highest degree first).
+
+    From their mean, Newton steps on P^(m - 1), where an m-fold root is
+    simple, run at the kernel width w until a step is below 2^(-31 - prec),
+    or for w steps, and the center is snapped like a Durand-Kerner root.  A
+    step that would leave the merge radius about the mean (2^-r max(1,
+    |mean|)) is not taken.
     """
     w, m, tol = gi_width(prec), len(values), -31 - prec
     num, den = (_taylor_hl(poly[::-1], j, w) for j in (m - 1, m))
-    mean = mpmath.fsum(values) / m
-    z = gi_from_mpc(mean, w)
+    mean = z = gi_div((sum(v[0] for v in values), sum(v[1] for v in values), values[0][2]),
+                      (m, 0, 0), w)
     for _ in range(w):
         d = gi_horner(den, z, w)
         if not (d[0] or d[1]):
             break
         step = gi_div(gi_horner(num, z, w), gi_mul(d, (m, 0, 0), w), w)
-        if abs(gi_to_mpc(gi_sub(z, step, w)) - mean) > radius * max(1, abs(mean)):
+        moved = gi_sub(z, step, w)
+        if not _within(gi_sub(moved, mean, w), mean, r):
             break
-        z = gi_sub(z, step, w)
+        z = moved
         if _below(step, tol):
             break
-    return gi_to_mpc(_snap(z, tol))
+    return _snap(z, tol)
 
 
 def _poly_roots(coeffs_low_to_high, prec):
-    """Roots of a univariate polynomial with exact zero-root deflation.
+    """Roots, with multiplicities, of a polynomial with kernel coefficients,
+    as kernel numbers, a zero root deflated exactly: the kernel zero.
 
     Durand-Kerner (:func:`_durand_kerner`) on the Gaussian-integer kernel
     of :mod:`germsum.scalars` at ``2 * prec + 10`` bits, seeded by the float64
@@ -329,52 +340,42 @@ def _poly_roots(coeffs_low_to_high, prec):
     roots are kept at the kernel width.  Where the iteration converges
     quadratically, the stopping sweep leaves a root accurate to about twice
     as many bits; near an m-fold root it stalls, and the m iterates spread
-    about 2^(-(2 prec + 10)/m) around it.  Roots are merged by single
-    linkage within 2^-(prec/4) (relative to max(1, |z|, |z'|)), decided at
-    the working precision, so an m-fold root merges while that spread stays
-    below the radius (m <= 8 at 128 bits).  Roots are listed by modulus,
-    then argument, each group at its first member; as the moduli ascend, a
-    root is compared only with the roots before it whose modulus is within
-    twice the radius (the factor 2 covers the rounding of the moduli).  A
-    merged group is one root with its multiplicity, centered by Newton
-    steps on the (m - 1)-th derivative (:func:`_refine_center`); a single
-    root is its iterate.
+    about 2^(-(2 prec + 10)/m) around it.  Roots are listed by modulus (the
+    integer square root of |z|^2 on the mantissas, cut to prec bits, so
+    that moduli equal to the working precision tie), then argument, and
+    merged by single linkage within 2^-(prec/4) (relative to max(1, |z|)
+    for the later root z), decided exactly on the mantissas, so an m-fold
+    root merges while that spread stays below the radius (m <= 8 at 128
+    bits).  Each group is listed at its first member.  A merged group is
+    one root with its multiplicity, centered by Newton steps on the
+    (m - 1)-th derivative (:func:`_refine_center`); a single root is its
+    iterate.
     """
-    roots = []
     cs = list(coeffs_low_to_high)
-    while cs and is_zero(cs[-1]):
+    while cs and not (cs[-1][0] or cs[-1][1]):
         cs.pop()
+    zeros = next((j for j, c in enumerate(cs) if c[0] or c[1]), 0)
+    roots, cs = ([((0, 0, 0), zeros)] if zeros else []), cs[zeros:]
     if len(cs) <= 1:
         return roots
-    zero_mult = 0
-    while is_zero(cs[0]):
-        cs.pop(0)
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if len(cs) <= 1:
-        return roots
-    w = gi_width(prec)
-    with mp.workprec(w):
-        poly = [gi_from_mpc(c, w) for c in reversed(cs)]
-    radius = mpmath.ldexp(1, -(prec // 4))
-    with mp.workprec(prec):
-        found = sorted(map(gi_to_mpc, _durand_kerner(poly, prec)),
-                       key=lambda z: (abs(z), mpmath.arg(z) if z != 0 else 0))
-        mods = [abs(z) for z in found]
-        label = list(range(len(found)))  # each root's group, by its first root
-        for i, z in enumerate(found):
-            reach = radius * max(1, mods[i])
-            for j in range(i - 1, -1, -1):
-                if mods[i] - mods[j] > 2 * reach:
-                    break
-                if abs(z - found[j]) <= reach:
-                    lo, hi = sorted((label[i], label[j]))
-                    label = [lo if x == hi else x for x in label]
-        for first in sorted(set(label)):
-            group = [z for z, x in zip(found, label) if x == first]
-            m = len(group)
-            roots.append((_refine_center(poly, group, prec, radius) if m > 1 else group[0], m))
+    w, r, poly = gi_width(prec), prec // 4, cs[::-1]
+
+    def key(z):
+        mod = math.isqrt(z[0] * z[0] + z[1] * z[1])
+        fr, fi, _ = gi_round(z, 53)
+        return mod.bit_length(), mod >> max(0, mod.bit_length() - prec), math.atan2(fi, fr)
+
+    found = sorted(_durand_kerner(poly, prec), key=key)
+    label = list(range(len(found)))  # each root's group, by its first root
+    for i, z in enumerate(found):
+        for j in range(i):
+            if _within(gi_sub(z, found[j], w), z, r):
+                lo, hi = sorted((label[i], label[j]))
+                label = [lo if x == hi else x for x in label]
+    for first in sorted(set(label)):
+        group = [z for z, x in zip(found, label) if x == first]
+        roots.append((_refine_center(poly, group, prec, r) if len(group) > 1 else group[0],
+                      len(group)))
     return roots
 
 
@@ -424,7 +425,12 @@ def dominant_data(germ, base, prec=None):
     # zeros of H on the projective line: H(1, xi) plus infinity if the
     # pure-x2 coefficient vanishes
     cs = [H.coeff((h - j, j)) for j in range(h + 1)]
-    roots = _poly_roots(cs, prec)
+    w = gi_width(prec)
+    with mp.workprec(w):
+        lifted = [gi_from_mpc(c, w) for c in cs]
+    roots = [(gi_to_mpc(z), m) for z, m in _poly_roots(lifted, prec)]
+    if is_zero(cs[0]):
+        roots[0] = (Fraction(0), roots[0][1])  # deflated: chart 0 stays exact
     deg = h
     while deg > 0 and is_zero(cs[deg]):
         deg -= 1

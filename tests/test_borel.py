@@ -10,12 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import germsum.borel as borel
+import germsum.transforms as transforms
 from germsum.borel import (FROISSART_REL, BorelSeries, OneVarSeries,
                            RationalApproximant, borel_transform, build_approximant,
                            continue_on_ray, laplace_sum, p_k_sum, singular_directions)
 from germsum.errors import ContinuationError, SectorError, SingularRayError
 from germsum.harness import gen_example
-from germsum.scalars import QQi, gi_from_mpc, gi_to_mpc, to_mpc
+from germsum.scalars import GI_ONE, QQi, gi_from_mpc, gi_to_mpc, gi_width, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, PExpansion, p_expand
 from helpers import euler_borel_series, pole_transform_coeffs, pole_transform_quad
@@ -116,7 +117,7 @@ class TestContinuation:
         appr = build_approximant([Fraction(1, 3)] + [0] * 9, prec=256)
         assert appr.order == (0, 0)
         with mp.workprec(1024):
-            assert abs(appr.num[0] - mpmath.mpf(1) / 3) <= mpmath.ldexp(1, -512)
+            assert abs(gi_to_mpc(appr.num[0]) - mpmath.mpf(1) / 3) <= mpmath.ldexp(1, -512)
 
     def test_build_refuses_non_finite_coefficient(self):
         # an inf or nan has no integer mantissa: refused before any solve
@@ -151,8 +152,8 @@ class TestFroissartFilter:
     def test_keeps_exactly_the_true_poles(self):
         appr = self.top_approximant()
         assert appr.order == (2, 2)
-        kept = [p for p, _ in appr.filtered_poles()]
-        assert kept == [p for p, _ in appr.raw_poles()]
+        kept = [gi_to_mpc(p) for p, _ in appr.filtered_poles()]
+        assert kept == [gi_to_mpc(p) for p, _ in appr.raw_poles()]
         with mp.workprec(128):
             for p, _ in self.POLES:
                 assert min(abs(q - p) for q in kept) < 1e-20
@@ -161,14 +162,15 @@ class TestFroissartFilter:
         # the oracle roots the numerator and drops a pole with a zero
         # within FROISSART_REL of it
         appr = build_approximant(self.noisy_coeffs())
-        kept = [p for p, _ in appr.filtered_poles()]
-        raw = [p for p, _ in appr.raw_poles()]
+        kept = [gi_to_mpc(p) for p, _ in appr.filtered_poles()]
+        raw = [gi_to_mpc(p) for p, _ in appr.raw_poles()]
         assert len(raw) == appr.order[1] >= 8
         assert len(kept) == 2
         with mp.workprec(appr.prec):
             for p, _ in self.POLES:
                 assert min(abs(q - p) for q in kept) < 1e-20
-            zeros = mpmath.polyroots(appr.num[::-1], maxsteps=200, extraprec=appr.prec)
+            num = [gi_to_mpc(c) for c in appr.num]
+            zeros = mpmath.polyroots(num[::-1], maxsteps=200, extraprec=appr.prec)
             for p in raw:
                 near = min(abs(p - z) for z in zeros) < FROISSART_REL * max(1, abs(p))
                 assert near == (p not in kept)
@@ -513,7 +515,8 @@ class TestLaplace:
             for z in (-1, -1 - mpmath.mpf("2e-10"), -1 - mpmath.mpf("5e-10")):
                 # times (tau - z) / (-z)
                 den = [(y - z * x) / -z for x, y in zip(den + [0], [0] + den)]
-        appr = RationalApproximant([mpmath.mpc(1)], den, 128)
+        w = gi_width(128)
+        appr = RationalApproximant([GI_ONE], [gi_from_mpc(c, w) for c in den], 128)
         assert sorted(mult for _, mult in appr.raw_poles()) == [1, 2]
         with pytest.raises(ValueError):
             appr.partial_fractions()
@@ -563,12 +566,13 @@ class TestLaplace:
                 assert res.quadrature_error <= 2.0 ** (10 - prec) * abs(res.value)
 
     def test_non_finite_numerator_refused(self):
-        # the closed form, like the quadrature, refuses an inf or nan
-        # coefficient instead of summing it into the value
-        appr = RationalApproximant([mpmath.mpc(1), mpmath.mpc(mpmath.nan)],
-                                   [mpmath.mpc(1), mpmath.mpc(2)], 128)
+        # an inf or nan coefficient has no kernel form: refused where it is
+        # lifted, instead of summed into the value (build_approximant lifts
+        # every coefficient it is given; see test_build_refuses_non_finite_coefficient)
+        w = gi_width(128)
         with pytest.raises(ValueError):
-            appr.partial_fractions()
+            RationalApproximant([gi_from_mpc(c, w) for c in (1, mpmath.mpc(mpmath.nan))],
+                                [GI_ONE, gi_from_mpc(2, w)], 128).partial_fractions()
 
     def test_tail_covers_growing_transform(self):
         # the Borel transform -log(1 + s) of sum m! t^(m+1) still grows past
@@ -763,9 +767,10 @@ class TestToeplitzSolve:
         appr = build_approximant(b.coeffs, 15, prec)
         _, num, den = pade_step_down(b.coeffs, 15, prec)
         with mp.workprec(2 * prec):
+            got_num, got_den = ([gi_to_mpc(c) for c in cs][::-1] for cs in (appr.num, appr.den))
             for r in (0.25, 0.5, 1, 2):
                 tau = r * mpmath.expj(theta)
-                got = mpmath.polyval(appr.num[::-1], tau) / mpmath.polyval(appr.den[::-1], tau)
+                got = mpmath.polyval(got_num, tau) / mpmath.polyval(got_den, tau)
                 want = mpmath.polyval(num[::-1], tau) / mpmath.polyval(den[::-1], tau)
                 assert abs(got - want) <= abs(want) * mpmath.ldexp(1, 8 - prec)
 
@@ -1003,6 +1008,48 @@ class TestKernelGuard:
         laplace_sum(rc, 1, t, derivative=True)
         assert {"__init__", "_pole_jet", "_times_derivative", "_closed_form_sum"} <= set(inside)
 
+    @pytest.mark.parametrize("family", ["euler48", "three_pole"])
+    def test_pade_layer_converts_only_at_its_edges(self, monkeypatch, family):
+        # approximants, roots and poles stay kernel numbers from the Toeplitz
+        # solve to the Laplace step: the builder lifts each coefficient once
+        # and unlifts nothing, and the pole methods and the root finder
+        # convert nothing
+        series, theta, t = self.problem(family)
+        calls = []
+        for module in (borel, transforms):
+            for name in ("gi_from_mpc", "gi_to_mpc", "to_mpc"):
+                def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
+                    calls.append(_name)
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, name, spy)
+        inside = []
+
+        def record(owner, name):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                mark = len(calls)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    inside.append((name, len(args[0]) if name == "build_approximant" else None,
+                                   calls[mark:]))
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("raw_poles", "filtered_poles", "partial_fractions"):
+            record(borel.RationalApproximant, name)
+        for name in ("_stable_poles", "_poly_roots", "build_approximant"):
+            record(borel, name)
+        b = borel_transform(series, 1)
+        rc = continue_on_ray(b, theta, [0.5, 1.0])
+        laplace_sum(rc, 1, t)
+        singular_directions(b, 1)
+        assert {name for name, _, _ in inside} == {
+            "raw_poles", "filtered_poles", "partial_fractions", "_stable_poles", "_poly_roots",
+            "build_approximant"}
+        for name, n, made in inside:
+            assert made == (["gi_from_mpc"] * n if n is not None else []), name
+
 
 class TestExpE1:
     # G(z) = e^z E1(z), the one special function of the k = 1 sum, against
@@ -1083,11 +1130,11 @@ class TestPoleStarts:
         b = borel_transform(OneVarSeries(coeffs), 1)
         above = continue_on_ray(b, 0.3, [1.0])
         # the second ray matches the poles its approximants filtered for the
-        # first: no numerator Horner at any pole
+        # first: no numerator Horner at any pole (nor a sample's, none asked)
         horner = []
         gi_horner = borel.gi_horner
         monkeypatch.setattr(borel, "gi_horner", lambda *a: horner.append(a) or gi_horner(*a))
-        below = continue_on_ray(b, -0.3, [1.0])
+        below = continue_on_ray(b, -0.3)
         assert horner == []
         shared = [laplace_sum(above, 1, t), laplace_sum(above, 1, t, derivative=True),
                   laplace_sum(below, 1, t)]

@@ -9,7 +9,7 @@ from mpmath import mp
 from germsum import transforms
 from germsum.borel import borel_transform, build_approximant
 from germsum.errors import DimensionMismatchError
-from germsum.scalars import QQi, to_mpc
+from germsum.scalars import QQi, gi_from_mpc, gi_to_mpc, gi_width, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries, v_ell
 from germsum.transforms import (INFINITY, blowup, chart_shift,
                                 dominant_data, ramify, rotation_average)
@@ -252,6 +252,15 @@ class TestDominantData:
             dominant_data(TS(3, 6, {(1, 1, 1): 1}), None)
 
 
+def kernel_roots(poly, prec):
+    """``_poly_roots`` of scalar coefficients lifted as ``dominant_data``
+    lifts them, the roots read through ``gi_to_mpc``."""
+    w = gi_width(prec)
+    with mp.workprec(w):
+        lifted = [gi_from_mpc(c, w) for c in poly]
+    return [(gi_to_mpc(z), m) for z, m in transforms._poly_roots(lifted, prec)]
+
+
 class TestPolyRoots:
     # _poly_roots runs Durand-Kerner on the Gaussian-integer kernel; the
     # oracle is mpmath.polyroots at twice the precision
@@ -272,7 +281,8 @@ class TestPolyRoots:
         # condition number under relative coefficient perturbations, and
         # with the multiplicity the oracle's roots give
         for den in self.denominators():
-            roots = transforms._poly_roots(den, self.PREC)
+            roots = [(gi_to_mpc(v), m) for v, m in transforms._poly_roots(den, self.PREC)]
+            den = [gi_to_mpc(c) for c in den]
             with mp.workprec(2 * self.PREC):
                 oracle = mpmath.polyroots(den[::-1], maxsteps=200, extraprec=2 * self.PREC)
                 radius = mpmath.mpf(2) ** -(self.PREC // 4)
@@ -289,23 +299,27 @@ class TestPolyRoots:
     def test_power_of_two_scaling_keeps_roots(self):
         # the float64 seeds come from coefficients scaled by a power of two,
         # so a denominator far beyond float64 range roots exactly the same
-        den = self.denominators()[1]
+        den = [gi_to_mpc(c) for c in self.denominators()[1]]
         with mp.workprec(4 * self.PREC):  # wide enough to scale exactly
             scaled = [c * mpmath.mpf(2) ** 1100 for c in den]
-        assert transforms._poly_roots(scaled, self.PREC) == transforms._poly_roots(den, self.PREC)
+        assert kernel_roots(scaled, self.PREC) == kernel_roots(den, self.PREC)
 
-    def test_multiple_roots_merge_beside_simple_ones(self):
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_multiple_roots_merge_beside_simple_ones(self, prec):
         # (z + 1)^7 (z - 1/2) (z + 3) (z - 1 - i) with exact QQi coefficients:
         # the stalled iterates of the sevenfold root merge into one root,
-        # and the simple roots stay apart, listed by modulus
+        # and the simple roots stay apart, listed by modulus.  At 256 bits
+        # the iterates lie about 2^-75 apart, inside the radius 2^-64 but
+        # below the rounding of float64 moduli near 1, which a merge window
+        # on those moduli would take for a gap
         poly = [QQi(1)]
         for r in [QQi(-1)] * 7 + [QQi(Fraction(1, 2)), QQi(-3), QQi(1, 1)]:
             poly = [a - r * b for a, b in zip([QQi(0)] + poly, poly + [QQi(0)])]
-        roots = transforms._poly_roots(poly, self.PREC)
+        roots = kernel_roots(poly, prec)
         assert [m for _, m in roots] == [1, 7, 1, 1]
-        with mp.workprec(2 * self.PREC):
+        with mp.workprec(2 * prec):
             for (v, _), z in zip(roots, (0.5, -1, 1 + 1j, -3)):
-                assert abs(mpmath.mpc(v) - z) <= mpmath.ldexp(1, -self.PREC)
+                assert abs(mpmath.mpc(v) - z) <= mpmath.ldexp(1, -prec)
 
     @pytest.mark.parametrize("poly, exact", [
         # roots (re + i im) / sqrt 8: +-i / sqrt 2 and (+-1 +- i) / sqrt 8
@@ -316,7 +330,7 @@ class TestPolyRoots:
         # zero coefficients are left out of the lower bound on the roots that
         # places the sweeps' exponent; counted, it came out nan, the sweeps
         # ran on integers and 1 + 2 z^2 had a double root at 0
-        roots = transforms._poly_roots(poly, self.PREC)
+        roots = kernel_roots(poly, self.PREC)
         assert [m for _, m in roots] == [1] * len(exact)
         with mp.workprec(2 * self.PREC):
             exact = [mpmath.mpc(re, im) / mpmath.sqrt(8) for re, im in exact]
@@ -337,7 +351,7 @@ class TestPolyRoots:
         poly = [QQi(1)]
         for r in exact:
             poly = [a - r * b for a, b in zip([QQi(0)] + poly, poly + [QQi(0)])]
-        roots = transforms._poly_roots(poly, self.PREC)
+        roots = kernel_roots(poly, self.PREC)
         assert [m for _, m in roots] == [1] * 10
         with mp.workprec(2 * self.PREC):
             for (v, _), r in zip(roots, exact):
