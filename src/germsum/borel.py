@@ -63,7 +63,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import repr_dps, to_str
 
-from .errors import ContinuationError, SectorError, SingularRayError
+from .errors import SectorError, SingularRayError
 from .scalars import (GI_ONE, gi_abs, gi_add, gi_div, gi_from_mpc, gi_horner, gi_mag,
                       gi_mul, gi_sub, gi_submul, gi_to_mpc, gi_width, is_exact, to_mpc,
                       working_prec)
@@ -81,12 +81,10 @@ RAY_POLE_MARGIN = 0.15
 DIRECTION_ORDERS = 3
 # ... each within this relative distance, tighter than on a ray.
 DIRECTION_MATCH_REL = 0.1
-# Slack (rad) beyond the sector half-opening pi/(2k); the Laplace step checks decay.
-SECTOR_SLACK = 0.35
 
 
 def _angdiff(a, b):
-    """Signed angular difference a - b wrapped to (-pi, pi].
+    """Signed angular difference a - b wrapped to [-pi, pi).
 
     The wrap uses pi at the working precision: a float 2*pi would shift
     the result by ~2e-16 whenever a and b straddle the cut at +-pi.
@@ -934,22 +932,43 @@ def _closed_form_sum(poly, fractions, starts, a, u, turn, up, prec):
     return total, mass, me
 
 
-def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
-                max_continuation_error=None):
+def _sector_angle(t, theta, a, b):
+    """d = theta - arg t wrapped to [-pi, pi), where the order k = a/b sum at
+    t along arg tau = theta is defined: the kernel exp(-(tau/t)^k) decays
+    along the ray in t's own lobe, |k d| < pi and cos(k d) > 0.05, that is
+    |k d| < arccos 0.05 ~ 1.52.  (For k > 3/2 the next lobe, |k d| near
+    2 pi, also has cos(k d) > 0; the sum is not the integral there.)
+    Anything else raises :class:`SectorError`, and a theta that is not
+    finite ``ValueError``.  ``laplace_sum`` and ``p_k_sum`` both decide here.
+    """
+    if not mpmath.isfinite(theta):
+        raise ValueError(f"ray direction {theta} is not finite")
+    d = _angdiff(theta, mpmath.arg(t))
+    kd = a * d / b
+    if not (abs(kd) < mpmath.pi and mpmath.cos(kd) > 0.05):
+        raise SectorError(f"direction/point incompatible: |k*(theta - arg t)| = "
+                          f"{abs(float(kd)):.3f} >= arccos(0.05) = 1.521")
+    return d
+
+
+def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None):
     """Laplace integral of the continued Borel transform along its ray.
 
     Computes ``k t^{-k} \\int exp(-(tau/t)^k) g(tau) tau^{k-1} dtau`` over
     ``arg tau = rc.direction`` for both approximants carried by the
-    continuation, with d = theta - arg t wrapped to (-pi, pi] and t^(-k)
-    taken on the lift arg t = theta - d.  Requires ``cos(k d) > 0`` (kernel
-    decay along the ray).  With ``derivative=True`` returns d/dt of the sum.
+    continuation, with d = theta - arg t wrapped to [-pi, pi) and t^(-k)
+    taken on the lift arg t = theta - d.  The kernel must decay along the
+    ray in t's own lobe, |k d| < arccos 0.05 (``_sector_angle``); t = 0 or
+    any other t raises :class:`SectorError`.  So the ray lies at
+    |phi| = |d|/b < pi/2 from arg u, the precondition of
+    ``_closed_form_sum``'s Stokes side.  With ``derivative=True`` returns
+    d/dt of the sum.
     Runs at ``working_prec(prec)``, like every other entry point: an
     explicit ``prec``, else the ambient ``mp.prec`` floored at the default.
     The reported continuation error is the difference of the two
-    approximants' sums.  When ``max_continuation_error`` is given and that
-    exceeds it, a :class:`ContinuationError` is raised instead of returning
-    a silently degraded value.  A k other than the transform's ``rc.k``, or
-    not a fraction a/b with b <= 12, raises ``ValueError`` before anything else.
+    approximants' sums; the caller weighs it.  A k other than the
+    transform's ``rc.k``, or not a fraction a/b with b <= 12, raises
+    ``ValueError`` before anything else.
 
     The sum is closed-form for every such k.  With tau = s^b and
     u = |t|^(1/b) e^(i (theta - d)/b), the order-k sum of g at t is the
@@ -967,7 +986,8 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
     (|Q part| + sum of the term sizes) 2^(2 - prec), which covers rounding
     to ``prec`` bits; a term's size is its magnitude plus the carried error
     of the Taylor coefficients it takes, that of G and of every kernel
-    truncation included.  An ``eps`` below that bound raises ``ValueError``.
+    truncation included.  ``eps`` is the sum's one tolerance: an ``eps``
+    below that bound raises ``ValueError``.
     """
     a, b = _rational_k(k)
     if float(k) != rc.k:
@@ -978,11 +998,7 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         if t == 0:
             raise SectorError("cannot sum at t = 0")
         theta = mpmath.mpf(rc.direction)
-        d = _angdiff(theta, mpmath.arg(t))
-        decay = mpmath.cos(a * d / b)
-        if not decay > 0.05:
-            raise SectorError(
-                f"direction/point incompatible: cos(k*(theta-arg t)) = {float(decay):.3f}")
+        d = _sector_angle(t, theta, a, b)
         w = gi_width(prec)
         with mp.workprec(2 * prec):
             turns = mpmath.nint((theta - d - mpmath.arg(t)) / (2 * mpmath.pi))
@@ -1006,10 +1022,6 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
         if not qerr <= eps:
             raise ValueError(f"eps = {float(eps):.3g} is below {qerr:.3g}, the "
                              f"evaluation bound of the {prec}-bit closed-form sum")
-        if max_continuation_error is not None and cont > max_continuation_error:
-            raise ContinuationError(
-                f"continuation error {cont:.3e} exceeds the tolerance "
-                f"{max_continuation_error:.3e}")
         return SumResult(t=t, k=float(k), theta=float(theta), value=gi_to_mpc(v_hi, prec),
                          quadrature_error=qerr, continuation_error=cont, prec=prec)
 
@@ -1017,27 +1029,23 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None,
 def p_k_sum(expansion, point, k, theta, prec=None):
     """Germ-k-sum of an expansion at a point: specialize, transform, continue, integrate.
 
-    ``t = P(point)`` must lie within ``pi/(2k) + SECTOR_SLACK`` of the
-    requested direction; the Laplace step additionally requires actual
-    kernel decay, and takes ``laplace_sum``'s default ``eps``, so a sum
-    whose evaluation bound exceeds 1e-16 is refused with ``ValueError``, as
-    is, before anything else, a k that ``laplace_sum`` cannot sum.  Every
-    step runs at ``working_prec(prec)``.
+    ``t = P(point)`` must lie where ``laplace_sum`` sums: |k (theta - arg t)|
+    < arccos 0.05 in t's own lobe (``_sector_angle``), checked before
+    anything is built; any other point, or one where the germ vanishes,
+    raises :class:`SectorError`.  The Laplace step takes ``laplace_sum``'s
+    default ``eps``, so a sum whose evaluation bound exceeds 1e-16 is
+    refused with ``ValueError``, as is, before anything else, a k that
+    ``laplace_sum`` cannot sum.  Every step runs at ``working_prec(prec)``.
     """
-    _rational_k(k)
+    a, b = _rational_k(k)
     prec = working_prec(prec)
     with mp.workprec(prec):
         t = to_mpc(expansion.germ.p.eval_at(point))
         if t == 0:
             raise SectorError("the germ vanishes at the evaluation point")
-        off = abs(_angdiff(mpmath.arg(t), theta))
-        if off > mpmath.pi / (2 * mpmath.mpf(k)) + SECTOR_SLACK:
-            raise SectorError(
-                f"point outside the germ sector: |arg P(x) - theta| = {float(off):.3f} "
-                f"> pi/(2k) + {SECTOR_SLACK}")
+        _sector_angle(t, float(theta), a, b)
         spec = OneVarSeries(expansion.specialize(point))
-        b = borel_transform(spec, k, prec=prec)
-        rc = continue_on_ray(b, theta, prec=prec)
+        rc = continue_on_ray(borel_transform(spec, k, prec=prec), theta, prec=prec)
         return laplace_sum(rc, k, t, prec=prec)
 
 

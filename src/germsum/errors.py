@@ -31,7 +31,3 @@ class SingularRayError(GermsumError):
 
 class SectorError(GermsumError):
     """Evaluation point and summation direction are incompatible."""
-
-
-class ContinuationError(GermsumError):
-    """The continuation error estimate exceeds the caller's tolerance."""

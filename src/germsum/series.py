@@ -25,6 +25,7 @@ rounded to the working precision once.
 """
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm, prod
@@ -137,13 +138,16 @@ class TruncatedSeries:
             trunc = -1
         clean = {}
         for e, c in (terms or {}).items():
-            e = tuple(int(k) for k in e)
+            try:
+                e = tuple(map(operator.index, e))
+            except TypeError:
+                raise ValueError(f"exponent {e!r} is not a tuple of integers") from None
             if len(e) != dim:
                 raise DimensionMismatchError(
                     f"exponent {e} has length {len(e)}, expected {dim}")
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
-            clean[e] = sadd(clean[e], c) if e in clean else c
+            clean[e] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "terms", _prune_terms(clean, trunc))

@@ -163,8 +163,6 @@ class DominantData:
 def _root_str(v):
     if v is INFINITY:
         return "inf"
-    if isinstance(v, scalars.QQi):
-        return str(complex(float(v.re), float(v.im)))
     if scalars.is_exact(v):
         return scalar_to_json(v)
     z = to_mpc(v)

@@ -375,7 +375,7 @@ def pole_transform_quad(poles, k, t, theta, derivative=False, double=(), prec=25
     quad's own error estimate below 2^(10 - prec).
 
     Along tau = |t| v^(1/k) e^(i theta), with d = theta - arg t wrapped to
-    (-pi, pi] and w = v e^(i k d), the sum is e^(i k d) int_0^inf e^-w g(tau) dv;
+    [-pi, pi) and w = v e^(i k d), the sum is e^(i k d) int_0^inf e^-w g(tau) dv;
     the derivative takes the factor (k/t)(w - 1) under the integral.
     """
     with mp.workprec(prec):
@@ -398,3 +398,74 @@ def pole_transform_quad(poles, k, t, theta, derivative=False, double=(), prec=25
         assert err < mpmath.ldexp(1, 10 - prec)
         value *= phase
         return value * kk / t if derivative else value
+
+
+def _unit_pole_jet(sigma, a, b, d):
+    """(F, F', F'') at sigma for F(sigma) = int k s^(k-1) e^(-s^k) sigma/(sigma - s) ds
+    along arg s = d, k = a/b, |k d| < pi/2, sigma off that ray, by mpmath alone.
+
+    Along s > 0, F = -sigma K with K = int e^-x/(x^(1/k) - sigma) dx; the b
+    roots rho_j of rho^b = sigma split 1/(y^b - sigma), y = x^(1/a), and
+    1/(y - rho_j) = sum_m rho_j^(a-1-m) y^m/(x - rho_j^a), so
+    K = sum_jm rho_j^(a-b-m)/b I_s(z_j) with s = 1 + m/a, z_j = -rho_j^a and
+    I_s(z) = int x^(s-1) e^-x/(x + z) dx = Gamma(s) e^z z^(s-1) Gamma(1 - s, z)
+    (DLMF 8.6.4; E1 at s = 1).  The sigma-derivatives follow from
+    z I_s'(z) = (z + s - 1) I_s(z) - Gamma(s) and dz_j/dsigma = k z_j/sigma.
+    Turning the ray from 0 to d crosses the pole when arg sigma lies between
+    them: -+2 pi i times its residue -k sigma^k e^(-sigma^k).  A real
+    sigma > 0 sits on the cut of the s > 0 form and is taken as arg sigma = -0.
+    """
+    k = mpmath.mpf(a) / b
+    g = [0, 0, 0]   # -K, -K', -K''
+    for j in range(b):
+        rho = mpmath.root(sigma, b, j)
+        z = -rho ** a
+        for m in range(a):
+            s, e = 1 + mpmath.mpf(m) / a, mpmath.mpf(a - b - m) / b
+            gs = mpmath.gamma(s)
+            i_s = gs * mpmath.exp(z) * z ** (s - 1) * mpmath.gammainc(1 - s, z)
+            c = rho ** (a - b - m) / b
+            zi = (z + s - 1) * i_s - gs     # z I_s'(z)
+            lead = e * i_s + k * zi         # sigma T'/c of the term T = c I_s
+            g[0] -= c * i_s
+            g[1] -= c / sigma * lead
+            g[2] -= c / sigma ** 2 * ((e - 1) * lead + k * k * z * i_s
+                                      + (e + k * (z + s - 1)) * k * zi)
+    f = [sigma * g[0], g[0] + sigma * g[1], 2 * g[1] + sigma * g[2]]
+    x = sigma ** k
+    step = k / sigma * (1 - x)
+    j0 = 2j * mpmath.pi * k * x * mpmath.exp(-x)
+    jump = [j0, step * j0, (-(k / sigma ** 2) * (1 - x) - k * k * x / sigma ** 2) * j0
+            + step * step * j0]
+    if sigma.imag == 0:
+        f = [mpmath.re(v) + jv / 2 for v, jv in zip(f, jump)]
+    if d > 0 and sigma.imag > 0 and mpmath.arg(sigma) < d:
+        f = [v + jv for v, jv in zip(f, jump)]
+    elif d < 0 and sigma.imag <= 0 and mpmath.arg(sigma) > d:
+        f = [v - jv for v, jv in zip(f, jump)]
+    return f
+
+
+def pole_transform_closed(poles, k, t, theta, derivative=False, double=(), prec=256):
+    """``pole_transform_quad``'s sum in closed form at ``prec`` bits: mpmath's
+    incomplete gammas at the exact poles, no germsum code.
+
+    With sigma = p/t the term of r p/(p - tau) is r F(sigma)
+    (``_unit_pole_jet``), that of r p^2/(p - tau)^2 = (1 - p d/dp) p/(p - tau)
+    is r (F - sigma F'), and d/dt takes -sigma/t d/dsigma: -r sigma F'/t and
+    r sigma^2 F''/t.
+    """
+    a, b = Fraction(k).numerator, Fraction(k).denominator
+    with mp.workprec(prec):
+        t = to_mpc(t)
+        d = _angdiff(theta, mpmath.arg(t))
+        total = 0
+        for p, r in poles:
+            sigma = to_mpc(p) / t
+            f, f1, _ = _unit_pole_jet(sigma, a, b, d)
+            total += to_mpc(r) * (-sigma / t * f1 if derivative else f)
+        for p, r in double:
+            sigma = to_mpc(p) / t
+            f, f1, f2 = _unit_pole_jet(sigma, a, b, d)
+            total += to_mpc(r) * (sigma ** 2 / t * f2 if derivative else f - sigma * f1)
+        return total

@@ -14,12 +14,13 @@ import germsum.transforms as transforms
 from germsum.borel import (FROISSART_REL, BorelSeries, OneVarSeries,
                            RationalApproximant, borel_transform, build_approximant,
                            continue_on_ray, laplace_sum, p_k_sum, singular_directions)
-from germsum.errors import ContinuationError, SectorError, SingularRayError
+from germsum.errors import SectorError, SingularRayError
 from germsum.harness import gen_example
 from germsum.scalars import GI_ONE, QQi, gi_from_mpc, gi_to_mpc, gi_width, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, PExpansion, p_expand
-from helpers import euler_borel_series, pole_transform_coeffs, pole_transform_quad
+from helpers import (euler_borel_series, pole_transform_closed, pole_transform_coeffs,
+                     pole_transform_quad)
 
 TS = TruncatedSeries
 
@@ -109,7 +110,9 @@ class TestContinuation:
         # singular; the builder must fall back to a lower degree
         appr = build_approximant([mpmath.mpc((-1) ** n) for n in range(20)])
         assert appr.order[1] < 9
-        assert abs(appr(mpmath.mpc(2)) - Fraction(1, 3)) < 1e-30
+        # at 128 bits: at 53 both sides would round to the same double
+        with mp.workprec(128):
+            assert abs(appr(mpmath.mpc(2)) - mpmath.mpf(1) / 3) < 1e-30
 
     def test_constant_fallback_keeps_twice_the_precision(self):
         # no degree >= 1 solves, so the approximant is the constant term,
@@ -291,14 +294,11 @@ class TestLaplace:
 
     def test_continuation_tolerance_gate(self):
         # few coefficients of a branchy transform + a far evaluation point:
-        # the two approximant orders disagree and the gate refuses the value
+        # the two approximant orders disagree, and the sum reports it
         rc = continue_on_ray(borel_transform(euler_borel_series(10), 1),
                              math.pi / 2, [1.0, 2.0])
-        big_t = mpmath.mpc(0, 4)
-        res = laplace_sum(rc, 1, big_t)
+        res = laplace_sum(rc, 1, mpmath.mpc(0, 4))
         assert res.continuation_error > 1e-3
-        with pytest.raises(ContinuationError):
-            laplace_sum(rc, 1, big_t, max_continuation_error=1e-6)
 
     def test_ray_straddling_pi_against_closed_form(self):
         # a_n = n!/p^n has Borel transform p/(p - tau) and 1-sum
@@ -675,9 +675,9 @@ def rational_borel_problems(draw):
 
 
 class TestClosedFormBound:
-    # total_error bounds the error against an mpmath.quad oracle at 256
-    # bits (prec + 64 at prec = 256: the bound is a few ulps of the value),
-    # for the value and the derivative, on input built at 4 prec bits
+    # total_error bounds the error against the closed form of the planted
+    # function at 2 prec bits (the bound is a few ulps of the value), for the
+    # value and the derivative, on input built at 4 prec bits
     @pytest.mark.parametrize("prec", [64, 128, 256])
     @settings(max_examples=8, deadline=None)
     @given(problem=rational_borel_problems())
@@ -695,10 +695,26 @@ class TestClosedFormBound:
                 t = to_mpc(modulus) * mpmath.expj(direction)
         for derivative in (False, True):
             res = laplace_sum(rc, k, t, derivative=derivative, prec=prec, eps=1)
-            exact = pole_transform_quad(poles, k, t, theta, derivative, double,
-                                        prec=max(256, prec + 64))
+            exact = pole_transform_closed(poles, k, t, theta, derivative, double, prec=2 * prec)
             with mp.workprec(512):
                 assert abs(res.value - exact) <= res.total_error
+
+    @pytest.mark.parametrize("k, poles, double, t, theta", [
+        # sigma = p/t exactly real: the first pole on t's own ray
+        (0.5, [(QQi(Fraction(-3, 2)), Fraction(5, 4)), (QQi(Fraction(1, 2), 1), -1)], [],
+         mpmath.mpf(-0.25), math.pi - 0.5),
+        # the simple pole between arg t = 0.4 and the ray: the Stokes term
+        (2.0, [(QQi(1, 1), 1)], [(QQi(Fraction(-1, 2), Fraction(-3, 2)), Fraction(3, 2))],
+         0.3 * mpmath.expj(0.4), 1.0),
+        (3.0, [(QQi(-1, Fraction(1, 2)), 2), (QQi(Fraction(1, 4), -1), Fraction(-1, 2))], [],
+         0.2 * mpmath.expj(1.0), 1.3)])
+    def test_closed_form_oracle_matches_quadrature(self, k, poles, double, t, theta):
+        # the oracle above against mpmath.quad, value and derivative
+        for derivative in (False, True):
+            quad = pole_transform_quad(poles, k, t, theta, derivative, double, prec=128)
+            closed = pole_transform_closed(poles, k, t, theta, derivative, double, prec=128)
+            with mp.workprec(128):
+                assert abs(closed - quad) < mpmath.ldexp(abs(quad), -110)
 
 
 def pade_step_down(coeffs, m, prec):
@@ -1230,6 +1246,85 @@ class TestPKSum:
         partial = sum(factorial(n) * mpmath.mpf(0.25) ** (2 * n) * t ** n
                       for n in range(4))
         assert abs(res.value - partial) < 0.01
+
+
+class TestSectorRule:
+    # one rule, borel._sector_angle, decides where laplace_sum and p_k_sum sum:
+    # the kernel exp(-(tau/t)^k) decays along the ray in t's own lobe,
+    # |k (theta - arg t)| < arccos 0.05
+    EDGE = math.acos(0.05)
+
+    @staticmethod
+    def pole():
+        with mp.workprec(128):
+            return mpmath.expj(2)
+
+    def ray(self, k):
+        # one pole at tau = e^(2i): a_n = Gamma(1 + n/k) e^(-2in), 40 terms at 128 bits
+        coeffs = pole_transform_coeffs([(self.pole(), 1)], k, 40, 128)
+        return continue_on_ray(borel_transform(OneVarSeries(coeffs), k, prec=128), math.pi,
+                               prec=128)
+
+    @pytest.mark.parametrize("k, d", [(2, 2.6), (3, 2.1)])
+    def test_next_lobe_refused(self, k, d):
+        # cos(k d) > 0.05 at |k d| = 5.2 and 6.3, in the kernel's next lobe,
+        # where the closed form is not the ray integral (0.903 + 0.221i and
+        # 1.037 + 0.288i by mpmath.quad; the sum reads 1e6 and 1e18)
+        with pytest.raises(SectorError):
+            laplace_sum(self.ray(k), k, 0.3 * mpmath.expj(math.pi - d), prec=128)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_refuses_exactly_outside_the_lobe(self, monkeypatch, k):
+        # on a grid of d in (-pi, pi]: laplace_sum refuses exactly where
+        # |k d| >= arccos 0.05, and p_k_sum (P = x1 x2 at (t, 1)) refuses the
+        # same points before it builds anything
+        class Built(Exception):
+            pass
+
+        def built(*args, **kwargs):
+            raise Built
+
+        rc = self.ray(k)
+        germ = Germ(TS(2, 10, {(1, 1): 1}), MonomialOrder((1, 1)))
+        exp = PExpansion(germ, [TS.one(2, 10)] * 10, 10)
+        monkeypatch.setattr(borel, "borel_transform", built)
+        accepted = []
+        for i in range(1, 49):
+            d = -math.pi + i * math.pi / 24
+            t = 0.3 * mpmath.expj(math.pi - d)
+            if abs(k * d) < self.EDGE:
+                accepted.append((d, t, laplace_sum(rc, k, t, prec=128)))
+                with pytest.raises(Built):
+                    p_k_sum(exp, (t, 1), k, math.pi, prec=128)
+            else:
+                with pytest.raises(SectorError):
+                    laplace_sum(rc, k, t, prec=128)
+                with pytest.raises(SectorError):
+                    p_k_sum(exp, (t, 1), k, math.pi, prec=128)
+        # the accepted point nearest the edge sums to the integral along the ray
+        d, t, res = max(accepted, key=lambda x: abs(x[0]))
+        exact = pole_transform_closed([(self.pole(), 1)], k, t, math.pi, prec=256)
+        with mp.workprec(256):
+            assert abs(res.value - exact) <= res.total_error
+
+    def test_p_k_sum_refuses_before_building(self, monkeypatch):
+        # ode-euler at theta = pi, |arg P - pi| = 1.70 > arccos 0.05: refused
+        # before any Pade solve
+        calls = []
+        build = borel.build_approximant
+        monkeypatch.setattr(borel, "build_approximant",
+                            lambda *args: calls.append(1) or build(*args))
+        ex = gen_example("ode-euler", 40)
+        exp = p_expand(ex.f, Germ(ex.p, ex.order), 20)
+        x0 = (QQi(Fraction(1, 5), Fraction(-7, 40)), 0)
+        t = to_mpc(ex.p.eval_at(x0))
+        assert 1.6 < abs(float(borel._angdiff(mpmath.arg(t), math.pi))) < 1.9
+        with pytest.raises(SectorError):
+            p_k_sum(exp, x0, 1, math.pi)
+        assert calls == []
+        # a non-finite direction is a usage error, as in continue_on_ray
+        with pytest.raises(ValueError, match="direction"):
+            p_k_sum(exp, x0, 1, math.nan)
 
 
 class TestSingularDirections:

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 import math
@@ -112,6 +113,18 @@ def test_dominant(files, capsys):
     assert code == 0
     assert out["h"] == 2
     assert {r["value"] for r in out["roots"]} == {"0", "inf"}
+    # finite nonzero roots are written as Python complex literals
+    for terms, values in (({(2, 0): 1, (0, 2): -1}, {"1.0", "-1.0"}),
+                          ({(2, 0): 1, (0, 2): 1}, {"1j", "-1j"})):
+        code, out = run(capsys, ["dominant", files("p.json", series_to_json(TS(2, 10, terms)))])
+        assert code == 0 and {r["value"] for r in out["roots"]} == values
+    code, out = run(capsys, ["dominant",
+                             files("p.json", series_to_json(TS(2, 10, {(3, 0): 1, (0, 3): -2})))])
+    assert code == 0 and len(out["roots"]) == 3
+    expected = [2 ** (-1 / 3) * cmath.exp(2j * math.pi * j / 3) for j in range(3)]
+    for r in out["roots"]:
+        assert r["mult"] == 1
+        assert min(abs(complex(r["value"]) - z) for z in expected) < 1e-15
 
 
 def test_gevrey(files, capsys):
@@ -160,6 +173,21 @@ def test_borel_sum_rational_k(files, capsys):
     # a k that is no fraction a/b with b <= 12 is refused before any sum
     assert cli_main(["borel-sum", "--k", "3.14159", "--theta", "0", "--t", "0.1", c]) == 2
     assert "k = 3.14159" in capsys.readouterr().err
+
+
+def test_borel_sum_outside_the_lobe(files, capsys):
+    # one pole at tau = e^(2i), k = 2, theta = pi: t at d = theta - arg t = 0.5
+    # sums; at d = 2.6, |k d| = 5.2 lies in the kernel's next lobe, where
+    # cos(k d) > 0.05 but the sum is not the integral: a domain error
+    coeffs = [{"re": v.real, "im": v.imag}
+              for v in (math.gamma(1 + n / 2) * complex(math.cos(2 * n), -math.sin(2 * n))
+                        for n in range(40))]
+    c = files("c.json", {"coeffs": coeffs})
+    for d, expected in ((0.5, 0), (2.6, 3)):
+        t = 0.3 * complex(math.cos(math.pi - d), math.sin(math.pi - d))
+        argv = ["borel-sum", "--k", "2", "--theta", str(math.pi), f"--t={t.real}{t.imag:+}j", c]
+        assert cli_main(argv) == expected
+    assert "incompatible" in capsys.readouterr().err
 
 
 def test_p_k_sum_via_cli(files, capsys):

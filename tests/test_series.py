@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -374,6 +375,14 @@ class TestScalarsAndPruning:
     def test_exact_zero_never_stored(self):
         f = S(2, 4, {(1, 0): Fraction(0), (0, 1): QQi(0, 0)})
         assert f.is_zero
+
+    def test_exponents_are_integers(self):
+        # ints and numpy ints pass as they are; nothing else is rounded into one
+        f = S(2, 5, {(numpy.int64(1), 2): 3})
+        assert f.terms == {(1, 2): 3} and all(type(k) is int for k in next(iter(f.terms)))
+        for e in ((1.5, 2), (-0.5, 2), ("1", 2), (Fraction(1), 2)):
+            with pytest.raises(ValueError, match="integers"):
+                S(2, 5, {e: 1, (1, 2): 2})
 
     def test_parse_scalar(self):
         assert parse_scalar("3/4") == Fraction(3, 4)
