@@ -6,7 +6,8 @@ so CI reads the last record of the file instead.  Every record must be
 bound misses; a traced one must have measured every layer metric in
 ``NEEDED`` for its workload: ``perfbench/tracing.py`` patches germsum
 functions by name, so a renamed entry point would leave its metric
-``absent`` without failing anything else.
+``absent`` without failing anything else.  A traced metric in ``BOUNDS``
+must also lie at or below its bound.
 
 Usage: ``python3 .github/scripts/check_record.py FILE``; exits 1 when the
 gate fails.
@@ -19,9 +20,14 @@ NEEDED = {
                 "borel.build_approximant.calls", "borel.pade.order_used_ratio",
                 "borel.poles.kept_ratio"},
     "germ-sum": {"borel.laplace_sum.calls", "transforms.poly_roots.calls",
-                 "series.eval_at.self_s", "series.substitute.self_s"},
+                 "series.eval_at.self_s", "series.substitute.self_s",
+                 "weierstrass.p_expand.terms_per_coeff"},
     "algebra-exact": {"weierstrass.p_expand.self_s", "weierstrass.t_substitute.self_s"},
 }
+# the exact germ-sum expansion has one term per coefficient (none in g_0); the
+# float expansion drops the round-off left where rounded data cancel, which
+# once kept about 20 terms per coefficient
+BOUNDS = {"germ-sum": {"weierstrass.p_expand.terms_per_coeff": 2}}
 
 
 def main(path):
@@ -31,6 +37,10 @@ def main(path):
     if r["trace"]:
         print("absent:", sorted(r["absent"]))
         ok = ok and not NEEDED[r["workload"]] & set(r["absent"])
+        for name, bound in BOUNDS.get(r["workload"], {}).items():
+            value = r["metrics"][name]["value"]
+            print(f"{name}: {value} (bound {bound})")
+            ok = ok and value <= bound
     else:
         print("bound misses:", len(r["bound_misses"]))
         ok = ok and not r["bound_misses"]

@@ -64,8 +64,8 @@ from mpmath import mp
 from mpmath.libmp import repr_dps, to_str
 
 from .errors import SectorError, SingularRayError
-from .scalars import (GI_ONE, gi_abs, gi_add, gi_div, gi_from_mpc, gi_horner, gi_mag,
-                      gi_mul, gi_sub, gi_submul, gi_to_mpc, gi_width, is_exact, to_mpc,
+from .scalars import (GI_ONE, NOISE_MARGIN, gi_abs, gi_add, gi_div, gi_from_mpc, gi_horner,
+                      gi_mag, gi_mul, gi_sub, gi_submul, gi_to_mpc, gi_width, is_exact, to_mpc,
                       working_prec)
 from .transforms import _poly_roots, _taylor_hl
 
@@ -444,11 +444,6 @@ def _toeplitz_solve(a, n, m, w, bits):
     return m, q
 
 
-# Bits between the accuracy of the Borel data and the pivot that the
-# Toeplitz solve still counts: ||A||_1 2^(_RANK_MARGIN - accuracy).
-_RANK_MARGIN = 16
-
-
 def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
     """Pade approximant [nu + excess/nu] (``excess`` 0 or 1), nu <= m (default:
     the largest m the coefficients allow) the numerical rank of the data.
@@ -457,23 +452,23 @@ def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
     Toeplitz system of the denominator is solved on the Gaussian-integer
     kernel of :mod:`germsum.scalars` at ``2 * prec + 10`` bits
     (:func:`_toeplitz_solve`), by elimination with partial pivoting.  A
-    pivot at most ||A||_1 2^(16 - d) counts as zero, d being the accuracy
-    of the data: 2 prec bits when ``exact`` (the default when every
-    coefficient is an int, Fraction or ``QQi``), else prec bits.  The
-    approximant is solved at the rank nu of the order-m system (again at
-    the rank of the order-nu system, until it has full rank): a rounded
-    rational function of lower degree is fitted at its true degree, not
-    with pole-zero doublets that fit the rounding.  At nu = 0 the
-    approximant is the polynomial a_0 + ... + a_excess (at twice the
-    working precision, like every coefficient).  A non-finite coefficient
-    raises ``ValueError``.
+    pivot at most ||A||_1 2^(16 - d) (16 = ``scalars.NOISE_MARGIN``)
+    counts as zero, d being the accuracy of the data: 2 prec bits when
+    ``exact`` (the default when every coefficient is an int, Fraction or
+    ``QQi``), else prec bits.  The approximant is solved at the rank nu of
+    the order-m system (again at the rank of the order-nu system, until it
+    has full rank): a rounded rational function of lower degree is fitted
+    at its true degree, not with pole-zero doublets that fit the rounding.
+    At nu = 0 the approximant is the polynomial a_0 + ... + a_excess (at
+    twice the working precision, like every coefficient).  A non-finite
+    coefficient raises ``ValueError``.
     """
     prec = working_prec(prec)
     top = (len(coeffs) - 1 - excess) // 2
     m = top if m is None else max(0, min(m, top))
     if exact is None:
         exact = all(is_exact(x) for x in coeffs)
-    bits = _RANK_MARGIN - (2 * prec if exact else prec)
+    bits = NOISE_MARGIN - (2 * prec if exact else prec)
     w = gi_width(prec)
     with mp.workprec(2 * prec):
         a = [gi_from_mpc(x, w) for x in coeffs]

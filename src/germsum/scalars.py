@@ -36,6 +36,14 @@ from mpmath.libmp import from_man_exp, round_nearest
 DEFAULT_PREC_BITS = int(os.environ.get("GERMSUM_PREC_BITS", "128"))
 
 
+# Bits between the accuracy of float data and the smallest size, relative to
+# the data it came from, that still counts as nonzero: a value at most
+# 2^(NOISE_MARGIN - d) of its data's size, for data accurate to d bits, cannot
+# be told from zero (the rank cut of the Pade layer, the noise cut of the
+# float elimination by a germ).
+NOISE_MARGIN = 16
+
+
 def working_prec(prec=None):
     """The precision in bits to compute at: ``prec`` when given, else the
     ambient ``mp.prec`` floored at :data:`DEFAULT_PREC_BITS`."""

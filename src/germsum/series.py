@@ -348,7 +348,8 @@ def _fmt_term(e, c):
 # coefficients mixed) keep their own scalars, over 1, and run the same loops once
 # inside mp.workprec(working_prec() + _GUARD), each operation following the
 # promotion rule of germsum.scalars.  _finish prunes float terms on bit lengths and
-# rounds each to the working precision once.
+# rounds each to the working precision once (the float elimination by a germ prunes
+# by mass instead: germsum.weierstrass._reduce_float).
 
 # bits beyond the working precision that the float lift and the generic pass keep
 _GUARD = 32

@@ -12,18 +12,22 @@ Division is performed by deterministic term elimination in increasing
 monomial order, with all products truncated at the input's order.  The
 output is exact for the stored polynomial representative on every exponent
 of weight below ``(trunc+1) * min(weights)``; in terms of plain degrees,
-level n certifies ``g.trunc - n*deg(lead_exp)`` orders.
+level n certifies ``g.trunc - n*deg(lead_exp)`` orders.  On float data
+the round-off that rounded data leave where they cancel is dropped, by the
+mass each term carries (:func:`_reduce_float`).
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import frexp, inf, ldexp
 
 from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
-from .scalars import gi_from_mpc, gi_lift, is_zero, sdiv, to_mpc
+from .scalars import (NOISE_MARGIN, gi_abs, gi_from_mpc, gi_lift, gi_to_mpc, is_zero, sdiv,
+                      to_mpc, working_prec)
 from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real, _finish,
                      _float_bits, _has_exact, _json_int, _lift, _Packing, series_from_json,
                      series_to_json, substitute, v_ell)
@@ -91,7 +95,14 @@ def wdivide(g, germ):
 
 
 def _eliminate(g, germ, depth):
-    """Levels 0..depth of g modulo P - t, by :func:`_reduce`, as series."""
+    """Levels 0..depth of g modulo P - t, by :func:`_reduce`, as series.
+
+    On float data each term carries its mass (:func:`_reduce_float`: |c| for
+    an input term, the mass of n times |b| for a product n*b, masses adding
+    where terms meet), and a term at most 2^(16 - prec) of its mass is
+    dropped as round-off, in place of the degree-relative prune of
+    :func:`germsum.series._finish`; each kept term is rounded to the working
+    precision once."""
     if g.dim != germ.dim:
         raise DimensionMismatchError(
             f"series has {g.dim} variables, germ has {germ.dim}")
@@ -111,7 +122,9 @@ def _eliminate(g, germ, depth):
             rem, _ = _reduce(frame, g.terms, germ, False)
         levels = frame.levels({p: n for p, (n, _) in rem.items()})
         return [_finish(d, tr, top, frame.unpack, level) for tr, level in zip(truncs, levels)]
-    return [_finish(d, tr, top, frame.unpack, level, True)
+    prec = working_prec()
+    return [TruncatedSeries._clean(d, tr, {frame.unpack(p): gi_to_mpc(c, prec)
+                                           for p, c in level.items()})
             for tr, level in zip(truncs, frame.levels(_reduce_float(frame, g.terms, germ)))]
 
 
@@ -262,9 +275,25 @@ def _reduce(frame, terms, germ, exact):
     return rem, dens
 
 
+def _mass(re, im, bits):
+    """|re + i im| 2^-bits as a float, inf above the float range."""
+    try:
+        return gi_abs((re, im, 0), bits)
+    except OverflowError:
+        return inf
+
+
+def _scaled(m, k):
+    """The mass m 2^k, inf above the float range."""
+    try:
+        return ldexp(m, k)
+    except OverflowError:
+        return inf
+
+
 def _reduce_float(frame, terms, germ):
     """The float pass of :func:`_reduce`: the remainder as kernel numbers
-    (re, im, e), standing for (re + i im) 2^e, by packed key.
+    (re, im, e), standing for (re + i im) 2^e, by packed key, its noise dropped.
 
     g's coefficients are lifted exactly onto one grid 2^eg (``scalars.gi_lift``),
     and P's tail and t's coefficient, divided by the lead coefficient at
@@ -275,8 +304,24 @@ def _reduce_float(frame, terms, germ):
     which the cancellation down to small levels needs, and a term far below g's
     smallest keeps its relative precision, as an mpc would.  Sums are exact, on
     the lower of the two exponents.
+
+    Each term also carries its mass, a running bound on what it is made of
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.3):
+    an input term's mass is |c|, a product n*b has the mass of n times |b|, and
+    where terms meet their masses add.  The mass is a float m standing for
+    m 2^(e + prec + 32) on the term's own exponent e, so it stays in range
+    when the term does.  Float data accurate to prec bits cannot tell a term
+    of magnitude at most 2^(16 - prec) of its mass (``scalars.NOISE_MARGIN``)
+    from zero: such a term is round-off left where rounded data cancelled.  It
+    is dropped when popped, so noise is never reduced, and when the remainder
+    is read out.  An input term, or a sum in which nothing cancelled, is never
+    dropped; nor is a term whose mass overflowed the float range (m = inf).
     """
     bits = _float_bits()
+    # a term of wn bits is below 2^(wn + 1/2 + e), which is at most
+    # 2^(NOISE_MARGIN - prec) m 2^(e + bits) once 2^(E - 1) <= m (E = frexp(m)[1])
+    # is: when wn - E <= lag
+    lag = bits - working_prec() + NOISE_MARGIN - 2
     lc = germ.lead_coeff
     with mp.workprec(bits):
         lc = to_mpc(lc)
@@ -285,9 +330,11 @@ def _reduce_float(frame, terms, germ):
     for (pt, dk), b in zip(frame.tail, coeffs):
         br, bi, eb = gi_from_mpc(b, bits)
         s = bits - max(br.bit_length(), bi.bit_length())  # widen to exactly bits bits
-        tail.append((pt, dk, br << s, bi << s, eb - s))
+        br, bi, eb = br << s, bi << s, eb - s
+        # |b| = bm 2^(eb + bits), 1/2 <= bm < 2^(1/2)
+        tail.append((pt, dk, br, bi, eb, gi_abs((br, bi, 0), bits)))
     mants, eg = gi_lift(terms.values(), bits)
-    rem, heap = frame.start({x: (r, i, eg) for x, (r, i) in zip(terms, mants)})
+    rem, heap = frame.start({x: (r, i, eg, _mass(r, i, bits)) for x, (r, i) in zip(terms, mants)})
     top, trunc, key_bits, key_mask = frame.top, frame.trunc, frame.key_bits, frame.key_mask
     guard, plead = frame.guard, frame.plead
     level_mask, quotient_level = frame.level_mask, frame.quotient_level
@@ -299,17 +346,21 @@ def _reduce_float(frame, terms, germ):
         t = rem.pop(p, None)
         if t is None:
             continue
-        nr, ni, en = t
+        nr, ni, en, mn = t
         wn = max(nr.bit_length(), ni.bit_length())
+        if 0 < mn < inf and wn - frexp(mn)[1] <= lag:
+            continue  # noise
         s = min(wn - bits, eg - en)
+        shift = bits  # the mass of n b on its exponent en + eb + s: mn bm 2^(shift - s)
         if s > 0:
             nr, ni, en, wn = nr >> s, ni >> s, en + s, wn - s
+            shift -= s
         # a product of n and b has wn + bits bits (one more or less) from 2^(en + eb)
         # up; cut it at 2^eg or wn bits up, whichever is lower
         g = eg - en
         m = p - plead
         k = entry >> key_bits
-        for pt, dk, br, bi, eb in tail:
+        for pt, dk, br, bi, eb, bm in tail:
             p2 = m + pt
             if p2 >> top > trunc:
                 continue
@@ -324,25 +375,31 @@ def _reduce_float(frame, terms, germ):
                 dr = nr * br - ni * bi
                 di = nr * bi + ni * br
             e2 = en + eb + s
+            m2 = _scaled(mn * bm, shift - s)
             t2 = rem.get(p2)
             if t2 is None:
-                rem[p2] = (dr, di, e2)
+                rem[p2] = (dr, di, e2, m2)
                 if ((p2 | guard) - plead) & guard == guard:
                     heapq.heappush(heap, ((k + dk) << key_bits) | p2)
                 continue
-            tr, ti, et = t2
+            tr, ti, et, mt = t2
             if et == e2:
                 dr += tr
                 di += ti
+                m2 += mt
             elif et < e2:
-                dr, di, e2 = (dr << e2 - et) + tr, (di << e2 - et) + ti, et
+                s, e2 = e2 - et, et
+                dr, di = (dr << s) + tr, (di << s) + ti
+                m2 = _scaled(m2, s) + mt
             else:
                 dr, di = dr + (tr << et - e2), di + (ti << et - e2)
+                m2 += _scaled(mt, et - e2)
             if dr or di:
-                rem[p2] = (dr, di, e2)
+                rem[p2] = (dr, di, e2, m2)
             else:
                 del rem[p2]
-    return rem
+    return {p: (r, i, e) for p, (r, i, e, m) in rem.items()
+            if not (0 < m < inf and max(r.bit_length(), i.bit_length()) - frexp(m)[1] <= lag)}
 
 
 class PExpansion:
@@ -412,7 +469,13 @@ class PExpansion:
 def p_expand(f, germ, depth):
     """Expand f in powers of the germ: levels 0..depth-1 of f modulo P - t.
 
-    A negative ``depth`` raises ``ValueError``.
+    On float data a term whose magnitude is at most 2^(16 - prec) of its
+    mass, the running bound on what it is made of (|c| for an input term,
+    the mass of n times |b| for a product n*b, masses adding where terms
+    meet), is round-off left where rounded data cancelled, and is dropped
+    (:func:`_reduce_float`): where f = sum g_n P^n exactly with constant g_n,
+    the expansion of its rounded image has one term per coefficient.  A
+    negative ``depth`` raises ``ValueError``.
     """
     if depth < 0:
         raise ValueError(f"expansion depth {depth} is negative")

@@ -1,8 +1,9 @@
 """Shared test utilities: random instances, term-by-term reference arithmetic
 and the independent expansion oracle."""
+import heapq
 import operator
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf, nextafter
 
 import mpmath
 from hypothesis import strategies as st
@@ -266,6 +267,52 @@ def ref_p_expand(f_terms, p_terms, key, trunc, depth, add=operator.add, mul=oper
     return coeffs
 
 
+def magnitude(c):
+    """|c| rounded up to a float, as an exact Fraction."""
+    with mp.workprec(2 * working_prec()):
+        return Fraction(nextafter(float(abs(to_mpc(c))), inf))
+
+
+def ref_mass_expand(f_terms, p_terms, key, trunc, depth):
+    """Levels 0..depth-1 of the elimination by P - t run on magnitudes, exactly,
+    with Fractions: f's terms as |c|, P's tail as |b/lc| and t's coefficient as
+    |1/lc|, each rounded up to a float (:func:`magnitude`), so that every step
+    adds and nothing cancels.  The terms of level n bound the masses the float
+    elimination carries: the size of what each of its terms is made of.  Each
+    level is the remainder of one division by P, each of the previous quotient,
+    in the key order of ``ref_wdivide`` (written with a heap, as the depth-24
+    inputs are too large for its scan)."""
+    lead = min(p_terms, key=key)
+    with mp.workprec(2 * working_prec()):
+        lc = to_mpc(p_terms[lead])
+        inv = magnitude(1 / lc)
+        tail = [(e, magnitude(to_mpc(c) / lc)) for e, c in p_terms.items() if e != lead]
+
+    def in_cone(e):
+        return all(a >= b for a, b in zip(e, lead))
+
+    levels, cur = [], {e: magnitude(c) for e, c in f_terms.items()}
+    for _ in range(depth):
+        rem, quot = dict(cur), {}
+        heap = [(key(e), e) for e in rem if in_cone(e)]
+        heapq.heapify(heap)
+        while heap:
+            e = heapq.heappop(heap)[1]
+            c = rem.pop(e)
+            m = tuple(a - b for a, b in zip(e, lead))
+            quot[m] = c * inv
+            for be, b in tail:
+                e2 = tuple(map(operator.add, m, be))
+                if sum(e2) > trunc:
+                    continue
+                if e2 not in rem and in_cone(e2):
+                    heapq.heappush(heap, (key(e2), e2))
+                rem[e2] = rem.get(e2, 0) + c * b
+        levels.append(rem)
+        cur, trunc = quot, max(trunc - sum(lead), -1)
+    return levels
+
+
 # -- hypothesis strategies for the series kernel --------------------------------------
 
 COPRIME_DENS = (1, 7, 11, 13, 17, 19)
@@ -369,6 +416,15 @@ def pole_transform_coeffs(poles, k, n, prec, double=()):
                    + sum(r * (m + 1) * p ** -m for p, r in double)) for m in range(n)]
 
 
+# The largest |k d| at which pole_transform_quad meets its target: on 40
+# random pole sets per |k d| (k in {1/2, 1, 3/2, 2, 3}, 1-4 poles at least
+# 0.3 rad off the ray, |t| in 0.05-0.4) at 256 bits, quad's estimate stayed
+# below 2^(10 - prec) in all 40 at 1.35 and missed it in 13 at 1.37, 34 at
+# 1.39 and 39 at 1.45; beyond 1.35 the kernel e^(-v e^(i k d)) decays as
+# e^(-0.22 v) or slower, and oscillates.
+QUAD_MAX_KD = 1.35
+
+
 def pole_transform_quad(poles, k, t, theta, derivative=False, double=(), prec=256):
     """The k-sum (or its t-derivative) of ``pole_transform_coeffs``'s series
     by mpmath.quad at ``prec`` bits, with breakpoints at each (|p|/|t|)^k and
@@ -376,13 +432,19 @@ def pole_transform_quad(poles, k, t, theta, derivative=False, double=(), prec=25
 
     Along tau = |t| v^(1/k) e^(i theta), with d = theta - arg t wrapped to
     [-pi, pi) and w = v e^(i k d), the sum is e^(i k d) int_0^inf e^-w g(tau) dv;
-    the derivative takes the factor (k/t)(w - 1) under the integral.
+    the derivative takes the factor (k/t)(w - 1) under the integral.  Beyond
+    |k d| = ``QUAD_MAX_KD`` the quadrature misses that target, and the point
+    is refused with ``ValueError``.
     """
     with mp.workprec(prec):
         kk, t = mpmath.mpf(k), to_mpc(t)
+        kd = kk * _angdiff(theta, mpmath.arg(t))
+        if abs(kd) > QUAD_MAX_KD:
+            raise ValueError(f"|k·d| = {float(abs(kd)):.4g} lies beyond {QUAD_MAX_KD}, "
+                             "where mpmath.quad misses 2^(10 - prec)")
         poles = [(to_mpc(p), to_mpc(r)) for p, r in poles]
         double = [(to_mpc(p), to_mpc(r)) for p, r in double]
-        phase = mpmath.expj(kk * _angdiff(theta, mpmath.arg(t)))
+        phase = mpmath.expj(kd)
         ray, tm = mpmath.expj(mpmath.mpf(theta)), abs(t)
 
         def f(v):

@@ -716,6 +716,14 @@ class TestClosedFormBound:
             with mp.workprec(128):
                 assert abs(closed - quad) < mpmath.ldexp(abs(quad), -110)
 
+    @pytest.mark.parametrize("arg_t", [0.3, 1.7])
+    def test_quadrature_oracle_refuses_beyond_its_domain(self, arg_t):
+        # k = 2, theta = 1: d = +-0.7, |k d| = 1.4 lies beyond QUAD_MAX_KD = 1.35,
+        # where mpmath.quad misses its 2^(10 - prec) target on most pole sets
+        t = 0.3 * mpmath.expj(arg_t)
+        with pytest.raises(ValueError, match=r"\|k·d\| = 1\.4 lies beyond 1\.35"):
+            pole_transform_quad([(QQi(1, 1), 1)], 2.0, t, 1.0)
+
 
 def pade_step_down(coeffs, m, prec):
     """(order, num, den) that a step-down loop over mpmath.pade settles on

@@ -16,8 +16,8 @@ from germsum.weierstrass import (Germ, PExpansion, delta_member, p_expand,
 
 from helpers import (SHAPES, assert_near_reference, exact_germs, exact_series,
                      expansion_oracle, fixed_germs, mixed, mixed_germs, points, random_series,
-                     ref_eval, ref_mul, ref_order_key, ref_p_expand, ref_substitute,
-                     ref_wdivide)
+                     ref_eval, ref_mass_expand, ref_mul, ref_order_key, ref_p_expand,
+                     ref_substitute, ref_wdivide)
 
 TS = TruncatedSeries
 
@@ -183,7 +183,10 @@ class TestIntegerKernel:
 def test_float_path_matches_funnel_reference():
     """mpc data on the series kernel: *, substitute, wdivide and p_expand agree
     with the reference run on sadd/smul/sdiv/sneg (a germ-sum style scaled
-    input) within the tolerance of ``assert_near_reference``."""
+    input) within the tolerance of ``assert_near_reference``.  f is divisible
+    by P, so its remainder is 0: the float division drops the round-off that
+    the reference keeps.  An off-cone summand h cancels nothing, so the
+    remainder of f + h keeps every term of h, at the reference's values."""
     depth, a = 8, Fraction(-1, 2)
     trunc = 2 * (depth - 1)
     p = TS(2, trunc, {(2, 0): 1, (1, 1): Fraction(3, 4), (0, 2): Fraction(-3, 4)})
@@ -205,14 +208,21 @@ def test_float_path_matches_funnel_reference():
     assert_near_reference([fs * ps],
                           [TS(2, trunc, ref_mul(fs.terms, ps.terms, trunc, sadd, smul))])
     germ = Germ(ps, MonomialOrder((1, 1)))
+    key = ref_order_key((1, 1), "lex")
     res = wdivide(fs, germ)
-    quot, rem = ref_wdivide(fs.terms, ps.terms, ref_order_key((1, 1), "lex"), trunc,
-                            sadd, smul, sdiv, sneg)
+    quot, rem = ref_wdivide(fs.terms, ps.terms, key, trunc, sadd, smul, sdiv, sneg)
     assert_near_reference([res.q, res.r], [TS(2, res.q.trunc, quot), TS(2, trunc, rem)])
-    assert len(res.q.terms) > 20 and len(res.r.terms) > 5
-    ref = ref_p_expand(fs.terms, ps.terms, ref_order_key((1, 1), "lex"), trunc, depth,
-                       sadd, smul, sdiv, sneg)
+    assert len(res.q.terms) > 20 and res.r.is_zero
+    ref = ref_p_expand(fs.terms, ps.terms, key, trunc, depth, sadd, smul, sdiv, sneg)
     assert_near_reference(p_expand(fs, germ, depth).coeffs, [TS(2, t, terms) for t, terms in ref])
+    off_cone = [(i, j) for i in range(trunc + 1) for j in range(trunc + 1 - i)
+                if delta_member((i, j), germ)]
+    h = TS(2, trunc, {e: smul(Fraction(2 * n + 1, 3), lam) for n, e in enumerate(off_cone[::3])})
+    assert len(h.terms) > 5
+    res = wdivide(fs + h, germ)
+    quot, rem = ref_wdivide((fs + h).terms, ps.terms, key, trunc, sadd, smul, sdiv, sneg)
+    assert_near_reference([res.q, res.r], [TS(2, res.q.trunc, quot), TS(2, trunc, rem)])
+    assert set(res.r.terms) == set(h.terms)
 
 
 @pytest.mark.parametrize("lead_bits", [0, 20])
@@ -220,10 +230,14 @@ def test_float_expansion_matches_wide_precision(lead_bits):
     """A depth-24 germ-sum style input (f = sum m! a^m P^(m+1) scaled by lambda,
     round-off amplified by about (1 + 3/4 + 3/4)^24 in the division), expanded
     in powers of L P for L = 1 or 2^20; for L = 2^20 level n shrinks by L^-n.
-    Each level times L^n, and each value of specialize times L^n, lies within
-    2^(16 - prec) max|c| of the same call at 512 bits.  The levels lie within
-    2^(4 - prec) max|c| even: cutting every term to prec + 32 bits of its own
-    size, without g's grid, errs by 2^(5.7 - prec) max|c| here."""
+    The float expansion has the exact support, g_0 = 0 and one constant per
+    level n >= 1.  Each kept term times L^n lies within 2^(4 - prec) max|c|
+    of the same call at 512 bits (cutting every term to prec + 32 bits of its
+    own size, without g's grid, errs by 2^(5.7 - prec) max|c| here), and each
+    value of specialize times L^n within 2^(16 - prec) max|v|.  A term absent
+    at prec bits is round-off of the rounded input: its 512-bit value is at
+    most 2^(16 - prec) of its mass, the same coefficient of the elimination
+    run on magnitudes (``ref_mass_expand``)."""
     depth, a = 24, Fraction(-1, 2)
     trunc = 2 * (depth - 1)
     p = TS(2, trunc, {(2, 0): 1, (1, 1): Fraction(3, 4), (0, 2): Fraction(-3, 4)})
@@ -238,7 +252,9 @@ def test_float_expansion_matches_wide_precision(lead_bits):
     germ = Germ(substitute(p * 2 ** lead_bits, images), MonomialOrder((1, 1)))
     fs = substitute(f, images)
     expansion = p_expand(fs, germ, depth)
+    assert [set(g.terms) for g in expansion.coeffs] == [set()] + [{(0, 0)}] * (depth - 1)
     values = expansion.specialize(x)
+    masses = ref_mass_expand(fs.terms, germ.p.terms, ref_order_key((1, 1), "lex"), trunc, depth)
     with mpmath.mp.workprec(512):
         wide = p_expand(fs, germ, depth)
         wide_values = wide.specialize(x)
@@ -250,11 +266,15 @@ def test_float_expansion_matches_wide_precision(lead_bits):
         values = [v * mpmath.ldexp(1, lead_bits * n) for n, v in enumerate(values)]
         wide_values = [v * mpmath.ldexp(1, lead_bits * n) for n, v in enumerate(wide_values)]
         levels, wide_levels = unscaled(expansion.coeffs), unscaled(wide.coeffs)
-    assert_near_reference(levels, wide_levels)
     scale = max(sabs(c) for g in wide_levels for c in g.terms.values())
-    for g, w in zip(levels, wide_levels, strict=True):
+    tol = scale * mpmath.mpf(2) ** (4 - working_prec())
+    cut = mpmath.mpf(2) ** (16 - working_prec())
+    for g, w, raw, mass in zip(levels, wide_levels, wide.coeffs, masses, strict=True):
         for e in set(g.terms) | set(w.terms):
-            assert sabs(sadd(g.coeff(e), sneg(w.coeff(e)))) <= scale * mpmath.mpf(2) ** (4 - working_prec())
+            if e in g.terms:
+                assert sabs(sadd(g.coeff(e), sneg(w.coeff(e)))) <= tol
+            else:
+                assert sabs(raw.terms[e]) <= cut * mass[e], (e, raw.terms[e], mass[e])
     tol = max(sabs(v) for v in wide_values) * mpmath.mpf(2) ** (16 - working_prec())
     for v, w in zip(values, wide_values, strict=True):
         assert sabs(sadd(v, sneg(w))) <= tol
@@ -291,11 +311,74 @@ def test_mixed_expansion_holds_working_precision():
                 assert sabs(sadd(g.coeff(e), sneg(w.coeff(e)))) <= tol, (e, g.coeff(e))
 
 
-@pytest.mark.parametrize("lead, tail", [(2 ** 166, 1), (1, Fraction(1, 2 ** 200))])
+@st.composite
+def float_germ_sums(draw, prec):
+    """(g, germ, depth, planted exponent, planted value) at ``prec`` bits: a germ
+    x1^2 + c x1 x2 + beta x2^2 with random complex c and beta != 0, and
+    g = u f + delta x^e, f = sum_(m < depth-1) m! a^m P^(m+1) (divisible by P),
+    u a random unit and delta x^e off the cone, 2^-60 of g's largest term."""
+    def scalar(nonzero=False):
+        re = draw(st.integers(-9, 9))
+        im = draw(st.integers(-9, 9).filter(lambda k: k or re or not nonzero))
+        return mpmath.mpc(mpmath.mpf(re) / draw(st.sampled_from((7, 11, 13))),
+                          mpmath.mpf(im) / draw(st.sampled_from((7, 11, 13))))
+
+    depth = draw(st.integers(2, 5))
+    trunc = 2 * depth
+    a = draw(st.sampled_from((Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), -1)))
+    with mpmath.mp.workprec(prec):
+        germ = Germ(TS(2, trunc, {(2, 0): mpmath.mpc(1), (1, 1): scalar(),
+                                  (0, 2): scalar(nonzero=True)}), MonomialOrder((1, 1)))
+        f, p_pow = TS.zero(2, trunc), germ.p
+        for m in range(depth - 1):
+            f = f + p_pow * to_mpc(factorial(m) * a ** m)
+            p_pow = p_pow * germ.p
+        u = TS(2, trunc, {(0, 0): scalar(nonzero=True), (1, 0): scalar(), (0, 1): scalar(),
+                          (1, 1): scalar()})
+        g = u * f
+        e = draw(st.sampled_from([(i, j) for i in range(2) for j in range(trunc + 1 - i)]))
+        phase = scalar(nonzero=True)
+        delta = max(sabs(c) for c in g.terms.values()) * mpmath.ldexp(1, -60) * phase / abs(phase)
+        g = g + TS(2, trunc, {e: delta})
+    return g, germ, depth, e, delta
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_float_noise_cut_property(prec, data):
+    """The float elimination's noise cut on random germ sums (``float_germ_sums``)
+    at 128 and 256 bits, against the same call at 512 bits: every kept term is
+    within the tolerance of ``assert_near_reference``, every dropped term's
+    512-bit value is at most 2^(16 - prec) of its mass (``ref_mass_expand``),
+    and the planted 2^-60 term, the whole exact remainder, survives."""
+    g, germ, depth, e, delta = data.draw(float_germ_sums(prec))
+    with mpmath.mp.workprec(prec):
+        levels = p_expand(g, germ, depth).coeffs
+    masses = ref_mass_expand(g.terms, germ.p.terms, ref_order_key((1, 1), "lex"), g.trunc, depth)
+    with mpmath.mp.workprec(512):
+        wide = p_expand(g, germ, depth).coeffs
+        scale = max(sabs(c) for w in wide for c in w.terms.values())
+        tol = scale * mpmath.mpf(2) ** (16 - prec)
+        cut = mpmath.mpf(2) ** (16 - prec)
+        for level, w, mass in zip(levels, wide, masses, strict=True):
+            for x in set(level.terms) | set(w.terms):
+                if x in level.terms:
+                    assert sabs(sadd(level.terms[x], sneg(w.coeff(x)))) <= tol, (x, level.terms[x])
+                else:
+                    assert sabs(w.terms[x]) <= cut * mass[x], (x, w.terms[x], mass[x])
+        assert e in levels[0].terms
+        assert sabs(sadd(levels[0].terms[e], sneg(delta))) <= tol
+
+
+@pytest.mark.parametrize("lead, tail", [(2 ** 166, 1), (1, Fraction(1, 2 ** 200)),
+                                        (Fraction(1, 2 ** 300), 1)])
 def test_float_elimination_keeps_relative_precision(lead, tail):
     """Terms far above or below g's coefficients keep their relative precision:
     P = lead x1 + tail x2^2 + (3 + 4i)/8 tail x1 x2 with a lead of about 1e50,
-    or a tail of about 1e-60, on mpc data.  Each term of wdivide and p_expand
+    or a tail of about 1e-60, on mpc data.  A lead of about 1e-90 grows the
+    terms 2^300 a step, above g's grid, until their masses leave the float
+    range: such a term is kept.  Each term of wdivide and p_expand
     lies within 2^(16 - prec) of its own size of the exact elimination of the
     same values; a term the float result lacks is below 2^(-prec/2) of the
     largest of its degree (the prune rule of the TruncatedSeries constructor)."""
