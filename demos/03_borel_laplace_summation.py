@@ -47,11 +47,17 @@ print("difference %.2e, reported errors: closed-form evaluation bound %.1e, "
       % (abs(result.value - oracle), result.quadrature_error,
          result.continuation_error))
 
-# Asking for the singular direction itself is refused.
+# Summing along the singular direction itself is refused wherever the
+# Stokes jump across the pole, 2 pi e^(-1/|t|)/|t|, exceeds eps = 1e-16:
+# at t = -0.1 it is about 2.9e-3.  At t = -0.02 it is about 6.1e-20: the
+# sum returns, and the jump joins its continuation error.
+on_pole = continue_on_ray(borel, math.pi)
 try:
-    continue_on_ray(borel, math.pi, [1.0])
+    laplace_sum(on_pole, 1, -0.1)
 except SingularRayError as err:
     print("\nray at pi refused:", err)
+print("ray at pi at t=-0.02: continuation error %.2e (the jump charged)"
+      % laplace_sum(on_pole, 1, -0.02).continuation_error)
 
 # Summing on either side of the singular direction gives two analytic
 # functions whose difference is exponentially small in 1/|t|.

@@ -32,8 +32,10 @@ for theta in (math.pi, math.pi / 2):
     print("max |P^2 y' - P' y + P P'| at 3 points about theta=%.3f: %.2e"
           " (bound there %.2e)" % (theta, worst["residual"], worst["bound"]))
 
-# The direction theta = 0 is singular for this equation: the machinery
-# refuses it rather than producing an uncontrolled number.
+# The direction theta = 0 is singular for this equation: at these points the
+# Stokes jump across the Borel singularity at 1, 2 pi e^(-1/|P|), exceeds
+# eps, so the machinery refuses the sum rather than producing an
+# uncontrolled number.
 from germsum.errors import SingularRayError
 try:
     verify_ode_numeric(ex.f, ex.p, ex.order, 0.0, 1)

@@ -18,8 +18,8 @@ A :class:`BorelSeries` keeps the approximants it has built.  From the
 Toeplitz solve to the Laplace step the coefficients, roots and poles stay
 kernel numbers: an mpc enters with the coefficients handed to
 :func:`build_approximant`, each lifted once, and leaves only with a result
-of the library (``RayContinuation.values`` and ``.poles``,
-``SingularRayError.pole``, ``PoleCluster.center`` and ``.argument``).
+of the library (``RayContinuation.values``, ``SingularRayError.pole``,
+``PoleCluster.center`` and ``.argument``).
 Two steps run on mpmath, each converting at its call site: the split of a
 merged pole (:func:`_cluster_fractions`) and, for k = a/b with b > 1, the
 b-th roots of the poles.
@@ -50,8 +50,13 @@ pole.
 Error reporting is split and mandatory: the continuation error is the
 difference between two approximants fitted to different coefficient
 windows (consecutive orders, or [nu/nu] and [nu + 1/nu] when the data's
-rank nu cuts the upper one) propagated through the same Laplace step.
-The quadrature error is the bound on rounding in evaluating the closed form.
+rank nu cuts the upper one) propagated through the same Laplace step,
+plus the Stokes jump of every pole of the upper approximant within
+``RAY_POLE_MARGIN`` of the ray: which side of the ray such a pole lies on
+is not certain, and the two sides' sums differ by that jump.  A jump above
+the sum's ``eps`` refuses the sum with :class:`SingularRayError`, so a ray
+is singular at a point t, not for every t at once.  The quadrature error
+is the bound on rounding in evaluating the closed form.
 """
 from __future__ import annotations
 
@@ -73,9 +78,7 @@ TWO_PI = 2 * math.pi
 
 # A numerator zero this close (relative) to a pole cancels it: a Froissart doublet.
 FROISSART_REL = 1e-6
-# Cross-order match on a ray, loose: refusing a ray near a doubtful pole is safe.
-RAY_MATCH_REL = 0.2
-# Angle (rad) from a stable pole within which the continuation is unreliable.
+# Angle (rad) from the ray in tau within which a pole's Stokes jump is charged.
 RAY_POLE_MARGIN = 0.15
 # A direction report asserts an obstruction: the pole must recur at 3 orders ...
 DIRECTION_ORDERS = 3
@@ -197,21 +200,14 @@ class RationalApproximant:
         return gi_to_mpc(gi_div(gi_horner(self.num[::-1], z, w),
                                 gi_horner(self.den[::-1], z, w), w), mp.prec)
 
-    def _trimmed_den(self):
-        """Denominator coefficients, low to high, without the top ones below
-        2^-(prec/2) of the largest."""
-        e = max(gi_mag(c) for c in self.den)
-        mags = [gi_abs(c, e) for c in self.den]
-        cut = math.ldexp(max(mags), -(self.prec // 2))
-        hi = len(mags) - 1
-        while hi > 0 and mags[hi] < cut:
-            hi -= 1
-        return self.den[:hi + 1]
-
     def raw_poles(self):
-        """Denominator roots with multiplicities, negligible top coefficients dropped."""
+        """Every root of the denominator, with multiplicities.
+
+        Nothing is cut by size: a small top coefficient gives a far pole,
+        which the Laplace step sums like any other (a pole near the ray is
+        charged its Stokes jump there)."""
         if self._roots is None:
-            self._roots = tuple(_poly_roots(self._trimmed_den(), self.prec))
+            self._roots = tuple(_poly_roots(self.den, self.prec))
         return self._roots
 
     def filtered_poles(self):
@@ -249,8 +245,8 @@ class RationalApproximant:
         ``poly`` holds the coefficients of Q, low to high, and ``fractions``
         one pair (c, (r_1, r_2, ...)) for each b-th root c of each pole p,
         all kernel numbers of the width ``2 * prec + 10``.  The poles are the
-        cached roots of the trimmed denominator D, which ``raw_poles`` keeps
-        at that width, so nothing is rooted again; Q and the remainder R come
+        cached roots of the whole denominator D (``raw_poles``, at that
+        width), so nothing is rooted again; Q and the remainder R come
         from dividing N(s^b) by D(s^b) on the Gaussian-integer kernel.  A
         simple pole has r_1 = R(c)/D'(c), by kernel Horner.  A pole of
         multiplicity m stands for m roots of D(s^b) that ``_poly_roots``
@@ -263,7 +259,9 @@ class RationalApproximant:
         if b in self._fractions:
             return self._fractions[b]
         w = gi_width(self.prec)
-        den = _spread(self._trimmed_den(), b)
+        den = _spread(self.den, b)
+        while not (den[-1][0] or den[-1][1]):  # the division needs a leading coefficient
+            den.pop()
         rem = _spread(self.num, b)
         d = len(den) - 1
         poly = [None] * max(0, len(rem) - d)
@@ -496,7 +494,6 @@ class RayContinuation:
     radii: tuple
     values: tuple
     errors: tuple
-    poles: tuple
     prec: int
     _hi: object
     _lo: object
@@ -536,17 +533,15 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
     one to [nu/nu], the lower one is [nu + 1/nu]: the same denominator
     degree fitted to one more coefficient.  A non-finite ``theta`` or
     radius, a radius <= 0 and radii that do not increase raise
-    ``ValueError``.
-    A pole stable across the two orders (within ``RAY_MATCH_REL``) and
-    within angular distance ``RAY_POLE_MARGIN`` of the ray raises
-    :class:`SingularRayError`.  ``"pade"`` is the only continuation
-    ``method``; any other value raises ``ValueError``.  Runs at
-    ``working_prec(prec)``.
+    ``ValueError``.  No ray is refused here, whatever poles lie near it:
+    whether a pole is too close depends on the point t, and
+    ``laplace_sum`` decides it there, from the pole's Stokes jump at t.
+    ``"pade"`` is the only continuation ``method``; any other value raises
+    ``ValueError``.  Runs at ``working_prec(prec)``.
     """
     if method != "pade":
         raise ValueError(f"unknown continuation method {method!r}")
-    coeffs = b.coeffs
-    if len(coeffs) < 8:
+    if len(b) < 8:
         raise ValueError("need at least 8 Borel coefficients to continue")
     theta = float(theta)
     if not math.isfinite(theta):
@@ -557,17 +552,11 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
         raise ValueError(f"radii {radii} must be finite, positive and strictly increasing")
     prec = working_prec(prec)
     with mp.workprec(prec):
-        m_star = (len(coeffs) - 1) // 2
+        m_star = (len(b) - 1) // 2
         hi = b.approximant(m_star, prec)
         nu = hi.order[1]
         # a rank nu below m* cuts m* - 1 too: the lower fit is [nu + 1/nu]
         lo = b.approximant(nu, prec, excess=1) if nu < m_star else b.approximant(m_star - 1, prec)
-        poles = tuple(gi_to_mpc(p) for p, _ in _stable_poles((hi, lo), RAY_MATCH_REL))
-        for p in poles:
-            if abs(_angdiff(mpmath.arg(p), theta)) < RAY_POLE_MARGIN:
-                raise SingularRayError(
-                    f"stable pole at {complex(p)} within "
-                    f"{RAY_POLE_MARGIN} rad of the ray arg tau = {theta:.6g}", pole=p)
         phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
         values, errors = [], []
         for r in radii:
@@ -576,8 +565,7 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
             values.append(v)
             errors.append(float(abs(v - lo(tau))))
     return RayContinuation(k=b.k, direction=theta, radii=radii, values=tuple(values),
-                           errors=tuple(errors), poles=poles,
-                           prec=prec, _hi=hi, _lo=lo)
+                           errors=tuple(errors), prec=prec, _hi=hi, _lo=lo)
 
 
 # -- Laplace integral ---------------------------------------------------------
@@ -887,18 +875,32 @@ def _times_derivative(poly, fractions, w):
     return poly, tuple(out)
 
 
-def _closed_form_sum(poly, fractions, starts, a, u, turn, up, prec):
+def _closed_form_sum(poly, fractions, starts, a, b, u, turn, up, prec):
     """Order-a Laplace sum at the kernel number u of Q(s) + sum r_j/(s - c)^j
     along arg s = arg u + phi (turn = e^(-i phi), phi > 0 when ``up``),
     from its partial fractions and the :class:`_PoleStart` at u of each of
-    their poles (``starts``, in the same order).
+    their poles (``starts``, in the same order), for the order-a/b sum in
+    tau = s^b.
 
-    Returns ``(value, mass, e)``: the value a kernel number of
-    ``prec + _CLOSED_FORM_GUARD + 2`` bits, and the float mass on the
-    exponent e.  Q sums as sum q_n Gamma(1 + n/a) u^n, and r/(s - c)^j as
-    r psi_(j-1)(c/u)/u^j (:func:`_pole_jet`).  The mass is
+    Returns ``(value, mass, e, jumps)``: the value a kernel number of
+    ``prec + _CLOSED_FORM_GUARD + 2`` bits, the float mass on the
+    exponent e, and a pair (|J|, c) for each pole c within
+    ``RAY_POLE_MARGIN`` / b of the ray in s (``RAY_POLE_MARGIN`` in tau),
+    decided on the mantissas of x e^(-i phi) that also give the Stokes side.
+    Q sums as sum q_n Gamma(1 + n/a) u^n, and r/(s - c)^j as
+    r psi_(j-1)(c/u)/u^j (:func:`_pole_jet`), on the pole's side of the
+    ray whether near it or not.  The mass is
     |Q part| + sum |r| size_(j-1)/|u|^j: the size the rounding error is
     relative to.
+
+    J is the pole's Stokes jump: the residue term that :func:`_pole_jet`
+    adds when the ray turns past x = c/u, summed through the fraction,
+    sum_j r_j (psi_(j-1) - alt_(j-1))/u^j with alt the jet on the other
+    side; for a simple pole at k = 1 it is 2 pi i r e^(-c/u)/u.  As the
+    difference of two jets of the ``start.w`` bits its error is far below
+    the mass's 2^-prec share.  |J| is a float, inf above the float range
+    (a pole past the ray near the sector's edge, where Re x^a < 0, at a
+    small t).
     """
     wp = prec + _CLOSED_FORM_GUARD + 2
     total, mass, me, un = (0, 0, 0), 0.0, 0, GI_ONE
@@ -908,13 +910,24 @@ def _closed_form_sum(poly, fractions, starts, a, u, turn, up, prec):
         mass += gi_abs(term)
         un = gi_mul(un, u, wp)
     au = gi_abs(u)
-    for (_, rs), start in zip(fractions, starts):
-        # the Stokes side from the signs of x and x e^(-i phi) (|phi| < pi/2):
+    near, jumps = Fraction(math.tan(RAY_POLE_MARGIN / b)), []
+    for (c, rs), start in zip(fractions, starts):
+        # the Stokes side from the signs of x and y = x e^(-i phi) (|phi| < pi/2):
         # -1 when 0 < arg x < phi, +1 when phi < arg x <= 0
         (xr, xi, _), w = start.x, start.w
-        yi = xr * turn[1] + xi * turn[0]
+        yr, yi = xr * turn[0] - xi * turn[1], xr * turn[1] + xi * turn[0]
         side = -(xi > 0 > yi) if up else int((xi < 0 or xi == 0 < xr) and yi > 0)
         psi, size = _pole_jet(start, a, len(rs), side)
+        # |arg y| < RAY_POLE_MARGIN / b: the pole's Stokes jump is charged
+        if abs(yi) * near.denominator < near.numerator * yr:
+            try:
+                alt, _ = _pole_jet(start, a, len(rs), 0 if side else 1)
+                jump = (0, 0, 0)
+                for r, p, q in zip(rs[::-1], psi[::-1], alt[::-1]):
+                    jump = gi_div(gi_add(jump, gi_mul(r, gi_sub(p, q, w), w), w), u, w)
+                jumps.append((gi_abs(jump), c))
+            except OverflowError:  # e^(-x^a) beyond the float range, past the sector's edge
+                jumps.append((math.inf, c))
         # sum_j r_j psi_(j-1)/u^j by Horner's rule in 1/u
         term = gi_div(gi_mul(rs[-1], psi[-1], w), u, w)
         part = gi_abs(rs[-1]) * size[-1] / au
@@ -924,7 +937,7 @@ def _closed_form_sum(poly, fractions, starts, a, u, turn, up, prec):
         total = gi_add(total, term, wp)
         top = max(me, start.e)
         mass, me = math.ldexp(mass, me - top) + math.ldexp(part, start.e - top), top
-    return total, mass, me
+    return total, mass, me, jumps
 
 
 def _sector_angle(t, theta, a, b):
@@ -961,7 +974,14 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None):
     Runs at ``working_prec(prec)``, like every other entry point: an
     explicit ``prec``, else the ambient ``mp.prec`` floored at the default.
     The reported continuation error is the difference of the two
-    approximants' sums; the caller weighs it.  A k other than the
+    approximants' sums plus the Stokes jump J at t of every pole of the
+    upper approximant within ``RAY_POLE_MARGIN`` of the ray: on a pole that
+    near, the side of the ray it lies on is not certain, and the sums on
+    its two sides differ by J (the Ramis-Sibuya C exp(-A/|t|^k)).  A total
+    J above ``eps`` raises :class:`SingularRayError`, carrying the nearest
+    such pole (in tau), J and ``eps``; below it the sum keeps the pole's
+    side, so its value is the same, and charges J.  So a ray is singular
+    at a t, not for every t.  A k other than the
     transform's ``rc.k``, or not a fraction a/b with b <= 12, raises
     ``ValueError`` before anything else.
 
@@ -982,7 +1002,8 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None):
     to ``prec`` bits; a term's size is its magnitude plus the carried error
     of the Taylor coefficients it takes, that of G and of every kernel
     truncation included.  ``eps`` is the sum's one tolerance: an ``eps``
-    below that bound raises ``ValueError``.
+    below that bound raises ``ValueError``, a Stokes jump above it
+    :class:`SingularRayError`.
     """
     a, b = _rational_k(k)
     if float(k) != rc.k:
@@ -999,24 +1020,32 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None):
             turns = mpmath.nint((theta - d - mpmath.arg(t)) / (2 * mpmath.pi))
             u = gi_from_mpc(mpmath.root(t, b, int(turns) % b), w)
             turn = gi_from_mpc(mpmath.expj(-d / b), w)
-        sums = []
+        sums, bt = [], _scale(b, gi_from_mpc(t, w))
         for appr in (rc._hi, rc._lo):
             poly, fractions = appr.partial_fractions(b)
             starts = appr.pole_starts(b, a, u, prec)
             if derivative:
                 poly, fractions = _times_derivative(poly, fractions, w)
-            value, mass, me = _closed_form_sum(poly, fractions, starts, a, u, turn, d > 0, prec)
+            value, mass, me, jumps = _closed_form_sum(poly, fractions, starts, a, b, u, turn,
+                                                      d > 0, prec)
             if derivative:
-                bt = _scale(b, gi_from_mpc(t, w))
                 value = gi_div(value, bt, prec + _CLOSED_FORM_GUARD + 2)
                 mass, me = mass / gi_abs(bt, gi_mag(bt)), me - gi_mag(bt)
-            sums.append((value, mass, me))
-        (v_hi, mass, me), (v_lo, _, _) = sums
-        cont = gi_abs(gi_sub(v_hi, v_lo, 53))
+            sums.append((value, mass, me, jumps))
+        (v_hi, mass, me, jumps), (v_lo, *_) = sums
         qerr = math.ldexp(mass, me + _CLOSED_FORM_C - prec)
         if not qerr <= eps:
             raise ValueError(f"eps = {float(eps):.3g} is below {qerr:.3g}, the "
                              f"evaluation bound of the {prec}-bit closed-form sum")
+        # the upper approximant's Stokes jumps, scaled like its value
+        jump = sum(j for j, _ in jumps) / (gi_abs(bt) if derivative else 1)
+        if jump > eps:
+            pole = gi_to_mpc(min((gi_abs(c), c) for _, c in jumps)[1]) ** b
+            raise SingularRayError(
+                f"Stokes jump {jump:.3g} at t = {complex(t):.6g} of the pole at {complex(pole):.6g}"
+                f" near the ray arg tau = {float(theta):.6g} exceeds eps = {float(eps):.3g}",
+                pole=pole, jump=jump, eps=eps)
+        cont = gi_abs(gi_sub(v_hi, v_lo, 53)) + jump
         return SumResult(t=t, k=float(k), theta=float(theta), value=gi_to_mpc(v_hi, prec),
                          quadrature_error=qerr, continuation_error=cont, prec=prec)
 
@@ -1030,7 +1059,10 @@ def p_k_sum(expansion, point, k, theta, prec=None):
     raises :class:`SectorError`.  The Laplace step takes ``laplace_sum``'s
     default ``eps``, so a sum whose evaluation bound exceeds 1e-16 is
     refused with ``ValueError``, as is, before anything else, a k that
-    ``laplace_sum`` cannot sum.  Every step runs at ``working_prec(prec)``.
+    ``laplace_sum`` cannot sum, and a sum where the Stokes jump of a Pade
+    pole near the ray exceeds 1e-16 with :class:`SingularRayError`; a
+    smaller jump joins ``continuation_error``.  Every step runs at
+    ``working_prec(prec)``.
     """
     a, b = _rational_k(k)
     prec = working_prec(prec)
@@ -1088,13 +1120,12 @@ def singular_directions(b, k=None, prec=None):
     """
     if k is not None and float(k) != b.k:
         raise ValueError(f"k = {k} is not the k = {b.k} of the Borel transform")
-    coeffs = b.coeffs
-    if len(coeffs) < 16:
+    if len(b) < 16:
         raise ValueError("need at least 16 Borel coefficients")
     k = b.k
     prec = working_prec(prec)
     with mp.workprec(prec):
-        m0 = (len(coeffs) - 1) // 2
+        m0 = (len(b) - 1) // 2
         nu = b.approximant(m0, prec).order[1]
         approximants = [b.approximant(min(m0 - i, nu), prec) for i in range(DIRECTION_ORDERS)]
         clusters = []

@@ -22,11 +22,12 @@ class InsufficientTruncationError(GermsumError):
 
 
 class SingularRayError(GermsumError):
-    """Analytic continuation hit a pole (too) close to the requested ray."""
+    """A pole of the continuation lies so close to the ray that its Stokes
+    jump at t, by which the sums on its two sides differ, exceeds eps."""
 
-    def __init__(self, message, pole=None):
+    def __init__(self, message, pole=None, jump=None, eps=None):
         super().__init__(message)
-        self.pole = pole
+        self.pole, self.jump, self.eps = pole, jump, eps
 
 
 class SectorError(GermsumError):

@@ -200,10 +200,14 @@ def verify_ode_numeric(y, p, order, theta, points):
     records P there (``t``), its residual and the
     ``bound = |P|^2 * total_error(dy/dx) + |P'| * total_error(y)`` the two
     sums imply; a sum whose quadrature error exceeds
-    :data:`ODE_NUMERIC_EPS` raises ``ValueError``.  A direction congruent
-    to 0 mod 2*pi fails with a singular-ray error for ode-euler (the Borel
-    transform's pole at 1).  ``details`` also holds the expansion of y and
-    the sector sample, which the JSON form leaves out.
+    :data:`ODE_NUMERIC_EPS` raises ``ValueError``.  A direction near 0
+    mod 2*pi fails with ``SingularRayError`` for ode-euler at every sample
+    point where the Stokes jump across the Borel transform's singularity
+    at 1, 2 pi |e^(-1/P)| (the Pade poles on [1, inf) summed), exceeds
+    ``p_k_sum``'s eps = 1e-16 (at P > 0, P above about 0.026); a smaller jump
+    joins the sum's ``continuation_error`` and so the sample's bound.
+    ``details`` also holds the expansion of y and the sector sample, which
+    the JSON form leaves out.
     """
     germ = Germ(p, order)
     ey, edy = (p_expand(f, germ, f.trunc // germ.lead_degree + 1) for f in (y, y.differentiate(0)))

@@ -77,10 +77,14 @@ class TestContinuation:
             assert abs(rc.values[1] - (-mpmath.log(3))) < 1e-15
 
     def test_singular_ray(self):
+        # the ray is continued; the sum at t = 0.1 is refused, where the
+        # jump across the Pade poles on [1, inf) is about e^-10 > eps
         b = borel_transform(euler_borel_series(48), 1)
+        rc = continue_on_ray(b, 0.0, [0.5, 2.0])
         with pytest.raises(SingularRayError) as err:
-            continue_on_ray(b, 0.0, [0.5, 2.0])
+            laplace_sum(rc, 1, mpmath.mpf("0.1"))
         assert abs(err.value.pole - 1) < 0.05
+        assert err.value.jump > err.value.eps == 1e-16
 
     def test_radii_validation(self):
         b = borel_transform(euler_series(), 1)
@@ -189,9 +193,12 @@ class TestFroissartFilter:
             return real(*args)
 
         monkeypatch.setattr(germsum.borel, "_poly_roots", counting)
-        # b_n = (-1)^n: the ray's pair is [1/1] and [2/1], one root each
+        # b_n = (-1)^n: the ray's pair is [1/1] and [2/1], one root each,
+        # rooted by the Laplace step (continue_on_ray roots nothing)
         b = borel_transform(euler_series(32), 1)
-        continue_on_ray(b, 0.0, [1.0, 2.0])
+        rc = continue_on_ray(b, 0.0, [1.0, 2.0])
+        assert len(calls) == 0
+        laplace_sum(rc, 1, mpmath.mpf("0.1"))
         assert len(calls) == 2
         calls.clear()
         # every order singular_directions asks for resolves to the rank 1 the
@@ -1239,14 +1246,22 @@ class TestPKSum:
 
     def test_factorial_expansion_pole_direction(self):
         # coefficients n! x2^(2n): Borel pole at 1/x2^2, singular direction
-        # -2*arg(x2); summing along it fails, rotating by pi/4 succeeds
+        # -2*arg(x2).  Whether a sum along it is refused depends on t: at
+        # x0 = (1/5, 1/4), t = 1/20 and the pole at 16 has a Stokes jump of
+        # about e^-320, so the sum along it returns and agrees with the sum
+        # rotated by pi/4; at (2, 1/4), t = 1/2 and the jump, about 2.5e-12,
+        # exceeds eps
         ex = gen_example("remark79", 120)
         exp = p_expand(ex.f, Germ(ex.p, ex.order), 30)
         theta_bad = 0.0     # x2 real: pole on the positive axis
         x0 = (Fraction(1, 5), Fraction(1, 4))
-        with pytest.raises(SingularRayError):
-            p_k_sum(exp, x0, 1, theta_bad)
+        on = p_k_sum(exp, x0, 1, theta_bad)
         res = p_k_sum(exp, x0, 1, theta_bad + math.pi / 4)
+        assert abs(on.value - res.value) <= on.total_error + res.total_error
+        with pytest.raises(SingularRayError) as err:
+            p_k_sum(exp, (2, Fraction(1, 4)), 1, theta_bad)
+        assert abs(err.value.pole - 16) < 1e-6
+        assert 1e-12 < err.value.jump < 1e-11
         assert res.continuation_error < 1e-10
         # value should be close to the Borel sum of the specialized series:
         # cross-check first coefficients dominate at this small t
@@ -1333,6 +1348,134 @@ class TestSectorRule:
         # a non-finite direction is a usage error, as in continue_on_ray
         with pytest.raises(ValueError, match="direction"):
             p_k_sum(exp, x0, 1, math.nan)
+
+
+class TestStokesCharge:
+    # one pole p = 1.2 e^(i (theta + 0.05)), 0.05 rad above the ray theta,
+    # of the order-k Borel transform r p/(p - tau), r = 1: a partial fraction
+    # -p/(tau - p).  At t = |t| e^(i theta) the sum along theta keeps the
+    # pole's side (the side of the sum along theta - 0.3) and charges its
+    # Stokes jump to continuation_error; the sum along theta + 0.3 crosses
+    # the pole and differs by that jump.  A jump above eps is refused.
+    THETA = 0.5
+    # (k, |t| where the jump is far below eps, |t| where it exceeds eps); at
+    # k = 3/2 the sum runs in s = tau^(1/2), where the pole's root sits
+    # 0.025 rad from the ray
+    CASES = [(1, "0.02", "0.1"), (2, "0.15", "0.4"), (1.5, "0.08", "0.3")]
+
+    @staticmethod
+    def jump(k, p, t, derivative):
+        """|J| by its closed form: the residue term 2 pi i k x^(k-1) e^(-x^k)
+        of 1/(tau - x) at x = p/t, times -p/t; d/dt of it for the derivative."""
+        x = p / t
+        j = 2j * mpmath.pi * k * x ** (k - 1) * mpmath.exp(-x ** k) * -p / t
+        if derivative:
+            # d/dt of -p/t k x^(k-1) e^(-x^k) with dx/dt = -x/t
+            j = j * (-k + k * x ** k) / t
+        return abs(j)
+
+    def rays(self, k, modulus):
+        with mp.workprec(256):
+            p = mpmath.mpf("1.2") * mpmath.expj(mpmath.mpf(self.THETA) + mpmath.mpf("0.05"))
+            b = borel_transform(OneVarSeries(pole_transform_coeffs([(p, 1)], k, 40, 256)), k)
+        with mp.workprec(128):
+            t = mpmath.mpf(modulus) * mpmath.expj(self.THETA)
+        return p, t, [continue_on_ray(b, self.THETA + turn) for turn in (-0.3, 0.0, 0.3)]
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("k, small, large", CASES)
+    def test_jump_charged_below_eps_refused_above(self, k, small, large, derivative):
+        p, t, (below, on, above) = self.rays(k, small)
+        s_below, s_on, s_above = (laplace_sum(rc, k, t, derivative=derivative)
+                                  for rc in (below, on, above))
+        with mp.workprec(256):
+            want = self.jump(k, p, s_on.t, derivative)
+            assert 1e-40 < want < 1e-18
+            # theta - 0.3 and theta + 0.3 lie 0.35 and 0.25 rad from the pole:
+            # nothing charged there
+            assert s_below.continuation_error < 1e-6 * want
+            assert s_above.continuation_error < 1e-6 * want
+            assert abs(s_on.value - s_below.value) <= s_on.total_error + s_below.total_error
+            crossed = abs(s_above.value - s_on.value)
+            assert abs(crossed - want) <= s_above.total_error + s_on.quadrature_error
+            # the charge is the jump, to the approximants' difference
+            assert abs(s_on.continuation_error - want) <= 1e-6 * want
+        _, t, (_, on, _) = self.rays(k, large)
+        with pytest.raises(SingularRayError) as err:
+            laplace_sum(on, k, t, derivative=derivative)
+        with mp.workprec(256):
+            assert abs(err.value.pole - p) < 1e-20
+            assert err.value.eps == 1e-16 < err.value.jump
+            want = self.jump(k, p, mpmath.mpc(t), derivative)
+            assert abs(err.value.jump - want) <= 1e-6 * want
+        # a larger eps admits the same sum, charging the jump
+        res = laplace_sum(on, k, t, derivative=derivative, eps=2 * err.value.jump)
+        assert res.continuation_error >= err.value.jump
+
+    def test_jump_beyond_the_float_range_refused(self):
+        # a pole 0.1 rad past the ray near the sector's edge (d = -1.5): at
+        # x = p/t, Re x = -0.03 |x|, so the jump grows like e^(0.03 |x|), past
+        # the float range at |t| = 1e-5; it is refused, not an OverflowError
+        with mp.workprec(256):
+            coeffs = pole_transform_coeffs([(mpmath.expj(mpmath.mpf("0.1")), 1)], 1, 30, 256)
+        rc = continue_on_ray(borel_transform(OneVarSeries(coeffs), 1), 0.0)
+        for modulus, finite in (("1e-3", True), ("1e-5", False)):
+            with pytest.raises(SingularRayError) as err:
+                laplace_sum(rc, 1, mpmath.mpf(modulus) * mpmath.expj(-1.5), eps=1)
+            assert math.isfinite(err.value.jump) == finite and err.value.jump > 1e16
+
+
+class TestEulerSweep:
+    # sum m! t^(m+1) along theta = pi at |t| = 0.05, 0.1, 0.2 and
+    # arg t = pi, pi +- 0.2, pi +- 0.6, for lengths 24..64 and 64, 96 and
+    # 128 bits, against -e^(-1/t) E1(-1/t) at 300 bits.  With the Pade
+    # denominator's small top coefficients cut (below 2^-(prec/2) of the
+    # largest), 25 of these 270 sums missed their total_error, by up to
+    # 1.16 times, at (56, 64) and (64, 96)
+    @staticmethod
+    def problem(length, prec):
+        b = borel_transform(euler_borel_series(length), 1, prec=prec)
+        return continue_on_ray(b, math.pi, prec=prec)
+
+    @staticmethod
+    def error(res):
+        with mp.workprec(300):
+            t = mpmath.mpc(res.t)
+            return abs(res.value + mpmath.exp(-1 / t) * mpmath.e1(-1 / t))
+
+    def test_every_sum_within_total_error(self):
+        misses, count = [], 0
+        for length in range(24, 65, 8):
+            for prec in (64, 96, 128):
+                rc = self.problem(length, prec)
+                for modulus in ("0.05", "0.1", "0.2"):
+                    for turn in ("0", "0.2", "-0.2", "0.6", "-0.6"):
+                        with mp.workprec(prec):
+                            t = mpmath.mpf(modulus) * mpmath.expj(mpmath.pi + mpmath.mpf(turn))
+                        res = laplace_sum(rc, 1, t, prec=prec)
+                        err = self.error(res)
+                        count += 1
+                        if not err <= res.total_error:
+                            misses.append((length, prec, modulus, turn, float(err),
+                                           res.total_error))
+        assert count == 270
+        assert misses == []
+
+    def test_length_64_at_96_bits(self):
+        # error 2.74e-18 against 2.59e-18 reported while the cut was in place
+        with mp.workprec(96):
+            t = mpmath.mpc("-0.1", "0.02")
+        res = laplace_sum(self.problem(64, 96), 1, t, prec=96)
+        assert self.error(res) <= res.total_error < 1e-26
+
+    def test_length_56_at_64_bits(self):
+        # continuation_error 9.4e-15 while the cut was in place: the two
+        # approximants lost different poles
+        with mp.workprec(64):
+            t = mpmath.mpc("-0.1", "0.02")
+        res = laplace_sum(self.problem(56, 64), 1, t, prec=64)
+        assert res.continuation_error < 1e-20
+        assert self.error(res) <= res.total_error
 
 
 class TestSingularDirections:
