@@ -21,13 +21,15 @@ NEEDED = {
                 "borel.poles.kept_ratio"},
     "germ-sum": {"borel.laplace_sum.calls", "transforms.poly_roots.calls",
                  "series.eval_at.self_s", "series.substitute.self_s",
-                 "weierstrass.p_expand.terms_per_coeff"},
+                 "weierstrass.p_expand.terms_per_coeff", "borel.build_approximant.calls"},
     "algebra-exact": {"weierstrass.p_expand.self_s", "weierstrass.t_substitute.self_s"},
 }
 # the exact germ-sum expansion has one term per coefficient (none in g_0); the
 # float expansion drops the round-off left where rounded data cancel, which
-# once kept about 20 terms per coefficient
-BOUNDS = {"germ-sum": {"weierstrass.p_expand.terms_per_coeff": 2}}
+# once kept about 20 terms per coefficient; the two point sums of an expansion
+# share its two approximants, 2/3 builds per task where one pair per point made 4/3
+BOUNDS = {"germ-sum": {"weierstrass.p_expand.terms_per_coeff": 2,
+                       "borel.build_approximant.calls": 1}}
 
 
 def main(path):

@@ -45,7 +45,11 @@ What a pole's sum needs at a point u and not the ray (x = c/u, G, their
 sizes, e^(-x^a) once needed) is its start (:class:`_PoleStart`), and each
 approximant keeps the starts of its last four points: the value and the
 derivative at one t, and the two rays of a Stokes pair, compute G once per
-pole.
+pole.  A germ-power expansion keeps the Borel series of its last
+specialization (:func:`_germ_borel`), so the points of a P-sector whose
+specialized coefficients are equal (all of them when the coefficients are
+constants) share one continuation, and only G and the closed-form sum are
+computed per point.
 
 Error reporting is split and mandatory: the continuation error is the
 difference between two approximants fitted to different coefficient
@@ -1063,6 +1067,13 @@ def p_k_sum(expansion, point, k, theta, prec=None):
     pole near the ray exceeds 1e-16 with :class:`SingularRayError`; a
     smaller jump joins ``continuation_error``.  Every step runs at
     ``working_prec(prec)``.
+
+    The sum depends on the point only through t and the specialized
+    coefficients g_n(point), and points whose coefficients are equal (every
+    point, when the g_n are constants) share one continuation: the
+    expansion keeps the Borel series of its last specialization
+    (:func:`_germ_borel`), approximants included, and only the pole starts
+    at t (the G values) and the closed-form sum are computed per point.
     """
     a, b = _rational_k(k)
     prec = working_prec(prec)
@@ -1071,9 +1082,30 @@ def p_k_sum(expansion, point, k, theta, prec=None):
         if t == 0:
             raise SectorError("the germ vanishes at the evaluation point")
         _sector_angle(t, float(theta), a, b)
-        spec = OneVarSeries(expansion.specialize(point))
-        rc = continue_on_ray(borel_transform(spec, k, prec=prec), theta, prec=prec)
+        rc = continue_on_ray(_germ_borel(expansion, point, k, prec), theta, prec=prec)
         return laplace_sum(rc, k, t, prec=prec)
+
+
+def _germ_borel(expansion, point, k, prec):
+    """The :class:`BorelSeries` of order k at ``prec`` bits of the expansion
+    specialized at the point.
+
+    The expansion keeps, per (k, prec), its last specialized coefficients
+    and their Borel series (``PExpansion._borel``).  When the point's
+    coefficients equal those in value and in exactness, that series is
+    returned, and with it its approximants, their roots, partial fractions
+    and Froissart filter: the point then costs its specialization, its pole
+    starts and its closed-form sum.  Else the new series replaces it.
+    """
+    coeffs = tuple(expansion.specialize(point))
+    key = (float(k), prec)
+    stored = expansion._borel.get(key)
+    if stored is not None and all(is_exact(x) == is_exact(y) and x == y
+                                  for x, y in zip(stored[0], coeffs)):
+        return stored[1]
+    series = borel_transform(coeffs, k, prec=prec)
+    expansion._borel[key] = coeffs, series
+    return series
 
 
 # -- singular directions ------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
-from .borel import (OneVarSeries, borel_transform, continue_on_ray,
+from .borel import (OneVarSeries, _germ_borel, borel_transform, continue_on_ray,
                     laplace_sum, p_k_sum, singular_directions)
 from .errors import GermsumError
 from .gevrey import fit_gevrey, norm_sequence
@@ -244,9 +244,10 @@ def _verify(name, trunc):
     elif name == "ode-euler":
         formal = verify_ode_formal(ex.f, ex.p)
         numeric = verify_ode_numeric(ex.f, ex.p, ex.order, math.pi, 3)
-        sample = numeric.details["sample"]
-        spec = numeric.details["expansion"].specialize(sample.points[0])
-        report = singular_directions(borel_transform(OneVarSeries(spec), 1), 1)
+        # y's Borel series at the first sample point, the one its sums share
+        report = singular_directions(_germ_borel(numeric.details["expansion"],
+                                                 numeric.details["sample"].points[0], 1,
+                                                 working_prec()), 1)
         out["formal"] = formal.to_json()
         out["numeric"] = numeric.to_json()
         out["singular_directions"] = report.to_json()

@@ -410,15 +410,21 @@ class PExpansion:
     coefficient certifies ``trunc - n*deg(lead_exp)`` orders
     (:meth:`reliable_order`); its stored terms beyond that are exact for
     the polynomial representative of f.
+
+    ``_borel`` holds, per (k, prec), the coefficients of the last
+    specialization that :func:`germsum.borel.p_k_sum` summed and the
+    ``BorelSeries`` built from them, so that points whose coefficients are
+    equal share one continuation.
     """
 
-    __slots__ = ("germ", "coeffs", "depth", "trunc")
+    __slots__ = ("germ", "coeffs", "depth", "trunc", "_borel")
 
     def __init__(self, germ, coeffs, trunc):
         object.__setattr__(self, "germ", germ)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "depth", len(coeffs))
         object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "_borel", {})
 
     def __setattr__(self, *a):
         raise AttributeError("PExpansion is immutable")

@@ -1271,6 +1271,81 @@ class TestPKSum:
         assert abs(res.value - partial) < 0.01
 
 
+class TestGermBorelReuse:
+    # an expansion keeps the Borel series of its last specialization per
+    # (k, prec): points with equal coefficients share one continuation, and
+    # every sum equals the one on a freshly expanded copy
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The ``exact`` flag of every build_approximant call, in order."""
+        calls = []
+        build = borel.build_approximant
+        monkeypatch.setattr(borel, "build_approximant",
+                            lambda *args: calls.append(args[3]) or build(*args))
+        return calls
+
+    @staticmethod
+    def x1_times(f):
+        """x1 f: coefficients x1 (n - 1)! in powers of ode-euler's germ."""
+        return TS(2, f.trunc, {(1, 0): 1}) * f
+
+    @staticmethod
+    def assert_fresh(res, f, depth, x, theta):
+        ex = gen_example("ode-euler", 40)
+        fresh = p_k_sum(p_expand(f, Germ(ex.p, ex.order), depth), x, 1, theta)
+        assert (res.value, res.quadrature_error, res.continuation_error) == (
+            fresh.value, fresh.quadrature_error, fresh.continuation_error)
+
+    def test_constant_coefficients_build_once(self, monkeypatch):
+        # y = sum m! P^(m+1): g_n = (n - 1)! at every point.  Two points of the
+        # sector about theta = pi, then one point about 0 on both rays of the
+        # Stokes pair about the Borel singularity at 1
+        ex = gen_example("ode-euler", 40)
+        exp = p_expand(ex.f, Germ(ex.p, ex.order), 20)
+        cases = [((Fraction(1, 10), Fraction(1, 2)), math.pi),
+                 ((Fraction(1, 5), Fraction(2, 5)), math.pi),
+                 ((Fraction(3, 10), Fraction(1, 10)), 0.3),
+                 ((Fraction(3, 10), Fraction(1, 10)), -0.3)]
+        calls = self.count_builds(monkeypatch)
+        results = []
+        for x, theta in cases:
+            results.append(p_k_sum(exp, x, 1, theta))
+            assert calls == [True, True]
+        approximants = exp._borel[(1.0, 128)][1]._approximants.values()
+        assert len({id(a) for a in approximants}) == 2
+        for res, (x, theta) in zip(results, cases):
+            self.assert_fresh(res, ex.f, 20, x, theta)
+
+    def test_point_dependent_coefficients_rebuild(self, monkeypatch):
+        ex = gen_example("ode-euler", 40)
+        f = self.x1_times(ex.f)
+        exp = p_expand(f, Germ(ex.p, ex.order), 18)
+        points = [(Fraction(1, 10), Fraction(1, 2)), (Fraction(1, 5), Fraction(2, 5))]
+        calls = self.count_builds(monkeypatch)
+        results = [p_k_sum(exp, x, 1, math.pi) for x in points]
+        assert calls == [True] * 4
+        for res, x in zip(results, points):
+            self.assert_fresh(res, f, 18, x, math.pi)
+
+    def test_equal_values_of_other_exactness_rebuild(self, monkeypatch):
+        # at (1/8, 1/2) and at the same point as mpc the coefficients x1 (n - 1)!
+        # are equal, Fractions and mpc: the mpc sum fits data rounded to prec
+        # bits, not exact data, so it does not reuse the exact series
+        ex = gen_example("ode-euler", 40)
+        f = self.x1_times(ex.f)
+        exp = p_expand(f, Germ(ex.p, ex.order), 18)
+        exact_x = (Fraction(1, 8), Fraction(1, 2))
+        with mp.workprec(128):
+            float_x = (mpmath.mpc(0.125), mpmath.mpc(0.5))
+        assert exp.specialize(exact_x) == exp.specialize(float_x)
+        calls = self.count_builds(monkeypatch)
+        results = [p_k_sum(exp, x, 1, math.pi) for x in (exact_x, float_x)]
+        assert calls == [True, True, False, False]
+        assert not exp._borel[(1.0, 128)][1].exact
+        for res, x in zip(results, (exact_x, float_x)):
+            self.assert_fresh(res, f, 18, x, math.pi)
+
+
 class TestSectorRule:
     # one rule, borel._sector_angle, decides where laplace_sum and p_k_sum sum:
     # the kernel exp(-(tau/t)^k) decays along the ray in t's own lobe,

@@ -9,7 +9,10 @@ import mpmath
 import pytest
 from mpmath import mp
 
+import germsum.borel as borel
+from germsum.borel import OneVarSeries, singular_directions
 from germsum.cli import cli_main
+from germsum.harness import gen_example, verify_ode_numeric
 from germsum.series import TruncatedSeries, series_from_json, series_to_json
 from germsum.weierstrass import p_expand
 from helpers import pole_transform_quad
@@ -218,6 +221,25 @@ def test_verify_ode_euler(capsys):
     assert out["numeric"]["numeric_max_residual"] < 1e-8
     samples = out["numeric"]["details"]["samples"]
     assert samples and all(s["residual"] <= s["bound"] for s in samples)
+
+
+def test_verify_ode_euler_transforms_once_per_coefficient_set(capsys, monkeypatch):
+    # y's coefficients (n - 1)! are the same at the 3 sample points: one Borel
+    # series, which the direction report reads too; dy/dx1's, 2 x1 (n + 1)!,
+    # differ from point to point: one series each.  4 transforms, not 7
+    calls = []
+    transform = borel.borel_transform
+    monkeypatch.setattr(borel, "borel_transform",
+                        lambda *args, **kwargs: calls.append(args[0]) or transform(*args, **kwargs))
+    code, out = run(capsys, ["verify", "ode-euler"])
+    assert code == 0 and len(calls) == 4
+    assert len(set(calls)) == 4
+    # the report of a fresh transform of y at the first sample point
+    ex = gen_example("ode-euler", 64)
+    rep = verify_ode_numeric(ex.f, ex.p, ex.order, math.pi, 3)
+    spec = rep.details["expansion"].specialize(rep.details["sample"].points[0])
+    report = singular_directions(transform(OneVarSeries(spec), 1), 1)
+    assert out["singular_directions"] == json.loads(json.dumps(report.to_json()))
 
 
 def test_verify_trunc_refusals(capsys):
