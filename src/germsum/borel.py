@@ -14,6 +14,12 @@ pivots above ||A||_1 2^(16 - d) for data accurate to d bits, and solves
 at that degree), the Durand-Kerner rooting of its denominator (stopped
 when every correction is below 2^(-31 - prec), roots kept at the kernel
 width, merged roots centered by Newton steps) and its partial fractions.
+The Toeplitz elimination, its back substitution and the numerator run in
+fixed point, each row of the system (and each numerator coefficient) as
+int pairs on one exponent ``_ROW_GUARD`` bits below the kernel width of
+its largest entry, so that an update costs four products and a shift;
+Durand-Kerner sweeps at 64 bits until the float64 seeds are lifted, and
+then at the kernel width.
 A :class:`BorelSeries` keeps the approximants it has built.  From the
 Toeplitz solve to the Laplace step the coefficients, roots and poles stay
 kernel numbers: an mpc enters with the coefficients handed to
@@ -74,8 +80,8 @@ from mpmath.libmp import repr_dps, to_str
 
 from .errors import SectorError, SingularRayError
 from .scalars import (GI_ONE, NOISE_MARGIN, gi_abs, gi_add, gi_div, gi_from_mpc, gi_horner,
-                      gi_mag, gi_mul, gi_sub, gi_submul, gi_to_mpc, gi_width, is_exact, to_mpc,
-                      working_prec)
+                      gi_mag, gi_mul, gi_round, gi_sub, gi_submul, gi_to_mpc, gi_width, is_exact,
+                      to_mpc, working_prec)
 from .transforms import _poly_roots, _taylor_hl
 
 TWO_PI = 2 * math.pi
@@ -393,29 +399,69 @@ def _horner(coeffs_hl, z, w):
     return gi_horner(coeffs_hl, z, w) if coeffs_hl else (0, 0, 0)
 
 
+# Bits a row of the Toeplitz elimination keeps below its largest entry, over
+# the kernel width: a row is shifted back to them when cancellation leaves it
+# fewer than the width, or growth more than the width plus twice the guard.
+_ROW_GUARD = 32
+
+
+def _place(x, e):
+    """The mantissas of the kernel number x on the exponent e (truncated)."""
+    re, im, xe = x
+    s = xe - e
+    return (re << s, im << s) if s >= 0 else (re >> -s, im >> -s)
+
+
+def _submul_at(acc, a, b, e):
+    """acc - a b for the mantissa pair acc on the exponent e and kernel
+    numbers a and b, the product truncated to that exponent."""
+    ar, ai, ae = a
+    br, bi, be = b
+    pr, pi = _place((ar * br - ai * bi, ar * bi + ai * br, ae + be), e)
+    return acc[0] - pr, acc[1] - pi
+
+
 def _toeplitz_solve(a, n, m, w, bits):
     """``(rank, x)``: the numerical rank of the denominator system of the
     [n/m] Pade approximant and, when it is m, the solution x_i = -q_i
     (i = 1..m), else None.
 
     Solves sum_i a[n + j + 1 - i] x_i = a[n + 1 + j] (j = 0..m-1, i = 1..m)
-    for kernel coefficients ``a`` by Gaussian elimination at w bits, with
-    the pivot choice of ``mpmath.lu_solve``: the pivot of a column is the
-    entry largest relative to the sum of its row.  A row sum or pivot at
-    most ||A||_1 2^bits counts as zero, so a column whose pivot is that
-    small depends on the columns before it (within the data's noise when
-    2^bits lies above it): it is skipped, and the rank is the number of
-    pivots.  Magnitudes are floats relative to the largest
-    coefficient (``gi_abs``).
+    for kernel coefficients ``a`` by Gaussian elimination, with the pivot
+    choice of ``mpmath.lu_solve``: the pivot of a column is the entry
+    largest relative to the sum of its row.  A row sum or pivot at most
+    ||A||_1 2^bits counts as zero, so a column whose pivot is that small
+    depends on the columns before it (within the data's noise when 2^bits
+    lies above it): it is skipped, and the rank is the number of pivots.
+    Magnitudes are floats relative to the largest coefficient.
+
+    Each row of the augmented system is a list of (re, im) int pairs on
+    one exponent, ``_ROW_GUARD`` bits below the w bits of its largest
+    matrix entry, so that a row update costs four products and a shift
+    per entry; a row that cancellation leaves below w bits (or that grows
+    past w + 2 ``_ROW_GUARD``) is shifted back.  The back substitution
+    accumulates on the row's exponent too, and each x_i is a kernel number
+    of w bits.
     """
     if m == 0:
         return 0, []
-    rows = [[a[n + j - i] for i in range(m)] + [a[n + 1 + j]] for j in range(m)]
     top = max(gi_mag(x) for x in a[n + 1 - m:n + m])
     if top == -math.inf:
         return 0, None
-    mags = [[gi_abs(x, top) for x in row[:m]] for row in rows]
+    mags = [[gi_abs(a[n + j - i], top) for i in range(m)] for j in range(m)]
     tol = math.ldexp(max(sum(col) for col in zip(*mags)), bits)
+    width = w + _ROW_GUARD
+    # ints that may pass the float range are divided by 2^cut (rounded
+    # correctly) before their magnitudes are taken
+    cut = max(0, width + 2 * _ROW_GUARD - 960)
+    unit = 1 << cut
+    rows, exps = [], []
+    for j in range(m):
+        entries = [a[n + j - i] for i in range(m)] + [a[n + 1 + j]]
+        e = max(gi_mag(x) for x in entries[:m])
+        e = e - width if e != -math.inf else 0
+        rows.append([_place(x, e) for x in entries])
+        exps.append(e)
     rank = 0
     for j in range(m):
         best, piv = 0.0, None
@@ -425,24 +471,43 @@ def _toeplitz_solve(a, n, m, w, bits):
                 best, piv = mags[k][j] / s, k
         if piv is None or mags[piv][j] <= tol:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        mags[rank], mags[piv] = mags[piv], mags[rank]
-        head = rows[rank]
-        for row, mag in zip(rows[rank + 1:], mags[rank + 1:]):
-            f = gi_div(row[j], head[j], w)
-            for k in range(j + 1, m + 1):
-                row[k] = gi_submul(row[k], f, head[k], w)
-            mag[j + 1:] = [gi_abs(x, top) for x in row[j + 1:m]]
+        for lst in (rows, exps, mags):
+            lst[rank], lst[piv] = lst[piv], lst[rank]
+        head = rows[rank][j + 1:]
+        hr, hi = rows[rank][j]
+        d = hr * hr + hi * hi
+        # the quotient's fraction bits: its truncation moves no update by a unit
+        frac = max(max(abs(x), abs(y)) for x, y in head).bit_length() + 2
+        for k in range(rank + 1, m):
+            row = rows[k]
+            rr, ri = row[j]
+            if not (rr or ri):
+                continue
+            qr, qi = ((rr * hr + ri * hi) << frac) // d, ((ri * hr - rr * hi) << frac) // d
+            row[j + 1:] = [(x - ((qr * u - qi * v) >> frac), y - ((qr * v + qi * u) >> frac))
+                           for (x, y), (u, v) in zip(row[j + 1:], head)]
+            e, mag = exps[k], mags[k]
+            if unit == 1:
+                mag[j + 1:] = [math.ldexp(math.hypot(x, y), e - top) for x, y in row[j + 1:m]]
+            else:
+                mag[j + 1:] = [math.ldexp(math.hypot(x / unit, y / unit), e + cut - top)
+                               for x, y in row[j + 1:m]]
+            big = max(mag[j + 1:], default=0.0)
+            if big:
+                s = math.frexp(big)[1] + top - e - width
+                if s < -_ROW_GUARD or s > _ROW_GUARD:
+                    row[j + 1:] = [_place((x, y, e), e + s) for x, y in row[j + 1:]]
+                    exps[k] = e + s
         rank += 1
     if rank < m:
         return rank, None
     q = [None] * m
     for j in range(m - 1, -1, -1):
-        row = rows[j]
+        row, e = rows[j], exps[j]
         acc = row[m]
         for k in range(j + 1, m):
-            acc = gi_submul(acc, row[k], q[k], w)
-        q[j] = gi_div(acc, row[j], w)
+            acc = _submul_at(acc, (*row[k], e), q[k], e)
+        q[j] = gi_div((*acc, e), (*row[j], e), w)
     return m, q
 
 
@@ -451,9 +516,12 @@ def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
     the largest m the coefficients allow) the numerical rank of the data.
 
     The coefficients are rounded to twice the working precision, and the
-    Toeplitz system of the denominator is solved on the Gaussian-integer
-    kernel of :mod:`germsum.scalars` at ``2 * prec + 10`` bits
-    (:func:`_toeplitz_solve`), by elimination with partial pivoting.  A
+    Toeplitz system of the denominator is solved at the kernel width
+    ``2 * prec + 10`` of :mod:`germsum.scalars` (:func:`_toeplitz_solve`),
+    by elimination with partial pivoting on fixed-point rows.  The
+    numerator p_i = a_i + sum_j q_j a_(i-j) is accumulated in fixed point
+    too, on one exponent ``_ROW_GUARD`` bits below the kernel width of its
+    largest term, and rounded to the kernel width.  A
     pivot at most ||A||_1 2^(16 - d) (16 = ``scalars.NOISE_MARGIN``)
     counts as zero, d being the accuracy of the data: 2 prec bits when
     ``exact`` (the default when every coefficient is an int, Fraction or
@@ -481,10 +549,16 @@ def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
     # p_i = a_i + sum_j q_j a_(i-j) with q_j = -x_j
     num = []
     for i in range(m + excess + 1):
-        acc = a[i]
-        for j in range(1, min(i, m) + 1):
-            acc = gi_submul(acc, x[j - 1], a[i - j], w)
-        num.append(acc)
+        terms = [(x[j - 1], a[i - j]) for j in range(1, min(i, m) + 1)]
+        e = max([gi_mag(a[i])] + [gi_mag(u) + gi_mag(v) for u, v in terms])
+        if e == -math.inf:
+            num.append(a[i])
+            continue
+        e -= w + _ROW_GUARD
+        acc = _place(a[i], e)
+        for u, v in terms:
+            acc = _submul_at(acc, u, v, e)
+        num.append(gi_round((*acc, e), w))
     return RationalApproximant(num, [GI_ONE] + [(-re, -im, e) for re, im, e in x], prec)
 
 

@@ -206,8 +206,10 @@ def _float_seeds(poly):
     return found + [(0.4 + 0.9j) ** n for n in range(len(found), d)], k
 
 
-# Durand-Kerner sweeps at most: near a multiple root the sweeps stall.
+# Durand-Kerner sweeps at most, at each width: near a multiple root the sweeps stall.
 _DK_SWEEPS = 200
+# The width of the first sweeps, which lift the float64 seeds.
+_DK_NARROW = 64
 
 
 def _below(z, k):
@@ -235,67 +237,93 @@ def _taylor_hl(coeffs, j, w):
     return [gi_mul(c, (math.comb(i, j), 0, 0), w) for i, c in enumerate(coeffs)][j:][::-1]
 
 
+def _dk_sweep(roots, monic, s):
+    """One Durand-Kerner sweep over the roots of the monic polynomial (lower
+    coefficients ``monic``), int pairs on the exponent -s, updated in place:
+    each root in turn moves by f(p)/prod(p - q) over the other roots q, a
+    zero difference left out.  Returns the squared moduli of the moves."""
+    one, moves = 1 << s, []
+    for i, (pr, pi) in enumerate(roots):
+        fr, fi = one, 0
+        for cr, ci in monic:
+            fr, fi = ((fr * pr - fi * pi) >> s) + cr, ((fr * pi + fi * pr) >> s) + ci
+        dr, di = one, 0
+        for j, (qr, qi) in enumerate(roots):
+            if j != i and (pr != qr or pi != qi):
+                qr, qi = pr - qr, pi - qi
+                dr, di = (dr * qr - di * qi) >> s, (dr * qi + di * qr) >> s
+        # f / prod; a product below 2^-s leaves the root where it is
+        n = dr * dr + di * di or 1
+        sr, si = ((fr * dr + fi * di) << s) // n, ((fi * dr - fr * di) << s) // n
+        roots[i] = (pr - sr, pi - si)
+        moves.append(sr * sr + si * si)
+    return moves
+
+
 def _durand_kerner(poly, prec):
     """All roots of a kernel polynomial (highest degree first).
 
     Runs on the monic polynomial from :func:`_float_seeds` in fixed point,
-    so that a product costs one shift: int pairs on one exponent, placed as
-    ``gi_lift`` places it, so that the smallest seed (one at 0 counts at
-    Fujiwara's lower bound on the roots) keeps ``gi_width(prec)`` bits, and
-    a bit lower per halving of a seed below 1 (the polynomial's values
-    shrink with its roots).  A sweep updates each root in turn by
-    f(p)/prod(p - q) over the other roots q, a zero difference left out.  It
-    stops when every correction of a sweep is below 2^(-31 - prec), or after
-    ``_DK_SWEEPS`` sweeps: the m iterates of an m-fold root stall about
-    2^(-w/m) from it.  The iterates are then snapped (:func:`_snap`) there.
-    The 32 bits beyond the working precision are for close roots, whose
-    partial-fraction residues, of order one over their spread, multiply any
-    error of the roots: a snap at 2^(1 - prec) moved the simple roots -1 and
-    -(1 + 1e-9) of a Pade denominator by their imaginary parts of 5e-46, and
-    a k = 1 sum missed its reported error tenfold.
+    so that a product costs one shift (:func:`_dk_sweep`): int pairs on one
+    exponent, placed as ``gi_lift`` places it, so that the smallest seed
+    (one at 0 counts at Fujiwara's lower bound on the roots) keeps the
+    width's bits, and a bit lower per halving of a seed below 1 (the
+    polynomial's values shrink with its roots).  The first sweeps run at
+    the narrow width ``_DK_NARROW``, until every move of a sweep is below
+    2^-(_DK_NARROW/2) max(1, |z|), or a sweep shrinks neither the number
+    of moves above that nor the largest move (a stalled multiple root;
+    before the iterates converge the largest move may grow while others
+    settle): they lift the seeds' few bits at a fraction of the cost.  The
+    sweeps then go on from those iterates at
+    ``gi_width(prec)`` until every move of a sweep is below 2^(-31 - prec),
+    each width for at most ``_DK_SWEEPS`` sweeps: the m iterates of an
+    m-fold root stall about 2^(-w/m) from it.  The iterates are then
+    snapped (:func:`_snap`) there.  The 32 bits beyond the working
+    precision are for close roots, whose partial-fraction residues, of
+    order one over their spread, multiply any error of the roots: a snap at
+    2^(1 - prec) moved the simple roots -1 and -(1 + 1e-9) of a Pade
+    denominator by their imaginary parts of 5e-46, and a k = 1 sum missed
+    its reported error tenfold.
     """
     w, tol, d = gi_width(prec), -31 - prec, len(poly) - 1
     low = -2 - max((gi_mag(poly[d - j]) - gi_mag(poly[d]) + 2) // j for j in range(1, d + 1)
                    if poly[d - j][0] or poly[d - j][1])
     seeds, k = _float_seeds(poly)
     mags = [max(low, k + math.frexp(abs(z))[1]) if z else low for z in seeds]
-    e = min(0, min(mags) - w - sum(max(0, -m) for m in mags))
-    roots = [tuple((n << k - e) // q for n, q in map(float.as_integer_ratio, (z.real, z.imag)))
+    e, narrow = (min(0, min(mags) - width - sum(max(0, -m) for m in mags))
+                 for width in (w, _DK_NARROW))
+    roots = [tuple((n << k - narrow) // q for n, q in map(float.as_integer_ratio, (z.real, z.imag)))
              for z in seeds]
     monic = []
     for c in poly[1:]:
         re, im, ce = gi_div(c, poly[0], w)
         monic.append((re << ce - e, im << ce - e) if ce >= e else (re >> e - ce, im >> e - ce))
-    # 1, and |step| < 2^tol decided exactly on the mantissas as in _below
-    s, one, limit = -e, 1 << -e, 1 << max(0, 2 * (tol - e))
+    # the narrow sweeps: |move|^2 2^_DK_NARROW below max(1, |z|^2), on the mantissas
+    s, unit2, last = narrow - e, 1 << -2 * narrow, None
+    narrow_monic = [(re >> s, im >> s) for re, im in monic]
     for _ in range(_DK_SWEEPS):
-        converged = True
-        for i, (pr, pi) in enumerate(roots):
-            fr, fi = one, 0
-            for cr, ci in monic:
-                fr, fi = ((fr * pr - fi * pi) >> s) + cr, ((fr * pi + fi * pr) >> s) + ci
-            dr, di = one, 0
-            for j, (qr, qi) in enumerate(roots):
-                if j != i and (pr != qr or pi != qi):
-                    qr, qi = pr - qr, pi - qi
-                    dr, di = (dr * qr - di * qi) >> s, (dr * qi + di * qr) >> s
-            # f / prod; a product below 2^e leaves the root where it is
-            n = dr * dr + di * di or 1
-            sr, si = ((fr * dr + fi * di) << s) // n, ((fi * dr - fr * di) << s) // n
-            roots[i] = (pr - sr, pi - si)
-            converged = converged and sr * sr + si * si < limit
-        if converged:
+        moves = _dk_sweep(roots, narrow_monic, -narrow)
+        # how many moves are above half the narrow width, and the largest
+        above = sum(m << _DK_NARROW >= max(unit2, zr * zr + zi * zi)
+                    for m, (zr, zi) in zip(moves, roots))
+        if not above or last and above >= last[0] and max(moves) >= last[1]:
+            break
+        last = above, max(moves)
+    roots = [(re << s, im << s) for re, im in roots]
+    # |move| < 2^tol decided exactly on the mantissas as in _below
+    limit = 1 << max(0, 2 * (tol - e))
+    for _ in range(_DK_SWEEPS):
+        if all(m < limit for m in _dk_sweep(roots, monic, -e)):
             break
     return [_snap((re, im, e), tol) for re, im in roots]
 
 
 def _within(d, z, r):
-    """|d| <= 2^-r max(1, |z|) for kernel numbers d and z, decided exactly."""
+    """|d| <= 2^-r |z| for kernel numbers d and z, decided exactly."""
     dr, di, de = d
     zr, zi, ze = z
-    n, ne = (1, 0) if _below(z, 0) else (zr * zr + zi * zi, 2 * ze)
-    lhs, s = dr * dr + di * di, 2 * (de + r) - ne
-    return (lhs << s if s >= 0 else lhs) <= (n if s >= 0 else n << -s)
+    lhs, s = dr * dr + di * di, 2 * (de + r - ze)
+    return (lhs << s if s >= 0 else lhs) <= zr * zr + zi * zi << max(0, -s)
 
 
 def _refine_center(poly, values, prec, r):
@@ -305,8 +333,8 @@ def _refine_center(poly, values, prec, r):
     From their mean, Newton steps on P^(m - 1), where an m-fold root is
     simple, run at the kernel width w until a step is below 2^(-31 - prec),
     or for w steps, and the center is snapped like a Durand-Kerner root.  A
-    step that would leave the merge radius about the mean (2^-r max(1,
-    |mean|)) is not taken.
+    step that would leave the merge radius about the mean (2^-r |mean|) is
+    not taken.
     """
     w, m, tol = gi_width(prec), len(values), -31 - prec
     num, den = (_taylor_hl(poly[::-1], j, w) for j in (m - 1, m))
@@ -330,21 +358,26 @@ def _poly_roots(coeffs_low_to_high, prec):
     """Roots, with multiplicities, of a polynomial with kernel coefficients,
     as kernel numbers, a zero root deflated exactly: the kernel zero.
 
-    Durand-Kerner (:func:`_durand_kerner`) on the Gaussian-integer kernel
-    of :mod:`germsum.scalars` at ``2 * prec + 10`` bits, seeded by the float64
-    companion-matrix eigenvalues of ``numpy.roots`` (Edelman and Murakami,
-    Math. Comp. 64, 1995) on the coefficients scaled by a power of two.  It
-    stops when every correction of a sweep is below 2^(-31 - prec), and the
-    roots are kept at the kernel width.  Where the iteration converges
-    quadratically, the stopping sweep leaves a root accurate to about twice
-    as many bits; near an m-fold root it stalls, and the m iterates spread
-    about 2^(-(2 prec + 10)/m) around it.  Roots are listed by modulus (the
-    integer square root of |z|^2 on the mantissas, cut to prec bits, so
-    that moduli equal to the working precision tie), then argument, and
-    merged by single linkage within 2^-(prec/4) (relative to max(1, |z|)
-    for the later root z), decided exactly on the mantissas, so an m-fold
-    root merges while that spread stays below the radius (m <= 8 at 128
-    bits).  Each group is listed at its first member.  A merged group is
+    Durand-Kerner (:func:`_durand_kerner`) in fixed point, seeded by the
+    float64 companion-matrix eigenvalues of ``numpy.roots`` (Edelman and
+    Murakami, Math. Comp. 64, 1995) on the coefficients scaled by a power
+    of two: first at a narrow width of ``_DK_NARROW`` bits, which lifts the
+    seeds to about half that relative accuracy, then at the kernel width
+    ``2 * prec + 10`` of :mod:`germsum.scalars` (the precision raised only
+    as the iterates need it, as MPSolve does: Bini and Fiorentino, Numer.
+    Algorithms 23, 2000).  It stops when every correction of a sweep is
+    below 2^(-31 - prec), and the roots are kept at the kernel width.
+    Where the iteration converges quadratically, the stopping sweep leaves
+    a root accurate to about twice as many bits; near an m-fold root it
+    stalls, and the m iterates spread about 2^(-(2 prec + 10)/m) around it.
+    Roots are listed by modulus (the integer square root of |z|^2 on the
+    mantissas, cut to prec bits, so that moduli equal to the working
+    precision tie), then argument, and merged by single linkage within
+    2^-(prec/4) |z| for the later root z, decided exactly on the mantissas,
+    so an m-fold root merges while that spread stays below the radius
+    (m <= 8 at 128 bits), and roots far below 1 merge only when they are
+    that close relative to their size.  Each group is listed at its first
+    member.  A merged group is
     one root with its multiplicity, centered by Newton steps on the
     (m - 1)-th derivative (:func:`_refine_center`); a single root is its
     iterate.

@@ -638,6 +638,16 @@ class TestLaplace:
             f2 = laplace_sum(rc, 1, t - h, prec=200)
             assert abs(fp.value - (f1.value - f2.value) / (2 * h)) < 1e-6
 
+    def test_small_poles_sum_as_simple_poles(self):
+        # poles of modulus about 2^-45, 2^-45 apart: the root finder's merge
+        # radius is relative to |z|, so they stay two simple poles (an
+        # absolute radius 2^-32 merged them into a cluster that does not
+        # stand apart, and the sum raised ValueError)
+        rc, res, exact = small_pole_sum(45)
+        assert [m for _, m in rc._hi.raw_poles()] == [1, 1]
+        with mp.workprec(512):
+            assert abs(res.value - exact) <= res.total_error
+
 
 @st.composite
 def rational_borel_problems(draw):
@@ -770,6 +780,19 @@ def exact_lower_degree_coeffs(draw):
     return coeffs
 
 
+def small_pole_sum(scale):
+    """The k = 1 sum at theta = 2.5, t = 0.3 2^-scale e^(2.4 i), of exact
+    48-coefficient data with Borel poles 2^-scale (1 + i/3) and
+    2^-scale (-2 + i), residues 1 and -1/2: the continuation, the sum and
+    the closed form."""
+    s = Fraction(1, 2 ** scale)
+    poles = [(QQi(s, s / 3), 1), (QQi(-2 * s, s), Fraction(-1, 2))]
+    with mp.workprec(128):
+        t = mpmath.ldexp(mpmath.mpf(0.3), -scale) * mpmath.expj(2.4)
+    rc = continue_on_ray(borel_transform(OneVarSeries(rational_pole_coeffs(poles, 48)), 1), 2.5)
+    return rc, laplace_sum(rc, 1, t), rational_pole_sum(poles, t, 2.5)
+
+
 class TestToeplitzSolve:
     # the kernel's Toeplitz solve against mpmath.pade at 2 prec bits
     @pytest.mark.parametrize("prec", [64, 128, 256])
@@ -804,6 +827,28 @@ class TestToeplitzSolve:
                 got = mpmath.polyval(got_num, tau) / mpmath.polyval(got_den, tau)
                 want = mpmath.polyval(num[::-1], tau) / mpmath.polyval(den[::-1], tau)
                 assert abs(got - want) <= abs(want) * mpmath.ldexp(1, 8 - prec)
+
+    def test_rank_at_a_width_beyond_the_float_range(self):
+        # at 512 bits a row's mantissas pass 2^1024, and their magnitudes are
+        # taken after a correctly rounded division; a floor shift made the
+        # noise left by the elimination read as 2^-896 of the row, above the
+        # cut 2^(16 - 1024), and the exact four-pole data came out of rank 5
+        poles = [(QQi(Fraction(3, 2), 1), 2), (QQi(-2, Fraction(1, 2)), -1),
+                 (QQi(Fraction(3, 10), Fraction(-9, 10)), Fraction(1, 2)),
+                 (QQi(Fraction(1, 8), Fraction(1, 16)), 3)]
+        b = borel_transform(OneVarSeries(rational_pole_coeffs(poles, 24)), 1, prec=512)
+        assert b.approximant(11, 512).order == (4, 4)
+
+    def test_rows_far_beyond_the_kernel_width(self):
+        # the Borel coefficients grow like 2^(30 n): a row of the [23/23]
+        # system spans about 2^690 and the system about 2^1400, far beyond
+        # the 266-bit kernel; each row keeps its own exponent, and the fit
+        # stops at the data's rank 2 (one exponent for the whole system
+        # fitted (3, 3))
+        rc, res, exact = small_pole_sum(30)
+        assert rc._hi.order == (2, 2) and rc._lo.order == (3, 2)
+        with mp.workprec(512):
+            assert abs(res.value - exact) <= res.total_error
 
 
 @st.composite

@@ -209,6 +209,18 @@ class TestDominantData:
         with mp.workprec(4 * prec):
             assert mult == 5 and abs(mpmath.mpc(v) - mpmath.mpf(1) / 2) <= mpmath.ldexp(1, -2 * prec)
 
+    def test_small_distinct_roots_stay_apart(self):
+        # x2^2 + 2^-39 x1 x2 - 3 2^-80 x1^2 = (x2 - 2^-40 x1)(x2 + 3 2^-40 x1):
+        # the merge radius is relative to |z|, so roots far below 1 merge only
+        # when they are close relative to their size (an absolute radius
+        # 2^-32 returned one double root at -2^-40)
+        dd = dominant_data(TS(2, 4, {(0, 2): 1, (1, 1): Fraction(1, 2 ** 39),
+                                     (2, 0): Fraction(-3, 2 ** 80)}), None)
+        assert [m for _, m in dd.roots] == [1, 1]
+        with mp.workprec(256):
+            for (v, _), r in zip(dd.roots, (1, -3)):
+                assert abs(mpmath.mpc(v) - mpmath.ldexp(r, -40)) <= mpmath.ldexp(1, -40 - 128)
+
     def test_multiplicity_sum_is_h(self):
         rng = random.Random(47)
         for _ in range(20):
@@ -267,34 +279,38 @@ class TestPolyRoots:
     PREC = 128
 
     @staticmethod
-    def denominators():
-        euler = borel_transform(euler_borel_series(48), 1).coeffs
+    def denominators(prec=PREC):
+        euler48, euler40 = (borel_transform(euler_borel_series(n), 1, prec=prec).coeffs
+                            for n in (48, 40))
         with mp.workprec(128):
             poles = ((mpmath.mpc(1.5, 1.0), 2), (mpmath.mpc(-2, 0.5), -1),
                      (mpmath.mpc(0.3, -0.9), 0.5))
             rational = [sum(r * p ** (-n) for p, r in poles) for n in range(32)]
-        return [list(build_approximant(c).den) for c in (euler, rational)]
+        return [list(build_approximant(c, prec=prec).den) for c in (euler48, rational, euler40)]
 
     def test_roots_match_polyroots_oracle(self):
         # each root within cond(p) 2^(4 - prec) of the oracle's, where
         # cond(p) = sum |d_j| |p|^j / |D'(p)| is the root's absolute
         # condition number under relative coefficient perturbations, and
-        # with the multiplicity the oracle's roots give
-        for den in self.denominators():
-            roots = [(gi_to_mpc(v), m) for v, m in transforms._poly_roots(den, self.PREC)]
-            den = [gi_to_mpc(c) for c in den]
-            with mp.workprec(2 * self.PREC):
-                oracle = mpmath.polyroots(den[::-1], maxsteps=200, extraprec=2 * self.PREC)
-                radius = mpmath.mpf(2) ** -(self.PREC // 4)
-                deriv = [j * c for j, c in enumerate(den)][:0:-1]
-                assert sum(m for _, m in roots) == len(oracle)
-                for v, m in roots:
-                    near = [z for z in oracle if abs(z - v) <= radius * max(1, abs(v))]
-                    assert len(near) == m
-                    size = sum(abs(c) * abs(v) ** j for j, c in enumerate(den))
-                    cond = size / abs(mpmath.polyval(deriv, v))
-                    err = min(abs(z - v) for z in oracle)
-                    assert err <= cond * mpmath.ldexp(1, 4 - self.PREC)
+        # with the multiplicity the oracle's roots give; the sweeps hand
+        # over from the narrow width to the full one at a different point
+        # on each denominator and precision
+        for prec in (128, 256):
+            for den in self.denominators(prec):
+                roots = [(gi_to_mpc(v), m) for v, m in transforms._poly_roots(den, prec)]
+                den = [gi_to_mpc(c) for c in den]
+                with mp.workprec(2 * prec):
+                    oracle = mpmath.polyroots(den[::-1], maxsteps=200, extraprec=2 * prec)
+                    radius = mpmath.mpf(2) ** -(prec // 4)
+                    deriv = [j * c for j, c in enumerate(den)][:0:-1]
+                    assert sum(m for _, m in roots) == len(oracle)
+                    for v, m in roots:
+                        near = [z for z in oracle if abs(z - v) <= radius * abs(v)]
+                        assert len(near) == m
+                        size = sum(abs(c) * abs(v) ** j for j, c in enumerate(den))
+                        cond = size / abs(mpmath.polyval(deriv, v))
+                        err = min(abs(z - v) for z in oracle)
+                        assert err <= cond * mpmath.ldexp(1, 4 - prec)
 
     def test_power_of_two_scaling_keeps_roots(self):
         # the float64 seeds come from coefficients scaled by a power of two,
@@ -320,6 +336,20 @@ class TestPolyRoots:
         with mp.workprec(2 * prec):
             for (v, _), z in zip(roots, (0.5, -1, 1 + 1j, -3)):
                 assert abs(mpmath.mpc(v) - z) <= mpmath.ldexp(1, -prec)
+
+    def test_small_roots_merge_by_their_size(self):
+        # roots 2^-40 and (-3/2 + i) 2^-40 are 2^-40 apart, below the radius
+        # 2^-32 in absolute terms but far apart relative to their size: two
+        # simple roots (an absolute radius merged them into one double root
+        # at their mean)
+        exact = [QQi(Fraction(1, 2 ** 40)), QQi(Fraction(-3, 2 ** 41), Fraction(1, 2 ** 40))]
+        poly = [exact[0] * exact[1], -(exact[0] + exact[1]), QQi(1)]
+        roots = kernel_roots(poly, self.PREC)
+        assert [m for _, m in roots] == [1, 1]
+        with mp.workprec(2 * self.PREC):
+            for (v, _), r in zip(roots, exact):
+                r = to_mpc(r)
+                assert abs(mpmath.mpc(v) - r) <= abs(r) * mpmath.ldexp(1, -self.PREC)
 
     @pytest.mark.parametrize("poly, exact", [
         # roots (re + i im) / sqrt 8: +-i / sqrt 2 and (+-1 +- i) / sqrt 8
