@@ -25,6 +25,7 @@ lift of the series kernel.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from fractions import Fraction
@@ -144,8 +145,11 @@ class QQi:
         return f"QQi({self.re}, {self.im})"
 
 
+_EXACT = _EXACT_REAL + (QQi,)
+
+
 def is_exact(x):
-    return isinstance(x, (int, Fraction, QQi))
+    return isinstance(x, _EXACT)
 
 
 def to_mpc(x):
@@ -384,12 +388,20 @@ def gi_to_mpc(a, prec=None):
 
 
 def _parts(x):
-    """The real and imaginary parts of a scalar, each as (n, d, k) for n 2^k / d."""
+    """The real and imaginary parts of a scalar, each as (n, d, k) for n 2^k / d.
+
+    A finite binary float (``float``, ``complex``, numpy's float64 and complex128)
+    is read exactly from its own mantissa, ``as_integer_ratio``, with no mpmath
+    conversion; an mpmath number from its mantissa and exponent."""
     if not isinstance(x, mpmath.mpc):
         if isinstance(x, _EXACT_REAL):
             return (x.numerator, x.denominator, 0), (0, 1, 0)
         if isinstance(x, QQi):
             return (x.re.numerator, x.re.denominator, 0), (x.im.numerator, x.im.denominator, 0)
+        if isinstance(x, float) and math.isfinite(x):
+            return (*x.as_integer_ratio(), 0), (0, 1, 0)
+        if isinstance(x, complex) and cmath.isfinite(x):
+            return (*x.real.as_integer_ratio(), 0), (*x.imag.as_integer_ratio(), 0)
         x = to_mpc(x)
     (rs, rm, re_, rbc), (is_, im, ie, ibc) = x._mpc_
     if rbc < 0 or ibc < 0:
@@ -414,7 +426,8 @@ def gi_lift(values, bits):
 
     e puts the smallest nonzero value (by its larger component) at ``bits``
     bits or more, so a float with at most that many bits is lifted exactly;
-    ``ValueError`` on an inf or a nan.
+    ``ValueError`` on an inf or a nan.  A binary float (Python's or numpy's) is
+    lifted exactly from its own mantissa, with no mpmath conversion on the way.
     """
     parts = [_parts(x) for x in values]
     mags = [_part_mag(part) for part in parts if part[0][0] or part[1][0]]

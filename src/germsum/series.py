@@ -13,6 +13,13 @@ never claims accuracy beyond what the operands certify:
 * callers that knowingly treat the stored terms as exact polynomial data
   (a "representative") may override via ``out_trunc`` / ``with_trunc``.
 
+The constructor's checks (integral dimension and truncation, exponents that
+are tuples of nonnegative integers of the right length) are for caller
+input.  Ring operations and the kernel build each result once from operands
+that already hold them: they only prune it (zeros, out-of-window terms, the
+float relative cut) and wrap it, as does JSON input, whose terms
+:func:`series_from_json` has checked.
+
 Coefficients are exact rationals, exact complex rationals or mpmath
 complex floats; see :mod:`germsum.scalars`.  Products and substitutions
 run on one series kernel (below) for every coefficient domain; the domain
@@ -26,8 +33,8 @@ rounded to the working precision once.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm, prod
 
 from mpmath import mp
@@ -35,8 +42,8 @@ from mpmath import mp
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
 from . import scalars
-from .scalars import (_EXACT_REAL, gi_lift, gi_to_mpc, is_zero, sabs, sabs_float, sadd, scalar_eq,
-                      scalar_from_json, scalar_to_json, smul, sneg, to_mpc, working_prec)
+from .scalars import (_EXACT, _EXACT_REAL, gi_lift, gi_to_mpc, is_zero, sabs, sabs_float, sadd,
+                      scalar_eq, scalar_from_json, scalar_to_json, smul, sneg, to_mpc, working_prec)
 
 
 class MonomialOrder:
@@ -104,11 +111,32 @@ class MonomialOrder:
                    obj.get("tiebreak", "lex"))
 
 
+def _truncation(trunc):
+    """A truncation order as an int, floored at -1; ``ValueError`` unless it is integral."""
+    try:
+        return max(operator.index(trunc), -1)
+    except TypeError:
+        raise ValueError(f"truncation order {trunc!r} is not an integer") from None
+
+
+def _dimension(dim):
+    """A number of variables as an int; ``ValueError`` unless it is an integer >= 1."""
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise ValueError(f"dimension {dim!r} is not an integer") from None
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    return dim
+
+
 def _prune_terms(terms, trunc):
     """Drop out-of-window and (relatively) zero coefficients in place."""
     kill = [e for e, c in terms.items() if sum(e) > trunc or is_zero(c)]
     for e in kill:
         del terms[e]
+    if all(isinstance(c, _EXACT) for c in terms.values()):
+        return terms  # the relative cut below applies to floats only
     by_deg = {}
     for e in terms:
         by_deg.setdefault(sum(e), []).append(e)
@@ -131,11 +159,8 @@ class TruncatedSeries:
     __slots__ = ("dim", "trunc", "terms")
 
     def __init__(self, dim, trunc, terms=None):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        trunc = int(trunc)
-        if trunc < -1:
-            trunc = -1
+        dim = _dimension(dim)
+        trunc = _truncation(trunc)
         clean = {}
         for e, c in (terms or {}).items():
             try:
@@ -145,7 +170,7 @@ class TruncatedSeries:
             if len(e) != dim:
                 raise DimensionMismatchError(
                     f"exponent {e} has length {len(e)}, expected {dim}")
-            if any(k < 0 for k in e):
+            if min(e) < 0:
                 raise ValueError(f"negative exponent in {e}")
             clean[e] = c
         object.__setattr__(self, "dim", dim)
@@ -259,11 +284,10 @@ class TruncatedSeries:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = sadd(terms[e], c) if e in terms else c
-        return TruncatedSeries(self.dim, trunc, terms)
+        return _pruned(self.dim, trunc, terms)
 
     def __neg__(self):
-        return TruncatedSeries(self.dim, self.trunc,
-                               {e: sneg(c) for e, c in self.terms.items()})
+        return _pruned(self.dim, self.trunc, {e: sneg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -281,8 +305,7 @@ class TruncatedSeries:
 
     def scale(self, c):
         """Multiply every coefficient by the scalar c."""
-        return TruncatedSeries(self.dim, self.trunc,
-                               {e: smul(v, c) for e, v in self.terms.items()})
+        return _pruned(self.dim, self.trunc, {e: smul(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -306,7 +329,7 @@ class TruncatedSeries:
             if e[i] > 0:
                 e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
                 terms[e2] = smul(c, e[i])
-        return TruncatedSeries(self.dim, max(self.trunc - 1, -1), terms)
+        return _pruned(self.dim, max(self.trunc - 1, -1), terms)
 
     def with_trunc(self, new_trunc):
         """Reinterpret the stored terms with a caller-asserted truncation.
@@ -315,11 +338,17 @@ class TruncatedSeries:
         representative (e.g. shifting a blown-up polynomial); the generic
         bookkeeping would be more pessimistic.
         """
-        return TruncatedSeries(self.dim, new_trunc, self.terms)
+        return _pruned(self.dim, _truncation(new_trunc), dict(self.terms))
 
     def eval_at(self, point):
         """The stored polynomial at a point (exact for exact data), by substituting constants."""
         return substitute(self, _constant_images(point, self.dim), out_trunc=0).coeff((0,))
+
+
+def _pruned(dim, trunc, terms):
+    """The series of a terms dict whose exponents are valid for dim, pruned in place
+    (zeros, out-of-window terms, the float relative cut) and wrapped unchecked."""
+    return TruncatedSeries._clean(dim, trunc, _prune_terms(terms, trunc))
 
 
 def _constant_images(point, dim):
@@ -445,11 +474,13 @@ def _finish(dim, trunc, top, unpack, values, floats=False):
 
 
 def _operand(pairs, trunc, top):
-    """(key, numerator) pairs sorted by key, and for each degree r <= trunc the
-    number of pairs of degree <= r: the right operand of :func:`_imul`."""
+    """(key, numerator) pairs of degree <= trunc sorted by key, and for each degree
+    r <= trunc the number of pairs of degree <= r: the right operand of :func:`_imul`."""
     pairs = sorted(pairs)
-    keys = [k for k, _ in pairs]
-    return pairs, [bisect_left(keys, (r + 1) << top) for r in range(trunc + 1)]
+    count = [0] * (trunc + 1)
+    for k, _ in pairs:
+        count[k >> top] += 1
+    return pairs, list(accumulate(count))
 
 
 def _pack_terms(terms, packing, trunc, exact):
@@ -800,4 +831,5 @@ def series_from_json(obj):
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"series JSON terms[{i}]: {exc}") from exc
         terms[e] = c
-    return TruncatedSeries(dim, trunc, terms)
+    # every term is checked above; the window is all the constructor would add
+    return _pruned(_dimension(dim), _truncation(trunc), terms)

@@ -4,15 +4,17 @@ Exact operands (int, Fraction, QQi) must give the exact result, and a QQi
 whenever an operand is one; an mpc operand must give the result of mpmath
 at working precision on the other operand rounded once to that precision.
 """
+import math
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from germsum.scalars import (QQi, gi_div, gi_from_mpc, gi_horner, gi_mul, gi_sub, gi_submul,
-                             gi_to_mpc, is_exact, is_zero, parse_scalar, sadd, scalar_eq,
+from germsum.scalars import (QQi, bit_mag, gi_div, gi_from_mpc, gi_horner, gi_lift, gi_mul, gi_sub,
+                             gi_submul, gi_to_mpc, is_exact, is_zero, parse_scalar, sadd, scalar_eq,
                              scalar_from_json, sdiv, smul, sneg, to_mpc, working_prec)
 
 ints = st.integers(-60, 60)
@@ -202,3 +204,25 @@ def test_kernel_conversion():
             gi_from_mpc(mpmath.mpc(1, bad), KERNEL_W)
     with pytest.raises(ZeroDivisionError):
         gi_div((1, 0, 0), (0, 0, 5), KERNEL_W)
+
+
+BINARY_FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, -2.2250738585072014e-308 / 3,
+                 2.0 ** 1000 * 1.5, -(2.0 ** 1023) * 1.999, 2.0 ** -1000 * 1.25, 3.0 * 2.0 ** -1070]
+
+
+@pytest.mark.parametrize("bits", [53, 160, 2200])
+def test_float_lift_reads_the_mantissa(bits):
+    # a binary float lifts as its exact mpc lifts: Python's and numpy's, real and complex
+    values = BINARY_FLOATS + [complex(a, b) for a in BINARY_FLOATS for b in BINARY_FLOATS[::3]]
+    values += [numpy.float64(x) for x in BINARY_FLOATS]
+    values += [numpy.complex128(complex(x, -x / 7)) for x in BINARY_FLOATS]
+    with mp.workprec(60):  # any precision of 53 bits or more holds a double exactly
+        exact = [mpmath.mpc(x) for x in values]
+    for one, ref in zip(values, exact):
+        assert gi_lift([one], bits) == gi_lift([ref], bits)
+        if one:
+            assert bit_mag(one) == bit_mag(ref)
+    assert gi_lift(values, bits) == gi_lift(exact, bits)
+    for bad in (math.inf, -math.nan, complex(1, math.inf), numpy.float64("nan")):
+        with pytest.raises(ValueError, match="non-finite"):
+            gi_lift([1.0, bad], bits)

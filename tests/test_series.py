@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from bisect import bisect_left
 from fractions import Fraction
 
 import mpmath
@@ -9,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from germsum.errors import (DimensionMismatchError, InsufficientTruncationError,
                             ZeroSeriesError)
-from germsum.scalars import QQi, is_exact, parse_scalar, sabs, sadd, smul, sneg, working_prec
-from germsum.series import (MonomialOrder, TruncatedSeries, majorant_norm,
+from germsum.scalars import (QQi, is_exact, parse_scalar, sabs, sadd, scalar_from_json, smul,
+                             sneg, working_prec)
+from germsum.series import (MonomialOrder, TruncatedSeries, _operand, _Packing, majorant_norm,
                             series_from_json, series_to_json, substitute, v_ell)
 
-from helpers import (SHAPES, assert_near_reference, exact_series, mixed, nonzero, points,
+from helpers import (LAM, SHAPES, assert_near_reference, exact_series, mixed, nonzero, points,
                      random_series, ref_eval, ref_mul, ref_substitute)
 
 TS = TruncatedSeries
@@ -384,11 +387,146 @@ class TestScalarsAndPruning:
             with pytest.raises(ValueError, match="integers"):
                 S(2, 5, {e: 1, (1, 2): 2})
 
+    def test_constructor_messages(self):
+        # the exponent checks word their refusals as they always have
+        for e, error, text in (((1, -1), ValueError, "negative exponent in (1, -1)"),
+                               ((1,), DimensionMismatchError,
+                                "exponent (1,) has length 1, expected 2"),
+                               ((1.5, 2), ValueError,
+                                "exponent (1.5, 2) is not a tuple of integers")):
+            with pytest.raises(error) as info:
+                S(2, 5, {e: 1})
+            assert str(info.value) == text
+
+    def test_truncation_and_dimension_are_integers(self):
+        # a non-integral truncation or dimension is refused, not rounded
+        for args, bad in (((2, 2.7, {(1, 0): 1, (2, 1): 3}), 2.7), ((2, "3", {}), "3"),
+                          ((2, Fraction(7, 2), {}), Fraction(7, 2)), ((2.5, 4, {}), 2.5)):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                S(*args)
+        f = S(2, 3, {(1, 0): 1, (1, 1): 2})
+        with pytest.raises(ValueError, match=re.escape("1.9")):
+            f.with_trunc(1.9)
+        # ints and numpy ints pass, and a truncation below -1 still means none
+        g = S(numpy.int64(2), numpy.int32(1), {(1, 0): 1, (1, 1): 2})
+        assert (type(g.dim), type(g.trunc), g.terms) == (int, int, {(1, 0): 1})
+        assert type(f.with_trunc(numpy.int64(2)).trunc) is int
+        assert S(2, -5, {(0, 0): 1}).trunc == -1 and f.with_trunc(-7).trunc == -1
+        for dim in (0, -1, numpy.int64(0)):
+            with pytest.raises(ValueError, match="dimension must be >= 1"):
+                S(dim, 4, {})
+
     def test_parse_scalar(self):
         assert parse_scalar("3/4") == Fraction(3, 4)
         assert parse_scalar("1/2+1/3j") == QQi(Fraction(1, 2), Fraction(1, 3))
         z = parse_scalar("0.5-0.25j")
         assert isinstance(z, QQi) and z.im == Fraction(-1, 4)
+
+
+def same_series(a, b):
+    """Equal dimension and truncation, and the same terms in the same order with
+    coefficients equal in value and in type (mpmath floats bit for bit)."""
+    assert (a.dim, a.trunc) == (b.dim, b.trunc)
+    assert list(a.terms) == list(b.terms)
+    for e, x in a.terms.items():
+        y = b.terms[e]
+        assert type(x) is type(y)
+        if isinstance(x, mpmath.mpc):
+            assert x._mpc_ == y._mpc_
+        else:
+            assert x == y and (not isinstance(x, QQi) or (x.re, x.im) == (y.re, y.im))
+
+
+@st.composite
+def ring_series(draw, dim, trunc, kind):
+    """An exact (int/Fraction), QQi, 128-bit float or mixed series."""
+    f = draw(exact_series(dim, trunc, qqi=kind in ("qqi", "mixed")))
+    if kind == "float":
+        return TS(dim, trunc, {e: smul(c, LAM) for e, c in f.terms.items()})
+    return draw(mixed(f)) if kind == "mixed" else f
+
+
+NEAR_MINUS_ONE = (-1, sadd(-1, mpmath.ldexp(1, -100)))
+SCALARS = (0, 3, -1, Fraction(-2, 7), QQi(1, -2), QQi(0, 0), mpmath.mpc(0),
+           mpmath.mpc("0.75", "-1.25"), LAM)
+
+
+class TestBuiltOnce:
+    """Ring operations build their result without the public constructor; each
+    must equal, term by term and in type, that constructor on the same raw dict."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_ring_operations_match_the_constructor(self, data):
+        dim, trunc = data.draw(st.sampled_from(((1, 10),) + SHAPES))
+        kind = data.draw(st.sampled_from(("exact", "qqi", "float", "mixed")))
+        f = data.draw(ring_series(dim, trunc, kind))
+        g = data.draw(ring_series(dim, data.draw(st.integers(trunc - 2, trunc)), kind))
+        if data.draw(st.booleans()):  # cancellation: float noise the relative cut removes
+            near = st.sampled_from(NEAR_MINUS_ONE)
+            g = TS(dim, g.trunc, {**g.terms, **{e: smul(c, data.draw(near))
+                                                for e, c in f.terms.items()}})
+        c = data.draw(st.sampled_from(SCALARS))
+        i = data.draw(st.integers(0, dim - 1))
+        t = data.draw(st.integers(-3, trunc + 2))
+        low = min(f.trunc, g.trunc)
+
+        def added(a, b):
+            raw = dict(a)
+            for e, v in b.items():
+                raw[e] = sadd(raw[e], v) if e in raw else v
+            return raw
+
+        negated = {e: sneg(v) for e, v in g.terms.items()}
+        same_series(f + g, TS(dim, low, added(f.terms, g.terms)))
+        same_series(f - g, TS(dim, low, added(f.terms, negated)))
+        same_series(-g, TS(dim, g.trunc, negated))
+        same_series(c * f, TS(dim, f.trunc, {e: smul(v, c) for e, v in f.terms.items()}))
+        same_series(f * c, c * f)
+        same_series(f.differentiate(i), TS(dim, max(trunc - 1, -1), {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: smul(v, e[i]) for e, v in f.terms.items() if e[i]}))
+        same_series(f.with_trunc(t), TS(dim, t, f.terms))
+
+    def test_kernel_output_is_pruned_again(self):
+        # the product keeps the 1 at x2 on bit lengths (1 bit against 64 - 64); by
+        # absolute values, |1| < |(2^64 - 1)(1 + i)| 2^-64, the constructor drops it
+        big = mpmath.mpc(2 ** 64 - 1, 2 ** 64 - 1)
+        h = S(2, 4, {(1, 0): big, (0, 0): mpmath.mpc(1)}) * S(2, 4, {(0, 0): 1, (0, 1): 1})
+        assert (0, 1) in h.terms
+        zero = S(2, 4, {})
+        for got, raw in ((-h, {e: sneg(v) for e, v in h.terms.items()}), (h + zero, h.terms),
+                         (h * 1, h.terms), (h.with_trunc(4), h.terms)):
+            same_series(got, TS(2, 4, raw))
+            assert (0, 1) not in got.terms
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_json_input_matches_the_constructor(self, data):
+        dim, trunc = data.draw(st.sampled_from(((1, 10),) + SHAPES))
+        kind = data.draw(st.sampled_from(("exact", "qqi", "float")))
+        f = data.draw(ring_series(dim, trunc, kind))
+        obj = series_to_json(f)
+        obj["trunc"] = data.draw(st.integers(-3, trunc))
+        same_series(series_from_json(obj), TS(dim, max(obj["trunc"], -1), {
+            tuple(item["exp"]): scalar_from_json(item["coeff"]) for item in obj["terms"]}))
+
+    def test_degree_table_matches_bisection(self):
+        rng = random.Random(5)
+        cases = [(1, 200, 1), (2, 200, 1), (3, 200, 1)]
+        cases += [(rng.randint(1, 3), rng.randint(0, 40), rng.randint(0, 60)) for _ in range(200)]
+        for dim, trunc, n in cases:
+            packing = _Packing(dim, trunc)
+            pairs = []
+            for _ in range(n):
+                e = [0] * dim
+                for _ in range(rng.randint(0, trunc)):
+                    e[rng.randrange(dim)] += 1
+                pairs.append((packing.pack(e), rng.randint(-9, 9)))
+            pairs = list(dict(pairs).items())
+            sorted_pairs, table = _operand(pairs, trunc, packing.top)
+            keys = [k for k, _ in sorted_pairs]
+            assert sorted_pairs == sorted(pairs)
+            assert table == [bisect_left(keys, (r + 1) << packing.top) for r in range(trunc + 1)]
 
 
 class TestJson:
