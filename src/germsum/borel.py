@@ -12,14 +12,16 @@ The rational continuation runs on the Gaussian-integer kernel of
 each approximant (which stops at the numerical rank of the data, the
 pivots above ||A||_1 2^(16 - d) for data accurate to d bits, and solves
 at that degree), the Durand-Kerner rooting of its denominator (stopped
-when every correction is below 2^(-31 - prec), roots kept at the kernel
-width, merged roots centered by Newton steps) and its partial fractions.
+when every correction is below 2^(-31 - prec), or on a contracting tail
+below it, roots kept at the kernel width, merged roots centered by Newton
+steps) and its partial fractions.  One elimination, in bordered order,
+solves the [m/m] system and the [m - 1/m - 1] system that is its block.
 The Toeplitz elimination, its back substitution and the numerator run in
 fixed point, each row of the system (and each numerator coefficient) as
 int pairs on one exponent ``_ROW_GUARD`` bits below the kernel width of
 its largest entry, so that an update costs four products and a shift;
-Durand-Kerner sweeps at 64 bits until the float64 seeds are lifted, and
-then at the kernel width.
+Durand-Kerner sweeps at 64 bits, each root until it settles, until the
+float64 seeds are lifted, and then at the kernel width.
 A :class:`BorelSeries` keeps the approximants it has built.  From the
 Toeplitz solve to the Laplace step the coefficients, roots and poles stay
 kernel numbers: an mpc enters with the coefficients handed to
@@ -73,6 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 from mpmath import mp
@@ -142,12 +145,15 @@ class BorelSeries:
     def approximant(self, m, prec, excess=0):
         """``build_approximant(self.coeffs, m, prec, self.exact, excess)``,
         built on first use and shared by every request that resolves to
-        its order, and by a request for that order (the same full-rank solve)."""
+        its order, and by a request for that order (the same full-rank solve).
+        The ``lower`` approximant built with it is kept under its order."""
         # keyed both by the request (m, excess, prec) and by ((n, m), prec)
         request = (m, excess, prec)
         appr = self._approximants.get(request) or self._approximants.get(((m + excess, m), prec))
         if appr is None:
             appr = build_approximant(self.coeffs, m, prec, self.exact, excess)
+            if appr.lower is not None:
+                self._approximants.setdefault((appr.lower.order, prec), appr.lower)
             appr = self._approximants.setdefault((appr.order, prec), appr)
             self._approximants[request] = appr
         return appr
@@ -162,16 +168,18 @@ def borel_transform(series, k, prec=None):
     amplifies past every error the sum reports.  Whether every input
     coefficient is exact is recorded as ``BorelSeries.exact``: the fit
     counts exact data as accurate to 2 prec bits, rounded data to prec.
+    k is taken as ``laplace_sum`` takes it (:func:`_rational_k`): a/b in
+    lowest terms with b <= 12, so that ``Fraction(3, 2)`` and 1.5 give the
+    same series, n/k being n b/a rounded once; any other k raises
+    ``ValueError``, naming it.
     """
-    if not k > 0:
-        raise ValueError("summability index k must be positive")
+    a, b = _rational_k(k)
     coeffs = series.coeffs if isinstance(series, OneVarSeries) else tuple(series)
     prec = working_prec(prec)
     with mp.workprec(2 * prec):
-        kk = mpmath.mpf(k)
-        out = tuple(to_mpc(a) / mpmath.gamma(1 + mpmath.mpf(n) / kk)
-                    for n, a in enumerate(coeffs))
-    return BorelSeries(float(k), out, all(is_exact(a) for a in coeffs))
+        out = tuple(to_mpc(c) / mpmath.gamma(1 + mpmath.mpf(n * b) / a)
+                    for n, c in enumerate(coeffs))
+    return BorelSeries(a / b, out, all(is_exact(c) for c in coeffs))
 
 
 # -- rational (Pade-type) continuation ---------------------------------------
@@ -187,15 +195,17 @@ class RationalApproximant:
     denominator is rooted once: ``raw_poles`` caches its roots, and
     ``filtered_poles`` (cached too) and ``partial_fractions`` reuse them.
     The Laplace step's work per pole and point is kept too
-    (``pole_starts``).
+    (``pole_starts``).  ``lower`` is the approximant of one order less on
+    each side that :func:`build_approximant` solved with it, or None.
     """
 
-    __slots__ = ("num", "den", "prec", "_roots", "_filtered", "_fractions", "_starts")
+    __slots__ = ("num", "den", "prec", "lower", "_roots", "_filtered", "_fractions", "_starts")
 
     def __init__(self, num, den, prec):
         self.num = tuple(num)
         self.den = tuple(den)
         self.prec = prec
+        self.lower = None
         self._roots = self._filtered = None
         self._fractions = {}
         self._starts = {}
@@ -421,63 +431,52 @@ def _submul_at(acc, a, b, e):
     return acc[0] - pr, acc[1] - pi
 
 
-def _toeplitz_solve(a, n, m, w, bits):
-    """``(rank, x)``: the numerical rank of the denominator system of the
-    [n/m] Pade approximant and, when it is m, the solution x_i = -q_i
-    (i = 1..m), else None.
+def _eliminate(rows, exps, mags, tol_lo, tol, top, w):
+    """Gaussian elimination in place of the fixed-point rows of
+    :func:`_toeplitz_solve`, column by column in their order; returns the
+    number of pivots.
 
-    Solves sum_i a[n + j + 1 - i] x_i = a[n + 1 + j] (j = 0..m-1, i = 1..m)
-    for kernel coefficients ``a`` by Gaussian elimination, with the pivot
-    choice of ``mpmath.lu_solve``: the pivot of a column is the entry
-    largest relative to the sum of its row.  A row sum or pivot at most
-    ||A||_1 2^bits counts as zero, so a column whose pivot is that small
-    depends on the columns before it (within the data's noise when 2^bits
-    lies above it): it is skipped, and the rank is the number of pivots.
-    Magnitudes are floats relative to the largest coefficient.
-
-    Each row of the augmented system is a list of (re, im) int pairs on
-    one exponent, ``_ROW_GUARD`` bits below the w bits of its largest
-    matrix entry, so that a row update costs four products and a shift
-    per entry; a row that cancellation leaves below w bits (or that grows
-    past w + 2 ``_ROW_GUARD``) is shifted back.  The back substitution
-    accumulates on the row's exponent too, and each x_i is a kernel number
-    of w bits.
+    The pivot of a column is that of ``mpmath.lu_solve``: the entry largest
+    relative to the sum of its row, where a row sum or pivot at most the
+    tolerance counts as zero.  With ``tol_lo`` (the bordered order) the
+    first m - 1 columns take pivots from the first m - 1 rows at
+    ``tol_lo``, the last column from the last row at ``tol``, and the first
+    column without a pivot ends the elimination.  Else (the plain order)
+    every column takes its pivot from every row left at ``tol``; a column
+    without one depends on the columns before it (within the data's noise
+    when the tolerance lies above it) and is skipped, and the elimination
+    stops once every row left lies at or below the tolerance, where no
+    later column has a pivot.
     """
-    if m == 0:
-        return 0, []
-    top = max(gi_mag(x) for x in a[n + 1 - m:n + m])
-    if top == -math.inf:
-        return 0, None
-    mags = [[gi_abs(a[n + j - i], top) for i in range(m)] for j in range(m)]
-    tol = math.ldexp(max(sum(col) for col in zip(*mags)), bits)
+    m = len(mags)
     width = w + _ROW_GUARD
     # ints that may pass the float range are divided by 2^cut (rounded
     # correctly) before their magnitudes are taken
     cut = max(0, width + 2 * _ROW_GUARD - 960)
     unit = 1 << cut
-    rows, exps = [], []
+    rank, end, cur = (0, m - 1, tol_lo) if tol_lo is not None else (0, m, tol)
     for j in range(m):
-        entries = [a[n + j - i] for i in range(m)] + [a[n + 1 + j]]
-        e = max(gi_mag(x) for x in entries[:m])
-        e = e - width if e != -math.inf else 0
-        rows.append([_place(x, e) for x in entries])
-        exps.append(e)
-    rank = 0
-    for j in range(m):
-        best, piv = 0.0, None
-        for k in range(rank, m):
-            s = math.fsum(mags[k][j:])
-            if s > tol and mags[k][j] / s > best:
-                best, piv = mags[k][j] / s, k
-        if piv is None or mags[piv][j] <= tol:
+        if j == m - 1:
+            end, cur = m, tol
+        best, piv, live = 0.0, None, False
+        for k in range(rank, end):
+            s = math.fsum(mags[k][j:end])
+            if s > cur:
+                live = True
+                if mags[k][j] / s > best:
+                    best, piv = mags[k][j] / s, k
+        if piv is None or mags[piv][j] <= cur:
+            if tol_lo is not None or not live:
+                break
             continue
         for lst in (rows, exps, mags):
             lst[rank], lst[piv] = lst[piv], lst[rank]
         head = rows[rank][j + 1:]
         hr, hi = rows[rank][j]
         d = hr * hr + hi * hi
-        # the quotient's fraction bits: its truncation moves no update by a unit
-        frac = max(max(abs(x), abs(y)) for x, y in head).bit_length() + 2
+        # the quotient's fraction bits: its truncation moves no update of the
+        # system being solved (up to column ``end``) by a unit
+        frac = max(max(abs(x), abs(y)) for x, y in head[:end - j]).bit_length() + 2
         for k in range(rank + 1, m):
             row = rows[k]
             rr, ri = row[j]
@@ -492,64 +491,103 @@ def _toeplitz_solve(a, n, m, w, bits):
             else:
                 mag[j + 1:] = [math.ldexp(math.hypot(x / unit, y / unit), e + cut - top)
                                for x, y in row[j + 1:m]]
-            big = max(mag[j + 1:], default=0.0)
+            big = max(mag[j + 1:end], default=0.0)
             if big:
                 s = math.frexp(big)[1] + top - e - width
                 if s < -_ROW_GUARD or s > _ROW_GUARD:
                     row[j + 1:] = [_place((x, y, e), e + s) for x, y in row[j + 1:]]
                     exps[k] = e + s
         rank += 1
-    if rank < m:
-        return rank, None
-    q = [None] * m
-    for j in range(m - 1, -1, -1):
+    return rank
+
+
+def _back_substitute(rows, exps, size, w):
+    """The solution, kernel numbers of w bits, of the first ``size``
+    eliminated rows against their entry ``size``, accumulated on each row's
+    exponent."""
+    q = [None] * size
+    for j in range(size - 1, -1, -1):
         row, e = rows[j], exps[j]
-        acc = row[m]
-        for k in range(j + 1, m):
+        acc = row[size]
+        for k in range(j + 1, size):
             acc = _submul_at(acc, (*row[k], e), q[k], e)
         q[j] = gi_div((*acc, e), (*row[j], e), w)
-    return m, q
+    return q
 
 
-def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
-    """Pade approximant [nu + excess/nu] (``excess`` 0 or 1), nu <= m (default:
-    the largest m the coefficients allow) the numerical rank of the data.
+def _toeplitz_solve(a, n, m, w, bits):
+    """``(rank, x, x_lo)``: the numerical rank of the denominator system of
+    the [n/m] Pade approximant and, when it is m, the solution x_i = -q_i
+    (i = 1..m), else None; and the solution of the [n - 1/m - 1] system
+    when that block of the same system has full rank, else None.
 
-    The coefficients are rounded to twice the working precision, and the
-    Toeplitz system of the denominator is solved at the kernel width
-    ``2 * prec + 10`` of :mod:`germsum.scalars` (:func:`_toeplitz_solve`),
-    by elimination with partial pivoting on fixed-point rows.  The
-    numerator p_i = a_i + sum_j q_j a_(i-j) is accumulated in fixed point
-    too, on one exponent ``_ROW_GUARD`` bits below the kernel width of its
-    largest term, and rounded to the kernel width.  A
-    pivot at most ||A||_1 2^(16 - d) (16 = ``scalars.NOISE_MARGIN``)
-    counts as zero, d being the accuracy of the data: 2 prec bits when
-    ``exact`` (the default when every coefficient is an int, Fraction or
-    ``QQi``), else prec bits.  The approximant is solved at the rank nu of
-    the order-m system (again at the rank of the order-nu system, until it
-    has full rank): a rounded rational function of lower degree is fitted
-    at its true degree, not with pole-zero doublets that fit the rounding.
-    At nu = 0 the approximant is the polynomial a_0 + ... + a_excess (at
-    twice the working precision, like every coefficient).  A non-finite
-    coefficient raises ``ValueError``.
+    The system is sum_i a[n + j + 1 - i] x_i = a[n + 1 + j] (j = 0..m-1,
+    i = 1..m) for kernel coefficients ``a``.  Its rows 0..m-2 and the
+    columns of x_2..x_m are the [n - 1/m - 1] system, whose right-hand side
+    is the column of x_1 (Gragg, SIAM Review 14, 1972), and it is
+    eliminated in that bordered order (:func:`_eliminate`): first the
+    block's columns, with pivots from its rows at its tolerance
+    ||A_lo||_1 2^bits, which is exactly the block's own elimination, then
+    the column of x_1 over the last row at ||A||_1 2^bits.  The same rows
+    back-substitute twice (:func:`_back_substitute`): against that column
+    for x_lo, against the right-hand side for x.  When a column has no
+    pivot there, the saved rows are eliminated again in the plain order,
+    x_1 first, over all rows at ||A||_1 2^bits, which finds the rank as
+    the system's own elimination always did: the number of pivots, a
+    column without one skipped, stopping once every row left lies at or
+    below the tolerance.  (Going on from the block's pivots would count
+    another rank where the data's noise, amplified by the elimination,
+    reaches the tolerance: 2 where the plain order counts 3 on two rounded
+    poles near +-p.)  Magnitudes are floats relative to the block's largest
+    coefficient.
+
+    Each row is a list of (re, im) int pairs on one exponent, ``_ROW_GUARD``
+    bits below the w bits of its largest block entry (of its largest
+    entry, when its block entries vanish), so that a row update costs four
+    products and a shift per entry; a row that cancellation leaves below w
+    bits (or that grows past w + 2 ``_ROW_GUARD``) is shifted back.
     """
-    prec = working_prec(prec)
-    top = (len(coeffs) - 1 - excess) // 2
-    m = top if m is None else max(0, min(m, top))
-    if exact is None:
-        exact = all(is_exact(x) for x in coeffs)
-    bits = NOISE_MARGIN - (2 * prec if exact else prec)
-    w = gi_width(prec)
-    with mp.workprec(2 * prec):
-        a = [gi_from_mpc(x, w) for x in coeffs]
-    while True:
-        m, x = _toeplitz_solve(a, m + excess, m, w, bits)
-        if x is not None:
-            break
-    # p_i = a_i + sum_j q_j a_(i-j) with q_j = -x_j
+    if m == 0:
+        return 0, [], None
+    lo, block = m - 1, a[n + 1 - m:n + m - 2]
+    top = max(map(gi_mag, block if any(x[0] or x[1] for x in block) else a[n + 1 - m:n + m]))
+    if top == -math.inf:
+        return 0, None, None
+    # row j: the block's columns (x_2..x_m), the column of x_1, then a[n + 1 + j]
+    entries = [[a[n + j - i] for i in range(1, m)] + [a[n + j], a[n + 1 + j]] for j in range(m)]
+    # |a[n + 1 - m + k]| 2^-top, once per coefficient of the system
+    size = [gi_abs(x, top) for x in a[n + 1 - m:n + m]]
+    mags = [[size[j + m - 1 - i] for i in range(1, m)] + [size[j + m - 1]] for j in range(m)]
+    tol_lo, tol = (math.ldexp(max((sum(col) for col in zip(*sub)), default=0.0), bits)
+                   for sub in ([row[:lo] for row in mags[:lo]], mags))
+    width = w + _ROW_GUARD
+    rows, exps = [], []
+    for row in entries:
+        e = max(map(gi_mag, row[:lo] if any(x[0] or x[1] for x in row[:lo]) else row[:m]))
+        e = e - width if e != -math.inf else 0
+        rows.append([_place(x, e) for x in row])
+        exps.append(e)
+    plain = [[row[lo]] + row[:lo] + row[m:] for row in rows], exps[:], [[x] + g for *g, x in mags]
+    rank = _eliminate(rows, exps, mags, tol_lo, tol, top, w)
+    x_lo = _back_substitute(rows, exps, lo, w) if rank >= lo else None
+    if rank == m:
+        x = _back_substitute(rows, exps, m, w)
+        return m, x[lo:] + x[:lo], x_lo
+    rank = _eliminate(*plain, None, tol, top, w)
+    return rank, _back_substitute(*plain[:2], m, w) if rank == m else None, x_lo
+
+
+def _approximant(a, x, n, w, prec):
+    """The [n/m] approximant (m = len(x)) of the kernel coefficients ``a``
+    from the solution x_i = -q_i of its denominator system.
+
+    The numerator p_i = a_i + sum_j q_j a_(i-j) is accumulated in fixed
+    point, on one exponent ``_ROW_GUARD`` bits below the kernel width of its
+    largest term, and rounded to the kernel width w.
+    """
     num = []
-    for i in range(m + excess + 1):
-        terms = [(x[j - 1], a[i - j]) for j in range(1, min(i, m) + 1)]
+    for i in range(n + 1):
+        terms = [(x[j - 1], a[i - j]) for j in range(1, min(i, len(x)) + 1)]
         e = max([gi_mag(a[i])] + [gi_mag(u) + gi_mag(v) for u, v in terms])
         if e == -math.inf:
             num.append(a[i])
@@ -562,19 +600,78 @@ def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
     return RationalApproximant(num, [GI_ONE] + [(-re, -im, e) for re, im, e in x], prec)
 
 
+def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
+    """Pade approximant [nu + excess/nu] (``excess`` 0 or 1), nu <= m (default:
+    the largest m the coefficients allow) the numerical rank of the data.
+
+    The coefficients are rounded to twice the working precision, and the
+    Toeplitz system of the denominator is solved at the kernel width
+    ``2 * prec + 10`` of :mod:`germsum.scalars` (:func:`_toeplitz_solve`),
+    by elimination with partial pivoting on fixed-point rows, and the
+    numerator in fixed point too (:func:`_approximant`).  A
+    pivot at most ||A||_1 2^(16 - d) (16 = ``scalars.NOISE_MARGIN``)
+    counts as zero, d being the accuracy of the data: 2 prec bits when
+    ``exact`` (the default when every coefficient is an int, Fraction or
+    ``QQi``), else prec bits.  The approximant is solved at the rank nu of
+    the order-m system (again at the rank of the order-nu system, until it
+    has full rank): a rounded rational function of lower degree is fitted
+    at its true degree, not with pole-zero doublets that fit the rounding.
+    At nu = 0 the approximant is the polynomial a_0 + ... + a_excess (at
+    twice the working precision, like every coefficient).  A non-finite
+    coefficient raises ``ValueError``.
+
+    The same elimination solves the [nu + excess - 1/nu - 1] system, a block
+    of the [nu + excess/nu] one: when that block has full rank, the returned
+    approximant carries its approximant as ``lower`` (else None), bit for
+    bit the one the block's own elimination gives.
+    """
+    prec = working_prec(prec)
+    top = (len(coeffs) - 1 - excess) // 2
+    m = top if m is None else max(0, min(m, top))
+    if exact is None:
+        exact = all(is_exact(x) for x in coeffs)
+    bits = NOISE_MARGIN - (2 * prec if exact else prec)
+    w = gi_width(prec)
+    with mp.workprec(2 * prec):
+        a = [gi_from_mpc(x, w) for x in coeffs]
+    while True:
+        m, x, x_lo = _toeplitz_solve(a, m + excess, m, w, bits)
+        if x is not None:
+            break
+    appr = _approximant(a, x, m + excess, w, prec)
+    if x_lo is not None:
+        appr.lower = _approximant(a, x_lo, m - 1 + excess, w, prec)
+    return appr
+
+
 @dataclass(frozen=True)
 class RayContinuation:
-    """Samples of the continued Borel transform along a ray, plus the two
-    approximants (orders m and m - 1, or [nu/nu] and [nu + 1/nu] when the
-    data's rank nu cuts both) that ``laplace_sum`` transforms at ``k``."""
+    """The two approximants (orders m and m - 1, or [nu/nu] and [nu + 1/nu]
+    when the data's rank nu cuts both) that ``laplace_sum`` transforms at
+    ``k``, and their samples along the ray at the ``radii``: ``values``, the
+    upper approximant's, and ``errors``, its distance to the lower one's,
+    computed at ``prec`` bits when first read (no sum reads them)."""
     k: float
     direction: float
     radii: tuple
-    values: tuple
-    errors: tuple
     prec: int
     _hi: object
     _lo: object
+
+    @cached_property
+    def values(self):
+        with mp.workprec(self.prec):
+            return tuple(self._hi(tau) for tau in self._taus())
+
+    @cached_property
+    def errors(self):
+        with mp.workprec(self.prec):
+            return tuple(float(abs(v - self._lo(tau)))
+                         for v, tau in zip(self.values, self._taus()))
+
+    def _taus(self):
+        phase = mpmath.expjpi(mpmath.mpf(self.direction) / mpmath.pi)
+        return [r * phase for r in self.radii]
 
 
 def _stable_poles(approximants, rel):
@@ -604,12 +701,16 @@ def _stable_poles(approximants, rel):
 def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
     """Continue the Borel series along arg tau = theta, sampling at the radii.
 
-    Samples the diagonal rational approximant at each of the ``radii``
-    (none by default: ``laplace_sum`` reads the approximants, not the
-    samples); the per-sample error estimate is the difference against the
-    approximant of one lower order.  When the data's rank nu cuts the upper
-    one to [nu/nu], the lower one is [nu + 1/nu]: the same denominator
-    degree fitted to one more coefficient.  A non-finite ``theta`` or
+    Fits the diagonal rational approximant of the top order m*, and one of
+    one lower order, which the same elimination solves when the data have
+    full rank (:func:`build_approximant`); when the data's rank nu cuts the
+    upper one to [nu/nu], the lower one is [nu + 1/nu]: the same denominator
+    degree fitted to one more coefficient.  The upper one is sampled at
+    each of the ``radii`` (none by default: ``laplace_sum`` reads the
+    approximants, not the samples), with the difference against the lower
+    one as the per-sample error estimate, when
+    ``RayContinuation.values`` or ``.errors`` is first read; the radii are
+    checked here.  A non-finite ``theta`` or
     radius, a radius <= 0 and radii that do not increase raise
     ``ValueError``.  No ray is refused here, whatever poles lie near it:
     whether a pole is too close depends on the point t, and
@@ -635,15 +736,7 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
         nu = hi.order[1]
         # a rank nu below m* cuts m* - 1 too: the lower fit is [nu + 1/nu]
         lo = b.approximant(nu, prec, excess=1) if nu < m_star else b.approximant(m_star - 1, prec)
-        phase = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
-        values, errors = [], []
-        for r in radii:
-            tau = r * phase
-            v = hi(tau)
-            values.append(v)
-            errors.append(float(abs(v - lo(tau))))
-    return RayContinuation(k=b.k, direction=theta, radii=radii, values=tuple(values),
-                           errors=tuple(errors), prec=prec, _hi=hi, _lo=lo)
+    return RayContinuation(k=b.k, direction=theta, radii=radii, prec=prec, _hi=hi, _lo=lo)
 
 
 # -- Laplace integral ---------------------------------------------------------
@@ -692,7 +785,10 @@ def _rational_k(k):
     a b is slow: a 10-pole approximant pair takes roughly 20 times as long
     at k = 11/12 as at k = 3.
     """
-    x = float(k)
+    try:
+        x = float(k)
+    except (TypeError, ValueError):
+        x = math.nan
     if x > 0 and math.isfinite(x):
         f = Fraction(x).limit_denominator(12)
         if float(f) == x:

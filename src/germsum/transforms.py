@@ -237,13 +237,15 @@ def _taylor_hl(coeffs, j, w):
     return [gi_mul(c, (math.comb(i, j), 0, 0), w) for i, c in enumerate(coeffs)][j:][::-1]
 
 
-def _dk_sweep(roots, monic, s):
+def _dk_sweep(roots, monic, s, sweep):
     """One Durand-Kerner sweep over the roots of the monic polynomial (lower
     coefficients ``monic``), int pairs on the exponent -s, updated in place:
-    each root in turn moves by f(p)/prod(p - q) over the other roots q, a
-    zero difference left out.  Returns the squared moduli of the moves."""
+    each root of index in ``sweep`` in turn moves by f(p)/prod(p - q) over
+    the other roots q (all of them), a zero difference left out.  Returns
+    the squared moduli of the moves, in the order of ``sweep``."""
     one, moves = 1 << s, []
-    for i, (pr, pi) in enumerate(roots):
+    for i in sweep:
+        pr, pi = roots[i]
         fr, fi = one, 0
         for cr, ci in monic:
             fr, fi = ((fr * pr - fi * pi) >> s) + cr, ((fr * pi + fi * pr) >> s) + ci
@@ -269,21 +271,26 @@ def _durand_kerner(poly, prec):
     (one at 0 counts at Fujiwara's lower bound on the roots) keeps the
     width's bits, and a bit lower per halving of a seed below 1 (the
     polynomial's values shrink with its roots).  The first sweeps run at
-    the narrow width ``_DK_NARROW``, until every move of a sweep is below
-    2^-(_DK_NARROW/2) max(1, |z|), or a sweep shrinks neither the number
-    of moves above that nor the largest move (a stalled multiple root;
-    before the iterates converge the largest move may grow while others
-    settle): they lift the seeds' few bits at a fraction of the cost.  The
-    sweeps then go on from those iterates at
-    ``gi_width(prec)`` until every move of a sweep is below 2^(-31 - prec),
-    each width for at most ``_DK_SWEEPS`` sweeps: the m iterates of an
-    m-fold root stall about 2^(-w/m) from it.  The iterates are then
-    snapped (:func:`_snap`) there.  The 32 bits beyond the working
-    precision are for close roots, whose partial-fraction residues, of
-    order one over their spread, multiply any error of the roots: a snap at
-    2^(1 - prec) moved the simple roots -1 and -(1 + 1e-9) of a Pade
-    denominator by their imaginary parts of 5e-46, and a k = 1 sum missed
-    its reported error tenfold.
+    the narrow width ``_DK_NARROW``: a root whose move falls below
+    2^-(_DK_NARROW/2) max(1, |z|) is not swept again there (it stays in
+    the others' products; MPSolve too stops iterating converged roots,
+    Bini and Fiorentino, Numer. Algorithms 23, 2000), until no root is
+    left, or a sweep shrinks neither the number of roots left nor the
+    largest move (a stalled multiple root; before the iterates converge
+    the largest move may grow while others settle): they lift the seeds'
+    few bits at a fraction of the cost.  The sweeps then go on from those
+    iterates at ``gi_width(prec)``, over every root, until each move of a
+    sweep is below 2^(-31 - prec), or at most the root's move in the sweep
+    before with move^2/that move below 2^(-31 - prec) (the tail of a
+    contracting sequence, as where the iteration converges
+    quadratically), each width for at most ``_DK_SWEEPS`` sweeps: the m
+    iterates of an m-fold root stall about 2^(-w/m) from it.  The
+    iterates are then snapped (:func:`_snap`) there.  The 32 bits beyond
+    the working precision are for close roots, whose partial-fraction
+    residues, of order one over their spread, multiply any error of the
+    roots: a snap at 2^(1 - prec) moved the simple roots -1 and
+    -(1 + 1e-9) of a Pade denominator by their imaginary parts of 5e-46,
+    and a k = 1 sum missed its reported error tenfold.
     """
     w, tol, d = gi_width(prec), -31 - prec, len(poly) - 1
     low = -2 - max((gi_mag(poly[d - j]) - gi_mag(poly[d]) + 2) // j for j in range(1, d + 1)
@@ -301,20 +308,26 @@ def _durand_kerner(poly, prec):
     # the narrow sweeps: |move|^2 2^_DK_NARROW below max(1, |z|^2), on the mantissas
     s, unit2, last = narrow - e, 1 << -2 * narrow, None
     narrow_monic = [(re >> s, im >> s) for re, im in monic]
+    moving = range(d)
     for _ in range(_DK_SWEEPS):
-        moves = _dk_sweep(roots, narrow_monic, -narrow)
-        # how many moves are above half the narrow width, and the largest
-        above = sum(m << _DK_NARROW >= max(unit2, zr * zr + zi * zi)
-                    for m, (zr, zi) in zip(moves, roots))
-        if not above or last and above >= last[0] and max(moves) >= last[1]:
+        moves = _dk_sweep(roots, narrow_monic, -narrow, moving)
+        # the roots whose move is above half the narrow width, and the largest move
+        moving = [i for i, m in zip(moving, moves)
+                  if m << _DK_NARROW >= max(unit2, roots[i][0] ** 2 + roots[i][1] ** 2)]
+        if not moving or last and len(moving) >= last[0] and max(moves) >= last[1]:
             break
-        last = above, max(moves)
+        last = len(moving), max(moves)
     roots = [(re << s, im << s) for re, im in roots]
-    # |move| < 2^tol decided exactly on the mantissas as in _below
-    limit = 1 << max(0, 2 * (tol - e))
+    # each |move| < 2^tol, or at most the last move with move^2/last below
+    # 2^tol (the tail of a contracting sequence), decided exactly on the
+    # mantissas as in _below
+    limit, last = 1 << max(0, 2 * (tol - e)), None
     for _ in range(_DK_SWEEPS):
-        if all(m < limit for m in _dk_sweep(roots, monic, -e)):
+        moves = _dk_sweep(roots, monic, -e, range(d))
+        if all(m < limit or last and m <= p and m * m < limit * p
+               for m, p in zip(moves, last or moves)):
             break
+        last = moves
     return [_snap((re, im, e), tol) for re, im in roots]
 
 

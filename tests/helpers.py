@@ -1,6 +1,7 @@
 """Shared test utilities: random instances, term-by-term reference arithmetic
 and the independent expansion oracle."""
 import heapq
+import math
 import operator
 from fractions import Fraction
 from math import factorial, inf, nextafter
@@ -531,3 +532,133 @@ def pole_transform_closed(poles, k, t, theta, derivative=False, double=(), prec=
             f, f1, f2 = _unit_pole_jet(sigma, a, b, d)
             total += to_mpc(r) * (sigma ** 2 / t * f2 if derivative else f - sigma * f1)
         return total
+
+
+# -- reference Pade solve and root finder ---------------------------------------
+# The plain-order Toeplitz elimination and the Durand-Kerner iteration that
+# sweeps every root until a sweep's moves all lie below the target, as the
+# library ran them before the bordered elimination and the sweeps of moving
+# roots only: the references that the library's lower approximants, ranks
+# and roots are pinned to.
+
+def plain_toeplitz_solve(a, n, m, w, bits):
+    """``(rank, x)`` of the [n/m] denominator system, eliminated column by
+    column in the plain order (x_1 first) over all rows at ||A||_1 2^bits."""
+    from germsum.borel import _ROW_GUARD, _place, _submul_at
+    from germsum.scalars import gi_abs, gi_div, gi_mag
+    if m == 0:
+        return 0, []
+    top = max(gi_mag(x) for x in a[n + 1 - m:n + m])
+    if top == -inf:
+        return 0, None
+    mags = [[gi_abs(a[n + j - i], top) for i in range(m)] for j in range(m)]
+    tol = math.ldexp(max(sum(col) for col in zip(*mags)), bits)
+    width = w + _ROW_GUARD
+    cut = max(0, width + 2 * _ROW_GUARD - 960)
+    unit = 1 << cut
+    rows, exps = [], []
+    for j in range(m):
+        entries = [a[n + j - i] for i in range(m)] + [a[n + 1 + j]]
+        e = max(gi_mag(x) for x in entries[:m])
+        e = e - width if e != -inf else 0
+        rows.append([_place(x, e) for x in entries])
+        exps.append(e)
+    rank = 0
+    for j in range(m):
+        best, piv = 0.0, None
+        for k in range(rank, m):
+            s = math.fsum(mags[k][j:])
+            if s > tol and mags[k][j] / s > best:
+                best, piv = mags[k][j] / s, k
+        if piv is None or mags[piv][j] <= tol:
+            continue
+        for lst in (rows, exps, mags):
+            lst[rank], lst[piv] = lst[piv], lst[rank]
+        head = rows[rank][j + 1:]
+        hr, hi = rows[rank][j]
+        d = hr * hr + hi * hi
+        frac = max(max(abs(x), abs(y)) for x, y in head).bit_length() + 2
+        for k in range(rank + 1, m):
+            row = rows[k]
+            rr, ri = row[j]
+            if not (rr or ri):
+                continue
+            qr, qi = ((rr * hr + ri * hi) << frac) // d, ((ri * hr - rr * hi) << frac) // d
+            row[j + 1:] = [(x - ((qr * u - qi * v) >> frac), y - ((qr * v + qi * u) >> frac))
+                           for (x, y), (u, v) in zip(row[j + 1:], head)]
+            e, mag = exps[k], mags[k]
+            if unit == 1:
+                mag[j + 1:] = [math.ldexp(math.hypot(x, y), e - top) for x, y in row[j + 1:m]]
+            else:
+                mag[j + 1:] = [math.ldexp(math.hypot(x / unit, y / unit), e + cut - top)
+                               for x, y in row[j + 1:m]]
+            big = max(mag[j + 1:], default=0.0)
+            if big:
+                s = math.frexp(big)[1] + top - e - width
+                if s < -_ROW_GUARD or s > _ROW_GUARD:
+                    row[j + 1:] = [_place((x, y, e), e + s) for x, y in row[j + 1:]]
+                    exps[k] = e + s
+        rank += 1
+    if rank < m:
+        return rank, None
+    q = [None] * m
+    for j in range(m - 1, -1, -1):
+        row, e = rows[j], exps[j]
+        acc = row[m]
+        for k in range(j + 1, m):
+            acc = _submul_at(acc, (*row[k], e), q[k], e)
+        q[j] = gi_div((*acc, e), (*row[j], e), w)
+    return m, q
+
+
+def _sweep_all(roots, monic, s):
+    one, moves = 1 << s, []
+    for i, (pr, pi) in enumerate(roots):
+        fr, fi = one, 0
+        for cr, ci in monic:
+            fr, fi = ((fr * pr - fi * pi) >> s) + cr, ((fr * pi + fi * pr) >> s) + ci
+        dr, di = one, 0
+        for j, (qr, qi) in enumerate(roots):
+            if j != i and (pr != qr or pi != qi):
+                qr, qi = pr - qr, pi - qi
+                dr, di = (dr * qr - di * qi) >> s, (dr * qi + di * qr) >> s
+        n = dr * dr + di * di or 1
+        sr, si = ((fr * dr + fi * di) << s) // n, ((fi * dr - fr * di) << s) // n
+        roots[i] = (pr - sr, pi - si)
+        moves.append(sr * sr + si * si)
+    return moves
+
+
+def sweep_all_durand_kerner(poly, prec):
+    """Every root of a kernel polynomial (highest degree first), each sweep
+    moving every root, as ``transforms._durand_kerner`` takes it."""
+    from germsum.scalars import gi_div, gi_mag, gi_width
+    from germsum.transforms import _DK_NARROW, _DK_SWEEPS, _float_seeds, _snap
+    w, tol, d = gi_width(prec), -31 - prec, len(poly) - 1
+    low = -2 - max((gi_mag(poly[d - j]) - gi_mag(poly[d]) + 2) // j for j in range(1, d + 1)
+                   if poly[d - j][0] or poly[d - j][1])
+    seeds, k = _float_seeds(poly)
+    mags = [max(low, k + math.frexp(abs(z))[1]) if z else low for z in seeds]
+    e, narrow = (min(0, min(mags) - width - sum(max(0, -m) for m in mags))
+                 for width in (w, _DK_NARROW))
+    roots = [tuple((n << k - narrow) // q for n, q in map(float.as_integer_ratio, (z.real, z.imag)))
+             for z in seeds]
+    monic = []
+    for c in poly[1:]:
+        re, im, ce = gi_div(c, poly[0], w)
+        monic.append((re << ce - e, im << ce - e) if ce >= e else (re >> e - ce, im >> e - ce))
+    s, unit2, last = narrow - e, 1 << -2 * narrow, None
+    narrow_monic = [(re >> s, im >> s) for re, im in monic]
+    for _ in range(_DK_SWEEPS):
+        moves = _sweep_all(roots, narrow_monic, -narrow)
+        above = sum(m << _DK_NARROW >= max(unit2, zr * zr + zi * zi)
+                    for m, (zr, zi) in zip(moves, roots))
+        if not above or last and above >= last[0] and max(moves) >= last[1]:
+            break
+        last = above, max(moves)
+    roots = [(re << s, im << s) for re, im in roots]
+    limit = 1 << max(0, 2 * (tol - e))
+    for _ in range(_DK_SWEEPS):
+        if all(m < limit for m in _sweep_all(roots, monic, -e)):
+            break
+    return [_snap((re, im, e), tol) for re, im in roots]

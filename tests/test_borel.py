@@ -16,11 +16,11 @@ from germsum.borel import (FROISSART_REL, BorelSeries, OneVarSeries,
                            continue_on_ray, laplace_sum, p_k_sum, singular_directions)
 from germsum.errors import SectorError, SingularRayError
 from germsum.harness import gen_example
-from germsum.scalars import GI_ONE, QQi, gi_from_mpc, gi_to_mpc, gi_width, to_mpc
+from germsum.scalars import GI_ONE, NOISE_MARGIN, QQi, gi_from_mpc, gi_to_mpc, gi_width, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, PExpansion, p_expand
-from helpers import (euler_borel_series, pole_transform_closed, pole_transform_coeffs,
-                     pole_transform_quad)
+from helpers import (euler_borel_series, plain_toeplitz_solve, pole_transform_closed,
+                     pole_transform_coeffs, pole_transform_quad)
 
 TS = TruncatedSeries
 
@@ -59,6 +59,27 @@ class TestBorelTransform:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             borel_transform(OneVarSeries([1]), 0)
+
+    def test_fraction_k_is_its_float(self):
+        # k = 3/2 as a Fraction gives the series of k = 1.5 (it raised
+        # "cannot create mpf from Fraction(3, 2)")
+        a = euler_series(20)
+        b = borel_transform(a, Fraction(3, 2))
+        assert (b.k, b.coeffs) == (1.5, borel_transform(a, 1.5).coeffs)
+
+    @pytest.mark.parametrize("k", ["x", None, math.pi, -1.5])
+    def test_k_that_is_not_a_fraction_refused(self, k):
+        # a non-numeric k raised a bare TypeError from k > 0
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            borel_transform(euler_series(12), k)
+
+    @pytest.mark.parametrize("k", [1, 1.0])
+    def test_k_1_divides_by_n_factorial(self, k):
+        a = euler_series(24)
+        with mp.workprec(256):
+            want = tuple(to_mpc(c) / mpmath.gamma(1 + mpmath.mpf(n))
+                         for n, c in enumerate(a.coeffs))
+        assert borel_transform(a, k).coeffs == want
 
 
 class TestContinuation:
@@ -108,6 +129,29 @@ class TestContinuation:
         t = mpmath.mpf("0.1")
         res = laplace_sum(rc, 1, t)
         assert abs(res.value - euler_oracle(t)) <= res.total_error
+
+    def test_samples_are_computed_when_read(self, monkeypatch):
+        # the radii are checked at once, the samples computed on first read,
+        # equal to those computed from the approximants at the ray's precision
+        evals = []
+        call = RationalApproximant.__call__
+        monkeypatch.setattr(RationalApproximant, "__call__",
+                            lambda self, tau: evals.append(tau) or call(self, tau))
+        radii = (0.25, 0.5, 1.0, 2.0)
+        rc = continue_on_ray(borel_transform(euler_series(), 1), 0.4, radii, prec=160)
+        laplace_sum(rc, 1, mpmath.mpf("0.1"), prec=160)
+        assert evals == []
+        with mp.workprec(160):
+            phase = mpmath.expjpi(mpmath.mpf(0.4) / mpmath.pi)
+            values = tuple(rc._hi(r * phase) for r in radii)
+            errors = tuple(float(abs(v - rc._lo(r * phase))) for r, v in zip(radii, values))
+        evals.clear()
+        assert (rc.values, rc.errors) == (values, errors)
+        assert len(evals) == 2 * len(radii)
+        # kept: a second read evaluates nothing
+        assert (rc.values, rc.errors) == (values, errors) and len(evals) == 2 * len(radii)
+        with pytest.raises(ValueError):
+            continue_on_ray(borel_transform(euler_series(), 1), 0.4, (1.0, 0.5))
 
     def test_degenerate_pade_reduces(self):
         # exactly geometric coefficients make the full Toeplitz system
@@ -851,6 +895,123 @@ class TestToeplitzSolve:
             assert abs(res.value - exact) <= res.total_error
 
 
+def kernel_system(coeffs, prec, exact):
+    """The kernel coefficients (at 2 prec bits) of ``build_approximant``,
+    its kernel width and the ``bits`` of its rank test."""
+    w = gi_width(prec)
+    with mp.workprec(2 * prec):
+        a = [gi_from_mpc(to_mpc(x), w) for x in coeffs]
+    return a, w, NOISE_MARGIN - (2 * prec if exact else prec)
+
+
+@st.composite
+def toeplitz_data(draw):
+    """(coeffs, m, excess, exact): the 2 m + 1 + excess coefficients of an
+    [m + excess/m] system, m from 2 to 24, exact QQi or complex rounded to
+    128 bits; random (full rank) or of a rational function of degree 1-6."""
+    m, excess, exact = draw(st.integers(2, 24)), draw(st.integers(0, 1)), draw(st.booleans())
+    n = 2 * m + 1 + excess
+    if draw(st.booleans()):
+        ints = st.integers(-2 ** 20, 2 ** 20)
+        raw = [(draw(ints), draw(ints), draw(st.integers(1, 2 ** 10))) for _ in range(n)]
+        exact_coeffs = [QQi(Fraction(re, d), Fraction(im, d)) for re, im, d in raw]
+    else:
+        poles = [(QQi(draw(st.integers(-8, 8)), draw(st.integers(-8, 8))) / 4 or QQi(1),
+                  Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4))))
+                 for _ in range(draw(st.integers(1, 6)))]
+        exact_coeffs = [c / factorial(j) for j, c in enumerate(rational_pole_coeffs(poles, n))]
+    if exact:
+        return exact_coeffs, m, excess, True
+    with mp.workprec(128):
+        return [to_mpc(c) for c in exact_coeffs], m, excess, False
+
+
+@st.composite
+def rational_rank_data(draw):
+    """(Borel coefficients, exact): 16-48 coefficients of a rational Borel
+    transform sum r/(1 - tau/p) over 1-6 poles of modulus 0.6-2 and
+    residue 1/4-2 in modulus, spread evenly in angle, exact, or
+    rounded to 128 bits."""
+    n, length = draw(st.integers(1, 6)), draw(st.integers(16, 48))
+    start, poles = draw(st.integers(-31, 31)) / 10, []
+    for j in range(n):
+        mod = Fraction(draw(st.integers(6, 20)), 10)
+        ang = start + 2 * math.pi * j / n + draw(st.integers(0, 10)) / 100
+        poles.append((QQi(mod * Fraction(math.cos(ang)), mod * Fraction(math.sin(ang))),
+                      Fraction(draw(st.integers(1, 8)) * draw(st.sampled_from((-1, 1))), 4)))
+    coeffs = rational_pole_coeffs(poles, length)
+    if draw(st.booleans()):
+        return borel_transform(OneVarSeries(coeffs), 1).coeffs, True
+    with mp.workprec(128):
+        rounded = [to_mpc(c) for c in coeffs]
+    return borel_transform(OneVarSeries(rounded), 1).coeffs, False
+
+
+class TestBorderedSolve:
+    # one elimination solves the [m/m] system and, from its block, the
+    # [m - 1/m - 1] one; a rank below m is found in the plain order
+    @settings(max_examples=30, deadline=None)
+    @given(data=toeplitz_data())
+    def test_lower_solution_is_the_blocks_own(self, data):
+        # bit for bit the plain elimination of the [m - 1 + excess/m - 1]
+        # system, and None exactly where that system is rank-deficient
+        coeffs, m, excess, exact = data
+        a, w, bits = kernel_system(coeffs, 128, exact)
+        _, _, x_lo = borel._toeplitz_solve(a, m + excess, m, w, bits)
+        assert x_lo == plain_toeplitz_solve(a, m - 1 + excess, m - 1, w, bits)[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=rational_rank_data())
+    def test_rank_is_the_plain_eliminations(self, data):
+        # every rank of build_approximant's step-down, from m*, is the one
+        # the plain-order elimination finds, and the approximant's order too
+        coeffs, exact = data
+        a, w, bits = kernel_system(coeffs, 128, exact)
+        m = (len(a) - 1) // 2
+        while True:
+            rank, x, _ = borel._toeplitz_solve(a, m, m, w, bits)
+            assert rank == plain_toeplitz_solve(a, m, m, w, bits)[0]
+            if x is not None:
+                break
+            m = rank
+        assert build_approximant(coeffs, prec=128, exact=exact).order == (m, m)
+
+    def test_noise_ranks_as_in_the_plain_order(self):
+        # poles 3/5 and 3/5 e^(i pi) (its cosine and sine as doubles),
+        # residues -1/4 and 1/4, rounded to 128 bits: the even Borel
+        # coefficients are rounding, which the plain order's elimination
+        # amplifies to a third pivot 2^32 above the tolerance, where going
+        # on from the block's pivots (x_2, x_3) leaves every row 2^-16 below
+        # it; the plain order decides, as it always did
+        poles = [(QQi(Fraction(math.cos(a)), Fraction(math.sin(a))) * Fraction(3, 5), Fraction(s, 4))
+                 for a, s in ((0.0, -1), (math.pi, 1))]
+        with mp.workprec(128):
+            rounded = [to_mpc(c) for c in rational_pole_coeffs(poles, 16)]
+        a, w, bits = kernel_system(borel_transform(OneVarSeries(rounded), 1).coeffs, 128, False)
+        rank = borel._toeplitz_solve(a, 7, 7, w, bits)[0]
+        assert rank == plain_toeplitz_solve(a, 7, 7, w, bits)[0] == 3
+
+    @pytest.mark.parametrize("coeffs, theta", [
+        ([0] + [factorial(j) for j in range(39)], math.pi),
+        (TestFroissartFilter.coeffs(), 0.3),
+        ([(-1) ** j * factorial(j) for j in range(32)], 0.0)])
+    def test_ray_and_directions_in_either_order(self, coeffs, theta):
+        # continue_on_ray and singular_directions both ask for their top
+        # order first, so the approximants they share, the lower one built
+        # with it included, are the same whichever runs first
+        def run(ray_first):
+            b = borel_transform(OneVarSeries(coeffs), 1)
+            steps = [lambda: continue_on_ray(b, theta), lambda: singular_directions(b)]
+            rc, report = (f() for f in (steps if ray_first else steps[::-1]))
+            if not ray_first:
+                rc, report = report, rc
+            res = laplace_sum(rc, 1, mpmath.mpf("0.05") * mpmath.expj(theta))
+            return ((rc._hi.num, rc._hi.den, rc._lo.num, rc._lo.den), report.to_json(),
+                    (res.value, res.quadrature_error, res.continuation_error))
+
+        assert run(True) == run(False)
+
+
 @st.composite
 def rounded_rational_problems(draw):
     """a_0..a_(n-1), a_n = n! sum r p^-n at 128 bits (n 24-48), over 1-4
@@ -1322,12 +1483,23 @@ class TestGermBorelReuse:
     # every sum equals the one on a freshly expanded copy
     @staticmethod
     def count_builds(monkeypatch):
-        """The ``exact`` flag of every build_approximant call, in order."""
-        calls = []
-        build = borel.build_approximant
-        monkeypatch.setattr(borel, "build_approximant",
-                            lambda *args: calls.append(args[3]) or build(*args))
-        return calls
+        """The ``exact`` flag of every approximant built, in order: one
+        build_approximant call builds the ray's pair when the data have full
+        rank, the lower approximant from the same elimination."""
+        flags, built = [], []
+        build, init = borel.build_approximant, RationalApproximant.__init__
+
+        def counting_build(*args):
+            flags.append(args[3])
+            try:
+                return build(*args)
+            finally:
+                flags.pop()
+
+        monkeypatch.setattr(borel, "build_approximant", counting_build)
+        monkeypatch.setattr(RationalApproximant, "__init__",
+                            lambda self, *args: built.append(flags[-1]) or init(self, *args))
+        return built
 
     @staticmethod
     def x1_times(f):
@@ -1351,11 +1523,11 @@ class TestGermBorelReuse:
                  ((Fraction(1, 5), Fraction(2, 5)), math.pi),
                  ((Fraction(3, 10), Fraction(1, 10)), 0.3),
                  ((Fraction(3, 10), Fraction(1, 10)), -0.3)]
-        calls = self.count_builds(monkeypatch)
+        built = self.count_builds(monkeypatch)
         results = []
         for x, theta in cases:
             results.append(p_k_sum(exp, x, 1, theta))
-            assert calls == [True, True]
+            assert built == [True, True]
         approximants = exp._borel[(1.0, 128)][1]._approximants.values()
         assert len({id(a) for a in approximants}) == 2
         for res, (x, theta) in zip(results, cases):
@@ -1366,9 +1538,9 @@ class TestGermBorelReuse:
         f = self.x1_times(ex.f)
         exp = p_expand(f, Germ(ex.p, ex.order), 18)
         points = [(Fraction(1, 10), Fraction(1, 2)), (Fraction(1, 5), Fraction(2, 5))]
-        calls = self.count_builds(monkeypatch)
+        built = self.count_builds(monkeypatch)
         results = [p_k_sum(exp, x, 1, math.pi) for x in points]
-        assert calls == [True] * 4
+        assert built == [True] * 4
         for res, x in zip(results, points):
             self.assert_fresh(res, f, 18, x, math.pi)
 
@@ -1383,9 +1555,9 @@ class TestGermBorelReuse:
         with mp.workprec(128):
             float_x = (mpmath.mpc(0.125), mpmath.mpc(0.5))
         assert exp.specialize(exact_x) == exp.specialize(float_x)
-        calls = self.count_builds(monkeypatch)
+        built = self.count_builds(monkeypatch)
         results = [p_k_sum(exp, x, 1, math.pi) for x in (exact_x, float_x)]
-        assert calls == [True, True, False, False]
+        assert built == [True, True, False, False]
         assert not exp._borel[(1.0, 128)][1].exact
         for res, x in zip(results, (exact_x, float_x)):
             self.assert_fresh(res, f, 18, x, math.pi)

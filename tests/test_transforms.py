@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 from math import comb, factorial
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from germsum import transforms
@@ -14,7 +16,7 @@ from germsum.series import MonomialOrder, TruncatedSeries, v_ell
 from germsum.transforms import (INFINITY, blowup, chart_shift,
                                 dominant_data, ramify, rotation_average)
 
-from helpers import euler_borel_series, random_series
+from helpers import euler_borel_series, random_series, sweep_all_durand_kerner
 
 TS = TruncatedSeries
 
@@ -387,3 +389,80 @@ class TestPolyRoots:
             for (v, _), r in zip(roots, exact):
                 r = to_mpc(r)
                 assert abs(mpmath.mpc(v) - r) <= abs(r) * mpmath.ldexp(1, -self.PREC)
+
+
+def poly_with_roots(roots):
+    """Exact coefficients, lowest first, of the monic polynomial with these roots."""
+    poly = [QQi(1)]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([QQi(0)] + poly, poly + [QQi(0)])]
+    return poly
+
+
+@st.composite
+def clustered_polys(draw):
+    """(exact QQi coefficients lowest first, prec): a root of multiplicity
+    2-7 and 1-5 simple roots, distinct Gaussian rationals (quarters) of
+    modulus 1/2-2, and a precision of 64, 128 or 256 bits.
+
+    Seven at most: an m-fold root's iterates stall about 2^(-(2 prec + 10)/m)
+    apart, which for m = 8 lies 1.25 bits inside the merge radius
+    2^-(prec/4) of ``_poly_roots`` before the polynomial's scale is counted,
+    so whether an 8-fold root merges depends on where each iteration's
+    stalled iterates end (``test_eightfold_root_matches`` takes two that
+    merge)."""
+    quarter = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(
+        lambda p: 4 <= p[0] ** 2 + p[1] ** 2 <= 64)
+    parts = draw(st.lists(quarter, min_size=2, max_size=6, unique=True))
+    roots = [QQi(Fraction(re, 4), Fraction(im, 4)) for re, im in parts]
+    roots += [roots[0]] * (draw(st.integers(2, 7)) - 1)
+    return poly_with_roots(roots), draw(st.sampled_from((64, 128, 256)))
+
+
+def assert_roots_match_sweeps_of_every_root(poly, prec):
+    """``_poly_roots`` of the exact coefficients, merged clusters included,
+    within 2^(-31 - prec) max(1, |z|) of what it gives with the
+    Durand-Kerner iteration that sweeps every root to the target."""
+    w = gi_width(prec)
+    with mp.workprec(w):
+        lifted = [gi_from_mpc(c, w) for c in poly]
+    roots = transforms._poly_roots(lifted, prec)
+    with mock.patch.object(transforms, "_durand_kerner", sweep_all_durand_kerner):
+        reference = transforms._poly_roots(lifted, prec)
+    assert sorted(m for _, m in roots) == sorted(m for _, m in reference)
+    with mp.workprec(2 * w):
+        for v, m in roots:
+            v = gi_to_mpc(v)
+            near = min(abs(v - gi_to_mpc(z)) for z, n in reference if n == m)
+            assert near <= mpmath.ldexp(1, -31 - prec) * max(1, abs(v))
+
+
+class TestMovingRootSweeps:
+    # Durand-Kerner sweeps only the roots still moving in its narrow phase
+    # and stops its wide one on a contracting tail: each root it returns,
+    # merged clusters included, lies within 2^(-31 - prec) max(1, |z|) of
+    # the one the iteration that sweeps every root to the target gives
+    @settings(max_examples=20, deadline=None)
+    @given(data=clustered_polys())
+    def test_roots_match_the_sweeps_of_every_root(self, data):
+        assert_roots_match_sweeps_of_every_root(*data)
+
+    @pytest.mark.parametrize("prec", [64, 128])
+    def test_eightfold_root_matches(self, prec):
+        # (z + 1)^8 (z - 1/2) (z + 3) (z - 1 - i): the eightfold root merges
+        # in both iterations at 64 and 128 bits
+        poly = poly_with_roots([QQi(-1)] * 8 + [QQi(Fraction(1, 2)), QQi(-3), QQi(1, 1)])
+        assert_roots_match_sweeps_of_every_root(poly, prec)
+
+    def test_euler_denominators_match(self):
+        # the Euler and rational denominators of TestPolyRoots, whose narrow
+        # phase leaves most roots after a few sweeps
+        for den in TestPolyRoots.denominators():
+            roots = transforms._poly_roots(den, 128)
+            with mock.patch.object(transforms, "_durand_kerner", sweep_all_durand_kerner):
+                reference = transforms._poly_roots(den, 128)
+            assert [m for _, m in roots] == [m for _, m in reference]
+            with mp.workprec(512):
+                for (v, _), (z, _) in zip(roots, reference):
+                    v = gi_to_mpc(v)
+                    assert abs(v - gi_to_mpc(z)) <= mpmath.ldexp(1, -159) * max(1, abs(v))
