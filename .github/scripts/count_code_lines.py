@@ -3,9 +3,11 @@
 A line counts when a token other than a comment, a line break or an
 indentation change touches it, outside every module, class and function
 docstring.  Usage: ``python3 .github/scripts/count_code_lines.py [DIR]``
-(default ``src/germsum``); prints the total, then one line per file.
+(default ``src/germsum``); prints the total, then one line per file, and
+exits 0 when its reader closes the pipe early (``| head -1``).
 """
 import ast
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -44,4 +46,11 @@ def main(root):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else "src/germsum")
+    try:
+        main(sys.argv[1] if len(sys.argv) > 1 else "src/germsum")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing more is read: point stdout at devnull, so that the flush at exit
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+

@@ -33,7 +33,7 @@ from .borel import (BorelSeries, OneVarSeries, RayContinuation,
                     continue_on_ray, laplace_sum, p_k_sum, singular_directions)
 from .harness import (EXAMPLE_NAMES, ExampleData, PSectorSample,
                       ResidualReport, gen_example, sample_p_sector,
-                      verify_ode_formal, verify_ode_numeric,
+                      verify_example, verify_ode_formal, verify_ode_numeric,
                       verify_pde_formal)
 
 __version__ = "0.1.0"

@@ -1120,11 +1120,14 @@ def _sector_angle(t, theta, a, b):
     along the ray in t's own lobe, |k d| < pi and cos(k d) > 0.05, that is
     |k d| < arccos 0.05 ~ 1.52.  (For k > 3/2 the next lobe, |k d| near
     2 pi, also has cos(k d) > 0; the sum is not the integral there.)
-    Anything else raises :class:`SectorError`, and a theta that is not
-    finite ``ValueError``.  ``laplace_sum`` and ``p_k_sum`` both decide here.
+    Anything else raises :class:`SectorError`, and a theta or a t that is
+    not finite ``ValueError``.  ``laplace_sum`` and ``p_k_sum`` both decide
+    here.
     """
     if not mpmath.isfinite(theta):
         raise ValueError(f"ray direction {theta} is not finite")
+    if not mpmath.isfinite(t):
+        raise ValueError(f"evaluation point t = {t} is not finite")
     d = _angdiff(theta, mpmath.arg(t))
     kd = a * d / b
     if not (abs(kd) < mpmath.pi and mpmath.cos(kd) > 0.05):

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GermsumError
+from .scalars import integer_arg
 from .series import majorant_norm, majorant_radius
 
 
@@ -71,11 +72,14 @@ def fit_gevrey(ns, n_min=5):
     Entries with zero norm are excluded (they would bias sparse
     expansions); the fit keeps the original index n so that interleaved
     zeros still estimate the correct order.  Negative fitted s is clamped
-    to 0 and flagged as convergent-type.  numpy is imported here, its one
-    use in the module, so that a command that fits nothing does not pay
-    for the import.
+    to 0 and flagged as convergent-type; an ``n_min`` that is not an
+    integer raises ``ValueError``.  numpy is imported here, its one use in
+    the module, so that a command that fits nothing does not pay for the
+    import.
     """
     import numpy as np
+
+    n_min = integer_arg(n_min, "n_min")
 
     rows = [(n, math.log(x)) for n, (x, z) in enumerate(zip(ns.norms, ns.zero_mask))
             if n >= n_min and not z]

@@ -17,7 +17,8 @@ truncation, so residual valuations (which sit above the generator's
 truncation) are visible and reported.  The numeric verifier sums the
 germ expansions of y and dy/dx with ``p_k_sum`` at points of a P-sector
 and checks the two-variable equation there, each residual gated by the
-errors the two sums report.
+errors the two sums report.  :func:`verify_example` runs one example's
+checks and decides whether it passes: it is ``germsum verify``.
 """
 from __future__ import annotations
 
@@ -30,16 +31,20 @@ from math import factorial
 
 from mpmath import mp
 
-from .borel import p_k_sum
+from .borel import _germ_borel, p_k_sum, singular_directions
 from .errors import GermsumError
-from .scalars import to_mpc, working_prec
+from .gevrey import fit_gevrey, norm_sequence
+from .scalars import integer_arg, to_mpc, working_prec
 from .series import MonomialOrder, TruncatedSeries, substitute, v_ell
+from .transforms import INFINITY, blowup
 from .weierstrass import Germ, PExpansion, p_expand, wdivide
 
 # Each example's germ P, exponent -> coefficient.
 _GERMS = {"remark79": {(1, 1): 1}, "ode-euler": {(2, 0): 1, (0, 2): -1},
           "pde-quasihom": {(0, 2): 1, (3, 0): -1}}
 EXAMPLE_NAMES = tuple(_GERMS)
+# Truncation each example's verification runs at when none is given.
+_VERIFY_TRUNC = {"remark79": 212, "ode-euler": 64, "pde-quasihom": 25}
 # Cap on each germ sum's quadrature error in the numeric ODE check.
 ODE_NUMERIC_EPS = 1e-18
 # Polydisk radius of the numeric ODE check's sector points: |P| < 2 * 0.4^2.
@@ -65,7 +70,7 @@ def gen_example(name, trunc):
     """
     if name not in _GERMS:
         raise ValueError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
-    n = int(trunc)
+    n = integer_arg(trunc, "truncation")
     p = TruncatedSeries(2, n, _GERMS[name])
     if p.terms != _GERMS[name]:
         raise ValueError(f"truncation {n} cuts the {name} germ {_GERMS[name]}")
@@ -89,6 +94,60 @@ def gen_example(name, trunc):
     f = substitute(y, [TruncatedSeries.variable(0, 2, n), p], out_trunc=p.trunc)
     return ExampleData(name, f, p, MonomialOrder((2, 3)),
                        {"alpha": 0, "beta": 1, "k": 1, "depth": depth})
+
+
+def verify_example(name, trunc=None):
+    """Run the named example's checks at ``trunc`` (its default when None):
+    the report ``germsum verify`` prints, ``"pass"`` last.
+
+    * remark79: Gevrey fits of the expansions in powers of x1*x2 directly
+      and through the blow-up charts at 0 and infinity, each within 0.1 of
+      its expected order (1, 1/2, 1);
+    * ode-euler: the formal residual vanishes to the truncation, the
+      numeric residuals lie below 1e-8 and within their bounds, and the
+      singular directions of y's Borel series at the first sample point
+      include one within 0.05 of 0;
+    * pde-quasihom: the left-hand side is divisible by the stated right
+      side with cofactor x1.
+    """
+    out = {"name": name}
+    ex = gen_example(name, _VERIFY_TRUNC.get(name) if trunc is None else trunc)
+    if name == "remark79":
+        cases = {
+            "direct": (ex.f, ex.p, 41, 1.0),
+            "b0": (blowup(ex.f, 0), blowup(ex.p, 0), 61, 0.5),
+            "binf": (blowup(ex.f, INFINITY), blowup(ex.p, INFINITY), 41, 1.0),
+        }
+        fits = {}
+        for label, (f, p, depth, expected) in cases.items():
+            est = fit_gevrey(norm_sequence(p_expand(f, Germ(p, ex.order), depth), Fraction(1, 2)), 5)
+            fits[label] = fit = est.to_json()
+            fit["expected"] = expected
+            fit["pass"] = abs(est.s - expected) <= 0.1
+        out["fits"] = fits
+        ok = all(fit["pass"] for fit in fits.values())
+    elif name == "ode-euler":
+        formal = verify_ode_formal(ex.f, ex.p)
+        numeric = verify_ode_numeric(ex.f, ex.p, ex.order, cmath.pi, 3)
+        # y's Borel series at the first sample point, the one its sums share
+        report = singular_directions(_germ_borel(numeric.details["expansion"],
+                                                 numeric.details["sample"].points[0], 1,
+                                                 working_prec()), 1)
+        out["formal"] = formal.to_json()
+        out["numeric"] = numeric.to_json()
+        out["singular_directions"] = report.to_json()
+        ok = (formal.exact_to_truncation
+              and numeric.numeric_max_residual < 1e-8
+              and all(s["residual"] <= s["bound"] for s in numeric.details["samples"])
+              and any(abs(d) < 0.05 for d in report.directions))
+    else:
+        report, _ = verify_pde_formal(ex.f, ex.p, ex.notes["alpha"],
+                                      ex.notes["beta"], ex.notes["k"])
+        out["formal"] = report.to_json()
+        ok = (report.details["divisible_by_stated_rhs"]
+              and report.details["cofactor_is_x1"])
+    out["pass"] = ok
+    return out
 
 
 @dataclass(frozen=True)
@@ -259,8 +318,9 @@ def sample_p_sector(p, a, b, R, count, seed=0, max_tries=200000):
 
     Before drawing anything, refuses with ``ValueError`` a window that is
     empty or wider than 2*pi, a radius that is not a positive finite real
-    and a negative count.
+    and a count that is negative or not an integer.
     """
+    count = integer_arg(count, "count")
     if not 0 < b - a <= 2 * cmath.pi:
         raise ValueError(f"need a < b <= a + 2*pi, not a = {a}, b = {b}")
     if not (isinstance(R, numbers.Real) and 0 < R < cmath.inf) or count < 0:

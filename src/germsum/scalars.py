@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -49,6 +50,15 @@ def working_prec(prec=None):
     """The precision in bits to compute at: ``prec`` when given, else the
     ambient ``mp.prec`` floored at :data:`DEFAULT_PREC_BITS`."""
     return int(prec) if prec else max(mp.prec, DEFAULT_PREC_BITS)
+
+
+def integer_arg(value, name):
+    """An integer argument (a depth, a count, a truncation) as an int, by
+    ``operator.index``: a float or a Fraction raises ``ValueError`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
 
 
 def _wp():

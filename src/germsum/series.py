@@ -42,8 +42,9 @@ from mpmath import mp
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
 from . import scalars
-from .scalars import (_EXACT, _EXACT_REAL, gi_lift, gi_to_mpc, is_zero, sabs, sabs_float, sadd,
-                      scalar_eq, scalar_from_json, scalar_to_json, smul, sneg, to_mpc, working_prec)
+from .scalars import (_EXACT, _EXACT_REAL, gi_lift, gi_to_mpc, integer_arg, is_zero,
+                      sabs_float, sadd, scalar_eq, scalar_from_json, scalar_to_json, smul,
+                      sneg, to_mpc, working_prec)
 
 
 class MonomialOrder:
@@ -113,44 +114,44 @@ class MonomialOrder:
 
 def _truncation(trunc):
     """A truncation order as an int, floored at -1; ``ValueError`` unless it is integral."""
-    try:
-        return max(operator.index(trunc), -1)
-    except TypeError:
-        raise ValueError(f"truncation order {trunc!r} is not an integer") from None
+    return max(integer_arg(trunc, "truncation order"), -1)
 
 
 def _dimension(dim):
     """A number of variables as an int; ``ValueError`` unless it is an integer >= 1."""
-    try:
-        dim = operator.index(dim)
-    except TypeError:
-        raise ValueError(f"dimension {dim!r} is not an integer") from None
+    dim = integer_arg(dim, "dimension")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     return dim
 
 
 def _prune_terms(terms, trunc):
-    """Drop out-of-window and (relatively) zero coefficients in place."""
+    """Drop out-of-window, zero and (relatively) negligible float coefficients in place
+    (:func:`_noise_floors`)."""
     kill = [e for e, c in terms.items() if sum(e) > trunc or is_zero(c)]
     for e in kill:
         del terms[e]
     if all(isinstance(c, _EXACT) for c in terms.values()):
-        return terms  # the relative cut below applies to floats only
-    by_deg = {}
-    for e in terms:
-        by_deg.setdefault(sum(e), []).append(e)
-    # a term alone in its degree is never negligible
-    shared = [group for group in by_deg.values() if len(group) > 1]
-    if any(not scalars.is_exact(terms[e]) for group in shared for e in group):
-        eps = mp.mpf(2) ** (-(scalars.working_prec() // 2))
-        for group in shared:
-            size = {e: sabs(terms[e]) for e in group}
-            cut = max(size.values()) * eps
-            for e in group:
-                if not scalars.is_exact(terms[e]) and size[e] < cut:
-                    del terms[e]
+        return terms  # the relative cut applies to floats only
+    mag = {e: scalars.bit_mag(c) for e, c in terms.items()}
+    floors = _noise_floors((sum(e), m) for e, m in mag.items())
+    for e, m in mag.items():
+        if m < floors.get(sum(e), m) and not scalars.is_exact(terms[e]):
+            del terms[e]
     return terms
+
+
+def _noise_floors(degree_mags):
+    """The float noise floor of each degree, from (degree, bit magnitude) pairs of the
+    nonzero terms (``scalars.bit_mag``, ``gi_mag``): a float term whose magnitude lies
+    below its degree's floor, 2^-(prec/2) of the largest term there, is dropped.  A
+    term alone in its degree is never negligible, so such a degree has no floor."""
+    count, best = {}, {}
+    for d, m in degree_mags:
+        count[d] = count.get(d, 0) + 1
+        best[d] = max(best.get(d, m), m)
+    cut = working_prec() // 2
+    return {d: best[d] - cut for d, n in count.items() if n > 1}
 
 
 class TruncatedSeries:
@@ -444,29 +445,22 @@ class _Packing:
 def _finish(dim, trunc, top, unpack, values, floats=False):
     """The series of the generic pass's scalars, or of the float lift's kernel numbers
     (re, im, e) with ``floats``, by packed key; ``key >> top`` is the degree of a
-    key, up to a constant.  A zero is dropped, and so is a float term that, as in
-    :func:`_prune_terms`, shares its degree and falls below 2^-(prec/2) of the
-    largest term there, compared on bit lengths (``gi_mag``, ``scalars.bit_mag``);
-    each kept float is rounded to the working precision once."""
+    key, up to a constant.  A zero is dropped, and so is a float term below its
+    degree's noise floor, as in :func:`_prune_terms` (:func:`_noise_floors`); each
+    kept float is rounded to the working precision once."""
     if floats:  # gi_mag, inline
         mag = {k: max(r.bit_length(), i.bit_length()) + e
                for k, (r, i, e) in values.items() if r or i}
     else:
         mag = {k: scalars.bit_mag(c) for k, c in values.items() if c}
-    count, best = {}, {}
-    for k, m in mag.items():
-        d = k >> top
-        count[d] = count.get(d, 0) + 1
-        best[d] = max(best.get(d, m), m)
+    floors = _noise_floors((k >> top, m) for k, m in mag.items())
     prec = working_prec()
-    cut = prec // 2
     terms = {}
     with mp.workprec(prec):
         for k, m in mag.items():
             c = values[k]
             if floats or not scalars.is_exact(c):
-                d = k >> top
-                if count[d] > 1 and m < best[d] - cut:
+                if m < floors.get(k >> top, m):
                     continue
                 c = gi_to_mpc(c, prec) if floats else to_mpc(+c)
             terms[unpack(k)] = c

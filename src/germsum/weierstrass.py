@@ -26,8 +26,8 @@ from math import frexp, inf, ldexp
 from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
-from .scalars import (NOISE_MARGIN, gi_abs, gi_from_mpc, gi_lift, gi_to_mpc, is_zero, sdiv,
-                      to_mpc, working_prec)
+from .scalars import (NOISE_MARGIN, gi_abs, gi_from_mpc, gi_lift, gi_to_mpc, integer_arg,
+                      is_zero, sdiv, to_mpc, working_prec)
 from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real, _finish,
                      _float_bits, _has_exact, _json_int, _lift, _Packing, series_from_json,
                      series_to_json, substitute, v_ell)
@@ -481,8 +481,9 @@ def p_expand(f, germ, depth):
     meet), is round-off left where rounded data cancelled, and is dropped
     (:func:`_reduce_float`): where f = sum g_n P^n exactly with constant g_n,
     the expansion of its rounded image has one term per coefficient.  A
-    negative ``depth`` raises ``ValueError``.
+    negative ``depth``, or one that is not an integer, raises ``ValueError``.
     """
+    depth = integer_arg(depth, "expansion depth")
     if depth < 0:
         raise ValueError(f"expansion depth {depth} is negative")
     return PExpansion(germ, _eliminate(f, germ, depth)[:depth], f.trunc)

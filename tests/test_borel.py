@@ -1588,6 +1588,21 @@ class TestSectorRule:
         with pytest.raises(SectorError):
             laplace_sum(self.ray(k), k, 0.3 * mpmath.expj(math.pi - d), prec=128)
 
+    def test_non_finite_t_refused(self, monkeypatch):
+        # a t that is not finite is malformed input (ValueError), not a point outside
+        # the lobe (SectorError): a NaN t read |k*(theta - arg t)| = nan
+        rc = self.ray(1)
+        for t in (mpmath.nan, mpmath.mpc(0.1, mpmath.inf), mpmath.mpc(mpmath.nan, 0.1)):
+            with pytest.raises(ValueError, match="not finite"):
+                laplace_sum(rc, 1, t, prec=128)
+        # a point where P is NaN is refused before any Borel series is built
+        monkeypatch.setattr(borel, "borel_transform", lambda *args, **kwargs: pytest.fail())
+        germ = Germ(TS(2, 10, {(1, 1): 1}), MonomialOrder((1, 1)))
+        exp = PExpansion(germ, [TS.one(2, 10)] * 10, 10)
+        for x0 in ((mpmath.nan, 1), (math.nan, 0.5), (0.3, complex(math.nan, 1))):
+            with pytest.raises(ValueError):
+                p_k_sum(exp, x0, 1, math.pi, prec=128)
+
     @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 3.0])
     def test_refuses_exactly_outside_the_lobe(self, monkeypatch, k):
         # on a grid of d in (-pi, pi]: laplace_sum refuses exactly where

@@ -12,7 +12,7 @@ from mpmath import mp
 import germsum.borel as borel
 from germsum.borel import OneVarSeries, singular_directions
 from germsum.cli import cli_main
-from germsum.harness import gen_example, verify_ode_numeric
+from germsum.harness import gen_example, verify_example, verify_ode_numeric
 from germsum.series import TruncatedSeries, series_from_json, series_to_json
 from germsum.weierstrass import p_expand
 from helpers import pole_transform_quad
@@ -261,18 +261,49 @@ def test_verify_pde(capsys):
 
 def test_verify_pde_fails_on_scaled_solution(capsys, monkeypatch):
     # 2f is divisible by the stated right side, but with cofactor 2*x1
-    import germsum.cli
-    real = germsum.cli.gen_example
+    import germsum.harness
+    real = germsum.harness.gen_example
 
     def scaled(name, trunc):
         ex = real(name, trunc)
         return dataclasses.replace(ex, f=ex.f * 2)
 
-    monkeypatch.setattr(germsum.cli, "gen_example", scaled)
+    monkeypatch.setattr(germsum.harness, "gen_example", scaled)
     code, out = run(capsys, ["verify", "pde-quasihom"])
     assert code == 1 and not out["pass"]
     assert out["formal"]["details"]["divisible_by_stated_rhs"]
     assert not out["formal"]["details"]["cofactor_is_x1"]
+
+
+@pytest.mark.parametrize("name", ["remark79", "ode-euler", "pde-quasihom"])
+def test_verify_is_the_harness_report(name, capsys):
+    code, out = run(capsys, ["verify", name])
+    report = verify_example(name)
+    assert out == json.loads(json.dumps(report))
+    assert list(report)[-1] == "pass" and code == (0 if report["pass"] else 1)
+
+
+# every option a subcommand does not read, with the arguments it needs otherwise
+COEFFS = {"coeffs": [str(factorial(n)) for n in range(16)]}
+UNREAD = [(cmd, opt, args) for cmd, args in (("blowup", ["--xi", "0"]), ("ramify", ["--k", "2"]),
+                                             ("directions", []), ("dominant", []))
+          for opt in ("--germ", "--order")]
+UNREAD += [("borel-sum", opt, ["--theta", "0", "--t", "0.1"]) for opt in ("--germ", "--order")]
+UNREAD += [("borel-sum", "--depth", ["--theta", "0", "--t", "0.1"]),
+           ("borel-sum", "--t", ["--theta", "0", "--germ", "P", "--order", "1,1", "--depth", "8",
+                                 "--point", "0.1,0.1"])]
+
+
+@pytest.mark.parametrize("cmd,opt,args", UNREAD, ids=[f"{c} {o}" for c, o, _ in UNREAD])
+def test_unread_option_refused(cmd, opt, args, files, capsys):
+    # nothing is read or computed: a germ file that does not exist is never opened
+    p = files("p.json", series_to_json(TS(2, 10, {(1, 1): 1})))
+    source = files("c.json", COEFFS) if cmd in ("borel-sum", "directions") else p
+    value = {"--germ": "missing.json", "--order": "9,9", "--depth": "8", "--t": "0.1"}[opt]
+    args = [p if a == "P" else a for a in args]
+    assert cli_main([cmd, source] + args + [opt, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and opt in captured.err
 
 
 def test_usage_errors(files, capsys, tmp_path):

@@ -80,6 +80,11 @@ class TestFitGevrey:
         with pytest.raises(InsufficientDataError):
             fit_gevrey(ns_from([1.0] * 6), 5)
 
+    def test_non_integer_n_min_refused(self):
+        # n_min = 4.5 fitted from n = 5
+        with pytest.raises(ValueError, match="n_min 4.5 is not an integer"):
+            fit_gevrey(ns_from([float(math.factorial(n)) for n in range(20)]), 4.5)
+
     def test_convergent_clamped(self):
         # entire-function decay fits a negative order: clamp to 0 and flag
         norms = [1.0 / math.gamma(n + 1) for n in range(30)]

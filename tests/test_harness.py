@@ -44,6 +44,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_example("nope", 10)
 
+    def test_non_integer_truncation_refused(self):
+        # int() made 2.7 a truncation of 2
+        for trunc in (2.7, 4.0, "4"):
+            with pytest.raises(ValueError, match=f"truncation {trunc!r} is not an integer"):
+                gen_example("remark79", trunc)
+
     @pytest.mark.parametrize("name, trunc", [("ode-euler", -3), ("ode-euler", 1),
                                              ("pde-quasihom", 2), ("remark79", 1)])
     def test_truncation_cutting_the_germ_refused(self, name, trunc):
@@ -169,7 +175,7 @@ class TestPSector:
     @pytest.mark.parametrize("a, b, R, count", [
         (-0.5, 0.5, -1, 3), (-0.5, 0.5, 0, 3), (-0.5, 0.5, math.nan, 3),
         (-0.5, 0.5, math.inf, 3), (-0.5, 0.5, 1j, 3), (-0.5, 0.5, 0.4, -1),
-        (0.0, 3 * math.pi, 0.4, 3)])
+        (0.0, 3 * math.pi, 0.4, 3), (0.0, 1.0, 0.4, 2.5)])
     def test_bad_inputs_refused(self, a, b, R, count):
         p = TS(2, 8, {(1, 1): 1})
         with pytest.raises(ValueError):

@@ -488,16 +488,19 @@ class TestBuiltOnce:
         same_series(f.with_trunc(t), TS(dim, t, f.terms))
 
     def test_kernel_output_is_pruned_again(self):
-        # the product keeps the 1 at x2 on bit lengths (1 bit against 64 - 64); by
-        # absolute values, |1| < |(2^64 - 1)(1 + i)| 2^-64, the constructor drops it
+        # the product keeps the 1 at x2: its bit length, 1, is not below 64 - 64, the
+        # 128-bit floor of its degree beside (2^64 - 1)(1 + i); the ring operations and
+        # the constructor prune it again by the same rule, and keep it too
         big = mpmath.mpc(2 ** 64 - 1, 2 ** 64 - 1)
         h = S(2, 4, {(1, 0): big, (0, 0): mpmath.mpc(1)}) * S(2, 4, {(0, 0): 1, (0, 1): 1})
         assert (0, 1) in h.terms
+        same_series(h, TS(2, 4, h.terms))
         zero = S(2, 4, {})
         for got, raw in ((-h, {e: sneg(v) for e, v in h.terms.items()}), (h + zero, h.terms),
                          (h * 1, h.terms), (h.with_trunc(4), h.terms)):
             same_series(got, TS(2, 4, raw))
-            assert (0, 1) not in got.terms
+            assert (0, 1) in got.terms
+        assert h + zero == h and h * 1 == h and -(-h) == h and h.with_trunc(h.trunc) == h
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -522,6 +523,13 @@ class TestPExpand:
         with pytest.raises(ValueError, match="depth -1"):
             p_expand(TS(2, 6, {(1, 0): 1}), cusp_germ, -1)
         assert p_expand(TS(2, 6, {(1, 0): 1}), cusp_germ, 0).coeffs == ()
+
+    def test_non_integer_depth_refused(self, cusp_germ):
+        # a float depth ended in a TypeError from the elimination's shifts
+        for depth in (2.5, 2.0, Fraction(5, 2)):
+            message = f"expansion depth {depth!r} is not an integer"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                p_expand(TS(2, 6, {(1, 0): 1}), cusp_germ, depth)
 
     def test_oracle_equivalence_small(self):
         # the acceptance suite runs the exhaustive version; spot-check here
