@@ -22,6 +22,10 @@ which side goes first.
 * ``--check W:SEED:PAIRS`` runs untraced pairs for the no-regression check.
 * ``--trace W:SEED:RUNS`` runs traced runs per side for the per-layer table.
 
+Every child runs with ``PYTHONDONTWRITEBYTECODE=1`` (recorded as ``env`` in the
+output), as the ``BENCH_*.json`` runs were made: otherwise cold CLI children
+load the bytecode that earlier runs wrote into the trees.
+
 Every untraced workload and seed also gets the median of each end-to-end
 metric of BENCHMARK.json per side, their ratio (change/parent) and how much
 worse than its bound the change is (positive when worse). ``records`` holds
@@ -39,6 +43,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+# set in every child's environment, and recorded in the output
+CHILD_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def _trees(base, workdir):
@@ -56,7 +62,8 @@ def _trees(base, workdir):
 def _run(tree, workload, seed, seconds, trace, out):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace), "--out", out]
-    subprocess.run(cmd, cwd=tree, check=True, capture_output=True)
+    subprocess.run(cmd, cwd=tree, env=dict(os.environ, **CHILD_ENV), check=True,
+                   capture_output=True)
     with open(out) as fh:
         return json.loads(fh.read().strip().splitlines()[-1])
 
@@ -110,7 +117,8 @@ def main():
             with open(paths[side], "w") as fh:
                 fh.writelines(json.dumps(r, default=str) + "\n" for r in recs)
         compare = subprocess.run([sys.executable, "perfbench/run.py", "--compare", paths["parent"],
-                                  paths["change"]], cwd=trees["change"], check=True,
+                                  paths["change"]], cwd=trees["change"],
+                                 env=dict(os.environ, **CHILD_ENV), check=True,
                                  capture_output=True, text=True).stdout.splitlines()
     value = lambda rec, name: rec["metrics"][name]["value"]
     claims = []
@@ -155,7 +163,8 @@ def main():
     text = json.dumps({"parent_commit": base,
                        "command": "python3 perfbench/run.py --workload <name> --seed <seed> "
                                   f"--seconds {args.seconds:g} --trace <0|1> --out <file>",
-                       "script": " ".join(script), "note": args.note, "claim": claims,
+                       "script": " ".join(script), "env": CHILD_ENV, "note": args.note,
+                       "claim": claims,
                        "end_to_end": end_to_end, "per_layer": per_layer, "compare": compare,
                        "records": records}, indent=1, default=str)
     with open(args.out, "w") as fh:

@@ -42,13 +42,16 @@ a sum of upper incomplete gammas, and a multiple pole sums through their
 Taylor coefficients.
 
 Its per-pole loops run on the same kernel, terms as kernel numbers and
-their bounds as floats on integer exponents; mpmath remains for E1 below
-the crossover, e^z and a > 1's incomplete gammas.  G(z) = e^z E1(z) is the
-one special function of the k = 1 step, and :func:`_exp_e1` computes every
-value of it, each with a bound on its error that joins the sum's
-evaluation bound.  For |z| >= 12 with Re z >= 0 it runs the Stieltjes
-continued fraction of G on Gaussian-integer mantissas, stopped by the
-Henrici-Pfluger truncation bound; elsewhere mpmath's E1, at 6 guard bits.
+their bounds as floats on integer exponents; mpmath remains for E1 far out
+in the left half-plane, e^z and a > 1's incomplete gammas.  G(z) =
+e^z E1(z) is the one special function of the k = 1 step, and
+:func:`_exp_e1` computes every value of it, each with a bound on its error
+that joins the sum's evaluation bound.  For |z| >= 12 with Re z >= 0 it
+runs the Stieltjes continued fraction of G on Gaussian-integer mantissas,
+stopped by the Henrici-Pfluger truncation bound; for |z| >= 128 with
+Re z < 0 mpmath's E1, which sums its asymptotic series there; elsewhere
+the power series of e^-z and Ein(z), both from one recurrence on
+fixed-point Gaussian integers, at the width its proved bound asks for.
 What a pole's sum needs at a point u and not the ray (x = c/u, G, their
 sizes, e^(-x^a) once needed) is its start (:class:`_PoleStart`), and each
 approximant keeps the starts of its last four points: the value and the
@@ -79,7 +82,7 @@ from functools import cached_property
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import repr_dps, to_str
+from mpmath.libmp import from_man_exp, mpc_log, mpf_add, mpf_euler, repr_dps, to_fixed, to_str
 
 from .errors import SectorError, SingularRayError
 from .scalars import (GI_ONE, NOISE_MARGIN, gi_abs, gi_add, gi_div, gi_from_mpc, gi_horner,
@@ -821,36 +824,143 @@ def _scale(k, a):
     return k * a[0], k * a[1], a[2]
 
 
-# G(z) = e^z E1(z) comes from the continued fraction where |z| >= this and
-# Re z >= 0, and from mpmath elsewhere (see _exp_e1).  At 145-160 bits, on
-# the arguments of the benchmark's sums, the fraction took 270 us against
-# mpmath's 315 us for 12 <= |z| < 16 and 90 us against 590 us beyond 64,
-# but 360 us against 300 us for 8 <= |z| < 12.
+# G(z) = e^z E1(z) takes one of three routes (see _exp_e1): the continued
+# fraction for Re z >= 0 and |z| >= _FRACTION_MIN_ABS, mpmath for Re z < 0
+# and |z| >= _SERIES_MAX_ABS, and the power series everywhere else.
+# On the 632 arguments of one seed-1 ray-sum and germ-sum cycle (145-159
+# bits, minima of 15 runs), the fraction took 9.7 ms against the series'
+# 10.9 ms on the 58 with 12 <= |z| < 16 and Re z >= 0, and the series took
+# 32 ms against mpmath's 46 ms on the 252 below the crossover or with
+# Re z < 0.  At 150 bits and arg z = 3 pi/4 mpmath's E1 switches to its
+# asymptotic series at |z| = 134, 0.19 ms a value against the series'
+# 0.85 ms; below that it took 1.7 ms.
 _FRACTION_MIN_ABS = 12
-# Bits over the precision asked of G at which mpmath computes it.
-_MPMATH_GUARD = 6
+_SERIES_MAX_ABS = 128
+_LOG2E = 1 / math.log(2)
+
+
+def _abs_below(z, r):
+    """|z| < r for a kernel number z and an int r, decided exactly on its mantissas."""
+    re, im, e = z
+    n, r2 = re * re + im * im, r * r
+    return n << 2 * e < r2 if e >= 0 else n < r2 << -2 * e
 
 
 def _exp_e1(z, prec):
     """``(g, ulps)``: G(z) = e^z E1(z) (principal branch) at the kernel
-    number z, as a kernel number, and a float ulps <= 1 with
+    number z != 0, as a kernel number, and a float ulps <= 1 with
     |g - G(z)| <= ulps 2^-prec |g|.
 
-    Every E1 of the Laplace step comes from here.  For |z| >=
-    ``_FRACTION_MIN_ABS`` with Re z >= 0 it is the continued fraction of
-    :func:`_exp_e1_fraction`, which converges the faster the larger |z| is,
-    where mpmath's power series is slowest.  Elsewhere mpmath computes
-    e^z E1(z) at p = ``prec + _MPMATH_GUARD`` bits, lifted once to the
-    kernel: its E1 was measured within 2^(0.8 - p) of the value, relative,
-    e^z and the product add a rounding each and the lift a truncation of
-    2^(2 - p), so the bound counts 2^(4 - p) |g|.
+    Every E1 of the Laplace step comes from here, by a route chosen from
+    the sign of Re z and from |z|, both decided exactly on z's mantissas,
+    so that a z beyond the float range is routed too:
+
+    - Re z >= 0 and |z| >= ``_FRACTION_MIN_ABS``: the Stieltjes fraction of
+      :func:`_exp_e1_fraction`, which converges the faster the larger |z| is;
+    - Re z < 0 and |z| >= ``_SERIES_MAX_ABS``: mpmath, which sums E1's
+      asymptotic series there, computing e^z E1(z) at p = prec + 4 bits,
+      lifted once to the kernel: its E1 was measured within 2^(0.8 - p) of
+      the value, relative, e^z and the product add a rounding each and the
+      lift a truncation of 2^(2 - p), so the bound counts 2^(4 - p) |g|,
+      one ulp;
+    - elsewhere the power series of :func:`_exp_e1_series`, at the width
+      :func:`_series_bits` derives from its bound, and once more at prec
+      more bits should that bound exceed one ulp.
     """
-    if z[0] >= 0 and gi_abs(z) >= _FRACTION_MIN_ABS:
+    if z[0] >= 0 and not _abs_below(z, _FRACTION_MIN_ABS):
         return _exp_e1_fraction(z, prec)
-    wp = prec + _MPMATH_GUARD
-    with mp.workprec(wp):
-        z = gi_to_mpc(z)
-        return gi_from_mpc(mpmath.exp(z) * mpmath.e1(z), wp), math.ldexp(1, 4 - _MPMATH_GUARD)
+    if z[0] < 0 and not _abs_below(z, _SERIES_MAX_ABS):
+        wp = prec + 4
+        with mp.workprec(wp):
+            z = gi_to_mpc(z)
+            return gi_from_mpc(mpmath.exp(z) * mpmath.e1(z), wp), 1.0
+    f = _series_bits(z, prec)
+    g, ulps = _exp_e1_series(z, prec, f)
+    while not ulps <= 1:
+        f += prec
+        g, ulps = _exp_e1_series(z, prec, f)
+    return g, ulps
+
+
+def _series_bits(z, prec):
+    """The fraction bits f at which :func:`_exp_e1_series` meets one ulp at
+    |z| < ``_SERIES_MAX_ABS``: f = b + 3 + bitlen(b + 4|z| + 22) with
+    b = prec + log2(e^(|z| + Re z) (|z| + 2)), and at least z's own.
+
+    Its bound is about 3 (N + 1) e^(|z| + Re z) (|z| + 2) 2^-f with
+    |g| >= 1/(|z| + 1) (the least of |G(z)| (|z| + 1) on the cut plane was
+    measured at 1.00004, near the positive axis): 3 (N + 1) takes
+    bitlen(N + 1) + 2 bits and the last bit leaves half an ulp for the
+    rest.  The loop runs at most 2|z| + 1 steps to pass 2|z|, then at most
+    f + |z| log2 e + 2 that halve T_n, so N + 1 <= f + 4|z| + 4, which is
+    at most b + 4|z| + 22 as f <= b + 18.
+    """
+    zr, zi, ze = z
+    az = gi_abs(z)
+    b = prec + math.ceil((az + math.ldexp(zr, ze)) * _LOG2E + math.log2(az + 2))
+    return max(b + 3 + (b + 4 * math.ceil(az) + 22).bit_length(), -ze)
+
+
+def _exp_e1_series(z, prec, f):
+    """``(g, ulps)`` as in :func:`_exp_e1`, with ulps not capped at 1, from
+    the power series (NIST DLMF 6.6.2)
+
+        G(z) = (Ein(z) - gamma - log z)/E,  Ein(z) = sum_(n>=1) (-1)^(n+1) t_n/n,
+
+    E = e^-z = sum_(n>=0) (-1)^n t_n, both from one recurrence
+    t_n = t_(n-1) z/n, t_0 = 1, in fixed point with f fraction bits (a unit
+    is 2^-f), f at least the fraction bits of z, which is held exactly.
+    With M = e^|z| >= sum |t_n|:
+
+    - each step floors each component twice, in the shift and in the
+      division by n, so the computed T_n = T_(n-1) z/n - d_n with
+      |d_n| < 3 units; d_k carries into T_n times z^(n-k) k!/n!, at most
+      |z|^(n-k)/(n-k)!, so |T_n - t_n| < 3M units, and the N terms summed
+      carry less than 3NM units into E, and that and 2N more (the floors
+      of T_n/n) into Ein;
+    - the loop stops at the first n = N > 2|z| whose T_n has both
+      components within 8 units (past 2|z| each step halves T_n and adds
+      less than 3 units, so it gets there), and from there on
+      |t_n| <= |t_(n-1)|/2: both tails are below |t_N| < 12 + 3M units;
+    - gamma + Re log z and Im log z are mpmath's at f + 10 bits, within
+      four of their ulps there (two for the logarithm, a rounding each for
+      gamma and the sum), and their truncation to f fraction bits adds less
+      than 2 units: less than 2 + (|mag z| + 6)/128 units in all, as
+      |log z| < |mag z| + 5.
+
+    So E and E1 = Ein - gamma - log z are within a_E = 3(N + 1)M + 12 and
+    a_1 = a_E + 2N + 2 + (|mag z| + 6)/128 units of their values, and with
+    r = a_E/|E|, their quotient is within (a_1/(|E| |g|) + r)/(1 - r)
+    of G, relative, 2^(3 - w) more once truncated to w = prec + 8 bits;
+    the constants rounded up cover the rounding of this float bound.  As
+    |E| = e^-Re z, the loss is the cancellation factor e^(|z| + Re z) of
+    both sums over |g|, times about 3(N + 1) (:func:`_series_bits`).
+    """
+    zr, zi, ze = z
+    xr, xi = zr << ze + f, zi << ze + f
+    tr, ti = er, ei = 1 << f, 0
+    sr = si = n = 0
+    lim = 2 * gi_abs(z)
+    while True:
+        n += 1
+        tr, ti = ((tr * xr - ti * xi) >> f) // n, ((tr * xi + ti * xr) >> f) // n
+        if n & 1:
+            er, ei, sr, si = er - tr, ei - ti, sr + tr // n, si + ti // n
+        else:
+            er, ei, sr, si = er + tr, ei + ti, sr - tr // n, si - ti // n
+        if -8 <= tr <= 8 and -8 <= ti <= 8 and n > lim:
+            break
+    wl = f + 10
+    lr, li = mpc_log((from_man_exp(zr, ze), from_man_exp(zi, ze)), wl)
+    sr -= to_fixed(mpf_add(lr, mpf_euler(wl), wl), f)
+    w = prec + 8
+    g = gi_div((sr, si - to_fixed(li, f), 0), (er, ei, 0), w)
+    ae = 3 * (n + 1) * math.exp(lim / 2) + 12
+    a1 = ae + 2 * n + 2 + (abs(gi_mag(z)) + 6) / 128
+    ab = gi_abs((er, ei, -f))
+    r = math.ldexp(ae, -f) / ab
+    rel = (math.ldexp(a1, -f) / (ab * gi_abs(g)) + r) / (1 - r) if r < 1 else math.inf
+    return g, math.ldexp(rel + math.ldexp(1, 3 - w), prec)
 
 
 def _exp_e1_fraction(z, prec):
@@ -865,24 +975,29 @@ def _exp_e1_fraction(z, prec):
     1966) bound its truncation: |G - f_n| <= |f_n - f_(n-1)|, and
     f_n - f_(n-1) = +-a_1...a_n/(B_n B_(n-1)).
 
+    The fraction starts from z truncated to W fraction bits.  For
+    Re z >= 0, 1/z - G = int_0^inf e^-s s/(z (z + s)) ds gives
+    |zG - 1| <= 1/|z|, so G's relative change is at most
+    |dz|/(|z| - 1): the truncation, |dz| < 2^(0.5 - W), moves G by less
+    than 2^-(W + 2) |g| for |z| >= 12, and the bound counts it.
     The numerators A_i and denominators B_i follow the Wallis recurrence
     X_i = b_i X_(i-1) + a_i X_(i-2) on Gaussian-integer mantissas with
-    W fraction bits of z (z itself held exactly), all four on one scale
-    that drops by a shift whenever the A's outgrow W + 64 bits; ``det``
-    carries a_1...a_n on the square of that scale, rounded up.  A step
-    with b = z truncates its products by at most one unit, 2^(1.5 - W) of
-    the A and B it makes, and such relative errors enter f_n about once
-    each: the bound counts 2^(4 - W) |g| per step, and the loop stops at
-    the first even n whose truncation bound is at most 2^-(prec + 4) |g|.
-    For |z| >= 12 that n is below prec^2/16 (128 steps at |z| = 16 and
-    150 bits, 204 at 16i), so W = prec + 2 bitlen(prec) + 10 keeps the
-    steps' share below 2^-(prec + 10) |g|.
+    W fraction bits, all four on one scale that drops by a shift whenever
+    the A's outgrow W + 64 bits; ``det`` carries a_1...a_n on the square of
+    that scale, rounded up.  A step with b = z truncates its products by at
+    most one unit, 2^(1.5 - W) of the A and B it makes, and such relative
+    errors enter f_n about once each: the bound counts 2^(4 - W) |g| per
+    step.  The truncation bound is tested every fourth pass (two steps
+    each), and the loop stops at the first tested n whose bound is at most
+    2^-(prec + 4) |g|.  For |z| >= 12 that n is below prec^2/16 (128 steps
+    at |z| = 16 and 150 bits, 204 at 16i), so W = prec + 2 bitlen(prec) + 10
+    keeps the steps' share below 2^-(prec + 10) |g|.
     """
     w = prec + 2 * prec.bit_length() + 10
     zr, zi, ze = z
-    f = max(w, -ze)
-    zr, zi = zr << (ze + f), zi << (ze + f)
-    one = 1 << f
+    s = ze + w
+    zr, zi = (zr << s, zi << s) if s >= 0 else (zr >> -s, zi >> -s)
+    one = 1 << w
     # (A_1, A_2) = (1, 1) and (B_1, B_2) = (z, z + 1); odd index o, even e
     aor, aoi, aer, aei = one, 0, one, 0
     bor, boi, ber, bei = zr, zi, zr + one, zi
@@ -892,16 +1007,18 @@ def _exp_e1_fraction(z, prec):
     while True:
         # X_(2j+1) = z X_(2j) + j X_(2j-1)
         t = aer * zr - aei * zi
-        aoi = ((aer * zi + aei * zr) >> f) + j * aoi
-        aor = (t >> f) + j * aor
+        aoi = ((aer * zi + aei * zr) >> w) + j * aoi
+        aor = (t >> w) + j * aor
         t = ber * zr - bei * zi
-        boi = ((ber * zi + bei * zr) >> f) + j * boi
-        bor = (t >> f) + j * bor
+        boi = ((ber * zi + bei * zr) >> w) + j * boi
+        bor = (t >> w) + j * bor
         # X_(2j+2) = X_(2j+1) + (j + 1) X_(2j)
         det *= j * (j + 1)
         j += 1
         aer, aei = aor + j * aer, aoi + j * aei
         ber, bei = bor + j * ber, boi + j * bei
+        if j & 3 != 1:
+            continue
         la = max(abs(aer).bit_length(), abs(aei).bit_length())
         lb = max(abs(bor).bit_length(), abs(boi).bit_length())
         # |f_n - f_(n-1)| / |f_n| = det / (|A_n| |B_(n-1)|) < 2^(gap + 2)
@@ -913,9 +1030,10 @@ def _exp_e1_fraction(z, prec):
             aor, aoi, aer, aei = aor >> s, aoi >> s, aer >> s, aei >> s
             bor, boi, ber, bei = bor >> s, boi >> s, ber >> s, bei >> s
             det = -(-det >> 2 * s)
-    # the division's truncation and the float bound's rounding count as steps
+    # the division's truncation and the float bound's rounding count as
+    # steps, and z's truncation as one more
     g = gi_div((aer, aei, 0), (ber, bei, 0), w)
-    return g, math.ldexp(1, gap + 2 + prec) + math.ldexp(2 * j + 2, 4 - w + prec)
+    return g, math.ldexp(1, gap + 2 + prec) + math.ldexp(2 * j + 3, 4 - w + prec)
 
 
 class _PoleStart:
@@ -1083,7 +1201,8 @@ def _closed_form_sum(poly, fractions, starts, a, b, u, turn, up, prec):
         total = gi_add(total, term, wp)
         mass += gi_abs(term)
         un = gi_mul(un, u, wp)
-    au = gi_abs(u)
+    eu = gi_mag(u)
+    au = gi_abs(u, eu)
     near, jumps = Fraction(math.tan(RAY_POLE_MARGIN / b)), []
     for (c, rs), start in zip(fractions, starts):
         # the Stokes side from the signs of x and y = x e^(-i phi) (|phi| < pi/2):
@@ -1102,16 +1221,28 @@ def _closed_form_sum(poly, fractions, starts, a, b, u, turn, up, prec):
                 jumps.append((gi_abs(jump), c))
             except OverflowError:  # e^(-x^a) beyond the float range, past the sector's edge
                 jumps.append((math.inf, c))
-        # sum_j r_j psi_(j-1)/u^j by Horner's rule in 1/u
+        # sum_j r_j psi_(j-1)/u^j by Horner's rule in 1/u, its size a float
+        # on the exponent pe (|u| = au 2^eu)
         term = gi_div(gi_mul(rs[-1], psi[-1], w), u, w)
-        part = gi_abs(rs[-1]) * size[-1] / au
+        part, pe = gi_abs(rs[-1]) * size[-1] / au, start.e - eu
         for j in range(len(rs) - 2, -1, -1):
             term = gi_div(gi_add(term, gi_mul(rs[j], psi[j], w), w), u, w)
-            part = (part + gi_abs(rs[j]) * size[j]) / au
+            top = max(pe, start.e)
+            part = (math.ldexp(part, pe - top)
+                    + math.ldexp(gi_abs(rs[j]) * size[j], start.e - top)) / au
+            pe = top - eu
         total = gi_add(total, term, wp)
-        top = max(me, start.e)
-        mass, me = math.ldexp(mass, me - top) + math.ldexp(part, start.e - top), top
+        top = max(me, pe)
+        mass, me = math.ldexp(mass, me - top) + math.ldexp(part, pe - top), top
     return total, mass, me, jumps
+
+
+def _ldexp(x, e):
+    """x 2^e for a float x >= 0, inf above the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def _sector_angle(t, theta, a, b):
@@ -1203,19 +1334,25 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None):
             starts = appr.pole_starts(b, a, u, prec)
             if derivative:
                 poly, fractions = _times_derivative(poly, fractions, w)
-            value, mass, me, jumps = _closed_form_sum(poly, fractions, starts, a, b, u, turn,
-                                                      d > 0, prec)
+            try:
+                value, mass, me, jumps = _closed_form_sum(poly, fractions, starts, a, b, u, turn,
+                                                          d > 0, prec)
+            except OverflowError:  # a term's size beyond the float range
+                raise ValueError(f"the evaluation bound of the {prec}-bit closed-form sum at "
+                                 f"t = {mpmath.nstr(t, 6)} is beyond the float range") from None
             if derivative:
                 value = gi_div(value, bt, prec + _CLOSED_FORM_GUARD + 2)
                 mass, me = mass / gi_abs(bt, gi_mag(bt)), me - gi_mag(bt)
             sums.append((value, mass, me, jumps))
         (v_hi, mass, me, jumps), (v_lo, *_) = sums
-        qerr = math.ldexp(mass, me + _CLOSED_FORM_C - prec)
+        qerr = _ldexp(mass, me + _CLOSED_FORM_C - prec)
         if not qerr <= eps:
-            raise ValueError(f"eps = {float(eps):.3g} is below {qerr:.3g}, the "
-                             f"evaluation bound of the {prec}-bit closed-form sum")
+            raise ValueError(f"eps = {float(eps):.3g} is below {qerr:.3g}, the evaluation bound "
+                             f"of the {prec}-bit closed-form sum at t = {mpmath.nstr(t, 6)}")
         # the upper approximant's Stokes jumps, scaled like its value
-        jump = sum(j for j, _ in jumps) / (gi_abs(bt) if derivative else 1)
+        jump = sum(j for j, _ in jumps)
+        if derivative and jump:
+            jump = _ldexp(jump / gi_abs(bt, gi_mag(bt)), -gi_mag(bt))
         if jump > eps:
             pole = gi_to_mpc(min((gi_abs(c), c) for _, c in jumps)[1]) ** b
             raise SingularRayError(

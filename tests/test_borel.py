@@ -649,6 +649,21 @@ class TestLaplace:
         with pytest.raises(SectorError, match="t = 0"):
             laplace_sum(rc, 1, 0)
 
+    @pytest.mark.parametrize("r", ["1e-307", "1e-320", "1e-400"])
+    def test_tiny_t(self, r):
+        # |p/t| beyond the float range: the value sums within its total_error
+        # of the closed form -e^(1/r) E1(1/r) at t = -r; the derivative, whose
+        # evaluation bound leaves the float range, is refused naming t
+        rc = continue_on_ray(borel_transform(euler_borel_series(32), 1), math.pi)
+        with mp.workprec(128):
+            t = -mpmath.mpf(r)
+            res = laplace_sum(rc, 1, t)
+            with pytest.raises(ValueError, match=f"t = \\(-1.0e-{r[3:]}"):
+                laplace_sum(rc, 1, t, derivative=True)
+        with mp.workprec(256):
+            exact = -mpmath.exp(-1 / t) * mpmath.e1(-1 / t)
+            assert abs(res.value - exact) <= res.total_error
+
     def test_k2_monomial_identity(self):
         # order-2 kernel reproduces a_n t^n termwise: test on 1 + t^2/2
         a = OneVarSeries([1, 0, Fraction(1, 2)] + [0] * 7)
@@ -1334,16 +1349,98 @@ class TestExpE1:
             z = mpmath.mpf(10) ** log_r * mpmath.expjpi(turn)
         self.check(*self.kernel(borel._exp_e1_fraction, z, prec))
 
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("r", ["1e-6", "0.3", "5", "11.99", "40", "100"])
+    @pytest.mark.parametrize("im", ["0", "2^-100", "-2^-100"])
+    def test_cut_from_both_sides(self, prec, r, im):
+        # on the negative axis (Im z = 0 takes the value from Im z > 0, as
+        # mpmath does) and 2^-100 above and below it, where G jumps by 2 pi i e^z
+        with mp.workprec(4 * prec):
+            y = 0 if im == "0" else mpmath.ldexp(1 if im[0] != "-" else -1, -100)
+            z = mpmath.mpc(-mpmath.mpf(r), y)
+        self.check(*self.kernel(borel._exp_e1, z, prec))
+
+    @pytest.mark.parametrize("prec", [64, 160])
+    @pytest.mark.parametrize("turn", [0, 0.3, 0.5, 0.7, 0.95])
+    def test_series_from_tiny_to_the_crossover(self, prec, turn):
+        # |z| from 1e-6 up to the crossover in the right half-plane, and up to
+        # 100 in the left one (turn > 1/2), on the series route
+        top = borel._FRACTION_MIN_ABS if turn <= 0.5 else 100
+        for log_r in [-6, -3, -1, 0, 0.5, 1, math.log10(top * 0.999)]:
+            if 10 ** log_r > top:
+                continue
+            with mp.workprec(prec):
+                z = mpmath.mpf(10) ** log_r * mpmath.expjpi(turn)
+            self.check(*self.kernel(borel._exp_e1, z, prec))
+
+    @pytest.mark.parametrize("prec", [64, 128, 200])
+    @pytest.mark.parametrize("z", [0.7 + 0.2j, -3.1 + 0.5j, 9.5 - 6j, -40 + 25j, 20 + 15j, -90 - 1e-3j])
+    def test_short_and_long_mantissas(self, prec, z):
+        # z with a 53-bit mantissa (a float) and with 4 prec bits, on every route
+        with mp.workprec(4 * prec):
+            long = mpmath.mpc(z) * (1 + mpmath.mpf(1) / 3)
+        for arg in (gi_from_mpc(z, 53), gi_from_mpc(long, 4 * prec)):
+            g, ulps = borel._exp_e1(arg, prec)
+            g = gi_to_mpc(g)
+            with mp.workprec(3 * prec):
+                self.check(gi_to_mpc(arg), prec, g, ulps * mpmath.ldexp(abs(g), -prec))
+
+    @pytest.mark.parametrize("shortfall", [10, 30, 60])
+    def test_series_bound_holds_at_any_width(self, shortfall):
+        # the series' bound is derived, not tuned: at fewer bits than it asks
+        # for it exceeds one ulp but still holds
+        prec = 128
+        for z in (mpmath.mpc(3, 4), mpmath.mpc(-30, 10), mpmath.mpc(0.1, -11)):
+            zk = gi_from_mpc(z, 4 * prec)
+            f = borel._series_bits(zk, prec) - shortfall
+            g, ulps = borel._exp_e1_series(zk, prec, f)
+            assert ulps > 1
+            g = gi_to_mpc(g)
+            with mp.workprec(3 * prec):
+                exact = mpmath.exp(gi_to_mpc(zk)) * mpmath.e1(gi_to_mpc(zk))
+                assert abs(g - exact) <= ulps * mpmath.ldexp(abs(g), -prec)
+
+    def test_series_runs_again_short_of_one_ulp(self, monkeypatch):
+        # should the width fall short, the series runs again with more bits
+        widths = []
+        bits = borel._series_bits
+        monkeypatch.setattr(borel, "_series_bits", lambda z, prec: bits(z, prec) - 40)
+        series = borel._exp_e1_series
+        monkeypatch.setattr(borel, "_exp_e1_series",
+                            lambda z, prec, f: widths.append(f) or series(z, prec, f))
+        self.check(*self.kernel(borel._exp_e1, mpmath.mpc(-5, 7), 128))
+        assert len(widths) == 2 and widths[1] > widths[0]
+
     def test_fraction_beyond_the_crossover(self, monkeypatch):
-        # mpmath.e1 runs only below the crossover or in the left half-plane
-        seen = []
-        monkeypatch.setattr(mpmath, "e1", lambda z: seen.append(z) or mpmath.expint(1, z))
+        # the fraction on Re z >= 0 from |z| = 12 on, mpmath.e1 only on
+        # Re z < 0 from |z| = 128 on, and the series everywhere else
+        seen = {"fraction": [], "series": [], "mpmath": []}
+        for name, fn in (("fraction", borel._exp_e1_fraction), ("series", borel._exp_e1_series)):
+            monkeypatch.setattr(borel, f"_exp_e1_{name}",
+                                lambda z, *a, name=name, fn=fn: seen[name].append(z) or fn(z, *a))
+        monkeypatch.setattr(mpmath, "e1",
+                            lambda z: seen["mpmath"].append(z) or mpmath.expint(1, z))
         with mp.workprec(128):
-            inside = [mpmath.mpc(12, 0), mpmath.mpc(0, 20), mpmath.mpc(300, -40)]
-            outside = [mpmath.mpc(11.9, 0), mpmath.mpc(-20, 1), mpmath.mpc(0.5, 0.5)]
-        for z in inside + outside:
-            borel._exp_e1(gi_from_mpc(z, 256), 128)
-        assert seen == outside
+            routes = {"fraction": [mpmath.mpc(12, 0), mpmath.mpc(0, 20), mpmath.mpc(300, -40)],
+                      "series": [mpmath.mpc(11.9, 0), mpmath.mpc(-20, 1), mpmath.mpc(0.5, 0.5),
+                                 mpmath.mpc(-127.9, 0)],
+                      "mpmath": [mpmath.mpc(-200, 1)]}
+        for zs in routes.values():
+            for z in zs:
+                borel._exp_e1(gi_from_mpc(z, 256), 128)
+        assert {name: [gi_to_mpc(z) for z in zs] if name != "mpmath" else zs
+                for name, zs in seen.items()} == routes
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_routed_beyond_the_float_range(self, sign):
+        # |z| = 2^2000: the route is decided on the mantissas, and G ~ 1/z
+        z = (sign * 3, 1, 1999)
+        g, ulps = borel._exp_e1(z, 128)
+        with mp.workprec(384):
+            zm = gi_to_mpc(z)
+            # G(z) = 1/z - 1/z^2 + ..., far below 2^-128 past the first terms
+            assert abs(gi_to_mpc(g) * zm - 1) <= ulps * mpmath.ldexp(1, -128) + 2 / abs(zm)
+            assert ulps <= 1
 
 
 class TestPoleStarts:

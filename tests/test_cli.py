@@ -159,6 +159,19 @@ def test_borel_sum_and_directions(files, capsys):
     assert any(abs(d - math.pi) < 0.05 for d in out["directions"])
 
 
+def test_borel_sum_at_a_tiny_t(files, capsys):
+    # |p/t| beyond the float range: the Euler series sums at t = -1e-307
+    # within its reported error of the closed form -e^(1/r) E1(1/r)
+    coeffs = files("c.json", {"coeffs": [str(factorial(n - 1)) if n else "0" for n in range(12)]})
+    code, out = run(capsys, ["borel-sum", "--theta", str(math.pi), "--t=-1e-307", coeffs])
+    assert code == 0
+    with mp.workprec(256):
+        value = mpmath.mpc(out["value"]["re"], out["value"]["im"])
+        q = 1 / mpmath.mpf("1e-307")
+        exact = -mpmath.exp(q) * mpmath.e1(q)
+        assert abs(value - exact) <= out["quadrature_error"] + out["continuation_error"]
+
+
 def test_borel_sum_rational_k(files, capsys):
     # k = 3/2 sums in closed form; the coefficients Gamma(1 + 2n/3) (-4/5)^n,
     # whose order-3/2 Borel transform is 1/(1 + 4 tau/5), as 90-digit decimals
