@@ -85,9 +85,9 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, mpc_log, mpf_add, mpf_euler, repr_dps, to_fixed, to_str
 
 from .errors import SectorError, SingularRayError
-from .scalars import (GI_ONE, NOISE_MARGIN, gi_abs, gi_add, gi_div, gi_from_mpc, gi_horner,
-                      gi_mag, gi_mul, gi_round, gi_sub, gi_submul, gi_to_mpc, gi_width, is_exact,
-                      to_mpc, working_prec)
+from .scalars import (GI_ONE, NOISE_MARGIN, gi_abs, gi_add, gi_below, gi_div, gi_from_mpc,
+                      gi_horner, gi_mag, gi_mul, gi_round, gi_sub, gi_submul, gi_to_mpc, gi_width,
+                      is_exact, to_mpc, working_prec)
 from .transforms import _poly_roots, _taylor_hl
 
 TWO_PI = 2 * math.pi
@@ -839,13 +839,6 @@ _SERIES_MAX_ABS = 128
 _LOG2E = 1 / math.log(2)
 
 
-def _abs_below(z, r):
-    """|z| < r for a kernel number z and an int r, decided exactly on its mantissas."""
-    re, im, e = z
-    n, r2 = re * re + im * im, r * r
-    return n << 2 * e < r2 if e >= 0 else n < r2 << -2 * e
-
-
 def _exp_e1(z, prec):
     """``(g, ulps)``: G(z) = e^z E1(z) (principal branch) at the kernel
     number z != 0, as a kernel number, and a float ulps <= 1 with
@@ -858,22 +851,23 @@ def _exp_e1(z, prec):
     - Re z >= 0 and |z| >= ``_FRACTION_MIN_ABS``: the Stieltjes fraction of
       :func:`_exp_e1_fraction`, which converges the faster the larger |z| is;
     - Re z < 0 and |z| >= ``_SERIES_MAX_ABS``: mpmath, which sums E1's
-      asymptotic series there, computing e^z E1(z) at p = prec + 4 bits,
+      asymptotic series there, computing e^z E1(z) at p = prec + 6 bits,
       lifted once to the kernel: its E1 was measured within 2^(0.8 - p) of
-      the value, relative, e^z and the product add a rounding each and the
-      lift a truncation of 2^(2 - p), so the bound counts 2^(4 - p) |g|,
-      one ulp;
+      the value, relative (within 2^-p at 64-256 bits on |z| from 128 to
+      2^2000 and |arg z| from pi/2 to pi - 10^-30), e^z and the product add
+      a rounding each and the lift a truncation of 2^(2 - p), so the bound
+      counts 2^(4 - p) |g|, a quarter ulp;
     - elsewhere the power series of :func:`_exp_e1_series`, at the width
       :func:`_series_bits` derives from its bound, and once more at prec
       more bits should that bound exceed one ulp.
     """
-    if z[0] >= 0 and not _abs_below(z, _FRACTION_MIN_ABS):
+    if z[0] >= 0 and not gi_below(z, _FRACTION_MIN_ABS):
         return _exp_e1_fraction(z, prec)
-    if z[0] < 0 and not _abs_below(z, _SERIES_MAX_ABS):
-        wp = prec + 4
+    if z[0] < 0 and not gi_below(z, _SERIES_MAX_ABS):
+        wp = prec + 6
         with mp.workprec(wp):
             z = gi_to_mpc(z)
-            return gi_from_mpc(mpmath.exp(z) * mpmath.e1(z), wp), 1.0
+            return gi_from_mpc(mpmath.exp(z) * mpmath.e1(z), wp), 0.25
     f = _series_bits(z, prec)
     g, ulps = _exp_e1_series(z, prec, f)
     while not ulps <= 1:
@@ -895,10 +889,10 @@ def _series_bits(z, prec):
     f + |z| log2 e + 2 that halve T_n, so N + 1 <= f + 4|z| + 4, which is
     at most b + 4|z| + 22 as f <= b + 18.
     """
-    zr, zi, ze = z
+    xr, _, xe = gi_round((z[0], 0, z[2]), 53)
     az = gi_abs(z)
-    b = prec + math.ceil((az + math.ldexp(zr, ze)) * _LOG2E + math.log2(az + 2))
-    return max(b + 3 + (b + 4 * math.ceil(az) + 22).bit_length(), -ze)
+    b = prec + math.ceil((az + math.ldexp(xr, xe)) * _LOG2E + math.log2(az + 2))
+    return max(b + 3 + (b + 4 * math.ceil(az) + 22).bit_length(), -z[2])
 
 
 def _exp_e1_series(z, prec, f):

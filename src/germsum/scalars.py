@@ -454,6 +454,14 @@ def gi_mag(a):
     return n + e if n else -math.inf
 
 
+def gi_below(a, r, k=0):
+    """|a| < r 2^k for a kernel number a and ints r >= 0 and k, decided
+    exactly on a's mantissas (so also beyond the float range)."""
+    re, im, e = a
+    n, s = re * re + im * im, 2 * (k - e)
+    return n < r * r << s if s >= 0 else n << -s < r * r
+
+
 def gi_abs(a, e=0):
     """|a| 2^-e as a float (0.0 below the float range)."""
     re, im, ae = _gi_norm(*a, 53)

@@ -25,7 +25,7 @@ from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
 from . import scalars
-from .scalars import (gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_round,
+from .scalars import (gi_below, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_round,
                       gi_sub, gi_to_mpc, gi_width, is_zero, sadd, scalar_to_json, to_mpc,
                       working_prec)
 from .series import MonomialOrder, TruncatedSeries, substitute
@@ -212,18 +212,11 @@ _DK_SWEEPS = 200
 _DK_NARROW = 64
 
 
-def _below(z, k):
-    """|z| < 2^k for a kernel number z, decided exactly on its mantissas."""
-    re, im, e = z
-    n = 2 * (k - e)
-    return re * re + im * im < (1 << n) if n >= 0 else not (re or im)
-
-
 def _snap(z, tol):
     """z with what lies below 2^tol set to zero: all of it, or one component
     (as ``mpmath.polyroots`` does), so that roots on an axis land on it."""
     re, im, e = z
-    if _below(z, tol):
+    if gi_below(z, 1, tol):
         return 0, 0, e
     if im.bit_length() + e <= tol:
         return re, 0, e
@@ -320,7 +313,7 @@ def _durand_kerner(poly, prec):
     roots = [(re << s, im << s) for re, im in roots]
     # each |move| < 2^tol, or at most the last move with move^2/last below
     # 2^tol (the tail of a contracting sequence), decided exactly on the
-    # mantissas as in _below
+    # mantissas as in gi_below
     limit, last = 1 << max(0, 2 * (tol - e)), None
     for _ in range(_DK_SWEEPS):
         moves = _dk_sweep(roots, monic, -e, range(d))
@@ -362,7 +355,7 @@ def _refine_center(poly, values, prec, r):
         if not _within(gi_sub(moved, mean, w), mean, r):
             break
         z = moved
-        if _below(step, tol):
+        if gi_below(step, 1, tol):
             break
     return _snap(z, tol)
 

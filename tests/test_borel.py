@@ -664,6 +664,19 @@ class TestLaplace:
             exact = -mpmath.exp(-1 / t) * mpmath.e1(-1 / t)
             assert abs(res.value - exact) <= res.total_error
 
+    def test_above_the_float_mantissa(self):
+        # at 1024 bits the pole's z = 10 (1 + 2^-1100) has a mantissa of
+        # more than 1024 bits, beyond float(); the sum is the closed form
+        # e^(1/t) E1(1/t)/t at t = 0.1 (1 + 2^-1100)
+        rc = continue_on_ray(borel_transform(euler_series(), 1), 0.0, [1.0])
+        with mp.workprec(1200):
+            t = mpmath.mpf("0.1") * (1 + mpmath.ldexp(1, -1100))
+        with mp.workprec(1024):
+            res = laplace_sum(rc, 1, t)
+        with mp.workprec(3072):
+            exact = mpmath.exp(1 / t) * mpmath.e1(1 / t) / t
+            assert abs(res.value - exact) <= res.total_error
+
     def test_k2_monomial_identity(self):
         # order-2 kernel reproduces a_n t^n termwise: test on 1 + t^2/2
         a = OneVarSeries([1, 0, Fraction(1, 2)] + [0] * 7)
@@ -1350,11 +1363,12 @@ class TestExpE1:
         self.check(*self.kernel(borel._exp_e1_fraction, z, prec))
 
     @pytest.mark.parametrize("prec", [64, 128, 256])
-    @pytest.mark.parametrize("r", ["1e-6", "0.3", "5", "11.99", "40", "100"])
+    @pytest.mark.parametrize("r", ["1e-6", "0.3", "5", "11.99", "40", "100", "130", "1000"])
     @pytest.mark.parametrize("im", ["0", "2^-100", "-2^-100"])
     def test_cut_from_both_sides(self, prec, r, im):
         # on the negative axis (Im z = 0 takes the value from Im z > 0, as
-        # mpmath does) and 2^-100 above and below it, where G jumps by 2 pi i e^z
+        # mpmath does) and 2^-100 above and below it, where G jumps by 2 pi i e^z:
+        # on the series route, and from |z| = 128 on, on mpmath's
         with mp.workprec(4 * prec):
             y = 0 if im == "0" else mpmath.ldexp(1 if im[0] != "-" else -1, -100)
             z = mpmath.mpc(-mpmath.mpf(r), y)
@@ -1374,12 +1388,14 @@ class TestExpE1:
             self.check(*self.kernel(borel._exp_e1, z, prec))
 
     @pytest.mark.parametrize("prec", [64, 128, 200])
-    @pytest.mark.parametrize("z", [0.7 + 0.2j, -3.1 + 0.5j, 9.5 - 6j, -40 + 25j, 20 + 15j, -90 - 1e-3j])
+    @pytest.mark.parametrize("z", [0.7 + 0.2j, -3.1 + 0.5j, 9.5 - 6j, -40 + 25j, 20 + 15j,
+                                   -90 - 1e-3j, -500 + 300j, -(2.0 ** 40) + 1j])
     def test_short_and_long_mantissas(self, prec, z):
-        # z with a 53-bit mantissa (a float) and with 4 prec bits, on every route
-        with mp.workprec(4 * prec):
+        # z with a 53-bit mantissa (a float), with 4 prec bits and with 1100,
+        # more than float() takes, on every route
+        with mp.workprec(1100):
             long = mpmath.mpc(z) * (1 + mpmath.mpf(1) / 3)
-        for arg in (gi_from_mpc(z, 53), gi_from_mpc(long, 4 * prec)):
+        for arg in (gi_from_mpc(z, 53), gi_from_mpc(long, 4 * prec), gi_from_mpc(long, 1100)):
             g, ulps = borel._exp_e1(arg, prec)
             g = gi_to_mpc(g)
             with mp.workprec(3 * prec):

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from germsum.scalars import (QQi, bit_mag, gi_div, gi_from_mpc, gi_horner, gi_lift, gi_mul, gi_sub,
-                             gi_submul, gi_to_mpc, is_exact, is_zero, parse_scalar, sadd, scalar_eq,
-                             scalar_from_json, sdiv, smul, sneg, to_mpc, working_prec)
+from germsum.scalars import (QQi, bit_mag, gi_below, gi_div, gi_from_mpc, gi_horner, gi_lift, gi_mul,
+                             gi_sub, gi_submul, gi_to_mpc, is_exact, is_zero, parse_scalar, sadd,
+                             scalar_eq, scalar_from_json, sdiv, smul, sneg, to_mpc, working_prec)
 
 ints = st.integers(-60, 60)
 fractions = st.fractions(min_value=-60, max_value=60, max_denominator=40)
@@ -204,6 +204,17 @@ def test_kernel_conversion():
             gi_from_mpc(mpmath.mpc(1, bad), KERNEL_W)
     with pytest.raises(ZeroDivisionError):
         gi_div((1, 0, 0), (0, 0, 5), KERNEL_W)
+
+
+@given(re=st.integers(-2 ** 70, 2 ** 70), im=st.integers(-2 ** 70, 2 ** 70),
+       e=st.integers(-3000, 3000), r=st.integers(0, 2 ** 40), k=st.integers(-3000, 3000))
+def test_below_is_exact(re, im, e, r, k):
+    # |a| < r 2^k on the mantissas, beyond the float range too, and on the
+    # boundary |a| = r 2^k itself
+    norm = Fraction(re * re + im * im) * Fraction(2) ** (2 * e)
+    assert gi_below((re, im, e), r, k) == (norm < Fraction(r * r) * Fraction(2) ** (2 * k))
+    assert not gi_below((r, 0, k), r, k) and not gi_below((0, -r, k), r, k)
+    assert gi_below((3, 4, e), 5, e) is False and gi_below((3, 4, e), 41, e - 3) is True
 
 
 BINARY_FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, -2.2250738585072014e-308 / 3,
