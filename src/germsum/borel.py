@@ -76,7 +76,6 @@ is the bound on rounding in evaluating the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -85,9 +84,9 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, mpc_log, mpf_add, mpf_euler, repr_dps, to_fixed, to_str
 
 from .errors import SectorError, SingularRayError
-from .scalars import (GI_ONE, NOISE_MARGIN, gi_abs, gi_add, gi_below, gi_div, gi_from_mpc,
-                      gi_horner, gi_mag, gi_mul, gi_round, gi_sub, gi_submul, gi_to_mpc, gi_width,
-                      is_exact, to_mpc, working_prec)
+from .scalars import (GI_ONE, NOISE_MARGIN, Record, gi_abs, gi_add, gi_below, gi_div,
+                      gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_round, gi_sub, gi_submul,
+                      gi_to_mpc, gi_width, is_exact, to_mpc, working_prec)
 from .transforms import _poly_roots, _taylor_hl
 
 TWO_PI = 2 * math.pi
@@ -113,20 +112,18 @@ def _angdiff(a, b):
     return d - two_pi * mpmath.floor((d + mpmath.pi) / two_pi)
 
 
-@dataclass(frozen=True)
-class OneVarSeries:
+class OneVarSeries(Record):
     """Plain coefficient list a_0..a_{M-1} of a (possibly divergent) series."""
     coeffs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs):
+        super().__init__(tuple(coeffs))
 
     def __len__(self):
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class BorelSeries:
+class BorelSeries(Record):
     """Coefficients b_n = a_n / Gamma(1 + n/k).
 
     ``exact`` records that every a_n was exact (an int, Fraction or
@@ -139,8 +136,10 @@ class BorelSeries:
     k: float
     coeffs: tuple
     exact: bool = False
-    _approximants: dict = field(default_factory=dict, init=False, compare=False,
-                                repr=False)
+
+    @cached_property
+    def _approximants(self):
+        return {}
 
     def __len__(self):
         return len(self.coeffs)
@@ -647,8 +646,7 @@ def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
     return appr
 
 
-@dataclass(frozen=True)
-class RayContinuation:
+class RayContinuation(Record):
     """The two approximants (orders m and m - 1, or [nu/nu] and [nu + 1/nu]
     when the data's rank nu cuts both) that ``laplace_sum`` transforms at
     ``k``, and their samples along the ray at the ``radii``: ``values``, the
@@ -744,8 +742,7 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
 
 # -- Laplace integral ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(Record):
     """A numeric germ-k-sum (or plain k-sum) evaluation with split errors.
 
     ``prec`` is the working precision of ``value``.
@@ -763,15 +760,15 @@ class SumResult:
         return self.quadrature_error + self.continuation_error
 
     def to_json(self):
-        """JSON record; ``value`` as decimal strings that round-trip at ``prec``."""
-        t = to_mpc(self.t)
-        v = to_mpc(self.value)
+        """JSON record; ``t`` and ``value`` as decimal strings that round-trip at ``prec``."""
         dps = repr_dps(self.prec)
+        t, v = ({"re": to_str(z.real._mpf_, dps), "im": to_str(z.imag._mpf_, dps)}
+                for z in (to_mpc(self.t), to_mpc(self.value)))
         return {
-            "t": {"re": float(t.real), "im": float(t.imag)},
+            "t": t,
             "k": self.k,
             "theta": self.theta,
-            "value": {"re": to_str(v.real._mpf_, dps), "im": to_str(v.imag._mpf_, dps)},
+            "value": v,
             "quadrature_error": self.quadrature_error,
             "continuation_error": self.continuation_error,
         }
@@ -1055,8 +1052,9 @@ class _PoleStart:
         self.extra = extra = max(0, a * gi_mag(x))
         wp = prec + _CLOSED_FORM_GUARD
         self.w = w = wp + extra + 2
-        self.xp = xp = [GI_ONE]
-        for _ in range(a):
+        # x^0 = 1 multiplies nothing: x^1 is only truncated
+        self.xp = xp = [GI_ONE, gi_round(x, w)]
+        for _ in range(1, a):
             xp.append(gi_mul(xp[-1], x, w))
         g, ulps = _exp_e1(_scale(-1, xp[a]), wp + extra)
         self.psi = psi = gi_mul(xp[a - 1], g, w)
@@ -1414,8 +1412,7 @@ def _germ_borel(expansion, point, k, prec):
 
 # -- singular directions ------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoleCluster:
+class PoleCluster(Record):
     center: object
     modulus: float
     argument: float
@@ -1427,8 +1424,7 @@ class PoleCluster:
                 "stability": self.stability, "hits": self.hits}
 
 
-@dataclass(frozen=True)
-class SingularDirectionReport:
+class SingularDirectionReport(Record):
     k: float
     clusters: tuple
     directions: tuple

@@ -10,10 +10,9 @@ turns order estimation into a linear least-squares fit in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import GermsumError
-from .scalars import integer_arg
+from .scalars import Record, integer_arg
 from .series import majorant_norm, majorant_radius
 
 
@@ -21,8 +20,7 @@ class InsufficientDataError(GermsumError):
     pass
 
 
-@dataclass(frozen=True)
-class NormSequence:
+class NormSequence(Record):
     """Majorant norms ||g_n|| of the expansion coefficients at radius rho."""
     rho: float
     norms: tuple
@@ -32,8 +30,7 @@ class NormSequence:
         return len(self.norms)
 
 
-@dataclass(frozen=True)
-class GevreyEstimate:
+class GevreyEstimate(Record):
     s: float
     logK: float
     logA: float

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import numbers
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -34,7 +33,7 @@ from mpmath import mp
 from .borel import _germ_borel, p_k_sum, singular_directions
 from .errors import GermsumError
 from .gevrey import fit_gevrey, norm_sequence
-from .scalars import integer_arg, to_mpc, working_prec
+from .scalars import Record, integer_arg, to_mpc, working_prec
 from .series import MonomialOrder, TruncatedSeries, substitute, v_ell
 from .transforms import INFINITY, blowup
 from .weierstrass import Germ, PExpansion, p_expand, wdivide
@@ -53,8 +52,7 @@ ODE_SECTOR_RADIUS = 0.4
 PDE_ORDER = MonomialOrder((2, 3))
 
 
-@dataclass(frozen=True)
-class ExampleData:
+class ExampleData(Record):
     name: str
     f: TruncatedSeries
     p: TruncatedSeries
@@ -150,13 +148,12 @@ def verify_example(name, trunc=None):
     return out
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Outcome of a formal or numeric equation check."""
     formal_valuation: object = None
     exact_to_truncation: object = None
     numeric_max_residual: object = None
-    details: dict = field(default_factory=dict)
+    details: dict = dict
 
     def to_json(self):
         return {
@@ -292,8 +289,7 @@ def verify_ode_numeric(y, p, order, theta, points):
                  "samples": samples, "expansion": ey, "sample": sample})
 
 
-@dataclass(frozen=True)
-class PSectorSample:
+class PSectorSample(Record):
     """Points of a polydisk with the germ's argument inside a window."""
     a: float
     b: float

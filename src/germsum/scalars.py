@@ -22,6 +22,9 @@ with a shared binary exponent, and every operation truncates the result to
 a width of ``w`` bits, so the loops run on Python ints and not on mpmath
 objects.  :func:`gi_lift` puts many scalars on one such exponent, the float
 lift of the series kernel.
+
+Every module that returns a result record imports this one, so it also
+holds :class:`Record`, the base of those records.
 """
 from __future__ import annotations
 
@@ -59,6 +62,59 @@ def integer_arg(value, name):
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
+class Record:
+    """Base of the package's immutable result records (``SumResult``,
+    ``GevreyEstimate``, ...), written out so that importing them loads
+    neither ``dataclasses`` nor ``inspect`` and generates no code.
+
+    A subclass's fields are the names it annotates, in order.  A class
+    attribute of the same name is the field's default; a default that is a
+    class (``dict``) is called for a fresh value per instance.  A record is
+    built from its fields by position or keyword, compares and hashes as the
+    tuple of its fields (only with a record of its own class), prints as
+    ``Name(field=value, ...)`` and raises ``AttributeError`` on assignment.
+    Its instance ``__dict__`` holds the fields, and a ``cached_property``'s
+    value once read.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        values = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in vars(cls):
+                default = vars(cls)[name]
+                values[name] = default() if isinstance(default, type) else default
+        if len(args) > len(names) or kwargs or len(values) < len(names):
+            raise TypeError(f"{cls.__name__} takes each of the fields {', '.join(names)} once, "
+                            f"and all those without a default")
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _wp():

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
 from . import scalars
-from .scalars import (gi_below, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_round,
-                      gi_sub, gi_to_mpc, gi_width, is_zero, sadd, scalar_to_json, to_mpc,
-                      working_prec)
+from .scalars import (Record, gi_below, gi_div, gi_from_mpc, gi_horner, gi_mag, gi_mul,
+                      gi_round, gi_sub, gi_to_mpc, gi_width, is_zero, sadd, scalar_to_json,
+                      to_mpc, working_prec)
 from .series import MonomialOrder, TruncatedSeries, substitute
 
 
@@ -133,8 +132,7 @@ def chart_shift(f_xi, xi, zeta):
     return substitute(f_xi, images, out_trunc=n)
 
 
-@dataclass(frozen=True)
-class DominantData:
+class DominantData(Record):
     """Leading-form data of a germ under blow-up.
 
     h: degree of the bivariate leading form; H: the form itself (dim-2
@@ -277,8 +275,11 @@ def _durand_kerner(poly, prec):
     before with move^2/that move below 2^(-31 - prec) (the tail of a
     contracting sequence, as where the iteration converges
     quadratically), each width for at most ``_DK_SWEEPS`` sweeps: the m
-    iterates of an m-fold root stall about 2^(-w/m) from it.  The
-    iterates are then snapped (:func:`_snap`) there.  The 32 bits beyond
+    iterates of an m-fold root stall about 2^(-w/m) from it.  Stalled, a
+    sweep's noise at times kicks one of them several times further out,
+    where it would not merge with the others, so when the wide sweeps run
+    out the iterates are those after the sweep whose largest move was the
+    smallest.  The iterates are then snapped (:func:`_snap`) there.  The 32 bits beyond
     the working precision are for close roots, whose partial-fraction
     residues, of order one over their spread, multiply any error of the
     roots: a snap at 2^(1 - prec) moved the simple roots -1 and
@@ -314,13 +315,18 @@ def _durand_kerner(poly, prec):
     # each |move| < 2^tol, or at most the last move with move^2/last below
     # 2^tol (the tail of a contracting sequence), decided exactly on the
     # mantissas as in gi_below
-    limit, last = 1 << max(0, 2 * (tol - e)), None
+    limit, last, calm = 1 << max(0, 2 * (tol - e)), None, None
     for _ in range(_DK_SWEEPS):
         moves = _dk_sweep(roots, monic, -e, range(d))
         if all(m < limit or last and m <= p and m * m < limit * p
                for m, p in zip(moves, last or moves)):
             break
         last = moves
+        if calm is None or max(moves) < calm[0]:
+            calm = max(moves), list(roots)
+    else:
+        # stalled: the iterates after the sweep of smallest largest move
+        roots = calm[1]
     return [_snap((re, im, e), tol) for re, im in roots]
 
 

@@ -19,14 +19,13 @@ mass each term carries (:func:`_reduce_float`).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import frexp, inf, ldexp
 
 from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
-from .scalars import (NOISE_MARGIN, gi_abs, gi_from_mpc, gi_lift, gi_to_mpc, integer_arg,
+from .scalars import (NOISE_MARGIN, Record, gi_abs, gi_from_mpc, gi_lift, gi_to_mpc, integer_arg,
                       is_zero, sdiv, to_mpc, working_prec)
 from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real, _finish,
                      _float_bits, _has_exact, _json_int, _lift, _Packing, series_from_json,
@@ -69,8 +68,7 @@ class Germ:
         return f"Germ({self.p!r}, lead={self.lead_exp}, order={self.order!r})"
 
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(Record):
     q: TruncatedSeries
     r: TruncatedSeries
 

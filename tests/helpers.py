@@ -657,8 +657,13 @@ def sweep_all_durand_kerner(poly, prec):
             break
         last = above, max(moves)
     roots = [(re << s, im << s) for re, im in roots]
-    limit = 1 << max(0, 2 * (tol - e))
+    limit, calm = 1 << max(0, 2 * (tol - e)), None
     for _ in range(_DK_SWEEPS):
-        if all(m < limit for m in _sweep_all(roots, monic, -e)):
+        moves = _sweep_all(roots, monic, -e)
+        if all(m < limit for m in moves):
             break
+        if calm is None or max(moves) < calm[0]:
+            calm = max(moves), list(roots)
+    else:
+        roots = calm[1]
     return [_snap((re, im, e), tol) for re, im in roots]

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -12,7 +11,8 @@ from mpmath import mp
 import germsum.borel as borel
 from germsum.borel import OneVarSeries, singular_directions
 from germsum.cli import cli_main
-from germsum.harness import gen_example, verify_example, verify_ode_numeric
+from germsum.scalars import DEFAULT_PREC_BITS
+from germsum.harness import ExampleData, gen_example, verify_example, verify_ode_numeric
 from germsum.series import TruncatedSeries, series_from_json, series_to_json
 from germsum.weierstrass import p_expand
 from helpers import pole_transform_quad
@@ -172,6 +172,21 @@ def test_borel_sum_at_a_tiny_t(files, capsys):
         assert abs(value - exact) <= out["quadrature_error"] + out["continuation_error"]
 
 
+def test_borel_sum_writes_t_exactly(files, capsys):
+    # t = -1e-330 lies below the float range: t is written, as the value is,
+    # in decimal strings that read back to the t the sum was taken at
+    coeffs = files("c.json", {"coeffs": [str(factorial(n - 1)) if n else "0" for n in range(12)]})
+    code, out = run(capsys, ["borel-sum", "--theta", str(math.pi), "--t=-1e-330", coeffs])
+    assert code == 0
+    with mp.workprec(DEFAULT_PREC_BITS):
+        t = mpmath.mpf("-1e-330")
+        assert t != 0 and mpmath.mpc(out["t"]["re"], out["t"]["im"]) == t
+    with mp.workprec(256):
+        value = mpmath.mpc(out["value"]["re"], out["value"]["im"])
+        exact = -mpmath.exp(-1 / t) * mpmath.e1(-1 / t)
+        assert abs(value - exact) <= out["quadrature_error"] + out["continuation_error"]
+
+
 def test_borel_sum_rational_k(files, capsys):
     # k = 3/2 sums in closed form; the coefficients Gamma(1 + 2n/3) (-4/5)^n,
     # whose order-3/2 Borel transform is 1/(1 + 4 tau/5), as 90-digit decimals
@@ -279,7 +294,7 @@ def test_verify_pde_fails_on_scaled_solution(capsys, monkeypatch):
 
     def scaled(name, trunc):
         ex = real(name, trunc)
-        return dataclasses.replace(ex, f=ex.f * 2)
+        return ExampleData(ex.name, ex.f * 2, ex.p, ex.order, ex.notes)
 
     monkeypatch.setattr(germsum.harness, "gen_example", scaled)
     code, out = run(capsys, ["verify", "pde-quasihom"])
@@ -373,7 +388,6 @@ def test_usage_errors(files, capsys, tmp_path):
         assert cli_main(argv) == 2, argv
         assert "depth -1" in capsys.readouterr().err, argv
     # series arithmetic is floored at DEFAULT_PREC_BITS: a lower --prec is refused
-    from germsum.scalars import DEFAULT_PREC_BITS
     assert cli_main(["--prec", "64", "blowup", "--xi", "0", p]) == 2
     assert f"{DEFAULT_PREC_BITS} bits" in capsys.readouterr().err
     assert cli_main(["--prec", "256", "blowup", "--xi", "0", p]) == 0

@@ -454,6 +454,19 @@ class TestMovingRootSweeps:
         poly = poly_with_roots([QQi(-1)] * 8 + [QQi(Fraction(1, 2)), QQi(-3), QQi(1, 1)])
         assert_roots_match_sweeps_of_every_root(poly, prec)
 
+    def test_sevenfold_root_merges_at_64_bits(self):
+        # (z - 3/4 + i)^7 (z - 3/4): the wide sweeps run out on the stalled
+        # sevenfold root, and the last one kicked an iterate past the merge
+        # radius, so it came back as multiplicities 1, 1 and 6; the iterates
+        # kept are those after the sweep of smallest largest move
+        poly = poly_with_roots([QQi(Fraction(3, 4), -1)] * 7 + [QQi(Fraction(3, 4))])
+        roots = kernel_roots(poly, 64)
+        assert [m for _, m in roots] == [1, 7]
+        with mp.workprec(128):
+            for (v, _), z in zip(roots, (0.75, 0.75 - 1j)):
+                assert abs(mpmath.mpc(v) - z) <= mpmath.ldexp(1, -64)
+        assert_roots_match_sweeps_of_every_root(poly, 64)
+
     def test_euler_denominators_match(self):
         # the Euler and rational denominators of TestPolyRoots, whose narrow
         # phase leaves most roots after a few sweeps
