@@ -86,7 +86,7 @@ from mpmath.libmp import from_man_exp, mpc_log, mpf_add, mpf_euler, repr_dps, to
 from .errors import SectorError, SingularRayError
 from .scalars import (GI_ONE, NOISE_MARGIN, Record, gi_abs, gi_add, gi_below, gi_div,
                       gi_from_mpc, gi_horner, gi_mag, gi_mul, gi_round, gi_sub, gi_submul,
-                      gi_to_mpc, gi_width, is_exact, to_mpc, working_prec)
+                      gi_to_mpc, gi_width, is_exact, ldexp_inf, to_mpc, working_prec)
 from .transforms import _poly_roots, _taylor_hl
 
 TWO_PI = 2 * math.pi
@@ -253,7 +253,7 @@ class RationalApproximant:
             n = gi_horner(num_hl, p, w)
             if not (n[0] or n[1]):
                 continue
-            dn = _horner(dnum_hl, p, w)
+            dn = gi_horner(dnum_hl, p, w)
             e = gi_mag(n)
             if gi_abs(n, e) > FROISSART_REL * max(1, gi_abs(p)) * gi_abs(dn, e):
                 kept.append((p, mult))
@@ -305,11 +305,11 @@ class RationalApproximant:
         fractions = []
         for z, m in centers:
             if m == 1:
-                r = gi_div(_horner(rem_hl[0], z, w), _horner(den_hl[1], z, w), w)
+                r = gi_div(gi_horner(rem_hl[0], z, w), gi_horner(den_hl[1], z, w), w)
                 fractions.append((z, (r,)))
                 continue
-            dd = [gi_to_mpc(_horner(hl, z, w)) for hl in den_hl]
-            rr = [gi_to_mpc(_horner(hl, z, w)) for hl in rem_hl]
+            dd = [gi_to_mpc(gi_horner(hl, z, w)) for hl in den_hl]
+            rr = [gi_to_mpc(gi_horner(hl, z, w)) for hl in rem_hl]
             # an eighth of the distance to the nearest other pole, or to 0,
             # where the ray starts
             reach = min([gi_abs(z)] + [gi_abs(gi_sub(z, o, w)) for o, _ in centers
@@ -404,11 +404,6 @@ def _spread(coeffs, b):
     out = [(0, 0, 0)] * ((len(coeffs) - 1) * b + 1)
     out[::b] = coeffs
     return out
-
-
-def _horner(coeffs_hl, z, w):
-    """``gi_horner``, with zero for the empty polynomial."""
-    return gi_horner(coeffs_hl, z, w) if coeffs_hl else (0, 0, 0)
 
 
 # Bits a row of the Toeplitz elimination keeps below its largest entry, over
@@ -1229,14 +1224,6 @@ def _closed_form_sum(poly, fractions, starts, a, b, u, turn, up, prec):
     return total, mass, me, jumps
 
 
-def _ldexp(x, e):
-    """x 2^e for a float x >= 0, inf above the float range."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
-
-
 def _sector_angle(t, theta, a, b):
     """d = theta - arg t wrapped to [-pi, pi), where the order k = a/b sum at
     t along arg tau = theta is defined: the kernel exp(-(tau/t)^k) decays
@@ -1337,14 +1324,14 @@ def laplace_sum(rc, k, t, derivative=False, eps=1e-16, prec=None):
                 mass, me = mass / gi_abs(bt, gi_mag(bt)), me - gi_mag(bt)
             sums.append((value, mass, me, jumps))
         (v_hi, mass, me, jumps), (v_lo, *_) = sums
-        qerr = _ldexp(mass, me + _CLOSED_FORM_C - prec)
+        qerr = ldexp_inf(mass, me + _CLOSED_FORM_C - prec)
         if not qerr <= eps:
             raise ValueError(f"eps = {float(eps):.3g} is below {qerr:.3g}, the evaluation bound "
                              f"of the {prec}-bit closed-form sum at t = {mpmath.nstr(t, 6)}")
         # the upper approximant's Stokes jumps, scaled like its value
         jump = sum(j for j, _ in jumps)
         if derivative and jump:
-            jump = _ldexp(jump / gi_abs(bt, gi_mag(bt)), -gi_mag(bt))
+            jump = ldexp_inf(jump / gi_abs(bt, gi_mag(bt)), -gi_mag(bt))
         if jump > eps:
             pole = gi_to_mpc(min((gi_abs(c), c) for _, c in jumps)[1]) ** b
             raise SingularRayError(

@@ -24,7 +24,7 @@ from .harness import EXAMPLE_NAMES, verify_example
 from .scalars import (DEFAULT_PREC_BITS, QQi, parse_scalar, scalar_from_json,
                       working_prec)
 from .series import MonomialOrder, series_from_json, series_to_json
-from .transforms import INFINITY, blowup, dominant_data, ramify
+from .transforms import blowup, dominant_data, ramify
 from .weierstrass import Germ, p_expand, wdivide
 
 
@@ -175,8 +175,7 @@ def _dispatch(args):
         germ = _germ_from_args(args)
         _emit(p_expand(_load_series(args.input), germ, args.depth).to_json())
     elif cmd == "blowup":
-        xi = INFINITY if args.xi.lower() in ("inf", "infinity") else parse_scalar(args.xi)
-        _emit(series_to_json(blowup(_load_series(args.input), xi)))
+        _emit(series_to_json(blowup(_load_series(args.input), args.xi)))
     elif cmd == "ramify":
         _emit(series_to_json(ramify(_load_series(args.input), args.k)))
     elif cmd == "dominant":

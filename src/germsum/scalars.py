@@ -295,6 +295,14 @@ def sabs_float(x):
         return float("inf")
 
 
+def ldexp_inf(x, e):
+    """x 2^e for a float x >= 0, inf above the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def scalar_to_json(c):
     if isinstance(c, (int, Fraction)):
         f = Fraction(c)
@@ -315,14 +323,19 @@ def _finite(x, source):
 
 
 def scalar_from_json(obj):
+    """A JSON coefficient: a string or an integer is an exact rational, a float an
+    mpf, and an object with "re" and/or "im" an exact complex rational (string
+    parts) or an mpc.  ``ValueError``, naming the coefficient, for a NaN, an
+    infinity, a zero denominator, a boolean (the coefficient or one of its
+    parts) and an object with neither part."""
+    if any(isinstance(x, bool) for x in (obj.values() if isinstance(obj, dict) else (obj,))):
+        raise ValueError(f"a JSON boolean is not a coefficient: {obj!r}")
     try:
-        if isinstance(obj, str):
+        if isinstance(obj, (str, int)):
             return Fraction(obj)
-        if isinstance(obj, (int, float)):
-            if isinstance(obj, int):
-                return Fraction(obj)
+        if isinstance(obj, float):
             return _finite(mpmath.mpf(obj), obj)
-        if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
+        if isinstance(obj, dict) and obj and set(obj) <= {"re", "im"}:
             re, im = obj.get("re", 0), obj.get("im", 0)
             if isinstance(re, str) or isinstance(im, str):
                 q = QQi(Fraction(str(re)), Fraction(str(im)))
@@ -355,7 +368,8 @@ def parse_scalar(text):
             if im_part in ("", "+", "-"):
                 im_part += "1"
             try:
-                return QQi(Fraction(re_part), Fraction(im_part))
+                q = QQi(Fraction(re_part), Fraction(im_part))
+                return q.re if q.im == 0 else q
             except ValueError:
                 return _finite(mpmath.mpc(mpmath.mpf(re_part), mpmath.mpf(im_part)), text)
         try:
@@ -565,9 +579,10 @@ def gi_div(a, b, w):
 
 def gi_horner(coeffs, z, w):
     """The polynomial with kernel coefficients ``coeffs`` (highest degree
-    first) at the kernel number z, by Horner's rule at w bits."""
+    first) at the kernel number z, by Horner's rule at w bits; zero for no
+    coefficients."""
     zr, zi, ze = z
-    ar, ai, ae = coeffs[0]
+    ar, ai, ae = coeffs[0] if coeffs else (0, 0, 0)
     for cr, ci, ce in coeffs[1:]:
         ar, ai, ae = _gi_add(ar * zr - ai * zi, ar * zi + ai * zr, ae + ze, cr, ci, ce, w)
     return ar, ai, ae

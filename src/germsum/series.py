@@ -21,8 +21,9 @@ float relative cut) and wrap it, as does JSON input, whose terms
 :func:`series_from_json` has checked.
 
 Coefficients are exact rationals, exact complex rationals or mpmath
-complex floats; see :mod:`germsum.scalars`.  Products and substitutions
-run on one series kernel (below) for every coefficient domain; the domain
+complex floats; see :mod:`germsum.scalars`.  A product f*g is a
+substitution, of (f, g) into u*v, and substitutions run on one series
+kernel (below) for every coefficient domain; the domain
 picks only the denominator: integer numerators over one denominator per
 operand when every coefficient is an ``int`` or a ``Fraction``,
 Gaussian-integer mantissas over a power of two for floats, and the
@@ -299,7 +300,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_dim(other)
-        return _mul(self.terms, other.terms, self.dim, min(self.trunc, other.trunc))
+        # u*v at (f, g); the kernel loops over the second image outside, so the
+        # factor with fewer terms (self on a tie) goes second
+        images = [self, other] if len(self.terms) > len(other.terms) else [other, self]
+        return substitute(_PRODUCT, images, out_trunc=min(self.trunc, other.trunc))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -346,6 +350,10 @@ class TruncatedSeries:
         return substitute(self, _constant_images(point, self.dim), out_trunc=0).coeff((0,))
 
 
+# u*v: a product f*g is this series at (f, g)
+_PRODUCT = TruncatedSeries._clean(2, 2, {(1, 1): 1})
+
+
 def _pruned(dim, trunc, terms):
     """The series of a terms dict whose exponents are valid for dim, pruned in place
     (zeros, out-of-window terms, the float relative cut) and wrapped unchecked."""
@@ -367,10 +375,10 @@ def _fmt_term(e, c):
 
 # -- the series kernel -------------------------------------------------------------
 #
-# Products, substitutions and divisions run on the loops below for every
-# coefficient domain, with exponents packed into ints.  int and Fraction data are
-# lifted once to integer numerators over one denominator per operand.  Where some
-# operand (for substitute, every piece) has no exact term, floats are lifted to
+# Substitutions (products among them) and divisions run on the loops below for
+# every coefficient domain, with exponents packed into ints.  int and Fraction data
+# are lifted once to integer numerators over one denominator per operand.  Where
+# every piece of a substitution has no exact term, floats are lifted to
 # Gaussian-integer mantissas (re, im) over one power of two per operand, the
 # smallest nonzero keeping working_prec() + _GUARD bits (scalars.gi_lift); products
 # inside a loop are exact, and a result is truncated to that rule again only where
@@ -552,30 +560,6 @@ def _truncate(products, e, bits):
     return {k: (r >> s, i >> s) for k, (r, i) in products.items()}, e + s
 
 
-def _mul(ta, tb, dim, trunc):
-    """The product of two term dicts without terms of degree > trunc, as a series."""
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    if not ta or trunc < 0:
-        return TruncatedSeries._clean(dim, trunc, {})
-    packing = _Packing(dim, trunc)
-    top = packing.top
-    if _exact_real(ta) and _exact_real(tb):
-        (a, _), da = _pack_terms(ta, packing, trunc, True)
-        b, db = _pack_terms(tb, packing, trunc, True)
-        return packing.finish(trunc, _imul(a, b, trunc, top), da * db)
-    if _has_exact(ta) and _has_exact(tb):
-        (a, _), _ = _pack_terms(ta, packing, trunc, False)
-        b, _ = _pack_terms(tb, packing, trunc, False)
-        with mp.workprec(_float_bits()):
-            product = _imul(a, b, trunc, top)
-        return _finish(dim, trunc, top, packing.unpack, product)
-    (a, _), ea = _pack_float(ta, packing, trunc)
-    b, eb = _pack_float(tb, packing, trunc)
-    return _finish(dim, trunc, top, packing.unpack,
-                   _on_exponent(_gimul(a, b, trunc, top), ea + eb), True)
-
-
 def _horner(coeffs, power, lows, trunc, combine, times):
     """The pieces of a substitution, one at a time: Horner's rule in the last variable.
 
@@ -640,10 +624,12 @@ def _substitute(f, images, packing, out_trunc, exact):
     for e, n in num.items():
         scale = prod(scales[i][k] for i, k in enumerate(e))
         coeffs.append((e, n * scale if scale != 1 else n))
-    acc = {}
+    pieces = _horner(coeffs, power, _lows(lifted, out_trunc, top), out_trunc, combine,
+                     lambda piece, b: _imul(piece.items(), b, out_trunc, top))
+    # combine and _imul build each piece as a fresh dict: the first is the running sum
+    acc = next(pieces, {})
     get = acc.get
-    for piece in _horner(coeffs, power, _lows(lifted, out_trunc, top), out_trunc, combine,
-                         lambda piece, b: _imul(piece.items(), b, out_trunc, top)):
+    for piece in pieces:
         for key, c in piece.items():
             acc[key] = get(key, 0) + c
     for (_, d), t in zip(lifted, tops):

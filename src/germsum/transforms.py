@@ -47,21 +47,25 @@ INFINITY = _Infinity()
 
 
 def _resolve_chart(chart):
-    if isinstance(chart, str) and chart.lower() in ("inf", "infinity"):
-        return INFINITY
+    """The centre a chart argument names: a string is the chart at infinity when it
+    reads ``"inf"`` or ``"infinity"`` (any case), else a scalar
+    (:func:`scalars.parse_scalar`); any other argument is the centre itself."""
+    if isinstance(chart, str):
+        return INFINITY if chart.lower() in ("inf", "infinity") else scalars.parse_scalar(chart)
     return chart
 
 
 def blowup(f, chart):
-    """Compose f with the blow-up chart at xi (or at infinity).
+    """Compose f with the blow-up chart at xi (or at infinity), xi a scalar,
+    :data:`INFINITY` or a string (``"inf"``, ``"1/2"``).
 
     Each input term of total degree m lands at v-degree >= m, so the
     output keeps f's truncation order.  Non-exact xi promotes the affected
     coefficients to floats.
     """
+    xi = _resolve_chart(chart)
     if f.dim < 2:
         raise DimensionMismatchError("blow-up needs at least two variables")
-    xi = _resolve_chart(chart)
     d, n = f.dim, f.trunc
     v2 = TruncatedSeries.variable(1, d, n)
     rest = [TruncatedSeries.variable(j, d, n) for j in range(2, d)]
@@ -422,16 +426,15 @@ def _poly_roots(coeffs_low_to_high, prec):
     return roots
 
 
-def dominant_data(germ, base, prec=None):
+def dominant_data(p, base, prec=None):
     """Compute (h, H, a, roots) and a completing weight order for a germ.
 
-    ``germ`` may be a Germ or a bare TruncatedSeries.  ``base`` is the
-    weight order on the variables beyond the first two (pass None when
-    d == 2).  The completed order takes the base weights on those
-    variables and fills in (w/2, w) on (x1, x2) with w chosen below the
-    base order's smallest value gap, so that the dominant-term claim holds.
+    ``p`` is the germ series.  ``base`` is the weight order on the
+    variables beyond the first two (pass None when d == 2).  The completed
+    order takes the base weights on those variables and fills in (w/2, w)
+    on (x1, x2) with w chosen below the base order's smallest value gap, so
+    that the dominant-term claim holds.
     """
-    p = germ.p if hasattr(germ, "p") else germ
     if p.is_zero:
         raise ZeroGermError("dominant data needs a nonzero germ")
     prec = working_prec(prec)

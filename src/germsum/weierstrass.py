@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import frexp, inf, ldexp
+from math import frexp, inf
 
 from mpmath import mp
 
 from .errors import DimensionMismatchError, ZeroGermError
 from .scalars import (NOISE_MARGIN, Record, gi_abs, gi_from_mpc, gi_lift, gi_to_mpc, integer_arg,
-                      is_zero, sdiv, to_mpc, working_prec)
+                      is_zero, ldexp_inf, sdiv, to_mpc, working_prec)
 from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real, _finish,
                      _float_bits, _has_exact, _json_int, _lift, _Packing, series_from_json,
                      series_to_json, substitute, v_ell)
@@ -109,12 +109,9 @@ def _eliminate(g, germ, depth):
     truncs = [max(g.trunc - n * germ.lead_degree, -1) for n in range(depth + 1)]
     if _exact_real(g.terms) and _exact_real(germ.p.terms):
         rem, dens = _reduce(frame, g.terms, germ, True)
-        levels = [{} for _ in truncs]
-        unpack = frame.packing.unpack
-        for p, (n, j) in rem.items():
-            e = unpack(p)
-            levels[e[d]][e[:d]] = Fraction(n, dens[j])
-        return [TruncatedSeries._clean(d, tr, level) for tr, level in zip(truncs, levels)]
+        levels = frame.levels({p: Fraction(n, dens[j]) for p, (n, j) in rem.items()})
+        return [TruncatedSeries._clean(d, tr, {frame.unpack(p): c for p, c in level.items()})
+                for tr, level in zip(truncs, levels)]
     if _has_exact(g.terms):
         with mp.workprec(_float_bits()):
             rem, _ = _reduce(frame, g.terms, germ, False)
@@ -281,14 +278,6 @@ def _mass(re, im, bits):
         return inf
 
 
-def _scaled(m, k):
-    """The mass m 2^k, inf above the float range."""
-    try:
-        return ldexp(m, k)
-    except OverflowError:
-        return inf
-
-
 def _reduce_float(frame, terms, germ):
     """The float pass of :func:`_reduce`: the remainder as kernel numbers
     (re, im, e), standing for (re + i im) 2^e, by packed key, its noise dropped.
@@ -373,7 +362,7 @@ def _reduce_float(frame, terms, germ):
                 dr = nr * br - ni * bi
                 di = nr * bi + ni * br
             e2 = en + eb + s
-            m2 = _scaled(mn * bm, shift - s)
+            m2 = ldexp_inf(mn * bm, shift - s)
             t2 = rem.get(p2)
             if t2 is None:
                 rem[p2] = (dr, di, e2, m2)
@@ -388,10 +377,10 @@ def _reduce_float(frame, terms, germ):
             elif et < e2:
                 s, e2 = e2 - et, et
                 dr, di = (dr << s) + tr, (di << s) + ti
-                m2 = _scaled(m2, s) + mt
+                m2 = ldexp_inf(m2, s) + mt
             else:
                 dr, di = dr + (tr << et - e2), di + (ti << et - e2)
-                m2 += _scaled(mt, et - e2)
+                m2 += ldexp_inf(mt, et - e2)
             if dr or di:
                 rem[p2] = (dr, di, e2, m2)
             else:

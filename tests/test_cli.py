@@ -1,4 +1,5 @@
 import cmath
+import io
 import json
 import math
 from fractions import Fraction
@@ -13,8 +14,9 @@ from germsum.borel import OneVarSeries, singular_directions
 from germsum.cli import cli_main
 from germsum.scalars import DEFAULT_PREC_BITS
 from germsum.harness import ExampleData, gen_example, verify_example, verify_ode_numeric
-from germsum.series import TruncatedSeries, series_from_json, series_to_json
-from germsum.weierstrass import p_expand
+from germsum.series import MonomialOrder, TruncatedSeries, series_from_json, series_to_json
+from germsum.transforms import blowup
+from germsum.weierstrass import Germ, p_expand, wdivide
 from helpers import pole_transform_quad
 
 TS = TruncatedSeries
@@ -60,7 +62,7 @@ def test_expand_output_parses_back(files, capsys):
         assert series_from_json(g_json) == g
 
 
-def test_blowup_and_ramify(files, capsys):
+def test_blowup_and_ramify(files, capsys, monkeypatch):
     f = files("f.json", series_to_json(TS(2, 10, {(1, 1): 1})))
     code, out = run(capsys, ["blowup", "--xi", "inf", f])
     assert code == 0 and series_from_json(out).terms == {(1, 2): 1}
@@ -68,6 +70,10 @@ def test_blowup_and_ramify(files, capsys):
     assert code == 0
     assert series_from_json(out).terms == {(1, 2): 1, (0, 2): Fraction(1, 2)}
     code, out = run(capsys, ["ramify", "--k", "3", f])
+    assert code == 0 and series_from_json(out).terms == {(3, 1): 1}
+    # '-' reads the input from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(series_to_json(TS(2, 10, {(1, 1): 1})))))
+    code, out = run(capsys, ["ramify", "--k", "3", "-"])
     assert code == 0 and series_from_json(out).terms == {(3, 1): 1}
 
 
@@ -78,6 +84,11 @@ def test_blowup_output_independent_of_center_spelling(files, capsys):
     plain = capsys.readouterr().out
     cli_main(["blowup", "--xi", "1/2+0j", f])
     assert capsys.readouterr().out == plain
+    # both spellings name the exact real centre, so both run the exact-rational pass
+    g = series_from_json(json.loads(plain))
+    for xi in ("1/2+0j", Fraction(1, 2)):
+        out = blowup(g, xi)
+        assert all(type(c) is Fraction for c in out.terms.values())
 
 
 def test_non_finite_center_refused(files, capsys):
@@ -343,6 +354,25 @@ def test_usage_errors(files, capsys, tmp_path):
     assert code == 2 and "bad.json" in err
     code = cli_main(["divide", "--order", "1,1", str(bad)])
     assert code == 2
+    code = cli_main(["ramify", "--k", "2", str(tmp_path / "absent.json")])
+    assert code == 2 and "absent.json" in capsys.readouterr().err
+    # a missing or malformed --order, a complex --rho, a germ sum without --depth
+    for argv in (["divide", "--germ", p, p],
+                 ["divide", "--germ", p, "--order", "1,x", p],
+                 ["divide", "--germ", p, "--order", "1,1:deglex", p],
+                 ["divide", "--germ", p, "--order", "0,1", p],
+                 ["gevrey", "--germ", p, "--order", "1,1", "--depth", "4", "--rho", "1/2+1j", p],
+                 ["borel-sum", p, "--germ", p, "--order", "1,1", "--point", "0.1,0.1",
+                  "--theta", "0"]):
+        assert cli_main(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
+    # a JSON boolean or an object with neither part is no coefficient
+    for coeff in (True, False, {}, {"re": True}):
+        g = files("g.json", {"dim": 2, "trunc": 3, "terms": [{"exp": [1, 0], "coeff": "1"},
+                                                             {"exp": [0, 1], "coeff": coeff}]})
+        assert cli_main(["divide", "--germ", p, "--order", "1,1", g]) == 2, coeff
+        err = capsys.readouterr().err
+        assert "terms[1]" in err and repr(coeff) in err, coeff
     code = cli_main(["blowup"])  # missing required --xi
     assert code == 2
     assert cli_main(["tmap", "--germ", p, "--order", "1,1", "--depth", "3", p]) == 2
@@ -391,6 +421,26 @@ def test_usage_errors(files, capsys, tmp_path):
     assert cli_main(["--prec", "64", "blowup", "--xi", "0", p]) == 2
     assert f"{DEFAULT_PREC_BITS} bits" in capsys.readouterr().err
     assert cli_main(["--prec", "256", "blowup", "--xi", "0", p]) == 0
+
+
+def test_order_reaches_the_division(files, capsys, monkeypatch):
+    import germsum.cli
+
+    seen = []
+
+    def recording_wdivide(g, germ):
+        seen.append(germ.order)
+        return wdivide(g, germ)
+
+    monkeypatch.setattr(germsum.cli, "wdivide", recording_wdivide)
+    p = TS(2, 12, {(0, 2): 1, (3, 0): -1})
+    g = TS(2, 12, {(4, 1): 2, (1, 3): Fraction(1, 3), (2, 0): 1})
+    code, out = run(capsys, ["divide", "--germ", files("p.json", series_to_json(p)),
+                             "--order", "2,3:revlex", files("g.json", series_to_json(g))])
+    order = MonomialOrder((2, 3), "revlex")
+    assert code == 0 and seen == [order]
+    division = wdivide(g, Germ(p, order))
+    assert out == {"q": series_to_json(division.q), "r": series_to_json(division.r)}
 
 
 def test_prec_reaches_series_arithmetic(files, capsys, monkeypatch):

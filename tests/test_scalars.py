@@ -5,6 +5,7 @@ whenever an operand is one; an mpc operand must give the result of mpmath
 at working precision on the other operand rounded once to that precision.
 """
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -154,6 +155,14 @@ def test_parse_scalar_refuses_non_finite(text):
                                  {"re": float("nan"), "im": 0.0}, {"re": 1.0, "im": float("-inf")}])
 def test_scalar_from_json_refuses_non_finite(obj):
     with pytest.raises(ValueError, match="non-finite"):
+        scalar_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [True, False, {}, {"re": True}, {"re": "1", "im": False},
+                                 {"re": 1.0, "im": True}])
+def test_scalar_from_json_refuses_booleans_and_empty_objects(obj):
+    # never read as 1, 0 or 1.0: the error names the coefficient
+    with pytest.raises(ValueError, match=re.escape(repr(obj))):
         scalar_from_json(obj)
 
 

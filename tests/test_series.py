@@ -421,6 +421,9 @@ class TestScalarsAndPruning:
         assert parse_scalar("1/2+1/3j") == QQi(Fraction(1, 2), Fraction(1, 3))
         z = parse_scalar("0.5-0.25j")
         assert isinstance(z, QQi) and z.im == Fraction(-1, 4)
+        # an exact real is a Fraction however it is spelled, as JSON input reads it
+        for text in ("1/2+0j", "1/2-0j", "0.5+0/3j"):
+            assert type(parse_scalar(text)) is Fraction and parse_scalar(text) == Fraction(1, 2)
 
 
 def same_series(a, b):
@@ -536,6 +539,9 @@ class TestJson:
     def test_round_trip_exact(self):
         f = S(2, 6, {(1, 2): Fraction(-3, 7), (0, 0): QQi(1, Fraction(1, 2))})
         assert series_from_json(json.loads(json.dumps(series_to_json(f)))) == f
+        # a JSON integer coefficient is read as an exact Fraction, like its string
+        g = series_from_json({"dim": 2, "trunc": 6, "terms": [{"exp": [1, 2], "coeff": -3}]})
+        assert type(g.terms[(1, 2)]) is Fraction and g == S(2, 6, {(1, 2): -3})
 
     def test_round_trip_float(self):
         f = S(2, 6, {(1, 1): mpmath.mpc("0.125", "-2.5")})
