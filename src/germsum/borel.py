@@ -186,7 +186,7 @@ def borel_transform(series, k, prec=None):
 
 # -- rational (Pade-type) continuation ---------------------------------------
 
-class RationalApproximant:
+class RationalApproximant(Record):
     """Ratio of two polynomials matching a Taylor series to order n+m.
 
     ``num`` and ``den`` hold the coefficients, lowest first, as kernel
@@ -199,18 +199,16 @@ class RationalApproximant:
     The Laplace step's work per pole and point is kept too
     (``pole_starts``).  ``lower`` is the approximant of one order less on
     each side that :func:`build_approximant` solved with it, or None.
+    Every ray and direction report of a Borel series shares its
+    approximants, so none changes once built; only its memos fill.
     """
+    num: tuple
+    den: tuple
+    prec: int
+    lower: RationalApproximant
 
-    __slots__ = ("num", "den", "prec", "lower", "_roots", "_filtered", "_fractions", "_starts")
-
-    def __init__(self, num, den, prec):
-        self.num = tuple(num)
-        self.den = tuple(den)
-        self.prec = prec
-        self.lower = None
-        self._roots = self._filtered = None
-        self._fractions = {}
-        self._starts = {}
+    def __init__(self, num, den, prec, lower=None):
+        super().__init__(tuple(num), tuple(den), prec, lower)
 
     @property
     def order(self):
@@ -228,9 +226,11 @@ class RationalApproximant:
         Nothing is cut by size: a small top coefficient gives a far pole,
         which the Laplace step sums like any other (a pole near the ray is
         charged its Stokes jump there)."""
-        if self._roots is None:
-            self._roots = tuple(_poly_roots(self.den, self.prec))
         return self._roots
+
+    @cached_property
+    def _roots(self):
+        return tuple(_poly_roots(self.den, self.prec))
 
     def filtered_poles(self):
         """Poles with Froissart doublets (a numerator zero within FROISSART_REL) removed.
@@ -244,8 +244,10 @@ class RationalApproximant:
         the fit ran past the rank, the same inputs had 474 doublets, each
         with a step <= 1e-36 max(1, |p|).
         """
-        if self._filtered is not None:
-            return self._filtered
+        return self._filtered
+
+    @cached_property
+    def _filtered(self):
         w = gi_width(self.prec)
         num_hl, dnum_hl = self.num[::-1], _taylor_hl(self.num, 1, w)
         kept = []
@@ -257,8 +259,15 @@ class RationalApproximant:
             e = gi_mag(n)
             if gi_abs(n, e) > FROISSART_REL * max(1, gi_abs(p)) * gi_abs(dn, e):
                 kept.append((p, mult))
-        self._filtered = tuple(kept)
-        return self._filtered
+        return tuple(kept)
+
+    @cached_property
+    def _fractions(self):
+        return {}
+
+    @cached_property
+    def _starts(self):
+        return {}
 
     def partial_fractions(self, b=1):
         """``(poly, fractions)`` with N(s^b)/D(s^b) = Q(s) + sum r_j/(s - c)^j,
@@ -574,9 +583,10 @@ def _toeplitz_solve(a, n, m, w, bits):
     return rank, _back_substitute(*plain[:2], m, w) if rank == m else None, x_lo
 
 
-def _approximant(a, x, n, w, prec):
+def _approximant(a, x, n, w, prec, lower=None):
     """The [n/m] approximant (m = len(x)) of the kernel coefficients ``a``
-    from the solution x_i = -q_i of its denominator system.
+    from the solution x_i = -q_i of its denominator system, ``lower`` its
+    lower approximant.
 
     The numerator p_i = a_i + sum_j q_j a_(i-j) is accumulated in fixed
     point, on one exponent ``_ROW_GUARD`` bits below the kernel width of its
@@ -594,7 +604,7 @@ def _approximant(a, x, n, w, prec):
         for u, v in terms:
             acc = _submul_at(acc, u, v, e)
         num.append(gi_round((*acc, e), w))
-    return RationalApproximant(num, [GI_ONE] + [(-re, -im, e) for re, im, e in x], prec)
+    return RationalApproximant(num, [GI_ONE] + [(-re, -im, e) for re, im, e in x], prec, lower)
 
 
 def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
@@ -635,10 +645,8 @@ def build_approximant(coeffs, m=None, prec=None, exact=None, excess=0):
         m, x, x_lo = _toeplitz_solve(a, m + excess, m, w, bits)
         if x is not None:
             break
-    appr = _approximant(a, x, m + excess, w, prec)
-    if x_lo is not None:
-        appr.lower = _approximant(a, x_lo, m - 1 + excess, w, prec)
-    return appr
+    lower = _approximant(a, x_lo, m - 1 + excess, w, prec) if x_lo is not None else None
+    return _approximant(a, x, m + excess, w, prec, lower)
 
 
 class RayContinuation(Record):

@@ -192,12 +192,14 @@ def verify_pde_formal(f, p, alpha, beta, k):
     ``(x2 P_2 + alpha P^(k+1)) x1 f_1 - (x1 P_1 + beta P^(k+1)) x2 f_2``
     (subscripts = partial derivatives).  The report records whether h is
     exactly divisible by ``x2 * dP/dx2 * P`` (Weierstrass division under
-    :data:`PDE_ORDER`), the cofactor series of that division, whether the
-    cofactor is exactly x1 on every weight the truncation of f determines
-    (``cofactor_is_x1``: the equation ``h = x1 x2 P_2 P`` the pde-quasihom
-    series satisfies), and whether it is the constant 1 (the form the
-    equation is usually quoted with); a cofactor other than 1 is flagged as
-    a discrepancy rather than silently absorbed.
+    :data:`PDE_ORDER`) on every weight of h the truncation of f determines
+    (a remainder term beyond them is not judged), the cofactor series of
+    that division, whether the cofactor is exactly x1 on every weight the
+    truncation of f determines (``cofactor_is_x1``: the equation
+    ``h = x1 x2 P_2 P`` the pde-quasihom series satisfies), and whether it
+    is the constant 1 (the form the equation is usually quoted with); a
+    cofactor other than 1 is flagged as a discrepancy rather than silently
+    absorbed.
     """
     deg_p = p.degree() or 1
     work = f.trunc + (int(k) + 2) * deg_p + 4
@@ -215,15 +217,16 @@ def verify_pde_formal(f, p, alpha, beta, k):
         raise GermsumError("stated right-hand side x2*dP/dx2*P vanishes")
     divisor = Germ(stated, PDE_ORDER)
     division = wdivide(h, divisor)
-    divisible = division.r.is_zero
     cofactor = division.q
     # f is known on the weights below (f.trunc + 1) * min(weights); x_i d/dx_i keeps
-    # weights, so h is known below that plus the least weight of coeff1 and coeff2,
-    # and a cofactor term of weight w is fixed by the terms of h up to w + weight(lead)
+    # weights, so h is known below that plus the least weight of coeff1 and coeff2:
+    # a remainder term there is a true remainder, and a cofactor term of weight w is
+    # fixed by the terms of h up to w + weight(lead)
     weight = divisor.order.weight
-    certified = ((f.trunc + 1) * min(divisor.order.weights)
-                 + min((weight(e) for c in (coeff1, coeff2) for e in c.terms), default=0)
-                 - weight(divisor.lead_exp))
+    known_h = ((f.trunc + 1) * min(divisor.order.weights)
+               + min((weight(e) for c in (coeff1, coeff2) for e in c.terms), default=0))
+    divisible = all(weight(e) >= known_h for e in division.r.terms)
+    certified = known_h - weight(divisor.lead_exp)
     known = {e: c for e, c in cofactor.terms.items() if weight(e) < certified}
     is_stated_form = cofactor.terms == {(0,) * f.dim: 1}
     lead = None

@@ -65,7 +65,8 @@ def integer_arg(value, name):
 
 
 class Record:
-    """Base of the package's immutable result records (``SumResult``,
+    """Base of the package's immutable values (the germ, its order, the
+    expansion, the Pade approximant, the result records ``SumResult``,
     ``GevreyEstimate``, ...), written out so that importing them loads
     neither ``dataclasses`` nor ``inspect`` and generates no code.
 
@@ -74,9 +75,12 @@ class Record:
     class (``dict``) is called for a fresh value per instance.  A record is
     built from its fields by position or keyword, compares and hashes as the
     tuple of its fields (only with a record of its own class), prints as
-    ``Name(field=value, ...)`` and raises ``AttributeError`` on assignment.
-    Its instance ``__dict__`` holds the fields, and a ``cached_property``'s
-    value once read.
+    ``Name(field=value, ...)`` and raises ``AttributeError`` on assignment
+    and on deletion.  Its instance ``__dict__`` holds the fields, and a
+    ``cached_property``'s value once read (derived data and memos).  The
+    values built in the kernel's loops (``QQi``, ``TruncatedSeries``) keep
+    ``__slots__``, their own constructors, equality, hash and repr, and take
+    only the guard.
     """
 
     __slots__ = ()
@@ -125,7 +129,7 @@ _EXACT_REAL = (int, Fraction)
 _FLOAT = (mpmath.mpf, mpmath.mpc)
 
 
-class QQi:
+class QQi(Record):
     """A complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
@@ -133,9 +137,6 @@ class QQi:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *a):
-        raise AttributeError("QQi is immutable")
 
     def __add__(self, other):
         if isinstance(other, QQi):
@@ -324,10 +325,11 @@ def _finite(x, source):
 
 def scalar_from_json(obj):
     """A JSON coefficient: a string or an integer is an exact rational, a float an
-    mpf, and an object with "re" and/or "im" an exact complex rational (string
-    parts) or an mpc.  ``ValueError``, naming the coefficient, for a NaN, an
-    infinity, a zero denominator, a boolean (the coefficient or one of its
-    parts) and an object with neither part."""
+    mpf, and an object with "re" and/or "im" an exact complex rational (a string
+    part, beside a string or an integer) or an mpc (numbers only).  ``ValueError``,
+    naming the coefficient, for a NaN, an infinity, a zero denominator, a boolean
+    (the coefficient or one of its parts), a string part beside a float part and
+    an object with neither part."""
     if any(isinstance(x, bool) for x in (obj.values() if isinstance(obj, dict) else (obj,))):
         raise ValueError(f"a JSON boolean is not a coefficient: {obj!r}")
     try:
@@ -338,6 +340,8 @@ def scalar_from_json(obj):
         if isinstance(obj, dict) and obj and set(obj) <= {"re", "im"}:
             re, im = obj.get("re", 0), obj.get("im", 0)
             if isinstance(re, str) or isinstance(im, str):
+                if isinstance(re, float) or isinstance(im, float):
+                    raise ValueError(f"a JSON coefficient mixes a string and a float part: {obj!r}")
                 q = QQi(Fraction(str(re)), Fraction(str(im)))
                 return q.re if q.im == 0 else q
             return _finite(mpmath.mpc(re, im), obj)

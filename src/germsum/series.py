@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import lcm, prod
 
@@ -43,12 +44,12 @@ from mpmath import mp
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
 from . import scalars
-from .scalars import (_EXACT, _EXACT_REAL, gi_lift, gi_to_mpc, integer_arg, is_zero,
+from .scalars import (_EXACT, _EXACT_REAL, Record, gi_lift, gi_to_mpc, integer_arg, is_zero,
                       sabs_float, sadd, scalar_eq, scalar_from_json, scalar_to_json, smul,
                       sneg, to_mpc, working_prec)
 
 
-class MonomialOrder:
+class MonomialOrder(Record):
     """Positive rational weights plus a deterministic total-order tie-break.
 
     The induced order on exponents compares the weighted degree first, the
@@ -58,8 +59,8 @@ class MonomialOrder:
     with addition, refining the weight comparison.  Keys compare the weights
     scaled to integers (``int_weights``), which induces the same order.
     """
-
-    __slots__ = ("weights", "tiebreak", "int_weights")
+    weights: tuple
+    tiebreak: str
 
     def __init__(self, weights, tiebreak="lex"):
         ws = tuple(Fraction(w) for w in weights)
@@ -67,14 +68,12 @@ class MonomialOrder:
             raise ValueError("monomial order needs a nonempty positive weight vector")
         if tiebreak not in ("lex", "revlex"):
             raise ValueError(f"unknown tiebreak {tiebreak!r}")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "tiebreak", tiebreak)
-        scale = lcm(*(w.denominator for w in ws))
-        object.__setattr__(self, "int_weights",
-                           tuple(w.numerator * (scale // w.denominator) for w in ws))
+        super().__init__(ws, tiebreak)
 
-    def __setattr__(self, *a):
-        raise AttributeError("MonomialOrder is immutable")
+    @cached_property
+    def int_weights(self):
+        scale = lcm(*(w.denominator for w in self.weights))
+        return tuple(w.numerator * (scale // w.denominator) for w in self.weights)
 
     @property
     def dim(self):
@@ -90,14 +89,6 @@ class MonomialOrder:
         else:
             tie = tuple(-k for k in reversed(e))
         return (sum(w * k for w, k in zip(self.int_weights, e)), sum(e), tie)
-
-    def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and self.weights == other.weights
-                and self.tiebreak == other.tiebreak)
-
-    def __hash__(self):
-        return hash((self.weights, self.tiebreak))
 
     def __repr__(self):
         ws = ",".join(str(w) for w in self.weights)
@@ -155,7 +146,7 @@ def _noise_floors(degree_mags):
     return {d: best[d] - cut for d, n in count.items() if n > 1}
 
 
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Element of C[[x1..xd]] known modulo terms of total degree > trunc."""
 
     __slots__ = ("dim", "trunc", "terms")
@@ -178,9 +169,6 @@ class TruncatedSeries:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "terms", _prune_terms(clean, trunc))
-
-    def __setattr__(self, *a):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def _clean(cls, dim, trunc, terms):

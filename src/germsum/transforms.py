@@ -30,14 +30,7 @@ from .scalars import (Record, gi_below, gi_div, gi_from_mpc, gi_horner, gi_mag, 
 from .series import MonomialOrder, TruncatedSeries, substitute
 
 
-class _Infinity:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
+class _Infinity(Record):
     def __repr__(self):
         return "inf"
 

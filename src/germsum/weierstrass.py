@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import cached_property
 from math import frexp, inf
 
 from mpmath import mp
@@ -32,10 +33,12 @@ from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_re
                      series_to_json, substitute, v_ell)
 
 
-class Germ:
+class Germ(Record):
     """A divisor germ: nonzero series with zero constant term, plus its order data."""
-
-    __slots__ = ("p", "order", "lead_exp", "lead_coeff")
+    p: TruncatedSeries
+    order: MonomialOrder
+    lead_exp: tuple
+    lead_coeff: object
 
     def __init__(self, p, order):
         if not isinstance(order, MonomialOrder):
@@ -48,13 +51,7 @@ class Germ:
         if not is_zero(p.coeff((0,) * p.dim)):
             raise ZeroGermError("germ must vanish at the origin")
         lead = v_ell(p, order)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "lead_exp", lead)
-        object.__setattr__(self, "lead_coeff", p.terms[lead])
-
-    def __setattr__(self, *a):
-        raise AttributeError("Germ is immutable")
+        super().__init__(p, order, lead, p.terms[lead])
 
     @property
     def dim(self):
@@ -389,7 +386,7 @@ def _reduce_float(frame, terms, germ):
             if not (0 < m < inf and max(r.bit_length(), i.bit_length()) - frexp(m)[1] <= lag)}
 
 
-class PExpansion:
+class PExpansion(Record):
     """Coefficients g_0..g_{M-1} of f = sum g_n * P^n, each off the cone.
 
     The same data read as ``sum_n g_n(x) t^n`` is the germ-relative
@@ -403,18 +400,18 @@ class PExpansion:
     ``BorelSeries`` built from them, so that points whose coefficients are
     equal share one continuation.
     """
-
-    __slots__ = ("germ", "coeffs", "depth", "trunc", "_borel")
+    germ: Germ
+    coeffs: tuple
+    depth: int
+    trunc: int
 
     def __init__(self, germ, coeffs, trunc):
-        object.__setattr__(self, "germ", germ)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "depth", len(coeffs))
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_borel", {})
+        coeffs = tuple(coeffs)
+        super().__init__(germ, coeffs, len(coeffs), trunc)
 
-    def __setattr__(self, *a):
-        raise AttributeError("PExpansion is immutable")
+    @cached_property
+    def _borel(self):
+        return {}
 
     def reliable_order(self, n):
         return self.trunc - n * self.germ.lead_degree

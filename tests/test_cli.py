@@ -366,8 +366,11 @@ def test_usage_errors(files, capsys, tmp_path):
                   "--theta", "0"]):
         assert cli_main(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
-    # a JSON boolean or an object with neither part is no coefficient
-    for coeff in (True, False, {}, {"re": True}):
+    # a JSON boolean, an object with neither part and one with a string part beside a
+    # float part (read as QQi(1/3, 1/10), and 1e300 beside "0" as an exact integer)
+    # are no coefficient
+    for coeff in (True, False, {}, {"re": True}, {"re": "1/3", "im": 0.1},
+                  {"re": 1e300, "im": "0"}):
         g = files("g.json", {"dim": 2, "trunc": 3, "terms": [{"exp": [1, 0], "coeff": "1"},
                                                              {"exp": [0, 1], "coeff": coeff}]})
         assert cli_main(["divide", "--germ", p, "--order", "1,1", g]) == 2, coeff

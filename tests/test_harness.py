@@ -13,7 +13,7 @@ from germsum.errors import GermsumError, SingularRayError
 from germsum.harness import (gen_example, sample_p_sector, verify_ode_formal,
                              verify_ode_numeric, verify_pde_formal)
 from germsum.scalars import QQi
-from germsum.series import MonomialOrder, TruncatedSeries
+from germsum.series import MonomialOrder, TruncatedSeries, substitute
 from germsum.transforms import INFINITY, blowup
 from germsum.weierstrass import Germ, p_expand
 
@@ -96,6 +96,23 @@ class TestPdeFormal:
         x1 = TS.variable(0, 2, t)
         assert cofactor == x1 - x1 * ex.p.with_trunc(t) ** n * factorial(n)
         assert rep.details["divisible_by_stated_rhs"] and rep.details["cofactor_is_x1"]
+
+    @pytest.mark.parametrize("trunc", [25, 27, 30])
+    def test_divisible_where_certified(self, trunc):
+        # the summands x1 m! P^(m+1) of lowest degree <= trunc, held to the
+        # truncation: h keeps remainder terms only at weights f does not determine
+        # (at 27 and 30 the lowest one sits exactly at the first such weight)
+        ex = gen_example("pde-quasihom", trunc)
+        y = TS(2, trunc, {(1, m + 1): factorial(m) for m in range((trunc - 1) // 2)})
+        f = substitute(y, [TS.variable(0, 2, trunc), ex.p], out_trunc=trunc)
+        assert len(f.terms) > len(ex.f.terms)
+        rep, _ = verify_pde_formal(f, ex.p, 0, 1, 1)
+        d = rep.details
+        assert d["remainder_terms"] > 0
+        assert d["divisible_by_stated_rhs"] and d["cofactor_is_x1"]
+        # a remainder at a certified weight still counts
+        rep, _ = verify_pde_formal(f + TS(2, trunc, {(2, 0): 1}), ex.p, 0, 1, 1)
+        assert not rep.details["divisible_by_stated_rhs"]
 
     def test_scaled_solution_fails_the_equation(self):
         # 2f is divisible with cofactor 2*x1: it does not satisfy h = x1*x2*P_2*P

@@ -1,21 +1,27 @@
 """The immutable records (``scalars.Record``) behave as the frozen dataclasses
-they replace, and importing germsum loads neither ``dataclasses`` nor ``inspect``."""
+they replace, every immutable value of the package takes the one guard of
+``Record``, and importing germsum loads neither ``dataclasses`` nor ``inspect``."""
 import dataclasses
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
 import germsum
+from germsum import (borel, cli, errors, gevrey, harness, scalars, series, transforms,
+                     weierstrass)
 from germsum.borel import (BorelSeries, OneVarSeries, PoleCluster, RayContinuation,
-                           SingularDirectionReport, SumResult)
+                           SingularDirectionReport, SumResult, build_approximant)
 from germsum.gevrey import GevreyEstimate, NormSequence
 from germsum.harness import ExampleData, PSectorSample, ResidualReport
-from germsum.transforms import DominantData
-from germsum.weierstrass import DivisionResult
+from germsum.scalars import QQi, Record
+from germsum.series import MonomialOrder, TruncatedSeries
+from germsum.transforms import INFINITY, DominantData
+from germsum.weierstrass import DivisionResult, Germ, p_expand
 
 NO_DEFAULT = object()
 
@@ -155,6 +161,64 @@ def test_ray_continuation_values_computed_once():
     assert rc.values is rc.values and rc.errors == (0.0, 0.0) and len(calls) == 4
     assert rc == RayContinuation(1.0, 0.0, (0.5, 1.0), 64, approximant, approximant)
     assert isinstance(rc.values[0], mpmath.mpc)
+
+
+def values():
+    """One of each immutable value that is not a result record, with the names
+    to try: a field, a derived attribute or memo once read, and a new name."""
+    germ = Germ(TruncatedSeries(2, 8, {(0, 2): 1, (3, 0): -1}), MonomialOrder((2, 3)))
+    expansion = p_expand(germ.p * germ.p, germ, 3)
+    approximant = build_approximant([Fraction(1, 2 ** n) + n for n in range(9)])
+    assert approximant.lower is not None and approximant.raw_poles() is not None
+    order = germ.order
+    assert order.int_weights == (2, 3) and expansion._borel == {}
+    return [(germ.p, ("terms", "dim")), (QQi(1, 2), ("re", "im")),
+            (order, ("weights", "int_weights")), (germ, ("p", "lead_exp")),
+            (expansion, ("coeffs", "_borel")),
+            (approximant, ("lower", "num", "_roots")), (INFINITY, ())]
+
+
+def test_every_value_refuses_assignment_and_deletion():
+    # del series.terms, del germ.p and del expansion.coeffs succeeded, and an
+    # approximant shared by every ray took any assignment
+    for value, names in values():
+        for name in names + ("not_a_field",):
+            before = getattr(value, name, None)
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name, None) is before, (value, name)
+
+
+def test_record_is_the_only_guard():
+    classes = [c for m in (borel, cli, errors, gevrey, harness, scalars, series, transforms,
+                           weierstrass)
+               for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__]
+    assert [c for c in classes if {"__setattr__", "__delattr__"} & set(vars(c))] == [Record]
+    for value, _ in values():
+        assert isinstance(value, Record)
+    # the kernel's values keep their slots
+    for value in (TruncatedSeries(1, 2, {(1,): 1}), QQi(1, 2)):
+        assert not hasattr(value, "__dict__") and type(value).__slots__
+
+
+def test_values_compare_by_value():
+    germ, twin = (Germ(TruncatedSeries(2, 8, {(1, 1): 1}), MonomialOrder((1, 1)))
+                  for _ in range(2))
+    assert germ == twin and germ != Germ(germ.p, MonomialOrder((1, 2)))
+    assert p_expand(germ.p, germ, 2) == p_expand(twin.p, twin, 2)
+    coeffs = [Fraction(1, 2 ** n) for n in range(7)]
+    assert build_approximant(coeffs) == build_approximant(coeffs)
+    assert MonomialOrder((2, 3)) == MonomialOrder((2, 3), "lex") != MonomialOrder((2, 3), "revlex")
+    # the memos are not compared, and a value holding a series has no hash
+    assert p_expand(germ.p, germ, 2)._borel is not p_expand(germ.p, germ, 2)._borel
+    for value in (germ, p_expand(germ.p, germ, 2)):
+        with pytest.raises(TypeError):
+            hash(value)
+    assert hash(MonomialOrder((2, 3))) == hash(MonomialOrder([2, 3]))
+    assert isinstance(hash(build_approximant(coeffs)), int)
+    assert repr(INFINITY) == "inf" and INFINITY == type(INFINITY)()
 
 
 def test_import_loads_no_numpy_dataclasses_or_inspect():

@@ -166,6 +166,17 @@ def test_scalar_from_json_refuses_booleans_and_empty_objects(obj):
         scalar_from_json(obj)
 
 
+@pytest.mark.parametrize("obj", [{"re": "1/3", "im": 0.1}, {"re": 1e300, "im": "0"},
+                                 {"re": 0.5, "im": "1"}])
+def test_scalar_from_json_refuses_a_string_part_beside_a_float_part(obj):
+    # the float was read through its decimal repr as an exact rational
+    with pytest.raises(ValueError, match=re.escape(repr(obj))):
+        scalar_from_json(obj)
+    # a string beside an integer stays exact, numbers beside numbers stay float
+    assert scalar_from_json({"re": "1/3", "im": 2}) == QQi(Fraction(1, 3), 2)
+    assert scalar_from_json({"re": 0, "im": 0.1}) == mpmath.mpc(0, 0.1)
+
+
 # Gaussian-integer kernel: each helper against mpmath at 600 bits, within
 # 2^(4 - w) of the result (of the larger operand for a difference)
 KERNEL_W = 138

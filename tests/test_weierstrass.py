@@ -406,6 +406,30 @@ def test_float_elimination_keeps_relative_precision(lead, tail):
                 assert sabs(c) < cut * max(sabs(b) for k, b in r.terms.items() if sum(k) == sum(e))
 
 
+@pytest.mark.parametrize("p, weights", [({(0, 2): 1, (3, 0): -1}, (2, 3)),
+                                        ({(2, 0): 1, (1, 1): 1, (0, 2): -1}, (1, 1)),
+                                        ({(1, 1): 1}, (1, 1))])
+def test_float_expansion_meets_exact_cancellation(p, weights):
+    """u (P + P^2 + P^3) with the dyadic float u = 1/2 + x1/4 + x2/8, expanded
+    to depth 4 at trunc 16: sums in the float elimination cancel exactly (such
+    a sum is deleted, and the heap entry of the term it held is skipped), and
+    the expansion is g_0 = 0, g_1 = g_2 = g_3 = u, equal to the expansion of the
+    same data with Fraction coefficients."""
+    trunc, depth = 16, 4
+    u = {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4), (0, 1): Fraction(1, 8)}
+    germ = Germ(TS(2, trunc, p), MonomialOrder(weights))
+    sums = germ.p + germ.p ** 2 + germ.p ** 3
+
+    def expansion(scalar):
+        return p_expand(TS(2, trunc, {e: scalar(c) for e, c in u.items()}) * sums, germ,
+                        depth).coeffs
+
+    floats, exact = expansion(to_mpc), expansion(Fraction)
+    assert all(isinstance(c, mpmath.mpc) for g in floats for c in g.terms.values())
+    assert [g.terms for g in exact] == [{}, u, u, u]
+    assert floats == exact
+
+
 class TestMixedDomains:
     """Fraction, QQi and mpc coefficients mixed in one operand: wdivide and
     p_expand against the reference run on the s* funnel."""
