@@ -85,11 +85,11 @@ def gen_example(name, trunc):
         y = TruncatedSeries(1, n // 2, {(m + 1,): factorial(m) for m in range(n // 2)})
         f = substitute(y, [p], out_trunc=p.trunc)
         return ExampleData(name, f, p, MonomialOrder((1, 1)), {})
-    # x1 * y(P) for y = sum_{m < depth} m! t^(m+1), whole summands only: x1 * P^(m+1)
-    # has top degree 1 + 3(m+1), so no power of the (inhomogeneous) germ gets sliced
-    depth = (n - 1) // 3
+    # x1 * y(P) for y = sum_{m < depth} m! t^(m+1): every summand x1 m! P^(m+1) of
+    # lowest degree 2m + 3 <= n, held to the truncation n
+    depth = (n - 1) // 2
     y = TruncatedSeries(2, depth + 1, {(1, m + 1): factorial(m) for m in range(depth)})
-    f = substitute(y, [TruncatedSeries.variable(0, 2, n), p], out_trunc=p.trunc)
+    f = substitute(y, [TruncatedSeries.variable(0, 2, n), p], out_trunc=n)
     return ExampleData(name, f, p, MonomialOrder((2, 3)),
                        {"alpha": 0, "beta": 1, "k": 1, "depth": depth})
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
-from math import frexp, inf
+from math import frexp, inf, lcm
 
 from mpmath import mp
 
@@ -29,8 +29,8 @@ from .errors import DimensionMismatchError, ZeroGermError
 from .scalars import (NOISE_MARGIN, Record, gi_abs, gi_from_mpc, gi_lift, gi_to_mpc, integer_arg,
                       is_zero, ldexp_inf, sdiv, to_mpc, working_prec)
 from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real, _finish,
-                     _float_bits, _has_exact, _json_int, _lift, _Packing, series_from_json,
-                     series_to_json, substitute, v_ell)
+                     _float_bits, _has_exact, _imul, _json_int, _lift, _operand, _Packing,
+                     series_from_json, series_to_json, substitute, v_ell)
 
 
 class Germ(Record):
@@ -476,15 +476,56 @@ def p_expand(f, germ, depth):
 def t_substitute(expansion):
     """Replace t by P: evaluate sum g_n * P^n modulo the expansion's truncation.
 
-    One substitution of ``(x_1, ..., x_d, P)`` into ``G(x, t) = sum g_n(x) t^n``,
-    formed at the expansion's stated truncation, so this is the exact
-    left-inverse of :func:`p_expand` there (provided the depth exhausted the
-    quotient).
+    Horner's rule in P (Knuth, *TAOCP* vol. 2, 4.6.4), one product by P per
+    level: with T = min(expansion.trunc, P.trunc) and v the lowest degree of
+    P, ``acc = g_top`` and then ``acc <- acc * P + g_n`` for n = top - 1 .. 0,
+    each step kept to degree T - n*v.  A term dropped there still meets n
+    factors of P, so it could only land above T: the result is exact to T,
+    the exact left-inverse of :func:`p_expand` there (provided the depth
+    exhausted the quotient).  Exact real data run on packed integer
+    numerators over one denominator, den(g) * den(P)^top; other data on their
+    own scalars at 32 bits above the working precision, each float result
+    rounded to the working precision once, as in the series kernel.
     """
     germ = expansion.germ
+    d, p = germ.dim, germ.p.terms
     trunc = min(expansion.trunc, germ.p.trunc)
-    xs = [TruncatedSeries.variable(i, germ.dim, trunc) for i in range(germ.dim)]
-    return substitute(_t_series(expansion), xs + [germ.p], out_trunc=trunc)
+    coeffs = expansion.coeffs
+    if trunc < 0 or all(g.is_zero for g in coeffs):
+        return TruncatedSeries._clean(d, max(trunc, -1), {})
+    low = germ.p.valuation()
+    # level n is kept to degree trunc - n*low: levels above trunc // low add nothing
+    top_level = min(len(coeffs) - 1, trunc // low)
+    packing = _Packing(d, trunc)
+    pack, ptop = packing.pack, packing.top
+    exact = _exact_real(p) and all(_exact_real(g.terms) for g in coeffs)
+    p_num, p_den = _lift(p, exact)
+    p_op = _operand([(pack(e), c) for e, c in p_num.items() if sum(e) <= trunc], trunc, ptop)
+    lifted = [_lift(g.terms, exact) for g in coeffs[:top_level + 1]]
+    den = lcm(*(den_n for _, den_n in lifted))
+    levels = []
+    for n, (num, den_n) in enumerate(lifted):
+        # g_n over den * p_den^(top - n): the n products by P still to come bring it to
+        # the result's den * p_den^top
+        scale = den // den_n * p_den ** (top_level - n)
+        cap = trunc - n * low
+        levels.append([(pack(e), c * scale if scale != 1 else c)
+                       for e, c in num.items() if sum(e) <= cap])
+
+    def horner():
+        acc = {}
+        for n in range(top_level, -1, -1):
+            acc = _imul(acc.items(), p_op, trunc - n * low, ptop)
+            get = acc.get
+            for k, c in levels[n]:
+                acc[k] = get(k, 0) + c
+        return acc
+
+    if exact:
+        return packing.finish(trunc, horner(), den * p_den ** top_level)
+    with mp.workprec(_float_bits()):
+        acc = horner()
+    return _finish(d, trunc, ptop, packing.unpack, acc)
 
 
 def _t_series(expansion):

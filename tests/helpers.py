@@ -12,8 +12,8 @@ from mpmath import mp
 
 from germsum.borel import OneVarSeries, _angdiff
 from germsum.scalars import QQi, is_exact, sabs, sadd, smul, sneg, to_mpc, working_prec
-from germsum.series import MonomialOrder, TruncatedSeries
-from germsum.weierstrass import Germ, delta_member
+from germsum.series import MonomialOrder, TruncatedSeries, substitute
+from germsum.weierstrass import Germ, _t_series, delta_member
 
 
 def random_series(rng, dim, trunc, max_terms=10, complex_coeffs=False,
@@ -197,17 +197,17 @@ def ref_eval(terms, point, add=operator.add, mul=operator.mul):
     return total
 
 
-def assert_near_reference(results, refs):
+def assert_near_reference(results, refs, margin=16):
     """Each result series agrees with its reference series (the reference terms
     wrapped by the TruncatedSeries constructor).
 
     Every coefficient, a missing term read as 0, is within
-    ``2^(16 - prec) * max|c|`` of the reference, the maximum taken over all
+    ``2^(margin - prec) * max|c|`` of the reference, the maximum taken over all
     reference coefficients and prec being the working precision; a coefficient
     is exact exactly where the reference's is, and then equal to it.
     """
     scale = max((sabs(c) for ref in refs for c in ref.terms.values()), default=0)
-    tol = scale * mpmath.mpf(2) ** (16 - working_prec())
+    tol = scale * mpmath.mpf(2) ** (margin - working_prec())
     for out, ref in zip(results, refs, strict=True):
         assert (out.dim, out.trunc) == (ref.dim, ref.trunc)
         for e in set(out.terms) | set(ref.terms):
@@ -218,6 +218,15 @@ def assert_near_reference(results, refs):
             assert not any(is_exact(c) for c in (a, b) if c is not None), (e, a, b)
             diff = sadd(0 if a is None else a, sneg(0 if b is None else b))
             assert sabs(diff) <= tol, (e, a, b)
+
+
+def ref_t_substitute(expansion):
+    """``weierstrass.t_substitute`` as one substitution of (x_1, ..., x_d, P) into
+    G(x, t) = sum g_n(x) t^n, formed at min(expansion.trunc, P.trunc)."""
+    germ = expansion.germ
+    trunc = min(expansion.trunc, germ.p.trunc)
+    xs = [TruncatedSeries.variable(i, germ.dim, trunc) for i in range(germ.dim)]
+    return substitute(_t_series(expansion), xs + [germ.p], out_trunc=trunc)
 
 
 def ref_order_key(weights, tiebreak):

@@ -38,7 +38,23 @@ class TestGenerators:
         ex = gen_example("pde-quasihom", 13)
         assert ex.f.coeff((1, 2)) == 1           # x1 * P
         assert ex.f.coeff((4, 0)) == -1          # x1 * (-x1^3)
-        assert ex.notes["depth"] == 4
+        assert ex.notes["depth"] == 6            # the summands m = 0..5, 2m + 3 <= 13
+
+    @pytest.mark.parametrize("trunc", [3, 4, 13, 25, 28, 34])
+    def test_pde_every_term_to_the_truncation(self, trunc):
+        # x1 m! P^(m+1) = sum_k m! C(m+1, k) x2^(2k) (-x1^3)^(m+1-k), summed term by
+        # term over every m: each term of degree <= trunc is the generator's (whole
+        # summands alone missed those of the summands that cross the truncation)
+        want = {}
+        for m in range(trunc):
+            for k in range(m + 2):
+                e = (1 + 3 * (m + 1 - k), 2 * k)
+                if sum(e) <= trunc:
+                    c = factorial(m) * math.comb(m + 1, k) * (-1) ** (m + 1 - k)
+                    want[e] = want.get(e, 0) + c
+        ex = gen_example("pde-quasihom", trunc)
+        assert ex.f.trunc == trunc
+        assert ex.f.terms == {e: c for e, c in want.items() if c}
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -87,25 +103,34 @@ class TestPdeFormal:
 
     @pytest.mark.parametrize("trunc", [13, 25, 26, 27, 28, 34])
     def test_cofactor_is_x1_where_certified(self, trunc):
-        # the whole-summand representative has cofactor x1*(1 - N!*P^N), whose
-        # second part lies at weights the truncation of f does not determine
+        # the whole-summand representative x1 sum_{m < N} m! P^(m+1), N = (trunc - 1)//3,
+        # has cofactor x1*(1 - N!*P^N), whose second part lies at weights the
+        # truncation of f does not determine
         ex = gen_example("pde-quasihom", trunc)
-        rep, _ = verify_pde_formal(ex.f, ex.p, 0, 1, 1)
-        cofactor, n = rep.details["cofactor"], ex.notes["depth"]
+        n = (trunc - 1) // 3
+        y = TS(2, n + 1, {(1, m + 1): factorial(m) for m in range(n)})
+        whole = substitute(y, [TS.variable(0, 2, trunc), ex.p], out_trunc=trunc)
+        rep, _ = verify_pde_formal(whole, ex.p, 0, 1, 1)
+        cofactor = rep.details["cofactor"]
         t = cofactor.trunc
         x1 = TS.variable(0, 2, t)
         assert cofactor == x1 - x1 * ex.p.with_trunc(t) ** n * factorial(n)
+        assert rep.details["divisible_by_stated_rhs"] and rep.details["cofactor_is_x1"]
+        # the generator's series, which holds the summands that cross the truncation
+        # too, has cofactor x1 on every weight its truncation determines
+        rep, _ = verify_pde_formal(ex.f, ex.p, 0, 1, 1)
         assert rep.details["divisible_by_stated_rhs"] and rep.details["cofactor_is_x1"]
 
     @pytest.mark.parametrize("trunc", [25, 27, 30])
     def test_divisible_where_certified(self, trunc):
         # the summands x1 m! P^(m+1) of lowest degree <= trunc, held to the
-        # truncation: h keeps remainder terms only at weights f does not determine
-        # (at 27 and 30 the lowest one sits exactly at the first such weight)
+        # truncation (the generator's series): h keeps remainder terms only at weights
+        # f does not determine (at 27 and 30 the lowest one sits exactly at the first
+        # such weight)
         ex = gen_example("pde-quasihom", trunc)
         y = TS(2, trunc, {(1, m + 1): factorial(m) for m in range((trunc - 1) // 2)})
         f = substitute(y, [TS.variable(0, 2, trunc), ex.p], out_trunc=trunc)
-        assert len(f.terms) > len(ex.f.terms)
+        assert f == ex.f
         rep, _ = verify_pde_formal(f, ex.p, 0, 1, 1)
         d = rep.details
         assert d["remainder_terms"] > 0

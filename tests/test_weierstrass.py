@@ -15,10 +15,10 @@ from germsum.series import MonomialOrder, TruncatedSeries, series_to_json, subst
 from germsum.weierstrass import (Germ, PExpansion, delta_member, p_expand,
                                  t_substitute, wdivide)
 
-from helpers import (SHAPES, assert_near_reference, exact_germs, exact_series,
-                     expansion_oracle, fixed_germs, mixed, mixed_germs, points, random_series,
-                     ref_eval, ref_mass_expand, ref_mul, ref_order_key, ref_p_expand,
-                     ref_substitute, ref_wdivide)
+from helpers import (LAM, SHAPES, assert_near_reference, exact_coeffs, exact_germs,
+                     exact_series, expansion_oracle, exponents, fixed_germs, mixed, mixed_germs,
+                     points, random_series, ref_eval, ref_mass_expand, ref_mul, ref_order_key,
+                     ref_p_expand, ref_substitute, ref_t_substitute, ref_wdivide)
 
 TS = TruncatedSeries
 
@@ -603,6 +603,41 @@ class TestTMapSubstitute:
         f = TS(2, 44, {(n, 3 * n): factorial(n) for n in range(11)})
         germ = Germ(TS(2, 44, {(1, 1): 1}), MonomialOrder((1, 1)))
         assert t_substitute(p_expand(f, germ, 11)) == f
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_one_substitution(self, data):
+        """Horner's rule in P against one substitution of (x, P) into sum g_n t^n
+        (helpers.ref_t_substitute), on int/Fraction, QQi, float and mixed data, at
+        depths 0..trunc+2, the expansion's truncation above or below P's and terms of
+        P above it: exact data equal, coefficient types included, and float data
+        within 2^(8 - prec) max|c|."""
+        dim, trunc = data.draw(st.sampled_from(SHAPES))
+        domain = data.draw(st.sampled_from(("exact", "qqi", "float", "mixed")))
+        qqi = domain != "exact"
+
+        def cast(f):
+            if domain == "float":
+                return TS(f.dim, f.trunc, {e: smul(c, LAM) for e, c in f.terms.items()})
+            return data.draw(mixed(f)) if domain == "mixed" else f
+
+        p_trunc = data.draw(st.integers(3, trunc))
+        germ = data.draw(exact_germs(dim, p_trunc, qqi=qqi))
+        p_terms = dict(germ.p.terms)
+        if data.draw(st.booleans()):
+            # a term at P's own truncation, above the expansion's where that is lower
+            p_terms[data.draw(exponents(dim, p_trunc, p_trunc))] = data.draw(exact_coeffs(qqi))
+        germ = Germ(cast(TS(dim, p_trunc, p_terms)), germ.order)
+        coeffs = [cast(data.draw(exact_series(dim, trunc, qqi=qqi, max_terms=6)))
+                  for _ in range(data.draw(st.integers(0, trunc + 2)))]
+        expansion = PExpansion(germ, coeffs, data.draw(st.integers(-1, trunc + 2)))
+        out, ref = t_substitute(expansion), ref_t_substitute(expansion)
+        if domain in ("exact", "qqi"):
+            assert (out.dim, out.trunc) == (ref.dim, ref.trunc)
+            assert ({e: (type(c), c) for e, c in out.terms.items()}
+                    == {e: (type(c), c) for e, c in ref.terms.items()})
+        else:
+            assert_near_reference([out], [ref], margin=8)
 
 
 class TestFloatPath:
