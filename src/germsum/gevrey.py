@@ -11,13 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import GermsumError
 from .scalars import Record, integer_arg
 from .series import majorant_norm, majorant_radius
-
-
-class InsufficientDataError(GermsumError):
-    pass
 
 
 class NormSequence(Record):
@@ -81,7 +76,7 @@ def fit_gevrey(ns, n_min=5):
     rows = [(n, math.log(x)) for n, (x, z) in enumerate(zip(ns.norms, ns.zero_mask))
             if n >= n_min and not z]
     if len(rows) < 4:
-        raise InsufficientDataError(
+        raise ValueError(
             f"need at least 4 nonzero norms with index >= {n_min}, have {len(rows)}")
     design = np.array([[1.0, n, math.lgamma(n + 1)] for n, _ in rows])
     target = np.array([y for _, y in rows])

@@ -199,9 +199,10 @@ class TruncatedSeries(Record):
 
     @classmethod
     def variable(cls, i, dim, trunc):
-        e = [0] * dim
-        e[i] = 1
-        return cls(dim, trunc, {tuple(e): 1})
+        """x_(i+1) in dim variables; ``ValueError``, naming i, unless 0 <= i < dim."""
+        if i not in range(dim):
+            raise ValueError(f"variable index {i} out of range")
+        return cls(dim, trunc, {tuple(int(k == i) for k in range(dim)): 1})
 
     # -- queries -----------------------------------------------------------
     @property
@@ -301,17 +302,13 @@ class TruncatedSeries(Record):
         return _pruned(self.dim, self.trunc, {e: smul(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, n):
+        """f**n: :meth:`one` (the int 1) for n = 0, else one substitution of f into u^n,
+        as a product f*g is one of (f, g) into u*v."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("series powers take nonnegative integer exponents")
-        result = TruncatedSeries.one(self.dim, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if not n:
+            return TruncatedSeries.one(self.dim, self.trunc)
+        return substitute(TruncatedSeries._clean(1, n, {(n,): 1}), [self], out_trunc=self.trunc)
 
     def differentiate(self, i):
         """Partial derivative in variable i; certifies one order less."""
@@ -548,19 +545,29 @@ def _truncate(products, e, bits):
     return {k: (r >> s, i >> s) for k, (r, i) in products.items()}, e + s
 
 
-def _horner(coeffs, power, lows, trunc, combine, times):
+def _horner(coeffs, images, one, step, lows, trunc, combine, times):
     """The pieces of a substitution, one at a time: Horner's rule in the last variable.
 
     ``coeffs`` pairs each exponent of f with the domain's coefficient,
-    ``power(i, n)`` is image i to the n, and ``lows[i]`` is the lowest degree
-    of image i (above ``trunc`` for a zero image).  The terms of f that share
-    their other exponents (a prefix) are combined first, ``combine(parts,
-    cap)`` of pairs of a coefficient and its power of the last image, on the
-    terms of degree <= cap that the prefix's powers can leave within
-    ``trunc``; that sum is multiplied by the prefix's powers of the other
-    images (``times``), one piece per prefix.  Every pass of
-    :func:`substitute` walks these same products.
+    ``images[i]`` is image i as the pass holds it, ``one`` the zeroth power of
+    every image and ``step(a, b)`` the product of a power a of an image and the
+    image b: each power is formed once, from the one below it, and kept.
+    ``lows[i]`` is the lowest degree of image i (above ``trunc`` for a zero
+    image).  The terms of f that share their other exponents (a prefix) are
+    combined first, ``combine(parts, cap)`` of pairs of a coefficient and its
+    power of the last image, on the terms of degree <= cap that the prefix's
+    powers can leave within ``trunc``; that sum is multiplied by the prefix's
+    powers of the other images (``times``), one piece per prefix.  Every pass
+    of :func:`substitute` walks these same products.
     """
+    powers = [[one, image] for image in images]  # powers[i][n]: image_i^n
+
+    def power(i, n):
+        cache = powers[i]
+        while len(cache) <= n:
+            cache.append(step(cache[-1], images[i]))
+        return cache[n]
+
     groups = {}
     for x, c in coeffs:
         groups.setdefault(x[:-1], []).append((c, power(len(x) - 1, x[-1])))
@@ -589,15 +596,9 @@ def _substitute(f, images, packing, out_trunc, exact):
     tops = [max(e[i] for e in f.terms) for i in range(f.dim)]
     scales = [[den ** (t - k) for k in range(t + 1)]
               for (_, den), t in zip(lifted, tops)]
-    one = _operand([(0, 1)], out_trunc, top)
-    powers = [[one, image] for image, _ in lifted]  # powers[i][n]: image_i^n over den_i^n
 
-    def power(i, n):
-        cache = powers[i]
-        while len(cache) <= n:
-            product = _imul(cache[-1][0], lifted[i][0], out_trunc, top)
-            cache.append(_operand(product.items(), out_trunc, top))
-        return cache[n]
+    def step(a, b):  # image_i^n over den_i^n
+        return _operand(_imul(a[0], b, out_trunc, top).items(), out_trunc, top)
 
     def combine(parts, cap):
         acc = {}
@@ -612,7 +613,8 @@ def _substitute(f, images, packing, out_trunc, exact):
     for e, n in num.items():
         scale = prod(scales[i][k] for i, k in enumerate(e))
         coeffs.append((e, n * scale if scale != 1 else n))
-    pieces = _horner(coeffs, power, _lows(lifted, out_trunc, top), out_trunc, combine,
+    pieces = _horner(coeffs, [image for image, _ in lifted], _operand([(0, 1)], out_trunc, top),
+                     step, _lows(lifted, out_trunc, top), out_trunc, combine,
                      lambda piece, b: _imul(piece.items(), b, out_trunc, top))
     # combine and _imul build each piece as a fresh dict: the first is the running sum
     acc = next(pieces, {})
@@ -634,16 +636,11 @@ def _substitute_float(f, images, packing, out_trunc):
     top = packing.top
     bits = _float_bits()
     lifted = [_pack_float(g.terms, packing, out_trunc) for g in images]
-    one = (_operand([(0, (1, 0))], out_trunc, top), 0)
-    powers = [[one, image] for image in lifted]  # powers[i][n]: image_i^n and its exponent
 
-    def power(i, n):
-        cache = powers[i]
-        while len(cache) <= n:
-            ((prev, _), ep), (image, ei) = cache[-1], lifted[i]
-            product, e = _truncate(_gimul(prev, image, out_trunc, top), ep + ei, bits)
-            cache.append((_operand(product.items(), out_trunc, top), e))
-        return cache[n]
+    def step(a, b):  # image_i^n and its exponent
+        ((prev, _), ep), (image, ei) = a, b
+        product, e = _truncate(_gimul(prev, image, out_trunc, top), ep + ei, bits)
+        return _operand(product.items(), out_trunc, top), e
 
     def times(piece, b):
         piece, e = _truncate(*piece, bits)
@@ -654,8 +651,8 @@ def _substitute_float(f, images, packing, out_trunc):
         return _combine([(m, pairs[:upto[cap]], ef + e) for m, ((pairs, upto), e) in parts])
 
     mants, ef = gi_lift(f.terms.values(), bits)
-    pieces = list(_horner(zip(f.terms, mants), power, _lows(lifted, out_trunc, top), out_trunc,
-                          combine, times))
+    pieces = list(_horner(zip(f.terms, mants), lifted, (_operand([(0, (1, 0))], out_trunc, top), 0),
+                          step, _lows(lifted, out_trunc, top), out_trunc, combine, times))
     if not pieces:
         return {}
     return _on_exponent(*_combine([((1, 0), piece.items(), e) for piece, e in pieces]))

@@ -476,56 +476,48 @@ def p_expand(f, germ, depth):
 def t_substitute(expansion):
     """Replace t by P: evaluate sum g_n * P^n modulo the expansion's truncation.
 
-    Horner's rule in P (Knuth, *TAOCP* vol. 2, 4.6.4), one product by P per
-    level: with T = min(expansion.trunc, P.trunc) and v the lowest degree of
-    P, ``acc = g_top`` and then ``acc <- acc * P + g_n`` for n = top - 1 .. 0,
-    each step kept to degree T - n*v.  A term dropped there still meets n
-    factors of P, so it could only land above T: the result is exact to T,
-    the exact left-inverse of :func:`p_expand` there (provided the depth
-    exhausted the quotient).  Exact real data run on packed integer
-    numerators over one denominator, den(g) * den(P)^top; other data on their
-    own scalars at 32 bits above the working precision, each float result
-    rounded to the working precision once, as in the series kernel.
+    With T = min(expansion.trunc, P.trunc): one substitution of
+    ``(x_1, ..., x_d, P)`` into ``G(x, t) = sum g_n(x) t^n`` (:func:`_t_series`)
+    at T, so this is the exact left-inverse of :func:`p_expand` there
+    (provided the depth exhausted the quotient).  int/Fraction data take
+    Horner's rule in P instead (Knuth, *TAOCP* vol. 2, 4.6.4), one product by
+    P per level on packed integer numerators over one denominator,
+    den(g) * den(P)^top: with v the lowest degree of P, ``acc = g_top`` and
+    then ``acc <- acc * P + g_n`` for n = top - 1 .. 0, each step kept to
+    degree T - n*v.  A term dropped there still meets n factors of P, so it
+    could only land above T.
     """
     germ = expansion.germ
-    d, p = germ.dim, germ.p.terms
+    d, p, coeffs = germ.dim, germ.p.terms, expansion.coeffs
     trunc = min(expansion.trunc, germ.p.trunc)
-    coeffs = expansion.coeffs
-    if trunc < 0 or all(g.is_zero for g in coeffs):
+    if not (_exact_real(p) and all(_exact_real(g.terms) for g in coeffs)):
+        xs = [TruncatedSeries.variable(i, d, trunc) for i in range(d)]
+        return substitute(_t_series(expansion), xs + [germ.p], out_trunc=trunc)
+    if trunc < 0 or not coeffs:
         return TruncatedSeries._clean(d, max(trunc, -1), {})
     low = germ.p.valuation()
     # level n is kept to degree trunc - n*low: levels above trunc // low add nothing
     top_level = min(len(coeffs) - 1, trunc // low)
     packing = _Packing(d, trunc)
     pack, ptop = packing.pack, packing.top
-    exact = _exact_real(p) and all(_exact_real(g.terms) for g in coeffs)
-    p_num, p_den = _lift(p, exact)
+    p_num, p_den = _lift(p, True)
     p_op = _operand([(pack(e), c) for e, c in p_num.items() if sum(e) <= trunc], trunc, ptop)
-    lifted = [_lift(g.terms, exact) for g in coeffs[:top_level + 1]]
+    lifted = [_lift(g.terms, True) for g in coeffs[:top_level + 1]]
     den = lcm(*(den_n for _, den_n in lifted))
-    levels = []
-    for n, (num, den_n) in enumerate(lifted):
+    acc = {}
+    for n in range(top_level, -1, -1):
         # g_n over den * p_den^(top - n): the n products by P still to come bring it to
         # the result's den * p_den^top
+        num, den_n = lifted[n]
         scale = den // den_n * p_den ** (top_level - n)
         cap = trunc - n * low
-        levels.append([(pack(e), c * scale if scale != 1 else c)
-                       for e, c in num.items() if sum(e) <= cap])
-
-    def horner():
-        acc = {}
-        for n in range(top_level, -1, -1):
-            acc = _imul(acc.items(), p_op, trunc - n * low, ptop)
-            get = acc.get
-            for k, c in levels[n]:
-                acc[k] = get(k, 0) + c
-        return acc
-
-    if exact:
-        return packing.finish(trunc, horner(), den * p_den ** top_level)
-    with mp.workprec(_float_bits()):
-        acc = horner()
-    return _finish(d, trunc, ptop, packing.unpack, acc)
+        acc = _imul(acc.items(), p_op, cap, ptop)
+        get = acc.get
+        for e, c in num.items():
+            if sum(e) <= cap:
+                k = pack(e)
+                acc[k] = get(k, 0) + c * scale
+    return packing.finish(trunc, acc, den * p_den ** top_level)
 
 
 def _t_series(expansion):

@@ -12,7 +12,7 @@ from mpmath import mp
 
 from germsum.borel import OneVarSeries, _angdiff
 from germsum.scalars import QQi, is_exact, sabs, sadd, smul, sneg, to_mpc, working_prec
-from germsum.series import MonomialOrder, TruncatedSeries, substitute
+from germsum.series import MonomialOrder, TruncatedSeries
 from germsum.weierstrass import Germ, _t_series, delta_member
 
 
@@ -221,12 +221,20 @@ def assert_near_reference(results, refs, margin=16):
 
 
 def ref_t_substitute(expansion):
-    """``weierstrass.t_substitute`` as one substitution of (x_1, ..., x_d, P) into
-    G(x, t) = sum g_n(x) t^n, formed at min(expansion.trunc, P.trunc)."""
+    """sum g_n P^n at T = min(expansion.trunc, P.trunc) on dict arithmetic: the terms of
+    G(x, t) = sum g_n(x) t^n substituted with (x_1, ..., x_d, P) by :func:`ref_substitute`
+    on the s* funnel at 4 times the working precision, so exact data come out exact
+    (as Fractions when every coefficient is an int or a Fraction, as the kernel
+    normalises them) and float data with negligible rounding of their own."""
     germ = expansion.germ
-    trunc = min(expansion.trunc, germ.p.trunc)
-    xs = [TruncatedSeries.variable(i, germ.dim, trunc) for i in range(germ.dim)]
-    return substitute(_t_series(expansion), xs + [germ.p], out_trunc=trunc)
+    dim, trunc = germ.dim, max(min(expansion.trunc, germ.p.trunc), -1)
+    xs = [{tuple(int(k == i) for k in range(dim)): 1} for i in range(dim)]
+    g = _t_series(expansion).terms
+    with mp.workprec(4 * working_prec()):
+        terms = ref_substitute(g, xs + [germ.p.terms], trunc, sadd, smul)
+    if all(isinstance(c, (int, Fraction)) for c in list(g.values()) + list(germ.p.terms.values())):
+        terms = {e: Fraction(c) for e, c in terms.items()}
+    return TruncatedSeries(dim, trunc, terms)
 
 
 def ref_order_key(weights, tiebreak):

@@ -413,6 +413,11 @@ def test_usage_errors(files, capsys, tmp_path):
     assert "at least 16 Borel coefficients" in capsys.readouterr().err
     assert cli_main(["borel-sum", c, "--k", "-1", "--theta", "3.1", "--t=-0.2"]) == 2
     assert capsys.readouterr().err.startswith("germsum: summability index k")
+    # too few norms for a Gevrey fit, as too few coefficients for a sum
+    for argv in (["gevrey", "--germ", p, "--order", "1,1", "--depth", "3", f],
+                 ["verify", "remark79", "--trunc", "12"]):
+        assert cli_main(argv) == 2, argv
+        assert "need at least 4 nonzero norms" in capsys.readouterr().err, argv
     # a negative depth is a usage error, not a traceback with the exit code of a failed check
     for argv in (["expand", "--germ", p, "--order", "1,1", "--depth", "-1", f],
                  ["gevrey", "--germ", p, "--order", "1,1", "--depth", "-1", f],

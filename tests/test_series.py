@@ -638,7 +638,36 @@ class TestCalculus:
             scale = max((sabs(c) for c in f.terms.values()), default=0)
             assert sabs(sadd(v, sneg(ref))) <= scale * mpmath.mpf(2) ** (16 - working_prec())
 
-    def test_pow(self):
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_pow(self, data):
+        """f**n for n = 0..6 on int/Fraction, QQi, float and mixed data: exact data equal
+        to the repeated product f*...*f (the int 1 for n = 0) in terms, types and trunc;
+        float data within 2^(8 - prec) max|c| of that product on the s* funnel at 4
+        times the working precision, and exact exactly where it is."""
         p = S(2, 12, {(0, 2): 1, (3, 0): -1})
-        assert (p ** 3).agrees_with(p * p * p)
-        assert (p ** 0) == TS.one(2, 12)
+        assert p ** 3 == p * p * p and p ** 0 == TS.one(2, 12)
+        dim, trunc = data.draw(st.sampled_from(((1, 10),) + SHAPES))
+        kind = data.draw(st.sampled_from(("exact", "qqi", "float", "mixed")))
+        f = data.draw(ring_series(dim, trunc, kind))
+        n = data.draw(st.integers(0, 6))
+        out = f ** n
+        if kind in ("exact", "qqi"):
+            ref = TS.one(dim, trunc)
+            for _ in range(n):
+                ref = ref * f
+            assert (out.dim, out.trunc) == (ref.dim, ref.trunc)
+            assert ({e: (type(c), c) for e, c in out.terms.items()}
+                    == {e: (type(c), c) for e, c in ref.terms.items()})
+        else:
+            ref = {(0,) * dim: 1}
+            with mpmath.mp.workprec(4 * working_prec()):
+                for _ in range(n):
+                    ref = ref_mul(ref, f.terms, trunc, sadd, smul)
+            assert_near_reference([out], [TS(dim, trunc, ref)], margin=8)
+
+    def test_variable_index_checked(self):
+        assert TS.variable(1, 3, 4).terms == {(0, 1, 0): 1}
+        for i in (-1, -3, 3, 7):
+            with pytest.raises(ValueError, match=f"variable index {i} out of range"):
+                TS.variable(i, 3, 4)

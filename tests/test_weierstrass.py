@@ -607,11 +607,11 @@ class TestTMapSubstitute:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_one_substitution(self, data):
-        """Horner's rule in P against one substitution of (x, P) into sum g_n t^n
-        (helpers.ref_t_substitute), on int/Fraction, QQi, float and mixed data, at
-        depths 0..trunc+2, the expansion's truncation above or below P's and terms of
-        P above it: exact data equal, coefficient types included, and float data
-        within 2^(8 - prec) max|c|."""
+        """t_substitute against sum g_n P^n on dict arithmetic at 4 times the working
+        precision (helpers.ref_t_substitute), on int/Fraction, QQi, float and mixed
+        data, at depths 0..trunc+2, the expansion's truncation above or below P's and
+        terms of P above it: exact data equal, coefficient types included, and float
+        data within 2^(8 - prec) max|c|."""
         dim, trunc = data.draw(st.sampled_from(SHAPES))
         domain = data.draw(st.sampled_from(("exact", "qqi", "float", "mixed")))
         qqi = domain != "exact"
