@@ -9,11 +9,13 @@ Run from the repository root:
 The first two forms run, in this process, one cycle of the algebra-exact,
 ray-sum and germ-sum workloads at each seed, with the tasks that
 ``perfbench/workloads.py`` of the tree at --root builds (default: the
-repository this script lies in), then ``germsum.harness.verify_example`` for
-each of the three examples at its default truncation.  They write one SHA-256
-per task result as JSON, ``{label: hash}``, labelled by workload, seed and
-task index (the verify reports by example name).  A hash is taken over a
-canonical form of the result:
+repository this script lies in), and build cli-roundtrip's in-process
+reference of each CLI command at each seed (the JSON its children are checked
+against), then run ``germsum.harness.verify_example`` for each of the three
+examples at its default truncation.  They write one SHA-256 per result as
+JSON, ``{label: hash}``, labelled by workload, seed and task index (a CLI
+reference by its command, the verify reports by example name).  A hash is
+taken over a canonical form of the result:
 
 * a series by its dimension, truncation and sorted terms, each with its
   coefficient's type and value (mpf/mpc by their raw tuples, so two floats
@@ -77,7 +79,8 @@ def digest(x):
 
 
 def hashes(root, seeds, workdir):
-    """{label: hash} of every task of one cycle per workload and seed, and the verify reports."""
+    """{label: hash} of every task of one cycle per workload and seed, of every CLI
+    reference per seed, and of the verify reports."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
     from germsum.harness import verify_example
@@ -92,6 +95,9 @@ def hashes(root, seeds, workdir):
                 except Exception as exc:  # a raising task is hashed as its exception
                     result = (type(exc).__name__, str(exc))
                 out[f"{name} seed={seed} #{i} {wl.slot_name(i)}"] = digest(result)
+    for seed in seeds:
+        for command, reference in workloads.CliRoundtrip(seed, workdir, 1).expected.items():
+            out[f"cli-roundtrip seed={seed} {command}"] = digest(reference)
     for name in EXAMPLES:
         out[f"verify {name}"] = digest(verify_example(name))
     return out

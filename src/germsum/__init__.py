@@ -26,8 +26,7 @@ from .weierstrass import (DivisionResult, Germ, PExpansion, delta_member,
                           p_expand, t_substitute, wdivide)
 from .transforms import (INFINITY, DominantData, blowup, chart_shift,
                          dominant_data, ramify, rotation_average)
-from .gevrey import (GevreyEstimate, NormSequence, check_gevrey_bound,
-                     fit_gevrey, norm_sequence)
+from .gevrey import GevreyEstimate, NormSequence, fit_gevrey, norm_sequence
 from .borel import (BorelSeries, OneVarSeries, RayContinuation,
                     SingularDirectionReport, SumResult, borel_transform,
                     continue_on_ray, laplace_sum, p_k_sum, singular_directions)

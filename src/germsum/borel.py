@@ -119,9 +119,6 @@ class OneVarSeries(Record):
     def __init__(self, coeffs):
         super().__init__(tuple(coeffs))
 
-    def __len__(self):
-        return len(self.coeffs)
-
 
 class BorelSeries(Record):
     """Coefficients b_n = a_n / Gamma(1 + n/k).
@@ -734,12 +731,11 @@ def continue_on_ray(b, theta, radii=(), method="pade", prec=None):
             or any(b2 <= a2 for a2, b2 in zip(radii, radii[1:]))):
         raise ValueError(f"radii {radii} must be finite, positive and strictly increasing")
     prec = working_prec(prec)
-    with mp.workprec(prec):
-        m_star = (len(b) - 1) // 2
-        hi = b.approximant(m_star, prec)
-        nu = hi.order[1]
-        # a rank nu below m* cuts m* - 1 too: the lower fit is [nu + 1/nu]
-        lo = b.approximant(nu, prec, excess=1) if nu < m_star else b.approximant(m_star - 1, prec)
+    m_star = (len(b) - 1) // 2
+    hi = b.approximant(m_star, prec)
+    nu = hi.order[1]
+    # a rank nu below m* cuts m* - 1 too: the lower fit is [nu + 1/nu]
+    lo = b.approximant(nu, prec, excess=1) if nu < m_star else b.approximant(m_star - 1, prec)
     return RayContinuation(k=b.k, direction=theta, radii=radii, prec=prec, _hi=hi, _lo=lo)
 
 

@@ -5,31 +5,27 @@ other.  Exit codes: 0 success, 1 a verification ran and failed, 2 usage
 error (an option the subcommand does not read, malformed JSON, with the
 offending path named, and argument values the library refuses with
 ``ValueError``), 3 domain error (zero germ, singular ray, incompatible
-direction, ...).
+direction, ...), 141 the reader of stdout closed it before the output was written.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-from mpmath import mp, mpc
+from mpmath import mp
 
 from .borel import (OneVarSeries, borel_transform, continue_on_ray, laplace_sum, p_k_sum,
                     singular_directions)
 from .errors import GermsumError
 from .gevrey import fit_gevrey, norm_sequence
 from .harness import EXAMPLE_NAMES, verify_example
-from .scalars import (DEFAULT_PREC_BITS, QQi, parse_scalar, scalar_from_json,
-                      working_prec)
+from .scalars import DEFAULT_PREC_BITS, parse_scalar, scalar_from_json, working_prec
 from .series import MonomialOrder, series_from_json, series_to_json
 from .transforms import blowup, dominant_data, ramify
 from .weierstrass import Germ, p_expand, wdivide
-
-
-class _UsageError(ValueError):
-    pass
 
 
 def _parse_order(text):
@@ -40,7 +36,7 @@ def _parse_order(text):
         weights = [Fraction(w) for w in text.split(",") if w.strip()]
         return MonomialOrder(weights, tiebreak)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad --order {text!r}: {exc}") from exc
+        raise ValueError(f"bad --order {text!r}: {exc}") from exc
 
 
 def _load_json(path):
@@ -50,9 +46,9 @@ def _load_json(path):
         with open(path) as fh:
             return json.load(fh), path
     except FileNotFoundError:
-        raise _UsageError(f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"malformed JSON in {path}: {exc}")
+        raise ValueError(f"malformed JSON in {path}: {exc}")
 
 
 def _load_series(path):
@@ -60,7 +56,7 @@ def _load_series(path):
     try:
         return series_from_json(obj)
     except (ValueError, KeyError, TypeError) as exc:
-        raise _UsageError(f"bad series JSON in {name}: {exc}")
+        raise ValueError(f"bad series JSON in {name}: {exc}")
 
 
 def _load_coeffs(path):
@@ -68,14 +64,14 @@ def _load_coeffs(path):
     try:
         return OneVarSeries([scalar_from_json(c) for c in obj["coeffs"]])
     except (ValueError, KeyError, TypeError) as exc:
-        raise _UsageError(f"bad coefficient JSON in {name}: {exc}")
+        raise ValueError(f"bad coefficient JSON in {name}: {exc}")
 
 
 def _germ_from_args(args):
     if not args.germ:
-        raise _UsageError("this subcommand requires --germ FILE")
+        raise ValueError("this subcommand requires --germ FILE")
     if not args.order:
-        raise _UsageError("this subcommand requires --order \"w1,w2,...[:lex]\"")
+        raise ValueError("this subcommand requires --order \"w1,w2,...[:lex]\"")
     return Germ(_load_series(args.germ), _parse_order(args.order))
 
 
@@ -151,11 +147,11 @@ def cli_main(argv):
         if args.prec is not None and args.prec < DEFAULT_PREC_BITS:
             # series arithmetic never runs below the floor, so a lower
             # --prec could not be honoured throughout
-            raise _UsageError(f"--prec {args.prec} is below the precision floor of "
-                              f"{DEFAULT_PREC_BITS} bits (GERMSUM_PREC_BITS sets it)")
+            raise ValueError(f"--prec {args.prec} is below the precision floor of "
+                             f"{DEFAULT_PREC_BITS} bits (GERMSUM_PREC_BITS sets it)")
         with mp.workprec(working_prec(args.prec)):
             return _dispatch(args)
-    except ValueError as exc:  # _UsageError and the library's argument checks
+    except ValueError as exc:  # usage errors and the library's argument checks
         print(f"germsum: {exc}", file=sys.stderr)
         return 2
     except GermsumError as exc:
@@ -185,16 +181,13 @@ def _dispatch(args):
     elif cmd == "gevrey":
         germ = _germ_from_args(args)
         expansion = p_expand(_load_series(args.input), germ, args.depth)
-        rho = parse_scalar(args.rho)
-        if isinstance(rho, (QQi, mpc)):
-            raise _UsageError(f"--rho {args.rho!r} is not a real number")
-        ns = norm_sequence(expansion, rho)
+        ns = norm_sequence(expansion, parse_scalar(args.rho))
         _emit(fit_gevrey(ns, args.nmin).to_json())
     elif cmd == "borel-sum":
         if args.point is not None:
             germ = _germ_from_args(args)
             if args.depth is None:
-                raise _UsageError("germ summation requires --depth")
+                raise ValueError("germ summation requires --depth")
             point = [parse_scalar(c) for c in args.point.split(",")]
             expansion = p_expand(_load_series(args.input), germ, args.depth)
             result = p_k_sum(expansion, point, args.k, args.theta)
@@ -202,7 +195,7 @@ def _dispatch(args):
             stray = [f"--{opt}" for opt in ("germ", "order", "depth")
                      if getattr(args, opt) is not None]
             if stray:
-                raise _UsageError(f"{', '.join(stray)}: read only by a germ sum at --point")
+                raise ValueError(f"{', '.join(stray)}: read only by a germ sum at --point")
             series = _load_coeffs(args.input)
             b = borel_transform(series, args.k)
             t = parse_scalar(args.t)
@@ -221,7 +214,15 @@ def _dispatch(args):
 
 
 def main():
-    sys.exit(cli_main(sys.argv[1:]))
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: nothing more is read, so point stdout at devnull
+        # (the flush at exit would raise again) and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

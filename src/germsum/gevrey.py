@@ -19,10 +19,6 @@ class NormSequence(Record):
     """Majorant norms ||g_n|| of the expansion coefficients at radius rho."""
     rho: float
     norms: tuple
-    zero_mask: tuple
-
-    def __len__(self):
-        return len(self.norms)
 
 
 class GevreyEstimate(Record):
@@ -55,7 +51,7 @@ def norm_sequence(expansion, rho):
     (``ValueError`` unless it is a positive real number)."""
     r = majorant_radius(rho)
     norms = tuple(majorant_norm(g, r) for g in expansion.coeffs)
-    return NormSequence(r, norms, tuple(x == 0.0 for x in norms))
+    return NormSequence(r, norms)
 
 
 def fit_gevrey(ns, n_min=5):
@@ -73,8 +69,7 @@ def fit_gevrey(ns, n_min=5):
 
     n_min = integer_arg(n_min, "n_min")
 
-    rows = [(n, math.log(x)) for n, (x, z) in enumerate(zip(ns.norms, ns.zero_mask))
-            if n >= n_min and not z]
+    rows = [(n, math.log(x)) for n, x in enumerate(ns.norms) if n >= n_min and x != 0.0]
     if len(rows) < 4:
         raise ValueError(
             f"need at least 4 nonzero norms with index >= {n_min}, have {len(rows)}")
@@ -91,16 +86,3 @@ def fit_gevrey(ns, n_min=5):
                           n_range=(rows[0][0], rows[-1][0] + 1),
                           convergent_type=convergent)
 
-
-def check_gevrey_bound(ns, s, K, A):
-    """True iff ||g_n|| <= K * A^n * Gamma(s*n + 1) for every stored index."""
-    if s <= 0 or K <= 0 or A <= 0:
-        raise ValueError("s, K, A must be positive")
-    logK, logA = math.log(K), math.log(A)
-    for n, x in enumerate(ns.norms):
-        if x == 0.0:
-            continue
-        bound = logK + n * logA + math.lgamma(s * n + 1)
-        if math.log(x) > bound + 1e-12:
-            return False
-    return True

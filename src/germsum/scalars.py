@@ -351,38 +351,30 @@ def scalar_from_json(obj):
 
 
 def parse_scalar(text):
-    """Parse a user-facing scalar: '3/4', '-2', '0.5', '1/2+1/3j', '0.1-0.2j'.
+    """Parse a user-facing scalar exactly: '3/4', '-2', '0.5' (1/2), '1/2+1/3j',
+    '0.1-0.2j', as a ``Fraction``, or a ``QQi`` when the imaginary part is not zero.
 
-    A NaN, an infinity or a zero denominator raises ``ValueError``."""
+    A NaN, an infinity, a zero denominator or any other text raises ``ValueError``."""
+    s = text.strip().replace(" ", "")
+    re_part, im_part = s, "0"
+    if s.endswith(("j", "J", "i", "I")):
+        body = s[:-1]
+        # split mantissa into re/im on the last +/- that is not an exponent sign
+        pos = next((i for i in range(len(body) - 1, 0, -1)
+                    if body[i] in "+-" and body[i - 1] not in "eE"), 0)
+        re_part, im_part = body[:pos] or "0", body[pos:]
+        if im_part in ("", "+", "-"):
+            im_part += "1"
     try:
-        s = text.strip().replace(" ", "")
-        try:
-            return Fraction(s)
-        except ValueError:
-            pass
-        if s.endswith(("j", "J", "i", "I")):
-            body = s[:-1]
-            # split mantissa into re/im on the last +/- that is not an exponent sign
-            for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "eE":
-                    re_part, im_part = body[:pos], body[pos:]
-                    break
-            else:
-                re_part, im_part = "0", body
-            if im_part in ("", "+", "-"):
-                im_part += "1"
-            try:
-                q = QQi(Fraction(re_part), Fraction(im_part))
-                return q.re if q.im == 0 else q
-            except ValueError:
-                return _finite(mpmath.mpc(mpmath.mpf(re_part), mpmath.mpf(im_part)), text)
-        try:
-            value = mpmath.mpf(s)
-        except ValueError:
-            raise ValueError(f"cannot parse scalar {text!r}") from None
-        return _finite(value, text)
+        q = QQi(re_part, im_part)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
+    except ValueError:
+        if any(part.lstrip("+-").lower() in ("inf", "infinity", "nan")
+               for part in (re_part, im_part)):
+            raise ValueError(f"non-finite scalar {text!r}") from None
+        raise ValueError(f"cannot parse scalar {text!r}") from None
+    return q.re if q.im == 0 else q
 
 
 # -- Gaussian-integer kernel -------------------------------------------------

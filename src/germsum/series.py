@@ -545,8 +545,9 @@ def _truncate(products, e, bits):
     return {k: (r >> s, i >> s) for k, (r, i) in products.items()}, e + s
 
 
-def _horner(coeffs, images, one, step, lows, trunc, combine, times):
-    """The pieces of a substitution, one at a time: Horner's rule in the last variable.
+def _pieces(coeffs, images, one, step, lows, trunc, combine, times):
+    """The pieces of a substitution, one at a time: per prefix, a sum over powers of the
+    last image, times the prefix's powers of the others.
 
     ``coeffs`` pairs each exponent of f with the domain's coefficient,
     ``images[i]`` is image i as the pass holds it, ``one`` the zeroth power of
@@ -613,7 +614,7 @@ def _substitute(f, images, packing, out_trunc, exact):
     for e, n in num.items():
         scale = prod(scales[i][k] for i, k in enumerate(e))
         coeffs.append((e, n * scale if scale != 1 else n))
-    pieces = _horner(coeffs, [image for image, _ in lifted], _operand([(0, 1)], out_trunc, top),
+    pieces = _pieces(coeffs, [image for image, _ in lifted], _operand([(0, 1)], out_trunc, top),
                      step, _lows(lifted, out_trunc, top), out_trunc, combine,
                      lambda piece, b: _imul(piece.items(), b, out_trunc, top))
     # combine and _imul build each piece as a fresh dict: the first is the running sum
@@ -651,7 +652,7 @@ def _substitute_float(f, images, packing, out_trunc):
         return _combine([(m, pairs[:upto[cap]], ef + e) for m, ((pairs, upto), e) in parts])
 
     mants, ef = gi_lift(f.terms.values(), bits)
-    pieces = list(_horner(zip(f.terms, mants), lifted, (_operand([(0, (1, 0))], out_trunc, top), 0),
+    pieces = list(_pieces(zip(f.terms, mants), lifted, (_operand([(0, (1, 0))], out_trunc, top), 0),
                           step, _lows(lifted, out_trunc, top), out_trunc, combine, times))
     if not pieces:
         return {}

@@ -163,7 +163,8 @@ def _root_str(v):
     z = to_mpc(v)
     if z.imag == 0:
         return repr(float(z.real))
-    return str(complex(float(z.real), float(z.imag)))
+    # without complex's parentheses, in parse_scalar's grammar: blowup --xi reads it back
+    return repr(complex(float(z.real), float(z.imag))).strip("()")
 
 
 def _float_seeds(poly):

@@ -219,8 +219,6 @@ def _reduce(frame, terms, germ, exact):
         lc = germ.lead_coeff
         coeffs = [-sdiv(germ.p.terms[e], lc) for e in frame.tail_exps] + [sdiv(1, lc)]
     tail = [(pt, dk, b) for (pt, dk), b in zip(frame.tail, coeffs)]
-    # with L = 1 every generation has the same denominator: all terms stay at j = 0
-    step = int(big_l != 1)
     g_num, g_den = _lift(terms, exact)
     rem, heap = frame.start({e: (n, 0) for e, n in g_num.items()})
     top, trunc, key_bits, key_mask = frame.top, frame.trunc, frame.key_bits, frame.key_mask
@@ -237,7 +235,7 @@ def _reduce(frame, terms, germ, exact):
         n, j = t
         m = p - plead
         k = entry >> key_bits
-        j1 = j + step
+        j1 = j + 1
         for pt, dk, b in tail:
             p2 = m + pt
             if p2 >> top > trunc:
@@ -261,10 +259,8 @@ def _reduce(frame, terms, germ, exact):
                 rem[p2] = (n2, j2)
             else:
                 del rem[p2]
-    dens = [g_den]  # dens[j]: den_g * L**j
-    for _ in range(max((j for _, j in rem.values()), default=0)):
-        dens.append(dens[-1] * big_l)
-    return rem, dens
+    top_j = max((j for _, j in rem.values()), default=0)
+    return rem, [g_den * big_l ** j for j in range(top_j + 1)]  # dens[j]: den_g * L**j
 
 
 def _mass(re, im, bits):

@@ -2,17 +2,22 @@ import cmath
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp
 
+import germsum
 import germsum.borel as borel
 from germsum.borel import OneVarSeries, singular_directions
 from germsum.cli import cli_main
-from germsum.scalars import DEFAULT_PREC_BITS
+from germsum.scalars import DEFAULT_PREC_BITS, QQi, parse_scalar
 from germsum.harness import ExampleData, gen_example, verify_example, verify_ode_numeric
 from germsum.series import MonomialOrder, TruncatedSeries, series_from_json, series_to_json
 from germsum.transforms import blowup
@@ -35,6 +40,15 @@ def run(capsys, argv):
     code = cli_main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+def child_env(**extra):
+    """The environment of a child that imports the same germsum as this process,
+    installed or from src/."""
+    env = dict(os.environ, **extra)
+    package_root = str(Path(germsum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_divide_round_trip(files, capsys):
@@ -139,6 +153,41 @@ def test_dominant(files, capsys):
     for r in out["roots"]:
         assert r["mult"] == 1
         assert min(abs(complex(r["value"]) - z) for z in expected) < 1e-15
+
+
+@pytest.mark.parametrize("terms", [
+    {(2, 0): 1, (1, 1): -1, (0, 2): 1},  # H(1, xi) = 1 - xi + xi^2: xi = (1 +- i sqrt 3)/2
+    {(2, 0): 1, (0, 2): 1},  # xi = +-i
+    {(2, 0): 1, (1, 1): 1, (0, 2): -2}])  # xi = 1, -1/2
+def test_dominant_roots_read_back_as_blowup_centres(files, capsys, terms):
+    # every root dominant prints is a scalar parse_scalar reads (a QQi when it is not
+    # real), and blowup takes it as the chart centre
+    p = files("p.json", series_to_json(TS(2, 6, terms)))
+    code, out = run(capsys, ["dominant", p])
+    assert code == 0 and len(out["roots"]) == 2
+    for root in out["roots"]:
+        xi = parse_scalar(root["value"])
+        z = complex(xi.re, xi.im) if isinstance(xi, QQi) else complex(xi)
+        assert isinstance(xi, QQi) == (z.imag != 0)
+        assert abs(sum(c * z ** e[1] for e, c in terms.items())) < 1e-15
+        code, blown = run(capsys, ["blowup", f"--xi={root['value']}", p])
+        assert code == 0 and blown["dim"] == 2, root
+
+
+def test_closed_stdout_pipe_exits_141_without_traceback(files):
+    # a dense trunc-50 series blown up at 1/2 prints about 0.5 MB, far past the 64 KB
+    # pipe buffer, so the child is still writing when its reader goes after 16 bytes
+    f = files("f.json", series_to_json(TS(2, 50, {
+        (i, j): Fraction(10 ** 20 + i, 10 ** 20 + 2 * j + 1)
+        for i in range(51) for j in range(51 - i)})))
+    with subprocess.Popen([sys.executable, "-m", "germsum.cli", "blowup", "--xi", "1/2", f],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env()) as child:
+        assert len(child.stdout.read(16)) == 16
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_gevrey(files, capsys):
@@ -470,21 +519,10 @@ def test_prec_reaches_series_arithmetic(files, capsys, monkeypatch):
 
 
 def test_env_precision_honored():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import germsum
-
-    # the child imports the same germsum as this process, installed or from src/
-    env = dict(os.environ, GERMSUM_PREC_BITS="192")
-    package_root = str(Path(germsum.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
          "from germsum.scalars import DEFAULT_PREC_BITS; print(DEFAULT_PREC_BITS)"],
-        env=env, capture_output=True, text=True)
+        env=child_env(GERMSUM_PREC_BITS="192"), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "192"
 

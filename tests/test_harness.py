@@ -91,6 +91,12 @@ class TestOdeFormal:
 
 
 class TestPdeFormal:
+    def test_germ_without_x2_refused(self):
+        # x2*dP/dx2*P vanishes for P = x1^2, so there is no right-hand side to divide by
+        ex = gen_example("pde-quasihom", 13)
+        with pytest.raises(GermsumError, match=r"stated right-hand side x2\*dP/dx2\*P vanishes"):
+            verify_pde_formal(ex.f, TS(2, 13, {(2, 0): 1}), 0, 1, 1)
+
     def test_divisible_with_cofactor_flag(self):
         ex = gen_example("pde-quasihom", 25)
         rep, h = verify_pde_formal(ex.f, ex.p, 0, 1, 1)

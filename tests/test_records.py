@@ -37,7 +37,7 @@ RECORDS = [
     (PoleCluster, dict.fromkeys(("center", "modulus", "argument", "stability", "hits"),
                                 NO_DEFAULT)),
     (SingularDirectionReport, dict.fromkeys(("k", "clusters", "directions"), NO_DEFAULT)),
-    (NormSequence, dict.fromkeys(("rho", "norms", "zero_mask"), NO_DEFAULT)),
+    (NormSequence, dict.fromkeys(("rho", "norms"), NO_DEFAULT)),
     (GevreyEstimate, {**dict.fromkeys(("s", "logK", "logA", "rms_residual", "n_range"),
                                       NO_DEFAULT), "convergent_type": False}),
     (ExampleData, dict.fromkeys(("name", "f", "p", "order", "notes"), NO_DEFAULT)),

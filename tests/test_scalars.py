@@ -15,8 +15,9 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 from germsum.scalars import (QQi, bit_mag, gi_below, gi_div, gi_from_mpc, gi_horner, gi_lift, gi_mul,
-                             gi_sub, gi_submul, gi_to_mpc, is_exact, is_zero, parse_scalar, sadd,
-                             scalar_eq, scalar_from_json, sdiv, smul, sneg, to_mpc, working_prec)
+                             gi_sub, gi_submul, gi_to_mpc, is_exact, is_zero, parse_scalar,
+                             sabs_float, sadd, scalar_eq, scalar_from_json, sdiv, smul, sneg,
+                             to_mpc, working_prec)
 
 ints = st.integers(-60, 60)
 fractions = st.fractions(min_value=-60, max_value=60, max_denominator=40)
@@ -145,10 +146,44 @@ class TestFloatOperand:
                 assert z.real._mpf_[3] > 53
 
 
-@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "+inf", "nan+1j", "1-infj"])
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "+inf", "nan+1j", "1-infj",
+                                  "infinity", "-Infinity+1j"])
 def test_parse_scalar_refuses_non_finite(text):
     with pytest.raises(ValueError, match="non-finite"):
         parse_scalar(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2j", QQi(0, 2)), ("1+j", QQi(1, 1)), ("-j", QQi(0, -1)),
+    (" 3/4 - 1e-2 i ", QQi(Fraction(3, 4), Fraction(-1, 100))),
+    ("0.5-0.8660254037844386j", QQi(Fraction(1, 2), Fraction("-0.8660254037844386"))),
+    ("0.1", Fraction(1, 10)), ("-2e-3", Fraction(-1, 500)), ("1e400", Fraction(10 ** 400))])
+def test_parse_scalar_reads_exactly(text, value):
+    # a Fraction, or a QQi when the imaginary part is not zero: never a float
+    got = parse_scalar(text)
+    assert type(got) is type(value) and got == value
+
+
+@pytest.mark.parametrize("text, match", [
+    ("abc", "cannot parse scalar"), ("", "cannot parse scalar"), ("1.5/2", "cannot parse scalar"),
+    # mpmath reads these (a Python 2 long suffix, a signed denominator); Fraction does not
+    ("5L", "cannot parse scalar"), ("1/-3", "cannot parse scalar"),
+    ("1+1/3lj", "cannot parse scalar"),
+    ("1/0", "zero denominator"), ("1+1/0j", "zero denominator")])
+def test_parse_scalar_refusals(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("x", [object(), None, "1", [1]])
+def test_to_mpc_refuses_other_types(x):
+    with pytest.raises(TypeError, match="cannot convert"):
+        to_mpc(x)
+
+
+@pytest.mark.parametrize("x", [10 ** 400, Fraction(10 ** 400), -Fraction(10 ** 400, 3)])
+def test_sabs_float_is_inf_beyond_the_float_range(x):
+    assert sabs_float(x) == math.inf
 
 
 @pytest.mark.parametrize("obj", [float("nan"), float("inf"), -float("inf"),

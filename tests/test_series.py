@@ -260,6 +260,11 @@ class TestVEll:
         with pytest.raises(ZeroSeriesError):
             v_ell(TS.zero(2, 5), MonomialOrder((1, 1)))
 
+    def test_order_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="order has 3 weights, series has 2 variables"):
+            v_ell(S(2, 5, {(1, 1): 1}), MonomialOrder((1, 1, 1)))
+
     def test_multiplicativity(self):
         rng = random.Random(3)
         order = MonomialOrder((Fraction(2, 3), Fraction(1)))
@@ -666,8 +671,16 @@ class TestCalculus:
                     ref = ref_mul(ref, f.terms, trunc, sadd, smul)
             assert_near_reference([out], [TS(dim, trunc, ref)], margin=8)
 
+    @pytest.mark.parametrize("n", [-1, 1.5, Fraction(2)])
+    def test_pow_exponent_checked(self, n):
+        with pytest.raises(ValueError, match="nonnegative integer exponents"):
+            S(2, 5, {(1, 1): 1}) ** n
+
     def test_variable_index_checked(self):
+        # a variable and a derivative take the same indices 0 .. dim - 1
         assert TS.variable(1, 3, 4).terms == {(0, 1, 0): 1}
+        f = S(3, 4, {(1, 1, 1): 1})
         for i in (-1, -3, 3, 7):
-            with pytest.raises(ValueError, match=f"variable index {i} out of range"):
-                TS.variable(i, 3, 4)
+            for refused in (lambda: TS.variable(i, 3, 4), lambda: f.differentiate(i)):
+                with pytest.raises(ValueError, match=f"variable index {i} out of range"):
+                    refused()

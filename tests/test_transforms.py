@@ -10,7 +10,7 @@ from mpmath import mp
 
 from germsum import transforms
 from germsum.borel import borel_transform, build_approximant
-from germsum.errors import DimensionMismatchError
+from germsum.errors import DimensionMismatchError, ZeroGermError
 from germsum.scalars import QQi, gi_from_mpc, gi_to_mpc, gi_width, to_mpc
 from germsum.series import MonomialOrder, TruncatedSeries, v_ell
 from germsum.transforms import (INFINITY, blowup, chart_shift,
@@ -101,6 +101,11 @@ class TestRotationAverage:
         assert avg.terms == {(2, 0): 1, (0, 1): 1}
         desc = rotation_average(g, 2, descend=True)
         assert desc.terms == {(1, 0): 1, (0, 1): 1}
+
+    @pytest.mark.parametrize("k", [1, 0, -2, 2.0])
+    def test_order_below_two_refused(self, k):
+        with pytest.raises(ValueError, match="rotation order must be an integer >= 2"):
+            rotation_average(TS(2, 8, {(2, 0): 1}), k)
 
     def test_section_property(self):
         rng = random.Random(41)
@@ -258,6 +263,10 @@ class TestDominantData:
         # completed weights keep the dominant exponent minimal off the roots
         xi = Fraction(3, 2)
         assert v_ell(blowup(p, xi), dd.completed_order) == (0, 2, 1)
+
+    def test_zero_germ_refused(self):
+        with pytest.raises(ZeroGermError, match="nonzero germ"):
+            dominant_data(TS.zero(2, 6), None)
 
     def test_base_order_dimension_check(self):
         with pytest.raises(DimensionMismatchError):

@@ -43,12 +43,22 @@ class TestGerm:
         with pytest.raises(ZeroGermError):
             Germ(TS.zero(2, 5), MonomialOrder((1, 1)))
 
+    def test_order_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="order has 3 weights, germ has 2 variables"):
+            Germ(TS(2, 5, {(1, 1): 1}), MonomialOrder((1, 1, 1)))
+
     def test_rejects_unit(self):
         with pytest.raises(ZeroGermError):
             Germ(TS(2, 5, {(0, 0): 1, (1, 0): 1}), MonomialOrder((1, 1)))
 
 
 class TestDeltaMember:
+    @pytest.mark.parametrize("e", [(1,), (1, 0, 0)])
+    def test_exponent_length_checked(self, cusp_germ, e):
+        with pytest.raises(DimensionMismatchError, match=f"exponent length {len(e)}, expected 2"):
+            delta_member(e, cusp_germ)
+
     def test_below_cone(self, cusp_germ):
         assert delta_member((2, 0), cusp_germ)
 
