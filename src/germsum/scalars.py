@@ -490,12 +490,6 @@ def _part_mag(part):
     return max(n.bit_length() + k - (d - 1).bit_length() for n, d, k in part if n)
 
 
-def bit_mag(x):
-    """A nonzero scalar's bit-length magnitude m: its larger component lies in
-    [2^(m-1), 2^(m+1)) (see :func:`gi_mag`)."""
-    return _part_mag(_parts(x))
-
-
 def gi_lift(values, bits):
     """Scalars as Gaussian mantissas on one exponent: a list of pairs (re, im)
     and e, each value being (re + i im) 2^e truncated toward -inf componentwise.

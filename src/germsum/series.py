@@ -16,9 +16,12 @@ never claims accuracy beyond what the operands certify:
 The constructor's checks (integral dimension and truncation, exponents that
 are tuples of nonnegative integers of the right length) are for caller
 input.  Ring operations and the kernel build each result once from operands
-that already hold them: they only prune it (zeros, out-of-window terms, the
-float relative cut) and wrap it, as does JSON input, whose terms
-:func:`series_from_json` has checked.
+that already hold them: they only prune it (zeros and out-of-window terms) and
+wrap it, as does JSON input, whose terms :func:`series_from_json` has checked.
+A float series keeps every other term however small beside the rest, so input is
+never dropped and neither is the residue a cancellation leaves: only the float
+elimination by a germ judges round-off, by masses
+(:func:`germsum.weierstrass._reduce_float`), and the Pade layer by its rank cut.
 
 Coefficients are exact rationals, exact complex rationals or mpmath
 complex floats; see :mod:`germsum.scalars`.  A product f*g is a
@@ -44,7 +47,7 @@ from mpmath import mp
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
 from . import scalars
-from .scalars import (_EXACT, _EXACT_REAL, Record, gi_lift, gi_to_mpc, integer_arg, is_zero,
+from .scalars import (_EXACT_REAL, Record, gi_lift, gi_to_mpc, integer_arg, is_zero,
                       sabs_float, sadd, scalar_eq, scalar_from_json, scalar_to_json, smul,
                       sneg, to_mpc, working_prec)
 
@@ -118,32 +121,20 @@ def _dimension(dim):
 
 
 def _prune_terms(terms, trunc):
-    """Drop out-of-window, zero and (relatively) negligible float coefficients in place
-    (:func:`_noise_floors`)."""
+    """Drop out-of-window and zero coefficients in place."""
     kill = [e for e, c in terms.items() if sum(e) > trunc or is_zero(c)]
     for e in kill:
         del terms[e]
-    if all(isinstance(c, _EXACT) for c in terms.values()):
-        return terms  # the relative cut applies to floats only
-    mag = {e: scalars.bit_mag(c) for e, c in terms.items()}
-    floors = _noise_floors((sum(e), m) for e, m in mag.items())
-    for e, m in mag.items():
-        if m < floors.get(sum(e), m) and not scalars.is_exact(terms[e]):
-            del terms[e]
     return terms
 
 
-def _noise_floors(degree_mags):
-    """The float noise floor of each degree, from (degree, bit magnitude) pairs of the
-    nonzero terms (``scalars.bit_mag``, ``gi_mag``): a float term whose magnitude lies
-    below its degree's floor, 2^-(prec/2) of the largest term there, is dropped.  A
-    term alone in its degree is never negligible, so such a degree has no floor."""
-    count, best = {}, {}
-    for d, m in degree_mags:
-        count[d] = count.get(d, 0) + 1
-        best[d] = max(best.get(d, m), m)
-    cut = working_prec() // 2
-    return {d: best[d] - cut for d, n in count.items() if n > 1}
+def _variable_index(i, dim):
+    """A variable index as an int; ``ValueError``, naming i, unless it is an
+    integer with 0 <= i < dim."""
+    i = integer_arg(i, "variable index")
+    if not 0 <= i < dim:
+        raise ValueError(f"variable index {i} out of range")
+    return i
 
 
 class TruncatedSeries(Record):
@@ -199,9 +190,10 @@ class TruncatedSeries(Record):
 
     @classmethod
     def variable(cls, i, dim, trunc):
-        """x_(i+1) in dim variables; ``ValueError``, naming i, unless 0 <= i < dim."""
-        if i not in range(dim):
-            raise ValueError(f"variable index {i} out of range")
+        """x_(i+1) in dim variables; ``ValueError`` naming dim unless it is an integer
+        >= 1, and naming i unless it is an integer with 0 <= i < dim."""
+        dim = _dimension(dim)
+        i = _variable_index(i, dim)
         return cls(dim, trunc, {tuple(int(k == i) for k in range(dim)): 1})
 
     # -- queries -----------------------------------------------------------
@@ -312,8 +304,7 @@ class TruncatedSeries(Record):
 
     def differentiate(self, i):
         """Partial derivative in variable i; certifies one order less."""
-        if not 0 <= i < self.dim:
-            raise ValueError(f"variable index {i} out of range")
+        i = _variable_index(i, self.dim)
         terms = {}
         for e, c in self.terms.items():
             if e[i] > 0:
@@ -341,7 +332,7 @@ _PRODUCT = TruncatedSeries._clean(2, 2, {(1, 1): 1})
 
 def _pruned(dim, trunc, terms):
     """The series of a terms dict whose exponents are valid for dim, pruned in place
-    (zeros, out-of-window terms, the float relative cut) and wrapped unchecked."""
+    (zeros and out-of-window terms) and wrapped unchecked."""
     return TruncatedSeries._clean(dim, trunc, _prune_terms(terms, trunc))
 
 
@@ -370,9 +361,8 @@ def _fmt_term(e, c):
 # it comes back as an operand (_truncate).  Other data (QQi, or exact and float
 # coefficients mixed) keep their own scalars, over 1, and run the same loops once
 # inside mp.workprec(working_prec() + _GUARD), each operation following the
-# promotion rule of germsum.scalars.  _finish prunes float terms on bit lengths and
-# rounds each to the working precision once (the float elimination by a germ prunes
-# by mass instead: germsum.weierstrass._reduce_float).
+# promotion rule of germsum.scalars.  Every pass drops zeros, keeps every other
+# term and rounds each float output to the working precision once.
 
 # bits beyond the working precision that the float lift and the generic pass keep
 _GUARD = 32
@@ -435,29 +425,12 @@ class _Packing:
             unpack(k): Fraction(n, den) for k, n in numerators.items() if n})
 
 
-def _finish(dim, trunc, top, unpack, values, floats=False):
-    """The series of the generic pass's scalars, or of the float lift's kernel numbers
-    (re, im, e) with ``floats``, by packed key; ``key >> top`` is the degree of a
-    key, up to a constant.  A zero is dropped, and so is a float term below its
-    degree's noise floor, as in :func:`_prune_terms` (:func:`_noise_floors`); each
-    kept float is rounded to the working precision once."""
-    if floats:  # gi_mag, inline
-        mag = {k: max(r.bit_length(), i.bit_length()) + e
-               for k, (r, i, e) in values.items() if r or i}
-    else:
-        mag = {k: scalars.bit_mag(c) for k, c in values.items() if c}
-    floors = _noise_floors((k >> top, m) for k, m in mag.items())
-    prec = working_prec()
-    terms = {}
-    with mp.workprec(prec):
-        for k, m in mag.items():
-            c = values[k]
-            if floats or not scalars.is_exact(c):
-                if m < floors.get(k >> top, m):
-                    continue
-                c = gi_to_mpc(c, prec) if floats else to_mpc(+c)
-            terms[unpack(k)] = c
-    return TruncatedSeries._clean(dim, trunc, terms)
+def _finish(dim, trunc, unpack, values):
+    """The series of the generic pass's scalars by packed key: a zero is dropped and
+    every other term kept, each float rounded to the working precision once."""
+    with mp.workprec(working_prec()):
+        return TruncatedSeries._clean(dim, trunc, {
+            unpack(k): c if scalars.is_exact(c) else to_mpc(+c) for k, c in values.items() if c})
 
 
 def _operand(pairs, trunc, top):
@@ -527,11 +500,6 @@ def _gimul(a, b, trunc, top):
             else:
                 out[k] = (t[0] + ar * br - ai * bi, t[1] + ar * bi + ai * br)
     return out
-
-
-def _on_exponent(pairs, e):
-    """Mantissa pairs over 2^e (a dict by key) as kernel numbers (re, im, e)."""
-    return {k: (r, i, e) for k, (r, i) in pairs.items()}
 
 
 def _truncate(products, e, bits):
@@ -629,7 +597,7 @@ def _substitute(f, images, packing, out_trunc, exact):
 
 
 def _substitute_float(f, images, packing, out_trunc):
-    """The float pass of :func:`substitute`: kernel numbers (re, im, e) by key.
+    """The float pass of :func:`substitute`: mantissa pairs by key over 2^e, (pairs, e).
 
     Image powers and the sums that meet a further product are truncated where
     they come back as operands (:func:`_truncate`); the other sums are exact.
@@ -655,8 +623,8 @@ def _substitute_float(f, images, packing, out_trunc):
     pieces = list(_pieces(zip(f.terms, mants), lifted, (_operand([(0, (1, 0))], out_trunc, top), 0),
                           step, _lows(lifted, out_trunc, top), out_trunc, combine, times))
     if not pieces:
-        return {}
-    return _on_exponent(*_combine([((1, 0), piece.items(), e) for piece, e in pieces]))
+        return {}, 0
+    return _combine([((1, 0), piece.items(), e) for piece, e in pieces])
 
 
 def _lows(lifted, trunc, top):
@@ -717,9 +685,11 @@ def substitute(f, images, out_trunc=None):
            for e, c in f.terms.items()):
         with mp.workprec(_float_bits()):
             values, _ = _substitute(f, images, packing, out_trunc, False)
-        return _finish(d2, out_trunc, packing.top, packing.unpack, values)
-    return _finish(d2, out_trunc, packing.top, packing.unpack,
-                   _substitute_float(f, images, packing, out_trunc), True)
+        return _finish(d2, out_trunc, packing.unpack, values)
+    pairs, e = _substitute_float(f, images, packing, out_trunc)
+    prec = working_prec()
+    return TruncatedSeries._clean(d2, out_trunc, {packing.unpack(k): gi_to_mpc((r, i, e), prec)
+                                                 for k, (r, i) in pairs.items() if r or i})
 
 
 def v_ell(f, order):

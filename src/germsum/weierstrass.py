@@ -95,14 +95,13 @@ def _eliminate(g, germ, depth):
     On float data each term carries its mass (:func:`_reduce_float`: |c| for
     an input term, the mass of n times |b| for a product n*b, masses adding
     where terms meet), and a term at most 2^(16 - prec) of its mass is
-    dropped as round-off, in place of the degree-relative prune of
-    :func:`germsum.series._finish`; each kept term is rounded to the working
-    precision once."""
+    dropped as round-off; each kept term is rounded to the working precision
+    once.  The generic pass keeps every nonzero term (:func:`germsum.series._finish`)."""
     if g.dim != germ.dim:
         raise DimensionMismatchError(
             f"series has {g.dim} variables, germ has {germ.dim}")
     frame = _Frame(germ, g.trunc, depth)
-    d, top = germ.dim, frame.top
+    d = germ.dim
     truncs = [max(g.trunc - n * germ.lead_degree, -1) for n in range(depth + 1)]
     if _exact_real(g.terms) and _exact_real(germ.p.terms):
         rem, dens = _reduce(frame, g.terms, germ, True)
@@ -113,7 +112,7 @@ def _eliminate(g, germ, depth):
         with mp.workprec(_float_bits()):
             rem, _ = _reduce(frame, g.terms, germ, False)
         levels = frame.levels({p: n for p, (n, _) in rem.items()})
-        return [_finish(d, tr, top, frame.unpack, level) for tr, level in zip(truncs, levels)]
+        return [_finish(d, tr, frame.unpack, level) for tr, level in zip(truncs, levels)]
     prec = working_prec()
     return [TruncatedSeries._clean(d, tr, {frame.unpack(p): gi_to_mpc(c, prec)
                                            for p, c in level.items()})

@@ -91,6 +91,14 @@ def test_blowup_and_ramify(files, capsys, monkeypatch):
     assert code == 0 and series_from_json(out).terms == {(3, 1): 1}
 
 
+def test_blowup_keeps_small_float_input(files, capsys):
+    # 1e-25 x2 beside x1 read from JSON at 128 bits gives v2 and 1e-25 v1 v2
+    f = files("f.json", {"dim": 2, "trunc": 3, "terms": [{"exp": [1, 0], "coeff": 1.0},
+                                                         {"exp": [0, 1], "coeff": 1e-25}]})
+    code, out = run(capsys, ["blowup", "--xi", "0", f])
+    assert code == 0 and series_from_json(out).terms == {(0, 1): 1.0, (1, 1): 1e-25}
+
+
 def test_blowup_output_independent_of_center_spelling(files, capsys):
     f = files("f.json", series_to_json(TS(2, 4, {(1, 0): Fraction(1, 3),
                                                  (0, 1): Fraction(1, 4), (1, 1): 1})))

@@ -15,6 +15,7 @@ from germsum.scalars import (QQi, is_exact, parse_scalar, sabs, sadd, scalar_fro
                              sneg, working_prec)
 from germsum.series import (MonomialOrder, TruncatedSeries, _operand, _Packing, majorant_norm,
                             series_from_json, series_to_json, substitute, v_ell)
+from germsum.transforms import blowup
 
 from helpers import (LAM, SHAPES, assert_near_reference, exact_series, mixed, nonzero, points,
                      random_series, ref_eval, ref_mul, ref_substitute)
@@ -375,10 +376,18 @@ class TestScalarsAndPruning:
         big = mpmath.mpf("1e30")
         tiny = big * mpmath.mpf(2) ** (-80)
         f = S(2, 4, {(1, 0): big, (0, 1): tiny, (0, 2): tiny})
-        assert (0, 1) not in f.terms          # same degree as the big term
+        assert f.terms[(0, 1)] == tiny        # kept beside the big term of its degree
         assert (0, 2) in f.terms              # its own degree scale
         g = S(2, 4, {(1, 0): big, (0, 1): Fraction(1, 10 ** 40)})
         assert (0, 1) in g.terms              # exact terms are never pruned
+
+    def test_small_float_input_is_kept(self):
+        # 1e-25 x2 beside x1 is input, not round-off: at 128 bits the constructor, JSON
+        # input, + 0, * 1 and the blow-up at 0 (x1 -> v2, x2 -> v1 v2) all keep it
+        f = S(2, 3, {(1, 0): 1.0, (0, 1): 1e-25})
+        for g in (f, series_from_json(series_to_json(f)), f + TS.zero(2, 3), f * TS.one(2, 3)):
+            assert g.terms == {(1, 0): 1.0, (0, 1): 1e-25}
+        assert blowup(f, 0).terms == {(0, 1): 1.0, (1, 1): 1e-25}
 
     def test_exact_zero_never_stored(self):
         f = S(2, 4, {(1, 0): Fraction(0), (0, 1): QQi(0, 0)})
@@ -470,7 +479,7 @@ class TestBuiltOnce:
         kind = data.draw(st.sampled_from(("exact", "qqi", "float", "mixed")))
         f = data.draw(ring_series(dim, trunc, kind))
         g = data.draw(ring_series(dim, data.draw(st.integers(trunc - 2, trunc)), kind))
-        if data.draw(st.booleans()):  # cancellation: float noise the relative cut removes
+        if data.draw(st.booleans()):  # cancellation: float noise that every operation keeps
             near = st.sampled_from(NEAR_MINUS_ONE)
             g = TS(dim, g.trunc, {**g.terms, **{e: smul(c, data.draw(near))
                                                 for e, c in f.terms.items()}})
@@ -496,9 +505,8 @@ class TestBuiltOnce:
         same_series(f.with_trunc(t), TS(dim, t, f.terms))
 
     def test_kernel_output_is_pruned_again(self):
-        # the product keeps the 1 at x2: its bit length, 1, is not below 64 - 64, the
-        # 128-bit floor of its degree beside (2^64 - 1)(1 + i); the ring operations and
-        # the constructor prune it again by the same rule, and keep it too
+        # the product keeps the 1 at x2 beside (2^64 - 1)(1 + i) at x1, as it keeps every
+        # nonzero term; the ring operations and the constructor, which prune again, keep it too
         big = mpmath.mpc(2 ** 64 - 1, 2 ** 64 - 1)
         h = S(2, 4, {(1, 0): big, (0, 0): mpmath.mpc(1)}) * S(2, 4, {(0, 0): 1, (0, 1): 1})
         assert (0, 1) in h.terms
@@ -684,3 +692,11 @@ class TestCalculus:
             for refused in (lambda: TS.variable(i, 3, 4), lambda: f.differentiate(i)):
                 with pytest.raises(ValueError, match=f"variable index {i} out of range"):
                     refused()
+        # an index is an integer, never read from a float, a Fraction or a string
+        for i in (1.0, Fraction(1), "1"):
+            for refused in (lambda: TS.variable(i, 3, 4), lambda: f.differentiate(i)):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"variable index {i!r} is not an integer")):
+                    refused()
+        with pytest.raises(ValueError, match=re.escape("dimension 2.5 is not an integer")):
+            TS.variable(0, 2.5, 4)

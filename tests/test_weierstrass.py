@@ -391,8 +391,8 @@ def test_float_elimination_keeps_relative_precision(lead, tail):
     terms 2^300 a step, above g's grid, until their masses leave the float
     range: such a term is kept.  Each term of wdivide and p_expand
     lies within 2^(16 - prec) of its own size of the exact elimination of the
-    same values; a term the float result lacks is below 2^(-prec/2) of the
-    largest of its degree (the prune rule of the TruncatedSeries constructor)."""
+    same values; a term the float result lacks, which only _reduce_float's masses
+    drop, is below 2^(-prec/2) of the largest of its degree."""
     trunc, depth = 8, 4
     p = {(1, 0): lead, (0, 2): tail, (1, 1): QQi(Fraction(3, 8), Fraction(1, 2)) * tail}
     g = {(1, 0): Fraction(1, 3), (2, 0): 3, (1, 1): Fraction(-2, 7), (0, 3): 5,
