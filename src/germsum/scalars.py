@@ -290,7 +290,7 @@ def sabs_float(x):
     :func:`sabs`; inf beyond the float range."""
     try:
         if isinstance(x, _EXACT_REAL):
-            return float(abs(x))
+            return abs(x.numerator) / x.denominator
         return float(sabs(x))
     except OverflowError:
         return float("inf")

@@ -296,8 +296,10 @@ class TruncatedSeries(Record):
     def __pow__(self, n):
         """f**n: :meth:`one` (the int 1) for n = 0, else one substitution of f into u^n,
         as a product f*g is one of (f, g) into u*v."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers take nonnegative integer exponents")
+        rule = "series powers take nonnegative integer exponents: exponent"
+        n = integer_arg(n, rule)
+        if n < 0:
+            raise ValueError(f"{rule} {n} is negative")
         if not n:
             return TruncatedSeries.one(self.dim, self.trunc)
         return substitute(TruncatedSeries._clean(1, n, {(n,): 1}), [self], out_trunc=self.trunc)

@@ -9,12 +9,15 @@ the coefficient of t^n, and a depth-1 elimination gives r (level 0) and q
 (level 1).  Substituting P for t inverts the expansion.
 
 Division is performed by deterministic term elimination in increasing
-monomial order, with all products truncated at the input's order.  The
-output is exact for the stored polynomial representative on every exponent
-of weight below ``(trunc+1) * min(weights)``; in terms of plain degrees,
-level n certifies ``g.trunc - n*deg(lead_exp)`` orders.  On float data
-the round-off that rounded data leave where they cancel is dropped, by the
-mass each term carries (:func:`_reduce_float`).
+monomial order, with all products truncated at the input's order; on
+int/Fraction data every term is an integer numerator over one shared
+denominator, rescaled by a doubling power of P's integer lead when a
+cancellation needs it (:func:`_reduce`).  The output is exact for the
+stored polynomial representative on every exponent of weight below
+``(trunc+1) * min(weights)``; in terms of plain degrees, level n certifies
+``g.trunc - n*deg(lead_exp)`` orders.  On float data the round-off that
+rounded data leave where they cancel is dropped, by the mass each term
+carries (:func:`_reduce_float`).
 """
 from __future__ import annotations
 
@@ -92,11 +95,13 @@ def wdivide(g, germ):
 def _eliminate(g, germ, depth):
     """Levels 0..depth of g modulo P - t, by :func:`_reduce`, as series.
 
-    On float data each term carries its mass (:func:`_reduce_float`: |c| for
-    an input term, the mass of n times |b| for a product n*b, masses adding
-    where terms meet), and a term at most 2^(16 - prec) of its mass is
-    dropped as round-off; each kept term is rounded to the working precision
-    once.  The generic pass keeps every nonzero term (:func:`germsum.series._finish`)."""
+    On int/Fraction data every level is read out as ``Fraction(n, D)``, D the
+    one denominator that all remainder terms share.  On float data each term
+    carries its mass (:func:`_reduce_float`: |c| for an input term, the mass
+    of n times |b| for a product n*b, masses adding where terms meet), and a
+    term at most 2^(16 - prec) of its mass is dropped as round-off; each kept
+    term is rounded to the working precision once.  The generic pass keeps
+    every nonzero term (:func:`germsum.series._finish`)."""
     if g.dim != germ.dim:
         raise DimensionMismatchError(
             f"series has {g.dim} variables, germ has {germ.dim}")
@@ -104,15 +109,14 @@ def _eliminate(g, germ, depth):
     d = germ.dim
     truncs = [max(g.trunc - n * germ.lead_degree, -1) for n in range(depth + 1)]
     if _exact_real(g.terms) and _exact_real(germ.p.terms):
-        rem, dens = _reduce(frame, g.terms, germ, True)
-        levels = frame.levels({p: Fraction(n, dens[j]) for p, (n, j) in rem.items()})
+        rem, den = _reduce(frame, g.terms, germ, True)
+        levels = frame.levels({p: Fraction(n, den) for p, n in rem.items()})
         return [TruncatedSeries._clean(d, tr, {frame.unpack(p): c for p, c in level.items()})
                 for tr, level in zip(truncs, levels)]
     if _has_exact(g.terms):
         with mp.workprec(_float_bits()):
             rem, _ = _reduce(frame, g.terms, germ, False)
-        levels = frame.levels({p: n for p, (n, _) in rem.items()})
-        return [_finish(d, tr, frame.unpack, level) for tr, level in zip(truncs, levels)]
+        return [_finish(d, tr, frame.unpack, lv) for tr, lv in zip(truncs, frame.levels(rem))]
     prec = working_prec()
     return [TruncatedSeries._clean(d, tr, {frame.unpack(p): gi_to_mpc(c, prec)
                                            for p, c in level.items()})
@@ -190,7 +194,7 @@ class _Frame:
 
 def _reduce(frame, terms, germ, exact):
     """Divide by ``P - t`` on packed numerators (sparse division with a heap): the
-    exact or generic pass, returning the remainder by packed key and the denominators.
+    exact or generic pass, returning the remainder by packed key and its denominator.
 
     A step cancels the order-minimal in-cone term ``c x^(m+lead)`` at level n
     with ``(c/lc) x^m (P - t)``.  Since t has degree ``deg(lead_exp)``, the
@@ -201,12 +205,16 @@ def _reduce(frame, terms, germ, exact):
     divisions; level ``depth``, the quotient, is not reduced.  rem never holds
     a zero, as cancelled entries are deleted.
 
-    For exact real data P is scaled to integer coefficients with lead L.  A
-    term is a pair ``(n, j)`` standing for ``n / (den_g * L**j)``: cancelling
-    it adds terms of generation ``j + 1``, and two generations meeting on one
-    exponent are aligned by a power of L.  Other data divide P's tail by its
-    lead coefficient once, so L = 1 and ``n`` is the coefficient itself, under
-    the promotion rule of :mod:`germsum.scalars` at the caller's precision.
+    For exact real data P is scaled to integer coefficients with lead L, and
+    every term is an integer numerator over one denominator D = den_g * L**J
+    that all terms share (Bareiss's integer-preserving idea, Math. Comp. 22,
+    1968), so terms that meet add as they are.  Cancelling a term divides its
+    numerator by L once; where L does not divide it, every numerator and D are
+    multiplied by L**s first, and s doubles (1, 2, 4, ...), so J stays below
+    twice the power of L the data need and there are O(log J) rescales.  Other data
+    divide P's tail by its lead coefficient once, so L = 1 and a term is the
+    coefficient itself, under the promotion rule of :mod:`germsum.scalars` at
+    the caller's precision, never divided.
     """
     lead = germ.lead_exp
     if exact:
@@ -218,8 +226,9 @@ def _reduce(frame, terms, germ, exact):
         lc = germ.lead_coeff
         coeffs = [-sdiv(germ.p.terms[e], lc) for e in frame.tail_exps] + [sdiv(1, lc)]
     tail = [(pt, dk, b) for (pt, dk), b in zip(frame.tail, coeffs)]
-    g_num, g_den = _lift(terms, exact)
-    rem, heap = frame.start({e: (n, 0) for e, n in g_num.items()})
+    g_num, den = _lift(terms, exact)
+    rem, heap = frame.start(g_num)
+    grow = big_l  # the next rescale, L**s
     top, trunc, key_bits, key_mask = frame.top, frame.trunc, frame.key_bits, frame.key_mask
     guard, plead = frame.guard, frame.plead
     level_mask, quotient_level = frame.level_mask, frame.quotient_level
@@ -228,13 +237,19 @@ def _reduce(frame, terms, germ, exact):
         p = entry & key_mask
         if p & level_mask == quotient_level:
             break  # every level below is reduced
-        t = rem.pop(p, None)
-        if t is None:
+        n = rem.pop(p, None)
+        if n is None:
             continue
-        n, j = t
+        if big_l != 1:
+            q, r = divmod(n, big_l)
+            if r:  # L does not divide n: rescale every numerator and den by L**s, then double s
+                rem = {p2: v * grow for p2, v in rem.items()}
+                den *= grow
+                q = n * (grow // big_l)
+                grow *= grow
+            n = q
         m = p - plead
         k = entry >> key_bits
-        j1 = j + 1
         for pt, dk, b in tail:
             p2 = m + pt
             if p2 >> top > trunc:
@@ -242,24 +257,16 @@ def _reduce(frame, terms, germ, exact):
             delta = n * b
             t2 = rem.get(p2)
             if t2 is None:
-                rem[p2] = (delta, j1)
+                rem[p2] = delta
                 if ((p2 | guard) - plead) & guard == guard:
                     heapq.heappush(heap, ((k + dk) << key_bits) | p2)
                 continue
-            n2, j2 = t2
-            if j2 < j1:
-                n2 = n2 * big_l ** (j1 - j2) + delta
-                j2 = j1
-            elif j2 > j1:
-                n2 += delta * big_l ** (j2 - j1)
-            else:
-                n2 += delta
-            if n2:
-                rem[p2] = (n2, j2)
+            t2 += delta
+            if t2:
+                rem[p2] = t2
             else:
                 del rem[p2]
-    top_j = max((j for _, j in rem.values()), default=0)
-    return rem, [g_den * big_l ** j for j in range(top_j + 1)]  # dens[j]: den_g * L**j
+    return rem, den
 
 
 def _mass(re, im, bits):

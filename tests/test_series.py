@@ -684,6 +684,17 @@ class TestCalculus:
         with pytest.raises(ValueError, match="nonnegative integer exponents"):
             S(2, 5, {(1, 1): 1}) ** n
 
+    def test_pow_exponent_read_as_integer(self):
+        # the exponent is read by operator.index, as every integer argument is: a numpy
+        # integer is one, a float or a Fraction is not, whatever its value
+        f = S(2, 5, {(1, 1): 1, (1, 0): Fraction(1, 3)})
+        assert f ** numpy.int64(2) == f * f
+        for n in (2.0, Fraction(2)):
+            with pytest.raises(ValueError, match=re.escape(f"exponent {n!r} is not an integer")):
+                f ** n
+        with pytest.raises(ValueError, match=re.escape("exponent -2 is negative")):
+            f ** numpy.int64(-2)
+
     def test_variable_index_checked(self):
         # a variable and a derivative take the same indices 0 .. dim - 1
         assert TS.variable(1, 3, 4).terms == {(0, 1, 0): 1}

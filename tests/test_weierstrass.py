@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from germsum.errors import DimensionMismatchError, ZeroGermError
 from germsum.scalars import (QQi, is_exact, sabs, sadd, sdiv, smul, sneg, to_mpc,
                              working_prec)
-from germsum.series import MonomialOrder, TruncatedSeries, series_to_json, substitute
-from germsum.weierstrass import (Germ, PExpansion, delta_member, p_expand,
+from germsum.series import MonomialOrder, TruncatedSeries, _lift, series_to_json, substitute
+from germsum.weierstrass import (Germ, PExpansion, _Frame, _reduce, delta_member, p_expand,
                                  t_substitute, wdivide)
 
 from helpers import (LAM, SHAPES, assert_near_reference, exact_coeffs, exact_germs,
@@ -21,6 +22,15 @@ from helpers import (LAM, SHAPES, assert_near_reference, exact_coeffs, exact_ger
                      ref_p_expand, ref_substitute, ref_t_substitute, ref_wdivide)
 
 TS = TruncatedSeries
+
+
+def _valuation(x, base):
+    """The largest k with base^k dividing the nonzero int x."""
+    k = 0
+    while x % base == 0:
+        x //= base
+        k += 1
+    return k
 
 
 @pytest.fixture
@@ -176,8 +186,8 @@ class TestIntegerKernel:
         assert [(g.trunc, g.terms) for g in expansion.coeffs] == ref
 
     def test_older_generation_meets_newer(self):
-        """A cancellation adds to a remainder term of a later generation j2 > j1, which
-        is aligned by L^(j2 - j1) (L = 15, P scaled to integers)."""
+        """A cancellation adds to a remainder term that a later cancellation made (L = 15,
+        P scaled to integers): over the one shared denominator the two add as they are."""
         p = TS(2, 8, {(2, 0): Fraction(5, 2), (1, 1): -3, (2, 1): Fraction(5, 3)})
         germ = Germ(p, MonomialOrder((1, 3), "revlex"))
         g = TS(2, 8, {(0, 0): Fraction(-1, 5), (3, 0): Fraction(6, 5), (5, 1): -7,
@@ -189,6 +199,61 @@ class TestIntegerKernel:
         for depth in range(1, 5):
             ref = ref_p_expand(g.terms, p.terms, key, 8, depth)
             assert [(c.trunc, c.terms) for c in p_expand(g, germ, depth).coeffs] == ref
+
+    @staticmethod
+    def rescale_case(dim, trunc, depth, n_terms):
+        """A germ whose integer lead L = -7 (d = 2) or -5 (d = 3), P scaled to integer
+        coefficients, is prime to the other coefficients of the scaled P and to its
+        denominator, the coefficient of t, and a series g of n_terms Fraction terms,
+        over denominators 1..4, with a fixed seed."""
+        p = ({(1, 1): Fraction(-7, 2), (3, 0): Fraction(3, 2), (0, 3): 5, (2, 1): Fraction(1, 2)}
+             if dim == 2 else
+             {(1, 0, 0): Fraction(-5, 3), (0, 2, 0): 2, (0, 1, 1): Fraction(7, 3), (1, 0, 2): 1})
+        rng = random.Random(dim * trunc)
+        window = [e for e in itertools.product(range(trunc + 1), repeat=dim) if sum(e) <= trunc]
+        g = TS(dim, trunc, {e: Fraction(rng.choice((-9, -7, -4, -2, -1, 1, 2, 3, 5, 8)),
+                                        rng.randint(1, 4))
+                            for e in rng.sample(window, n_terms)})
+        germ = Germ(TS(dim, trunc, p), MonomialOrder((1,) * dim))
+        return germ, g, depth, _lift(germ.p.terms, True)[0][germ.lead_exp]
+
+    RESCALE_CASES = [(2, 5, 2, 4), (2, 24, 11, 60), (3, 14, 12, 40)]
+
+    @pytest.mark.parametrize("case", RESCALE_CASES)
+    def test_shared_denominator_doubles(self, case):
+        """Every remainder term is a numerator over D = den_g * L^J, where J + 1 is a
+        power of two (rescales by L, L^2, L^4, ...); on these data J is also below
+        twice the largest power of L that a remainder coefficient needs."""
+        germ, g, depth, big_l = self.rescale_case(*case)
+        rem, den = _reduce(_Frame(germ, g.trunc, depth), g.terms, germ, True)
+        den_g = _lift(g.terms, True)[1]
+        j = _valuation(den // den_g, big_l)
+        assert den == den_g * big_l ** j
+        need = max(_valuation(Fraction(n, den).denominator, big_l) for n in rem.values())
+        assert j + 1 & j == 0 and need <= j < 2 * need
+
+    @pytest.mark.parametrize("case", RESCALE_CASES)
+    def test_rescaled_elimination_matches_reference(self, case):
+        """The division and every level equal the reference in terms, coefficient types
+        and truncation; at depths 11 and 12 the levels' denominators need L^8 and more,
+        so the shared denominator is rescaled at least four times (L, L^2, L^4, L^8)."""
+        germ, g, depth, big_l = self.rescale_case(*case)
+        key = ref_order_key(germ.order.weights, germ.order.tiebreak)
+        assert germ.lead_exp == min(germ.p.terms, key=key)
+
+        def typed(levels):
+            return [(tr, {e: (type(c), c) for e, c in terms.items()}) for tr, terms in levels]
+
+        quot, rem = ref_wdivide(g.terms, germ.p.terms, key, g.trunc)
+        res = wdivide(g, germ)
+        assert typed([(res.q.trunc, res.q.terms), (res.r.trunc, res.r.terms)]) == typed(
+            [(max(g.trunc - germ.lead_degree, -1), quot), (g.trunc, rem)])
+        coeffs = p_expand(g, germ, depth).coeffs
+        assert typed((c.trunc, c.terms) for c in coeffs) == typed(
+            ref_p_expand(g.terms, germ.p.terms, key, g.trunc, depth))
+        if depth > 10:
+            assert max(_valuation(c.denominator, big_l)
+                       for level in coeffs for c in level.terms.values()) >= 8
 
 
 def test_float_path_matches_funnel_reference():
