@@ -679,12 +679,15 @@ def substitute(f, images, out_trunc=None):
     if not f.terms or out_trunc < 0:
         return TruncatedSeries._clean(d2, max(out_trunc, -1), {})
     packing = _Packing(d2, out_trunc)
-    if _exact_real(f.terms) and all(_exact_real(g.terms) for g in images):
+    if all(_exact_real(g.terms) for g in images) and _exact_real(f.terms):
         return packing.finish(out_trunc, *_substitute(f, images, packing, out_trunc, True))
-    # a piece is all float unless its coefficient and every image it takes have exact terms
+    # a piece is all float unless its coefficient and every image it takes have exact
+    # terms: with no exact image, only f's constant term can be such a piece
     some_exact = [_has_exact(g.terms) for g in images]
+    zero = (0,) * f.dim
+    pieces = f.terms.items() if any(some_exact) else [(zero, f.terms.get(zero))]
     if any(scalars.is_exact(c) and all(some_exact[i] for i, k in enumerate(e) if k)
-           for e, c in f.terms.items()):
+           for e, c in pieces):
         with mp.workprec(_float_bits()):
             values, _ = _substitute(f, images, packing, out_trunc, False)
         return _finish(d2, out_trunc, packing.unpack, values)

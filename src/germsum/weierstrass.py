@@ -291,6 +291,16 @@ def _reduce_float(frame, terms, germ):
     smallest keeps its relative precision, as an mpc would.  Sums are exact, on
     the lower of the two exponents.
 
+    The cut, the exponent and the mass factor of each product n*b depend only
+    on n's exponent and width and on b, so each pop takes them from a plan, one
+    entry per tail entry (the elimination by a heap of Monagan and Pearce, J.
+    Symb. Comput. 46, 2011, with its per-term work hoisted out of the product
+    loop).  A term on g's grid at least as wide as every cut, as nearly every
+    term is, takes the plan built once before the loop, whose factors
+    c = bm 2^(bits - s) give each product's mass as mn c, equal bit for bit to
+    ``ldexp_inf(mn bm, bits - s)`` while c, mn bm and mn c are normal floats.
+    Any other pop builds its own plan, holding each product's mass itself.
+
     Each term also carries its mass, a running bound on what it is made of
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.3):
     an input term's mass is |c|, a product n*b has the mass of n times |b|, and
@@ -320,12 +330,34 @@ def _reduce_float(frame, terms, germ):
         # |b| = bm 2^(eb + bits), 1/2 <= bm < 2^(1/2)
         tail.append((pt, dk, br, bi, eb, gi_abs((br, bi, 0), bits)))
     mants, eg = gi_lift(terms.values(), bits)
+
+    def plan(en, wn, shift, mn):
+        """Per tail entry b, for a popped term n of exponent en and wn bits: the key
+        step, the heap-key offset, b, the cut s of n*b, its exponent en + eb + s and its
+        mass mn bm 2^(shift - s).  n*b has wn + bits bits (one more or less) from
+        2^(en + eb) up, and is cut at 2^eg or wn bits up, whichever is lower."""
+        steps = []
+        for pt, dk, br, bi, eb, bm in tail:
+            s = min(max(eg - en - eb, 0), wn)
+            steps.append((pt, dk, br, bi, s, en + eb + s, ldexp_inf(mn * bm, shift - s)))
+        return steps
+
+    # a term on g's grid of at least cut bits takes the grid plan's cuts, whatever its
+    # width; mn c (c = bm 2^(bits - s)) is ldexp_inf(mn bm, bits - s) bit for bit while
+    # c, mn bm and mn c are normal floats, that is while lo <= mn < hi
+    cut = max(max(-eb, 0) for *_, eb, _ in tail)
+    grid = plan(eg, cut, bits, 1.0)
+    cs = [c for *_, c in grid]
+    lo = 2.0 ** -1021 / min(*cs, 1.0) if 2.0 ** -1022 <= min(cs) and max(cs) < inf else inf
+    hi = 2.0 ** 1023
     rem, heap = frame.start({x: (r, i, eg, _mass(r, i, bits)) for x, (r, i) in zip(terms, mants)})
-    top, trunc, key_bits, key_mask = frame.top, frame.trunc, frame.key_bits, frame.key_mask
+    top, key_bits, key_mask = frame.top, frame.key_bits, frame.key_mask
+    limit = (frame.trunc + 1) << top  # p2 >= limit: p2 is above the truncation
     guard, plead = frame.guard, frame.plead
     level_mask, quotient_level = frame.level_mask, frame.quotient_level
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        entry = heapq.heappop(heap)
+        entry = heappop(heap)
         p = entry & key_mask
         if p & level_mask == quotient_level:
             break  # every level below is reduced
@@ -336,37 +368,26 @@ def _reduce_float(frame, terms, germ):
         wn = max(nr.bit_length(), ni.bit_length())
         if 0 < mn < inf and wn - frexp(mn)[1] <= lag:
             continue  # noise
-        s = min(wn - bits, eg - en)
-        shift = bits  # the mass of n b on its exponent en + eb + s: mn bm 2^(shift - s)
-        if s > 0:
+        if en == eg and wn >= cut and lo <= mn < hi:
+            steps, scale = grid, mn
+        else:  # n is cut below 2^eg or bits bits under its top, whichever is lower
+            s = max(min(wn - bits, eg - en), 0)
             nr, ni, en, wn = nr >> s, ni >> s, en + s, wn - s
-            shift -= s
-        # a product of n and b has wn + bits bits (one more or less) from 2^(en + eb)
-        # up; cut it at 2^eg or wn bits up, whichever is lower
-        g = eg - en
+            steps, scale = plan(en, wn, bits - s, mn), 1.0
         m = p - plead
         k = entry >> key_bits
-        for pt, dk, br, bi, eb, bm in tail:
+        for pt, dk, br, bi, s, e2, c in steps:
             p2 = m + pt
-            if p2 >> top > trunc:
+            if p2 >= limit:
                 continue
-            s = g - eb
-            if s > wn:
-                s = wn
-            if s > 0:
-                dr = (nr * br - ni * bi) >> s
-                di = (nr * bi + ni * br) >> s
-            else:
-                s = 0
-                dr = nr * br - ni * bi
-                di = nr * bi + ni * br
-            e2 = en + eb + s
-            m2 = ldexp_inf(mn * bm, shift - s)
+            dr = (nr * br - ni * bi) >> s
+            di = (nr * bi + ni * br) >> s
+            m2 = scale * c
             t2 = rem.get(p2)
             if t2 is None:
                 rem[p2] = (dr, di, e2, m2)
                 if ((p2 | guard) - plead) & guard == guard:
-                    heapq.heappush(heap, ((k + dk) << key_bits) | p2)
+                    heappush(heap, ((k + dk) << key_bits) | p2)
                 continue
             tr, ti, et, mt = t2
             if et == e2:

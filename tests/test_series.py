@@ -9,6 +9,7 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germsum import series
 from germsum.errors import (DimensionMismatchError, InsufficientTruncationError,
                             ZeroSeriesError)
 from germsum.scalars import (QQi, is_exact, parse_scalar, sabs, sadd, scalar_from_json, smul,
@@ -208,6 +209,39 @@ class TestMixedDomains:
         assert out.terms[(0, 0)] == Fraction(2, 3)
         assert is_exact(out.terms[(0, 0)])
         assert is_exact(out.terms[(0, 1)]) if mixed_image else (0, 1) not in out.terms
+        ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc, sadd, smul)
+        assert_near_reference([out], [TS(2, out.trunc, ref)])
+
+    @pytest.mark.parametrize("constant, exact_image, expect", [
+        (True, None, "generic"), (False, None, "float"), (False, 0, "generic"),
+        (False, 1, "float")])
+    def test_pass_chosen_from_images(self, monkeypatch, constant, exact_image, expect):
+        """The pass of an exact f under float images, with an exact term in no image
+        or in image ``exact_image``.  With none, only f's constant term makes a piece
+        mixed: the generic pass keeps that constant exact, and without it the float
+        pass makes every coefficient an mpc.  An exact term in x1's image reaches
+        the exact x1 piece (generic pass); one in x2's alone reaches no piece, as
+        every term of f takes x1 (float pass)."""
+        with mpmath.mp.workprec(working_prec()):
+            lam = mpmath.mpc(mpmath.mpf(9) / 10, mpmath.mpf(-1) / 7)
+        terms = {(1, 0): 1, (1, 2): Fraction(-1, 7)}
+        if constant:
+            terms[(0, 0)] = Fraction(2, 3)
+        f = S(2, 6, terms)
+        images = [S(2, 6, {(1, 0): lam}), S(2, 6, {(0, 1): lam})]
+        if exact_image is not None:
+            images[exact_image] = images[exact_image] + S(2, 6, {(1, 1): 1})
+        passes = []
+        for name in ("_substitute", "_substitute_float"):
+            run = getattr(series, name)
+            monkeypatch.setattr(series, name, lambda *args, run=run, name=name: (
+                passes.append(name), run(*args))[1])
+        out = substitute(f, images)
+        assert passes == [{"generic": "_substitute", "float": "_substitute_float"}[expect]]
+        if constant:
+            assert out.terms[(0, 0)] == Fraction(2, 3) and is_exact(out.terms[(0, 0)])
+        if expect == "float":
+            assert all(isinstance(c, mpmath.mpc) for c in out.terms.values())
         ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc, sadd, smul)
         assert_near_reference([out], [TS(2, out.trunc, ref)])
 

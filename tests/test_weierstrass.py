@@ -356,6 +356,53 @@ def test_float_expansion_matches_wide_precision(lead_bits):
         assert sabs(sadd(v, sneg(w))) <= tol
 
 
+@pytest.mark.parametrize("depth", [8, 12])
+def test_germ_sum_family_one_term_per_level(depth):
+    """germ-sum's own family at small size: f = sum m! a^m P^(m+1) with
+    P = x1^2 + c x1 x2 + beta x2^2, both under x -> lam x for an mpc lam, then
+    expanded in powers of the scaled P.  Nearly every term the float elimination
+    pops lies on g's grid and takes the plan built before the loop.  The
+    expansion is g_0 = 0 and g_n = (n - 1)! a^(n - 1), one term per level, each
+    within 2^(16 - prec) max(1, |g_n|)."""
+    a, c, beta = Fraction(3, 4), Fraction(-1, 2), Fraction(3, 4)
+    trunc = 2 * (depth - 1)
+    p = TS(2, trunc, {(2, 0): 1, (1, 1): c, (0, 2): beta})
+    f, p_pow = TS.zero(2, trunc), p
+    for m in range(depth - 1):
+        f = f + p_pow * (factorial(m) * a ** m)
+        p_pow = p_pow * p
+    with mpmath.mp.workprec(working_prec()):
+        lam = mpmath.mpc(mpmath.mpf(11) / 10, mpmath.mpf(3) / 10)
+    images = [TS(2, trunc, {(1, 0): lam}), TS(2, trunc, {(0, 1): lam})]
+    germ = Germ(substitute(p, images), MonomialOrder((1, 1)))
+    levels = p_expand(substitute(f, images), germ, depth).coeffs
+    assert [set(g.terms) for g in levels] == [set()] + [{(0, 0)}] * (depth - 1)
+    tol = mpmath.mpf(2) ** (16 - working_prec())
+    for n, g in enumerate(levels[1:], 1):
+        want = factorial(n - 1) * a ** (n - 1)
+        assert sabs(sadd(g.terms[(0, 0)], sneg(want))) <= tol * max(1, abs(want)), n
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_float_residual_after_grid_products_kept(prec):
+    """x1^8 - (1 - eps) x2^8 with eps = 2^(19 - prec), expanded in powers of
+    x1 + x2 on mpc data.  Its remainder eps x2^8 is what the input leaves of the
+    term (-x2)^8 that x1^8 reaches in eight products by -x2, each on g's grid, so
+    its mass is 1 + (1 - eps) and it is 4 times the cut 2^(16 - prec) of that mass:
+    the term is kept.  The data are dyadic, so the float expansion equals the
+    exact one."""
+    depth, eps = 9, Fraction(1, 2 ** (prec - 19))
+    p = {(1, 0): 1, (0, 1): 1}
+    f = {(8, 0): 1, (0, 8): eps - 1}
+    with mpmath.mp.workprec(prec):
+        germ = Germ(TS(2, 8, {e: to_mpc(c) for e, c in p.items()}), MonomialOrder((1, 1)))
+        floats = p_expand(TS(2, 8, {e: to_mpc(c) for e, c in f.items()}), germ, depth).coeffs
+    exact = p_expand(TS(2, 8, f), Germ(TS(2, 8, p), MonomialOrder((1, 1))), depth).coeffs
+    assert exact[0].terms == {(0, 8): eps}
+    assert all(isinstance(c, mpmath.mpc) for g in floats for c in g.terms.values())
+    assert floats == exact
+
+
 def test_mixed_expansion_holds_working_precision():
     """A dense series of truncation 24 with about 15 % of its coefficients turned
     into mpc (times lam), expanded in powers of x2^2 - x1^3 + x1 x2/3 to depth 8.
