@@ -14,7 +14,10 @@ only read:
   in powers of its lambda-scaled P, to the instance's depth (the float
   elimination by P - t of germ-sum's expand slots);
 * ``substitute``: the lambda-scaling ``substitute(f, images)`` of each
-  germ-sum instance's f;
+  germ-sum instance's f (the float pass of the substitution kernel);
+* ``substitute-exact``: the ``blowup`` of each algebra-exact chain's f and P
+  at its centre (the exact pass, Horner's rule over the chart's image of two
+  terms);
 * ``expand-exact``: ``p_expand`` of each algebra-exact chain's blown-up f in
   powers of its blown-up P (the exact elimination);
 * ``t-substitute``: ``t_substitute`` of each of those expansions.
@@ -50,10 +53,11 @@ def inputs(root, seed, workdir):
         fs, germ = gs.substitute(f, images), gs.Germ(gs.substitute(p, images), gs.MonomialOrder((1, 1)))
         floats.append(lambda fs=fs, germ=germ, depth=depth: gs.p_expand(fs, germ, depth))
         scalings.append(lambda f=f, images=images: gs.substitute(f, images))
-    exacts, backs = [], []
+    blowups, exacts, backs = [], [], []
     for inp in workloads.AlgebraExact(seed, workdir, 1).inputs:
         if inp["kind"] != "chain":
             continue
+        blowups += [lambda g=g, xi=inp["xi"]: gs.blowup(g, xi) for g in (inp["f"], inp["p"])]
         fb = gs.blowup(inp["f"], inp["xi"])
         germ = gs.Germ(gs.blowup(inp["p"], inp["xi"]), gs.MonomialOrder(inp["weights"]))
         depth = fb.trunc // germ.lead_degree + 1
@@ -61,8 +65,8 @@ def inputs(root, seed, workdir):
         expansion = gs.p_expand(fb, germ, depth)
         backs.append(lambda expansion=expansion: gs.t_substitute(expansion))
     meta = {"prec_bits": gs.DEFAULT_PREC_BITS}
-    return {"expand-float": floats, "substitute": scalings, "expand-exact": exacts,
-            "t-substitute": backs}, meta
+    return {"expand-float": floats, "substitute": scalings, "substitute-exact": blowups,
+            "expand-exact": exacts, "t-substitute": backs}, meta
 
 
 def best_sum(calls, repeats):

@@ -40,7 +40,8 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm, prod
+from math import lcm
+from operator import itemgetter, mul
 
 from mpmath import mp
 
@@ -281,8 +282,9 @@ class TruncatedSeries(Record):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_dim(other)
-        # u*v at (f, g); the kernel loops over the second image outside, so the
-        # factor with fewer terms (self on a tie) goes second
+        # u*v at (f, g): Horner's rule takes the first image outermost, so the
+        # kernel multiplies the second factor by the first, looping over the
+        # second's terms outside; the factor with fewer terms (self on a tie) goes second
         images = [self, other] if len(self.terms) > len(other.terms) else [other, self]
         return substitute(_PRODUCT, images, out_trunc=min(self.trunc, other.trunc))
 
@@ -354,17 +356,22 @@ def _fmt_term(e, c):
 # -- the series kernel -------------------------------------------------------------
 #
 # Substitutions (products among them) and divisions run on the loops below for
-# every coefficient domain, with exponents packed into ints.  int and Fraction data
-# are lifted once to integer numerators over one denominator per operand.  Where
-# every piece of a substitution has no exact term, floats are lifted to
-# Gaussian-integer mantissas (re, im) over one power of two per operand, the
-# smallest nonzero keeping working_prec() + _GUARD bits (scalars.gi_lift); products
-# inside a loop are exact, and a result is truncated to that rule again only where
-# it comes back as an operand (_truncate).  Other data (QQi, or exact and float
-# coefficients mixed) keep their own scalars, over 1, and run the same loops once
-# inside mp.workprec(working_prec() + _GUARD), each operation following the
-# promotion rule of germsum.scalars.  Every pass drops zeros, keeps every other
-# term and rounds each float output to the working precision once.
+# every coefficient domain, with exponents packed into ints.  A substitution is one
+# traversal, _horner: Horner's rule over each image of more than one term, and a
+# key shift times a coefficient power for each other image.  Its exact, generic
+# and float passes differ only in three closures: multiply a running sum by an
+# image at a degree cap, weigh a term of f by its monomial images' powers, add.
+# int and Fraction data are lifted once to integer numerators over one denominator
+# per operand.  Where no term of f has an exact coefficient and exact terms in
+# every image it takes, floats are lifted to Gaussian-integer mantissas (re, im)
+# over one power of two per operand, the smallest nonzero keeping
+# working_prec() + _GUARD bits (scalars.gi_lift); products inside a loop are exact,
+# and a result is truncated to that rule again only where it comes back as an
+# operand (_truncate).  Other data (QQi, or exact and float coefficients mixed)
+# keep their own scalars, over 1, and run the same loops once inside
+# mp.workprec(working_prec() + _GUARD), each operation following the promotion
+# rule of germsum.scalars.  Every pass drops zeros, keeps every other term and
+# rounds each float output to the working precision once.
 
 # bits beyond the working precision that the float lift and the generic pass keep
 _GUARD = 32
@@ -445,22 +452,24 @@ def _operand(pairs, trunc, top):
     return pairs, list(accumulate(count))
 
 
-def _pack_terms(terms, packing, trunc, exact):
-    """The lift of terms for an exact or generic pass (:func:`_lift`): an
-    :func:`_operand` of the terms of degree <= trunc, and their denominator."""
-    num, den = _lift(terms, exact)
-    pack = packing.pack
-    return _operand([(pack(e), n) for e, n in num.items() if sum(e) <= trunc],
-                    trunc, packing.top), den
+def _shapes(images, packing, trunc):
+    """Per image: its terms of degree <= trunc by packed key; the packed key a term
+    of f gains per power of it, its one term's key if it is a monomial, else its
+    lowest degree alone, in the degree field; and that lowest degree, trunc + 1
+    for a zero image, which so moves a term out of the window."""
+    pack, top = packing.pack, packing.top
+    shapes = []
+    for g in images:
+        terms = {pack(e): c for e, c in g.terms.items() if sum(e) <= trunc}
+        low = min(terms, default=(trunc + 1) << top) >> top
+        shapes.append((terms, next(iter(terms)) if len(terms) == 1 else low << top, low))
+    return shapes
 
 
-def _pack_float(terms, packing, trunc):
-    """The float pass's lift of terms: an :func:`_operand` of the mantissa pairs
-    of the terms of degree <= trunc, and the exponent of their grid."""
-    items = [(x, c) for x, c in terms.items() if sum(x) <= trunc]
-    mants, e = gi_lift([c for _, c in items], _float_bits())
-    pack = packing.pack
-    return _operand([(pack(x), m) for (x, _), m in zip(items, mants)], trunc, packing.top), e
+def _top(f, i, low, trunc):
+    """The largest exponent of x_i that a term of f takes, at most trunc // low."""
+    t = max(map(itemgetter(i), f.terms))
+    return min(t, trunc // low) if low else t
 
 
 def _imul(a, b, trunc, top):
@@ -471,10 +480,6 @@ def _imul(a, b, trunc, top):
     of its pairs.
     """
     pairs, upto = b
-    if len(pairs) == 1:  # a monomial moves each key
-        (kb, nb), = pairs
-        cap = (trunc + 1 - (kb >> top)) << top
-        return {ka + kb: na * nb for ka, na in a if ka < cap}
     out = {}
     get = out.get
     for ka, na in a:
@@ -487,10 +492,6 @@ def _imul(a, b, trunc, top):
 def _gimul(a, b, trunc, top):
     """:func:`_imul` on Gaussian mantissa pairs (re, im), exactly."""
     pairs, upto = b
-    if len(pairs) == 1:
-        (kb, (br, bi)), = pairs
-        cap = (trunc + 1 - (kb >> top)) << top
-        return {ka + kb: (ar * br - ai * bi, ar * bi + ai * br) for ka, (ar, ai) in a if ka < cap}
     out = {}
     get = out.get
     for ka, (ar, ai) in a:
@@ -515,139 +516,164 @@ def _truncate(products, e, bits):
     return {k: (r >> s, i >> s) for k, (r, i) in products.items()}, e + s
 
 
-def _pieces(coeffs, images, one, step, lows, trunc, combine, times):
-    """The pieces of a substitution, one at a time: per prefix, a sum over powers of the
-    last image, times the prefix's powers of the others.
+def _horner(terms, shapes, trunc, top, grid, times, weigh, add):
+    """f at the images, as a pass's running sum: Horner's rule over each image of
+    more than one term, the first outermost, and the other images term by term.
 
-    ``coeffs`` pairs each exponent of f with the domain's coefficient,
-    ``images[i]`` is image i as the pass holds it, ``one`` the zeroth power of
-    every image and ``step(a, b)`` the product of a power a of an image and the
-    image b: each power is formed once, from the one below it, and kept.
-    ``lows[i]`` is the lowest degree of image i (above ``trunc`` for a zero
-    image).  The terms of f that share their other exponents (a prefix) are
-    combined first, ``combine(parts, cap)`` of pairs of a coefficient and its
-    power of the last image, on the terms of degree <= cap that the prefix's
-    powers can leave within ``trunc``; that sum is multiplied by the prefix's
-    powers of the other images (``times``), one piece per prefix.  Every pass
-    of :func:`substitute` walks these same products.
+    ``terms`` are f's (exponent, coefficient as the pass holds it) and ``shapes``
+    the images' :func:`_shapes`.  A term's key sum_i e_i step_i has the degree
+    sum_i e_i low_i; above trunc, the term could only land above trunc and is
+    dropped, as is every term that takes a zero image.  Each other term is
+    moved by its monomial images: its key is sum_i e_i key_i and ``weigh(e, c)``
+    multiplies their coefficient powers into c, giving a value over 2^grid.
+    Then, for the outermost image x_i of more terms left and f_n the terms of
+    exponent n in it, each taken to the images further in,
+    ``acc <- times(acc, i, cap - n low_i) + f_n`` for n from the top down (Knuth,
+    *TAOCP* vol. 2, 4.6.4, variable by variable), level n kept to degree
+    cap - n low_i: a term dropped there still meets n factors of degree >= low_i.
+    A running sum is a pair (values by packed key, e), its values over 2^e, or
+    None while empty; ``add(acc, pairs, e)`` adds (key, value) pairs over 2^e.
     """
-    powers = [[one, image] for image in images]  # powers[i][n]: image_i^n
+    _, steps, lows = zip(*shapes)
+    multi = [i for i, (image, _, _) in enumerate(shapes) if len(image) > 1]
+    limit = (trunc + 1) << top
+    if not multi:
+        return add(None, [(k, weigh(e, c)) for e, c in terms
+                          if (k := sum(map(mul, e, steps))) < limit], grid)
+    *outer, last = multi
+    root = {}
+    for e, c in terms:
+        key = sum(map(mul, e, steps))
+        if key < limit:
+            node = root
+            for i in outer:
+                node = node.setdefault(e[i], {})
+                key -= e[i] * steps[i]
+            n = e[last]
+            node.setdefault(n, []).append((key - n * steps[last], weigh(e, c)))
 
-    def power(i, n):
-        cache = powers[i]
-        while len(cache) <= n:
-            cache.append(step(cache[-1], images[i]))
-        return cache[n]
+    def level(node, j, cap):
+        i = multi[j]
+        acc = None
+        for n in range(max(node), -1, -1):
+            cap_n = cap - n * lows[i]
+            if acc is not None:
+                acc = times(acc, i, cap_n)
+            part = node.get(n)
+            if part is None:
+                continue
+            if i == last:  # the group's terms go straight into acc
+                acc = add(acc, part, grid)
+            else:
+                sub = level(part, j + 1, cap_n)
+                acc = sub if acc is None else add(acc, sub[0].items(), sub[1])
+        return acc
 
-    groups = {}
-    for x, c in coeffs:
-        groups.setdefault(x[:-1], []).append((c, power(len(x) - 1, x[-1])))
-    for prefix, parts in groups.items():
-        cap = trunc - sum(k * low for k, low in zip(prefix, lows))
-        if cap < 0:
-            continue
-        piece = combine(parts, cap)
-        for i, k in enumerate(prefix):
-            if k:
-                piece = times(piece, power(i, k))
-        yield piece
+    return level(root, 0, trunc) if root else None
 
 
 def _substitute(f, images, packing, out_trunc, exact):
     """The exact or generic pass of :func:`substitute` (see :func:`_lift`): packed
-    numerators and their denominator, every piece brought to one denominator.
+    numerators and their denominator, by :func:`_horner`.
 
     With ``den_i`` the denominator of image i and ``top_i`` the largest
-    exponent of x_i in f, a term of f with exponent e is scaled by
-    ``prod_i den_i**(top_i - e_i)``, so that all pieces share the denominator
-    ``den_f * prod_i den_i**top_i`` (1 for data that is not exact real).
+    exponent of x_i that a term of f takes (:func:`_top`), a term of f with
+    exponent e is weighed by ``den_i**(top_i - e_i)`` and, for a monomial image
+    c_i y^k, by ``c_i**e_i``, so that all terms and products share the
+    denominator ``den_f * prod_i den_i**top_i`` (1 for data that is not exact
+    real).  An image whose factors are all the int 1 weighs nothing.
     """
     top = packing.top
-    lifted = [_pack_terms(g.terms, packing, out_trunc, exact) for g in images]
-    tops = [max(e[i] for e in f.terms) for i in range(f.dim)]
-    scales = [[den ** (t - k) for k in range(t + 1)]
-              for (_, den), t in zip(lifted, tops)]
-
-    def step(a, b):  # image_i^n over den_i^n
-        return _operand(_imul(a[0], b, out_trunc, top).items(), out_trunc, top)
-
-    def combine(parts, cap):
-        acc = {}
-        get = acc.get
-        for c, (pairs, upto) in parts:
-            for key, b in pairs[:upto[cap]]:
-                acc[key] = get(key, 0) + c * b
-        return acc
-
+    shapes = _shapes(images, packing, out_trunc)
     num, den = _lift(f.terms, exact)
-    coeffs = []
-    for e, n in num.items():
-        scale = prod(scales[i][k] for i, k in enumerate(e))
-        coeffs.append((e, n * scale if scale != 1 else n))
-    pieces = _pieces(coeffs, [image for image, _ in lifted], _operand([(0, 1)], out_trunc, top),
-                     step, _lows(lifted, out_trunc, top), out_trunc, combine,
-                     lambda piece, b: _imul(piece.items(), b, out_trunc, top))
-    # combine and _imul build each piece as a fresh dict: the first is the running sum
-    acc = next(pieces, {})
-    get = acc.get
-    for piece in pieces:
-        for key, c in piece.items():
-            acc[key] = get(key, 0) + c
-    for (_, d), t in zip(lifted, tops):
+    ops, scaled = {}, []
+    for i, (image, _, low) in enumerate(shapes):
+        image, d = _lift(image, exact)
+        if not image:
+            continue
+        if len(image) > 1:
+            ops[i] = _operand(image.items(), out_trunc, top)
+        c = 1 if len(image) > 1 else next(iter(image.values()))
+        if type(c) is int and c == 1 and d == 1:
+            continue
+        t = _top(f, i, low, out_trunc)
+        scaled.append((i, [x * d ** (t - k) for k, x in enumerate(accumulate([1] + [c] * t, mul))]))
         den *= d ** t
-    return acc, den
+
+    def weigh(e, c):
+        for i, w in scaled:
+            c *= w[e[i]]
+        return c
+
+    def add(acc, pairs, _):
+        out = {} if acc is None else acc[0]
+        get = out.get
+        for k, c in pairs:
+            out[k] = get(k, 0) + c
+        return out, 0
+
+    acc = _horner(num.items(), shapes, out_trunc, top, 0,
+                  lambda acc, i, cap: (_imul(acc[0].items(), ops[i], cap, top), 0), weigh, add)
+    return (acc[0] if acc else {}), den
 
 
 def _substitute_float(f, images, packing, out_trunc):
     """The float pass of :func:`substitute`: mantissa pairs by key over 2^e, (pairs, e).
 
-    Image powers and the sums that meet a further product are truncated where
-    they come back as operands (:func:`_truncate`); the other sums are exact.
+    Each image is lifted onto its own grid (``scalars.gi_lift``).  The powers of
+    a monomial image other than 1 are formed once, each product truncated
+    (:func:`_truncate`), and put on the grid of the finest, so that every term
+    of f times its powers lies on one grid.  A running sum is truncated where it
+    meets a further product; every other sum and product is exact.
     """
     top = packing.top
     bits = _float_bits()
-    lifted = [_pack_float(g.terms, packing, out_trunc) for g in images]
+    shapes = _shapes(images, packing, out_trunc)
+    mants, grid = gi_lift(f.terms.values(), bits)
+    ops, exps, scaled = {}, {}, []
+    for i, (image, _, low) in enumerate(shapes):
+        if len(image) > 1:
+            lifted, exps[i] = gi_lift(image.values(), bits)
+            ops[i] = _operand(zip(image, lifted), out_trunc, top)
+            continue
+        if not image or next(iter(image.values())) == 1:
+            continue
+        ((mr, mi),), e = gi_lift(image.values(), bits)
+        t = _top(f, i, low, out_trunc)
+        powers = [((1, 0), 0), ((mr, mi), e)][:t + 1]
+        while len(powers) <= t:
+            (r, im), x = powers[-1]
+            z, x = _truncate({0: (r * mr - im * mi, r * mi + im * mr)}, x + e, bits)
+            powers.append((z[0], x))
+        low = min(x for _, x in powers)
+        scaled.append((i, [(r << x - low, im << x - low) for (r, im), x in powers]))
+        grid += low
 
-    def step(a, b):  # image_i^n and its exponent
-        ((prev, _), ep), (image, ei) = a, b
-        product, e = _truncate(_gimul(prev, image, out_trunc, top), ep + ei, bits)
-        return _operand(product.items(), out_trunc, top), e
+    def weigh(e, m):
+        r, i = m
+        for j, w in scaled:
+            wr, wi = w[e[j]]
+            r, i = r * wr - i * wi, r * wi + i * wr
+        return r, i
 
-    def times(piece, b):
-        piece, e = _truncate(*piece, bits)
-        (b, eb) = b
-        return _gimul(piece.items(), b, out_trunc, top), e + eb
+    def times(acc, i, cap):
+        pairs, e = _truncate(*acc, bits)
+        return _gimul(pairs.items(), ops[i], cap, top), e + exps[i]
 
-    def combine(parts, cap):
-        return _combine([(m, pairs[:upto[cap]], ef + e) for m, ((pairs, upto), e) in parts])
-
-    mants, ef = gi_lift(f.terms.values(), bits)
-    pieces = list(_pieces(zip(f.terms, mants), lifted, (_operand([(0, (1, 0))], out_trunc, top), 0),
-                          step, _lows(lifted, out_trunc, top), out_trunc, combine, times))
-    if not pieces:
-        return {}, 0
-    return _combine([((1, 0), piece.items(), e) for piece, e in pieces])
-
-
-def _lows(lifted, trunc, top):
-    """The lowest degree of each lifted image, trunc + 1 for a zero one."""
-    return [pairs[0][0] >> top if pairs else trunc + 1 for ((pairs, _), _) in lifted]
-
-
-def _combine(parts):
-    """The sum of the products m*c over ``parts`` (m, [(key, c)], e), mantissa
-    pairs over 2^e, exactly on the finest of their grids: (pairs by key, exponent)."""
-    low = min(e for _, _, e in parts)
-    acc = {}
-    get = acc.get
-    for (mr, mi), items, e in parts:
+    def add(acc, pairs, e):
+        out, low = ({}, e) if acc is None else acc
+        if low > e:
+            out = {k: (r << low - e, i << low - e) for k, (r, i) in out.items()}
+            low = e
         s = e - low
-        for k, (r, i) in items:
-            re = (mr * r - mi * i) << s
-            im = (mr * i + mi * r) << s
+        get = out.get
+        for k, (r, i) in pairs:
+            r, i = r << s, i << s
             t = get(k)
-            acc[k] = (re, im) if t is None else (t[0] + re, t[1] + im)
-    return acc, low
+            out[k] = (r, i) if t is None else (t[0] + r, t[1] + i)
+        return out, low
+
+    return _horner(zip(f.terms, mants), shapes, out_trunc, top, grid, times, weigh, add) or ({}, 0)
 
 
 def substitute(f, images, out_trunc=None):
@@ -681,13 +707,13 @@ def substitute(f, images, out_trunc=None):
     packing = _Packing(d2, out_trunc)
     if all(_exact_real(g.terms) for g in images) and _exact_real(f.terms):
         return packing.finish(out_trunc, *_substitute(f, images, packing, out_trunc, True))
-    # a piece is all float unless its coefficient and every image it takes have exact
-    # terms: with no exact image, only f's constant term can be such a piece
+    # a term of f meets only floats unless its coefficient and every image it takes
+    # have exact terms: with no exact image, only f's constant term can be such a term
     some_exact = [_has_exact(g.terms) for g in images]
     zero = (0,) * f.dim
-    pieces = f.terms.items() if any(some_exact) else [(zero, f.terms.get(zero))]
+    terms = f.terms.items() if any(some_exact) else [(zero, f.terms.get(zero))]
     if any(scalars.is_exact(c) and all(some_exact[i] for i, k in enumerate(e) if k)
-           for e, c in pieces):
+           for e, c in terms):
         with mp.workprec(_float_bits()):
             values, _ = _substitute(f, images, packing, out_trunc, False)
         return _finish(d2, out_trunc, packing.unpack, values)

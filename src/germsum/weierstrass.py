@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
-from math import frexp, inf, lcm
+from math import frexp, inf
 
 from mpmath import mp
 
@@ -32,8 +32,8 @@ from .errors import DimensionMismatchError, ZeroGermError
 from .scalars import (NOISE_MARGIN, Record, gi_abs, gi_from_mpc, gi_lift, gi_to_mpc, integer_arg,
                       is_zero, ldexp_inf, sdiv, to_mpc, working_prec)
 from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real, _finish,
-                     _float_bits, _has_exact, _imul, _json_int, _lift, _operand, _Packing,
-                     series_from_json, series_to_json, substitute, v_ell)
+                     _float_bits, _has_exact, _json_int, _lift, _Packing, series_from_json,
+                     series_to_json, substitute, v_ell)
 
 
 class Germ(Record):
@@ -501,46 +501,16 @@ def t_substitute(expansion):
 
     With T = min(expansion.trunc, P.trunc): one substitution of
     ``(x_1, ..., x_d, P)`` into ``G(x, t) = sum g_n(x) t^n`` (:func:`_t_series`)
-    at T, so this is the exact left-inverse of :func:`p_expand` there
-    (provided the depth exhausted the quotient).  int/Fraction data take
-    Horner's rule in P instead (Knuth, *TAOCP* vol. 2, 4.6.4), one product by
-    P per level on packed integer numerators over one denominator,
-    den(g) * den(P)^top: with v the lowest degree of P, ``acc = g_top`` and
-    then ``acc <- acc * P + g_n`` for n = top - 1 .. 0, each step kept to
-    degree T - n*v.  A term dropped there still meets n factors of P, so it
-    could only land above T.
+    at T, on every coefficient domain, so this is the exact left-inverse of
+    :func:`p_expand` there (provided the depth exhausted the quotient).  For
+    P of more than one term the kernel runs it as Horner's rule in P
+    (:func:`germsum.series._horner`): the x_i are monomial images, so each g_n
+    is added term by term to ``acc * P``, level n kept to degree T - n*val(P).
     """
     germ = expansion.germ
-    d, p, coeffs = germ.dim, germ.p.terms, expansion.coeffs
     trunc = min(expansion.trunc, germ.p.trunc)
-    if not (_exact_real(p) and all(_exact_real(g.terms) for g in coeffs)):
-        xs = [TruncatedSeries.variable(i, d, trunc) for i in range(d)]
-        return substitute(_t_series(expansion), xs + [germ.p], out_trunc=trunc)
-    if trunc < 0 or not coeffs:
-        return TruncatedSeries._clean(d, max(trunc, -1), {})
-    low = germ.p.valuation()
-    # level n is kept to degree trunc - n*low: levels above trunc // low add nothing
-    top_level = min(len(coeffs) - 1, trunc // low)
-    packing = _Packing(d, trunc)
-    pack, ptop = packing.pack, packing.top
-    p_num, p_den = _lift(p, True)
-    p_op = _operand([(pack(e), c) for e, c in p_num.items() if sum(e) <= trunc], trunc, ptop)
-    lifted = [_lift(g.terms, True) for g in coeffs[:top_level + 1]]
-    den = lcm(*(den_n for _, den_n in lifted))
-    acc = {}
-    for n in range(top_level, -1, -1):
-        # g_n over den * p_den^(top - n): the n products by P still to come bring it to
-        # the result's den * p_den^top
-        num, den_n = lifted[n]
-        scale = den // den_n * p_den ** (top_level - n)
-        cap = trunc - n * low
-        acc = _imul(acc.items(), p_op, cap, ptop)
-        get = acc.get
-        for e, c in num.items():
-            if sum(e) <= cap:
-                k = pack(e)
-                acc[k] = get(k, 0) + c * scale
-    return packing.finish(trunc, acc, den * p_den ** top_level)
+    xs = [TruncatedSeries.variable(i, germ.dim, trunc) for i in range(germ.dim)]
+    return substitute(_t_series(expansion), xs + [germ.p], out_trunc=trunc)
 
 
 def _t_series(expansion):

@@ -168,9 +168,10 @@ def ref_mul(ta, tb, trunc, add=operator.add, mul=operator.mul):
     return out
 
 
-def ref_substitute(f_terms, image_terms, out_trunc, add=operator.add, mul=operator.mul):
-    """sum over the terms of f (sorted) of c * prod_i image_i^k_i, powers by repeated products."""
-    one = (0,) * len(next(iter(image_terms[0])))
+def ref_substitute(f_terms, image_terms, out_trunc, add=operator.add, mul=operator.mul, dim=None):
+    """sum over the terms of f (sorted) of c * prod_i image_i^k_i, powers by repeated products;
+    ``dim``, the images' number of variables, is read from the first image unless given."""
+    one = (0,) * (len(next(iter(image_terms[0]))) if dim is None else dim)
     acc = {}
     for e in sorted(f_terms):
         piece = {one: f_terms[e]}
@@ -395,6 +396,24 @@ def exact_series(draw, dim, trunc, top=None, qqi=False, min_degree=0, min_terms=
     exps = draw(st.lists(exponents(dim, trunc if top is None else top, min_degree),
                          min_size=min_terms, max_size=max_terms, unique=True))
     return TruncatedSeries(dim, trunc, {e: draw(exact_coeffs(qqi)) for e in exps})
+
+
+@st.composite
+def image_series(draw, dim, trunc, qqi=False):
+    """An image for substitute, of each shape the kernel tells apart: zero, a
+    monomial of degree 0..3 (its coefficient the int 1 half the time), affine (an
+    exact constant and 1..3 terms of degree 1..3) or 2..4 terms of degree 1..3."""
+    shape = draw(st.sampled_from(("zero", "monomial", "affine", "terms")))
+    if shape == "zero":
+        return TruncatedSeries(dim, trunc)
+    if shape == "monomial":
+        e = draw(exponents(dim, 3))
+        return TruncatedSeries(dim, trunc, {e: 1 if draw(st.booleans()) else draw(exact_coeffs(qqi))})
+    g = draw(exact_series(dim, trunc, top=3, qqi=qqi, min_degree=1,
+                          min_terms=1 if shape == "affine" else 2, max_terms=4))
+    if shape == "terms":
+        return g
+    return g + TruncatedSeries.constant(draw(st.sampled_from((Fraction(2, 3), -3))), dim, trunc)
 
 
 @st.composite

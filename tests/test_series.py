@@ -18,8 +18,8 @@ from germsum.series import (MonomialOrder, TruncatedSeries, _operand, _Packing, 
                             series_from_json, series_to_json, substitute, v_ell)
 from germsum.transforms import blowup
 
-from helpers import (LAM, SHAPES, assert_near_reference, exact_series, mixed, nonzero, points,
-                     random_series, ref_eval, ref_mul, ref_substitute)
+from helpers import (LAM, SHAPES, assert_near_reference, exact_series, image_series, mixed,
+                     nonzero, points, random_series, ref_eval, ref_mul, ref_substitute)
 
 TS = TruncatedSeries
 
@@ -131,6 +131,14 @@ class TestSubstitute:
             assert substitute(f + g, images).agrees_with(sf + sg)
 
 
+def _substitute_asserting_units(f, images, trunc):
+    """substitute(f, images), the output truncation asserted as ``trunc`` where an
+    image has a constant term, which leaves the derived one empty."""
+    if any(g.valuation() == 0 for g in images):
+        return substitute(f, images, out_trunc=trunc)
+    return substitute(f, images)
+
+
 class TestIntegerKernel:
     """int/Fraction data (the integer lift) and QQi data against the exact
     term-by-term reference of tests/helpers.py."""
@@ -149,21 +157,14 @@ class TestIntegerKernel:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_substitute_matches_reference(self, data):
+        """Every image shape (zero, monomial, affine, several terms) at every index."""
         dim, trunc = data.draw(st.sampled_from(SHAPES))
         dim2, trunc2 = data.draw(st.sampled_from(SHAPES))
         qqi = data.draw(st.booleans())
         f = data.draw(exact_series(dim, trunc, qqi=qqi))
-        images = [data.draw(exact_series(dim2, trunc2, top=3, qqi=qqi, min_degree=1,
-                                         min_terms=1, max_terms=4)) for _ in range(dim)]
-        if data.draw(st.booleans()):
-            # an affine image: the output truncation must be asserted
-            shifted = dict(images[0].terms)
-            shifted[(0,) * dim2] = data.draw(st.sampled_from((Fraction(2, 3), -3)))
-            images[0] = TS(dim2, trunc2, shifted)
-            out = substitute(f, images, out_trunc=trunc2)
-        else:
-            out = substitute(f, images)
-        ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc) if f.terms else {}
+        images = [data.draw(image_series(dim2, trunc2, qqi=qqi)) for _ in range(dim)]
+        out = _substitute_asserting_units(f, images, trunc2)
+        ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc, dim=dim2)
         assert out.terms == nonzero(ref)
 
 
@@ -185,15 +186,19 @@ class TestMixedDomains:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_substitute_matches_funnel_reference(self, data):
+        """Every image shape at every index, each coefficient kept exact or made an
+        mpc at random, or every one an mpc (the float pass)."""
         dim, trunc = data.draw(st.sampled_from(SHAPES))
         dim2, trunc2 = data.draw(st.sampled_from(SHAPES))
-        f = data.draw(mixed(data.draw(exact_series(dim, trunc, qqi=True))))
-        images = [data.draw(mixed(data.draw(exact_series(dim2, trunc2, top=3, qqi=True,
-                                                         min_degree=1, min_terms=1,
-                                                         max_terms=4))))
-                  for _ in range(dim)]
-        out = substitute(f, images)
-        ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc, sadd, smul)
+        floats = data.draw(st.booleans())
+        cast = ((lambda g: TS(g.dim, g.trunc, {e: smul(c, LAM) for e, c in g.terms.items()}))
+                if floats else (lambda g: data.draw(mixed(g))))
+        f = cast(data.draw(exact_series(dim, trunc, qqi=True)))
+        images = [cast(data.draw(image_series(dim2, trunc2, qqi=True))) for _ in range(dim)]
+        out = _substitute_asserting_units(f, images, trunc2)
+        if floats:
+            assert all(isinstance(c, mpmath.mpc) for c in out.terms.values())
+        ref = ref_substitute(f.terms, [g.terms for g in images], out.trunc, sadd, smul, dim=dim2)
         assert_near_reference([out], [TS(dim2, out.trunc, ref)])
 
     @pytest.mark.parametrize("mixed_image", [False, True])

@@ -13,6 +13,7 @@ from germsum.errors import DimensionMismatchError, ZeroGermError
 from germsum.scalars import (QQi, is_exact, sabs, sadd, sdiv, smul, sneg, to_mpc,
                              working_prec)
 from germsum.series import MonomialOrder, TruncatedSeries, _lift, series_to_json, substitute
+from germsum import weierstrass
 from germsum.weierstrass import (Germ, PExpansion, _Frame, _reduce, delta_member, p_expand,
                                  t_substitute, wdivide)
 
@@ -401,6 +402,34 @@ def test_float_residual_after_grid_products_kept(prec):
     assert exact[0].terms == {(0, 8): eps}
     assert all(isinstance(c, mpmath.mpc) for g in floats for c in g.terms.values())
     assert floats == exact
+
+
+def test_float_mass_overflow_keeps_term(monkeypatch):
+    """{1: 1e-200, x1^2 x2: 1e200, x1^3 x2^2: 1 + 2i} on mpc data, expanded to depth
+    4 in x1^2 + x1 x2/3 + x2^2 at 128 bits.  g's grid keeps 1e-200 at prec + 32
+    bits, so the mass of x1^2 x2 overflows the float range (``weierstrass._mass``
+    returns inf): that term and what it leaves are never judged as noise, and
+    the levels it reaches keep it at the reference's value.  Every other term,
+    1 + 2i's descendants too, matches the reference to 2^(16 - prec) of its own
+    size, beside the tolerance of ``assert_near_reference``."""
+    masses = []
+    mass = weierstrass._mass
+    monkeypatch.setattr(weierstrass, "_mass", lambda *args: masses.append(mass(*args)) or masses[-1])
+    key = ref_order_key((1, 1), "lex")
+    with mpmath.mp.workprec(128):
+        f = TS(2, 8, {(0, 0): mpmath.mpc(1e-200), (2, 1): mpmath.mpc(1e200),
+                      (3, 2): mpmath.mpc(1, 2)})
+        p = TS(2, 8, {(2, 0): 1, (1, 1): Fraction(1, 3), (0, 2): 1})
+        levels = p_expand(f, Germ(p, MonomialOrder((1, 1))), 4).coeffs
+        ref = [TS(2, t, terms) for t, terms in
+               ref_p_expand(f.terms, p.terms, key, 8, 4, sadd, smul, sdiv, sneg)]
+        assert masses.count(mpmath.inf) == 1
+        assert abs(levels[1].terms[(0, 1)] - mpmath.mpf(1e200)) <= mpmath.mpf(1e200) * 2.0 ** -120
+        assert_near_reference(levels, ref)
+        assert [set(g.terms) for g in levels] == [set(r.terms) for r in ref]
+        for g, r in zip(levels, ref):
+            for e, c in r.terms.items():
+                assert sabs(sadd(g.terms[e], sneg(c))) <= sabs(c) * mpmath.mpf(2) ** (16 - 128), e
 
 
 def test_mixed_expansion_holds_working_precision():
