@@ -18,6 +18,9 @@ only read:
 * ``substitute-exact``: the ``blowup`` of each algebra-exact chain's f and P
   at its centre (the exact pass, Horner's rule over the chart's image of two
   terms);
+* ``substitute-generic``: the ``blowup`` of each algebra-exact chain's f at its
+  centre + i/5, a ``QQi`` centre (the generic pass, on exact complex data); a
+  chain at the chart at infinity has no centre and is left out;
 * ``expand-exact``: ``p_expand`` of each algebra-exact chain's blown-up f in
   powers of its blown-up P (the exact elimination);
 * ``t-substitute``: ``t_substitute`` of each of those expansions.
@@ -36,6 +39,7 @@ import statistics
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -53,11 +57,14 @@ def inputs(root, seed, workdir):
         fs, germ = gs.substitute(f, images), gs.Germ(gs.substitute(p, images), gs.MonomialOrder((1, 1)))
         floats.append(lambda fs=fs, germ=germ, depth=depth: gs.p_expand(fs, germ, depth))
         scalings.append(lambda f=f, images=images: gs.substitute(f, images))
-    blowups, exacts, backs = [], [], []
+    blowups, generic, exacts, backs = [], [], [], []
     for inp in workloads.AlgebraExact(seed, workdir, 1).inputs:
         if inp["kind"] != "chain":
             continue
         blowups += [lambda g=g, xi=inp["xi"]: gs.blowup(g, xi) for g in (inp["f"], inp["p"])]
+        if inp["xi"] != "inf":
+            xi = inp["xi"] + gs.QQi(0, Fraction(1, 5))
+            generic.append(lambda f=inp["f"], xi=xi: gs.blowup(f, xi))
         fb = gs.blowup(inp["f"], inp["xi"])
         germ = gs.Germ(gs.blowup(inp["p"], inp["xi"]), gs.MonomialOrder(inp["weights"]))
         depth = fb.trunc // germ.lead_degree + 1
@@ -66,7 +73,7 @@ def inputs(root, seed, workdir):
         backs.append(lambda expansion=expansion: gs.t_substitute(expansion))
     meta = {"prec_bits": gs.DEFAULT_PREC_BITS}
     return {"expand-float": floats, "substitute": scalings, "substitute-exact": blowups,
-            "expand-exact": exacts, "t-substitute": backs}, meta
+            "substitute-generic": generic, "expand-exact": exacts, "t-substitute": backs}, meta
 
 
 def best_sum(calls, repeats):

@@ -28,7 +28,6 @@ holds :class:`Record`, the base of those records.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import os
@@ -36,7 +35,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_float, from_man_exp, round_nearest
 
 DEFAULT_PREC_BITS = int(os.environ.get("GERMSUM_PREC_BITS", "128"))
 
@@ -220,19 +219,22 @@ def is_exact(x):
 
 
 def to_mpc(x):
-    """Any supported scalar -> mpc; float values pass through unrounded, an
-    exact rational part is rounded to the working precision."""
+    """Any supported scalar -> mpc; float values pass through unrounded (a binary
+    ``float`` or ``complex``, numpy's float64 and complex128 too, is read exactly
+    from its mantissa), an exact rational part is rounded to the working precision."""
     if isinstance(x, mpmath.mpc):
         return x
     if isinstance(x, mpmath.mpf):
         return mp.make_mpc((x._mpf_, mpmath.libmp.fzero))
+    if isinstance(x, (float, complex)):
+        return mp.make_mpc((from_float(x.real), from_float(x.imag)))
     with _wp():
         if isinstance(x, QQi):
             return mpmath.mpc(mpmath.mpf(x.re.numerator) / x.re.denominator,
                               mpmath.mpf(x.im.numerator) / x.im.denominator)
         if isinstance(x, Fraction):
             return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
-        if isinstance(x, (int, float, complex)):
+        if isinstance(x, int):
             return mpmath.mpc(x)
     raise TypeError(f"cannot convert {x!r} to a complex float")
 
@@ -466,18 +468,14 @@ def gi_to_mpc(a, prec=None):
 def _parts(x):
     """The real and imaginary parts of a scalar, each as (n, d, k) for n 2^k / d.
 
-    A finite binary float (``float``, ``complex``, numpy's float64 and complex128)
-    is read exactly from its own mantissa, ``as_integer_ratio``, with no mpmath
-    conversion; an mpmath number from its mantissa and exponent."""
+    An exact scalar is read from its numerators and denominators, any other from
+    the mantissas and exponents of its :func:`to_mpc` image, which a binary float
+    (Python's or numpy's) takes exactly."""
     if not isinstance(x, mpmath.mpc):
         if isinstance(x, _EXACT_REAL):
             return (x.numerator, x.denominator, 0), (0, 1, 0)
         if isinstance(x, QQi):
             return (x.re.numerator, x.re.denominator, 0), (x.im.numerator, x.im.denominator, 0)
-        if isinstance(x, float) and math.isfinite(x):
-            return (*x.as_integer_ratio(), 0), (0, 1, 0)
-        if isinstance(x, complex) and cmath.isfinite(x):
-            return (*x.real.as_integer_ratio(), 0), (*x.imag.as_integer_ratio(), 0)
         x = to_mpc(x)
     (rs, rm, re_, rbc), (is_, im, ie, ibc) = x._mpc_
     if rbc < 0 or ibc < 0:
@@ -496,8 +494,9 @@ def gi_lift(values, bits):
 
     e puts the smallest nonzero value (by its larger component) at ``bits``
     bits or more, so a float with at most that many bits is lifted exactly;
-    ``ValueError`` on an inf or a nan.  A binary float (Python's or numpy's) is
-    lifted exactly from its own mantissa, with no mpmath conversion on the way.
+    ``ValueError`` on an inf or a nan.  A binary float (Python's or numpy's)
+    enters through :func:`to_mpc`, exactly, as it enters every pass of the
+    series kernel.
     """
     parts = [_parts(x) for x in values]
     mags = [_part_mag(part) for part in parts if part[0][0] or part[1][0]]

@@ -31,8 +31,10 @@ picks only the denominator: integer numerators over one denominator per
 operand when every coefficient is an ``int`` or a ``Fraction``,
 Gaussian-integer mantissas over a power of two for floats, and the
 coefficients themselves, over 1, for complex rationals and mixed data, at
-32 bits above the working precision; each float output coefficient is
-rounded to the working precision once.
+32 bits above the working precision.  Every float enters the kernel through
+:func:`germsum.scalars.to_mpc`, exactly, and every pass reads its results out
+through one readout, which rounds each float output coefficient to the
+working precision once.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from math import lcm
 from operator import itemgetter, mul
 
 from mpmath import mp
+from mpmath.libmp import mpc_pos, round_nearest
 
 from .errors import (DimensionMismatchError, InsufficientTruncationError,
                      ZeroSeriesError)
@@ -368,10 +371,14 @@ def _fmt_term(e, c):
 # working_prec() + _GUARD bits (scalars.gi_lift); products inside a loop are exact,
 # and a result is truncated to that rule again only where it comes back as an
 # operand (_truncate).  Other data (QQi, or exact and float coefficients mixed)
-# keep their own scalars, over 1, and run the same loops once inside
-# mp.workprec(working_prec() + _GUARD), each operation following the promotion
-# rule of germsum.scalars.  Every pass drops zeros, keeps every other term and
-# rounds each float output to the working precision once.
+# keep their own exact scalars, over 1, every float made an mpc by scalars.to_mpc
+# (_lift), and run the same loops once inside mp.workprec(working_prec() + _GUARD),
+# each operation following the promotion rule of germsum.scalars.  One way in:
+# every float, a Python or numpy binary float too, enters a pass through to_mpc,
+# which reads it exactly (gi_lift's too).  One way out: every pass, and every
+# level of the elimination by P - t (germsum.weierstrass), reads its values out
+# through _read, which reads each value once, drops zeros, keeps every other term
+# and rounds each float output to the working precision once.
 
 # bits beyond the working precision that the float lift and the generic pass keep
 _GUARD = 32
@@ -389,9 +396,11 @@ def _has_exact(terms):
 def _lift(terms, exact):
     """The coefficients of ``terms`` for an exact or generic pass, and their common
     denominator: integer numerators over the lcm of the denominators for exact real
-    data, else the coefficients themselves, over 1."""
+    data, else, over 1, each exact coefficient itself and every other through
+    ``scalars.to_mpc``, which reads a binary float exactly, so that the generic pass
+    computes on int, Fraction, QQi and mpc alone."""
     if not exact:
-        return terms, 1
+        return {e: c if scalars.is_exact(c) else to_mpc(c) for e, c in terms.items()}, 1
     den = lcm(*{c.denominator for c in terms.values()})
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
@@ -425,21 +434,28 @@ class _Packing:
 
     def unpack(self, key):
         mask = self.mask
-        return tuple((key >> shift) & mask for shift in self.shifts)
-
-    def finish(self, trunc, numerators, den):
-        """The series of packed integer numerators over den, each a normalised Fraction."""
-        unpack = self.unpack
-        return TruncatedSeries._clean(len(self.shifts), trunc, {
-            unpack(k): Fraction(n, den) for k, n in numerators.items() if n})
+        # from a list, not a generator: a third less time per key, once per output term
+        return tuple([(key >> shift) & mask for shift in self.shifts])
 
 
-def _finish(dim, trunc, unpack, values):
-    """The series of the generic pass's scalars by packed key: a zero is dropped and
-    every other term kept, each float rounded to the working precision once."""
-    with mp.workprec(working_prec()):
-        return TruncatedSeries._clean(dim, trunc, {
-            unpack(k): c if scalars.is_exact(c) else to_mpc(+c) for k, c in values.items() if c})
+def _read(dim, trunc, unpack, values, read):
+    """The series of a pass's values by packed key, the one readout of every pass:
+    ``read`` makes each value its coefficient once, a float rounded to the working
+    precision, or None for a zero value, which is dropped; every other term is kept."""
+    return TruncatedSeries._clean(dim, trunc, {
+        unpack(k): c for k, v in values.items() if (c := read(v)) is not None})
+
+
+def _rounded(prec):
+    """The generic pass's reading of a value: None for a zero, an exact scalar as it
+    is, a float rounded to prec bits once."""
+    def read(c):
+        if not c:
+            return None
+        if scalars.is_exact(c):
+            return c
+        return mp.make_mpc(mpc_pos(to_mpc(c)._mpc_, prec, round_nearest))
+    return read
 
 
 def _operand(pairs, trunc, top):
@@ -705,22 +721,24 @@ def substitute(f, images, out_trunc=None):
     if not f.terms or out_trunc < 0:
         return TruncatedSeries._clean(d2, max(out_trunc, -1), {})
     packing = _Packing(d2, out_trunc)
-    if all(_exact_real(g.terms) for g in images) and _exact_real(f.terms):
-        return packing.finish(out_trunc, *_substitute(f, images, packing, out_trunc, True))
     # a term of f meets only floats unless its coefficient and every image it takes
     # have exact terms: with no exact image, only f's constant term can be such a term
     some_exact = [_has_exact(g.terms) for g in images]
     zero = (0,) * f.dim
     terms = f.terms.items() if any(some_exact) else [(zero, f.terms.get(zero))]
-    if any(scalars.is_exact(c) and all(some_exact[i] for i, k in enumerate(e) if k)
-           for e, c in terms):
+    if all(_exact_real(g.terms) for g in images) and _exact_real(f.terms):
+        values, den = _substitute(f, images, packing, out_trunc, True)
+        read = lambda n: Fraction(n, den) if n else None
+    elif any(scalars.is_exact(c) and all(some_exact[i] for i, k in enumerate(e) if k)
+             for e, c in terms):
         with mp.workprec(_float_bits()):
             values, _ = _substitute(f, images, packing, out_trunc, False)
-        return _finish(d2, out_trunc, packing.unpack, values)
-    pairs, e = _substitute_float(f, images, packing, out_trunc)
-    prec = working_prec()
-    return TruncatedSeries._clean(d2, out_trunc, {packing.unpack(k): gi_to_mpc((r, i, e), prec)
-                                                 for k, (r, i) in pairs.items() if r or i})
+        read = _rounded(working_prec())
+    else:
+        values, e = _substitute_float(f, images, packing, out_trunc)
+        prec = working_prec()
+        read = lambda m: gi_to_mpc((*m, e), prec) if m[0] or m[1] else None
+    return _read(d2, out_trunc, packing.unpack, values, read)
 
 
 def v_ell(f, order):

@@ -433,23 +433,18 @@ def dominant_data(p, base, prec=None):
         raise ZeroGermError("dominant data needs a nonzero germ")
     prec = working_prec(prec)
     d = p.dim
-    if d == 2:
-        if base is not None:
-            raise DimensionMismatchError("base order must be None for two variables")
-        a = ()
-        slice_terms = dict(p.terms)
-        gap = None
-    else:
-        if not isinstance(base, MonomialOrder) or base.dim != d - 2:
-            raise DimensionMismatchError(
-                f"base order must cover {d - 2} variables")
-        groups = {}
-        for e, c in p.terms.items():
-            groups.setdefault(e[2:], {})[e[:2]] = c
-        a = min(groups, key=base.key)
-        slice_terms = {e2 + a: c for e2, c in groups[a].items()}
-        others = [base.weight(m) for m in groups if m != a]
-        gap = (min(others) - base.weight(a)) if others else None
+    if d == 2 and base is not None:
+        raise DimensionMismatchError("base order must be None for two variables")
+    if d != 2 and (not isinstance(base, MonomialOrder) or base.dim != d - 2):
+        raise DimensionMismatchError(f"base order must cover {d - 2} variables")
+    # the slices of p by its exponent on x3..xd: for d = 2 one, with no gap
+    groups = {}
+    for e, c in p.terms.items():
+        groups.setdefault(e[2:], {})[e[:2]] = c
+    a = min(groups, key=base.key) if base is not None else ()
+    slice_terms = {e2 + a: c for e2, c in groups[a].items()}
+    others = [base.weight(m) for m in groups if m != a]
+    gap = (min(others) - base.weight(a)) if others else None
     h = min(sum(e[:2]) for e in slice_terms)
     H = TruncatedSeries(2, h, {e[:2]: c for e, c in slice_terms.items()
                                if sum(e[:2]) == h})

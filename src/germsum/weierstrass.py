@@ -31,8 +31,8 @@ from mpmath import mp
 from .errors import DimensionMismatchError, ZeroGermError
 from .scalars import (NOISE_MARGIN, Record, gi_abs, gi_from_mpc, gi_lift, gi_to_mpc, integer_arg,
                       is_zero, ldexp_inf, sdiv, to_mpc, working_prec)
-from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real, _finish,
-                     _float_bits, _has_exact, _json_int, _lift, _Packing, series_from_json,
+from .series import (MonomialOrder, TruncatedSeries, _constant_images, _exact_real, _float_bits,
+                     _has_exact, _json_int, _lift, _Packing, _read, _rounded, series_from_json,
                      series_to_json, substitute, v_ell)
 
 
@@ -95,32 +95,29 @@ def wdivide(g, germ):
 def _eliminate(g, germ, depth):
     """Levels 0..depth of g modulo P - t, by :func:`_reduce`, as series.
 
-    On int/Fraction data every level is read out as ``Fraction(n, D)``, D the
-    one denominator that all remainder terms share.  On float data each term
-    carries its mass (:func:`_reduce_float`: |c| for an input term, the mass
-    of n times |b| for a product n*b, masses adding where terms meet), and a
-    term at most 2^(16 - prec) of its mass is dropped as round-off; each kept
-    term is rounded to the working precision once.  The generic pass keeps
-    every nonzero term (:func:`germsum.series._finish`)."""
+    Each pass's remainder is split by level and read out by :meth:`_Frame.read`
+    through the series kernel's one readout (:func:`germsum.series._read`), each
+    value once.  On int/Fraction data each term is read as ``Fraction(n, D)``, D
+    the one denominator that all remainder terms share.  On float data each term carries its mass
+    (:func:`_reduce_float`: |c| for an input term, the mass of n times |b| for a
+    product n*b, masses adding where terms meet), and a term at most
+    2^(16 - prec) of its mass is dropped as round-off; each kept term is rounded
+    to the working precision once.  The generic pass, on g's coefficients as
+    :func:`germsum.series._lift` reads them, keeps every nonzero term."""
     if g.dim != germ.dim:
         raise DimensionMismatchError(
             f"series has {g.dim} variables, germ has {germ.dim}")
     frame = _Frame(germ, g.trunc, depth)
-    d = germ.dim
     truncs = [max(g.trunc - n * germ.lead_degree, -1) for n in range(depth + 1)]
     if _exact_real(g.terms) and _exact_real(germ.p.terms):
         rem, den = _reduce(frame, g.terms, germ, True)
-        levels = frame.levels({p: Fraction(n, den) for p, n in rem.items()})
-        return [TruncatedSeries._clean(d, tr, {frame.unpack(p): c for p, c in level.items()})
-                for tr, level in zip(truncs, levels)]
+        return frame.read(rem, truncs, lambda n: Fraction(n, den))
     if _has_exact(g.terms):
         with mp.workprec(_float_bits()):
             rem, _ = _reduce(frame, g.terms, germ, False)
-        return [_finish(d, tr, frame.unpack, lv) for tr, lv in zip(truncs, frame.levels(rem))]
+        return frame.read(rem, truncs, _rounded(working_prec()))
     prec = working_prec()
-    return [TruncatedSeries._clean(d, tr, {frame.unpack(p): gi_to_mpc(c, prec)
-                                           for p, c in level.items()})
-            for tr, level in zip(truncs, frame.levels(_reduce_float(frame, g.terms, germ)))]
+    return frame.read(_reduce_float(frame, g.terms, germ), truncs, lambda c: gi_to_mpc(c, prec))
 
 
 class _Frame:
@@ -138,6 +135,8 @@ class _Frame:
         self.trunc = trunc
         # wide enough for lead's exponents too, which the cone test subtracts field by field
         self.packing = packing = _Packing(d + 1, max(trunc, ell))
+        # a key's x-exponent fields alone, at the same width: its exponent without its level
+        self.exponent = _Packing(d, max(trunc, ell)).unpack
         self.top = top = packing.top
         pack = packing.pack
         # the top bit of each x-exponent field: (p | guard) - plead keeps it in every
@@ -146,7 +145,7 @@ class _Frame:
         self.level_shift = level_shift = packing.shifts[d]
         self.level_mask = packing.mask << level_shift
         self.quotient_level = depth << level_shift
-        self.depth = depth
+        self.dim = d
         # key = weight * R**(d+1) + degree * R**d + tiebreak digits in base R = trunc + 1,
         # the tiebreak digit of x_i being -e_i; this orders in-window exponents as
         # MonomialOrder.key does
@@ -180,16 +179,15 @@ class _Frame:
         heapq.heapify(heap)
         return rem, heap
 
-    def levels(self, rem):
-        """``rem`` split by level, levels 0..depth, keys kept packed."""
-        levels = [{} for _ in range(self.depth + 1)]
+    def read(self, rem, truncs, read):
+        """``rem`` split by level, levels 0..depth, each read out by
+        :func:`germsum.series._read` at its truncation in ``truncs``."""
+        levels = [{} for _ in truncs]
         shift, mask = self.level_shift, self.packing.mask
         for p, v in rem.items():
             levels[(p >> shift) & mask][p] = v
-        return levels
-
-    def unpack(self, p):
-        return self.packing.unpack(p)[:-1]
+        return [_read(self.dim, tr, self.exponent, level, read)
+                for tr, level in zip(truncs, levels)]
 
 
 def _reduce(frame, terms, germ, exact):

@@ -198,6 +198,21 @@ def ref_eval(terms, point, add=operator.add, mul=operator.mul):
     return total
 
 
+def wide_eval(terms, point, bits=300):
+    """:func:`ref_eval` at ``bits`` bits, every coefficient and coordinate an mpc: an
+    exact one rounded once at that width, a binary float read exactly."""
+    with mp.workprec(bits):
+        return ref_eval({e: to_mpc(c) for e, c in terms.items()}, [to_mpc(x) for x in point])
+
+
+def assert_relative(value, ref, margin=4):
+    """|value - ref| <= 2^(margin - prec) |ref|, prec the working precision, computed
+    at 300 bits (a wide reference such as :func:`wide_eval`'s keeps its own bits)."""
+    tol = mpmath.mpf(2) ** (margin - working_prec())
+    with mp.workprec(300):
+        assert abs(to_mpc(value) - ref) <= tol * abs(ref), (value, ref)
+
+
 def assert_near_reference(results, refs, margin=16):
     """Each result series agrees with its reference series (the reference terms
     wrapped by the TruncatedSeries constructor).
@@ -358,11 +373,18 @@ with mpmath.mp.workprec(working_prec()):
 
 
 @st.composite
-def mixed(draw, series):
+def mixed(draw, series, binary=False):
     """``series`` with each coefficient kept exact (int, Fraction or QQi) or turned
-    into an mpc, at random."""
+    into an mpc, at random; with binary, such an mpc is at random made a Python
+    ``complex`` or the ``float`` of its real part instead."""
+    def cast(c):
+        z = smul(c, LAM)
+        if binary and draw(st.booleans()):
+            return draw(st.sampled_from((complex(z), float(z.real))))
+        return z
+
     return TruncatedSeries(series.dim, series.trunc,
-                           {e: smul(c, LAM) if draw(st.booleans()) else c
+                           {e: cast(c) if draw(st.booleans()) else c
                             for e, c in series.terms.items()})
 
 

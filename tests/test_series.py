@@ -18,8 +18,9 @@ from germsum.series import (MonomialOrder, TruncatedSeries, _operand, _Packing, 
                             series_from_json, series_to_json, substitute, v_ell)
 from germsum.transforms import blowup
 
-from helpers import (LAM, SHAPES, assert_near_reference, exact_series, image_series, mixed,
-                     nonzero, points, random_series, ref_eval, ref_mul, ref_substitute)
+from helpers import (LAM, SHAPES, assert_near_reference, assert_relative, exact_series,
+                     image_series, mixed, nonzero, points, random_series, ref_eval, ref_mul,
+                     ref_substitute, wide_eval)
 
 TS = TruncatedSeries
 
@@ -187,14 +188,17 @@ class TestMixedDomains:
     @given(st.data())
     def test_substitute_matches_funnel_reference(self, data):
         """Every image shape at every index, each coefficient kept exact or made an
-        mpc at random, or every one an mpc (the float pass)."""
+        mpc at random, an image's at random a Python float or complex instead, or
+        every one an mpc (the float pass)."""
         dim, trunc = data.draw(st.sampled_from(SHAPES))
         dim2, trunc2 = data.draw(st.sampled_from(SHAPES))
         floats = data.draw(st.booleans())
-        cast = ((lambda g: TS(g.dim, g.trunc, {e: smul(c, LAM) for e, c in g.terms.items()}))
-                if floats else (lambda g: data.draw(mixed(g))))
+        cast = ((lambda g, binary=False: TS(g.dim, g.trunc,
+                                            {e: smul(c, LAM) for e, c in g.terms.items()}))
+                if floats else (lambda g, binary=False: data.draw(mixed(g, binary))))
         f = cast(data.draw(exact_series(dim, trunc, qqi=True)))
-        images = [cast(data.draw(image_series(dim2, trunc2, qqi=True))) for _ in range(dim)]
+        images = [cast(data.draw(image_series(dim2, trunc2, qqi=True)), binary=True)
+                  for _ in range(dim)]
         out = _substitute_asserting_units(f, images, trunc2)
         if floats:
             assert all(isinstance(c, mpmath.mpc) for c in out.terms.values())
@@ -658,6 +662,22 @@ class TestCalculus:
         f = S(2, 6, {(1, 1): 1})
         v = f.eval_at((mpmath.mpc(0, 1), mpmath.mpc(2)))
         assert v == mpmath.mpc(0, 2)
+
+    @pytest.mark.parametrize("point", [
+        (0.1, 0.3 + 0.2j), (0.1, 0.2), (numpy.float64(0.1), numpy.complex128(0.3 + 0.2j))])
+    @pytest.mark.parametrize("qqi", [False, True])
+    def test_eval_at_binary_floats(self, point, qqi):
+        """An exact series with a constant term (its other terms on QQi data too) at a
+        point of Python's or numpy's binary floats: within 2^(4 - prec) relative of a
+        300-bit reference.  The floats enter the generic pass through to_mpc, exactly;
+        multiplied into Fractions as floats they erred at 53 bits, about 1e-17
+        relative, and a QQi coefficient times a float raised TypeError."""
+        terms = {(0, 0): Fraction(2, 3), (1, 0): Fraction(1, 3), (1, 2): Fraction(-1, 7),
+                 (2, 1): 5, (0, 3): Fraction(9, 11)}
+        if qqi:
+            terms = {e: QQi(c, Fraction(1, 5)) if sum(e) else c for e, c in terms.items()}
+        f = S(2, 6, terms)
+        assert_relative(f.eval_at(point), wide_eval(f.terms, point))
 
     def test_eval_point_length_checked(self):
         f = S(2, 6, {(1, 1): 1})

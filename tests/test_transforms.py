@@ -379,6 +379,30 @@ class TestPolyRoots:
                 err = min(abs(mpmath.mpc(v) - r) for r in exact)
                 assert err <= mpmath.ldexp(1, -self.PREC)
 
+    def test_seeds_when_numpy_fails(self, monkeypatch):
+        # numpy.roots raising LinAlgError (its eigenvalue solver did not converge)
+        # leaves every seed to Durand-Kerner's usual (0.4 + 0.9i)^n: the sweeps
+        # still find the roots (j + (j - 2) i/3)/4, j = 1..6, and their multiplicities
+        import numpy
+        calls = []
+
+        def fail(coeffs):
+            calls.append(len(coeffs))
+            raise numpy.linalg.LinAlgError("Eigenvalues did not converge")
+
+        exact = [QQi(Fraction(j, 4), Fraction(j - 2, 12)) for j in range(1, 7)]
+        poly = [QQi(1)]
+        for r in exact:
+            poly = [a - r * b for a, b in zip([QQi(0)] + poly, poly + [QQi(0)])]
+        monkeypatch.setattr(numpy, "roots", fail)
+        roots = kernel_roots(poly, self.PREC)
+        assert calls == [7]
+        assert [m for _, m in roots] == [1] * 6
+        with mp.workprec(2 * self.PREC):
+            for (v, _), r in zip(roots, exact):
+                r = to_mpc(r)
+                assert abs(mpmath.mpc(v) - r) <= abs(r) * mpmath.ldexp(1, -self.PREC)
+
     @pytest.mark.parametrize("scale", [-20, 300])
     def test_far_roots_hold_their_precision(self, scale):
         # the sweeps run in fixed point on one exponent, placed by the

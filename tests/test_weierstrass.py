@@ -14,13 +14,15 @@ from germsum.scalars import (QQi, is_exact, sabs, sadd, sdiv, smul, sneg, to_mpc
                              working_prec)
 from germsum.series import MonomialOrder, TruncatedSeries, _lift, series_to_json, substitute
 from germsum import weierstrass
+from germsum.harness import gen_example
 from germsum.weierstrass import (Germ, PExpansion, _Frame, _reduce, delta_member, p_expand,
                                  t_substitute, wdivide)
 
-from helpers import (LAM, SHAPES, assert_near_reference, exact_coeffs, exact_germs,
-                     exact_series, expansion_oracle, exponents, fixed_germs, mixed, mixed_germs,
-                     points, random_series, ref_eval, ref_mass_expand, ref_mul, ref_order_key,
-                     ref_p_expand, ref_substitute, ref_t_substitute, ref_wdivide)
+from helpers import (LAM, SHAPES, assert_near_reference, assert_relative, exact_coeffs,
+                     exact_germs, exact_series, expansion_oracle, exponents, fixed_germs, mixed,
+                     mixed_germs, points, random_series, ref_eval, ref_mass_expand, ref_mul,
+                     ref_order_key, ref_p_expand, ref_substitute, ref_t_substitute, ref_wdivide,
+                     wide_eval)
 
 TS = TruncatedSeries
 
@@ -62,6 +64,22 @@ class TestGerm:
     def test_rejects_unit(self):
         with pytest.raises(ZeroGermError):
             Germ(TS(2, 5, {(0, 0): 1, (1, 0): 1}), MonomialOrder((1, 1)))
+
+    def test_plain_weights_make_the_order(self):
+        p = TS(2, 5, {(2, 0): 1, (0, 1): 3})
+        germ = Germ(p, (1, Fraction(3, 2)))
+        assert germ.order == MonomialOrder((1, Fraction(3, 2)))
+        assert germ == Germ(p, MonomialOrder((1, Fraction(3, 2)), "lex"))
+        assert germ.lead_exp == (0, 1) and germ.lead_coeff == 3
+
+    def test_reprs(self, cusp_germ):
+        assert repr(cusp_germ.order) == "MonomialOrder(1,2:lex)"
+        assert repr(MonomialOrder((Fraction(1, 2), 3), "revlex")) == "MonomialOrder(1/2,3:revlex)"
+        assert repr(cusp_germ) == (
+            "Germ(<series d=2 trunc=12: (1)*x2^2 + (-1)*x1^3>, lead=(3, 0), "
+            "order=MonomialOrder(1,2:lex))")
+        expansion = p_expand(TS(2, 12, {(3, 1): 1, (0, 1): 2}), cusp_germ, 3)
+        assert repr(expansion) == "<PExpansion depth=3 trunc=12 nonzero=2 lead=(3, 0)>"
 
 
 class TestDeltaMember:
@@ -643,6 +661,28 @@ class TestSpecialize:
                 assert is_exact(v) and v == ref
             else:
                 assert sabs(sadd(v, sneg(ref))) <= tol
+
+    @pytest.mark.parametrize("point", [(0.3 + 0.1j, 0.2 - 0.05j), (0.1, 0.2)])
+    @pytest.mark.parametrize("qqi", [False, True])
+    def test_binary_float_point(self, point, qqi):
+        """The exact expansion of (1 + x1/3) y, y the ode-euler series at trunc 24, whose
+        g_n have constant and x1 terms (on QQi data too: each coefficient plus i/5), at
+        a point of Python floats: every a_n within 2^(4 - prec) relative of a 300-bit
+        reference.  The floats enter the generic pass through to_mpc, exactly;
+        multiplied into Fractions as floats they erred at 53 bits, about 1e-17
+        relative, and a QQi coefficient times a float raised TypeError."""
+        ex = gen_example("ode-euler", 24)
+        germ = Germ(ex.p, ex.order)
+        f = (TS.one(2, 24) + TS(2, 24, {(1, 0): Fraction(1, 3)})) * ex.f
+        expansion = p_expand(f, germ, 12)
+        if qqi:
+            expansion = PExpansion(germ, [TS(2, g.trunc, {e: c + QQi(0, Fraction(1, 5))
+                                                          for e, c in g.terms.items()})
+                                          for g in expansion.coeffs], expansion.trunc)
+        assert sum(set(g.terms) == {(0, 0), (1, 0)} for g in expansion.coeffs) == 11
+        values = expansion.specialize(point)
+        for v, g in zip(values, expansion.coeffs, strict=True):
+            assert_relative(v, wide_eval(g.terms, point))
 
     def test_point_length_checked(self, cusp_germ):
         expansion = p_expand(TS(2, 12, {(3, 1): 1, (0, 1): 2}), cusp_germ, 3)
